@@ -1,7 +1,7 @@
 """Command line entry point wiring all modules together.
 
 Structured results are JSON (complex numbers as [re, im] decimal-string
-pairs at full precision; floats would defeat the point of high-precision
+pairs printed to --dps digits; floats would defeat the point of high-precision
 computation), plottable tables are CSV.  Identical configuration yields
 byte-identical output.  Every failure class has its own exit code:
 
@@ -27,17 +27,12 @@ from . import series as series_mod
 from .core import Interval, PrecisionContext, validate_sequence
 from .errors import (CapError, ConfigError, DomainError, ExpspanError,
                      PrecisionError, SequenceError)
-from .fixtures import list_fixtures, load_sequence
+from .fixtures import list_fixtures, load_sequence, sequence_from_spec
 
 SCHEMA_VERSION = 1
 
-_EXIT_CODES = [
-    (ConfigError, 2),
-    (PrecisionError, 3),
-    (CapError, 4),
-    (DomainError, 5),
-    (SequenceError, 6),
-]
+_EXIT_CODES = [(ConfigError, 2), (PrecisionError, 3), (CapError, 4),
+               (DomainError, 5), (SequenceError, 6)]
 
 
 def _pair(z, dps: int) -> list[str]:
@@ -69,14 +64,27 @@ def _parse_interval(text: str) -> Interval:
     try:
         lo, hi = text.split(",")
         return Interval(mp.mpmathify(lo), mp.mpmathify(hi))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad interval {text!r}; expected 'gamma,beta'") from exc
 
 
+def _parse_grid(text: str) -> list:
+    """'lo:hi:steps' -> steps equispaced points from lo to hi inclusive."""
+    try:
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = mp.mpmathify(lo), mp.mpmathify(hi), int(steps)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"bad grid {text!r}; expected 'lo:hi:steps'") from exc
+    if steps < 2:
+        raise ConfigError(f"grid {text!r} needs steps >= 2")
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+
 def _parse_complex(text: str) -> mp.mpc:
+    # mpmathify raises AttributeError on a string with 'j' it cannot match
     try:
         return mp.mpmathify(text.replace("i", "j"))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot parse complex number {text!r}") from exc
 
 
@@ -85,12 +93,26 @@ def _load_seq(args) -> "MultiplicitySequence":
 
 
 def _ctx(args) -> PrecisionContext:
-    kw = {}
-    if getattr(args, "digits", None):
-        kw["digits"] = args.digits
-    if getattr(args, "N", None):
-        kw["trunc_N"] = args.N
-    return PrecisionContext(**kw)
+    kw = {"digits": getattr(args, "digits", None), "trunc_N": getattr(args, "N", None)}
+    return PrecisionContext(**{k: v for k, v in kw.items() if v})
+
+
+def _analyze(seq, N: int, eps) -> lambda_analysis.ClassReport:
+    # the analyzer's ValueErrors all name a violated input condition
+    try:
+        return lambda_analysis.analyze(seq, N, mp.mpmathify(eps))
+    except ValueError as exc:
+        raise ConfigError(f"cannot analyze N={N}, eps={eps}: {exc}") from exc
+
+
+# -- serializers shared by the subcommands and `run` ---------------------------
+
+def _pick(obj: dict, *keys: str) -> dict:
+    return {k: obj[k] for k in keys}
+
+
+def _value_obj(val, dps: int) -> dict:
+    return dict(zip(("value_re", "value_im"), _pair(val, dps)))
 
 
 def _trend_obj(v: lambda_analysis.TrendVerdict, dps: int) -> dict:
@@ -102,14 +124,8 @@ def _trend_obj(v: lambda_analysis.TrendVerdict, dps: int) -> dict:
             "ratios": [_num(r, dps) for r in v.ratios]}
 
 
-# -- subcommand handlers --------------------------------------------------------
-
-def _cmd_analyze(args) -> int:
-    seq = _load_seq(args)
-    dps = 30
-    report = lambda_analysis.analyze(seq, args.N, mp.mpmathify(args.eps))
-    obj = {
-        "schema_version": SCHEMA_VERSION,
+def _analyze_obj(report: lambda_analysis.ClassReport, dps: int) -> dict:
+    return {
         "provenance": report.provenance,
         "N": report.N,
         "condition_a": {"verdict": report.cond_a.verdict,
@@ -131,46 +147,66 @@ def _cmd_analyze(args) -> int:
                          if report.condensation else None),
         "all_passed": report.all_passed,
     }
-    _dump(obj, args.out)
-    if args.csv:
-        rows = [[n + 1,
-                 _num(report.geom_i.ratios[n], dps),
-                 _num(report.geom_ii.ratios[n], dps),
-                 _num(report.necessary.ratios[n], dps)]
-                for n in range(report.N)]
-        _write_csv(args.csv, ["n", "geom_i_ratio", "geom_ii_ratio", "necessary_ratio"], rows)
-    return 0
 
 
-def _cmd_validate(args) -> int:
+def _moment_obj(sol: moment_mod.MomentSolution, dps: int) -> dict:
+    return {**series_mod.series_to_obj(sol.series, dps=dps),
+            "solved": True,
+            "forced": sol.forced,
+            "growth_a": _num(sol.gate.a, dps) if mp.isfinite(sol.gate.a) else "-inf",
+            "residual_max": _num(sol.residual_max, 8),
+            "coefficient_bound_verdict": sol.coefficient_bound.verdict}
+
+
+def _counterexample_obj(rep: carleson_mod.CounterexampleReport, dps: int) -> dict:
+    return {"samples": [_pair(z, dps) for z in rep.samples],
+            "rows": [{"n": r.n,
+                      "grouped_abs": [_num(v, dps) for v in r.grouped_abs],
+                      "grouped_bound": [_num(v, dps) for v in r.grouped_bound],
+                      "ungrouped_abs": [_num(v, dps) for v in r.ungrouped_abs]}
+                     for r in rep.rows],
+            "grouped_decreasing": rep.grouped_decreasing,
+            "ungrouped_increasing": rep.ungrouped_increasing,
+            "f_at_zero": _pair(rep.value_at_zero, dps)}
+
+
+# -- subcommand handlers --------------------------------------------------------
+# A handler returns its result object and its CSV table or None; main writes both.
+_Result = tuple[dict, tuple[list[str], list[list]] | None]
+
+def _cmd_analyze(args) -> _Result:
+    report = _analyze(_load_seq(args), args.N, args.eps)
+    dps = 30
+    rows = [[n + 1] + [_num(v.ratios[n], dps)
+                       for v in (report.geom_i, report.geom_ii, report.necessary)]
+            for n in range(report.N)]
+    return _analyze_obj(report, dps), (
+        ["n", "geom_i_ratio", "geom_ii_ratio", "necessary_ratio"], rows)
+
+
+def _cmd_validate(args) -> _Result:
     seq = _load_seq(args)
     violations = validate_sequence(seq)
-    _dump({"schema_version": SCHEMA_VERSION,
-           "provenance": seq.provenance,
-           "valid": not violations,
-           "violations": [{"index": v.index, "rule": v.rule, "detail": v.detail}
-                          for v in violations]}, args.out)
-    return 0
+    return {"provenance": seq.provenance,
+            "valid": not violations,
+            "violations": [{"index": v.index, "rule": v.rule, "detail": v.detail}
+                           for v in violations]}, None
 
 
-def _cmd_product_eval(args) -> int:
+def _cmd_product_eval(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
     kind = {"F": products.ProductKind.F_PLAIN, "G": products.ProductKind.G_ABS,
             "F_even": products.ProductKind.F_EVEN,
-            "L_even": products.ProductKind.L_EVEN}.get(args.kind)
-    if kind is None:
-        raise ConfigError(f"unknown product kind {args.kind!r}")
+            "L_even": products.ProductKind.L_EVEN}[args.kind]
     with mp.workdps(ctx.digits):
         z = _parse_complex(args.z)
         val = products.eval_product(kind, seq, args.N, z)
-    re, im = _pair(val, args.dps)
-    _dump({"schema_version": SCHEMA_VERSION, "kind": args.kind,
-           "z": _pair(z, args.dps), "value_re": re, "value_im": im}, args.out)
-    return 0
+    return {"kind": args.kind, "z": _pair(z, args.dps),
+            **_value_obj(val, args.dps)}, None
 
 
-def _cmd_lk(args) -> int:
+def _cmd_lk(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
     interval = _parse_interval(args.interval)
@@ -178,105 +214,85 @@ def _cmd_lk(args) -> int:
         lk = products.lk_function(seq, interval, ctx)
         if args.action == "eval":
             z = _parse_complex(args.z)
-            val = products.lk_eval(lk, z)
-            re, im = _pair(val, args.dps)
-            _dump({"schema_version": SCHEMA_VERSION, "z": _pair(z, args.dps),
-                   "value_re": re, "value_im": im}, args.out)
-            return 0
+            return {"z": _pair(z, args.dps),
+                    **_value_obj(products.lk_eval(lk, z), args.dps)}, None
         eps = mp.mpmathify(args.eps)
         ns = list(range(1, min(args.circles, lk.trunc_N) + 1))
         minima = products.lk_circle_minima(lk, eps, ns)
     rows = [[m.n, _num(m.radius, args.dps), _num(m.min_abs, args.dps),
              _num(m.fitted_const, args.dps)] for m in minima]
-    if args.csv:
-        _write_csv(args.csv, ["n", "radius", "min_abs_G", "fitted_const"], rows)
-    _dump({"schema_version": SCHEMA_VERSION, "eps": _num(eps, args.dps),
-           "minima": [{"n": r[0], "radius": r[1], "min_abs": r[2],
-                       "fitted_const": r[3]} for r in rows]}, args.out)
-    return 0
+    return {"eps": _num(eps, args.dps),
+            "minima": [dict(zip(("n", "radius", "min_abs", "fitted_const"), r))
+                       for r in rows]}, (
+        ["n", "radius", "min_abs_G", "fitted_const"], rows)
 
 
-def _cmd_gram(args) -> int:
+def _cmd_gram(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
     dom = (gram_mod.DomainSpec.half_line() if args.half_line
            else gram_mod.DomainSpec.bounded(_parse_interval(args.interval)))
     g = gram_mod.gram_matrix(seq, args.N, dom, ctx)
     dps = args.dps
-    obj = {"schema_version": SCHEMA_VERSION, "dim": g.dim,
+    obj = {"dim": g.dim,
            "digits_used": g.digits_used,
            "cond_estimate": _num(g.cond_estimate, 8),
            "indices": [[ix.n, ix.k] for ix in g.indices]}
     if args.action == "build":
         obj["matrix"] = [[_pair(g.matrix[i, j], dps) for j in range(g.dim)]
                          for i in range(g.dim)]
-        _dump(obj, args.out)
-        return 0
+        return obj, None
     fam = gram_mod.biorthogonal(g)
     if args.action == "distance":
-        rows = []
-        for i, ix in enumerate(g.indices):
-            lam = seq.lam(ix.n)
-            d = fam.distances[i]
-            rows.append([ix.n, ix.k, _num(mp.re(lam), dps), _num(d, dps),
-                         _num(mp.log(d) / mp.re(lam), dps),
-                         _num(fam.norms[i], dps)])
-        obj["distances"] = [{"n": r[0], "k": r[1], "re_lambda": r[2],
-                             "distance": r[3], "log_ratio": r[4],
-                             "dual_norm": r[5]} for r in rows]
-        _dump(obj, args.out)
-        if args.csv:
-            _write_csv(args.csv, ["n", "k", "re_lambda", "distance",
-                                  "log_distance_over_re_lambda", "dual_norm"], rows)
-        return 0
+        rows = [[ix.n, ix.k, _num(mp.re(seq.lam(ix.n)), dps), _num(d, dps),
+                 _num(mp.log(d) / mp.re(seq.lam(ix.n)), dps), _num(norm, dps)]
+                for ix, d, norm in zip(g.indices, fam.distances, fam.norms)]
+        obj["distances"] = [dict(zip(("n", "k", "re_lambda", "distance", "log_ratio",
+                                      "dual_norm"), r)) for r in rows]
+        return obj, (["n", "k", "re_lambda", "distance",
+                      "log_distance_over_re_lambda", "dual_norm"], rows)
     if args.action == "biorthogonal":
         obj["identity_residual"] = _num(fam.identity_residual, 8)
         obj["norms"] = [_num(v, dps) for v in fam.norms]
         obj["coeffs"] = [[_pair(fam.coeffs[i, j], dps) for j in range(g.dim)]
                          for i in range(g.dim)]
-        _dump(obj, args.out)
-        return 0
+        return obj, None
     # mixed: random partitions
     import random
     rng = random.Random(args.seed)
-    results = []
+    obj["partitions"] = []
     for _ in range(args.partitions):
         n2 = [ix for ix in g.indices if rng.random() < 0.5]
         n1 = [ix for ix in g.indices if ix not in n2]
         rep = gram_mod.mixed_completeness(g, fam, (n1, n2))
-        results.append({"n2": [[ix.n, ix.k] for ix in rep.n2],
-                        "min_singular": _num(rep.min_singular, 8)})
-    obj["partitions"] = results
-    _dump(obj, args.out)
-    return 0
+        obj["partitions"].append({"n2": [[ix.n, ix.k] for ix in rep.n2],
+                                  "min_singular": _num(rep.min_singular, 8)})
+    return obj, None
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> _Result:
     s = series_mod.load_series(args.series)
     ctx = _ctx(args)
+    # the values are printed at ctx.digits, not at the ambient precision
     with mp.workdps(ctx.digits):
         if args.action == "eval":
             z = _parse_complex(args.z)
             res = series_mod.td_eval(s, z, args.N or s.seq.size)
-            re, im = _pair(res.value, args.dps)
-            _dump({"schema_version": SCHEMA_VERSION, "value_re": re, "value_im": im,
-                   "tail_bound": _num(res.tail_bound, args.dps),
-                   "terms_used": res.terms_used}, args.out)
-        elif args.action == "abscissa":
+            return {**_value_obj(res.value, args.dps),
+                    "tail_bound": _num(res.tail_bound, args.dps),
+                    "terms_used": res.terms_used}, None
+        if args.action == "abscissa":
             rep = series_mod.star_abscissa(s, args.N or s.seq.size)
-            _dump({"schema_version": SCHEMA_VERSION, "a": _num(rep.a, args.dps),
-                   "implied_beta": _num(rep.implied_beta, args.dps),
-                   "ratios": [_num(r, args.dps) for r in rep.ratios]}, args.out)
-        else:
-            rep = series_mod.bound_check(s, mp.mpmathify(args.beta),
-                                         mp.mpmathify(args.eps))
-            _dump({"schema_version": SCHEMA_VERSION, "m_hat": _num(rep.m_hat, args.dps),
-                   "argmax": list(rep.argmax) if rep.argmax else None,
-                   "verdict": rep.verdict}, args.out)
-    return 0
+            return {"a": _num(rep.a, args.dps),
+                    "implied_beta": _num(rep.implied_beta, args.dps),
+                    "ratios": [_num(r, args.dps) for r in rep.ratios]}, None
+        rep = series_mod.bound_check(s, mp.mpmathify(args.beta), mp.mpmathify(args.eps))
+        return {"m_hat": _num(rep.m_hat, args.dps),
+                "argmax": list(rep.argmax) if rep.argmax else None,
+                "verdict": rep.verdict}, None
 
 
-def _cmd_moment(args) -> int:
+def _cmd_moment(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
     interval = _parse_interval(args.interval)
@@ -284,71 +300,47 @@ def _cmd_moment(args) -> int:
     try:
         sol = moment_mod.solve(data, seq, args.N, interval, ctx, force=args.force)
     except moment_mod.GrowthGateError as exc:
-        _dump({"schema_version": SCHEMA_VERSION, "solved": False,
-               "reason": str(exc)}, args.out)
-        return 0
-    obj = series_mod.series_to_obj(sol.series, dps=args.dps)
-    obj.update({"schema_version": SCHEMA_VERSION, "solved": True,
-                "forced": sol.forced,
-                "growth_a": _num(sol.gate.a, args.dps) if mp.isfinite(sol.gate.a) else "-inf",
-                "residual_max": _num(sol.residual_max, 8),
-                "coefficient_bound_verdict": sol.coefficient_bound.verdict})
-    _dump(obj, args.out)
-    return 0
+        return {"solved": False, "reason": str(exc)}, None
+    return _moment_obj(sol, args.dps), None
 
 
-def _cmd_carleson(args) -> int:
+def _cmd_carleson(args) -> _Result:
     ctx = _ctx(args)
     if args.action == "counterexample":
         rep = carleson_mod.counterexample(args.nmax, ctx)
-        dps = args.dps
-        _dump({"schema_version": SCHEMA_VERSION,
-               "samples": [_pair(z, dps) for z in rep.samples],
-               "rows": [{"n": r.n,
-                         "grouped_abs": [_num(v, dps) for v in r.grouped_abs],
-                         "grouped_bound": [_num(v, dps) for v in r.grouped_bound],
-                         "ungrouped_abs": [_num(v, dps) for v in r.ungrouped_abs]}
-                        for r in rep.rows],
-               "grouped_decreasing": rep.grouped_decreasing,
-               "ungrouped_increasing": rep.ungrouped_increasing,
-               "f_at_zero": _pair(rep.value_at_zero, dps)}, args.out)
-        return 0
+        return _counterexample_obj(rep, args.dps), None
     seq = _load_seq(args)
     op = carleson_mod.carleson_operator(seq, args.N, ctx)
     if args.action == "apply":
         lam = _parse_complex(args.lam)
         with mp.workdps(ctx.digits):
-            val = carleson_mod.apply_to_exponential(op, lam, args.k,
-                                                    mp.mpmathify(args.x), ctx)
-        re, im = _pair(val, args.dps)
-        _dump({"schema_version": SCHEMA_VERSION, "value_re": re, "value_im": im},
-              args.out)
-        return 0
+            val = carleson_mod.apply_to_exponential(op, lam, args.k, mp.mpmathify(args.x), ctx)
+        return _value_obj(val, args.dps), None
     # residual over a grid for a series file
     s = series_mod.load_series(args.series)
-    lo, hi, steps = args.grid.split(":")
-    lo, hi, steps = mp.mpmathify(lo), mp.mpmathify(hi), int(steps)
-    grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    rep = carleson_mod.residual_on_span(op, s, grid, ctx)
-    _dump({"schema_version": SCHEMA_VERSION,
-           "sup_residual": _num(rep.sup_residual, 8),
-           "scale": _num(rep.scale, 8)}, args.out)
-    return 0
+    rep = carleson_mod.residual_on_span(op, s, _parse_grid(args.grid), ctx)
+    return {"sup_residual": _num(rep.sup_residual, 8),
+            "scale": _num(rep.scale, 8)}, None
 
 
-def _cmd_fixtures(args) -> int:
-    _dump({"schema_version": SCHEMA_VERSION,
-           "fixtures": [{"name": f.name, "description": f.description,
-                         "paired": f.paired} for f in list_fixtures()]}, args.out)
-    return 0
+def _cmd_fixtures(args) -> _Result:
+    return {"fixtures": [{"name": f.name, "description": f.description,
+                          "paired": f.paired} for f in list_fixtures()]}, None
 
 
-_EXPERIMENT_KINDS = ("analyze", "gram", "biorthogonal", "distance-trend",
-                     "series", "moment", "carleson", "counterexample",
-                     "full-report")
+_EXPERIMENT_KINDS = ("analyze", "gram", "biorthogonal", "distance-trend", "series",
+                     "moment", "carleson", "counterexample", "full-report")
 
 
-def _cmd_run(args) -> int:
+def _cfg_int(cfg: dict, key: str, default: int) -> int:
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {key!r} must be an integer, got {cfg[key]!r}") from exc
+
+
+def _cmd_run(args) -> None:
+    """Validate the whole config, compute every artifact, then write the bundle."""
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -356,90 +348,77 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind not in _EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {_EXPERIMENT_KINDS}")
-    outdir = cfg.get("out", args.out or "expspan-report")
-    os.makedirs(outdir, exist_ok=True)
-    manifest = {"schema_version": SCHEMA_VERSION, "kind": kind, "artifacts": []}
-
-    def art(name):
-        manifest["artifacts"].append(name)
-        return os.path.join(outdir, name)
-
     seq_spec = cfg.get("seq")
     if seq_spec is None and kind != "counterexample":
         raise ConfigError("config needs a 'seq' spec")
-    N = int(cfg.get("N", 6))
-    digits = int(cfg.get("digits", 120))
-    ctx = PrecisionContext(digits=digits, trunc_N=N)
-    from .fixtures import sequence_from_spec
+    if kind == "series" and cfg.get("series") is None:
+        raise ConfigError("series experiment needs a 'series' object")
+    if kind == "moment" and cfg.get("data") is None:
+        raise ConfigError("moment experiment needs a 'data' row list")
+    N = _cfg_int(cfg, "N", 6)
+    ctx = PrecisionContext(digits=_cfg_int(cfg, "digits", 120), trunc_N=N)
     seq = sequence_from_spec(seq_spec, default_terms=N) if seq_spec else None
+    interval = (_parse_interval(cfg.get("interval", "0,1"))
+                if kind not in ("analyze", "series", "counterexample") else None)
     dps = 30
+    artifacts = {}  # file name -> JSON object, or (header, rows) for a CSV
 
     if kind in ("analyze", "full-report"):
-        rep = lambda_analysis.analyze(seq, N, mp.mpmathify(str(cfg.get("eps", "0.1"))))
-        _dump({"provenance": rep.provenance, "all_passed": rep.all_passed,
-               "geometric_i": _trend_obj(rep.geom_i, dps),
-               "geometric_ii": _trend_obj(rep.geom_ii, dps)}, art("analyze.json"))
+        rep = _analyze(seq, N, str(cfg.get("eps", "0.1")))
+        artifacts["analyze.json"] = _pick(_analyze_obj(rep, dps), "provenance",
+                                          "all_passed", "geometric_i", "geometric_ii")
     if kind in ("gram", "biorthogonal", "distance-trend", "full-report"):
-        interval = _parse_interval(cfg.get("interval", "0,1"))
         g = gram_mod.gram_matrix(seq, N, gram_mod.DomainSpec.bounded(interval), ctx)
         fam = gram_mod.biorthogonal(g)
-        _dump({"dim": g.dim, "digits_used": g.digits_used,
-               "identity_residual": _num(fam.identity_residual, 8)},
-              art("biorthogonal.json"))
-        rows = []
-        for i, ix in enumerate(g.indices):
-            lam = seq.lam(ix.n)
-            rows.append([ix.n, mp.nstr(mp.re(lam), dps), mp.nstr(fam.distances[i], dps),
-                         mp.nstr(mp.log(fam.distances[i]) / mp.re(lam), dps)])
-        _write_csv(art("distance_trend.csv"),
-                   ["n", "re_lambda", "distance", "log_distance_over_re_lambda"], rows)
+        artifacts["biorthogonal.json"] = {
+            "dim": g.dim, "digits_used": g.digits_used,
+            "identity_residual": _num(fam.identity_residual, 8)}
+        rows = [[ix.n, mp.nstr(mp.re(seq.lam(ix.n)), dps), mp.nstr(d, dps),
+                 mp.nstr(mp.log(d) / mp.re(seq.lam(ix.n)), dps)]
+                for ix, d in zip(g.indices, fam.distances)]
+        artifacts["distance_trend.csv"] = (
+            ["n", "re_lambda", "distance", "log_distance_over_re_lambda"], rows)
     if kind == "series":
-        sobj = cfg.get("series")
-        if sobj is None:
-            raise ConfigError("series experiment needs a 'series' object")
-        s = series_mod.series_from_obj(sobj)
+        s = series_mod.series_from_obj(cfg["series"])
         with mp.workdps(ctx.digits):
             rep = series_mod.star_abscissa(s, s.seq.size)
-        _dump({"a": _num(rep.a, dps) if mp.isfinite(rep.a) else "-inf",
-               "implied_beta": _num(rep.implied_beta, dps) if mp.isfinite(rep.a) else "inf",
-               "ratios": [_num(r, dps) if mp.isfinite(r) else "-inf"
-                          for r in rep.ratios]}, art("series_abscissa.json"))
+        artifacts["series_abscissa.json"] = {
+            "a": _num(rep.a, dps) if mp.isfinite(rep.a) else "-inf",
+            "implied_beta": _num(rep.implied_beta, dps) if mp.isfinite(rep.a) else "inf",
+            "ratios": [_num(r, dps) if mp.isfinite(r) else "-inf" for r in rep.ratios]}
     if kind == "moment":
-        rows = cfg.get("data")
-        if rows is None:
-            raise ConfigError("moment experiment needs a 'data' row list")
-        interval = _parse_interval(cfg.get("interval", "0,1"))
-        data = moment_mod.moments_from_obj(rows)
+        data = moment_mod.moments_from_obj(cfg["data"])
         sol = moment_mod.solve(data, seq, N, interval, ctx,
                                force=bool(cfg.get("force", False)))
-        _dump({"residual_max": _num(sol.residual_max, 8),
-               "growth_a": _num(sol.gate.a, dps) if mp.isfinite(sol.gate.a) else "-inf",
-               "forced": sol.forced}, art("moment_solution.json"))
+        artifacts["moment_solution.json"] = _pick(_moment_obj(sol, dps), "residual_max",
+                                                  "growth_a", "forced")
     if kind in ("carleson", "full-report"):
         op = carleson_mod.carleson_operator(seq, N, ctx)
-        interval = _parse_interval(cfg.get("interval", "0,1"))
         grid = [interval.gamma + interval.length * (i + 1) / 11 for i in range(10)]
-        worst = mp.mpf(0)
-        for n in range(1, N + 1):
-            for k in range(seq.mu(n)):
-                for x in grid:
-                    worst = max(worst, abs(carleson_mod.apply_to_exponential(
-                        op, seq.lam(n), k, x, ctx)))
-        _dump({"sup_annihilation_residual": _num(worst, 8),
-               "degree": op.degree}, art("carleson_annihilation.json"))
+        worst = max(abs(carleson_mod.apply_to_exponential(op, seq.lam(n), k, x, ctx))
+                    for n in range(1, N + 1) for k in range(seq.mu(n)) for x in grid)
+        artifacts["carleson_annihilation.json"] = {
+            "sup_annihilation_residual": _num(worst, 8), "degree": op.degree}
     if kind in ("counterexample", "full-report"):
-        rep = carleson_mod.counterexample(int(cfg.get("nmax", 5)), ctx)
-        _dump({"grouped_decreasing": rep.grouped_decreasing,
-               "ungrouped_increasing": rep.ungrouped_increasing},
-              art("counterexample.json"))
-    if not manifest["artifacts"]:
-        raise ConfigError(f"experiment kind {kind!r} produced no artifacts; "
-                          "nothing to report")
-    _dump(manifest, os.path.join(outdir, "manifest.json"))
-    return 0
+        rep = carleson_mod.counterexample(_cfg_int(cfg, "nmax", 5), ctx)
+        artifacts["counterexample.json"] = _pick(
+            _counterexample_obj(rep, dps), "grouped_decreasing", "ungrouped_increasing")
+
+    outdir = cfg.get("out", args.out or "expspan-report")
+    os.makedirs(outdir, exist_ok=True)
+    for name, content in artifacts.items():
+        path = os.path.join(outdir, name)
+        if name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            _dump(content, path)
+    _dump({"schema_version": SCHEMA_VERSION, "kind": kind, "artifacts": list(artifacts)},
+          os.path.join(outdir, "manifest.json"))
 
 
 # -- argument wiring -------------------------------------------------------------
@@ -569,14 +548,16 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:  # `run` writes its own bundle
+            obj, table = result
+            _dump({"schema_version": SCHEMA_VERSION, **obj}, args.out)
+            if table is not None and args.csv:
+                _write_csv(args.csv, *table)
+        return 0
     except ExpspanError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 1)
 
 
 if __name__ == "__main__":

@@ -238,25 +238,21 @@ class PrecisionContext:
 
     digits   working decimal precision (>= 50)
     trunc_N  number of frequencies kept in truncated products
-    taylor_M power-series truncation order
     cos_K    number of cosine factors in the windowed even product
-    quad_Q   contour quadrature nodes (trapezoid on circles)
     tol      acceptance tolerance in output units; must sit well above
              the roundoff floor 10^(-digits+10)
     """
 
     digits: int = 120
     trunc_N: int = 8
-    taylor_M: int = 16
     cos_K: int = 8
-    quad_Q: int = 64
     tol: mp.mpf = field(default_factory=lambda: mp.mpf("1e-30"))
 
     def __post_init__(self):
         object.__setattr__(self, "tol", mp.mpf(self.tol))
         if self.digits < DIGITS_FLOOR:
             raise ValueError(f"digits={self.digits} below floor {DIGITS_FLOOR}")
-        for name in ("trunc_N", "taylor_M", "cos_K", "quad_Q"):
+        for name in ("trunc_N", "cos_K"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not self.tol > mp.mpf(10) ** (-self.digits + 10):

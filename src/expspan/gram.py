@@ -318,10 +318,8 @@ def mixed_completeness(g: GramSystem, fam: BiorthogonalFamily,
                     H[i, j] = g.matrix[pos[a], pos[b]]
                 elif a_dual and b_dual:
                     H[i, j] = fam.coeffs[pos[a], pos[b]]
-                elif a_dual and not b_dual:
-                    # <r_a, e_b> = delta
-                    H[i, j] = 1 if a == b else 0
                 else:
+                    # <r_a, e_b> = <e_a, r_b> = delta
                     H[i, j] = 1 if a == b else 0
         eigs = mp.eigh(H, eigvals_only=True)
         smin, smax = min(eigs), max(eigs)

@@ -123,21 +123,6 @@ def integrated_about(seq: MultiplicitySequence, N: int, n: int) -> mp.mpf:
     return total
 
 
-@dataclass(frozen=True)
-class CountingProfile:
-    """Sampled counting data: (t, n(t)) steps and (r, N(r)) integrals."""
-
-    samples: tuple
-    integrated: tuple
-
-
-def counting_profile(seq: MultiplicitySequence, N: int) -> CountingProfile:
-    radii = [abs(seq.lam(n)) for n in range(1, N + 1)]
-    samples = tuple((r, counting(seq, N, r)) for r in radii)
-    integrated = tuple((r, integrated_counting(seq, N, r)) for r in radii)
-    return CountingProfile(samples=samples, integrated=integrated)
-
-
 # -- condition A --------------------------------------------------------------
 
 @dataclass(frozen=True)

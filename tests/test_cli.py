@@ -173,6 +173,36 @@ class TestExitCodes:
                       "--N", "8", "--interval", "0,3", "--digits", "50")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, condition", [
+        (["product", "eval", "--seq", "{seq}", "--N", "2", "--z=1+xi"],
+         "cannot parse complex number '1+xi'"),
+        (["carleson", "residual", "--seq", "{seq}", "--N", "6",
+          "--series", "{series}", "--grid", "0:1"], "expected 'lo:hi:steps'"),
+        (["carleson", "residual", "--seq", "{seq}", "--N", "6",
+          "--series", "{series}", "--grid", "0:1:1"], "needs steps >= 2"),
+        (["carleson", "residual", "--seq", "{seq}", "--N", "6",
+          "--series", "{series}", "--grid", "a:1:3"], "expected 'lo:hi:steps'"),
+        (["run", "{list_config}"], "config must be a JSON object"),
+        (["run", "{six_config}"], "config 'N' must be an integer"),
+        (["analyze", "{seq}", "--N", "3"], "need N >= 6"),
+    ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
+            "config-int", "analyze-N"])
+    def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
+                                             argv, condition):
+        squares = {"kind": "generator", "name": "squares", "terms": 8}
+        files = {"series": {"seq": squares, "sector": {"eta": "0", "beta": "1"},
+                            "coeffs": [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]},
+                 "list_config": [{"kind": "analyze", "seq": squares}],
+                 "six_config": {"kind": "analyze", "seq": squares, "N": "six"}}
+        paths = {"seq": seq_file}
+        for name, obj in files.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        code = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and condition in err
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys, seq_file):
@@ -245,6 +275,19 @@ class TestRunReports:
         cpath.write_text(json.dumps(cfg))
         code, _ = run(capsys, "run", str(cpath))
         assert code == 2
+
+    @pytest.mark.parametrize("cfg, exit_code", [
+        ({"kind": "series"}, 2),  # validation refuses it
+        ({"kind": "full-report", "N": 8, "digits": 50, "interval": "0,3"}, 3),  # gram fails
+    ], ids=["invalid", "gram-fails"])
+    def test_refused_config_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                           cfg, exit_code):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"seq": {"kind": "generator", "name": "squares", "terms": 8}, **cfg}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _ = run(capsys, "run", "cfg.json")
+        assert code == exit_code
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_carleson_kind(self, capsys, tmp_path):
         cfg = {"kind": "carleson",
