@@ -80,6 +80,17 @@ def _parse_grid(text: str) -> list:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
+def _parse_real(text: str, option: str) -> mp.mpf:
+    """A real-valued option, read as mpmath reads it; anything else is a ConfigError."""
+    try:
+        x = mp.mpmathify(text)
+    except (ValueError, TypeError, AttributeError):
+        x = None
+    if not isinstance(x, mp.mpf):
+        raise ConfigError(f"{option} must be a real number, got {text!r}")
+    return x
+
+
 def _parse_complex(text: str) -> mp.mpc:
     # mpmathify raises AttributeError on a string with 'j' it cannot match
     try:
@@ -92,15 +103,23 @@ def _load_seq(args) -> "MultiplicitySequence":
     return load_sequence(args.seq, default_terms=args.N)
 
 
+def _precision(**kw) -> PrecisionContext:
+    # its ValueErrors name the violated condition, e.g. the digits floor
+    try:
+        return PrecisionContext(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"bad precision: {exc}") from exc
+
+
 def _ctx(args) -> PrecisionContext:
     kw = {"digits": getattr(args, "digits", None), "trunc_N": getattr(args, "N", None)}
-    return PrecisionContext(**{k: v for k, v in kw.items() if v})
+    return _precision(**{k: v for k, v in kw.items() if v})
 
 
-def _analyze(seq, N: int, eps) -> lambda_analysis.ClassReport:
+def _analyze(seq, N: int, eps: mp.mpf) -> lambda_analysis.ClassReport:
     # the analyzer's ValueErrors all name a violated input condition
     try:
-        return lambda_analysis.analyze(seq, N, mp.mpmathify(eps))
+        return lambda_analysis.analyze(seq, N, eps)
     except ValueError as exc:
         raise ConfigError(f"cannot analyze N={N}, eps={eps}: {exc}") from exc
 
@@ -175,7 +194,7 @@ def _counterexample_obj(rep: carleson_mod.CounterexampleReport, dps: int) -> dic
 _Result = tuple[dict, tuple[list[str], list[list]] | None]
 
 def _cmd_analyze(args) -> _Result:
-    report = _analyze(_load_seq(args), args.N, args.eps)
+    report = _analyze(_load_seq(args), args.N, _parse_real(args.eps, "--eps"))
     dps = 30
     rows = [[n + 1] + [_num(v.ratios[n], dps)
                        for v in (report.geom_i, report.geom_ii, report.necessary)]
@@ -216,7 +235,7 @@ def _cmd_lk(args) -> _Result:
             z = _parse_complex(args.z)
             return {"z": _pair(z, args.dps),
                     **_value_obj(products.lk_eval(lk, z), args.dps)}, None
-        eps = mp.mpmathify(args.eps)
+        eps = _parse_real(args.eps, "--eps")
         ns = list(range(1, min(args.circles, lk.trunc_N) + 1))
         minima = products.lk_circle_minima(lk, eps, ns)
     rows = [[m.n, _num(m.radius, args.dps), _num(m.min_abs, args.dps),
@@ -286,7 +305,8 @@ def _cmd_series(args) -> _Result:
             return {"a": _num(rep.a, args.dps),
                     "implied_beta": _num(rep.implied_beta, args.dps),
                     "ratios": [_num(r, args.dps) for r in rep.ratios]}, None
-        rep = series_mod.bound_check(s, mp.mpmathify(args.beta), mp.mpmathify(args.eps))
+        rep = series_mod.bound_check(s, _parse_real(args.beta, "--beta"),
+                                     _parse_real(args.eps, "--eps"))
         return {"m_hat": _num(rep.m_hat, args.dps),
                 "argmax": list(rep.argmax) if rep.argmax else None,
                 "verdict": rep.verdict}, None
@@ -314,7 +334,8 @@ def _cmd_carleson(args) -> _Result:
     if args.action == "apply":
         lam = _parse_complex(args.lam)
         with mp.workdps(ctx.digits):
-            val = carleson_mod.apply_to_exponential(op, lam, args.k, mp.mpmathify(args.x), ctx)
+            val = carleson_mod.apply_to_exponential(op, lam, args.k,
+                                                    _parse_real(args.x, "--x"), ctx)
         return _value_obj(val, args.dps), None
     # residual over a grid for a series file
     s = series_mod.load_series(args.series)
@@ -361,7 +382,7 @@ def _cmd_run(args) -> None:
     if kind == "moment" and cfg.get("data") is None:
         raise ConfigError("moment experiment needs a 'data' row list")
     N = _cfg_int(cfg, "N", 6)
-    ctx = PrecisionContext(digits=_cfg_int(cfg, "digits", 120), trunc_N=N)
+    ctx = _precision(digits=_cfg_int(cfg, "digits", 120), trunc_N=N)
     seq = sequence_from_spec(seq_spec, default_terms=N) if seq_spec else None
     interval = (_parse_interval(cfg.get("interval", "0,1"))
                 if kind not in ("analyze", "series", "counterexample") else None)
@@ -369,7 +390,7 @@ def _cmd_run(args) -> None:
     artifacts = {}  # file name -> JSON object, or (header, rows) for a CSV
 
     if kind in ("analyze", "full-report"):
-        rep = _analyze(seq, N, str(cfg.get("eps", "0.1")))
+        rep = _analyze(seq, N, _parse_real(str(cfg.get("eps", "0.1")), "config 'eps'"))
         artifacts["analyze.json"] = _pick(_analyze_obj(rep, dps), "provenance",
                                           "all_passed", "geometric_i", "geometric_ii")
     if kind in ("gram", "biorthogonal", "distance-trend", "full-report"):

@@ -37,14 +37,15 @@ class ProductKind(enum.Enum):
     L_EVEN = "L_even"
 
 
-def _factor_base(kind: ProductKind, lam, z):
+def _factor_base(kind: ProductKind, lam, z, zz):
+    """One factor at z; zz = z*z, computed once per point by the caller."""
     if kind is ProductKind.F_PLAIN:
         return 1 - z / lam
     if kind is ProductKind.G_ABS:
         return 1 + z / abs(lam)
     if kind is ProductKind.F_EVEN:
-        return 1 - z * z / (lam * lam)
-    return 1 + z * z / (lam * lam)
+        return 1 - zz / (lam * lam)
+    return 1 + zz / (lam * lam)
 
 
 def eval_product(kind: ProductKind, seq: MultiplicitySequence, N: int, z) -> mp.mpc:
@@ -54,9 +55,10 @@ def eval_product(kind: ProductKind, seq: MultiplicitySequence, N: int, z) -> mp.
     """
     seq.check_prefix(N)
     z = mp.mpc(z)
+    zz = z * z
     acc = mp.mpc(1)
     for n in range(1, N + 1):
-        base = _factor_base(kind, seq.lam(n), z)
+        base = _factor_base(kind, seq.lam(n), z, zz)
         if base == 0:
             return mp.mpc(0)
         acc *= base ** seq.mu(n)
@@ -83,10 +85,11 @@ def derivative_factor(seq: MultiplicitySequence, N: int, n: int,
         acc = (-1 / lam) ** mu
     else:
         acc = (-2 / lam) ** mu
+    lam2 = lam * lam
     for j in range(1, N + 1):
         if j == n:
             continue
-        acc *= _factor_base(kind, seq.lam(j), lam) ** seq.mu(j)
+        acc *= _factor_base(kind, seq.lam(j), lam, lam2) ** seq.mu(j)
     return acc
 
 
@@ -180,17 +183,28 @@ def lk_function(seq: MultiplicitySequence, interval: Interval,
                       trunc_N=ctx.trunc_N, cos_K=ctx.cos_K)
 
 
+def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
+    """Windowed product at each point of zs, with the zeros and the phase
+    built once for the batch; each value is exactly lk_eval's."""
+    zeros = [c * lk.seq.lam(n) for n in range(1, lk.trunc_N + 1) for c in (1j, -1j)]
+    phase = -1j * lk.interval.sigma
+    out = []
+    for z in zs:
+        z = mp.mpc(z)
+        if z in zeros:
+            out.append(mp.mpc(0))
+            continue
+        val = mp.exp(phase * z)
+        val *= eval_product(ProductKind.L_EVEN, lk.seq, lk.trunc_N, z)
+        for e in lk.epsilons:
+            val *= mp.cos(e * z)
+        out.append(val)
+    return out
+
+
 def lk_eval(lk: LKFunction, z) -> mp.mpc:
     """Evaluate the windowed product; exact zero at z = i lambda_n."""
-    z = mp.mpc(z)
-    for n in range(1, lk.trunc_N + 1):
-        if z == 1j * lk.seq.lam(n) or z == -1j * lk.seq.lam(n):
-            return mp.mpc(0)
-    val = mp.exp(-1j * lk.interval.sigma * z)
-    val *= eval_product(ProductKind.L_EVEN, lk.seq, lk.trunc_N, z)
-    for e in lk.epsilons:
-        val *= mp.cos(e * z)
-    return val
+    return _lk_values(lk, [z])[0]
 
 
 @dataclass(frozen=True)
@@ -220,8 +234,8 @@ def lk_circle_minima(lk: LKFunction, eps, ns: list[int], samples: int = 96,
         lam = lk.seq.lam(n)
         r = separation_disk_radius(lk.seq, lk.trunc_N, eps, n, m_eps=m_eps)
         c = 1j * lam
-        mn = min(abs(lk_eval(lk, c + r * mp.exp(2j * mp.pi * q / samples)))
-                 for q in range(samples))
+        mn = min(abs(g) for g in _lk_values(
+            lk, [c + r * mp.exp(2j * mp.pi * q / samples) for q in range(samples)]))
         out.append(CircleMinimum(n=n, radius=r, min_abs=mn,
                                  fitted_const=mn * mp.exp(-(beta - eps) * mp.re(lam))))
     return out
@@ -245,17 +259,25 @@ class LaurentCoeffs:
     max_rel_change: mp.mpf
 
 
-def _contour_moments(lk: LKFunction, center, radius, J: int, Q: int) -> list[mp.mpc]:
+def _contour_moments(lk: LKFunction, center, radius, J: int,
+                     Q: int) -> tuple[list[mp.mpc], list[mp.mpc]]:
+    """Trapezoid moments at Q and at 2Q nodes, from one evaluation of G on
+    the 2Q fine nodes; the Q coarse nodes are the even-indexed fine ones.
+
+    Node 2q of 2Q and its weights round exactly as node q of Q does (the
+    arguments differ by a power-of-two scaling), so the coarse sums equal
+    a separate Q-node rule bit for bit.
+    """
     # trapezoid on the circle: spectrally accurate for periodic analytic data
-    vals = []
-    nodes = [center + radius * mp.exp(2j * mp.pi * q / Q) for q in range(Q)]
-    gvals = [lk_eval(lk, z) for z in nodes]
+    fine_Q = 2 * Q
+    nodes = [center + radius * mp.exp(2j * mp.pi * q / fine_Q) for q in range(fine_Q)]
+    gvals = _lk_values(lk, nodes)
+    coarse, fine = [], []
     for j in range(1, J + 1):
-        s = mp.mpc(0)
-        for q, g in enumerate(gvals):
-            s += mp.exp(2j * mp.pi * q * j / Q) / g
-        vals.append(radius ** j * s / Q)
-    return vals
+        terms = [mp.exp(2j * mp.pi * q * j / fine_Q) / g for q, g in enumerate(gvals)]
+        for out, step, count in ((coarse, 2, Q), (fine, 1, fine_Q)):
+            out.append(radius ** j * sum(terms[::step], mp.mpc(0)) / count)
+    return coarse, fine
 
 
 def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int,
@@ -263,7 +285,9 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int,
     """Contour quadrature for the principal part of 1/G at i lambda_n.
 
     Runs the trapezoid rule at quad_Q and 2*quad_Q nodes; the relative
-    movement between the two is reported and gates `converged`.
+    movement between the two is reported and gates `converged`.  The
+    quad_Q coarse nodes are every other fine node, so G is evaluated at
+    2*quad_Q points in all.
     """
     lk.seq.check_prefix(n)
     mu = lk.seq.mu(n)
@@ -273,8 +297,7 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int,
     tol = mp.mpf(tol) if tol is not None else mp.mpf("1e-30")
     r = separation_disk_radius(lk.seq, lk.trunc_N, eps, n, m_eps=m_eps)
     center = 1j * lk.seq.lam(n)
-    coarse = _contour_moments(lk, center, r, J, quad_Q)
-    fine = _contour_moments(lk, center, r, J, 2 * quad_Q)
+    coarse, fine = _contour_moments(lk, center, r, J, quad_Q)
     worst = mp.mpf(0)
     for a, b in zip(coarse, fine):
         scale = max(abs(b), mp.mpf(1e-300))

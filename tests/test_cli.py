@@ -185,15 +185,34 @@ class TestExitCodes:
         (["run", "{list_config}"], "config must be a JSON object"),
         (["run", "{six_config}"], "config 'N' must be an integer"),
         (["analyze", "{seq}", "--N", "3"], "need N >= 6"),
+        (["gram", "build", "--seq", "{seq}", "--N", "3", "--digits", "10"],
+         "digits=10 below floor 50"),
+        (["lk", "eval", "--seq", "{seq}", "--N", "3", "--interval", "0,1", "--z", "1",
+          "--digits", "20"], "digits=20 below floor 50"),
+        (["run", "{low_digits_config}"], "digits=10 below floor 50"),
+        (["lk", "lowerbound", "--seq", "{seq}", "--N", "4", "--interval", "0,1",
+          "--eps", "abc"], "--eps must be a real number, got 'abc'"),
+        (["series", "bound", "--series", "{series}", "--beta", "x"],
+         "--beta must be a real number, got 'x'"),
+        (["series", "bound", "--series", "{series}", "--beta", "1", "--eps", "1+2j"],
+         "--eps must be a real number, got '1+2j'"),
+        (["carleson", "apply", "--seq", "{seq}", "--N", "3", "--lam", "1", "--x", "abc"],
+         "--x must be a real number, got 'abc'"),
+        (["analyze", "{seq}", "--eps", "abc"], "--eps must be a real number, got 'abc'"),
+        (["run", "{eps_config}"], "config 'eps' must be a real number, got 'abc'"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
-            "config-int", "analyze-N"])
+            "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
+            "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
+            "config-eps"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
         files = {"series": {"seq": squares, "sector": {"eta": "0", "beta": "1"},
                             "coeffs": [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]},
                  "list_config": [{"kind": "analyze", "seq": squares}],
-                 "six_config": {"kind": "analyze", "seq": squares, "N": "six"}}
+                 "six_config": {"kind": "analyze", "seq": squares, "N": "six"},
+                 "low_digits_config": {"kind": "analyze", "seq": squares, "digits": 10},
+                 "eps_config": {"kind": "analyze", "seq": squares, "eps": "abc"}}
         paths = {"seq": seq_file}
         for name, obj in files.items():
             paths[name] = str(tmp_path / f"{name}.json")
@@ -279,7 +298,8 @@ class TestRunReports:
     @pytest.mark.parametrize("cfg, exit_code", [
         ({"kind": "series"}, 2),  # validation refuses it
         ({"kind": "full-report", "N": 8, "digits": 50, "interval": "0,3"}, 3),  # gram fails
-    ], ids=["invalid", "gram-fails"])
+        ({"kind": "full-report", "digits": 10}, 2),  # below the digits floor
+    ], ids=["invalid", "gram-fails", "digits-floor"])
     def test_refused_config_writes_nothing(self, capsys, tmp_path, monkeypatch,
                                            cfg, exit_code):
         monkeypatch.chdir(tmp_path)

@@ -3,6 +3,8 @@ import random
 import mpmath as mp
 import pytest
 
+from expspan import products
+from expspan.core import separation_disk_radius
 from expspan import (DomainError, Interval, MultiplicitySequence,
                      PrecisionContext, ProductKind, blaschke_eval,
                      derivative_factor, eval_product, fixture, gnk_eval,
@@ -210,6 +212,123 @@ class TestLaurent:
                 consts.append(abs(lc.values[0])
                               * mp.exp((mp.mpf(1) - mp.mpf("0.1")) * mp.re(seq.lam(n))))
         assert max(consts) / min(consts) < 15
+
+
+def jittered_mu3(N, seed):
+    """lambda_n = n^2 + delta_n, delta_n complex with parts exact multiples of 2^-20."""
+    rng = random.Random(seed)
+    return MultiplicitySequence.from_pairs(
+        [(n * n + mp.mpc(rng.randint(-209715, 209715), rng.randint(-209715, 209715))
+          / 2 ** 20, 3) for n in range(1, N + 1)], "jittered-mu3")
+
+
+def reference_lk_eval(lk, z):
+    """The windowed product one point at a time, zeros and phase rebuilt per call."""
+    z = mp.mpc(z)
+    for n in range(1, lk.trunc_N + 1):
+        if z == 1j * lk.seq.lam(n) or z == -1j * lk.seq.lam(n):
+            return mp.mpc(0)
+    val = mp.exp(-1j * lk.interval.sigma * z)
+    acc = mp.mpc(1)
+    for n in range(1, lk.trunc_N + 1):
+        lam = lk.seq.lam(n)
+        base = 1 + z * z / (lam * lam)
+        if base == 0:
+            return mp.mpc(0)
+        acc *= base ** lk.seq.mu(n)
+    val *= acc
+    for e in lk.epsilons:
+        val *= mp.cos(e * z)
+    return val
+
+
+def reference_laurent(lk, n, eps, J, Q):
+    """Two separate trapezoid rules, at Q and at 2Q nodes, each calling lk_eval."""
+    r = separation_disk_radius(lk.seq, lk.trunc_N, mp.mpf(eps), n)
+    center = 1j * lk.seq.lam(n)
+
+    def moments(Q):
+        g = [lk_eval(lk, center + r * mp.exp(2j * mp.pi * q / Q)) for q in range(Q)]
+        out = []
+        for j in range(1, J + 1):
+            s = mp.mpc(0)
+            for q, gq in enumerate(g):
+                s += mp.exp(2j * mp.pi * q * j / Q) / gq
+            out.append(r ** j * s / Q)
+        return out
+
+    coarse, fine = moments(Q), moments(2 * Q)
+    worst = mp.mpf(0)
+    for a, b in zip(coarse, fine):
+        worst = max(worst, abs(a - b) / max(abs(b), mp.mpf(1e-300)))
+    return tuple(fine), worst, bool(worst < mp.mpf("1e-30"))
+
+
+@pytest.mark.parametrize("dps", [15, 120])
+class TestBatchedPath:
+    """The batch evaluator and the shared fine nodes give the same bits as
+    per-point evaluation and two separate quadrature rules."""
+
+    @staticmethod
+    def make_lk(seed=0):
+        seq = jittered_mu3(6, seed)
+        return seq, lk_function(seq, Interval(0, 1),
+                                PrecisionContext(digits=120, trunc_N=6, cos_K=8))
+
+    def test_batch_equals_pointwise(self, dps):
+        with mp.workdps(dps):
+            seq, lk = self.make_lk()
+            rng = random.Random(dps)
+            zs = [mp.mpc(rng.uniform(-3, 3), rng.uniform(-40, 40)) for _ in range(12)]
+            zs += [1j * seq.lam(n) for n in (1, 4)] + [-1j * seq.lam(n) for n in (2, 6)]
+            got = products._lk_values(lk, zs)
+            assert got == [lk_eval(lk, z) for z in zs]
+            assert got == [reference_lk_eval(lk, z) for z in zs]
+            assert got[-4:] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_laurent_equals_two_separate_rules(self, dps, n):
+        with mp.workdps(dps):
+            seq, lk = self.make_lk(seed=n)
+            lc = laurent_coeffs(lk, n, "0.1", 3, 16)
+            values, worst, converged = reference_laurent(lk, n, "0.1", 3, 16)
+        assert lc.values == values
+        assert lc.max_rel_change == worst
+        assert lc.converged is converged
+
+    def test_laurent_evaluates_g_at_2q_points(self, dps, monkeypatch):
+        seen = []
+        batch = products._lk_values
+
+        def counting(lk, zs):
+            zs = list(zs)
+            seen.append(len(zs))
+            return batch(lk, zs)
+
+        monkeypatch.setattr(products, "_lk_values", counting)
+        with mp.workdps(dps):
+            _, lk = self.make_lk()
+            laurent_coeffs(lk, 2, "0.1", 3, 16)
+        assert sum(seen) == 32
+
+    @pytest.mark.parametrize("kind", [ProductKind.F_EVEN, ProductKind.L_EVEN])
+    def test_even_products_match_per_factor(self, dps, kind):
+        with mp.workdps(dps):
+            seq, _ = self.make_lk()
+            rng = random.Random(7)
+            zs = [mp.mpc(rng.uniform(-30, 30), rng.uniform(-30, 30)) for _ in range(8)]
+            zs += [seq.lam(2), 1j * seq.lam(3)]
+            for z in zs:
+                want = mp.mpc(1)
+                for n in range(1, 7):
+                    lam = seq.lam(n)
+                    q = z * z / (lam * lam)
+                    base = 1 - q if kind is ProductKind.F_EVEN else 1 + q
+                    if base == 0:
+                        want = mp.mpc(0)
+                        break
+                    want *= base ** seq.mu(n)
+                assert eval_product(kind, seq, 6, z) == want
 
 
 class TestGnk:
