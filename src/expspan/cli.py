@@ -91,6 +91,13 @@ def _parse_real(text: str, option: str) -> mp.mpf:
     return x
 
 
+def _at_least(value: int, least: int, name: str) -> int:
+    """An integer option or config field below its least value is a ConfigError."""
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _parse_complex(text: str) -> mp.mpc:
     # mpmathify raises AttributeError on a string with 'j' it cannot match
     try:
@@ -261,15 +268,16 @@ def _cmd_gram(args) -> _Result:
         obj["matrix"] = [[_pair(g.matrix[i, j], dps) for j in range(g.dim)]
                          for i in range(g.dim)]
         return obj, None
-    fam = gram_mod.biorthogonal(g)
     if args.action == "distance":
+        norms, dists = gram_mod.dual_norms(g)
         rows = [[ix.n, ix.k, _num(mp.re(seq.lam(ix.n)), dps), _num(d, dps),
                  _num(mp.log(d) / mp.re(seq.lam(ix.n)), dps), _num(norm, dps)]
-                for ix, d, norm in zip(g.indices, fam.distances, fam.norms)]
+                for ix, d, norm in zip(g.indices, dists, norms)]
         obj["distances"] = [dict(zip(("n", "k", "re_lambda", "distance", "log_ratio",
                                       "dual_norm"), r)) for r in rows]
         return obj, (["n", "k", "re_lambda", "distance",
                       "log_distance_over_re_lambda", "dual_norm"], rows)
+    fam = gram_mod.biorthogonal(g)
     if args.action == "biorthogonal":
         obj["identity_residual"] = _num(fam.identity_residual, 8)
         obj["norms"] = [_num(v, dps) for v in fam.norms]
@@ -327,14 +335,15 @@ def _cmd_moment(args) -> _Result:
 def _cmd_carleson(args) -> _Result:
     ctx = _ctx(args)
     if args.action == "counterexample":
-        rep = carleson_mod.counterexample(args.nmax, ctx)
+        rep = carleson_mod.counterexample(_at_least(args.nmax, 2, "--nmax"), ctx)
         return _counterexample_obj(rep, args.dps), None
     seq = _load_seq(args)
     op = carleson_mod.carleson_operator(seq, args.N, ctx)
     if args.action == "apply":
         lam = _parse_complex(args.lam)
+        k = _at_least(args.k, 0, "--k")
         with mp.workdps(ctx.digits):
-            val = carleson_mod.apply_to_exponential(op, lam, args.k,
+            val = carleson_mod.apply_to_exponential(op, lam, k,
                                                     _parse_real(args.x, "--x"), ctx)
         return _value_obj(val, args.dps), None
     # residual over a grid for a series file
@@ -353,11 +362,12 @@ _EXPERIMENT_KINDS = ("analyze", "gram", "biorthogonal", "distance-trend", "serie
                      "moment", "carleson", "counterexample", "full-report")
 
 
-def _cfg_int(cfg: dict, key: str, default: int) -> int:
+def _cfg_int(cfg: dict, key: str, default: int, least: int | None = None) -> int:
     try:
-        return int(cfg.get(key, default))
+        value = int(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {key!r} must be an integer, got {cfg[key]!r}") from exc
+    return value if least is None else _at_least(value, least, f"config {key!r}")
 
 
 def _cmd_run(args) -> None:
@@ -382,6 +392,8 @@ def _cmd_run(args) -> None:
     if kind == "moment" and cfg.get("data") is None:
         raise ConfigError("moment experiment needs a 'data' row list")
     N = _cfg_int(cfg, "N", 6)
+    nmax = (_cfg_int(cfg, "nmax", 5, least=2)
+            if kind in ("counterexample", "full-report") else None)
     ctx = _precision(digits=_cfg_int(cfg, "digits", 120), trunc_N=N)
     seq = sequence_from_spec(seq_spec, default_terms=N) if seq_spec else None
     interval = (_parse_interval(cfg.get("interval", "0,1"))
@@ -426,7 +438,7 @@ def _cmd_run(args) -> None:
         artifacts["carleson_annihilation.json"] = {
             "sup_annihilation_residual": _num(worst, 8), "degree": op.degree}
     if kind in ("counterexample", "full-report"):
-        rep = carleson_mod.counterexample(_cfg_int(cfg, "nmax", 5), ctx)
+        rep = carleson_mod.counterexample(nmax, ctx)
         artifacts["counterexample.json"] = _pick(
             _counterexample_obj(rep, dps), "grouped_decreasing", "ungrouped_increasing")
 
@@ -569,6 +581,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if hasattr(args, "dps"):
+            _at_least(args.dps, 1, "--dps")
         result = args.func(args)
         if result is not None:  # `run` writes its own bundle
             obj, table = result

@@ -3,9 +3,11 @@
 Inner products of exponential monomials on a bounded interval or on
 (-inf, 0) have closed forms, so Gram matrices are assembled exactly at
 working precision.  One Hermitian Cholesky factorization then serves every
-downstream quantity: leave-one-out distances (Schur complement via the
-inverse diagonal), the biorthogonal coefficient matrix (the inverse Gram),
-coefficient recovery, and mixed-system completeness checks.
+downstream quantity: leave-one-out distances and dual norms (Schur
+complement via the inverse diagonal alone, `dual_norms` and `distance`), the
+biorthogonal coefficient matrix (the full inverse Gram, with its identity
+residual, from `biorthogonal` only), coefficient recovery, and mixed-system
+completeness checks.
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
 digits scale linearly with Re lambda_N; assembly auto-escalates precision
@@ -22,13 +24,20 @@ import mpmath as mp
 
 from .core import (FlatIndex, Interval, MultiplicitySequence, PrecisionContext,
                    flatten)
-from .errors import CapError, DomainError, PrecisionError
+from .errors import CapError, ConfigError, DomainError, PrecisionError
 
 DEFAULT_MAX_DIM = 64
 
 
 def _max_dim() -> int:
-    return int(os.environ.get("EXPSPAN_MAX_DIM", DEFAULT_MAX_DIM))
+    text = os.environ.get("EXPSPAN_MAX_DIM", str(DEFAULT_MAX_DIM))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"EXPSPAN_MAX_DIM must be a positive integer, got {text!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,33 @@ def _chol_solve(L: mp.matrix, rhs: mp.matrix) -> mp.matrix:
     return x
 
 
+def _inverse_column(L: mp.matrix, j: int, lo: int = 0) -> mp.matrix:
+    """Rows lo..n-1 of column j of (L L^H)^-1; the rows above lo are left zero.
+
+    The same operations as `_chol_solve(L, e_j)`, in the same order, so the
+    bits agree.  The forward sweep starts at row j: above it e_j and y are
+    exact zeros, and every term it skips is an exact zero.  Those zero terms
+    are complex from row 1 on, so s is seeded complex there, which keeps the
+    types (and the later roundings) those of the full solve.  The backward
+    sweep stops at row lo.
+    """
+    n = L.rows
+    y = mp.matrix(n, 1)
+    for i in range(j, n):
+        one = 1 if i == j else 0
+        s = mp.mpc(one) if i else mp.mpf(one)
+        for k in range(j, i):
+            s -= L[i, k] * y[k]
+        y[i] = s / L[i, i]
+    x = mp.matrix(n, 1)
+    for i in reversed(range(lo, n)):
+        s = y[i]
+        for k in range(i + 1, n):
+            s -= mp.conj(L[k, i]) * x[k]
+        x[i] = s / L[i, i]
+    return x
+
+
 @dataclass(frozen=True)
 class GramSystem:
     """Hermitian positive-definite Gram matrix with its factorization."""
@@ -223,17 +259,15 @@ def distance(g: GramSystem, idx: FlatIndex) -> mp.mpf:
     """Distance from e_idx to the span of the other truncated elements.
 
     Computed as the Schur complement of the factored Gram: the inverse
-    diagonal entry satisfies D^2 = 1 / (M^-1)_{ii}.
+    diagonal entry satisfies D^2 = 1 / (M^-1)_{ii}, and only that entry is
+    solved for.
     """
     try:
         i = g.indices.index(idx)
     except ValueError:
         raise ValueError(f"index {idx} not in system") from None
     with mp.workdps(g.digits_used):
-        e = mp.matrix(g.dim, 1)
-        e[i] = 1
-        x = g.solve(e)
-        d2 = 1 / mp.re(x[i])
+        d2 = 1 / mp.re(_inverse_column(g.chol, i, i)[i])
         if not d2 > 0:
             raise PrecisionError("Schur complement is not positive; precision exhausted")
         return mp.sqrt(d2)
@@ -251,16 +285,25 @@ class BiorthogonalFamily:
     identity_residual: mp.mpf
 
 
+def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
+    """Dual norms ||r_a|| = sqrt(Re (M^-1)_aa) and distances 1/||r_a||, from
+    the inverse diagonal alone; bit for bit those of `biorthogonal`."""
+    with mp.workdps(g.digits_used):
+        norms = tuple(mp.sqrt(mp.re(_inverse_column(g.chol, j, j)[j]))
+                      for j in range(g.dim))
+        return norms, tuple(1 / nv for nv in norms)
+
+
 def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
-    """Invert the Gram through its factorization; the inverse diagonal gives
-    the dual norms and hence the distances (norm * distance = 1)."""
+    """Invert the Gram through its factorization, checked by the residual of
+    C M against the identity; the inverse diagonal gives the dual norms and
+    hence the distances (norm * distance = 1).  For these alone,
+    `dual_norms` skips the full inverse and the residual."""
     d = g.dim
     with mp.workdps(g.digits_used):
         C = mp.matrix(d, d)
         for j in range(d):
-            e = mp.matrix(d, 1)
-            e[j] = 1
-            col = g.solve(e)
+            col = _inverse_column(g.chol, j)
             for i in range(d):
                 C[i, j] = col[i]
         resid = mp.mpf(0)

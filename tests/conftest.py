@@ -1,7 +1,9 @@
+import random
+
 import mpmath as mp
 import pytest
 
-from expspan import Interval, PrecisionContext, fixture
+from expspan import Interval, MultiplicitySequence, PrecisionContext, fixture
 
 
 @pytest.fixture(autouse=True)
@@ -33,3 +35,11 @@ def ctx200():
 
 def rand_complex(rng, scale=1.0):
     return mp.mpc(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+def jittered_mu3(N, seed):
+    """lambda_n = n^2 + delta_n, delta_n complex with parts exact multiples of 2^-20."""
+    rng = random.Random(seed)
+    return MultiplicitySequence.from_pairs(
+        [(n * n + mp.mpc(rng.randint(-209715, 209715), rng.randint(-209715, 209715))
+          / 2 ** 20, 3) for n in range(1, N + 1)], "jittered-mu3")

@@ -79,6 +79,21 @@ class TestBasicCommands:
         assert header == ["n", "k", "re_lambda", "distance",
                           "log_distance_over_re_lambda", "dual_norm"]
 
+    @pytest.mark.parametrize("domain", [["--interval", "0,1"], ["--half-line"]],
+                             ids=["bounded", "half-line"])
+    def test_gram_distance_needs_no_full_inverse(self, capsys, seq_file, monkeypatch,
+                                                 domain):
+        def refuse(g):
+            raise AssertionError("gram distance computed the full inverse")
+        monkeypatch.setattr("expspan.gram.biorthogonal", refuse)
+        code, out = run(capsys, "gram", "distance", "--seq", seq_file, "--N", "4",
+                        "--digits", "120", *domain)
+        assert code == 0
+        rows = json.loads(out)["distances"]
+        assert len(rows) == 4
+        assert all(float(r["distance"]) * float(r["dual_norm"]) == pytest.approx(1)
+                   for r in rows)
+
     def test_moment_solve(self, capsys, seq_file, tmp_path):
         moments = {"values": [[n, 0, str(mp.exp(mp.mpf("0.5") * n * n)), "0"]
                               for n in range(1, 7)]}
@@ -200,10 +215,18 @@ class TestExitCodes:
          "--x must be a real number, got 'abc'"),
         (["analyze", "{seq}", "--eps", "abc"], "--eps must be a real number, got 'abc'"),
         (["run", "{eps_config}"], "config 'eps' must be a real number, got 'abc'"),
+        (["gram", "build", "--seq", "{seq}", "--N", "1", "--dps", "0"],
+         "--dps must be >= 1, got 0"),
+        (["carleson", "apply", "--seq", "{seq}", "--N", "3", "--lam", "1", "--k", "-1"],
+         "--k must be >= 0, got -1"),
+        (["carleson", "counterexample", "--nmax", "0"], "--nmax must be >= 2, got 0"),
+        (["carleson", "counterexample", "--nmax", "1"], "--nmax must be >= 2, got 1"),
+        (["run", "{nmax_config}"], "config 'nmax' must be >= 2, got 1"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
-            "config-eps"])
+            "config-eps", "dps-zero", "carleson-k", "nmax-zero", "nmax-one",
+            "config-nmax"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
@@ -212,7 +235,8 @@ class TestExitCodes:
                  "list_config": [{"kind": "analyze", "seq": squares}],
                  "six_config": {"kind": "analyze", "seq": squares, "N": "six"},
                  "low_digits_config": {"kind": "analyze", "seq": squares, "digits": 10},
-                 "eps_config": {"kind": "analyze", "seq": squares, "eps": "abc"}}
+                 "eps_config": {"kind": "analyze", "seq": squares, "eps": "abc"},
+                 "nmax_config": {"kind": "counterexample", "nmax": 1}}
         paths = {"seq": seq_file}
         for name, obj in files.items():
             paths[name] = str(tmp_path / f"{name}.json")
@@ -221,6 +245,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and condition in err
+
+    @pytest.mark.parametrize("cap", ["abc", "0"])
+    def test_bad_max_dim_is_config_error(self, capsys, seq_file, monkeypatch, cap):
+        monkeypatch.setenv("EXPSPAN_MAX_DIM", cap)
+        code = main(["gram", "build", "--seq", seq_file, "--N", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: EXPSPAN_MAX_DIM must be a positive integer, got {cap!r}\n"
 
 
 class TestDeterminism:
@@ -299,7 +331,8 @@ class TestRunReports:
         ({"kind": "series"}, 2),  # validation refuses it
         ({"kind": "full-report", "N": 8, "digits": 50, "interval": "0,3"}, 3),  # gram fails
         ({"kind": "full-report", "digits": 10}, 2),  # below the digits floor
-    ], ids=["invalid", "gram-fails", "digits-floor"])
+        ({"kind": "counterexample", "nmax": 1}, 2),  # below the nmax floor
+    ], ids=["invalid", "gram-fails", "digits-floor", "nmax-floor"])
     def test_refused_config_writes_nothing(self, capsys, tmp_path, monkeypatch,
                                            cfg, exit_code):
         monkeypatch.chdir(tmp_path)

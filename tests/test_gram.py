@@ -2,12 +2,13 @@ import random
 
 import mpmath as mp
 import pytest
+from conftest import jittered_mu3
 
 from expspan import (CapError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
                      fixture)
-from expspan.gram import (DomainSpec, biorthogonal, distance, gram_matrix,
-                          hermitian_cholesky, inner_product,
+from expspan.gram import (DomainSpec, biorthogonal, distance, dual_norms,
+                          gram_matrix, hermitian_cholesky, inner_product,
                           mixed_completeness, monomial_exp_integral,
                           recover_coefficients)
 
@@ -302,6 +303,76 @@ class TestBiorthogonal:
                     for j in range(5):
                         q += mp.re(vec[i] * mp.conj(vec[j]) * g5.matrix[i, j])
                 assert mp.sqrt(q) >= norm_r * (1 - mp.mpf("1e-30"))
+
+
+def reference_inverse(L):
+    """Columns of (L L^H)^-1, each a full forward and backward solve against e_j."""
+    n = L.rows
+    C = mp.matrix(n, n)
+    for j in range(n):
+        rhs = mp.matrix(n, 1)
+        rhs[j] = 1
+        y = mp.matrix(n, 1)
+        for i in range(n):
+            s = rhs[i]
+            for k in range(i):
+                s -= L[i, k] * y[k]
+            y[i] = s / L[i, i]
+        x = mp.matrix(n, 1)
+        for i in reversed(range(n)):
+            s = y[i]
+            for k in range(i + 1, n):
+                s -= mp.conj(L[k, i]) * x[k]
+            x[i] = s / L[i, i]
+        for i in range(n):
+            C[i, j] = x[i]
+    return C
+
+
+def bits(v):
+    """The type and the exact binary value of an mpf or mpc."""
+    return type(v), (v._mpc_ if isinstance(v, mp.mpc) else v._mpf_)
+
+
+@pytest.mark.parametrize("dps", [15, 120])
+@pytest.mark.parametrize("half_line", [False, True], ids=["bounded", "half-line"])
+class TestDiagonalPath:
+    """The leave-one-out path reads only the inverse diagonal, and it and the
+    column-wise inverse give the bits of a full solve per unit vector."""
+
+    @staticmethod
+    def system(dps, half_line):
+        dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
+        seq = jittered_mu3(4, dps)
+        return gram_matrix(seq, 4, dom, PrecisionContext(digits=max(dps, 50), trunc_N=4))
+
+    def test_dual_norms_equal_biorthogonal(self, dps, half_line):
+        with mp.workdps(dps):
+            g = self.system(dps, half_line)
+            norms, dists = dual_norms(g)
+            fam = biorthogonal(g)
+        assert [bits(v) for v in norms] == [bits(v) for v in fam.norms]
+        assert [bits(v) for v in dists] == [bits(v) for v in fam.distances]
+
+    def test_inverse_equals_full_solves(self, dps, half_line):
+        with mp.workdps(dps):
+            g = self.system(dps, half_line)
+            C = biorthogonal(g).coeffs
+            with mp.workdps(g.digits_used):
+                ref = reference_inverse(g.chol)
+        assert g.dim == 12
+        for i in range(g.dim):
+            for j in range(g.dim):
+                assert bits(C[i, j]) == bits(ref[i, j]), (i, j)
+
+    def test_distance_unchanged(self, dps, half_line):
+        with mp.workdps(dps):
+            g = self.system(dps, half_line)
+            got = [distance(g, ix) for ix in g.indices]
+            with mp.workdps(g.digits_used):
+                ref = reference_inverse(g.chol)
+                want = [mp.sqrt(1 / mp.re(ref[i, i])) for i in range(g.dim)]
+        assert [bits(v) for v in got] == [bits(v) for v in want]
 
 
 class TestRecoverCoefficients:

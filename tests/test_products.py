@@ -2,6 +2,7 @@ import random
 
 import mpmath as mp
 import pytest
+from conftest import jittered_mu3
 
 from expspan import products
 from expspan.core import separation_disk_radius
@@ -212,14 +213,6 @@ class TestLaurent:
                 consts.append(abs(lc.values[0])
                               * mp.exp((mp.mpf(1) - mp.mpf("0.1")) * mp.re(seq.lam(n))))
         assert max(consts) / min(consts) < 15
-
-
-def jittered_mu3(N, seed):
-    """lambda_n = n^2 + delta_n, delta_n complex with parts exact multiples of 2^-20."""
-    rng = random.Random(seed)
-    return MultiplicitySequence.from_pairs(
-        [(n * n + mp.mpc(rng.randint(-209715, 209715), rng.randint(-209715, 209715))
-          / 2 ** 20, 3) for n in range(1, N + 1)], "jittered-mu3")
 
 
 def reference_lk_eval(lk, z):
