@@ -106,6 +106,17 @@ def _parse_complex(text: str) -> mp.mpc:
         raise ConfigError(f"cannot parse complex number {text!r}") from exc
 
 
+def _resolvable(x, option: str, digits: int):
+    # at |x| >= 10^digits the parsed point is off by more than 1, so no digit of
+    # its phase is right, and mpmath's cos/exp would first reduce it with about
+    # log10|x| digits of pi or ln 2
+    if abs(x) >= mp.mpf(10) ** digits:
+        raise PrecisionError(f"{option} must have modulus below 10^{digits} to be "
+                             f"resolved at {digits} digits, got {mp.nstr(abs(x), 5)}; "
+                             "raise --digits")
+    return x
+
+
 def _load_seq(args) -> "MultiplicitySequence":
     return load_sequence(args.seq, default_terms=args.N)
 
@@ -239,7 +250,7 @@ def _cmd_lk(args) -> _Result:
     with mp.workdps(ctx.digits):
         lk = products.lk_function(seq, interval, ctx)
         if args.action == "eval":
-            z = _parse_complex(args.z)
+            z = _resolvable(_parse_complex(args.z), "--z", ctx.digits)
             return {"z": _pair(z, args.dps),
                     **_value_obj(products.lk_eval(lk, z), args.dps)}, None
         eps = _parse_real(args.eps, "--eps")
@@ -277,8 +288,8 @@ def _cmd_gram(args) -> _Result:
                                       "dual_norm"), r)) for r in rows]
         return obj, (["n", "k", "re_lambda", "distance",
                       "log_distance_over_re_lambda", "dual_norm"], rows)
-    fam = gram_mod.biorthogonal(g)
     if args.action == "biorthogonal":
+        fam = gram_mod.biorthogonal(g)
         obj["identity_residual"] = _num(fam.identity_residual, 8)
         obj["norms"] = [_num(v, dps) for v in fam.norms]
         obj["coeffs"] = [[_pair(fam.coeffs[i, j], dps) for j in range(g.dim)]
@@ -291,7 +302,7 @@ def _cmd_gram(args) -> _Result:
     for _ in range(args.partitions):
         n2 = [ix for ix in g.indices if rng.random() < 0.5]
         n1 = [ix for ix in g.indices if ix not in n2]
-        rep = gram_mod.mixed_completeness(g, fam, (n1, n2))
+        rep = gram_mod.mixed_completeness(g, (n1, n2))
         obj["partitions"].append({"n2": [[ix.n, ix.k] for ix in rep.n2],
                                   "min_singular": _num(rep.min_singular, 8)})
     return obj, None
@@ -303,7 +314,7 @@ def _cmd_series(args) -> _Result:
     # the values are printed at ctx.digits, not at the ambient precision
     with mp.workdps(ctx.digits):
         if args.action == "eval":
-            z = _parse_complex(args.z)
+            z = _resolvable(_parse_complex(args.z), "--z", ctx.digits)
             res = series_mod.td_eval(s, z, args.N or s.seq.size)
             return {**_value_obj(res.value, args.dps),
                     "tail_bound": _num(res.tail_bound, args.dps),
@@ -343,8 +354,8 @@ def _cmd_carleson(args) -> _Result:
         lam = _parse_complex(args.lam)
         k = _at_least(args.k, 0, "--k")
         with mp.workdps(ctx.digits):
-            val = carleson_mod.apply_to_exponential(op, lam, k,
-                                                    _parse_real(args.x, "--x"), ctx)
+            x = _resolvable(_parse_real(args.x, "--x"), "--x", ctx.digits)
+            val = carleson_mod.apply_to_exponential(op, lam, k, x, ctx)
         return _value_obj(val, args.dps), None
     # residual over a grid for a series file
     s = series_mod.load_series(args.series)

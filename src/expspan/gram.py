@@ -3,11 +3,12 @@
 Inner products of exponential monomials on a bounded interval or on
 (-inf, 0) have closed forms, so Gram matrices are assembled exactly at
 working precision.  One Hermitian Cholesky factorization then serves every
-downstream quantity: leave-one-out distances and dual norms (Schur
-complement via the inverse diagonal alone, `dual_norms` and `distance`), the
-biorthogonal coefficient matrix (the full inverse Gram, with its identity
-residual, from `biorthogonal` only), coefficient recovery, and mixed-system
-completeness checks.
+downstream quantity, each solving through it for only the inverse entries it
+reads: leave-one-out distances and dual norms (Schur complement via the
+inverse diagonal alone, `dual_norms` and `distance`), coefficient recovery
+(one solve against the moments), mixed-system completeness checks (one
+column per dual element), and the biorthogonal coefficient matrix (the full
+inverse Gram, with its identity residual, from `biorthogonal` only).
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
 digits scale linearly with Re lambda_N; assembly auto-escalates precision
@@ -136,39 +137,20 @@ def hermitian_cholesky(M: mp.matrix) -> mp.matrix:
     return L
 
 
-def _chol_solve(L: mp.matrix, rhs: mp.matrix) -> mp.matrix:
-    n = L.rows
-    y = mp.matrix(n, 1)
-    for i in range(n):
-        s = rhs[i]
-        for k in range(i):
-            s -= L[i, k] * y[k]
-        y[i] = s / L[i, i]
-    x = mp.matrix(n, 1)
-    for i in reversed(range(n)):
-        s = y[i]
-        for k in range(i + 1, n):
-            s -= mp.conj(L[k, i]) * x[k]
-        x[i] = s / L[i, i]
-    return x
+def _chol_solve(L: mp.matrix, rhs: mp.matrix, lo: int = 0) -> mp.matrix:
+    """Rows lo..n-1 of (L L^H)^-1 rhs; the rows above lo are left zero.
 
-
-def _inverse_column(L: mp.matrix, j: int, lo: int = 0) -> mp.matrix:
-    """Rows lo..n-1 of column j of (L L^H)^-1; the rows above lo are left zero.
-
-    The same operations as `_chol_solve(L, e_j)`, in the same order, so the
-    bits agree.  The forward sweep starts at row j: above it e_j and y are
-    exact zeros, and every term it skips is an exact zero.  Those zero terms
-    are complex from row 1 on, so s is seeded complex there, which keeps the
-    types (and the later roundings) those of the full solve.  The backward
-    sweep stops at row lo.
+    The forward sweep starts at the first nonzero row of rhs (row 0 for an
+    all-zero rhs), skipping only exact zero terms.  Subtracting those complex
+    zeros would round rhs[i] to a complex number, as mp.mpc does, so s is
+    seeded that way: the bits and types are those of the full sweeps.
     """
     n = L.rows
+    start = next((i for i in range(n) if rhs[i]), 0)
     y = mp.matrix(n, 1)
-    for i in range(j, n):
-        one = 1 if i == j else 0
-        s = mp.mpc(one) if i else mp.mpf(one)
-        for k in range(j, i):
+    for i in range(start, n):
+        s = mp.mpc(rhs[i]) if start else rhs[i]
+        for k in range(start, i):
             s -= L[i, k] * y[k]
         y[i] = s / L[i, i]
     x = mp.matrix(n, 1)
@@ -267,7 +249,7 @@ def distance(g: GramSystem, idx: FlatIndex) -> mp.mpf:
     except ValueError:
         raise ValueError(f"index {idx} not in system") from None
     with mp.workdps(g.digits_used):
-        d2 = 1 / mp.re(_inverse_column(g.chol, i, i)[i])
+        d2 = 1 / mp.re(_chol_solve(g.chol, mp.eye(g.dim).column(i), i)[i])
         if not d2 > 0:
             raise PrecisionError("Schur complement is not positive; precision exhausted")
         return mp.sqrt(d2)
@@ -289,7 +271,7 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
     """Dual norms ||r_a|| = sqrt(Re (M^-1)_aa) and distances 1/||r_a||, from
     the inverse diagonal alone; bit for bit those of `biorthogonal`."""
     with mp.workdps(g.digits_used):
-        norms = tuple(mp.sqrt(mp.re(_inverse_column(g.chol, j, j)[j]))
+        norms = tuple(mp.sqrt(mp.re(_chol_solve(g.chol, mp.eye(g.dim).column(j), j)[j]))
                       for j in range(g.dim))
         return norms, tuple(1 / nv for nv in norms)
 
@@ -303,7 +285,7 @@ def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
     with mp.workdps(g.digits_used):
         C = mp.matrix(d, d)
         for j in range(d):
-            col = _inverse_column(g.chol, j)
+            col = _chol_solve(g.chol, mp.eye(d).column(j))
             for i in range(d):
                 C[i, j] = col[i]
         resid = mp.mpf(0)
@@ -318,15 +300,14 @@ def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
                               distances=dists, identity_residual=resid)
 
 
-def recover_coefficients(g: GramSystem, fam: BiorthogonalFamily,
-                         moments: Sequence) -> list[mp.mpc]:
-    """Series coefficients from moments: c_a = <f, r_a> = sum_j conj(C[a,j]) m_j."""
+def recover_coefficients(g: GramSystem, moments: Sequence) -> list[mp.mpc]:
+    """Series coefficients from moments: c_a = <f, r_a> = sum_j conj(C[a,j]) m_j,
+    that is conj(M^-1 conj(m)), from one solve with the factorization."""
     if len(moments) != g.dim:
         raise ValueError(f"expected {g.dim} moments, got {len(moments)}")
     with mp.workdps(g.digits_used):
-        m = [mp.mpc(v) for v in moments]
-        return [sum(mp.conj(fam.coeffs[a, j]) * m[j] for j in range(g.dim))
-                for a in range(g.dim)]
+        u = g.solve(mp.matrix([mp.conj(v) for v in moments]))
+        return [mp.conj(u[a]) for a in range(g.dim)]
 
 
 @dataclass(frozen=True)
@@ -337,33 +318,31 @@ class MixedReport:
     max_singular: mp.mpf
 
 
-def mixed_completeness(g: GramSystem, fam: BiorthogonalFamily,
+def mixed_completeness(g: GramSystem,
                        partition: tuple[Sequence[FlatIndex], Sequence[FlatIndex]]) -> MixedReport:
     """Min singular value of the Gram of {e_a : a in N1} union {r_b : b in N2}.
 
     A strictly positive value is the finite-dimensional reflection of
     hereditary completeness.  The partition must split the full truncated
-    index set.
+    index set.  The dual block <r_a, r_b> = C[a,b] comes from one solve per
+    b in N2, swept back only to the first N2 row.
     """
     n1, n2 = (tuple(partition[0]), tuple(partition[1]))
     if set(n1) | set(n2) != set(g.indices) or set(n1) & set(n2):
         raise ValueError("partition must split the full index set disjointly")
     pos = {ix: i for i, ix in enumerate(g.indices)}
     with mp.workdps(g.digits_used):
-        all_ix = list(n1) + list(n2)
-        d = len(all_ix)
-        H = mp.matrix(d, d)
-        for i, a in enumerate(all_ix):
-            for j, b in enumerate(all_ix):
-                a_dual = i >= len(n1)
-                b_dual = j >= len(n1)
-                if not a_dual and not b_dual:
-                    H[i, j] = g.matrix[pos[a], pos[b]]
-                elif a_dual and b_dual:
-                    H[i, j] = fam.coeffs[pos[a], pos[b]]
-                else:
-                    # <r_a, e_b> = <e_a, r_b> = delta
-                    H[i, j] = 1 if a == b else 0
+        lo = min((pos[b] for b in n2), default=0)
+        cols = {b: _chol_solve(g.chol, mp.eye(g.dim).column(pos[b]), lo) for b in n2}
+        k = len(n1)
+        # <r_a, e_b> = <e_a, r_b> = delta_ab vanishes between the disjoint blocks
+        H = mp.matrix(k + len(n2), k + len(n2))
+        for i, a in enumerate(n1):
+            for j, b in enumerate(n1):
+                H[i, j] = g.matrix[pos[a], pos[b]]
+        for i, a in enumerate(n2):
+            for j, b in enumerate(n2):
+                H[k + i, k + j] = cols[b][pos[a]]
         eigs = mp.eigh(H, eigvals_only=True)
         smin, smax = min(eigs), max(eigs)
     return MixedReport(n1=n1, n2=n2, min_singular=smin, max_singular=smax)

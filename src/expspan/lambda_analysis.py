@@ -232,14 +232,13 @@ def gap_check(seq: MultiplicitySequence, N: int, eps) -> GapReport:
                      disks_disjoint=disjoint)
 
 
-def separation_search(seq: MultiplicitySequence, N: int,
-                      grid_steps: int = 40) -> mp.mpf | None:
+def separation_search(seq: MultiplicitySequence, N: int) -> mp.mpf | None:
     """Largest delta in (0, 1/10) with |lambda_n - lambda_k| <= delta |lambda_k|
-    only for n = k, scanned on a geometric grid.  None if even the smallest
-    grid point fails."""
+    only for n = k, scanned on a 40-point geometric grid.  None if even the
+    smallest grid point fails."""
     seq.check_prefix(N)
     delta = mp.mpf("0.09")
-    for _ in range(grid_steps):
+    for _ in range(40):
         ok = True
         for k in range(1, N + 1):
             bound = delta * abs(seq.lam(k))

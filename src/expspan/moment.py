@@ -4,6 +4,9 @@ The growth gate checks the fitted exponent of the data against the
 interval's right endpoint.  The solve is one Gram linear system: the
 series-of-duals construction and the Bessel/Riesz-Fischer route collapse
 to the same finite solve, so the latter is exposed purely as diagnostics.
+That solve is `gram.recover_coefficients`, the coefficients <f, r_a> from
+one solve with the Cholesky factorization; only the Bessel diagnostic
+builds the full biorthogonal family.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import mpmath as mp
 
 from .core import FlatIndex, Interval, MultiplicitySequence, PrecisionContext, Sector
 from .errors import ConfigError, ExpspanError
-from .gram import DomainSpec, GramSystem, biorthogonal, gram_matrix
+from .gram import (DomainSpec, GramSystem, biorthogonal, gram_matrix,
+                   recover_coefficients)
 from .series import TaylorDirichletSeries, bound_check
 
 # ratio below which the fitted exponent is reported as effectively -inf
@@ -47,17 +51,17 @@ class GrowthReport:
 
 
 def growth_check(d: MomentData, seq: MultiplicitySequence, N: int,
-                 interval: Interval, slack=None) -> GrowthReport:
+                 interval: Interval) -> GrowthReport:
     """Fitted a = max tail-half of log A_n / Re lambda_n, gated against beta.
 
-    Passes when a < beta - slack (default slack 5% of the interval length).
+    Passes when a < beta - slack, with slack 5% of the interval length.
     Data decaying faster than e^(-10 Re lambda_n) throughout is reported as
     a = -inf.
     """
     seq.check_prefix(N)
     if N < 4:
         raise ValueError("need data at at least 4 frequencies")
-    slack = mp.mpf(slack) if slack is not None else mp.mpf("0.05") * interval.length
+    slack = mp.mpf("0.05") * interval.length
     ratios = []
     for n in range(1, N + 1):
         an = d.group_max(n, seq.mu(n))
@@ -89,7 +93,8 @@ def solve(d: MomentData, seq: MultiplicitySequence, N: int, interval: Interval,
           ctx: PrecisionContext, force: bool = False) -> MomentSolution:
     """Unique truncated-span solution of the moment equations.
 
-    Solves conj(M) u = d so that <U, e_a> = d_a exactly in exact arithmetic;
+    Solves conj(M) u = d, that is u_a = <U, r_a> by `recover_coefficients`,
+    so that <U, e_a> = d_a exactly in exact arithmetic;
     the achieved residual is verified against 10^(-digits/3).  The solution
     coefficients are also run through the coefficient-bound check, which
     must look bounded whenever the growth gate passed.
@@ -105,10 +110,7 @@ def solve(d: MomentData, seq: MultiplicitySequence, N: int, interval: Interval,
     idx = list(g.indices)
     with mp.workdps(g.digits_used):
         rhs = mp.matrix([d.value(ix.n, ix.k) for ix in idx])
-        # conj(M) u = d  <=>  conj(M conj(u)) = d
-        conj_rhs = mp.matrix([mp.conj(v) for v in rhs])
-        u_conj = g.solve(conj_rhs)
-        u = [mp.conj(u_conj[i]) for i in range(len(idx))]
+        u = recover_coefficients(g, rhs)
         resid = mp.mpf(0)
         for a in range(len(idx)):
             acc = mp.mpc(0)

@@ -218,16 +218,15 @@ class CircleMinimum:
     fitted_const: mp.mpf
 
 
-def lk_circle_minima(lk: LKFunction, eps, ns: list[int], samples: int = 96,
-                     m_eps=None) -> list[CircleMinimum]:
+def lk_circle_minima(lk: LKFunction, eps, ns: list[int],
+                     samples: int = 96) -> list[CircleMinimum]:
     """Sampled minima of |G| on the separation circles about i lambda_n.
 
     The compensated constants are the finite-scale shadow of the circle
     lower bound; their infimum over n is the fitted constant.
     """
     eps = mp.mpf(eps)
-    if m_eps is None:
-        m_eps = fitted_separation_constant(lk.seq, lk.trunc_N, eps)
+    m_eps = fitted_separation_constant(lk.seq, lk.trunc_N, eps)
     beta = lk.interval.beta
     out = []
     for n in ns:
@@ -247,7 +246,7 @@ class LaurentCoeffs:
 
     values[j-1] is the coefficient of (z - i lambda_n)^-j, j = 1..J.
     converged reports the node-doubling check; a False value means the
-    quadrature moved by more than tol and must not be trusted silently.
+    quadrature moved by more than 1e-30 and must not be trusted silently.
     """
 
     n: int
@@ -280,12 +279,11 @@ def _contour_moments(lk: LKFunction, center, radius, J: int,
     return coarse, fine
 
 
-def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int,
-                   tol=None, m_eps=None) -> LaurentCoeffs:
+def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int) -> LaurentCoeffs:
     """Contour quadrature for the principal part of 1/G at i lambda_n.
 
     Runs the trapezoid rule at quad_Q and 2*quad_Q nodes; the relative
-    movement between the two is reported and gates `converged`.  The
+    movement between the two is reported and gates `converged` at 1e-30.  The
     quad_Q coarse nodes are every other fine node, so G is evaluated at
     2*quad_Q points in all.
     """
@@ -294,8 +292,7 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int,
     if not 1 <= J <= mu:
         raise ValueError(f"J={J} must be in 1..mu_n={mu}")
     eps = mp.mpf(eps)
-    tol = mp.mpf(tol) if tol is not None else mp.mpf("1e-30")
-    r = separation_disk_radius(lk.seq, lk.trunc_N, eps, n, m_eps=m_eps)
+    r = separation_disk_radius(lk.seq, lk.trunc_N, eps, n)
     center = 1j * lk.seq.lam(n)
     coarse, fine = _contour_moments(lk, center, r, J, quad_Q)
     worst = mp.mpf(0)
@@ -303,7 +300,7 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int,
         scale = max(abs(b), mp.mpf(1e-300))
         worst = max(worst, abs(a - b) / scale)
     return LaurentCoeffs(n=n, values=tuple(fine), eps=eps, radius=r,
-                         quad_Q=quad_Q, converged=bool(worst < tol),
+                         quad_Q=quad_Q, converged=bool(worst < mp.mpf("1e-30")),
                          max_rel_change=worst)
 
 

@@ -87,7 +87,7 @@ def test_criterion_04_coefficient_recovery(gram200):
                   for _ in range(g.dim)]
             moments = [sum(c0[b] * g.matrix[b, a] for b in range(g.dim))
                        for a in range(g.dim)]
-            rec = recover_coefficients(g, fam, moments)
+            rec = recover_coefficients(g, moments)
             worst = max(worst, max(abs(x - y) for x, y in zip(rec, c0)))
     ok = worst < mp.mpf("1e-30")
     assert report(4, ok, f"10 random round-trips, max error {mp.nstr(worst, 3)} < 1e-30")
@@ -239,7 +239,7 @@ def test_criterion_11_hereditary_completeness(gram200):
         for _ in range(20):
             n2 = [ix for ix in g.indices if rng.random() < 0.5]
             n1 = [ix for ix in g.indices if ix not in n2]
-            rep = mixed_completeness(g, fam, (n1, n2))
+            rep = mixed_completeness(g, (n1, n2))
             worst = min(worst, rep.min_singular)
     ok = worst > threshold
     assert report(11, ok,

@@ -79,16 +79,22 @@ class TestBasicCommands:
         assert header == ["n", "k", "re_lambda", "distance",
                           "log_distance_over_re_lambda", "dual_norm"]
 
-    @pytest.mark.parametrize("domain", [["--interval", "0,1"], ["--half-line"]],
-                             ids=["bounded", "half-line"])
+    @pytest.mark.parametrize("argv", [["distance", "--interval", "0,1"],
+                                      ["distance", "--half-line"],
+                                      ["mixed", "--interval", "0,1"]],
+                             ids=["bounded", "half-line", "mixed"])
     def test_gram_distance_needs_no_full_inverse(self, capsys, seq_file, monkeypatch,
-                                                 domain):
+                                                 argv):
         def refuse(g):
-            raise AssertionError("gram distance computed the full inverse")
+            raise AssertionError(f"gram {argv[0]} computed the full inverse")
         monkeypatch.setattr("expspan.gram.biorthogonal", refuse)
-        code, out = run(capsys, "gram", "distance", "--seq", seq_file, "--N", "4",
-                        "--digits", "120", *domain)
+        code, out = run(capsys, "gram", argv[0], "--seq", seq_file, "--N", "4",
+                        "--digits", "120", *argv[1:])
         assert code == 0
+        if argv[0] == "mixed":
+            parts = json.loads(out)["partitions"]
+            assert len(parts) == 5 and all(float(p["min_singular"]) > 0 for p in parts)
+            return
         rows = json.loads(out)["distances"]
         assert len(rows) == 4
         assert all(float(r["distance"]) * float(r["dual_norm"]) == pytest.approx(1)
@@ -245,6 +251,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and condition in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["lk", "eval", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
+          "--z=1e999999"], 3),
+        (["series", "eval", "--series", "{series}", "--z=-1e999999"], 3),
+        (["carleson", "apply", "--seq", "{seq}", "--N", "6", "--lam", "1",
+          "--x=-1e999999"], 3),
+        (["lk", "eval", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
+          "--z=9.9e49"], 0),
+    ], ids=["lk-z", "series-z", "carleson-x", "lk-below-bound"])
+    def test_unresolvable_point_is_precision_error(self, capsys, tmp_path, seq_file,
+                                                   argv, code):
+        # a point off by more than 1 once parsed: no digit of a phase is right,
+        # and mpmath's argument reduction of cos/exp would run for minutes
+        series = {"seq": {"kind": "generator", "name": "squares", "terms": 8},
+                  "sector": {"eta": "0", "beta": "1"},
+                  "coeffs": [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]}
+        (tmp_path / "series.json").write_text(json.dumps(series))
+        paths = {"seq": seq_file, "series": str(tmp_path / "series.json")}
+        got = main([a.format(**paths) for a in argv] + ["--digits", "50"])
+        err = capsys.readouterr().err
+        assert got == code
+        if code:
+            option = argv[-1].split("=")[0]
+            assert err == (f"error: {option} must have modulus below 10^50 to be "
+                           "resolved at 50 digits, got 1.0e+999999; raise --digits\n")
 
     @pytest.mark.parametrize("cap", ["abc", "0"])
     def test_bad_max_dim_is_config_error(self, capsys, seq_file, monkeypatch, cap):
