@@ -25,6 +25,9 @@ from . import products
 _TREND_MEDIAN_FACTOR = mp.mpf("0.5")
 _TREND_CONTRACTION = mp.mpf("0.8")
 
+# extra digits over the caller's precision for the condensation index
+_CONDENSATION_GUARD = 20
+
 
 @dataclass(frozen=True)
 class TrendVerdict:
@@ -268,22 +271,24 @@ def condensation_index(seq: MultiplicitySequence, N: int) -> CondensationReport:
     chat = max over the tail half of the prefix of -log|F'(lambda_n)|/|lambda_n|
     where F is the even product with simple zeros.  Defined only for
     sequences with all multiplicities equal to one.
+
+    Works at the caller's precision plus _CONDENSATION_GUARD digits, however
+    close two frequencies are: `products.derivative_factor` forms each factor
+    from sums and differences of the stored frequencies, which are correctly
+    rounded, so a near-duplicate pair cancels nothing.  The product then has a
+    relative error of a few N ulps and the log is well conditioned.
     """
     seq.check_prefix(N)
     if N < 6:
         raise ValueError("need N >= 6")
     if any(seq.mu(n) != 1 for n in range(1, N + 1)):
         raise SequenceError("condensation index requires simple frequencies (mu = 1)")
-    # near-coincident frequencies make the paired factor 1 - lambda^2/lambda_k^2
-    # as small as 2*gap/|lambda|; resolve it against 1 with room to spare
-    need = mp.mp.dps
-    for n in range(1, N + 1):
-        gap = min(abs(seq.lam(n) - seq.lam(k)) for k in range(1, N + 1) if k != n)
-        if gap == 0:
+    lams = [seq.lam(n) for n in range(1, N + 1)]
+    for n, lam in enumerate(lams, 1):
+        if lams.count(lam) > 1:
             raise SequenceError(f"zero gap at n={n}: duplicate frequency")
-        need = max(need, int(mp.log10(abs(seq.lam(n)) / gap)) + 30)
     ratios = []
-    with mp.workdps(need):
+    with mp.workdps(mp.mp.dps + _CONDENSATION_GUARD):
         for n in range(1, N + 1):
             dval = products.derivative_factor(seq, N, n, kind=products.ProductKind.F_EVEN)
             ratios.append(-mp.log(abs(dval)) / abs(seq.lam(n)))

@@ -69,10 +69,16 @@ def derivative_factor(seq: MultiplicitySequence, N: int, n: int,
                       kind: ProductKind = ProductKind.F_PLAIN) -> mp.mpc:
     """Removed-factor value of F^(mu_n)(lambda_n) / mu_n! for the truncated product.
 
-    F_PLAIN: (-1/lambda_n)^mu_n * prod_{j != n} (1 - lambda_n/lambda_j)^mu_j
-    F_EVEN:  (-2/lambda_n)^mu_n * prod_{j != n} (1 - lambda_n^2/lambda_j^2)^mu_j
+    F_PLAIN: (-1/lambda_n)^mu_n * prod_{j != n} ((lambda_j - lambda_n)/lambda_j)^mu_j
+    F_EVEN:  (-2/lambda_n)^mu_n *
+             prod_{j != n} ((lambda_j - lambda_n)(lambda_j + lambda_n)/lambda_j^2)^mu_j
 
-    No numerical differentiation is involved; for a valid sequence the value
+    Each factor is 1 - lambda_n/lambda_j (or 1 - lambda_n^2/lambda_j^2)
+    rewritten so that nothing cancels: the difference of two stored
+    frequencies is correctly rounded at any precision, so a near-duplicate
+    pair costs no digits and every factor, and the product, carries a
+    relative error of a few ulps per factor at the working precision.  No
+    numerical differentiation is involved; for a valid sequence the value
     is never zero because every remaining factor is nonzero.
     """
     seq.check_prefix(N)
@@ -81,15 +87,13 @@ def derivative_factor(seq: MultiplicitySequence, N: int, n: int,
     if kind not in (ProductKind.F_PLAIN, ProductKind.F_EVEN):
         raise ValueError("removed-factor derivative defined for F_PLAIN and F_EVEN")
     lam, mu = seq.lam(n), seq.mu(n)
-    if kind is ProductKind.F_PLAIN:
-        acc = (-1 / lam) ** mu
-    else:
-        acc = (-2 / lam) ** mu
-    lam2 = lam * lam
+    even = kind is ProductKind.F_EVEN
+    acc = ((-2 if even else -1) / lam) ** mu
     for j in range(1, N + 1):
-        if j == n:
-            continue
-        acc *= _factor_base(kind, seq.lam(j), lam, lam2) ** seq.mu(j)
+        if j != n:
+            lj = seq.lam(j)
+            factor = (lj - lam) * (lj + lam) / (lj * lj) if even else (lj - lam) / lj
+            acc *= factor ** seq.mu(j)
     return acc
 
 

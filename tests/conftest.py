@@ -3,7 +3,8 @@ import random
 import mpmath as mp
 import pytest
 
-from expspan import Interval, MultiplicitySequence, PrecisionContext, fixture
+from expspan import (Interval, MultiplicitySequence, PrecisionContext, ProductKind,
+                     fixture)
 
 
 @pytest.fixture(autouse=True)
@@ -43,3 +44,19 @@ def jittered_mu3(N, seed):
     return MultiplicitySequence.from_pairs(
         [(n * n + mp.mpc(rng.randint(-209715, 209715), rng.randint(-209715, 209715))
           / 2 ** 20, 3) for n in range(1, N + 1)], "jittered-mu3")
+
+
+def escalated_derivative_factor(seq, N, n, kind, dps):
+    """derivative_factor in the cancelling 1 - lambda_n/lambda_j (F_PLAIN) or
+    1 - lambda_n^2/lambda_j^2 (F_EVEN) form, at log10(|lambda_n|/gap) + dps + 30
+    digits so that dps digits survive the cancellation; simple frequencies only."""
+    lam = seq.lam(n)
+    gap = min(abs(lam - seq.lam(k)) for k in range(1, N + 1) if k != n)
+    even = kind is ProductKind.F_EVEN
+    with mp.workdps(int(mp.log10(abs(lam) / gap)) + dps + 30):
+        acc = (-2 if even else -1) / lam
+        for j in range(1, N + 1):
+            if j != n:
+                lj = seq.lam(j)
+                acc *= 1 - lam * lam / (lj * lj) if even else 1 - lam / lj
+        return acc

@@ -35,6 +35,9 @@ INPUTS = {
     "series.json": SERIES,
     "moments.json": {"values": SOLVABLE},
     "moments_fast.json": {"values": TOO_FAST},
+    "example_iii.json": {"kind": "generator", "name": "example_iii", "terms": 12},
+    "carleson.json": {"kind": "generator", "name": "carleson_counterexample",
+                      "terms": 12},
     "run_analyze.json": {"kind": "analyze", "seq": SQUARES8, "N": 8, "eps": "0.1"},
     "run_gram.json": {"kind": "gram", "seq": SQUARES6, "N": 6, "digits": 120,
                       "interval": "0,1"},
@@ -60,6 +63,9 @@ CASES = {
     "analyze": ["analyze", "{i}/seq.json", "--N", "8", "--eps", "0.1",
                 "--csv", "{o}/ratios.csv"],
     "analyze-missing-file": ["analyze", "{i}/absent.json"],
+    # near-duplicate pairs: gaps e^(-n^2) and e^(-n^4) in the condensation index
+    "analyze-example-iii": ["analyze", "{i}/example_iii.json", "--N", "24"],
+    "analyze-carleson": ["analyze", "{i}/carleson.json", "--N", "24"],
     "product-eval": ["product", "eval", "--seq", "{i}/seq.json", "--N", "4",
                      "--kind", "G", "--z", "1.5+0.5i", "--dps", "20"],
     "lk-eval": ["lk", "eval", "--seq", "{i}/seq.json", "--N", "6",

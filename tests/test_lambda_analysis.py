@@ -2,9 +2,11 @@ import random
 
 import mpmath as mp
 import pytest
+from conftest import escalated_derivative_factor
 
 from expspan import MultiplicitySequence, SequenceError, fixture
 from expspan import lambda_analysis as la
+from expspan import products
 
 
 class TestConditionA:
@@ -186,6 +188,41 @@ class TestCondensation:
     def test_multiplicities_rejected(self):
         with pytest.raises(SequenceError):
             la.condensation_index(fixture("example_v", 6), 6)
+
+    @pytest.mark.parametrize("dps", [15, 30, 60, 120])
+    @pytest.mark.parametrize("name,terms", [("example_ii", 12), ("example_iii", 12),
+                                            ("carleson_counterexample", 8)])
+    def test_ratios_match_escalated_reference(self, name, terms, dps):
+        seq = fixture(name, terms)
+        N = 2 * terms
+        with mp.workdps(dps):
+            rep = la.condensation_index(seq, N)
+            for n in range(1, N + 1):
+                ref = escalated_derivative_factor(seq, N, n, products.ProductKind.F_EVEN,
+                                                  dps)
+                with mp.workdps(mp.mp.dps + 30):
+                    want = -mp.log(abs(ref)) / abs(seq.lam(n))
+                assert abs(rep.ratios[n - 1] - want) < mp.mpf(10) ** -dps
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    def test_no_precision_escalation(self, dps, monkeypatch):
+        seen = []
+        original = products.derivative_factor
+
+        def recording(*args, **kwargs):
+            seen.append(mp.mp.dps)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(products, "derivative_factor", recording)
+        with mp.workdps(dps):
+            la.condensation_index(fixture("carleson_counterexample", 8), 16)
+        assert len(seen) == 16
+        assert max(seen) <= dps + 20
+
+    def test_duplicate_frequency_rejected(self):
+        seq = MultiplicitySequence.from_pairs([(n * n, 1) for n in range(1, 7)] + [(36, 1)])
+        with pytest.raises(SequenceError, match="duplicate frequency"):
+            la.condensation_index(seq, 7)
 
     def test_agrees_with_geometric_verdicts(self):
         # small index <-> geometric conditions pass, on the three fixtures

@@ -2,7 +2,7 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import jittered_mu3
+from conftest import escalated_derivative_factor, jittered_mu3
 
 from expspan import products
 from expspan.core import separation_disk_radius
@@ -58,6 +58,19 @@ class TestDerivativeFactor:
         for n in range(1, 9):
             assert abs(derivative_factor(squares8, 8, n)) > 0
             assert abs(derivative_factor(squares8, 8, n, ProductKind.F_EVEN)) > 0
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("kind", [ProductKind.F_PLAIN, ProductKind.F_EVEN])
+    def test_near_duplicates_keep_working_precision(self, kind, dps):
+        # gaps e^(-n^4): the 1 - lambda_n/lambda_j form cancels up to 111
+        # digits, and rounds to an exact 0 for n = 5..8 at 15 digits
+        seq = fixture("carleson_counterexample", 4)
+        with mp.workdps(dps):
+            for n in range(1, 9):
+                got = derivative_factor(seq, 8, n, kind)
+                want = escalated_derivative_factor(seq, 8, n, kind, dps)
+                assert got != 0
+                assert abs(got - want) <= mp.mpf(10) ** (3 - dps) * abs(want)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_numerical_derivative(self, seed):
