@@ -43,9 +43,8 @@ class CarlesonOperator:
 def carleson_operator(seq: MultiplicitySequence, N: int,
                       ctx: PrecisionContext) -> CarlesonOperator:
     degree = seq.total_multiplicity(N)
-    with ctx.workdps(_GUARD):
-        f = taylor_coeffs(ProductKind.F_PLAIN, seq, N, degree, ctx)
-        g = taylor_coeffs(ProductKind.G_ABS, seq, N, degree, ctx)
+    f = taylor_coeffs(ProductKind.F_PLAIN, seq, N, degree, ctx)
+    g = taylor_coeffs(ProductKind.G_ABS, seq, N, degree, ctx)
     return CarlesonOperator(seq=seq, N=N, fcoeffs=tuple(f), gcoeffs=tuple(g),
                             degree=degree)
 
@@ -70,7 +69,7 @@ def apply_to_exponential(op: CarlesonOperator, lam, k: int, x,
     frequency with k < mu_n the value vanishes to the precision floor.
     """
     lam = mp.mpc(lam)
-    with ctx.workdps(_GUARD):
+    with mp.workdps(ctx.digits + _GUARD):
         x = mp.mpc(x)
         total = mp.mpc(0)
         for j in range(k + 1):
@@ -131,7 +130,7 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
 
     The truncated majorant is a polynomial, so terms beyond the operator
     degree vanish; the verdict asks the increments past the degree to stay
-    below tol * (series scale), i.e. the partial sums to have stabilised.
+    below 1e-30 * (series scale), i.e. the partial sums to have stabilised.
     """
     delta = mp.mpf(delta)
     if delta <= 0:
@@ -142,7 +141,7 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
     if not lo < hi:
         raise ValueError("delta eats the whole interval")
     grid = [lo + (hi - lo) * i / 8 for i in range(9)]
-    with ctx.workdps():
+    with mp.workdps(ctx.digits):
         all_partials = []
         converging = True
         for x in grid:
@@ -163,7 +162,7 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
             all_partials.append(tuple(partials))
             scale = max(partials[-1], mp.mpf(1))
             late = [partials[m] for m in range(op.degree, M + 1)]
-            if late and max(late) - min(late) > ctx.tol * scale:
+            if late and max(late) - min(late) > mp.mpf("1e-30") * scale:
                 converging = False
     return ClassMembershipReport(grid=tuple(grid), partial_sums=tuple(all_partials),
                                  converging=converging)
@@ -221,7 +220,7 @@ def counterexample(Nmax: int, ctx: PrecisionContext,
     sums = [mp.mpc(0)] * len(samples)
     partials = []
     zero_sum = mp.mpc(0)
-    with ctx.workdps():
+    with mp.workdps(ctx.digits):
         for n in range(1, Nmax + 1):
             n3 = mp.mpf(n) ** 3
             tiny = mp.exp(-mp.mpf(n) ** 4)

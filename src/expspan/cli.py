@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from . import series as series_mod
 from .core import Interval, PrecisionContext, validate_sequence
 from .errors import (CapError, ConfigError, DomainError, ExpspanError,
                      PrecisionError, SequenceError)
-from .fixtures import list_fixtures, load_sequence, sequence_from_spec
+from .fixtures import list_fixtures, load_sequence, read_json, sequence_from_spec
 
 SCHEMA_VERSION = 1
 
@@ -190,9 +191,15 @@ def _moment_obj(sol: moment_mod.MomentSolution, dps: int) -> dict:
     return {**series_mod.series_to_obj(sol.series, dps=dps),
             "solved": True,
             "forced": sol.forced,
-            "growth_a": _num(sol.gate.a, dps) if mp.isfinite(sol.gate.a) else "-inf",
+            "growth_a": _num(sol.gate.a, dps),
             "residual_max": _num(sol.residual_max, 8),
             "coefficient_bound_verdict": sol.coefficient_bound.verdict}
+
+
+def _abscissa_obj(rep: series_mod.AbscissaReport, dps: int) -> dict:
+    return {"a": _num(rep.a, dps),
+            "implied_beta": _num(rep.implied_beta, dps),
+            "ratios": [_num(r, dps) for r in rep.ratios]}
 
 
 def _counterexample_obj(rep: carleson_mod.CounterexampleReport, dps: int) -> dict:
@@ -321,9 +328,7 @@ def _cmd_series(args) -> _Result:
                     "terms_used": res.terms_used}, None
         if args.action == "abscissa":
             rep = series_mod.star_abscissa(s, args.N or s.seq.size)
-            return {"a": _num(rep.a, args.dps),
-                    "implied_beta": _num(rep.implied_beta, args.dps),
-                    "ratios": [_num(r, args.dps) for r in rep.ratios]}, None
+            return _abscissa_obj(rep, args.dps), None
         rep = series_mod.bound_check(s, _parse_real(args.beta, "--beta"),
                                      _parse_real(args.eps, "--eps"))
         return {"m_hat": _num(rep.m_hat, args.dps),
@@ -383,13 +388,7 @@ def _cfg_int(cfg: dict, key: str, default: int, least: int | None = None) -> int
 
 def _cmd_run(args) -> None:
     """Validate the whole config, compute every artifact, then write the bundle."""
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    cfg = read_json(args.config, "config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
@@ -431,10 +430,7 @@ def _cmd_run(args) -> None:
         s = series_mod.series_from_obj(cfg["series"])
         with mp.workdps(ctx.digits):
             rep = series_mod.star_abscissa(s, s.seq.size)
-        artifacts["series_abscissa.json"] = {
-            "a": _num(rep.a, dps) if mp.isfinite(rep.a) else "-inf",
-            "implied_beta": _num(rep.implied_beta, dps) if mp.isfinite(rep.a) else "inf",
-            "ratios": [_num(r, dps) if mp.isfinite(r) else "-inf" for r in rep.ratios]}
+        artifacts["series_abscissa.json"] = _abscissa_obj(rep, dps)
     if kind == "moment":
         data = moment_mod.moments_from_obj(cfg["data"])
         sol = moment_mod.solve(data, seq, N, interval, ctx,
@@ -476,6 +472,7 @@ def _add_common(p, seq=True):
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
 
 
+@functools.cache  # one parser per process: building it costs more than a short job
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="expspan",
                                  description="high-precision exponential-system toolkit")
@@ -524,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(pe)
         pe.add_argument("--interval", default="0,1")
         pe.add_argument("--half-line", action="store_true")
-        pe.add_argument("--csv", default=None)
+        if name == "distance":
+            pe.add_argument("--csv", default=None)
         if name == "mixed":
             pe.add_argument("--partitions", type=int, default=5)
             pe.add_argument("--seed", type=int, default=0)

@@ -11,8 +11,7 @@ PrecisionContext.
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import mpmath as mp
@@ -43,7 +42,7 @@ class MultiplicitySequence:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, object, int]] | Iterable[tuple[object, int]],
                    provenance: str = "") -> "MultiplicitySequence":
-        """Build from (lambda, mu) or (re, im, mu) tuples."""
+        """Build from (lambda, mu) or (re, im, mu) tuples; an mpc lambda is kept unrounded."""
         out = []
         for item in pairs:
             if len(item) == 3:
@@ -51,7 +50,8 @@ class MultiplicitySequence:
                 lam = mp.mpc(mp.mpmathify(re), mp.mpmathify(im))
             else:
                 lam, mu = item
-                lam = mp.mpc(lam)
+                # mp.mpc(z) would round even an mpc z to the ambient precision
+                lam = lam if isinstance(lam, mp.mpc) else mp.mpc(lam)
             out.append((lam, int(mu)))
         return cls(entries=tuple(out), provenance=provenance)
 
@@ -234,33 +234,33 @@ DIGITS_FLOOR = 50
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision and truncation orders threaded through all numerics.
+    """Working precision and truncation order threaded through all numerics.
 
     digits   working decimal precision (>= 50)
     trunc_N  number of frequencies kept in truncated products
-    cos_K    number of cosine factors in the windowed even product
-    tol      acceptance tolerance in output units; must sit well above
-             the roundoff floor 10^(-digits+10)
     """
 
     digits: int = 120
     trunc_N: int = 8
-    cos_K: int = 8
-    tol: mp.mpf = field(default_factory=lambda: mp.mpf("1e-30"))
 
     def __post_init__(self):
-        object.__setattr__(self, "tol", mp.mpf(self.tol))
         if self.digits < DIGITS_FLOOR:
             raise ValueError(f"digits={self.digits} below floor {DIGITS_FLOOR}")
-        for name in ("trunc_N", "cos_K"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not self.tol > mp.mpf(10) ** (-self.digits + 10):
-            raise ValueError("tol must exceed 10^(-digits+10)")
+        if self.trunc_N < 1:
+            raise ValueError("trunc_N must be >= 1")
 
-    def workdps(self, extra: int = 0) -> contextlib.AbstractContextManager:
-        """Context manager setting mpmath precision to digits (+ guard)."""
-        return mp.workdps(self.digits + extra)
+
+def nearest_gaps(seq: MultiplicitySequence, N: int) -> list[mp.mpf]:
+    """min_{k != n} |lambda_n - lambda_k| for n = 1..N; a zero gap is a SequenceError."""
+    seq.check_prefix(N)
+    gaps = []
+    for n in range(1, N + 1):
+        lam = seq.lam(n)
+        gap = min(abs(lam - seq.lam(k)) for k in range(1, N + 1) if k != n)
+        if gap == 0:
+            raise SequenceError(f"zero gap at n={n}: duplicate frequency")
+        gaps.append(gap)
+    return gaps
 
 
 def fitted_separation_constant(seq: MultiplicitySequence, N: int, eps) -> mp.mpf:
@@ -273,15 +273,8 @@ def fitted_separation_constant(seq: MultiplicitySequence, N: int, eps) -> mp.mpf
     eps = mp.mpf(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    best = None
-    for n in range(1, N + 1):
-        lam = seq.lam(n)
-        gap = min(abs(lam - seq.lam(k)) for k in range(1, N + 1) if k != n)
-        if gap == 0:
-            raise SequenceError(f"duplicate frequency at n={n}: gap is zero")
-        val = gap * mp.exp(eps * abs(lam) / seq.mu(n))
-        best = val if best is None else min(best, val)
-    return best
+    return min(gap * mp.exp(eps * abs(seq.lam(n)) / seq.mu(n))
+               for n, gap in enumerate(nearest_gaps(seq, N), 1))
 
 
 def separation_disk_radius(seq: MultiplicitySequence, N: int, eps, n: int,

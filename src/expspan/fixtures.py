@@ -14,7 +14,8 @@ Sequence spec files are JSON:
     {"kind": "explicit", "entries": [[re, im, mu], ...]}
     {"kind": "generator", "name": "example_v", "params": {...}, "terms": 8}
 
-re/im may be numbers or decimal strings; strings preserve full precision.
+re/im may be numbers or decimal strings; strings keep every digit, whatever
+the caller's precision.
 """
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ def fixture(name: str, n_terms: int, **params) -> MultiplicitySequence:
                                 provenance=f"{name}({n_terms})")
 
 
+def _exact_mpc(re: str, im: str) -> mp.mpc:
+    """re + i im at one digit per character plus _GEN_GUARD, so no written digit is lost."""
+    with mp.workdps(max(mp.mp.dps, max(len(re), len(im)) + _GEN_GUARD)):
+        return mp.mpc(mp.mpmathify(re), mp.mpmathify(im))
+
+
 def sequence_from_spec(spec: dict, default_terms: int | None = None) -> MultiplicitySequence:
     """Build a sequence from a parsed JSON spec object."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -141,8 +148,7 @@ def sequence_from_spec(spec: dict, default_terms: int | None = None) -> Multipli
         if not isinstance(entries, list) or not entries:
             raise ConfigError("explicit spec needs a non-empty 'entries' list")
         try:
-            rows = [(mp.mpmathify(str(e[0])), mp.mpmathify(str(e[1])), int(e[2]))
-                    for e in entries]
+            rows = [(_exact_mpc(str(e[0]), str(e[1])), int(e[2])) for e in entries]
         except (IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad entry in sequence spec: {exc}") from exc
         return MultiplicitySequence.from_pairs(rows,
@@ -156,12 +162,16 @@ def sequence_from_spec(spec: dict, default_terms: int | None = None) -> Multipli
     raise ConfigError(f"unknown sequence spec kind {kind!r}")
 
 
-def load_sequence(path: str, default_terms: int | None = None) -> MultiplicitySequence:
+def read_json(path: str, what: str):
+    """Parsed JSON of an input file; `what` names the file in the ConfigError."""
     try:
         with open(path) as fh:
-            spec = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read sequence file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sequence file {path} is not valid JSON: {exc}") from exc
-    return sequence_from_spec(spec, default_terms=default_terms)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON, or bytes that are not text
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_sequence(path: str, default_terms: int | None = None) -> MultiplicitySequence:
+    return sequence_from_spec(read_json(path, "sequence file"), default_terms=default_terms)

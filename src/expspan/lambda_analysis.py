@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .core import MultiplicitySequence, fitted_separation_constant
+from .core import MultiplicitySequence, fitted_separation_constant, nearest_gaps
 from .errors import SequenceError
 from . import products
 
@@ -209,12 +209,7 @@ def gap_check(seq: MultiplicitySequence, N: int, eps) -> GapReport:
     eps = mp.mpf(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gaps = []
-    for n in range(1, N + 1):
-        g = min(abs(seq.lam(n) - seq.lam(k)) for k in range(1, N + 1) if k != n)
-        if g == 0:
-            raise SequenceError(f"zero gap at n={n}: duplicate frequency")
-        gaps.append(g)
+    gaps = nearest_gaps(seq, N)
     m = fitted_separation_constant(seq, N, eps)
     large = []
     small = []
@@ -238,20 +233,16 @@ def gap_check(seq: MultiplicitySequence, N: int, eps) -> GapReport:
 def separation_search(seq: MultiplicitySequence, N: int) -> mp.mpf | None:
     """Largest delta in (0, 1/10) with |lambda_n - lambda_k| <= delta |lambda_k|
     only for n = k, scanned on a 40-point geometric grid.  None if even the
-    smallest grid point fails."""
-    seq.check_prefix(N)
+    smallest grid point fails.
+
+    Each grid point tests gap_k > delta |lambda_k| with gap_k = min_{n != k}
+    |lambda_n - lambda_k|, which holds exactly when every pair does; a zero
+    gap raises SequenceError, and N = 1, having no gap, raises ValueError.
+    """
+    pairs = [(gap, abs(seq.lam(k))) for k, gap in enumerate(nearest_gaps(seq, N), 1)]
     delta = mp.mpf("0.09")
     for _ in range(40):
-        ok = True
-        for k in range(1, N + 1):
-            bound = delta * abs(seq.lam(k))
-            for n in range(1, N + 1):
-                if n != k and abs(seq.lam(n) - seq.lam(k)) <= bound:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(gap > delta * mod for gap, mod in pairs):
             return delta
         delta *= mp.mpf("0.8")
     return None

@@ -11,16 +11,16 @@ builds the full biorthogonal family.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import mpmath as mp
 
 from .core import FlatIndex, Interval, MultiplicitySequence, PrecisionContext, Sector
 from .errors import ConfigError, ExpspanError
+from .fixtures import read_json
 from .gram import (DomainSpec, GramSystem, biorthogonal, gram_matrix,
                    recover_coefficients)
-from .series import TaylorDirichletSeries, bound_check
+from .series import TaylorDirichletSeries, bound_check, coeff_rows, tail_abscissa
 
 # ratio below which the fitted exponent is reported as effectively -inf
 _VERY_NEGATIVE = mp.mpf(-10)
@@ -62,13 +62,9 @@ def growth_check(d: MomentData, seq: MultiplicitySequence, N: int,
     if N < 4:
         raise ValueError("need data at at least 4 frequencies")
     slack = mp.mpf("0.05") * interval.length
-    ratios = []
-    for n in range(1, N + 1):
-        an = d.group_max(n, seq.mu(n))
-        ratios.append(mp.log(an) / mp.re(seq.lam(n)) if an > 0 else mp.mpf("-inf"))
-    tail = [r for r in ratios[N // 2:] if mp.isfinite(r)]
-    a = max(tail) if tail else mp.mpf("-inf")
-    very_neg = all(r < _VERY_NEGATIVE for r in ratios if mp.isfinite(r)) or not tail
+    a, ratios = tail_abscissa([d.group_max(n, seq.mu(n)) for n in range(1, N + 1)], seq)
+    very_neg = (all(r < _VERY_NEGATIVE for r in ratios if mp.isfinite(r))
+                or not mp.isfinite(a))
     return GrowthReport(a=a, ratios=tuple(ratios), slack=slack,
                         beta=interval.beta,
                         passed=bool(a < interval.beta - slack),
@@ -182,19 +178,10 @@ def moments_from_obj(obj) -> MomentData:
     if not isinstance(rows, list):
         raise ConfigError("moment data must be a list of [n, k, re, im] rows")
     try:
-        vals = {FlatIndex(int(n), int(k)): mp.mpc(mp.mpmathify(str(re)),
-                                                  mp.mpmathify(str(im)))
-                for n, k, re, im in rows}
+        return MomentData(values=coeff_rows(rows))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad moment row: {exc}") from exc
-    return MomentData(values=vals)
 
 
 def load_moments(path: str) -> MomentData:
-    try:
-        with open(path) as fh:
-            return moments_from_obj(json.load(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read moments file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"moments file {path} is not valid JSON: {exc}") from exc
+    return moments_from_obj(read_json(path, "moments file"))

@@ -21,6 +21,9 @@ from .core import (Interval, MultiplicitySequence, PrecisionContext,
                    fitted_separation_constant, separation_disk_radius)
 from .errors import DomainError
 
+# cosine factors in the windowed even product
+_COS_K = 8
+
 
 class ProductKind(enum.Enum):
     """Factor shapes: which set the truncated product vanishes on.
@@ -168,7 +171,6 @@ class LKFunction:
     interval: Interval
     epsilons: tuple[mp.mpf, ...]
     trunc_N: int
-    cos_K: int
 
     def __post_init__(self):
         self.seq.check_prefix(self.trunc_N)
@@ -183,8 +185,8 @@ def lk_function(seq: MultiplicitySequence, interval: Interval,
                 ctx: PrecisionContext) -> LKFunction:
     seq.check_prefix(ctx.trunc_N)  # no silent truncation downgrade
     return LKFunction(seq=seq, interval=interval,
-                      epsilons=tuple(lk_schedule(interval, ctx.cos_K)),
-                      trunc_N=ctx.trunc_N, cos_K=ctx.cos_K)
+                      epsilons=tuple(lk_schedule(interval, _COS_K)),
+                      trunc_N=ctx.trunc_N)
 
 
 def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:

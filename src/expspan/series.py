@@ -9,14 +9,13 @@ the geometric tail envelope.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import mpmath as mp
 
 from .core import FlatIndex, MultiplicitySequence, Sector
 from .errors import ConfigError, DomainError
-from .fixtures import sequence_from_spec
+from .fixtures import read_json, sequence_from_spec
 
 
 @dataclass(frozen=True)
@@ -49,15 +48,6 @@ class EvalResult:
     terms_used: int
 
 
-def _fitted_coefficient_constant(s: TaylorDirichletSeries, beta, eps, upto: int) -> mp.mpf:
-    m_hat = mp.mpf(0)
-    for n in range(1, upto + 1):
-        cn = s.star_coefficient(n)
-        if cn > 0:
-            m_hat = max(m_hat, cn * mp.exp((beta - eps) * mp.re(s.seq.lam(n))))
-    return m_hat
-
-
 def td_eval(s: TaylorDirichletSeries, z, N: int) -> EvalResult:
     """Partial sum over n <= N plus a geometric tail bound.
 
@@ -85,7 +75,7 @@ def td_eval(s: TaylorDirichletSeries, z, N: int) -> EvalResult:
             value += poly * mp.exp(s.seq.lam(n) * z)
     beta = s.claimed_sector.beta
     eps = (beta - mp.re(z)) / 4
-    m_hat = _fitted_coefficient_constant(s, beta, eps, s.seq.size)
+    m_hat = bound_check(s, beta, eps).m_hat
     grow = max(mp.mpf(1), abs(z))
     envelope = []
     for n in range(N + 1, s.seq.size + 1):
@@ -109,6 +99,15 @@ class AbscissaReport:
     ratios: tuple
 
 
+def tail_abscissa(mags: list, seq: MultiplicitySequence) -> tuple[mp.mpf, list]:
+    """(a, ratios): ratio_n = log m_n / Re lambda_n for mags[n-1] = m_n, -inf where
+    m_n = 0; a is the max of the finite ratios over the tail half, -inf if none."""
+    ratios = [mp.log(m) / mp.re(seq.lam(n)) if m > 0 else mp.mpf("-inf")
+              for n, m in enumerate(mags, 1)]
+    tail = [r for r in ratios[len(mags) // 2:] if mp.isfinite(r)]
+    return (max(tail) if tail else mp.mpf("-inf")), ratios
+
+
 def star_abscissa(s: TaylorDirichletSeries, N: int) -> AbscissaReport:
     """Estimate the growth abscissa as the max tail-half ratio.
 
@@ -118,15 +117,7 @@ def star_abscissa(s: TaylorDirichletSeries, N: int) -> AbscissaReport:
     s.seq.check_prefix(N)
     if N < 6:
         raise ValueError("need N >= 6")
-    ratios = []
-    for n in range(1, N + 1):
-        cn = s.star_coefficient(n)
-        if cn > 0:
-            ratios.append(mp.log(cn) / mp.re(s.seq.lam(n)))
-        else:
-            ratios.append(mp.mpf("-inf"))
-    tail = [r for r in ratios[N // 2:] if mp.isfinite(r)]
-    a = max(tail) if tail else mp.mpf("-inf")
+    a, ratios = tail_abscissa([s.star_coefficient(n) for n in range(1, N + 1)], s.seq)
     return AbscissaReport(a=a, implied_beta=-a, ratios=tuple(ratios))
 
 
@@ -174,24 +165,22 @@ def series_to_obj(s: TaylorDirichletSeries, dps: int = 30) -> dict:
                        "beta": mp.nstr(s.claimed_sector.beta, dps)}}
 
 
+def coeff_rows(rows) -> dict[FlatIndex, mp.mpc]:
+    """Coefficients from the [n, k, re, im] rows of series and moments files."""
+    return {FlatIndex(int(n), int(k)): mp.mpc(mp.mpmathify(str(re)), mp.mpmathify(str(im)))
+            for n, k, re, im in rows}
+
+
 def series_from_obj(obj: dict) -> TaylorDirichletSeries:
     try:
         seq = sequence_from_spec(obj["seq"])
         sector = Sector(mp.mpmathify(str(obj["sector"]["eta"])),
                         mp.mpmathify(str(obj["sector"]["beta"])))
-        coeffs = {FlatIndex(int(n), int(k)): mp.mpc(mp.mpmathify(str(re)),
-                                                    mp.mpmathify(str(im)))
-                  for n, k, re, im in obj["coeffs"]}
+        coeffs = coeff_rows(obj["coeffs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad series object: {exc}") from exc
     return TaylorDirichletSeries(seq=seq, coeffs=coeffs, claimed_sector=sector)
 
 
 def load_series(path: str) -> TaylorDirichletSeries:
-    try:
-        with open(path) as fh:
-            return series_from_obj(json.load(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read series file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"series file {path} is not valid JSON: {exc}") from exc
+    return series_from_obj(read_json(path, "series file"))

@@ -3,8 +3,8 @@ import random
 import mpmath as mp
 import pytest
 
-from expspan import (Interval, MultiplicitySequence, PrecisionContext, ProductKind,
-                     fixture)
+from expspan import (FlatIndex, Interval, MultiplicitySequence, PrecisionContext,
+                     ProductKind, SequenceError, fixture, list_fixtures)
 
 
 @pytest.fixture(autouse=True)
@@ -60,3 +60,142 @@ def escalated_derivative_factor(seq, N, n, kind, dps):
                 lj = seq.lam(j)
                 acc *= 1 - lam * lam / (lj * lj) if even else 1 - lam / lj
         return acc
+
+
+# every built-in fixture at the term counts that the report sweep uses
+FIXTURE_NAMES = [f.name for f in list_fixtures()]
+FIXTURE_TERMS = (6, 9, 10, 12)
+
+
+def bits(x):
+    """Exact representation of an mpf, or of a list of them (None stays None)."""
+    if x is None:
+        return None
+    if isinstance(x, (list, tuple)):
+        return tuple(bits(v) for v in x)
+    return x._mpf_
+
+
+def decaying_coeffs(seq):
+    """c_{n,k} = e^(-2 Re lambda_n) (n + (-1)^n i)/(k+1) at k = 0 and k = mu_n - 1,
+    none at every n = 2 mod 3, so that some star coefficients are zero."""
+    out = {}
+    for n in range(1, seq.size + 1):
+        if n % 3 != 2:
+            for k in {0, seq.mu(n) - 1}:
+                out[FlatIndex(n, k)] = (mp.exp(-2 * mp.re(seq.lam(n)))
+                                        * mp.mpc(n, (-1) ** n) / (k + 1))
+    return out
+
+
+# -- one-loop references for the shared nearest-gap, abscissa and envelope code --
+# Each is the loop that the library ran before it kept one copy of each
+# computation, so the tests can check the shared code bit for bit.
+
+def reference_fitted_separation_constant(seq, N, eps):
+    """min_n gap_n * exp(eps |lambda_n| / mu_n), one pair loop per n."""
+    seq.check_prefix(N)
+    eps = mp.mpf(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    best = None
+    for n in range(1, N + 1):
+        lam = seq.lam(n)
+        gap = min(abs(lam - seq.lam(k)) for k in range(1, N + 1) if k != n)
+        if gap == 0:
+            raise SequenceError(f"duplicate frequency at n={n}: gap is zero")
+        val = gap * mp.exp(eps * abs(lam) / seq.mu(n))
+        best = val if best is None else min(best, val)
+    return best
+
+
+def reference_nearest_gaps(seq, N):
+    """The gap check's own loop: min over k != n of |lambda_n - lambda_k|."""
+    gaps = []
+    for n in range(1, N + 1):
+        g = min(abs(seq.lam(n) - seq.lam(k)) for k in range(1, N + 1) if k != n)
+        if g == 0:
+            raise SequenceError(f"zero gap at n={n}: duplicate frequency")
+        gaps.append(g)
+    return gaps
+
+
+def reference_gap_check(seq, N, eps):
+    """(gaps, fitted_m, radii_large, radii_small) of the gap check, or its SequenceError."""
+    seq.check_prefix(N)
+    eps = mp.mpf(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    gaps = reference_nearest_gaps(seq, N)
+    m = reference_fitted_separation_constant(seq, N, eps)
+    large = []
+    small = []
+    for n in range(1, N + 1):
+        decay = mp.exp(-eps * abs(seq.lam(n)) / seq.mu(n))
+        large.append(m / 2 * decay)
+        small.append(m / 6 * decay)
+    disjoint = True
+    for a in range(N):
+        for b in range(a + 1, N):
+            if abs(seq.lam(a + 1) - seq.lam(b + 1)) < large[a] + large[b]:
+                disjoint = False
+    if not disjoint:
+        raise SequenceError("separation disks overlap despite the fitted constant; "
+                            "the fit is inconsistent")
+    return gaps, m, large, small
+
+
+def reference_separation_search(seq, N):
+    """The 40-point delta scan over every ordered pair at every grid point."""
+    seq.check_prefix(N)
+    delta = mp.mpf("0.09")
+    for _ in range(40):
+        ok = True
+        for k in range(1, N + 1):
+            bound = delta * abs(seq.lam(k))
+            for n in range(1, N + 1):
+                if n != k and abs(seq.lam(n) - seq.lam(k)) <= bound:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return delta
+        delta *= mp.mpf("0.8")
+    return None
+
+
+def reference_coefficient_constant(s, beta, eps, upto):
+    """max_n C_n e^((beta-eps) Re lambda_n) over the star coefficients C_n."""
+    m_hat = mp.mpf(0)
+    for n in range(1, upto + 1):
+        cn = s.star_coefficient(n)
+        if cn > 0:
+            m_hat = max(m_hat, cn * mp.exp((beta - eps) * mp.re(s.seq.lam(n))))
+    return m_hat
+
+
+def reference_star_abscissa(s, N):
+    """(a, ratios): max over the tail half of the finite log C_n / Re lambda_n."""
+    ratios = []
+    for n in range(1, N + 1):
+        cn = s.star_coefficient(n)
+        if cn > 0:
+            ratios.append(mp.log(cn) / mp.re(s.seq.lam(n)))
+        else:
+            ratios.append(mp.mpf("-inf"))
+    tail = [r for r in ratios[N // 2:] if mp.isfinite(r)]
+    a = max(tail) if tail else mp.mpf("-inf")
+    return a, ratios
+
+
+def reference_growth_fit(d, seq, N):
+    """(a, ratios, effectively_minus_inf) of the moment growth gate."""
+    ratios = []
+    for n in range(1, N + 1):
+        an = d.group_max(n, seq.mu(n))
+        ratios.append(mp.log(an) / mp.re(seq.lam(n)) if an > 0 else mp.mpf("-inf"))
+    tail = [r for r in ratios[N // 2:] if mp.isfinite(r)]
+    a = max(tail) if tail else mp.mpf("-inf")
+    very_neg = all(r < mp.mpf(-10) for r in ratios if mp.isfinite(r)) or not tail
+    return a, ratios, very_neg

@@ -172,7 +172,7 @@ def test_criterion_08_condensation_discrimination():
 
 def test_criterion_09_windowed_product_lower_bound():
     seq = fixture("power", 8, exponent=1.5)
-    ctx = PrecisionContext(digits=80, trunc_N=8, cos_K=8)
+    ctx = PrecisionContext(digits=80, trunc_N=8)
     lk = lk_function(seq, Interval(0, 1), ctx)
     with mp.workdps(ctx.digits):
         zeros_exact = all(lk_eval(lk, 1j * seq.lam(n)) == 0

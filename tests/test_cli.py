@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -154,15 +155,33 @@ class TestBasicCommands:
 
 
 class TestExitCodes:
-    def test_missing_file_is_config_error(self, capsys):
-        code, _ = run(capsys, "analyze", "/nonexistent/seq.json")
-        assert code == 2
+    @staticmethod
+    def _each_input(seq_file):
+        """(argv reading `path` as the input, the name the error gives that input)."""
+        return [(lambda path: ["analyze", path], "sequence file"),
+                (lambda path: ["validate", path], "sequence file"),
+                (lambda path: ["series", "abscissa", "--series", path], "series file"),
+                (lambda path: ["moment", "solve", "--seq", seq_file, "--N", "6",
+                               "--interval", "0,1", "--data", path], "moments file"),
+                (lambda path: ["run", path], "config")]
 
-    def test_malformed_json_is_config_error(self, capsys, tmp_path):
+    def test_missing_file_is_config_error(self, capsys, seq_file):
+        path = "/nonexistent/input.json"
+        for argv, what in self._each_input(seq_file):
+            code = main(argv(path))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(f"error: cannot read {what} {path}: ")
+
+    def test_malformed_json_is_config_error(self, capsys, tmp_path, seq_file):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _ = run(capsys, "validate", str(bad))
-        assert code == 2
+        for text in ("{not json", "\udcff"):
+            bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+            for argv, what in self._each_input(seq_file):
+                code = main(argv(str(bad)))
+                err = capsys.readouterr().err
+                assert code == 2
+                assert err.startswith(f"error: {what} {bad} is not valid JSON: ")
 
     def test_bad_complex_is_config_error(self, capsys, seq_file):
         code, _ = run(capsys, "product", "eval", "--seq", seq_file,
@@ -385,3 +404,69 @@ class TestRunReports:
         assert code == 0
         obj = json.loads((tmp_path / "c" / "carleson_annihilation.json").read_text())
         assert float(obj["sup_annihilation_residual"]) < 1e-80
+
+
+class TestOneCopy:
+    def test_second_main_builds_no_parser(self, capsys, monkeypatch):
+        assert main(["fixtures"]) == 0
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["fixtures"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_zero_series_abscissa_is_the_run_bundle_object(self, capsys, tmp_path):
+        squares = {"kind": "generator", "name": "squares", "terms": 8}
+        series = {"seq": squares, "coeffs": [[n, 0, "0", "0"] for n in range(1, 9)],
+                  "sector": {"eta": "0", "beta": "1"}}
+        (tmp_path / "series.json").write_text(json.dumps(series))
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"kind": "series", "seq": squares, "series": series,
+             "out": str(tmp_path / "bundle")}))
+        code, out = run(capsys, "series", "abscissa", "--series", str(tmp_path / "series.json"))
+        assert code == 0
+        obj = json.loads(out)
+        del obj["schema_version"]
+        assert obj["a"] == "-inf" and obj["implied_beta"] == "+inf"
+        assert run(capsys, "run", str(tmp_path / "cfg.json"))[0] == 0
+        assert json.loads((tmp_path / "bundle" / "series_abscissa.json").read_text()) == obj
+
+    @pytest.mark.parametrize("action", ["build", "biorthogonal", "mixed"])
+    def test_gram_csv_refused_where_no_table_is_written(self, capsys, seq_file, action):
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", action, "--seq", seq_file, "--N", "2", "--csv", "x.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
+
+class TestExplicitStrings:
+    """Explicit frequencies keep every written digit at the CLI's 15 digits."""
+
+    def write(self, tmp_path, *lams):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "explicit",
+                                    "entries": [[lam, "0", 1] for lam in lams]}))
+        return str(path)
+
+    def test_product_eval_sees_a_26_digit_offset(self, capsys, tmp_path):
+        path = self.write(tmp_path, "1.00000000000000000000000001")
+        with mp.workdps(15):
+            code, out = run(capsys, "product", "eval", "--seq", path, "--kind", "F",
+                            "--N", "1", "--z", "1", "--digits", "60")
+        assert code == 0
+        # 1 - 1/lambda_1 = 1e-26 / (1 + 1e-26)
+        assert abs(float(json.loads(out)["value_re"]) / 1e-26 - 1) < 1e-12
+
+    def test_validate_tells_close_entries_apart(self, capsys, tmp_path):
+        path = self.write(tmp_path, "1.00000000000000000001", "1.00000000000000000002")
+        with mp.workdps(15):
+            code, out = run(capsys, "validate", path)
+        assert code == 0
+        assert json.loads(out) == {"provenance": "explicit", "schema_version": 1,
+                                   "valid": True, "violations": []}

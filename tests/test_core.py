@@ -1,10 +1,13 @@
 import mpmath as mp
 import pytest
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, reference_fitted_separation_constant,
+                      reference_nearest_gaps)
 
 from expspan import (FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, Sector, SequenceError, fixture,
                      flat_position, flatten, sector_contains,
                      sequence_from_spec, validate_sequence)
+from expspan.core import fitted_separation_constant, nearest_gaps
 
 
 class TestValidate:
@@ -125,10 +128,6 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             PrecisionContext(digits=20)
 
-    def test_tol_floor(self):
-        with pytest.raises(ValueError):
-            PrecisionContext(digits=50, tol=mp.mpf("1e-45"))
-
     def test_truncation_orders_positive(self):
         with pytest.raises(ValueError):
             PrecisionContext(trunc_N=0)
@@ -148,9 +147,17 @@ class TestSequenceSpec:
     def test_string_entries_keep_precision(self):
         spec = {"kind": "explicit",
                 "entries": [["1." + "0" * 40 + "1", "0", 1], ["2", "0", 1]]}
-        with mp.workdps(80):
-            seq = sequence_from_spec(spec)
-            assert seq.lam(1) != 1
+        for dps in (15, 80):  # 15 is the CLI's precision
+            with mp.workdps(dps):
+                seq = sequence_from_spec(spec)
+                assert seq.lam(1) != 1
+
+    def test_from_pairs_stores_an_mpc_unrounded(self):
+        with mp.workdps(60):
+            lam = 1 + mp.mpc(10) ** -40
+        with mp.workdps(15):
+            seq = MultiplicitySequence.from_pairs([(lam, 1)])
+        assert seq.lam(1) == lam
 
     def test_bad_spec_rejected(self):
         from expspan import ConfigError
@@ -164,3 +171,24 @@ class TestSequenceSpec:
         # gap e^(-144) must survive in the stored entries
         gap = abs(seq.lam(24) - seq.lam(23))
         assert 0 < gap < mp.mpf("1e-60")
+
+
+class TestNearestGaps:
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("terms", FIXTURE_TERMS)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_matches_the_pair_loops_bit_for_bit(self, name, terms, dps):
+        with mp.workdps(dps):
+            seq = fixture(name, terms)
+            N = seq.size
+            assert bits(nearest_gaps(seq, N)) == bits(reference_nearest_gaps(seq, N))
+            for eps in ("0.1", "0.3"):
+                assert (bits(fitted_separation_constant(seq, N, eps))
+                        == bits(reference_fitted_separation_constant(seq, N, eps)))
+
+    def test_duplicate_is_a_sequence_error(self):
+        seq = MultiplicitySequence.from_pairs([(1, 1), (4, 1), (4, 1)])
+        with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
+            nearest_gaps(seq, 3)
+        with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
+            fitted_separation_constant(seq, 3, "0.1")

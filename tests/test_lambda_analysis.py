@@ -2,7 +2,8 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import escalated_derivative_factor
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_factor,
+                      reference_gap_check, reference_separation_search)
 
 from expspan import MultiplicitySequence, SequenceError, fixture
 from expspan import lambda_analysis as la
@@ -160,6 +161,26 @@ class TestGapCheck:
         with pytest.raises(SequenceError):
             la.gap_check(seq, 2, "0.1")
 
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("terms", FIXTURE_TERMS)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_matches_reference_bit_for_bit(self, name, terms, dps):
+        # example_iii and carleson_counterexample at 9 and 10 terms raise the
+        # disk-overlap SequenceError on both sides
+        with mp.workdps(dps):
+            seq = fixture(name, terms)
+            try:
+                want = reference_gap_check(seq, seq.size, "0.1")
+            except SequenceError as exc:
+                with pytest.raises(SequenceError, match=str(exc)):
+                    la.gap_check(seq, seq.size, "0.1")
+                return
+            rep = la.gap_check(seq, seq.size, "0.1")
+        assert bits(rep.gaps) == bits(want[0])
+        assert bits(rep.fitted_m) == bits(want[1])
+        assert bits(rep.radii_large) == bits(want[2])
+        assert bits(rep.radii_small) == bits(want[3])
+
 
 class TestSeparationSearch:
     def test_ratio_sequence_has_wide_delta(self):
@@ -170,6 +191,20 @@ class TestSeparationSearch:
     def test_near_duplicates_have_no_delta(self):
         seq = fixture("example_iii", 8)
         assert la.separation_search(seq, 16) is None
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("terms", FIXTURE_TERMS)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_matches_the_pair_scan_bit_for_bit(self, name, terms, dps):
+        with mp.workdps(dps):
+            seq = fixture(name, terms)
+            got = la.separation_search(seq, seq.size)
+            assert bits(got) == bits(reference_separation_search(seq, seq.size))
+
+    def test_duplicate_frequency_raises(self):
+        seq = MultiplicitySequence.from_pairs([(n * n, 1) for n in range(1, 7)] + [(36, 1)])
+        with pytest.raises(SequenceError, match="zero gap at n=6: duplicate frequency"):
+            la.separation_search(seq, 7)
 
 
 class TestCondensation:

@@ -2,8 +2,10 @@ import random
 
 import mpmath as mp
 import pytest
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, decaying_coeffs, jittered_mu3,
+                      reference_growth_fit)
 
-from expspan import (FlatIndex, GrowthGateError, MomentData,
+from expspan import (FlatIndex, GrowthGateError, Interval, MomentData,
                      PrecisionContext, fixture)
 from expspan.gram import DomainSpec, biorthogonal, gram_matrix
 from expspan.moment import bessel_diagnostic, growth_check, moments_from_obj, solve
@@ -39,6 +41,22 @@ class TestGrowthCheck:
                                for n in range(1, 13)})
         rep = growth_check(d, squares12, 12, unit_interval)
         assert rep.passed and rep.effectively_minus_inf
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("name,terms",
+                             [(name, terms) for name in FIXTURE_NAMES if name != "example_vi"
+                              for terms in FIXTURE_TERMS]
+                             + [("jittered-mu3", seed) for seed in (0, 1, 2)])
+    def test_matches_reference_fit(self, name, terms, dps):
+        # example_vi is left out: group maxima scan every k < mu_n = 10^n
+        with mp.workdps(dps):
+            seq = jittered_mu3(12, terms) if name == "jittered-mu3" else fixture(name, terms)
+            interval = Interval(0, 1)
+            for d in (MomentData(values=decaying_coeffs(seq)), MomentData()):
+                rep = growth_check(d, seq, seq.size, interval)
+                a, ratios, very_neg = reference_growth_fit(d, seq, seq.size)
+                assert bits(rep.a) == bits(a) and bits(rep.ratios) == bits(ratios)
+                assert rep.effectively_minus_inf == very_neg
 
     def test_needs_four_frequencies(self, squares12, unit_interval):
         with pytest.raises(ValueError):

@@ -138,7 +138,7 @@ class TestLKSchedule:
 class TestLKEval:
     @pytest.fixture
     def lk(self, squares8, unit_interval):
-        ctx = PrecisionContext(digits=60, trunc_N=6, cos_K=8)
+        ctx = PrecisionContext(digits=60, trunc_N=6)
         return lk_function(squares8, unit_interval, ctx)
 
     def test_value_one_at_origin(self, lk):
@@ -178,7 +178,7 @@ class TestLaurent:
     def setup(self):
         seq = MultiplicitySequence.from_pairs(
             [(1, 2), (mp.mpf("2.5"), 1), (mp.mpf("4.5"), 2)], "mixed-mu")
-        ctx = PrecisionContext(digits=120, trunc_N=3, cos_K=6)
+        ctx = PrecisionContext(digits=120, trunc_N=3)
         lk = lk_function(seq, Interval(0, 1), ctx)
         return seq, lk
 
@@ -279,7 +279,7 @@ class TestBatchedPath:
     def make_lk(seed=0):
         seq = jittered_mu3(6, seed)
         return seq, lk_function(seq, Interval(0, 1),
-                                PrecisionContext(digits=120, trunc_N=6, cos_K=8))
+                                PrecisionContext(digits=120, trunc_N=6))
 
     def test_batch_equals_pointwise(self, dps):
         with mp.workdps(dps):
@@ -342,7 +342,7 @@ class TestGnk:
     def setup(self):
         seq = MultiplicitySequence.from_pairs(
             [(1, 2), (mp.mpf("2.5"), 1), (mp.mpf("4.5"), 2)], "mixed-mu")
-        ctx = PrecisionContext(digits=120, trunc_N=3, cos_K=6)
+        ctx = PrecisionContext(digits=120, trunc_N=3)
         lk = lk_function(seq, Interval(0, 1), ctx)
         laurents = {n: laurent_coeffs(lk, n, "0.1", seq.mu(n), 64)
                     for n in (1, 2, 3)}

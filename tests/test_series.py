@@ -2,7 +2,10 @@ import random
 
 import mpmath as mp
 import pytest
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, decaying_coeffs, jittered_mu3,
+                      reference_coefficient_constant, reference_star_abscissa)
 
+from expspan import series as series_mod
 from expspan import (DomainError, FlatIndex, MultiplicitySequence,
                      PrecisionContext, Sector, TaylorDirichletSeries,
                      bound_check, fixture, star_abscissa, td_eval)
@@ -87,6 +90,49 @@ class TestStarAbscissa:
         assert abs(r1.a - r2.a) <= budget + mp.mpf("1e-40")
         short1, short2 = star_abscissa(s1, 8), star_abscissa(s2, 8)
         assert abs(r1.a - r2.a) < abs(short1.a - short2.a)
+
+
+# example_vi has mu_n = 10^n, and star coefficients scan every k < mu_n
+SERIES_CASES = ([(name, terms) for name in FIXTURE_NAMES if name != "example_vi"
+                 for terms in FIXTURE_TERMS]
+                + [("jittered-mu3", seed) for seed in (0, 1, 2)])
+
+
+def case_series(name, terms):
+    seq = jittered_mu3(12, terms) if name == "jittered-mu3" else fixture(name, terms)
+    return TaylorDirichletSeries(seq=seq, coeffs=decaying_coeffs(seq),
+                                 claimed_sector=Sector(0, 1))
+
+
+class TestSharedFits:
+    """star_abscissa and td_eval against the loops they used to run themselves."""
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("name,terms", SERIES_CASES)
+    def test_star_abscissa_matches_reference(self, name, terms, dps):
+        with mp.workdps(dps):
+            s = case_series(name, terms)
+            rep = star_abscissa(s, s.seq.size)
+            a, ratios = reference_star_abscissa(s, s.seq.size)
+        assert bits(rep.a) == bits(a) and bits(rep.implied_beta) == bits(-a)
+        assert bits(rep.ratios) == bits(ratios)
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("name,terms", SERIES_CASES)
+    def test_td_eval_tail_bound_matches_reference(self, name, terms, dps, monkeypatch):
+        def reference_envelope(s, beta, eps):
+            return series_mod.BoundReport(
+                m_hat=reference_coefficient_constant(s, beta, eps, s.seq.size),
+                argmax=None, verdict="bounded")
+
+        with mp.workdps(dps):
+            s = case_series(name, terms)
+            N = s.seq.size // 2
+            zs = (mp.mpc(0), mp.mpc(-1, 2), mp.mpf("0.5"))
+            got = [td_eval(s, z, N).tail_bound for z in zs]
+            monkeypatch.setattr(series_mod, "bound_check", reference_envelope)
+            want = [td_eval(s, z, N).tail_bound for z in zs]
+        assert bits(got) == bits(want)
 
 
 class TestBoundCheck:
