@@ -10,12 +10,13 @@ membership check and the grouping counterexample experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from .core import Interval, MultiplicitySequence, PrecisionContext
-from .errors import DomainError, PrecisionError
+from .errors import ConfigError, DomainError, PrecisionError
 from .products import ProductKind, taylor_coeffs
 from .series import TaylorDirichletSeries
 
@@ -55,8 +56,7 @@ def exp_monomial_derivative(lam, k: int, m: int, x) -> mp.mpc:
     x = mp.mpc(x)
     total = mp.mpc(0)
     for j in range(min(k, m) + 1):
-        total += (mp.binomial(m, j) * mp.ff(k, j) * x ** (k - j)
-                  * lam ** (m - j))
+        total += math.comb(m, j) * math.perm(k, j) * x ** (k - j) * lam ** (m - j)
     return total * mp.exp(lam * x)
 
 
@@ -68,16 +68,17 @@ def apply_to_exponential(op: CarlesonOperator, lam, k: int, x,
     this is the eigen-relation F(lam) e^(lam x), and for a truncated
     frequency with k < mu_n the value vanishes to the precision floor.
     """
-    lam = mp.mpc(lam)
     with mp.workdps(ctx.digits + _GUARD):
+        # mp.mpc(z) would round even an mpc z to the ambient precision
+        lam = lam if isinstance(lam, mp.mpc) else mp.mpc(lam)
         x = mp.mpc(x)
         total = mp.mpc(0)
         for j in range(k + 1):
             # F^(j)(lam)/j! by Horner on the shifted coefficient list
             dj = mp.mpc(0)
             for m in reversed(range(j, op.degree + 1)):
-                dj = dj * lam + op.fcoeffs[m] * mp.binomial(m, j)
-            total += mp.ff(k, j) * x ** (k - j) * dj
+                dj = dj * lam + op.fcoeffs[m] * math.comb(m, j)
+            total += math.perm(k, j) * x ** (k - j) * dj
         val = total * mp.exp(lam * x)
     return val
 
@@ -134,12 +135,12 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
     """
     delta = mp.mpf(delta)
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise ConfigError("delta must be positive")
     if M > 4 * op.degree:
-        raise ValueError(f"M={M} exceeds budget {4 * op.degree}")
+        raise ConfigError(f"M={M} exceeds budget {4 * op.degree}")
     lo, hi = interval.gamma + delta, interval.beta - delta
     if not lo < hi:
-        raise ValueError("delta eats the whole interval")
+        raise ConfigError("delta eats the whole interval")
     grid = [lo + (hi - lo) * i / 8 for i in range(9)]
     with mp.workdps(ctx.digits):
         all_partials = []
@@ -206,7 +207,7 @@ def counterexample(Nmax: int, ctx: PrecisionContext,
     cancellation occurs; still, magnitudes like e^(n^3) cap Nmax at 8.
     """
     if Nmax < 2:
-        raise ValueError("Nmax must be >= 2")
+        raise ConfigError("Nmax must be >= 2")
     if Nmax > _COUNTEREXAMPLE_NMAX:
         raise PrecisionError(
             f"Nmax={Nmax} beyond the e^(n^3) budget (max {_COUNTEREXAMPLE_NMAX})")

@@ -5,7 +5,7 @@ pairs printed to --dps digits; floats would defeat the point of high-precision
 computation), plottable tables are CSV.  Identical configuration yields
 byte-identical output.  Every failure class has its own exit code:
 
-    2 config/parse error     4 size cap exceeded      6 bad sequence
+    2 bad input/argument     4 size cap exceeded      6 bad sequence
     3 precision exhausted    5 domain violation       1 anything else
 """
 
@@ -122,25 +122,9 @@ def _load_seq(args) -> "MultiplicitySequence":
     return load_sequence(args.seq, default_terms=args.N)
 
 
-def _precision(**kw) -> PrecisionContext:
-    # its ValueErrors name the violated condition, e.g. the digits floor
-    try:
-        return PrecisionContext(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"bad precision: {exc}") from exc
-
-
 def _ctx(args) -> PrecisionContext:
     kw = {"digits": getattr(args, "digits", None), "trunc_N": getattr(args, "N", None)}
-    return _precision(**{k: v for k, v in kw.items() if v})
-
-
-def _analyze(seq, N: int, eps: mp.mpf) -> lambda_analysis.ClassReport:
-    # the analyzer's ValueErrors all name a violated input condition
-    try:
-        return lambda_analysis.analyze(seq, N, eps)
-    except ValueError as exc:
-        raise ConfigError(f"cannot analyze N={N}, eps={eps}: {exc}") from exc
+    return PrecisionContext(**{k: v for k, v in kw.items() if v})
 
 
 # -- serializers shared by the subcommands and `run` ---------------------------
@@ -219,7 +203,8 @@ def _counterexample_obj(rep: carleson_mod.CounterexampleReport, dps: int) -> dic
 _Result = tuple[dict, tuple[list[str], list[list]] | None]
 
 def _cmd_analyze(args) -> _Result:
-    report = _analyze(_load_seq(args), args.N, _parse_real(args.eps, "--eps"))
+    report = lambda_analysis.analyze(_load_seq(args), args.N,
+                                     _parse_real(args.eps, "--eps"))
     dps = 30
     rows = [[n + 1] + [_num(v.ratios[n], dps)
                        for v in (report.geom_i, report.geom_ii, report.necessary)]
@@ -404,7 +389,7 @@ def _cmd_run(args) -> None:
     N = _cfg_int(cfg, "N", 6)
     nmax = (_cfg_int(cfg, "nmax", 5, least=2)
             if kind in ("counterexample", "full-report") else None)
-    ctx = _precision(digits=_cfg_int(cfg, "digits", 120), trunc_N=N)
+    ctx = PrecisionContext(digits=_cfg_int(cfg, "digits", 120), trunc_N=N)
     seq = sequence_from_spec(seq_spec, default_terms=N) if seq_spec else None
     interval = (_parse_interval(cfg.get("interval", "0,1"))
                 if kind not in ("analyze", "series", "counterexample") else None)
@@ -412,7 +397,8 @@ def _cmd_run(args) -> None:
     artifacts = {}  # file name -> JSON object, or (header, rows) for a CSV
 
     if kind in ("analyze", "full-report"):
-        rep = _analyze(seq, N, _parse_real(str(cfg.get("eps", "0.1")), "config 'eps'"))
+        eps = _parse_real(str(cfg.get("eps", "0.1")), "config 'eps'")
+        rep = lambda_analysis.analyze(seq, N, eps)
         artifacts["analyze.json"] = _pick(_analyze_obj(rep, dps), "provenance",
                                           "all_passed", "geometric_i", "geometric_ii")
     if kind in ("gram", "biorthogonal", "distance-trend", "full-report"):

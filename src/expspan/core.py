@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import mpmath as mp
 
-from .errors import SequenceError
+from .errors import ConfigError, SequenceError
 
 
 class FlatIndex(NamedTuple):
@@ -40,18 +40,13 @@ class MultiplicitySequence:
     provenance: str = ""
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[object, object, int]] | Iterable[tuple[object, int]],
+    def from_pairs(cls, pairs: Iterable[tuple[object, int]],
                    provenance: str = "") -> "MultiplicitySequence":
-        """Build from (lambda, mu) or (re, im, mu) tuples; an mpc lambda is kept unrounded."""
+        """Build from (lambda, mu) pairs; an mpc lambda is kept unrounded."""
         out = []
-        for item in pairs:
-            if len(item) == 3:
-                re, im, mu = item
-                lam = mp.mpc(mp.mpmathify(re), mp.mpmathify(im))
-            else:
-                lam, mu = item
-                # mp.mpc(z) would round even an mpc z to the ambient precision
-                lam = lam if isinstance(lam, mp.mpc) else mp.mpc(lam)
+        for lam, mu in pairs:
+            # mp.mpc(z) would round even an mpc z to the ambient precision
+            lam = lam if isinstance(lam, mp.mpc) else mp.mpc(lam)
             out.append((lam, int(mu)))
         return cls(entries=tuple(out), provenance=provenance)
 
@@ -177,9 +172,9 @@ class Interval:
         object.__setattr__(self, "gamma", mp.mpf(self.gamma))
         object.__setattr__(self, "beta", mp.mpf(self.beta))
         if not (mp.isfinite(self.gamma) and mp.isfinite(self.beta)):
-            raise ValueError("interval endpoints must be finite")
+            raise ConfigError("interval endpoints must be finite")
         if not self.gamma < self.beta:
-            raise ValueError(f"need gamma < beta, got ({self.gamma}, {self.beta})")
+            raise ConfigError(f"need gamma < beta, got ({self.gamma}, {self.beta})")
 
     @property
     def sigma(self) -> mp.mpf:
@@ -209,7 +204,7 @@ class Sector:
         object.__setattr__(self, "eta", mp.mpf(self.eta))
         object.__setattr__(self, "beta", mp.mpf(self.beta))
         if not (0 <= self.eta < mp.pi / 2):
-            raise ValueError("eta must lie in [0, pi/2)")
+            raise ConfigError("eta must lie in [0, pi/2)")
 
     def violation(self, z) -> str | None:
         """None if z is inside, else the violated inequality as text."""
@@ -245,14 +240,17 @@ class PrecisionContext:
 
     def __post_init__(self):
         if self.digits < DIGITS_FLOOR:
-            raise ValueError(f"digits={self.digits} below floor {DIGITS_FLOOR}")
+            raise ConfigError(f"digits={self.digits} below floor {DIGITS_FLOOR}")
         if self.trunc_N < 1:
-            raise ValueError("trunc_N must be >= 1")
+            raise ConfigError("trunc_N must be >= 1")
 
 
 def nearest_gaps(seq: MultiplicitySequence, N: int) -> list[mp.mpf]:
-    """min_{k != n} |lambda_n - lambda_k| for n = 1..N; a zero gap is a SequenceError."""
+    """min_{k != n} |lambda_n - lambda_k| for n = 1..N; a zero gap is a SequenceError,
+    and N = 1, having no gap, a ConfigError."""
     seq.check_prefix(N)
+    if N < 2:
+        raise ConfigError(f"need N >= 2 frequencies to take a gap, got N={N}")
     gaps = []
     for n in range(1, N + 1):
         lam = seq.lam(n)
@@ -272,9 +270,14 @@ def fitted_separation_constant(seq: MultiplicitySequence, N: int, eps) -> mp.mpf
     seq.check_prefix(N)
     eps = mp.mpf(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("eps must be positive")
+    return separation_fit(seq, nearest_gaps(seq, N), eps)
+
+
+def separation_fit(seq: MultiplicitySequence, gaps: list, eps: mp.mpf) -> mp.mpf:
+    """min_n gaps[n-1] * exp(eps |lambda_n| / mu_n) over gaps already scanned."""
     return min(gap * mp.exp(eps * abs(seq.lam(n)) / seq.mu(n))
-               for n, gap in enumerate(nearest_gaps(seq, N), 1))
+               for n, gap in enumerate(gaps, 1))
 
 
 def separation_disk_radius(seq: MultiplicitySequence, N: int, eps, n: int,

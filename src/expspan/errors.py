@@ -28,5 +28,6 @@ class CapError(ExpspanError):
     """A configured size cap (e.g. Gram dimension) would be exceeded."""
 
 
-class ConfigError(ExpspanError):
-    """Malformed configuration, sequence file, or CLI input."""
+class ConfigError(ExpspanError, ValueError):
+    """Malformed configuration, sequence file or CLI input, or an argument that
+    breaks a library condition (N too small, eps <= 0); also a ValueError."""

@@ -58,9 +58,9 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind not in ("bounded", "half_line_neg"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            raise ConfigError(f"unknown domain kind {self.kind!r}")
         if self.kind == "bounded" and self.interval is None:
-            raise ValueError("bounded domain needs an interval")
+            raise ConfigError("bounded domain needs an interval")
 
 
 def monomial_exp_integral(p: int, a, dom: DomainSpec) -> mp.mpc:
@@ -73,7 +73,7 @@ def monomial_exp_integral(p: int, a, dom: DomainSpec) -> mp.mpc:
     Half-line: (-1)^p p! / a^(p+1), requiring Re a > 0.
     """
     if p < 0:
-        raise ValueError("p must be >= 0")
+        raise ConfigError("p must be >= 0")
     a = mp.mpc(a)
     if dom.kind == "half_line_neg":
         if not mp.re(a) > 0:
@@ -170,8 +170,6 @@ class GramSystem:
     indices: tuple[FlatIndex, ...]
     matrix: mp.matrix
     chol: mp.matrix
-    domain: DomainSpec
-    ctx: PrecisionContext
     digits_used: int
     cond_estimate: mp.mpf
 
@@ -226,8 +224,7 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
                 ratio = min(pivots) / max(pivots)
                 last_cond = (max(pivots) / min(pivots)) ** 2
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
-                    return GramSystem(seq=seq, indices=tuple(idx), matrix=M,
-                                      chol=L, domain=dom, ctx=ctx,
+                    return GramSystem(seq=seq, indices=tuple(idx), matrix=M, chol=L,
                                       digits_used=digits, cond_estimate=last_cond)
         if digits >= 4 * ctx.digits:
             raise PrecisionError(
@@ -247,7 +244,7 @@ def distance(g: GramSystem, idx: FlatIndex) -> mp.mpf:
     try:
         i = g.indices.index(idx)
     except ValueError:
-        raise ValueError(f"index {idx} not in system") from None
+        raise ConfigError(f"index {idx} not in system") from None
     with mp.workdps(g.digits_used):
         d2 = 1 / mp.re(_chol_solve(g.chol, mp.eye(g.dim).column(i), i)[i])
         if not d2 > 0:
@@ -304,7 +301,7 @@ def recover_coefficients(g: GramSystem, moments: Sequence) -> list[mp.mpc]:
     """Series coefficients from moments: c_a = <f, r_a> = sum_j conj(C[a,j]) m_j,
     that is conj(M^-1 conj(m)), from one solve with the factorization."""
     if len(moments) != g.dim:
-        raise ValueError(f"expected {g.dim} moments, got {len(moments)}")
+        raise ConfigError(f"expected {g.dim} moments, got {len(moments)}")
     with mp.workdps(g.digits_used):
         u = g.solve(mp.matrix([mp.conj(v) for v in moments]))
         return [mp.conj(u[a]) for a in range(g.dim)]
@@ -329,7 +326,7 @@ def mixed_completeness(g: GramSystem,
     """
     n1, n2 = (tuple(partition[0]), tuple(partition[1]))
     if set(n1) | set(n2) != set(g.indices) or set(n1) & set(n2):
-        raise ValueError("partition must split the full index set disjointly")
+        raise ConfigError("partition must split the full index set disjointly")
     pos = {ix: i for i, ix in enumerate(g.indices)}
     with mp.workdps(g.digits_used):
         lo = min((pos[b] for b in n2), default=0)

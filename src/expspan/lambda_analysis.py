@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .core import MultiplicitySequence, fitted_separation_constant, nearest_gaps
-from .errors import SequenceError
+from .core import MultiplicitySequence, nearest_gaps, separation_fit
+from .errors import ConfigError, SequenceError
 from . import products
 
 # Trend rule: a ratio sequence is "consistent with o(.)" when its last third
@@ -47,7 +47,7 @@ class TrendVerdict:
 def trend_verdict(ratios: list) -> TrendVerdict:
     rs = [mp.mpf(r) for r in ratios]
     if len(rs) < 3:
-        raise ValueError("need at least 3 ratios for a trend verdict")
+        raise ConfigError("need at least 3 ratios for a trend verdict")
     third = max(1, len(rs) // 3)
     first = sorted(rs[:third])
     last = rs[-third:]
@@ -74,7 +74,7 @@ def counting(seq: MultiplicitySequence, N: int, t) -> int:
     seq.check_prefix(N)
     t = mp.mpf(t)
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise ConfigError("t must be positive")
     return sum(seq.mu(n) for n in range(1, N + 1) if abs(seq.lam(n)) <= t)
 
 
@@ -96,7 +96,7 @@ def integrated_counting(seq: MultiplicitySequence, N: int, r) -> mp.mpf:
     seq.check_prefix(N)
     r = mp.mpf(r)
     if r <= 0:
-        raise ValueError("r must be positive")
+        raise ConfigError("r must be positive")
     total = mp.mpf(0)
     for n in range(1, N + 1):
         m = abs(seq.lam(n))
@@ -113,7 +113,7 @@ def integrated_about(seq: MultiplicitySequence, N: int, n: int) -> mp.mpf:
     """
     seq.check_prefix(N)
     if not 1 <= n <= N:
-        raise ValueError(f"n={n} outside prefix 1..{N}")
+        raise ConfigError(f"n={n} outside prefix 1..{N}")
     lam = seq.lam(n)
     r = abs(lam)
     total = seq.mu(n) * mp.log(r)
@@ -143,7 +143,7 @@ def condition_a_partials(seq: MultiplicitySequence, N: int) -> PartialSumReport:
     """
     seq.check_prefix(N)
     if N < 2:
-        raise ValueError("need N >= 2")
+        raise ConfigError("need N >= 2")
     increments = [mp.mpf(seq.mu(n)) / abs(seq.lam(n)) for n in range(1, N + 1)]
     partials = []
     acc = mp.mpf(0)
@@ -165,7 +165,7 @@ def geometric_conditions(seq: MultiplicitySequence, N: int) -> tuple[TrendVerdic
     """Trend verdicts for N(r)/r at r = |lambda_j| and N(|lambda_n|, lambda_n)/|lambda_n|."""
     seq.check_prefix(N)
     if N < 6:
-        raise ValueError("need N >= 6 for a meaningful trend")
+        raise ConfigError("need N >= 6 for a meaningful trend")
     ratios_i = [integrated_counting(seq, N, abs(seq.lam(j))) / abs(seq.lam(j))
                 for j in range(1, N + 1)]
     ratios_ii = [integrated_about(seq, N, n) / abs(seq.lam(n))
@@ -208,9 +208,9 @@ def gap_check(seq: MultiplicitySequence, N: int, eps) -> GapReport:
     seq.check_prefix(N)
     eps = mp.mpf(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("eps must be positive")
     gaps = nearest_gaps(seq, N)
-    m = fitted_separation_constant(seq, N, eps)
+    m = separation_fit(seq, gaps, eps)
     large = []
     small = []
     for n in range(1, N + 1):
@@ -237,7 +237,7 @@ def separation_search(seq: MultiplicitySequence, N: int) -> mp.mpf | None:
 
     Each grid point tests gap_k > delta |lambda_k| with gap_k = min_{n != k}
     |lambda_n - lambda_k|, which holds exactly when every pair does; a zero
-    gap raises SequenceError, and N = 1, having no gap, raises ValueError.
+    gap raises SequenceError, and N = 1, having no gap, raises ConfigError.
     """
     pairs = [(gap, abs(seq.lam(k))) for k, gap in enumerate(nearest_gaps(seq, N), 1)]
     delta = mp.mpf("0.09")
@@ -271,7 +271,7 @@ def condensation_index(seq: MultiplicitySequence, N: int) -> CondensationReport:
     """
     seq.check_prefix(N)
     if N < 6:
-        raise ValueError("need N >= 6")
+        raise ConfigError("need N >= 6")
     if any(seq.mu(n) != 1 for n in range(1, N + 1)):
         raise SequenceError("condensation index requires simple frequencies (mu = 1)")
     lams = [seq.lam(n) for n in range(1, N + 1)]

@@ -60,7 +60,7 @@ def growth_check(d: MomentData, seq: MultiplicitySequence, N: int,
     """
     seq.check_prefix(N)
     if N < 4:
-        raise ValueError("need data at at least 4 frequencies")
+        raise ConfigError("need data at at least 4 frequencies")
     slack = mp.mpf("0.05") * interval.length
     a, ratios = tail_abscissa([d.group_max(n, seq.mu(n)) for n in range(1, N + 1)], seq)
     very_neg = (all(r < _VERY_NEGATIVE for r in ratios if mp.isfinite(r))

@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .core import (Interval, MultiplicitySequence, PrecisionContext,
                    fitted_separation_constant, separation_disk_radius)
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 # cosine factors in the windowed even product
 _COS_K = 8
@@ -86,9 +86,9 @@ def derivative_factor(seq: MultiplicitySequence, N: int, n: int,
     """
     seq.check_prefix(N)
     if not 1 <= n <= N:
-        raise ValueError(f"n={n} outside prefix 1..{N}")
+        raise ConfigError(f"n={n} outside prefix 1..{N}")
     if kind not in (ProductKind.F_PLAIN, ProductKind.F_EVEN):
-        raise ValueError("removed-factor derivative defined for F_PLAIN and F_EVEN")
+        raise ConfigError("removed-factor derivative defined for F_PLAIN and F_EVEN")
     lam, mu = seq.lam(n), seq.mu(n)
     even = kind is ProductKind.F_EVEN
     acc = ((-2 if even else -1) / lam) ** mu
@@ -125,7 +125,7 @@ def taylor_coeffs(kind: ProductKind, seq: MultiplicitySequence, N: int, M: int,
     """
     seq.check_prefix(N)
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ConfigError("M must be >= 1")
     dps = (ctx.digits if ctx else mp.mp.dps) + 10
     with mp.workdps(dps):
         acc = [mp.mpc(1)]
@@ -153,7 +153,7 @@ def lk_schedule(interval: Interval, K: int) -> list[mp.mpf]:
     to tau, which fixes the exponential width of the cosine window.
     """
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise ConfigError("K must be >= 1")
     tau = interval.tau
     return [tau * mp.mpf(2) ** (-k) for k in range(1, K + 1)]
 
@@ -176,9 +176,9 @@ class LKFunction:
         self.seq.check_prefix(self.trunc_N)
         eps = self.epsilons
         if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
-            raise ValueError("cosine schedule must be strictly decreasing")
+            raise ConfigError("cosine schedule must be strictly decreasing")
         if not sum(eps) <= self.interval.tau:
-            raise ValueError("cosine schedule must sum to at most tau")
+            raise ConfigError("cosine schedule must sum to at most tau")
 
 
 def lk_function(seq: MultiplicitySequence, interval: Interval,
@@ -296,7 +296,7 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int) -> LaurentC
     lk.seq.check_prefix(n)
     mu = lk.seq.mu(n)
     if not 1 <= J <= mu:
-        raise ValueError(f"J={J} must be in 1..mu_n={mu}")
+        raise ConfigError(f"J={J} must be in 1..mu_n={mu}")
     eps = mp.mpf(eps)
     r = separation_disk_radius(lk.seq, lk.trunc_N, eps, n)
     center = 1j * lk.seq.lam(n)
@@ -318,10 +318,10 @@ def gnk_eval(lk: LKFunction, laurent: LaurentCoeffs, n: int, k: int, z) -> mp.mp
     used instead; it needs the full principal part (J = mu_n).
     """
     if n != laurent.n:
-        raise ValueError("laurent coefficients belong to a different n")
+        raise ConfigError("laurent coefficients belong to a different n")
     mu = lk.seq.mu(n)
     if not 0 <= k < mu:
-        raise ValueError(f"k={k} must be < mu_n={mu}")
+        raise ConfigError(f"k={k} must be < mu_n={mu}")
     z = mp.mpc(z)
     center = 1j * lk.seq.lam(n)
     w = z - center

@@ -27,7 +27,7 @@ class TaylorDirichletSeries:
     def __post_init__(self):
         for idx in self.coeffs:
             if not (1 <= idx.n <= self.seq.size and 0 <= idx.k < self.seq.mu(idx.n)):
-                raise ValueError(f"coefficient index {idx} outside multiplicity bounds")
+                raise ConfigError(f"coefficient index {idx} outside multiplicity bounds")
 
     def coeff(self, n: int, k: int) -> mp.mpc:
         return self.coeffs.get(FlatIndex(n, k), mp.mpc(0))
@@ -116,7 +116,7 @@ def star_abscissa(s: TaylorDirichletSeries, N: int) -> AbscissaReport:
     """
     s.seq.check_prefix(N)
     if N < 6:
-        raise ValueError("need N >= 6")
+        raise ConfigError("need N >= 6")
     a, ratios = tail_abscissa([s.star_coefficient(n) for n in range(1, N + 1)], s.seq)
     return AbscissaReport(a=a, implied_beta=-a, ratios=tuple(ratios))
 
@@ -136,7 +136,7 @@ def bound_check(s: TaylorDirichletSeries, beta, eps) -> BoundReport:
     """
     eps = mp.mpf(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("eps must be positive")
     beta = mp.mpf(beta)
     m_hat = mp.mpf(0)
     argmax = None

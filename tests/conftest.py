@@ -199,3 +199,38 @@ def reference_growth_fit(d, seq, N):
     a = max(tail) if tail else mp.mpf("-inf")
     very_neg = all(r < mp.mpf(-10) for r in ratios if mp.isfinite(r)) or not tail
     return a, ratios, very_neg
+
+
+# -- the Carleson operator's evaluation before it used exact integer binomials --
+# Verbatim copies (bar the names) of the rational-gamma versions, which also
+# rounded lambda to the ambient precision; the tests compare bit for bit where
+# that rounding is exact.
+
+_GUARD = 40  # carleson._GUARD
+
+
+def reference_exp_monomial_derivative(lam, k: int, m: int, x) -> mp.mpc:
+    """m-th derivative of t^k e^(lam t) at x, by the Leibniz rule."""
+    lam = mp.mpc(lam)
+    x = mp.mpc(x)
+    total = mp.mpc(0)
+    for j in range(min(k, m) + 1):
+        total += (mp.binomial(m, j) * mp.ff(k, j) * x ** (k - j)
+                  * lam ** (m - j))
+    return total * mp.exp(lam * x)
+
+
+def reference_apply_to_exponential(op, lam, k: int, x, ctx) -> mp.mpc:
+    """Apply the operator to t^k e^(lam t) at x via the Leibniz expansion."""
+    lam = mp.mpc(lam)
+    with mp.workdps(ctx.digits + _GUARD):
+        x = mp.mpc(x)
+        total = mp.mpc(0)
+        for j in range(k + 1):
+            # F^(j)(lam)/j! by Horner on the shifted coefficient list
+            dj = mp.mpc(0)
+            for m in reversed(range(j, op.degree + 1)):
+                dj = dj * lam + op.fcoeffs[m] * mp.binomial(m, j)
+            total += mp.ff(k, j) * x ** (k - j) * dj
+        val = total * mp.exp(lam * x)
+    return val

@@ -2,6 +2,8 @@ import random
 
 import mpmath as mp
 import pytest
+from conftest import (bits, jittered_mu3, reference_apply_to_exponential,
+                      reference_exp_monomial_derivative)
 
 from expspan import (DomainError, FlatIndex, Interval, PrecisionContext,
                      PrecisionError, ProductKind, Sector,
@@ -82,6 +84,50 @@ class TestDerivativeHelper:
                 num = (f(x + h) - 2 * f(x) + f(x - h)) / h ** 2
             got = exp_monomial_derivative(lam, k, m, x)
             assert abs(got - num) < mp.mpf("1e-25")
+
+
+class TestExactIntegers:
+    """Exact integer binomials and falling factorials give the values of their
+    mpmath gamma-function forms bit for bit."""
+
+    @pytest.fixture(params=["squares", "example_iv", "jittered_mu3"])
+    def seq(self, request):
+        if request.param == "jittered_mu3":
+            return jittered_mu3(5, 0)
+        return fixture(request.param, 6)
+
+    def test_apply_matches_reference(self, seq):
+        ctx = PrecisionContext(digits=120, trunc_N=seq.size)
+        with mp.workdps(160):
+            op = carleson_operator(seq, seq.size, ctx)
+            for n in range(1, seq.size + 1):
+                for k in range(seq.mu(n)):
+                    for x in (mp.mpf("0.3"), mp.mpf("-0.7")):
+                        got = apply_to_exponential(op, seq.lam(n), k, x, ctx)
+                        want = reference_apply_to_exponential(op, seq.lam(n), k, x, ctx)
+                        assert bits([got.real, got.imag]) == bits([want.real, want.imag])
+
+    def test_derivative_matches_reference(self, seq):
+        degree = seq.total_multiplicity(seq.size)
+        with mp.workdps(160):
+            for n in range(1, seq.size + 1):
+                for k in range(seq.mu(n)):
+                    for m in range(degree + 1):
+                        got = exp_monomial_derivative(seq.lam(n), k, m, mp.mpf("0.3"))
+                        want = reference_exp_monomial_derivative(seq.lam(n), k, m,
+                                                                 mp.mpf("0.3"))
+                        assert bits([got.real, got.imag]) == bits([want.real, want.imag])
+
+    def test_frequency_kept_at_working_precision(self):
+        # example_ii(3) holds n^2 + e^(-n): rounding lambda to 15 digits would move
+        # it off the zero of the product by about 1e-15
+        seq = fixture("example_ii", 3)
+        with mp.workdps(15):
+            ctx = PrecisionContext(digits=120, trunc_N=6)
+            op = carleson_operator(seq, 6, ctx)
+            for n in range(1, 7):
+                val = apply_to_exponential(op, seq.lam(n), 0, mp.mpf("0.5"), ctx)
+                assert abs(val) < mp.mpf("1e-100"), n
 
 
 class TestResidualOnSpan:

@@ -247,21 +247,47 @@ class TestExitCodes:
         (["carleson", "counterexample", "--nmax", "0"], "--nmax must be >= 2, got 0"),
         (["carleson", "counterexample", "--nmax", "1"], "--nmax must be >= 2, got 1"),
         (["run", "{nmax_config}"], "config 'nmax' must be >= 2, got 1"),
+        # argument conditions that the library checks
+        (["series", "abscissa", "--series", "{series}", "--N", "3"], "need N >= 6"),
+        (["series", "bound", "--series", "{series}", "--beta", "1", "--eps", "0"],
+         "eps must be positive"),
+        (["lk", "lowerbound", "--seq", "{seq}", "--N", "8", "--interval", "0,1",
+          "--eps", "-1"], "eps must be positive"),
+        (["lk", "lowerbound", "--seq", "{seq}", "--N", "1", "--interval", "0,1"],
+         "need N >= 2 frequencies to take a gap, got N=1"),
+        (["moment", "solve", "--seq", "{seq}", "--N", "3", "--interval", "0,1",
+          "--data", "{moments}"], "need data at at least 4 frequencies"),
+        (["series", "eval", "--series", "{bad_index_series}", "--z", "0"],
+         "coefficient index FlatIndex(n=1, k=1) outside multiplicity bounds"),
+        (["run", "{moment_config}"], "need data at at least 4 frequencies"),
+        (["run", "{series_config}"], "need N >= 6"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
             "config-eps", "dps-zero", "carleson-k", "nmax-zero", "nmax-one",
-            "config-nmax"])
+            "config-nmax", "abscissa-N", "bound-eps", "lk-eps-negative", "lk-N-one",
+            "moment-N", "series-index", "config-moment-N", "config-series-N"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
-        files = {"series": {"seq": squares, "sector": {"eta": "0", "beta": "1"},
-                            "coeffs": [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]},
+        squares4 = {"kind": "generator", "name": "squares", "terms": 4}
+        rows = [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]
+        sector = {"eta": "0", "beta": "1"}
+        bundle = str(tmp_path / "bundle")
+        files = {"series": {"seq": squares, "sector": sector, "coeffs": rows},
+                 "bad_index_series": {"seq": squares, "sector": sector,
+                                      "coeffs": [[1, 1, "1", "0"]] + rows[1:]},
+                 "moments": rows,
                  "list_config": [{"kind": "analyze", "seq": squares}],
                  "six_config": {"kind": "analyze", "seq": squares, "N": "six"},
                  "low_digits_config": {"kind": "analyze", "seq": squares, "digits": 10},
                  "eps_config": {"kind": "analyze", "seq": squares, "eps": "abc"},
-                 "nmax_config": {"kind": "counterexample", "nmax": 1}}
+                 "nmax_config": {"kind": "counterexample", "nmax": 1},
+                 "moment_config": {"kind": "moment", "seq": squares, "N": 3,
+                                   "interval": "0,1", "data": rows, "out": bundle},
+                 "series_config": {"kind": "series", "seq": squares4, "out": bundle,
+                                   "series": {"seq": squares4, "sector": sector,
+                                              "coeffs": rows[:4]}}}
         paths = {"seq": seq_file}
         for name, obj in files.items():
             paths[name] = str(tmp_path / f"{name}.json")
@@ -270,6 +296,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and condition in err
+        assert err.count("\n") == 1
+        assert not os.path.exists(bundle)
 
     @pytest.mark.parametrize("argv, code", [
         (["lk", "eval", "--seq", "{seq}", "--N", "6", "--interval", "0,1",

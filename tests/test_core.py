@@ -1,9 +1,13 @@
+import ast
+import pathlib
+
 import mpmath as mp
 import pytest
 from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, reference_fitted_separation_constant,
                       reference_nearest_gaps)
 
-from expspan import (FlatIndex, Interval, MultiplicitySequence,
+import expspan
+from expspan import (ConfigError, FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, Sector, SequenceError, fixture,
                      flat_position, flatten, sector_contains,
                      sequence_from_spec, validate_sequence)
@@ -192,3 +196,24 @@ class TestNearestGaps:
             nearest_gaps(seq, 3)
         with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
             fitted_separation_constant(seq, 3, "0.1")
+
+    def test_one_frequency_has_no_gap(self):
+        seq = fixture("squares", 8)
+        for call in (lambda: nearest_gaps(seq, 1),
+                     lambda: fitted_separation_constant(seq, 1, "0.1")):
+            with pytest.raises(ConfigError,
+                               match="need N >= 2 frequencies to take a gap, got N=1"):
+                call()
+
+
+def test_library_raises_no_bare_value_error():
+    # a broken argument condition is a ConfigError, which main maps to exit 2
+    found = []
+    for path in sorted(pathlib.Path(expspan.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

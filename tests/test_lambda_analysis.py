@@ -5,7 +5,7 @@ import pytest
 from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_factor,
                       reference_gap_check, reference_separation_search)
 
-from expspan import MultiplicitySequence, SequenceError, fixture
+from expspan import MultiplicitySequence, SequenceError, core, fixture
 from expspan import lambda_analysis as la
 from expspan import products
 
@@ -280,3 +280,17 @@ class TestAnalyze:
         rep = la.analyze(fixture("example_v", 8), 8, "0.1")
         assert rep.all_passed
         assert rep.condensation is None
+
+    def test_two_gap_scans(self, monkeypatch):
+        # separation_search and gap_check scan once each; the fit reuses the scan
+        calls = []
+        original = core.nearest_gaps
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(core, "nearest_gaps", counting)
+        monkeypatch.setattr(la, "nearest_gaps", counting)
+        la.analyze(fixture("example_ii", 6), 12, "0.1")
+        assert calls == [12, 12]
