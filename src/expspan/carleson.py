@@ -134,7 +134,7 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
     below 1e-30 * (series scale), i.e. the partial sums to have stabilised.
     """
     delta = mp.mpf(delta)
-    if delta <= 0:
+    if not delta > 0:
         raise ConfigError("delta must be positive")
     if M > 4 * op.degree:
         raise ConfigError(f"M={M} exceeds budget {4 * op.degree}")

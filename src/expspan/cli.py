@@ -82,13 +82,16 @@ def _parse_grid(text: str) -> list:
 
 
 def _parse_real(text: str, option: str) -> mp.mpf:
-    """A real-valued option, read as mpmath reads it; anything else is a ConfigError."""
+    """A finite real option, read as mpmath reads it; anything else (nan and
+    inf among them) is a ConfigError."""
     try:
         x = mp.mpmathify(text)
     except (ValueError, TypeError, AttributeError):
         x = None
     if not isinstance(x, mp.mpf):
         raise ConfigError(f"{option} must be a real number, got {text!r}")
+    if not mp.isfinite(x):
+        raise ConfigError(f"{option} must be finite, got {text!r}")
     return x
 
 

@@ -269,7 +269,7 @@ def fitted_separation_constant(seq: MultiplicitySequence, N: int, eps) -> mp.mpf
     """
     seq.check_prefix(N)
     eps = mp.mpf(eps)
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError("eps must be positive")
     return separation_fit(seq, nearest_gaps(seq, N), eps)
 

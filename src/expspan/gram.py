@@ -12,7 +12,8 @@ inverse Gram, with its identity residual, from `biorthogonal` only).
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
 digits scale linearly with Re lambda_N; assembly auto-escalates precision
-(doubling, capped at 4x) until the pivot floor is met.
+(rungs d, 2d, 4d; a rung whose floor the last ratio misses by more than 10
+digits is skipped) until the pivot floor is met.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .core import (FlatIndex, Interval, MultiplicitySequence, PrecisionContext,
 from .errors import CapError, ConfigError, DomainError, PrecisionError
 
 DEFAULT_MAX_DIM = 64
+
+_RUNG_GUARD_DIGITS = 10  # a skipped rung's floor is missed by more than this
 
 
 def _max_dim() -> int:
@@ -198,9 +201,12 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
                 ctx: PrecisionContext) -> GramSystem:
     """Assemble and factor the Gram matrix of the truncated system.
 
-    Escalates working digits (doubling, up to 4x the requested precision)
-    until the Cholesky pivots clear the relative floor 10^(-digits/2);
-    exhaustion is an explicit failure naming the achieved condition estimate.
+    Escalates working digits over the rungs d, 2d, 4d of the requested
+    precision d until the Cholesky pivots clear the relative floor
+    10^(-digits/2); a rung whose floor the last ratio misses by more than 10
+    digits is skipped, and the 4d rung is never skipped.  The accepted rung
+    is assembled and factored afresh at its own digits.  Exhaustion is an
+    explicit failure naming the achieved condition estimate.
     """
     idx = flatten(seq, N)
     if dom.kind == "half_line_neg":
@@ -232,6 +238,12 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
                 f"(condition estimate {mp.nstr(last_cond, 5)}); "
                 "raise ctx.digits")
         digits = min(2 * digits, 4 * ctx.digits)
+        # the pivots of a graded Gram are accurate far below the floor, so the
+        # middle rung 2d, if the last ratio misses its floor by more than the
+        # guard band, would be rejected too; the cap is always factored
+        if (L is not None and digits < 4 * ctx.digits
+                and ratio ** 2 < mp.mpf(10) ** (-digits / 2 - _RUNG_GUARD_DIGITS)):
+            digits = 4 * ctx.digits
 
 
 def distance(g: GramSystem, idx: FlatIndex) -> mp.mpf:

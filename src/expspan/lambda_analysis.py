@@ -73,7 +73,7 @@ def counting(seq: MultiplicitySequence, N: int, t) -> int:
     """n(t): total multiplicity of frequencies with |lambda_n| <= t."""
     seq.check_prefix(N)
     t = mp.mpf(t)
-    if t <= 0:
+    if not t > 0:
         raise ConfigError("t must be positive")
     return sum(seq.mu(n) for n in range(1, N + 1) if abs(seq.lam(n)) <= t)
 
@@ -95,7 +95,7 @@ def integrated_counting(seq: MultiplicitySequence, N: int, r) -> mp.mpf:
     """
     seq.check_prefix(N)
     r = mp.mpf(r)
-    if r <= 0:
+    if not r > 0:
         raise ConfigError("r must be positive")
     total = mp.mpf(0)
     for n in range(1, N + 1):
@@ -207,7 +207,7 @@ class GapReport:
 def gap_check(seq: MultiplicitySequence, N: int, eps) -> GapReport:
     seq.check_prefix(N)
     eps = mp.mpf(eps)
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError("eps must be positive")
     gaps = nearest_gaps(seq, N)
     m = separation_fit(seq, gaps, eps)

@@ -135,7 +135,7 @@ def bound_check(s: TaylorDirichletSeries, beta, eps) -> BoundReport:
     prefix; a max attained at the end signals exponent blow-up.
     """
     eps = mp.mpf(eps)
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError("eps must be positive")
     beta = mp.mpf(beta)
     m_hat = mp.mpf(0)

@@ -3,8 +3,9 @@ import random
 import mpmath as mp
 import pytest
 
-from expspan import (FlatIndex, Interval, MultiplicitySequence, PrecisionContext,
-                     ProductKind, SequenceError, fixture, list_fixtures)
+from expspan import (CapError, DomainError, FlatIndex, Interval, MultiplicitySequence,
+                     PrecisionContext, PrecisionError, ProductKind, SequenceError,
+                     fixture, flatten, gram, list_fixtures)
 
 
 @pytest.fixture(autouse=True)
@@ -234,3 +235,45 @@ def reference_apply_to_exponential(op, lam, k: int, x, ctx) -> mp.mpc:
             total += mp.ff(k, j) * x ** (k - j) * dj
         val = total * mp.exp(lam * x)
     return val
+
+
+# -- the Gram precision ladder before it skipped rungs --
+# A verbatim copy (bar the name and the module prefixes) of `gram_matrix`
+# when it factored every rung of d, 2d, 4d in turn, so the tests can check the
+# skipping ladder bit for bit.  It calls gram.hermitian_cholesky through the
+# module, so a monkeypatched counter sees its factorizations too.
+
+def walked_gram_matrix(seq, N, dom, ctx):
+    """Assemble and factor the Gram matrix, escalating working digits
+    (doubling, up to 4x the requested precision) until the Cholesky pivots
+    clear the relative floor 10^(-digits/2)."""
+    idx = flatten(seq, N)
+    if dom.kind == "half_line_neg":
+        bad = [n for n in range(1, N + 1) if not mp.re(seq.lam(n)) > 0]
+        if bad:
+            raise DomainError(f"half-line domain needs Re lambda_n > 0; violated at n={bad}")
+    if len(idx) > gram._max_dim():
+        raise CapError(f"Gram dimension {len(idx)} exceeds cap {gram._max_dim()} "
+                       "(set EXPSPAN_MAX_DIM to raise)")
+    digits = ctx.digits
+    last_cond = mp.mpf("inf")
+    while True:
+        with mp.workdps(digits):
+            M = gram._assemble(seq, idx, dom)
+            try:
+                L = gram.hermitian_cholesky(M)
+            except PrecisionError:
+                L = None
+            if L is not None:
+                pivots = [mp.re(L[i, i]) for i in range(len(idx))]
+                ratio = min(pivots) / max(pivots)
+                last_cond = (max(pivots) / min(pivots)) ** 2
+                if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
+                    return gram.GramSystem(seq=seq, indices=tuple(idx), matrix=M, chol=L,
+                                           digits_used=digits, cond_estimate=last_cond)
+        if digits >= 4 * ctx.digits:
+            raise PrecisionError(
+                f"Gram factorization needs more than {digits} digits "
+                f"(condition estimate {mp.nstr(last_cond, 5)}); "
+                "raise ctx.digits")
+        digits = min(2 * digits, 4 * ctx.digits)

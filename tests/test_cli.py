@@ -261,12 +261,27 @@ class TestExitCodes:
          "coefficient index FlatIndex(n=1, k=1) outside multiplicity bounds"),
         (["run", "{moment_config}"], "need data at at least 4 frequencies"),
         (["run", "{series_config}"], "need N >= 6"),
+        # a non-finite real is refused where it is parsed
+        (["analyze", "{seq}", "--N", "8", "--eps=nan"], "--eps must be finite, got 'nan'"),
+        (["analyze", "{seq}", "--N", "8", "--eps=inf"], "--eps must be finite, got 'inf'"),
+        (["lk", "lowerbound", "--seq", "{seq}", "--N", "8", "--interval", "0,1",
+          "--eps=nan"], "--eps must be finite, got 'nan'"),
+        (["lk", "lowerbound", "--seq", "{seq}", "--N", "8", "--interval", "0,1",
+          "--eps=-inf"], "--eps must be finite, got '-inf'"),
+        (["series", "bound", "--series", "{series}", "--beta", "1", "--eps=nan"],
+         "--eps must be finite, got 'nan'"),
+        (["series", "bound", "--series", "{series}", "--beta", "1", "--eps=inf"],
+         "--eps must be finite, got 'inf'"),
+        (["series", "bound", "--series", "{series}", "--beta=nan"],
+         "--beta must be finite, got 'nan'"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
             "config-eps", "dps-zero", "carleson-k", "nmax-zero", "nmax-one",
             "config-nmax", "abscissa-N", "bound-eps", "lk-eps-negative", "lk-N-one",
-            "moment-N", "series-index", "config-moment-N", "config-series-N"])
+            "moment-N", "series-index", "config-moment-N", "config-series-N",
+            "analyze-eps-nan", "analyze-eps-inf", "lk-eps-nan", "lk-eps-minus-inf",
+            "bound-eps-nan", "bound-eps-inf", "bound-beta-nan"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}

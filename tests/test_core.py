@@ -217,3 +217,27 @@ def test_library_raises_no_bare_value_error():
             if isinstance(exc, ast.Name) and exc.id == "ValueError":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+@pytest.mark.parametrize("x", ["nan", "0", "-1"])
+def test_positivity_guards_refuse_nan(x):
+    # NaN compares false with 0 either way, so each guard asks x > 0
+    from expspan import TaylorDirichletSeries, carleson, lambda_analysis, series
+    seq = fixture("squares", 8)
+    s = TaylorDirichletSeries(seq=seq, coeffs={FlatIndex(1, 0): mp.mpc(1)},
+                              claimed_sector=Sector(0, 1))
+    ctx = PrecisionContext(digits=60, trunc_N=4)
+    op = carleson.carleson_operator(seq, 4, ctx)
+    x = mp.mpf(x)
+    calls = [
+        (lambda: fitted_separation_constant(seq, 8, x), "eps must be positive"),
+        (lambda: lambda_analysis.counting(seq, 8, x), "t must be positive"),
+        (lambda: lambda_analysis.integrated_counting(seq, 8, x), "r must be positive"),
+        (lambda: lambda_analysis.gap_check(seq, 8, x), "eps must be positive"),
+        (lambda: series.bound_check(s, 1, x), "eps must be positive"),
+        (lambda: carleson.class_membership(op, s, Interval(0, 1), x, 4, ctx),
+         "delta must be positive"),
+    ]
+    for call, condition in calls:
+        with pytest.raises(ConfigError, match=condition):
+            call()

@@ -1,12 +1,13 @@
 import random
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from conftest import jittered_mu3, rand_complex
+from conftest import jittered_mu3, rand_complex, walked_gram_matrix
 
 from expspan import (CapError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
-                     fixture)
+                     fixture, gram)
 from expspan.gram import (DomainSpec, biorthogonal, distance, dual_norms,
                           gram_matrix, hermitian_cholesky, inner_product,
                           mixed_completeness, monomial_exp_integral,
@@ -164,6 +165,81 @@ class TestGramMatrix:
         ctx = PrecisionContext(digits=60, trunc_N=2)
         with pytest.raises(DomainError):
             gram_matrix(seq, 2, DomainSpec.half_line(), ctx)
+
+
+# (label, sequence, N, domain, requested digits).  PrecisionContext floors its
+# digits at 50, so the 15-digit case reads ctx.digits from a stand-in.
+LADDER_CASES = [
+    ("squares16-climbs", fixture("squares", 16), 16, "bounded", 120),
+    ("example_iv16-guard-band", fixture("example_iv", 16), 16, "bounded", 200),
+    ("example_iv8-first-pivot-fails", fixture("example_iv", 8), 8, "bounded", 15),
+    ("squares12-exhausts", fixture("squares", 12), 12, "bounded", 50),
+    ("example_iv16-exhausts", fixture("example_iv", 16), 16, "bounded", 100),
+    ("squares8-second-rung", fixture("squares", 8), 8, "bounded", 50),
+    ("half-line-power-climbs", fixture("power", 10, exponent=3, mu=6), 10, "half-line", 50),
+]
+
+
+def _ladder_ctx(digits, N):
+    if digits < 50:
+        return SimpleNamespace(digits=digits)
+    return PrecisionContext(digits=digits, trunc_N=N)
+
+
+def _ladder_outcome(build, seq, N, kind, digits):
+    """Every bit of the GramSystem that build returns, or its error and text."""
+    dom = (DomainSpec.half_line() if kind == "half-line"
+           else DomainSpec.bounded(Interval(0, 1)))
+    try:
+        g = build(seq, N, dom, _ladder_ctx(digits, N))
+    except PrecisionError as exc:
+        return type(exc), str(exc)
+    d = g.dim
+    return (g.digits_used, g.indices, bits(g.cond_estimate),
+            [bits(g.matrix[i, j]) for i in range(d) for j in range(d)],
+            [bits(g.chol[i, j]) for i in range(d) for j in range(d)])
+
+
+class TestRungSkip:
+    """The ladder skips a middle rung that the last pivot ratio rules out,
+    and returns exactly what factoring every rung in turn returns."""
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("case", LADDER_CASES, ids=[c[0] for c in LADDER_CASES])
+    def test_equals_walked_ladder(self, case, dps):
+        _, seq, N, kind, digits = case
+        with mp.workdps(dps):
+            got = _ladder_outcome(gram_matrix, seq, N, kind, digits)
+            want = _ladder_outcome(walked_gram_matrix, seq, N, kind, digits)
+        assert got == want
+
+    @pytest.mark.parametrize("name, N, digits, rungs", [
+        ("squares", 16, 120, [120, 480]),
+        ("example_iv", 16, 200, [200, 400, 800]),
+        ("squares", 12, 50, [50, 200]),
+        ("example_iv", 16, 100, [100, 400]),
+        ("example_iv", 8, 15, [15, 30, 60]),
+    ])
+    def test_factored_rungs(self, monkeypatch, name, N, digits, rungs):
+        # squares 16's 240-digit rung misses its floor by 89 digits and is
+        # skipped; example_iv 16's 400-digit rung misses it by less than the
+        # guard band and is factored; the cap is always factored; after a
+        # failed factorization (example_iv 8 at 15) the ladder keeps doubling
+        seen = []
+        factor = gram.hermitian_cholesky
+
+        def counted(M):
+            seen.append(mp.mp.dps)
+            return factor(M)
+
+        monkeypatch.setattr(gram, "hermitian_cholesky", counted)
+        with mp.workdps(15):
+            try:
+                gram_matrix(fixture(name, N), N, DomainSpec.bounded(Interval(0, 1)),
+                            _ladder_ctx(digits, N))
+            except PrecisionError:
+                pass
+        assert seen == rungs
 
 
 class TestCholesky:
