@@ -61,10 +61,12 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _parse_interval(text: str) -> Interval:
+def _parse_interval(text: str, digits: int) -> Interval:
+    """'gamma,beta' read at the command's working digits."""
     try:
         lo, hi = text.split(",")
-        return Interval(mp.mpmathify(lo), mp.mpmathify(hi))
+        with mp.workdps(digits):
+            return Interval(mp.mpmathify(lo), mp.mpmathify(hi))
     except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad interval {text!r}; expected 'gamma,beta'") from exc
 
@@ -127,7 +129,7 @@ def _load_seq(args) -> "MultiplicitySequence":
 
 def _ctx(args) -> PrecisionContext:
     kw = {"digits": getattr(args, "digits", None), "trunc_N": getattr(args, "N", None)}
-    return PrecisionContext(**{k: v for k, v in kw.items() if v})
+    return PrecisionContext(**{k: v for k, v in kw.items() if v is not None})
 
 
 # -- serializers shared by the subcommands and `run` ---------------------------
@@ -166,7 +168,7 @@ def _analyze_obj(report: lambda_analysis.ClassReport, dps: int) -> dict:
                              if report.separation_delta is not None else None),
         "gap": {"eps": _num(report.gap.eps, dps),
                 "fitted_m": _num(report.gap.fitted_m, dps),
-                "disks_disjoint": report.gap.disks_disjoint},
+                "disks_disjoint": True},  # gap_check raises on an overlap
         "condensation": ({"chat": _num(report.condensation.chat, dps),
                           "ratios": [_num(r, dps) for r in report.condensation.ratios]}
                          if report.condensation else None),
@@ -241,9 +243,8 @@ def _cmd_product_eval(args) -> _Result:
 def _cmd_lk(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
-    interval = _parse_interval(args.interval)
     with mp.workdps(ctx.digits):
-        lk = products.lk_function(seq, interval, ctx)
+        lk = products.lk_function(seq, _parse_interval(args.interval, ctx.digits), ctx)
         if args.action == "eval":
             z = _resolvable(_parse_complex(args.z), "--z", ctx.digits)
             return {"z": _pair(z, args.dps),
@@ -263,7 +264,7 @@ def _cmd_gram(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
     dom = (gram_mod.DomainSpec.half_line() if args.half_line
-           else gram_mod.DomainSpec.bounded(_parse_interval(args.interval)))
+           else gram_mod.DomainSpec.bounded(_parse_interval(args.interval, ctx.digits)))
     g = gram_mod.gram_matrix(seq, args.N, dom, ctx)
     dps = args.dps
     obj = {"dim": g.dim,
@@ -306,16 +307,17 @@ def _cmd_gram(args) -> _Result:
 def _cmd_series(args) -> _Result:
     s = series_mod.load_series(args.series)
     ctx = _ctx(args)
+    terms = s.seq.size if args.terms is None else args.terms
     # the values are printed at ctx.digits, not at the ambient precision
     with mp.workdps(ctx.digits):
         if args.action == "eval":
             z = _resolvable(_parse_complex(args.z), "--z", ctx.digits)
-            res = series_mod.td_eval(s, z, args.N or s.seq.size)
+            res = series_mod.td_eval(s, z, terms)
             return {**_value_obj(res.value, args.dps),
                     "tail_bound": _num(res.tail_bound, args.dps),
                     "terms_used": res.terms_used}, None
         if args.action == "abscissa":
-            rep = series_mod.star_abscissa(s, args.N or s.seq.size)
+            rep = series_mod.star_abscissa(s, terms)
             return _abscissa_obj(rep, args.dps), None
         rep = series_mod.bound_check(s, _parse_real(args.beta, "--beta"),
                                      _parse_real(args.eps, "--eps"))
@@ -327,7 +329,7 @@ def _cmd_series(args) -> _Result:
 def _cmd_moment(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
-    interval = _parse_interval(args.interval)
+    interval = _parse_interval(args.interval, ctx.digits)
     data = moment_mod.load_moments(args.data)
     try:
         sol = moment_mod.solve(data, seq, args.N, interval, ctx, force=args.force)
@@ -344,9 +346,9 @@ def _cmd_carleson(args) -> _Result:
     seq = _load_seq(args)
     op = carleson_mod.carleson_operator(seq, args.N, ctx)
     if args.action == "apply":
-        lam = _parse_complex(args.lam)
         k = _at_least(args.k, 0, "--k")
         with mp.workdps(ctx.digits):
+            lam = _parse_complex(args.lam)
             x = _resolvable(_parse_real(args.x, "--x"), "--x", ctx.digits)
             val = carleson_mod.apply_to_exponential(op, lam, k, x, ctx)
         return _value_obj(val, args.dps), None
@@ -394,7 +396,7 @@ def _cmd_run(args) -> None:
             if kind in ("counterexample", "full-report") else None)
     ctx = PrecisionContext(digits=_cfg_int(cfg, "digits", 120), trunc_N=N)
     seq = sequence_from_spec(seq_spec, default_terms=N) if seq_spec else None
-    interval = (_parse_interval(cfg.get("interval", "0,1"))
+    interval = (_parse_interval(cfg.get("interval", "0,1"), ctx.digits)
                 if kind not in ("analyze", "series", "counterexample") else None)
     dps = 30
     artifacts = {}  # file name -> JSON object, or (header, rows) for a CSV
@@ -522,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("eval", "abscissa", "bound"):
         pe = psub.add_parser(name)
         pe.add_argument("--series", required=True, help="series JSON file")
-        pe.add_argument("--N", type=int, default=None)
+        # a series prefix, not a product truncation, so _ctx does not read it
+        pe.add_argument("--N", dest="terms", type=int, default=None)
         pe.add_argument("--digits", type=int, default=None)
         pe.add_argument("--dps", type=int, default=30)
         pe.add_argument("--out", default=None)

@@ -6,7 +6,8 @@ modulus (ties broken by argument in (-pi, pi]).  The attached exponential
 system is {x^k e^(lambda_n x) : k < mu_n}; a flat index (n, k) addresses
 one element.  Everything downstream (products, Gram matrices, series,
 operators) is parameterised by a truncation prefix of the sequence and a
-PrecisionContext.
+PrecisionContext.  The nearest-gap scan and the separation disks built
+from it are here too, shared by the gap check and the contour quadrature.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import mpmath as mp
 
-from .errors import ConfigError, SequenceError
+from .errors import ConfigError, PrecisionError, SequenceError
 
 
 class FlatIndex(NamedTuple):
@@ -261,33 +262,42 @@ def nearest_gaps(seq: MultiplicitySequence, N: int) -> list[mp.mpf]:
     return gaps
 
 
-def fitted_separation_constant(seq: MultiplicitySequence, N: int, eps) -> mp.mpf:
-    """Largest m with gap_n >= m * exp(-eps |lambda_n| / mu_n) on the prefix.
+@dataclass(frozen=True)
+class SeparationDisks:
+    """The separation condition's disks about each lambda_n (or i lambda_n).
 
-    The true constant of the separation condition is existential; this is
-    the prefix fit min_n gap_n * exp(eps |lambda_n| / mu_n).
+    fitted_m = min_n gap_n exp(eps |lambda_n| / mu_n) is the largest m with
+    gap_n >= m exp(-eps |lambda_n| / mu_n) on the prefix (the true constant is
+    existential).  Index n-1 holds the radius m/2 exp(-eps |lambda_n| / mu_n)
+    in radii_large and a third of it in radii_small, the Caratheodory disk.
     """
+
+    eps: mp.mpf
+    gaps: tuple
+    fitted_m: mp.mpf
+    radii_large: tuple
+    radii_small: tuple
+
+
+def separation_disks(seq: MultiplicitySequence, N: int, eps) -> SeparationDisks:
+    """The prefix's separation disks, from one nearest-gap scan.  eps <= 0 is a
+    ConfigError; an exponent eps |lambda_n| / mu_n of at least 10^dps, of whose
+    exponential no digit would be right, a PrecisionError."""
     seq.check_prefix(N)
     eps = mp.mpf(eps)
     if not eps > 0:
         raise ConfigError("eps must be positive")
-    return separation_fit(seq, nearest_gaps(seq, N), eps)
-
-
-def separation_fit(seq: MultiplicitySequence, gaps: list, eps: mp.mpf) -> mp.mpf:
-    """min_n gaps[n-1] * exp(eps |lambda_n| / mu_n) over gaps already scanned."""
-    return min(gap * mp.exp(eps * abs(seq.lam(n)) / seq.mu(n))
-               for n, gap in enumerate(gaps, 1))
-
-
-def separation_disk_radius(seq: MultiplicitySequence, N: int, eps, n: int,
-                           m_eps=None) -> mp.mpf:
-    """Radius of the small disk about lambda_n (or i lambda_n): m/6 * exp(-eps|lambda_n|/mu_n).
-
-    The sibling disk used for the Caratheodory argument has three times
-    this radius.
-    """
-    if m_eps is None:
-        m_eps = fitted_separation_constant(seq, N, eps)
-    lam, mu = seq.lam(n), seq.mu(n)
-    return m_eps / 6 * mp.exp(-mp.mpf(eps) * abs(lam) / mu)
+    rates = [eps * abs(seq.lam(n)) / seq.mu(n) for n in range(1, N + 1)]
+    dps = mp.mp.dps
+    limit = mp.mpf(10) ** dps
+    for n, x in enumerate(rates, 1):
+        if x >= limit:
+            raise PrecisionError(
+                f"eps*|lambda_{n}|/mu_{n} must be below 10^{dps} to be resolved at "
+                f"{dps} digits, got {mp.nstr(x, 5)}")
+    gaps = nearest_gaps(seq, N)
+    m = min(gap * mp.exp(x) for gap, x in zip(gaps, rates))
+    decay = [mp.exp(-x) for x in rates]
+    return SeparationDisks(eps=eps, gaps=tuple(gaps), fitted_m=m,
+                           radii_large=tuple(m / 2 * d for d in decay),
+                           radii_small=tuple(m / 6 * d for d in decay))

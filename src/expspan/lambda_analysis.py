@@ -2,8 +2,8 @@
 
 Decides, at desk scale, whether a sequence plausibly satisfies the
 convergence condition (A), the sector condition (B), the two geometric
-counting conditions, the gap condition with its disjoint separation disks,
-and whether the condensation index vanishes.  Asymptotic statements are
+counting conditions, the gap condition (the disks of `core.separation_disks`,
+checked here to be disjoint), and whether the condensation index vanishes.  Asymptotic statements are
 untestable on a prefix, so every verdict is a trend heuristic that carries
 the raw ratio evidence it was derived from.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .core import MultiplicitySequence, nearest_gaps, separation_fit
+from .core import MultiplicitySequence, SeparationDisks, separation_disks
 from .errors import ConfigError, SequenceError
 from . import products
 
@@ -191,55 +191,29 @@ def density_trend(seq: MultiplicitySequence, N: int) -> TrendVerdict:
 
 # -- gap condition and separation disks ---------------------------------------
 
-@dataclass(frozen=True)
-class GapReport:
-    """Per-frequency minimal gaps, the fitted separation constant, and the
-    radii of the separation disks (large:small = 3:1)."""
-
-    eps: mp.mpf
-    gaps: tuple
-    fitted_m: mp.mpf
-    radii_large: tuple
-    radii_small: tuple
-    disks_disjoint: bool
-
-
-def gap_check(seq: MultiplicitySequence, N: int, eps) -> GapReport:
-    seq.check_prefix(N)
-    eps = mp.mpf(eps)
-    if not eps > 0:
-        raise ConfigError("eps must be positive")
-    gaps = nearest_gaps(seq, N)
-    m = separation_fit(seq, gaps, eps)
-    large = []
-    small = []
-    for n in range(1, N + 1):
-        decay = mp.exp(-eps * abs(seq.lam(n)) / seq.mu(n))
-        large.append(m / 2 * decay)
-        small.append(m / 6 * decay)
-    disjoint = True
+def gap_check(seq: MultiplicitySequence, N: int, eps) -> SeparationDisks:
+    """The prefix's separation disks, once the large disks are checked to be
+    pairwise disjoint; an overlap is a SequenceError."""
+    disks = separation_disks(seq, N, eps)
+    large = disks.radii_large
     for a in range(N):
         for b in range(a + 1, N):
             if abs(seq.lam(a + 1) - seq.lam(b + 1)) < large[a] + large[b]:
-                disjoint = False
-    if not disjoint:
-        raise SequenceError("separation disks overlap despite the fitted constant; "
-                            "the fit is inconsistent")
-    return GapReport(eps=eps, gaps=tuple(gaps), fitted_m=m,
-                     radii_large=tuple(large), radii_small=tuple(small),
-                     disks_disjoint=disjoint)
+                raise SequenceError("separation disks overlap despite the fitted "
+                                    "constant; the fit is inconsistent")
+    return disks
 
 
-def separation_search(seq: MultiplicitySequence, N: int) -> mp.mpf | None:
+def separation_search(seq: MultiplicitySequence, gaps) -> mp.mpf | None:
     """Largest delta in (0, 1/10) with |lambda_n - lambda_k| <= delta |lambda_k|
     only for n = k, scanned on a 40-point geometric grid.  None if even the
     smallest grid point fails.
 
-    Each grid point tests gap_k > delta |lambda_k| with gap_k = min_{n != k}
-    |lambda_n - lambda_k|, which holds exactly when every pair does; a zero
-    gap raises SequenceError, and N = 1, having no gap, raises ConfigError.
+    gaps are the prefix's nearest gaps, gap_k = min_{n != k} |lambda_n -
+    lambda_k| as `core.nearest_gaps` scans them.  Each grid point tests
+    gap_k > delta |lambda_k|, which holds exactly when every pair does.
     """
-    pairs = [(gap, abs(seq.lam(k))) for k, gap in enumerate(nearest_gaps(seq, N), 1)]
+    pairs = [(gap, abs(seq.lam(k))) for k, gap in enumerate(gaps, 1)]
     delta = mp.mpf("0.09")
     for _ in range(40):
         if all(gap > delta * mod for gap, mod in pairs):
@@ -303,7 +277,7 @@ class ClassReport:
     necessary: TrendVerdict
     density: TrendVerdict
     separation_delta: mp.mpf | None
-    gap: GapReport
+    gap: SeparationDisks
     condensation: CondensationReport | None = field(default=None)
 
     @property
@@ -320,8 +294,8 @@ def analyze(seq: MultiplicitySequence, N: int, eps) -> ClassReport:
     geom_i, geom_ii = geometric_conditions(seq, N)
     nec = necessary_condition(seq, N)
     dens = density_trend(seq, N)
-    delta = separation_search(seq, N)
     gap = gap_check(seq, N, eps)
+    delta = separation_search(seq, gap.gaps)
     cond = None
     if all(seq.mu(n) == 1 for n in range(1, N + 1)) and N >= 6:
         cond = condensation_index(seq, N)

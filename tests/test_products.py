@@ -2,11 +2,11 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import escalated_derivative_factor, jittered_mu3
+from conftest import (escalated_derivative_factor, jittered_mu3,
+                      reference_fitted_separation_constant)
 
 from expspan import products
-from expspan.core import separation_disk_radius
-from expspan import (DomainError, Interval, MultiplicitySequence,
+from expspan import (ConfigError, DomainError, Interval, MultiplicitySequence,
                      PrecisionContext, ProductKind, blaschke_eval,
                      derivative_factor, eval_product, fixture, gnk_eval,
                      laurent_coeffs, lk_circle_minima, lk_eval, lk_function,
@@ -172,6 +172,15 @@ class TestLKEval:
         assert all(m.min_abs > 0 for m in minima)
         assert all(m.fitted_const > 0 for m in minima)
 
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_pole_outside_the_prefix_refused(self, lk, n):
+        # n = 0 would read lambda_N through seq.lam(0); lambda_7 is no zero of G
+        for call in (lambda: lk_circle_minima(lk, "0.1", [1, n], samples=8),
+                     lambda: laurent_coeffs(lk, n, "0.1", 1, 8)):
+            with pytest.raises(ConfigError, match=f"n={n} outside the product's zeros "
+                                                  "1..trunc_N=6"):
+                call()
+
 
 class TestLaurent:
     @pytest.fixture
@@ -250,7 +259,9 @@ def reference_lk_eval(lk, z):
 
 def reference_laurent(lk, n, eps, J, Q):
     """Two separate trapezoid rules, at Q and at 2Q nodes, each calling lk_eval."""
-    r = separation_disk_radius(lk.seq, lk.trunc_N, mp.mpf(eps), n)
+    eps = mp.mpf(eps)
+    r = (reference_fitted_separation_constant(lk.seq, lk.trunc_N, eps) / 6
+         * mp.exp(-eps * abs(lk.seq.lam(n)) / lk.seq.mu(n)))
     center = 1j * lk.seq.lam(n)
 
     def moments(Q):
