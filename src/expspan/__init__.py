@@ -20,7 +20,7 @@ from .gram import (BiorthogonalFamily, DomainSpec, GramSystem, biorthogonal,
 from .products import (LKFunction, LaurentCoeffs, ProductKind, blaschke_eval,
                        derivative_factor, eval_product, gnk_eval,
                        laurent_coeffs, lk_circle_minima, lk_eval, lk_function,
-                       lk_schedule, taylor_coeffs)
+                       taylor_coeffs)
 from .series import (TaylorDirichletSeries, bound_check, load_series,
                      series_from_obj, series_to_obj, star_abscissa, td_eval)
 from .moment import (BesselReport, GrowthGateError, MomentData, MomentSolution,

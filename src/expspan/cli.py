@@ -62,13 +62,17 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _parse_interval(text: str, digits: int) -> Interval:
-    """'gamma,beta' read at the command's working digits."""
+    """'gamma,beta' read at the command's working digits; an endpoint of
+    modulus 10^digits or more is a PrecisionError, as a point is."""
     try:
         lo, hi = text.split(",")
         with mp.workdps(digits):
-            return Interval(mp.mpmathify(lo), mp.mpmathify(hi))
+            interval = Interval(mp.mpmathify(lo), mp.mpmathify(hi))
     except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad interval {text!r}; expected 'gamma,beta'") from exc
+    for x in (interval.gamma, interval.beta):
+        _resolvable(x, "interval endpoint", digits)
+    return interval
 
 
 def _parse_grid(text: str) -> list:
@@ -582,8 +586,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if hasattr(args, "dps"):
-            _at_least(args.dps, 1, "--dps")
+        for count in ("dps", "circles", "partitions"):
+            if hasattr(args, count):
+                _at_least(getattr(args, count), 1, f"--{count}")
         result = args.func(args)
         if result is not None:  # `run` writes its own bundle
             obj, table = result

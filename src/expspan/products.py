@@ -20,7 +20,7 @@ import mpmath as mp
 from .core import Interval, MultiplicitySequence, PrecisionContext, separation_disks
 from .errors import ConfigError, DomainError
 
-# cosine factors in the windowed even product
+# halvings K of the windowed even product's cosine window
 _COS_K = 8
 
 
@@ -145,53 +145,50 @@ def taylor_coeffs(kind: ProductKind, seq: MultiplicitySequence, N: int, M: int,
     return acc
 
 
-def lk_schedule(interval: Interval, K: int) -> list[mp.mpf]:
-    """Cosine half-width schedule eps_k = tau * 2^-k, k = 1..K.
-
-    Decreasing, with partial sum tau(1 - 2^-K) < tau; the full series sums
-    to tau, which fixes the exponential width of the cosine window.
-    """
-    if K < 1:
-        raise ConfigError("K must be >= 1")
-    tau = interval.tau
-    return [tau * mp.mpf(2) ** (-k) for k in range(1, K + 1)]
-
-
 @dataclass(frozen=True)
 class LKFunction:
-    """Windowed even product G(z) = e^(-i sigma z) L(z) prod cos(eps_k z).
+    """Windowed even product G(z) = e^(-i sigma z) L(z) prod_{k=1..K} cos(tau z / 2^k).
 
     L is the L_EVEN product over the prefix, so G vanishes exactly at
-    +-i lambda_n for n <= trunc_N.  sigma and the schedule come from the
-    target interval.
+    +-i lambda_n for n <= trunc_N.  sigma and tau come from the target
+    interval; the half-widths tau 2^-k sum to tau (1 - 2^-K) < tau.
     """
 
     seq: MultiplicitySequence
     interval: Interval
-    epsilons: tuple[mp.mpf, ...]
+    K: int
     trunc_N: int
 
     def __post_init__(self):
-        self.seq.check_prefix(self.trunc_N)
-        eps = self.epsilons
-        if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
-            raise ConfigError("cosine schedule must be strictly decreasing")
-        if not sum(eps) <= self.interval.tau:
-            raise ConfigError("cosine schedule must sum to at most tau")
+        self.seq.check_prefix(self.trunc_N)  # no silent truncation downgrade
 
 
 def lk_function(seq: MultiplicitySequence, interval: Interval,
                 ctx: PrecisionContext) -> LKFunction:
-    seq.check_prefix(ctx.trunc_N)  # no silent truncation downgrade
-    return LKFunction(seq=seq, interval=interval,
-                      epsilons=tuple(lk_schedule(interval, _COS_K)),
-                      trunc_N=ctx.trunc_N)
+    return LKFunction(seq=seq, interval=interval, K=_COS_K, trunc_N=ctx.trunc_N)
+
+
+def _roots(count: int) -> list[mp.mpc]:
+    """The count-th roots of unity e^(2 pi i q / count), q = 0..count-1."""
+    return [mp.expjpi(mp.mpf(2 * q) / count) for q in range(count)]
+
+
+def _window(lk: LKFunction, z):
+    """prod_{k=1..K} cos(tau z / 2^k) = sin(tau z) / (2^K sin(tau z / 2^K)) by Viete.
+
+    The sines take exact power-of-two scalings of one rounded tau z, so the
+    quotient holds where both vanish; at z = 0, the one exact 0/0, it is 1."""
+    t, scale = lk.interval.tau * z, mp.ldexp(1, -lk.K)
+    return mp.sin(t) * scale / mp.sin(t * scale) if t != 0 else mp.mpf(1)
 
 
 def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
-    """Windowed product at each point of zs, with the zeros and the phase
-    built once for the batch; each value is exactly lk_eval's."""
-    zeros = [c * lk.seq.lam(n) for n in range(1, lk.trunc_N + 1) for c in (1j, -1j)]
+    """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
+    the squares, C = prod lambda_n^(-2 mu_n), zeros and phase are built once."""
+    seq, N = lk.seq, lk.trunc_N
+    squares = [(seq.lam(n) ** 2, seq.mu(n)) for n in range(1, N + 1)]
+    const = mp.fprod(sq ** -mu for sq, mu in squares)
+    zeros = [c * seq.lam(n) for n in range(1, N + 1) for c in (1j, -1j)]
     phase = -1j * lk.interval.sigma
     out = []
     for z in zs:
@@ -199,10 +196,10 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
         if z in zeros:
             out.append(mp.mpc(0))
             continue
-        val = mp.exp(phase * z)
-        val *= eval_product(ProductKind.L_EVEN, lk.seq, lk.trunc_N, z)
-        for e in lk.epsilons:
-            val *= mp.cos(e * z)
+        zz = z * z
+        val = const * mp.exp(phase * z) * _window(lk, z)
+        for sq, mu in squares:
+            val *= (sq + zz) ** mu
         out.append(val)
     return out
 
@@ -238,13 +235,12 @@ def lk_circle_minima(lk: LKFunction, eps, ns: list[int],
     eps = mp.mpf(eps)
     radii = separation_disks(lk.seq, lk.trunc_N, eps).radii_small
     beta = lk.interval.beta
+    roots = _roots(samples)
     out = []
     for n in ns:
         _check_pole(lk, n)
         lam, r = lk.seq.lam(n), radii[n - 1]
-        c = 1j * lam
-        mn = min(abs(g) for g in _lk_values(
-            lk, [c + r * mp.exp(2j * mp.pi * q / samples) for q in range(samples)]))
+        mn = min(abs(g) for g in _lk_values(lk, [1j * lam + r * w for w in roots]))
         out.append(CircleMinimum(n=n, radius=r, min_abs=mn,
                                  fitted_const=mn * mp.exp(-(beta - eps) * mp.re(lam))))
     return out
@@ -273,17 +269,16 @@ def _contour_moments(lk: LKFunction, center, radius, J: int,
     """Trapezoid moments at Q and at 2Q nodes, from one evaluation of G on
     the 2Q fine nodes; the Q coarse nodes are the even-indexed fine ones.
 
-    Node 2q of 2Q and its weights round exactly as node q of Q does (the
-    arguments differ by a power-of-two scaling), so the coarse sums equal
-    a separate Q-node rule bit for bit.
-    """
+    Nodes and weights e^(2 pi i q j / 2Q) = roots[q j mod 2Q] come from one
+    table of 2Q roots; fine root 2q rounds the same rational angle as coarse
+    root q, so the coarse sums equal a separate Q-node rule bit for bit."""
     # trapezoid on the circle: spectrally accurate for periodic analytic data
     fine_Q = 2 * Q
-    nodes = [center + radius * mp.exp(2j * mp.pi * q / fine_Q) for q in range(fine_Q)]
-    gvals = _lk_values(lk, nodes)
+    roots = _roots(fine_Q)
+    gvals = _lk_values(lk, [center + radius * w for w in roots])
     coarse, fine = [], []
     for j in range(1, J + 1):
-        terms = [mp.exp(2j * mp.pi * q * j / fine_Q) / g for q, g in enumerate(gvals)]
+        terms = [roots[q * j % fine_Q] / g for q, g in enumerate(gvals)]
         for out, step, count in ((coarse, 2, Q), (fine, 1, fine_Q)):
             out.append(radius ** j * sum(terms[::step], mp.mpc(0)) / count)
     return coarse, fine

@@ -158,6 +158,16 @@ class TestBasicCommands:
         assert float(json.loads(out)["sup_residual"]) < 1e-30
 
 
+def console_script(argv):
+    """The CLI in a fresh process, as the console script runs it at mpmath's
+    15 digits; the timeout turns a hang into a failure."""
+    src = os.path.dirname(os.path.dirname(expspan.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "expspan.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
 class TestExitCodes:
     @staticmethod
     def _each_input(seq_file):
@@ -285,6 +295,13 @@ class TestExitCodes:
          "digits=0 below floor 50"),
         (["lk", "eval", "--seq", "{seq}", "--N", "0", "--interval", "0,1", "--z", "1"],
          "trunc_N must be >= 1"),
+        # a count below 1 would print an empty result
+        (["lk", "lowerbound", "--seq", "{seq}", "--N", "8", "--interval", "0,1",
+          "--circles", "-3"], "--circles must be >= 1, got -3"),
+        (["lk", "lowerbound", "--seq", "{seq}", "--N", "8", "--interval", "0,1",
+          "--circles", "0"], "--circles must be >= 1, got 0"),
+        (["gram", "mixed", "--seq", "{seq}", "--N", "4", "--partitions", "-1"],
+         "--partitions must be >= 1, got -1"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
@@ -293,7 +310,8 @@ class TestExitCodes:
             "moment-N", "series-index", "config-moment-N", "config-series-N",
             "analyze-eps-nan", "analyze-eps-inf", "lk-eps-nan", "lk-eps-minus-inf",
             "bound-eps-nan", "bound-eps-inf", "bound-beta-nan", "gram-digits-zero",
-            "series-digits-zero", "lk-N-zero"])
+            "series-digits-zero", "lk-N-zero", "lk-circles-negative", "lk-circles-zero",
+            "gram-partitions-negative"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
@@ -359,16 +377,37 @@ class TestExitCodes:
     ], ids=["analyze", "lk-lowerbound"])
     def test_unresolvable_eps_is_precision_error(self, seq_file, argv, digits):
         # e^(eps |lambda_n| / mu_n) would first be reduced with about a million
-        # digits of ln 2; run as the console script runs, at mpmath's 15 digits
-        src = os.path.dirname(os.path.dirname(expspan.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-m", "expspan.cli",
-                               *[a.format(seq=seq_file) for a in argv]],
-                              capture_output=True, text=True, env=env, timeout=30)
+        # digits of ln 2
+        done = console_script([a.format(seq=seq_file) for a in argv])
         assert done.returncode == 3
         assert done.stderr == (f"error: eps*|lambda_1|/mu_1 must be below 10^{digits} to "
                                f"be resolved at {digits} digits, got 1.0e+999999\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "0,1e999999"],
+        ["lk", "eval", "--seq", "{seq}", "--N", "4", "--interval=-1e999999,1", "--z", "1"],
+        ["moment", "solve", "--seq", "{seq}", "--N", "6", "--interval", "0,1e999999",
+         "--data", "{moments}"],
+        ["run", "{config}"],
+    ], ids=["gram", "lk", "moment", "run"])
+    def test_unresolvable_interval_is_precision_error(self, tmp_path, seq_file, argv):
+        # the Gram entries' e^((lambda_a + conj(lambda_b)) beta) would first be
+        # reduced with about a million digits of ln 2
+        rows = [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]
+        bundle = tmp_path / "bundle"
+        config = {"kind": "moment", "N": 6, "interval": "0,1e999999", "data": rows,
+                  "seq": {"kind": "generator", "name": "squares", "terms": 8},
+                  "out": str(bundle)}
+        paths = {"seq": seq_file, "moments": tmp_path / "moments.json",
+                 "config": tmp_path / "config.json"}
+        paths["moments"].write_text(json.dumps(rows))
+        paths["config"].write_text(json.dumps(config))
+        done = console_script([a.format(**paths) for a in argv])
+        assert done.returncode == 3
+        assert done.stderr == ("error: interval endpoint must have modulus below 10^120 "
+                               "to be resolved at 120 digits, got 1.0e+999999; "
+                               "raise --digits\n")
+        assert not bundle.exists()
 
     @pytest.mark.parametrize("action", ["eval", "abscissa"])
     @pytest.mark.parametrize("N", ["0", "99"])
