@@ -14,9 +14,8 @@ from .errors import (CapError, ConfigError, DomainError, ExpspanError,
                      PrecisionError, SequenceError)
 from .fixtures import fixture, list_fixtures, load_sequence, sequence_from_spec
 from .gram import (BiorthogonalFamily, DomainSpec, GramSystem, biorthogonal,
-                   distance, dual_norms, gram_matrix, inner_product,
-                   mixed_completeness, monomial_exp_integral,
-                   recover_coefficients)
+                   dual_norms, gram_matrix, inner_product, mixed_completeness,
+                   monomial_exp_integral, recover_coefficients)
 from .products import (LKFunction, LaurentCoeffs, ProductKind, blaschke_eval,
                        derivative_factor, eval_product, gnk_eval,
                        laurent_coeffs, lk_circle_minima, lk_eval, lk_function,

@@ -589,6 +589,10 @@ def main(argv=None) -> int:
         for count in ("dps", "circles", "partitions"):
             if hasattr(args, count):
                 _at_least(getattr(args, count), 1, f"--{count}")
+        # no digit past the working digits is right, and mp.nstr at a huge --dps hangs
+        if hasattr(args, "dps") and args.dps > (digits := _ctx(args).digits):
+            raise ConfigError(f"--dps must be <= the working digits {digits}, "
+                              f"got {args.dps}; raise --digits")
         result = args.func(args)
         if result is not None:  # `run` writes its own bundle
             obj, table = result

@@ -1,14 +1,14 @@
-"""Exact inner products, Gram systems, distances, and biorthogonal families.
+"""Exact inner products, Gram systems, dual norms, and biorthogonal families.
 
 Inner products of exponential monomials on a bounded interval or on
 (-inf, 0) have closed forms, so Gram matrices are assembled exactly at
-working precision.  One Hermitian Cholesky factorization then serves every
-downstream quantity, each solving through it for only the inverse entries it
-reads: leave-one-out distances and dual norms (Schur complement via the
-inverse diagonal alone, `dual_norms` and `distance`), coefficient recovery
-(one solve against the moments), mixed-system completeness checks (one
-column per dual element), and the biorthogonal coefficient matrix (the full
-inverse Gram, with its identity residual, from `biorthogonal` only).
+working precision.  One Hermitian Cholesky factorization M = L L^H then
+serves every downstream quantity through the forward columns
+y_j = L^-1 e_j, since (M^-1)_ab = <y_b, y_a>: the dual norms ||r_j|| = ||y_j||
+and distances 1/||r_j|| (`dual_norms`), and the dual block of a mixed system
+(`mixed_completeness`).  The backward sweep runs only for the full inverse
+Gram with its identity residual (`biorthogonal`) and for coefficient
+recovery (one solve against the moments).
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
 digits scale linearly with Re lambda_N; assembly auto-escalates precision
@@ -140,13 +140,13 @@ def hermitian_cholesky(M: mp.matrix) -> mp.matrix:
     return L
 
 
-def _chol_solve(L: mp.matrix, rhs: mp.matrix, lo: int = 0) -> mp.matrix:
-    """Rows lo..n-1 of (L L^H)^-1 rhs; the rows above lo are left zero.
+def _forward(L: mp.matrix, rhs: mp.matrix) -> mp.matrix:
+    """L^-1 rhs.
 
-    The forward sweep starts at the first nonzero row of rhs (row 0 for an
-    all-zero rhs), skipping only exact zero terms.  Subtracting those complex
-    zeros would round rhs[i] to a complex number, as mp.mpc does, so s is
-    seeded that way: the bits and types are those of the full sweeps.
+    The sweep starts at the first nonzero row of rhs (row 0 for an all-zero
+    rhs), skipping only exact zero terms.  Subtracting those complex zeros
+    would round rhs[i] to a complex number, as mp.mpc does, so s is seeded
+    that way: the bits and types are those of the full sweep.
     """
     n = L.rows
     start = next((i for i in range(n) if rhs[i]), 0)
@@ -156,8 +156,14 @@ def _chol_solve(L: mp.matrix, rhs: mp.matrix, lo: int = 0) -> mp.matrix:
         for k in range(start, i):
             s -= L[i, k] * y[k]
         y[i] = s / L[i, i]
+    return y
+
+
+def _backward(L: mp.matrix, y: mp.matrix) -> mp.matrix:
+    """L^-H y."""
+    n = L.rows
     x = mp.matrix(n, 1)
-    for i in reversed(range(lo, n)):
+    for i in reversed(range(n)):
         s = y[i]
         for k in range(i + 1, n):
             s -= mp.conj(L[k, i]) * x[k]
@@ -179,10 +185,6 @@ class GramSystem:
     @property
     def dim(self) -> int:
         return len(self.indices)
-
-    def solve(self, rhs: mp.matrix) -> mp.matrix:
-        with mp.workdps(self.digits_used):
-            return _chol_solve(self.chol, rhs)
 
 
 def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
@@ -246,24 +248,6 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
             digits = 4 * ctx.digits
 
 
-def distance(g: GramSystem, idx: FlatIndex) -> mp.mpf:
-    """Distance from e_idx to the span of the other truncated elements.
-
-    Computed as the Schur complement of the factored Gram: the inverse
-    diagonal entry satisfies D^2 = 1 / (M^-1)_{ii}, and only that entry is
-    solved for.
-    """
-    try:
-        i = g.indices.index(idx)
-    except ValueError:
-        raise ConfigError(f"index {idx} not in system") from None
-    with mp.workdps(g.digits_used):
-        d2 = 1 / mp.re(_chol_solve(g.chol, mp.eye(g.dim).column(i), i)[i])
-        if not d2 > 0:
-            raise PrecisionError("Schur complement is not positive; precision exhausted")
-        return mp.sqrt(d2)
-
-
 @dataclass(frozen=True)
 class BiorthogonalFamily:
     """Rows of coeffs expand each dual element over the system:
@@ -276,25 +260,34 @@ class BiorthogonalFamily:
     identity_residual: mp.mpf
 
 
+def _norm(y) -> mp.mpf:
+    # real by construction: the squares are summed exactly and rounded once
+    return mp.sqrt(mp.fsum(y, absolute=True, squared=True))
+
+
 def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
-    """Dual norms ||r_a|| = sqrt(Re (M^-1)_aa) and distances 1/||r_a||, from
-    the inverse diagonal alone; bit for bit those of `biorthogonal`."""
+    """Dual norms ||r_j|| = sqrt((M^-1)_jj) = ||L^-1 e_j|| and distances
+    1/||r_j|| (the Schur complement), from the forward sweeps alone; bit for
+    bit those of `biorthogonal`."""
     with mp.workdps(g.digits_used):
-        norms = tuple(mp.sqrt(mp.re(_chol_solve(g.chol, mp.eye(g.dim).column(j), j)[j]))
+        norms = tuple(_norm(_forward(g.chol, mp.eye(g.dim).column(j)))
                       for j in range(g.dim))
         return norms, tuple(1 / nv for nv in norms)
 
 
 def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
-    """Invert the Gram through its factorization, checked by the residual of
-    C M against the identity; the inverse diagonal gives the dual norms and
-    hence the distances (norm * distance = 1).  For these alone,
-    `dual_norms` skips the full inverse and the residual."""
+    """Invert the Gram through its factorization, column j of C = M^-1 being
+    L^-H y_j with y_j = L^-1 e_j, checked by the residual of C M against the
+    identity.  The dual norms ||y_j|| and the distances 1/||y_j|| are those
+    of `dual_norms`, which skips the backward sweeps and the residual."""
     d = g.dim
     with mp.workdps(g.digits_used):
         C = mp.matrix(d, d)
+        norms = []
         for j in range(d):
-            col = _chol_solve(g.chol, mp.eye(d).column(j))
+            y = _forward(g.chol, mp.eye(d).column(j))
+            norms.append(_norm(y))
+            col = _backward(g.chol, y)
             for i in range(d):
                 C[i, j] = col[i]
         resid = mp.mpf(0)
@@ -303,9 +296,8 @@ def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
             for j in range(d):
                 target = 1 if i == j else 0
                 resid = max(resid, abs(R[i, j] - target))
-        norms = tuple(mp.sqrt(mp.re(C[i, i])) for i in range(d))
         dists = tuple(1 / nv for nv in norms)
-    return BiorthogonalFamily(indices=g.indices, coeffs=C, norms=norms,
+    return BiorthogonalFamily(indices=g.indices, coeffs=C, norms=tuple(norms),
                               distances=dists, identity_residual=resid)
 
 
@@ -315,7 +307,8 @@ def recover_coefficients(g: GramSystem, moments: Sequence) -> list[mp.mpc]:
     if len(moments) != g.dim:
         raise ConfigError(f"expected {g.dim} moments, got {len(moments)}")
     with mp.workdps(g.digits_used):
-        u = g.solve(mp.matrix([mp.conj(v) for v in moments]))
+        rhs = mp.matrix([mp.conj(v) for v in moments])
+        u = _backward(g.chol, _forward(g.chol, rhs))
         return [mp.conj(u[a]) for a in range(g.dim)]
 
 
@@ -333,25 +326,27 @@ def mixed_completeness(g: GramSystem,
 
     A strictly positive value is the finite-dimensional reflection of
     hereditary completeness.  The partition must split the full truncated
-    index set.  The dual block <r_a, r_b> = C[a,b] comes from one solve per
-    b in N2, swept back only to the first N2 row.
+    index set.  By biorthogonality that Gram is block-diagonal, so its
+    extreme eigenvalues are those of the Gram block M[N1, N1] and of the dual
+    block C[a, b] = <r_a, r_b> = <y_b, y_a> over N2, from one forward sweep
+    y_b = L^-1 e_b per b in N2.
     """
     n1, n2 = (tuple(partition[0]), tuple(partition[1]))
-    if set(n1) | set(n2) != set(g.indices) or set(n1) & set(n2):
+    if len(n1) + len(n2) != g.dim or set(n1) | set(n2) != set(g.indices):
         raise ConfigError("partition must split the full index set disjointly")
     pos = {ix: i for i, ix in enumerate(g.indices)}
     with mp.workdps(g.digits_used):
-        lo = min((pos[b] for b in n2), default=0)
-        cols = {b: _chol_solve(g.chol, mp.eye(g.dim).column(pos[b]), lo) for b in n2}
-        k = len(n1)
-        # <r_a, e_b> = <e_a, r_b> = delta_ab vanishes between the disjoint blocks
-        H = mp.matrix(k + len(n2), k + len(n2))
+        gram = mp.matrix(len(n1), len(n1))
         for i, a in enumerate(n1):
             for j, b in enumerate(n1):
-                H[i, j] = g.matrix[pos[a], pos[b]]
-        for i, a in enumerate(n2):
-            for j, b in enumerate(n2):
-                H[k + i, k + j] = cols[b][pos[a]]
-        eigs = mp.eigh(H, eigvals_only=True)
+                gram[i, j] = g.matrix[pos[a], pos[b]]
+        ys = [_forward(g.chol, mp.eye(g.dim).column(pos[b])) for b in n2]
+        dual = mp.matrix(len(n2), len(n2))
+        for i, y in enumerate(ys):
+            for j in range(i + 1):
+                dual[j, i] = mp.fdot(y, ys[j], conjugate=True)
+                dual[i, j] = mp.conj(dual[j, i])
+        eigs = [e for block in (gram, dual) if block.rows
+                for e in mp.eigh(block, eigvals_only=True)]
         smin, smax = min(eigs), max(eigs)
     return MixedReport(n1=n1, n2=n2, min_singular=smin, max_singular=smax)

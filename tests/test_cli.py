@@ -302,6 +302,15 @@ class TestExitCodes:
           "--circles", "0"], "--circles must be >= 1, got 0"),
         (["gram", "mixed", "--seq", "{seq}", "--N", "4", "--partitions", "-1"],
          "--partitions must be >= 1, got -1"),
+        # a digit printed past the working digits is not right
+        (["gram", "distance", "--seq", "{seq}", "--N", "4", "--dps", "121"],
+         "--dps must be <= the working digits 120, got 121"),
+        (["product", "eval", "--seq", "{seq}", "--z", "1+1i", "--digits", "60",
+          "--dps", "1000"], "--dps must be <= the working digits 60, got 1000"),
+        (["series", "eval", "--series", "{series}", "--z", "0", "--digits", "60",
+          "--dps", "61"], "--dps must be <= the working digits 60, got 61"),
+        (["carleson", "counterexample", "--dps", "121"],
+         "--dps must be <= the working digits 120, got 121"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
@@ -311,7 +320,9 @@ class TestExitCodes:
             "analyze-eps-nan", "analyze-eps-inf", "lk-eps-nan", "lk-eps-minus-inf",
             "bound-eps-nan", "bound-eps-inf", "bound-beta-nan", "gram-digits-zero",
             "series-digits-zero", "lk-N-zero", "lk-circles-negative", "lk-circles-zero",
-            "gram-partitions-negative"])
+            "gram-partitions-negative", "gram-dps-above-digits",
+            "product-dps-above-digits", "series-dps-above-digits",
+            "counterexample-dps-above-digits"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}

@@ -5,13 +5,13 @@ import mpmath as mp
 import pytest
 from conftest import jittered_mu3, rand_complex, walked_gram_matrix
 
-from expspan import (CapError, DomainError, FlatIndex, Interval,
+from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
                      fixture, gram)
-from expspan.gram import (DomainSpec, biorthogonal, distance, dual_norms,
-                          gram_matrix, hermitian_cholesky, inner_product,
-                          mixed_completeness, monomial_exp_integral,
-                          recover_coefficients)
+from expspan.gram import (DomainSpec, _backward, _forward, biorthogonal,
+                          dual_norms, gram_matrix, hermitian_cholesky,
+                          inner_product, mixed_completeness,
+                          monomial_exp_integral, recover_coefficients)
 
 
 @pytest.fixture
@@ -267,7 +267,7 @@ class TestDistance:
         seq = MultiplicitySequence.from_pairs([(2, 1)])
         ctx = PrecisionContext(digits=60, trunc_N=1)
         g = gram_matrix(seq, 1, dom01, ctx)
-        d = distance(g, FlatIndex(1, 0))
+        d = dual_norms(g)[1][0]
         want = mp.sqrt((mp.exp(4) - 1) / 4)
         assert abs(d - want) < mp.mpf("1e-50")
 
@@ -275,7 +275,7 @@ class TestDistance:
         seq = MultiplicitySequence.from_pairs([(1, 1), (2, 1)])
         ctx = PrecisionContext(digits=60, trunc_N=2)
         g = gram_matrix(seq, 2, dom01, ctx)
-        d = distance(g, FlatIndex(1, 0))
+        d = dual_norms(g)[1][0]
         want = mp.sqrt((mp.exp(2) - 1) / 2
                        - ((mp.exp(3) - 1) / 3) ** 2 / ((mp.exp(4) - 1) / 4))
         assert abs(d - want) < mp.mpf("1e-45")
@@ -283,8 +283,7 @@ class TestDistance:
     def test_never_exceeds_norm(self, squares8, dom01):
         ctx = PrecisionContext(digits=120, trunc_N=6)
         g = gram_matrix(squares8, 6, dom01, ctx)
-        for i, ix in enumerate(g.indices):
-            d = distance(g, ix)
+        for i, d in enumerate(dual_norms(g)[1]):
             norm = mp.sqrt(mp.re(g.matrix[i, i]))
             assert 0 < d <= norm
 
@@ -292,16 +291,17 @@ class TestDistance:
         seq = fixture("squares", 6)
         ctx = PrecisionContext(digits=120, trunc_N=6)
         g = gram_matrix(seq, 6, dom01, ctx)
+        dists = dual_norms(g)[1]
         with mp.workdps(g.digits_used):
             det_full = mp.det(g.matrix)
-            for i, ix in enumerate(g.indices):
+            for i in range(g.dim):
                 keep = [j for j in range(g.dim) if j != i]
                 sub = mp.matrix(g.dim - 1, g.dim - 1)
                 for a, ja in enumerate(keep):
                     for b, jb in enumerate(keep):
                         sub[a, b] = g.matrix[ja, jb]
                 want = mp.sqrt(mp.re(det_full / mp.det(sub)))
-                got = distance(g, ix)
+                got = dists[i]
                 assert abs(got - want) / want < mp.mpf(10) ** (-g.digits_used // 3)
 
     def test_schur_quadratic_form_agrees(self, dom01):
@@ -321,7 +321,7 @@ class TestDistance:
             x = mp.lu_solve(S, col)
             d2 = g.matrix[i, i] - sum(row[a] * x[a] for a in range(len(keep)))
             want = mp.sqrt(mp.re(d2))
-        got = distance(g, g.indices[i])
+        got = dual_norms(g)[1][i]
         assert abs(got - want) / want < mp.mpf("1e-30")
 
 
@@ -365,7 +365,7 @@ class TestBiorthogonal:
         with mp.workdps(g5.digits_used):
             # w = e_5 - projection onto span(e_1..e_4): orthogonal to the span
             col = mp.matrix([g5.matrix[j, 4] for j in range(4)])
-            proj = g4.solve(col)
+            proj = _backward(g4.chol, _forward(g4.chol, col))
             w = [-mp.conj(proj[j]) for j in range(4)] + [mp.mpc(1)]
             a = 1  # perturb r_{2,0}
             r = [fam4.coeffs[a, j] for j in range(4)] + [mp.mpc(0)]
@@ -429,6 +429,11 @@ def reference_mixed(g, C, n1, n2):
     return min(eigs), max(eigs)
 
 
+def rel_err(got, want):
+    """The largest relative error of the values got against want."""
+    return max(abs(x - y) / abs(y) for x, y in zip(got, want))
+
+
 def bits(v):
     """The type and the exact binary value of an mpf or mpc."""
     return type(v), (v._mpc_ if isinstance(v, mp.mpc) else v._mpf_)
@@ -437,9 +442,10 @@ def bits(v):
 @pytest.mark.parametrize("dps", [15, 120])
 @pytest.mark.parametrize("half_line", [False, True], ids=["bounded", "half-line"])
 class TestDiagonalPath:
-    """The leave-one-out path reads only the inverse diagonal, and it, the
-    column-wise inverse, every partial solve and the mixed system's dual
-    block give the bits of full forward and backward sweeps."""
+    """The dual norms read only the forward columns L^-1 e_j and are those of
+    the biorthogonal family; the column-wise inverse and the two sweeps give
+    the bits of full forward and backward sweeps; the mixed system's two
+    blocks are as accurate as the whole mixed Gram."""
 
     @staticmethod
     def system(dps, half_line):
@@ -466,15 +472,6 @@ class TestDiagonalPath:
             for j in range(g.dim):
                 assert bits(C[i, j]) == bits(ref[i, j]), (i, j)
 
-    def test_distance_unchanged(self, dps, half_line):
-        with mp.workdps(dps):
-            g = self.system(dps, half_line)
-            got = [distance(g, ix) for ix in g.indices]
-            with mp.workdps(g.digits_used):
-                ref = reference_inverse(g.chol)
-                want = [mp.sqrt(1 / mp.re(ref[i, i])) for i in range(g.dim)]
-        assert [bits(v) for v in got] == [bits(v) for v in want]
-
     @staticmethod
     def right_hand_sides(g, dps):
         """Dense complex, exact leading zeros and all zeros; then entries
@@ -498,29 +495,39 @@ class TestDiagonalPath:
         with mp.workdps(dps):
             g = self.system(dps, half_line)
         for name, rhs in self.right_hand_sides(g, dps).items():
-            with mp.workdps(dps):
-                got = g.solve(rhs)
+            with mp.workdps(g.digits_used):
+                got = _backward(g.chol, _forward(g.chol, rhs))
             with mp.workdps(g.digits_used):
                 want = reference_solve(g.chol, rhs)
             assert [bits(got[i]) for i in range(g.dim)] == \
                 [bits(want[i]) for i in range(g.dim)], name
 
-    def test_mixed_completeness_equals_biorthogonal_block(self, dps, half_line):
+    def test_mixed_completeness_as_accurate_as_full_matrix(self, dps, half_line):
+        # the two diagonal blocks against the whole mixed Gram with its zero
+        # blocks, both measured against that matrix at 2 * digits_used + 20
         with mp.workdps(dps):
             g = self.system(dps, half_line)
-            C = biorthogonal(g).coeffs
         rng = random.Random(dps + half_line)
         parts = [([], list(g.indices)), (list(g.indices), [])]
         for _ in range(4):
             n2 = [ix for ix in g.indices if rng.random() < 0.5]
             parts.append(([ix for ix in g.indices if ix not in n2], n2))
+        with mp.workdps(g.digits_used):
+            C = reference_inverse(g.chol)
+        with mp.workdps(2 * g.digits_used + 20):
+            C_hi = reference_inverse(g.chol)
+        worst_blocks = worst_full = mp.mpf(0)
         for n1, n2 in parts:
             with mp.workdps(dps):
                 rep = mixed_completeness(g, (n1, n2))
             with mp.workdps(g.digits_used):
-                want = reference_mixed(g, C, n1, n2)
-            assert (bits(rep.min_singular), bits(rep.max_singular)) == \
-                tuple(bits(v) for v in want), (n1, n2)
+                full = reference_mixed(g, C, n1, n2)
+            with mp.workdps(2 * g.digits_used + 20):
+                want = reference_mixed(g, C_hi, n1, n2)
+                worst_blocks = max(worst_blocks, rel_err(
+                    (rep.min_singular, rep.max_singular), want))
+                worst_full = max(worst_full, rel_err(full, want))
+        assert worst_blocks <= worst_full, (worst_blocks, worst_full)
 
 
 class TestRecoverCoefficients:
@@ -598,3 +605,11 @@ class TestMixedCompleteness:
         g, fam = system
         with pytest.raises(ValueError):
             mixed_completeness(g, ([g.indices[0]], []))
+
+    def test_partition_must_not_repeat(self, system):
+        # N1 and N2 then cover every index with one too many elements: that
+        # mixed Gram is singular, and its smallest eigenvalue rounded negative
+        g, fam = system
+        n1 = list(g.indices[:3]) + [g.indices[0]]
+        with pytest.raises(ConfigError, match="disjointly"):
+            mixed_completeness(g, (n1, list(g.indices[3:])))
