@@ -63,13 +63,15 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _parse_interval(text: str, digits: int) -> Interval:
     """'gamma,beta' read at the command's working digits; an endpoint of
-    modulus 10^digits or more is a PrecisionError, as a point is."""
-    try:
-        lo, hi = text.split(",")
-        with mp.workdps(digits):
-            interval = Interval(mp.mpmathify(lo), mp.mpmathify(hi))
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"bad interval {text!r}; expected 'gamma,beta'") from exc
+    modulus 10^digits or more is a PrecisionError, as a point is.  Endpoints
+    that parse but are out of order or not finite fail with Interval's own
+    message."""
+    with mp.workdps(digits):
+        try:
+            lo, hi = (mp.mpf(mp.mpmathify(x)) for x in text.split(","))
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"bad interval {text!r}; expected 'gamma,beta'") from exc
+        interval = Interval(lo, hi)
     for x in (interval.gamma, interval.beta):
         _resolvable(x, "interval endpoint", digits)
     return interval

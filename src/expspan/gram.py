@@ -2,8 +2,11 @@
 
 Inner products of exponential monomials on a bounded interval or on
 (-inf, 0) have closed forms, so Gram matrices are assembled exactly at
-working precision.  One Hermitian Cholesky factorization M = L L^H then
-serves every downstream quantity through the forward columns
+working precision.  Assembly takes one pair of endpoint exponentials per
+frequency pair: the mu_n x mu_m block of lambda_n, lambda_m shares the
+exponent lambda_n + conj(lambda_m), so one table of integrals
+I(0..mu_n+mu_m-2) fills it.  One Hermitian Cholesky factorization
+M = L L^H then serves every downstream quantity through the forward columns
 y_j = L^-1 e_j, since (M^-1)_ab = <y_b, y_a>: the dual norms ||r_j|| = ||y_j||
 and distances 1/||r_j|| (`dual_norms`), and the dual block of a mixed system
 (`mixed_completeness`).  The backward sweep runs only for the full inverse
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import mpmath as mp
@@ -66,32 +70,41 @@ class DomainSpec:
             raise ConfigError("bounded domain needs an interval")
 
 
-def monomial_exp_integral(p: int, a, dom: DomainSpec) -> mp.mpc:
-    """Integral of t^p e^(a t) over the domain, in closed form.
+def monomial_exp_integrals(pmax: int, a, dom: DomainSpec) -> list:
+    """Integrals I(p) of t^p e^(a t) over the domain for p = 0..pmax, in
+    closed form.
 
-    Bounded, a != 0: by-parts recurrence I(p) = [t^p e^(at)/a] - (p/a) I(p-1),
-    switching to the termwise-integrated Maclaurin series of e^(at) when
-    |a| (beta - gamma) < 1/2 (the recurrence cancels catastrophically there).
+    Bounded, a != 0: by-parts recurrence I(p) = [t^p e^(at)/a] - (p/a) I(p-1)
+    from one pair of endpoint exponentials, so I(p) has the same bits in every
+    table that holds it; when |a| (beta - gamma) < 1/2 (the recurrence cancels
+    catastrophically there) each I(p) is the termwise-integrated Maclaurin
+    series of e^(at).
     Bounded, a = 0: (beta^(p+1) - gamma^(p+1)) / (p+1).
     Half-line: (-1)^p p! / a^(p+1), requiring Re a > 0.
     """
-    if p < 0:
+    if pmax < 0:
         raise ConfigError("p must be >= 0")
     a = mp.mpc(a)
+    ps = range(pmax + 1)
     if dom.kind == "half_line_neg":
         if not mp.re(a) > 0:
             raise DomainError(f"half-line integral needs Re a > 0, got {mp.nstr(a, 8)}")
-        return mp.mpc(-1) ** p * mp.factorial(p) / a ** (p + 1)
+        return [mp.mpc(-1) ** p * mp.factorial(p) / a ** (p + 1) for p in ps]
     gamma, beta = dom.interval.gamma, dom.interval.beta
     if a == 0:
-        return mp.mpc(beta ** (p + 1) - gamma ** (p + 1)) / (p + 1)
+        return [mp.mpc(beta ** (p + 1) - gamma ** (p + 1)) / (p + 1) for p in ps]
     if abs(a) * (beta - gamma) < mp.mpf("0.5"):
-        return _series_integral(p, a, gamma, beta)
+        return [_series_integral(p, a, gamma, beta) for p in ps]
     eb, eg = mp.exp(a * beta), mp.exp(a * gamma)
-    acc = (eb - eg) / a  # I(0)
-    for q in range(1, p + 1):
-        acc = (beta ** q * eb - gamma ** q * eg) / a - q * acc / a
-    return acc
+    table = [(eb - eg) / a]
+    for q in range(1, pmax + 1):
+        table.append((beta ** q * eb - gamma ** q * eg) / a - q * table[-1] / a)
+    return table
+
+
+def monomial_exp_integral(p: int, a, dom: DomainSpec) -> mp.mpc:
+    """Integral of t^p e^(a t) over the domain (see `monomial_exp_integrals`)."""
+    return monomial_exp_integrals(p, a, dom)[p]
 
 
 def _series_integral(p: int, a, gamma, beta) -> mp.mpc:
@@ -189,13 +202,23 @@ class GramSystem:
 
 def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
               dom: DomainSpec) -> mp.matrix:
+    """The Gram matrix block by block: the entries of frequencies n >= m are
+    integrals of t^(k+l) e^((lambda_n + conj lambda_m) t), read from one table
+    per pair; each is bit for bit `inner_product`."""
     d = len(idx)
     M = mp.matrix(d, d)
-    for i in range(d):
-        for j in range(i + 1):
-            v = inner_product(seq, idx[i], idx[j], dom)
-            M[i, j] = v
-            M[j, i] = mp.conj(v)
+    runs = [list(run) for _, run in groupby(range(d), key=lambda i: idx[i].n)]
+    for r, rows in enumerate(runs):
+        for cols in runs[:r + 1]:
+            a = seq.lam(idx[rows[0]].n) + mp.conj(seq.lam(idx[cols[0]].n))
+            table = monomial_exp_integrals(idx[rows[-1]].k + idx[cols[-1]].k, a, dom)
+            for i in rows:
+                for j in cols:
+                    if j > i:
+                        break
+                    v = table[idx[i].k + idx[j].k]
+                    M[i, j] = v
+                    M[j, i] = mp.conj(v)
     return M
 
 

@@ -311,6 +311,16 @@ class TestExitCodes:
           "--dps", "61"], "--dps must be <= the working digits 60, got 61"),
         (["carleson", "counterexample", "--dps", "121"],
          "--dps must be <= the working digits 120, got 121"),
+        # an interval that parses names the condition it violates
+        (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "1,1"],
+         "need gamma < beta, got (1.0, 1.0)"),
+        (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "2,1"],
+         "need gamma < beta, got (2.0, 1.0)"),
+        (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "0,nan"],
+         "interval endpoints must be finite"),
+        (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "0,inf"],
+         "interval endpoints must be finite"),
+        (["run", "{interval_config}"], "need gamma < beta, got (1.0, 0.0)"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
@@ -322,7 +332,8 @@ class TestExitCodes:
             "series-digits-zero", "lk-N-zero", "lk-circles-negative", "lk-circles-zero",
             "gram-partitions-negative", "gram-dps-above-digits",
             "product-dps-above-digits", "series-dps-above-digits",
-            "counterexample-dps-above-digits"])
+            "counterexample-dps-above-digits", "interval-empty", "interval-reversed",
+            "interval-nan", "interval-inf", "config-interval-reversed"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
@@ -339,6 +350,8 @@ class TestExitCodes:
                  "low_digits_config": {"kind": "analyze", "seq": squares, "digits": 10},
                  "eps_config": {"kind": "analyze", "seq": squares, "eps": "abc"},
                  "nmax_config": {"kind": "counterexample", "nmax": 1},
+                 "interval_config": {"kind": "gram", "seq": squares, "N": 4,
+                                     "interval": "1,0", "out": bundle},
                  "moment_config": {"kind": "moment", "seq": squares, "N": 3,
                                    "interval": "0,1", "data": rows, "out": bundle},
                  "series_config": {"kind": "series", "seq": squares4, "out": bundle,

@@ -7,11 +7,12 @@ from conftest import jittered_mu3, rand_complex, walked_gram_matrix
 
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
-                     fixture, gram)
+                     fixture, flatten, gram)
 from expspan.gram import (DomainSpec, _backward, _forward, biorthogonal,
                           dual_norms, gram_matrix, hermitian_cholesky,
                           inner_product, mixed_completeness,
-                          monomial_exp_integral, recover_coefficients)
+                          monomial_exp_integral, monomial_exp_integrals,
+                          recover_coefficients)
 
 
 @pytest.fixture
@@ -165,6 +166,83 @@ class TestGramMatrix:
         ctx = PrecisionContext(digits=60, trunc_N=2)
         with pytest.raises(DomainError):
             gram_matrix(seq, 2, DomainSpec.half_line(), ctx)
+
+
+def reference_assemble(seq, idx, dom):
+    """The Gram matrix entry by entry, one inner product each."""
+    d = len(idx)
+    M = mp.matrix(d, d)
+    for i in range(d):
+        for j in range(i + 1):
+            v = inner_product(seq, idx[i], idx[j], dom)
+            M[i, j] = v
+            M[j, i] = mp.conj(v)
+    return M
+
+
+def jittered(mus, seed):
+    """The frequencies of jittered_mu3 with the multiplicities mus."""
+    seq = jittered_mu3(len(mus), seed)
+    return MultiplicitySequence.from_pairs(
+        [(seq.lam(n), mu) for n, mu in enumerate(mus, 1)], "jittered")
+
+
+# lambda_1 + conj(lambda_1), lambda_2 + conj(lambda_1) and lambda_2 + conj(lambda_2)
+# take the series branch on (0,1) and (-1,2), lambda_3 + conj(lambda_3) = 0 the
+# polynomial one, and the rest the recurrence
+NEAR_CANCELLING = MultiplicitySequence.from_pairs(
+    [(mp.mpc(1, 2) / 32, 2), (mp.mpc(-3, 3) / 64, 1), (mp.mpc(0, 2), 2), (mp.mpc(3, 1), 3)],
+    "near-cancelling")
+
+DOMAINS = {"0,1": DomainSpec.bounded(Interval(0, 1)),
+           "-1,2": DomainSpec.bounded(Interval(-1, 2)),
+           "half-line": DomainSpec.half_line()}
+
+ASSEMBLY_CASES = [(name, mus, dom) for name, mus in [
+    ("mu1", (1,) * 6), ("mu2", (2,) * 4), ("mu3", (3,) * 4), ("mixed", (1, 3, 2, 1, 3))]
+    for dom in DOMAINS] + [("near-cancelling", None, "0,1"), ("near-cancelling", None, "-1,2")]
+
+
+class TestBlockAssembly:
+    """The Gram matrix assembled block by block from one integral table per
+    frequency pair is, entry for entry, the per-entry inner products."""
+
+    @pytest.mark.parametrize("dps", [15, 120])
+    @pytest.mark.parametrize("name, mus, dom", ASSEMBLY_CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in ASSEMBLY_CASES])
+    def test_equals_per_entry_inner_products(self, name, mus, dom, dps):
+        seq = NEAR_CANCELLING if mus is None else jittered(mus, dps)
+        idx = flatten(seq, seq.size)
+        with mp.workdps(dps):
+            got = gram._assemble(seq, idx, DOMAINS[dom])
+            want = reference_assemble(seq, idx, DOMAINS[dom])
+        assert [bits(got[i, j]) for i in range(len(idx)) for j in range(len(idx))] == \
+            [bits(want[i, j]) for i in range(len(idx)) for j in range(len(idx))]
+
+    @pytest.mark.parametrize("dps", [15, 120])
+    @pytest.mark.parametrize("a, dom", [
+        (mp.mpc(2, 1), "half-line"), (0, "0,1"), (mp.mpc(1, 3) / 8, "0,1"),
+        (mp.mpc(3, -2), "-1,2")], ids=["half-line", "zero", "series", "recurrence"])
+    def test_table_holds_each_integral(self, a, dom, dps):
+        with mp.workdps(dps):
+            table = monomial_exp_integrals(6, a, DOMAINS[dom])
+            assert [bits(v) for v in table] == \
+                [bits(monomial_exp_integral(p, a, DOMAINS[dom])) for p in range(7)]
+
+    def test_one_exponential_pair_per_frequency_pair(self, monkeypatch):
+        # mu = 3, N = 8: 36 frequency pairs n >= m, against 300 entries i >= j
+        calls = []
+        exp = mp.exp
+
+        def counted(x):
+            calls.append(x)
+            return exp(x)
+
+        monkeypatch.setattr(mp, "exp", counted)
+        seq = jittered_mu3(8, 0)
+        with mp.workdps(50):
+            gram._assemble(seq, flatten(seq, 8), DOMAINS["0,1"])
+        assert len(calls) == 72
 
 
 # (label, sequence, N, domain, requested digits).  PrecisionContext floors its
