@@ -61,46 +61,51 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
+def _number(text: str, option: str, real: bool = False):
+    """Every real or complex option and config number, read at the working
+    precision with a trailing 'i' as the imaginary unit.  Text that does not
+    parse, a complex value where a real one is needed, nan and inf are a
+    ConfigError.  A modulus of 10^dps or more is a PrecisionError: the parsed
+    value is then off by more than 1, so no digit of a phase is right, and
+    mpmath's cos/exp would first reduce it with about log10|x| digits of pi or
+    ln 2."""
+    text = text.strip()
+    try:
+        x = mp.mpmathify(text[:-1] + "j" if text.endswith("i") else text)
+    except (ValueError, TypeError, AttributeError):
+        x = None
+    if x is None or (real and not isinstance(x, mp.mpf)):
+        raise ConfigError(f"{option} must be a {'real ' if real else ''}number, got {text!r}")
+    if not mp.isfinite(x):
+        raise ConfigError(f"{option} must be finite, got {text!r}")
+    if abs(x) >= mp.mpf(10) ** (dps := mp.mp.dps):
+        raise PrecisionError(f"{option} must have modulus below 10^{dps} to be resolved "
+                             f"at {dps} digits, got {mp.nstr(abs(x), 5)}")
+    return x
+
+
 def _parse_interval(text: str, digits: int) -> Interval:
-    """'gamma,beta' read at the command's working digits; an endpoint of
-    modulus 10^digits or more is a PrecisionError, as a point is.  Endpoints
-    that parse but are out of order or not finite fail with Interval's own
-    message."""
+    """'gamma,beta' read at the command's working digits; endpoints that are
+    out of order fail with Interval's own message."""
+    try:
+        gamma, beta = text.split(",")
+    except (ValueError, AttributeError) as exc:
+        raise ConfigError(f"bad interval {text!r}; expected 'gamma,beta'") from exc
     with mp.workdps(digits):
-        try:
-            lo, hi = (mp.mpf(mp.mpmathify(x)) for x in text.split(","))
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise ConfigError(f"bad interval {text!r}; expected 'gamma,beta'") from exc
-        interval = Interval(lo, hi)
-    for x in (interval.gamma, interval.beta):
-        _resolvable(x, "interval endpoint", digits)
-    return interval
+        return Interval(*(_number(x, "interval endpoint", real=True) for x in (gamma, beta)))
 
 
 def _parse_grid(text: str) -> list:
     """'lo:hi:steps' -> steps equispaced points from lo to hi inclusive."""
     try:
         lo, hi, steps = text.split(":")
-        lo, hi, steps = mp.mpmathify(lo), mp.mpmathify(hi), int(steps)
-    except (ValueError, TypeError, AttributeError) as exc:
+        steps = int(steps)
+    except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}; expected 'lo:hi:steps'") from exc
     if steps < 2:
         raise ConfigError(f"grid {text!r} needs steps >= 2")
+    lo, hi = (_number(x, "--grid endpoint", real=True) for x in (lo, hi))
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
-def _parse_real(text: str, option: str) -> mp.mpf:
-    """A finite real option, read as mpmath reads it; anything else (nan and
-    inf among them) is a ConfigError."""
-    try:
-        x = mp.mpmathify(text)
-    except (ValueError, TypeError, AttributeError):
-        x = None
-    if not isinstance(x, mp.mpf):
-        raise ConfigError(f"{option} must be a real number, got {text!r}")
-    if not mp.isfinite(x):
-        raise ConfigError(f"{option} must be finite, got {text!r}")
-    return x
 
 
 def _at_least(value: int, least: int, name: str) -> int:
@@ -108,25 +113,6 @@ def _at_least(value: int, least: int, name: str) -> int:
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return value
-
-
-def _parse_complex(text: str) -> mp.mpc:
-    # mpmathify raises AttributeError on a string with 'j' it cannot match
-    try:
-        return mp.mpmathify(text.replace("i", "j"))
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"cannot parse complex number {text!r}") from exc
-
-
-def _resolvable(x, option: str, digits: int):
-    # at |x| >= 10^digits the parsed point is off by more than 1, so no digit of
-    # its phase is right, and mpmath's cos/exp would first reduce it with about
-    # log10|x| digits of pi or ln 2
-    if abs(x) >= mp.mpf(10) ** digits:
-        raise PrecisionError(f"{option} must have modulus below 10^{digits} to be "
-                             f"resolved at {digits} digits, got {mp.nstr(abs(x), 5)}; "
-                             "raise --digits")
-    return x
 
 
 def _load_seq(args) -> "MultiplicitySequence":
@@ -215,7 +201,7 @@ _Result = tuple[dict, tuple[list[str], list[list]] | None]
 
 def _cmd_analyze(args) -> _Result:
     report = lambda_analysis.analyze(_load_seq(args), args.N,
-                                     _parse_real(args.eps, "--eps"))
+                                     _number(args.eps, "--eps", real=True))
     dps = 30
     rows = [[n + 1] + [_num(v.ratios[n], dps)
                        for v in (report.geom_i, report.geom_ii, report.necessary)]
@@ -240,7 +226,7 @@ def _cmd_product_eval(args) -> _Result:
             "F_even": products.ProductKind.F_EVEN,
             "L_even": products.ProductKind.L_EVEN}[args.kind]
     with mp.workdps(ctx.digits):
-        z = _parse_complex(args.z)
+        z = _number(args.z, "--z")
         val = products.eval_product(kind, seq, args.N, z)
     return {"kind": args.kind, "z": _pair(z, args.dps),
             **_value_obj(val, args.dps)}, None
@@ -252,10 +238,10 @@ def _cmd_lk(args) -> _Result:
     with mp.workdps(ctx.digits):
         lk = products.lk_function(seq, _parse_interval(args.interval, ctx.digits), ctx)
         if args.action == "eval":
-            z = _resolvable(_parse_complex(args.z), "--z", ctx.digits)
+            z = _number(args.z, "--z")
             return {"z": _pair(z, args.dps),
                     **_value_obj(products.lk_eval(lk, z), args.dps)}, None
-        eps = _parse_real(args.eps, "--eps")
+        eps = _number(args.eps, "--eps", real=True)
         ns = list(range(1, min(args.circles, lk.trunc_N) + 1))
         minima = products.lk_circle_minima(lk, eps, ns)
     rows = [[m.n, _num(m.radius, args.dps), _num(m.min_abs, args.dps),
@@ -317,7 +303,7 @@ def _cmd_series(args) -> _Result:
     # the values are printed at ctx.digits, not at the ambient precision
     with mp.workdps(ctx.digits):
         if args.action == "eval":
-            z = _resolvable(_parse_complex(args.z), "--z", ctx.digits)
+            z = _number(args.z, "--z")
             res = series_mod.td_eval(s, z, terms)
             return {**_value_obj(res.value, args.dps),
                     "tail_bound": _num(res.tail_bound, args.dps),
@@ -325,8 +311,8 @@ def _cmd_series(args) -> _Result:
         if args.action == "abscissa":
             rep = series_mod.star_abscissa(s, terms)
             return _abscissa_obj(rep, args.dps), None
-        rep = series_mod.bound_check(s, _parse_real(args.beta, "--beta"),
-                                     _parse_real(args.eps, "--eps"))
+        rep = series_mod.bound_check(s, _number(args.beta, "--beta", real=True),
+                                     _number(args.eps, "--eps", real=True))
         return {"m_hat": _num(rep.m_hat, args.dps),
                 "argmax": list(rep.argmax) if rep.argmax else None,
                 "verdict": rep.verdict}, None
@@ -354,8 +340,8 @@ def _cmd_carleson(args) -> _Result:
     if args.action == "apply":
         k = _at_least(args.k, 0, "--k")
         with mp.workdps(ctx.digits):
-            lam = _parse_complex(args.lam)
-            x = _resolvable(_parse_real(args.x, "--x"), "--x", ctx.digits)
+            lam = _number(args.lam, "--lam")
+            x = _number(args.x, "--x", real=True)
             val = carleson_mod.apply_to_exponential(op, lam, k, x, ctx)
         return _value_obj(val, args.dps), None
     # residual over a grid for a series file
@@ -408,7 +394,7 @@ def _cmd_run(args) -> None:
     artifacts = {}  # file name -> JSON object, or (header, rows) for a CSV
 
     if kind in ("analyze", "full-report"):
-        eps = _parse_real(str(cfg.get("eps", "0.1")), "config 'eps'")
+        eps = _number(str(cfg.get("eps", "0.1")), "config 'eps'", real=True)
         rep = lambda_analysis.analyze(seq, N, eps)
         artifacts["analyze.json"] = _pick(_analyze_obj(rep, dps), "provenance",
                                           "all_passed", "geometric_i", "geometric_ii")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .core import FlatIndex, Interval, MultiplicitySequence, PrecisionContext, Sector
-from .errors import ConfigError, ExpspanError
+from .errors import ConfigError, DomainError, ExpspanError
 from .fixtures import read_json
 from .gram import (DomainSpec, GramSystem, biorthogonal, gram_matrix,
                    recover_coefficients)
@@ -71,7 +71,7 @@ def growth_check(d: MomentData, seq: MultiplicitySequence, N: int,
                         effectively_minus_inf=very_neg)
 
 
-class GrowthGateError(ExpspanError):
+class GrowthGateError(DomainError):
     """Moment data grows too fast for the interval; pass force=True to override."""
 
 

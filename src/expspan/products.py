@@ -314,7 +314,8 @@ def gnk_eval(lk: LKFunction, laurent: LaurentCoeffs, n: int, k: int, z) -> mp.mp
 
     Outside the separation disk the defining sum is used directly.  Inside,
     the pole of 1/G makes that form singular, so the regular-part rewrite is
-    used instead; it needs the full principal part (J = mu_n).
+    used instead.  Both need the full principal part (J = mu_n): the sum reads
+    A_{k+1..mu_n}.
     """
     if n != laurent.n:
         raise ConfigError("laurent coefficients belong to a different n")
@@ -325,16 +326,15 @@ def gnk_eval(lk: LKFunction, laurent: LaurentCoeffs, n: int, k: int, z) -> mp.mp
     center = 1j * lk.seq.lam(n)
     w = z - center
     A = laurent.values
+    if len(A) < mu:
+        raise DomainError("G_{n,k} needs the full principal part "
+                          f"(have J={len(A)}, need mu_n={mu})")
     if abs(w) >= laurent.radius:
         g = lk_eval(lk, z)
         s = mp.mpc(0)
         for l in range(1, mu - k + 1):
             s += A[k + l - 1] / w ** l
         return g * s / mp.factorial(k)
-    if len(A) < mu:
-        raise DomainError(
-            "evaluation inside the separation disk needs the full principal part "
-            f"(have J={len(A)}, need mu_n={mu})")
     if w == 0:
         return mp.mpc(1) if k == 0 else mp.mpc(0)
     g = lk_eval(lk, z)

@@ -229,13 +229,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, condition", [
         (["product", "eval", "--seq", "{seq}", "--N", "2", "--z=1+xi"],
-         "cannot parse complex number '1+xi'"),
+         "--z must be a number, got '1+xi'"),
         (["carleson", "residual", "--seq", "{seq}", "--N", "6",
           "--series", "{series}", "--grid", "0:1"], "expected 'lo:hi:steps'"),
         (["carleson", "residual", "--seq", "{seq}", "--N", "6",
           "--series", "{series}", "--grid", "0:1:1"], "needs steps >= 2"),
         (["carleson", "residual", "--seq", "{seq}", "--N", "6",
-          "--series", "{series}", "--grid", "a:1:3"], "expected 'lo:hi:steps'"),
+          "--series", "{series}", "--grid", "a:1:3"],
+         "--grid endpoint must be a real number, got 'a'"),
         (["run", "{list_config}"], "config must be a JSON object"),
         (["run", "{six_config}"], "config 'N' must be an integer"),
         (["analyze", "{seq}", "--N", "3"], "need N >= 6"),
@@ -317,9 +318,9 @@ class TestExitCodes:
         (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "2,1"],
          "need gamma < beta, got (2.0, 1.0)"),
         (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "0,nan"],
-         "interval endpoints must be finite"),
+         "interval endpoint must be finite"),
         (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "0,inf"],
-         "interval endpoints must be finite"),
+         "interval endpoint must be finite"),
         (["run", "{interval_config}"], "need gamma < beta, got (1.0, 0.0)"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
@@ -392,7 +393,7 @@ class TestExitCodes:
         if code:
             option = argv[-1].split("=")[0]
             assert err == (f"error: {option} must have modulus below 10^50 to be "
-                           "resolved at 50 digits, got 1.0e+999999; raise --digits\n")
+                           "resolved at 50 digits, got 1.0e+999999\n")
 
     @pytest.mark.parametrize("argv, digits", [
         (["analyze", "{seq}", "--N", "8", "--eps=1e999999"], 15),
@@ -404,7 +405,7 @@ class TestExitCodes:
         # digits of ln 2
         done = console_script([a.format(seq=seq_file) for a in argv])
         assert done.returncode == 3
-        assert done.stderr == (f"error: eps*|lambda_1|/mu_1 must be below 10^{digits} to "
+        assert done.stderr == (f"error: --eps must have modulus below 10^{digits} to "
                                f"be resolved at {digits} digits, got 1.0e+999999\n")
 
     @pytest.mark.parametrize("argv", [
@@ -429,8 +430,7 @@ class TestExitCodes:
         done = console_script([a.format(**paths) for a in argv])
         assert done.returncode == 3
         assert done.stderr == ("error: interval endpoint must have modulus below 10^120 "
-                               "to be resolved at 120 digits, got 1.0e+999999; "
-                               "raise --digits\n")
+                               "to be resolved at 120 digits, got 1.0e+999999\n")
         assert not bundle.exists()
 
     @pytest.mark.parametrize("action", ["eval", "abscissa"])
@@ -455,6 +455,74 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: EXPSPAN_MAX_DIM must be a positive integer, got {cap!r}\n"
+
+
+# every real or complex number option: (argv with the value at {value}, the name
+# its error gives, whether it takes a complex value)
+_NUMBER_OPTIONS = {
+    "product-z": (["product", "eval", "--seq", "{seq}", "--N", "2", "--z={value}"],
+                  "--z", True),
+    "lk-z": (["lk", "eval", "--seq", "{seq}", "--N", "4", "--interval", "0,1",
+              "--z={value}"], "--z", True),
+    "series-z": (["series", "eval", "--series", "{series}", "--z={value}"], "--z", True),
+    "analyze-eps": (["analyze", "{seq}", "--N", "8", "--eps={value}"], "--eps", False),
+    "lk-eps": (["lk", "lowerbound", "--seq", "{seq}", "--N", "8", "--interval", "0,1",
+                "--eps={value}"], "--eps", False),
+    "bound-eps": (["series", "bound", "--series", "{series}", "--beta", "1",
+                   "--eps={value}"], "--eps", False),
+    "beta": (["series", "bound", "--series", "{series}", "--beta={value}"], "--beta", False),
+    "lam": (["carleson", "apply", "--seq", "{seq}", "--N", "3", "--lam={value}"],
+            "--lam", True),
+    "x": (["carleson", "apply", "--seq", "{seq}", "--N", "3", "--lam", "1", "--x={value}"],
+          "--x", False),
+    "grid": (["carleson", "residual", "--seq", "{seq}", "--N", "6", "--series", "{series}",
+              "--grid=0:{value}:3"], "--grid endpoint", False),
+    "interval": (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval=0,{value}"],
+                 "interval endpoint", False),
+}
+
+
+@pytest.fixture
+def number_paths(tmp_path, seq_file):
+    series = {"seq": {"kind": "generator", "name": "squares", "terms": 8},
+              "sector": {"eta": "0", "beta": "1"},
+              "coeffs": [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]}
+    (tmp_path / "series.json").write_text(json.dumps(series))
+    return {"seq": seq_file, "series": str(tmp_path / "series.json")}
+
+
+class TestNumberOptions:
+    """One reader takes every number option: text that does not parse, a complex
+    value where a real one is needed, nan and inf exit 2; a modulus of 10^digits
+    or more exits 3 before any work is done."""
+
+    @pytest.mark.parametrize("option, value", [
+        (option, value) for option, (_, _, complex_) in _NUMBER_OPTIONS.items()
+        for value in ("nan", "inf", "-inf", "abc") + (() if complex_ else ("1e999999i",))])
+    def test_bad_number_is_config_error(self, capsys, number_paths, option, value):
+        argv, name, complex_ = _NUMBER_OPTIONS[option]
+        code = main([a.format(value=value, **number_paths) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        if value in ("nan", "inf", "-inf"):
+            assert err == f"error: {name} must be finite, got {value!r}\n"
+        else:
+            kind = "" if complex_ else "real "
+            assert err == f"error: {name} must be a {kind}number, got {value!r}\n"
+
+    @pytest.mark.parametrize("option, value, digits", [
+        *[(option, "1e999999i", 120)
+          for option, (_, _, complex_) in _NUMBER_OPTIONS.items() if complex_],
+        # each of these ran in mpmath's argument reduction until killed
+        ("lam", "1e999999", 120), ("beta", "1e999999", 120),
+        ("bound-eps", "1e999999", 120), ("grid", "1e999999", 15),
+    ])
+    def test_huge_number_is_precision_error(self, number_paths, option, value, digits):
+        argv, name, _ = _NUMBER_OPTIONS[option]
+        done = console_script([a.format(value=value, **number_paths) for a in argv])
+        assert done.returncode == 3
+        assert done.stderr == (f"error: {name} must have modulus below 10^{digits} to be "
+                               f"resolved at {digits} digits, got 1.0e+999999\n")
 
 
 class TestDeterminism:
@@ -520,6 +588,20 @@ class TestRunReports:
         assert code == 0
         obj = json.loads((tmp_path / "m" / "moment_solution.json").read_text())
         assert float(obj["residual_max"]) < 1e-40
+
+    def test_failing_growth_gate_is_domain_error(self, capsys, tmp_path):
+        # data growing like 10^(n^2) does not fit in the span on (0,1); `moment
+        # solve` answers "solved": false, and a bundle exits 5
+        rows = [[n, 0, f"1e{n * n}", "0"] for n in range(1, 9)]
+        cfg = {"kind": "moment",
+               "seq": {"kind": "generator", "name": "squares", "terms": 8},
+               "N": 6, "interval": "0,1", "data": rows, "out": str(tmp_path / "m")}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = main(["run", str(tmp_path / "cfg.json")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("error: fitted growth a=") and err.count("\n") == 1
+        assert not (tmp_path / "m").exists()
 
     def test_series_kind_requires_series(self, capsys, tmp_path):
         cfg = {"kind": "series",

@@ -8,7 +8,7 @@ from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, reference_fitted_separ
 
 import expspan
 from expspan import (ConfigError, FlatIndex, Interval, MultiplicitySequence,
-                     PrecisionContext, Sector, SequenceError, fixture,
+                     PrecisionContext, PrecisionError, Sector, SequenceError, fixture,
                      flat_position, flatten, sector_contains,
                      sequence_from_spec, validate_sequence)
 from expspan.core import nearest_gaps, separation_disks
@@ -196,6 +196,15 @@ class TestNearestGaps:
             nearest_gaps(seq, 3)
         with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
             separation_disks(seq, 3, "0.1")
+
+    def test_unresolvable_rate_is_precision_error(self):
+        # an eps the CLI accepts can still give an exponent eps |lambda_n| / mu_n
+        # of whose exponential no digit would be right
+        seq = fixture("squares", 8)
+        with pytest.raises(PrecisionError) as info:
+            separation_disks(seq, 8, "1e59")
+        assert str(info.value) == ("eps*|lambda_4|/mu_4 must be below 10^60 to be "
+                                   "resolved at 60 digits, got 1.6e+60")
 
     def test_one_frequency_has_no_gap(self):
         seq = fixture("squares", 8)

@@ -457,6 +457,16 @@ class TestGnk:
         with pytest.raises(DomainError):
             gnk_eval(lk, partial, 1, 0, z)
 
+    def test_outside_disk_needs_full_principal_part(self):
+        # the direct sum reads A_{k+1..mu_n}, so every k needs J = mu_n there too
+        seq = fixture("example_iv", 8, mu=3)
+        lk = lk_function(seq, Interval(0, 1), PrecisionContext(digits=120, trunc_N=8))
+        partial = laurent_coeffs(lk, 2, "0.1", 2, 32)  # J = 2 < mu_2 = 3
+        z = 1j * seq.lam(2) + 3 * partial.radius
+        for k in range(3):
+            with pytest.raises(DomainError, match=r"have J=2, need mu_n=3"):
+                gnk_eval(lk, partial, 2, k, z)
+
 
 class TestBlaschke:
     def test_zero_at_frequency(self, squares8):
