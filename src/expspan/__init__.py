@@ -17,7 +17,7 @@ from .gram import (BiorthogonalFamily, DomainSpec, GramSystem, biorthogonal,
                    dual_norms, gram_matrix, inner_product, mixed_completeness,
                    monomial_exp_integral, recover_coefficients)
 from .products import (LKFunction, LaurentCoeffs, ProductKind, blaschke_eval,
-                       derivative_factor, eval_product, gnk_eval,
+                       derivative_factors, eval_product, gnk_eval,
                        laurent_coeffs, lk_circle_minima, lk_eval, lk_function,
                        taylor_coeffs)
 from .series import (TaylorDirichletSeries, bound_check, load_series,

@@ -60,27 +60,35 @@ def exp_monomial_derivative(lam, k: int, m: int, x) -> mp.mpc:
     return total * mp.exp(lam * x)
 
 
-def apply_to_exponential(op: CarlesonOperator, lam, k: int, x,
-                         ctx: PrecisionContext) -> mp.mpc:
-    """Apply the operator to t^k e^(lam t) at x via the Leibniz expansion.
+def apply_to_exponential(op: CarlesonOperator, lam, k: int, xs,
+                         ctx: PrecisionContext) -> list[mp.mpc]:
+    """Apply the operator to t^k e^(lam t) at each point of xs via the Leibniz
+    expansion.
 
     Equals e^(lam x) sum_j (k!/(k-j)!) x^(k-j) F_poly^(j)(lam)/j!; for k=0
     this is the eigen-relation F(lam) e^(lam x), and for a truncated
-    frequency with k < mu_n the value vanishes to the precision floor.
+    frequency with k < mu_n the value vanishes to the precision floor.  The
+    table F_poly^(j)(lam)/j! is built once for all points, and only up to
+    j = degree: past it the derivatives of the polynomial are exact zeros.
     """
     with mp.workdps(ctx.digits + _GUARD):
         # mp.mpc(z) would round even an mpc z to the ambient precision
         lam = lam if isinstance(lam, mp.mpc) else mp.mpc(lam)
-        x = mp.mpc(x)
-        total = mp.mpc(0)
-        for j in range(k + 1):
+        ds = []
+        for j in range(min(k, op.degree) + 1):
             # F^(j)(lam)/j! by Horner on the shifted coefficient list
             dj = mp.mpc(0)
             for m in reversed(range(j, op.degree + 1)):
                 dj = dj * lam + op.fcoeffs[m] * math.comb(m, j)
-            total += math.perm(k, j) * x ** (k - j) * dj
-        val = total * mp.exp(lam * x)
-    return val
+            ds.append(dj)
+        out = []
+        for x in xs:
+            x = mp.mpc(x)
+            total = mp.mpc(0)
+            for j, dj in enumerate(ds):
+                total += math.perm(k, j) * x ** (k - j) * dj
+            out.append(total * mp.exp(lam * x))
+    return out
 
 
 @dataclass(frozen=True)
@@ -103,14 +111,14 @@ def residual_on_span(op: CarlesonOperator, s: TaylorDirichletSeries,
             f"series uses frequencies {[n for n in used if n > op.N]} beyond the "
             f"operator truncation N={op.N}; they are not annihilated")
     scale = max((abs(c) for c in s.coeffs.values()), default=mp.mpf(1))
-    worst = mp.mpf(0)
     pts = tuple(mp.mpf(x) for x in grid)
-    for x in pts:
-        acc = mp.mpc(0)
-        for idx, c in s.coeffs.items():
-            if c != 0:
-                acc += c * apply_to_exponential(op, s.seq.lam(idx.n), idx.k, x, ctx)
-        worst = max(worst, abs(acc))
+    # each point adds the coefficients in the order of s.coeffs
+    accs = [mp.mpc(0)] * len(pts)
+    for idx, c in s.coeffs.items():
+        if c != 0:
+            vals = apply_to_exponential(op, s.seq.lam(idx.n), idx.k, pts, ctx)
+            accs = [acc + c * v for acc, v in zip(accs, vals)]
+    worst = max((abs(acc) for acc in accs), default=mp.mpf(0))
     return ResidualReport(sup_residual=worst, scale=scale, grid=pts)
 
 

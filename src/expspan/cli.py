@@ -200,8 +200,8 @@ def _counterexample_obj(rep: carleson_mod.CounterexampleReport, dps: int) -> dic
 _Result = tuple[dict, tuple[list[str], list[list]] | None]
 
 def _cmd_analyze(args) -> _Result:
-    report = lambda_analysis.analyze(_load_seq(args), args.N,
-                                     _number(args.eps, "--eps", real=True))
+    report = lambda_analysis.analyze(load_sequence(args.seq, default_terms=args.terms),
+                                     args.terms, _number(args.eps, "--eps", real=True))
     dps = 30
     rows = [[n + 1] + [_num(v.ratios[n], dps)
                        for v in (report.geom_i, report.geom_ii, report.necessary)]
@@ -342,7 +342,7 @@ def _cmd_carleson(args) -> _Result:
         with mp.workdps(ctx.digits):
             lam = _number(args.lam, "--lam")
             x = _number(args.x, "--x", real=True)
-            val = carleson_mod.apply_to_exponential(op, lam, k, x, ctx)
+            val, = carleson_mod.apply_to_exponential(op, lam, k, [x], ctx)
         return _value_obj(val, args.dps), None
     # residual over a grid for a series file
     s = series_mod.load_series(args.series)
@@ -423,8 +423,8 @@ def _cmd_run(args) -> None:
     if kind in ("carleson", "full-report"):
         op = carleson_mod.carleson_operator(seq, N, ctx)
         grid = [interval.gamma + interval.length * (i + 1) / 11 for i in range(10)]
-        worst = max(abs(carleson_mod.apply_to_exponential(op, seq.lam(n), k, x, ctx))
-                    for n in range(1, N + 1) for k in range(seq.mu(n)) for x in grid)
+        worst = max(abs(v) for n in range(1, N + 1) for k in range(seq.mu(n))
+                    for v in carleson_mod.apply_to_exponential(op, seq.lam(n), k, grid, ctx))
         artifacts["carleson_annihilation.json"] = {
             "sup_annihilation_residual": _num(worst, 8), "degree": op.degree}
     if kind in ("counterexample", "full-report"):
@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="sequence class diagnostics")
     p.add_argument("seq", help="sequence spec JSON file")
-    p.add_argument("--N", type=int, default=12)
+    p.add_argument("--N", dest="terms", type=int, default=12)
     p.add_argument("--eps", default="0.1")
     p.add_argument("--csv", default=None, help="ratio table CSV path")
     p.add_argument("--out", default=None)
@@ -574,9 +574,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        for count in ("dps", "circles", "partitions"):
-            if hasattr(args, count):
-                _at_least(getattr(args, count), 1, f"--{count}")
+        # the --N of analyze and series is a prefix length (dest terms); elsewhere
+        # it is trunc_N, which PrecisionContext checks
+        for dest, option in (("dps", "--dps"), ("circles", "--circles"),
+                             ("partitions", "--partitions"), ("terms", "--N")):
+            if getattr(args, dest, None) is not None:
+                _at_least(getattr(args, dest), 1, option)
         # no digit past the working digits is right, and mp.nstr at a huge --dps hangs
         if hasattr(args, "dps") and args.dps > (digits := _ctx(args).digits):
             raise ConfigError(f"--dps must be <= the working digits {digits}, "

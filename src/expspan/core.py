@@ -6,8 +6,9 @@ modulus (ties broken by argument in (-pi, pi]).  The attached exponential
 system is {x^k e^(lambda_n x) : k < mu_n}; a flat index (n, k) addresses
 one element.  Everything downstream (products, Gram matrices, series,
 operators) is parameterised by a truncation prefix of the sequence and a
-PrecisionContext.  The nearest-gap scan and the separation disks built
-from it are here too, shared by the gap check and the contour quadrature.
+PrecisionContext.  The prefix table of moduli and pairwise distances, and
+the nearest gaps and separation disks read from it, are here too, shared by
+the sequence diagnostics and the contour quadrature.
 """
 
 from __future__ import annotations
@@ -246,22 +247,6 @@ class PrecisionContext:
             raise ConfigError("trunc_N must be >= 1")
 
 
-def nearest_gaps(seq: MultiplicitySequence, N: int) -> list[mp.mpf]:
-    """min_{k != n} |lambda_n - lambda_k| for n = 1..N; a zero gap is a SequenceError,
-    and N = 1, having no gap, a ConfigError."""
-    seq.check_prefix(N)
-    if N < 2:
-        raise ConfigError(f"need N >= 2 frequencies to take a gap, got N={N}")
-    gaps = []
-    for n in range(1, N + 1):
-        lam = seq.lam(n)
-        gap = min(abs(lam - seq.lam(k)) for k in range(1, N + 1) if k != n)
-        if gap == 0:
-            raise SequenceError(f"zero gap at n={n}: duplicate frequency")
-        gaps.append(gap)
-    return gaps
-
-
 @dataclass(frozen=True)
 class SeparationDisks:
     """The separation condition's disks about each lambda_n (or i lambda_n).
@@ -279,25 +264,77 @@ class SeparationDisks:
     radii_small: tuple
 
 
-def separation_disks(seq: MultiplicitySequence, N: int, eps) -> SeparationDisks:
-    """The prefix's separation disks, from one nearest-gap scan.  eps <= 0 is a
-    ConfigError; an exponent eps |lambda_n| / mu_n of at least 10^dps, of whose
-    exponential no digit would be right, a PrecisionError."""
+@dataclass(frozen=True)
+class PrefixTable:
+    """The moduli |lambda_n| and the distances |lambda_a - lambda_b| of a prefix,
+    at the working precision that built them; index n-1 holds lambda_n.
+
+    dist is symmetric with a zero diagonal.  Each unordered pair is subtracted
+    once: a - b = -(b - a) under round-to-nearest and |.| is even, so the other
+    order would read the same bits.
+    """
+
+    seq: MultiplicitySequence
+    moduli: tuple
+    dist: tuple
+
+    @property
+    def N(self) -> int:
+        return len(self.moduli)
+
+    def nearest_gaps(self) -> list[mp.mpf]:
+        """min_{k != n} |lambda_n - lambda_k| for n = 1..N; a zero gap is a
+        SequenceError, and N = 1, having no gap, a ConfigError."""
+        if self.N < 2:
+            raise ConfigError(f"need N >= 2 frequencies to take a gap, got N={self.N}")
+        gaps = []
+        for n, row in enumerate(self.dist, 1):
+            gap = min(d for k, d in enumerate(row, 1) if k != n)
+            if gap == 0:
+                raise SequenceError(f"zero gap at n={n}: duplicate frequency")
+            gaps.append(gap)
+        return gaps
+
+    def separation_disks(self, eps) -> SeparationDisks:
+        """The prefix's separation disks, from the nearest gaps.  eps <= 0 is a
+        ConfigError; an exponent eps |lambda_n| / mu_n of at least 10^dps, of whose
+        exponential no digit would be right, a PrecisionError."""
+        eps = mp.mpf(eps)
+        if not eps > 0:
+            raise ConfigError("eps must be positive")
+        rates = [eps * mod / self.seq.mu(n) for n, mod in enumerate(self.moduli, 1)]
+        dps = mp.mp.dps
+        limit = mp.mpf(10) ** dps
+        for n, x in enumerate(rates, 1):
+            if x >= limit:
+                raise PrecisionError(
+                    f"eps*|lambda_{n}|/mu_{n} must be below 10^{dps} to be resolved at "
+                    f"{dps} digits, got {mp.nstr(x, 5)}")
+        gaps = self.nearest_gaps()
+        m = min(gap * mp.exp(x) for gap, x in zip(gaps, rates))
+        decay = [mp.exp(-x) for x in rates]
+        return SeparationDisks(eps=eps, gaps=tuple(gaps), fitted_m=m,
+                               radii_large=tuple(m / 2 * d for d in decay),
+                               radii_small=tuple(m / 6 * d for d in decay))
+
+
+def prefix_table(seq: MultiplicitySequence, N: int) -> PrefixTable:
+    """The moduli and pairwise distances of the prefix, one subtraction per pair."""
     seq.check_prefix(N)
-    eps = mp.mpf(eps)
-    if not eps > 0:
-        raise ConfigError("eps must be positive")
-    rates = [eps * abs(seq.lam(n)) / seq.mu(n) for n in range(1, N + 1)]
-    dps = mp.mp.dps
-    limit = mp.mpf(10) ** dps
-    for n, x in enumerate(rates, 1):
-        if x >= limit:
-            raise PrecisionError(
-                f"eps*|lambda_{n}|/mu_{n} must be below 10^{dps} to be resolved at "
-                f"{dps} digits, got {mp.nstr(x, 5)}")
-    gaps = nearest_gaps(seq, N)
-    m = min(gap * mp.exp(x) for gap, x in zip(gaps, rates))
-    decay = [mp.exp(-x) for x in rates]
-    return SeparationDisks(eps=eps, gaps=tuple(gaps), fitted_m=m,
-                           radii_large=tuple(m / 2 * d for d in decay),
-                           radii_small=tuple(m / 6 * d for d in decay))
+    lams = [seq.lam(n) for n in range(1, N + 1)]
+    dist = [[mp.mpf(0)] * N for _ in range(N)]
+    for a in range(N):
+        for b in range(a + 1, N):
+            dist[a][b] = dist[b][a] = abs(lams[a] - lams[b])
+    return PrefixTable(seq=seq, moduli=tuple(abs(lam) for lam in lams),
+                       dist=tuple(map(tuple, dist)))
+
+
+def nearest_gaps(seq: MultiplicitySequence, N: int) -> list[mp.mpf]:
+    """The prefix's nearest gaps; see PrefixTable.nearest_gaps."""
+    return prefix_table(seq, N).nearest_gaps()
+
+
+def separation_disks(seq: MultiplicitySequence, N: int, eps) -> SeparationDisks:
+    """The prefix's separation disks; see PrefixTable.separation_disks."""
+    return prefix_table(seq, N).separation_disks(eps)

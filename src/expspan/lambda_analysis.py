@@ -2,10 +2,11 @@
 
 Decides, at desk scale, whether a sequence plausibly satisfies the
 convergence condition (A), the sector condition (B), the two geometric
-counting conditions, the gap condition (the disks of `core.separation_disks`,
-checked here to be disjoint), and whether the condensation index vanishes.  Asymptotic statements are
-untestable on a prefix, so every verdict is a trend heuristic that carries
-the raw ratio evidence it was derived from.
+counting conditions, the gap condition (the separation disks of the prefix
+table, checked here to be disjoint), and whether the condensation index
+vanishes.  Asymptotic statements are untestable on a prefix, so every
+verdict is a trend heuristic that carries the raw ratio evidence it was
+derived from.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .core import MultiplicitySequence, SeparationDisks, separation_disks
+from .core import MultiplicitySequence, PrefixTable, SeparationDisks, prefix_table
 from .errors import ConfigError, SequenceError
 from . import products
 
@@ -69,13 +70,19 @@ def trend_verdict(ratios: list) -> TrendVerdict:
 
 # -- counting functions -------------------------------------------------------
 
+# Each public (seq, N) function builds the prefix table and calls its worker;
+# `analyze` builds the table once and calls the workers itself.
+
 def counting(seq: MultiplicitySequence, N: int, t) -> int:
     """n(t): total multiplicity of frequencies with |lambda_n| <= t."""
-    seq.check_prefix(N)
+    return _counting(prefix_table(seq, N), t)
+
+
+def _counting(tab: PrefixTable, t) -> int:
     t = mp.mpf(t)
     if not t > 0:
         raise ConfigError("t must be positive")
-    return sum(seq.mu(n) for n in range(1, N + 1) if abs(seq.lam(n)) <= t)
+    return sum(tab.seq.mu(n) for n, mod in enumerate(tab.moduli, 1) if mod <= t)
 
 
 def counting_about(seq: MultiplicitySequence, N: int, z0, t) -> int:
@@ -93,15 +100,17 @@ def integrated_counting(seq: MultiplicitySequence, N: int, r) -> mp.mpf:
     frequencies are nonzero), so the integral collapses to
     sum_{|lambda_n| <= r} mu_n log(r / |lambda_n|).
     """
-    seq.check_prefix(N)
+    return _integrated_counting(prefix_table(seq, N), r)
+
+
+def _integrated_counting(tab: PrefixTable, r) -> mp.mpf:
     r = mp.mpf(r)
     if not r > 0:
         raise ConfigError("r must be positive")
     total = mp.mpf(0)
-    for n in range(1, N + 1):
-        m = abs(seq.lam(n))
+    for n, m in enumerate(tab.moduli, 1):
         if m <= r:
-            total += seq.mu(n) * mp.log(r / m)
+            total += tab.seq.mu(n) * mp.log(r / m)
     return total
 
 
@@ -111,18 +120,18 @@ def integrated_about(seq: MultiplicitySequence, N: int, n: int) -> mp.mpf:
     Equals sum over 0 < |lambda_n - lambda_k| <= |lambda_n| of
     mu_k log|lambda_n / (lambda_n - lambda_k)| plus mu_n log|lambda_n|.
     """
-    seq.check_prefix(N)
+    tab = prefix_table(seq, N)
     if not 1 <= n <= N:
         raise ConfigError(f"n={n} outside prefix 1..{N}")
-    lam = seq.lam(n)
-    r = abs(lam)
-    total = seq.mu(n) * mp.log(r)
-    for k in range(1, N + 1):
-        if k == n:
-            continue
-        d = abs(lam - seq.lam(k))
-        if 0 < d <= r:
-            total += seq.mu(k) * mp.log(r / d)
+    return _integrated_about(tab, n)
+
+
+def _integrated_about(tab: PrefixTable, n: int) -> mp.mpf:
+    r = tab.moduli[n - 1]
+    total = tab.seq.mu(n) * mp.log(r)
+    for k, d in enumerate(tab.dist[n - 1], 1):
+        if k != n and 0 < d <= r:
+            total += tab.seq.mu(k) * mp.log(r / d)
     return total
 
 
@@ -163,13 +172,14 @@ def condition_a_partials(seq: MultiplicitySequence, N: int) -> PartialSumReport:
 
 def geometric_conditions(seq: MultiplicitySequence, N: int) -> tuple[TrendVerdict, TrendVerdict]:
     """Trend verdicts for N(r)/r at r = |lambda_j| and N(|lambda_n|, lambda_n)/|lambda_n|."""
-    seq.check_prefix(N)
-    if N < 6:
+    return _geometric_conditions(prefix_table(seq, N))
+
+
+def _geometric_conditions(tab: PrefixTable) -> tuple[TrendVerdict, TrendVerdict]:
+    if tab.N < 6:
         raise ConfigError("need N >= 6 for a meaningful trend")
-    ratios_i = [integrated_counting(seq, N, abs(seq.lam(j))) / abs(seq.lam(j))
-                for j in range(1, N + 1)]
-    ratios_ii = [integrated_about(seq, N, n) / abs(seq.lam(n))
-                 for n in range(1, N + 1)]
+    ratios_i = [_integrated_counting(tab, m) / m for m in tab.moduli]
+    ratios_ii = [_integrated_about(tab, n) / m for n, m in enumerate(tab.moduli, 1)]
     return trend_verdict(ratios_i), trend_verdict(ratios_ii)
 
 
@@ -183,10 +193,11 @@ def necessary_condition(seq: MultiplicitySequence, N: int) -> TrendVerdict:
 
 def density_trend(seq: MultiplicitySequence, N: int) -> TrendVerdict:
     """Trend of the raw counting ratio n(t)/t at t = |lambda_j| (density zero)."""
-    seq.check_prefix(N)
-    ratios = [mp.mpf(counting(seq, N, abs(seq.lam(j)))) / abs(seq.lam(j))
-              for j in range(1, N + 1)]
-    return trend_verdict(ratios)
+    return _density_trend(prefix_table(seq, N))
+
+
+def _density_trend(tab: PrefixTable) -> TrendVerdict:
+    return trend_verdict([mp.mpf(_counting(tab, m)) / m for m in tab.moduli])
 
 
 # -- gap condition and separation disks ---------------------------------------
@@ -194,11 +205,15 @@ def density_trend(seq: MultiplicitySequence, N: int) -> TrendVerdict:
 def gap_check(seq: MultiplicitySequence, N: int, eps) -> SeparationDisks:
     """The prefix's separation disks, once the large disks are checked to be
     pairwise disjoint; an overlap is a SequenceError."""
-    disks = separation_disks(seq, N, eps)
+    return _gap_check(prefix_table(seq, N), eps)
+
+
+def _gap_check(tab: PrefixTable, eps) -> SeparationDisks:
+    disks = tab.separation_disks(eps)
     large = disks.radii_large
-    for a in range(N):
-        for b in range(a + 1, N):
-            if abs(seq.lam(a + 1) - seq.lam(b + 1)) < large[a] + large[b]:
+    for a, row in enumerate(tab.dist):
+        for b in range(a + 1, tab.N):
+            if row[b] < large[a] + large[b]:
                 raise SequenceError("separation disks overlap despite the fitted "
                                     "constant; the fit is inconsistent")
     return disks
@@ -238,7 +253,7 @@ def condensation_index(seq: MultiplicitySequence, N: int) -> CondensationReport:
     sequences with all multiplicities equal to one.
 
     Works at the caller's precision plus _CONDENSATION_GUARD digits, however
-    close two frequencies are: `products.derivative_factor` forms each factor
+    close two frequencies are: `products.derivative_factors` forms each factor
     from sums and differences of the stored frequencies, which are correctly
     rounded, so a near-duplicate pair cancels nothing.  The product then has a
     relative error of a few N ulps and the log is well conditioned.
@@ -252,11 +267,9 @@ def condensation_index(seq: MultiplicitySequence, N: int) -> CondensationReport:
     for n, lam in enumerate(lams, 1):
         if lams.count(lam) > 1:
             raise SequenceError(f"zero gap at n={n}: duplicate frequency")
-    ratios = []
     with mp.workdps(mp.mp.dps + _CONDENSATION_GUARD):
-        for n in range(1, N + 1):
-            dval = products.derivative_factor(seq, N, n, kind=products.ProductKind.F_EVEN)
-            ratios.append(-mp.log(abs(dval)) / abs(seq.lam(n)))
+        dvals = products.derivative_factors(seq, N, kind=products.ProductKind.F_EVEN)
+        ratios = [-mp.log(abs(dval)) / abs(lam) for dval, lam in zip(dvals, lams)]
     tail = ratios[N // 2:]
     return CondensationReport(chat=max(tail), ratios=tuple(ratios))
 
@@ -291,10 +304,11 @@ def analyze(seq: MultiplicitySequence, N: int, eps) -> ClassReport:
     seq.check_prefix(N)
     cond_a = condition_a_partials(seq, N)
     eta_hat = seq.max_arg(N)
-    geom_i, geom_ii = geometric_conditions(seq, N)
+    tab = prefix_table(seq, N)
+    geom_i, geom_ii = _geometric_conditions(tab)
     nec = necessary_condition(seq, N)
-    dens = density_trend(seq, N)
-    gap = gap_check(seq, N, eps)
+    dens = _density_trend(tab)
+    gap = _gap_check(tab, eps)
     delta = separation_search(seq, gap.gaps)
     cond = None
     if all(seq.mu(n) == 1 for n in range(1, N + 1)) and N >= 6:

@@ -67,9 +67,10 @@ def eval_product(kind: ProductKind, seq: MultiplicitySequence, N: int, z) -> mp.
     return acc
 
 
-def derivative_factor(seq: MultiplicitySequence, N: int, n: int,
-                      kind: ProductKind = ProductKind.F_PLAIN) -> mp.mpc:
-    """Removed-factor value of F^(mu_n)(lambda_n) / mu_n! for the truncated product.
+def derivative_factors(seq: MultiplicitySequence, N: int,
+                       kind: ProductKind = ProductKind.F_PLAIN) -> list[mp.mpc]:
+    """Removed-factor values F^(mu_n)(lambda_n) / mu_n! of the truncated product,
+    n = 1..N, from one pairwise sweep.
 
     F_PLAIN: (-1/lambda_n)^mu_n * prod_{j != n} ((lambda_j - lambda_n)/lambda_j)^mu_j
     F_EVEN:  (-2/lambda_n)^mu_n *
@@ -80,23 +81,44 @@ def derivative_factor(seq: MultiplicitySequence, N: int, n: int,
     frequencies is correctly rounded at any precision, so a near-duplicate
     pair costs no digits and every factor, and the product, carries a
     relative error of a few ulps per factor at the working precision.  No
-    numerical differentiation is involved; for a valid sequence the value
-    is never zero because every remaining factor is nonzero.
+    numerical differentiation is involved; for a valid sequence no value is
+    zero because every remaining factor is nonzero.
+
+    Each unordered pair's numerator is computed once and the other order
+    takes its negation, which is exact: a - b = -(b - a) and a + b = b + a
+    bit for bit under round-to-nearest.  The denominators lambda_j (or
+    lambda_j^2) are computed once each.
     """
+    seq.check_prefix(N)
+    if kind not in (ProductKind.F_PLAIN, ProductKind.F_EVEN):
+        raise ConfigError("removed-factor derivative defined for F_PLAIN and F_EVEN")
+    even = kind is ProductKind.F_EVEN
+    lams = [seq.lam(n) for n in range(1, N + 1)]
+    dens = [lam * lam for lam in lams] if even else lams
+    # num[n][j]: numerator of lambda_j's factor in the value at lambda_n
+    num = [[None] * N for _ in range(N)]
+    for n in range(N):
+        for j in range(n + 1, N):
+            diff = lams[j] - lams[n]
+            num[n][j] = diff * (lams[j] + lams[n]) if even else diff
+            num[j][n] = -num[n][j]
+    out = []
+    for n, lam in enumerate(lams):
+        acc = ((-2 if even else -1) / lam) ** seq.mu(n + 1)
+        for j, den in enumerate(dens):
+            if j != n:
+                acc *= (num[n][j] / den) ** seq.mu(j + 1)
+        out.append(acc)
+    return out
+
+
+def derivative_factor(seq: MultiplicitySequence, N: int, n: int,
+                      kind: ProductKind = ProductKind.F_PLAIN) -> mp.mpc:
+    """The n-th of `derivative_factors`; bench/spans.py traces this name."""
     seq.check_prefix(N)
     if not 1 <= n <= N:
         raise ConfigError(f"n={n} outside prefix 1..{N}")
-    if kind not in (ProductKind.F_PLAIN, ProductKind.F_EVEN):
-        raise ConfigError("removed-factor derivative defined for F_PLAIN and F_EVEN")
-    lam, mu = seq.lam(n), seq.mu(n)
-    even = kind is ProductKind.F_EVEN
-    acc = ((-2 if even else -1) / lam) ** mu
-    for j in range(1, N + 1):
-        if j != n:
-            lj = seq.lam(j)
-            factor = (lj - lam) * (lj + lam) / (lj * lj) if even else (lj - lam) / lj
-            acc *= factor ** seq.mu(j)
-    return acc
+    return derivative_factors(seq, N, kind)[n - 1]
 
 
 def _factor_coeffs(kind: ProductKind, lam, mu: int) -> list[mp.mpc]:

@@ -1,9 +1,10 @@
+import math
 import random
 
 import mpmath as mp
 import pytest
 
-from expspan import (CapError, DomainError, FlatIndex, Interval, MultiplicitySequence,
+from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, PrecisionError, ProductKind, SequenceError,
                      fixture, flatten, gram, list_fixtures)
 
@@ -277,3 +278,95 @@ def walked_gram_matrix(seq, N, dom, ctx):
                 f"(condition estimate {mp.nstr(last_cond, 5)}); "
                 "raise ctx.digits")
         digits = min(2 * digits, 4 * ctx.digits)
+
+
+# -- the analyzer's and the Carleson operator's loops before they shared tables --
+# Verbatim copies (bar the names) of the per-point, per-n and per-pair loops
+# that recomputed each derivative table, removed factor, modulus and distance,
+# so the tests can check the shared sweeps bit for bit.  The gap check's pair
+# test is the loop at the end of `reference_gap_check`.
+
+def per_point_apply_to_exponential(op, lam, k: int, x, ctx) -> mp.mpc:
+    """Apply the operator to t^k e^(lam t) at x via the Leibniz expansion."""
+    with mp.workdps(ctx.digits + _GUARD):
+        # mp.mpc(z) would round even an mpc z to the ambient precision
+        lam = lam if isinstance(lam, mp.mpc) else mp.mpc(lam)
+        x = mp.mpc(x)
+        total = mp.mpc(0)
+        for j in range(k + 1):
+            # F^(j)(lam)/j! by Horner on the shifted coefficient list
+            dj = mp.mpc(0)
+            for m in reversed(range(j, op.degree + 1)):
+                dj = dj * lam + op.fcoeffs[m] * math.comb(m, j)
+            total += math.perm(k, j) * x ** (k - j) * dj
+        val = total * mp.exp(lam * x)
+    return val
+
+
+def per_n_derivative_factor(seq, N, n, kind=ProductKind.F_PLAIN) -> mp.mpc:
+    """Removed-factor value of F^(mu_n)(lambda_n) / mu_n! for the truncated product."""
+    seq.check_prefix(N)
+    if not 1 <= n <= N:
+        raise ConfigError(f"n={n} outside prefix 1..{N}")
+    if kind not in (ProductKind.F_PLAIN, ProductKind.F_EVEN):
+        raise ConfigError("removed-factor derivative defined for F_PLAIN and F_EVEN")
+    lam, mu = seq.lam(n), seq.mu(n)
+    even = kind is ProductKind.F_EVEN
+    acc = ((-2 if even else -1) / lam) ** mu
+    for j in range(1, N + 1):
+        if j != n:
+            lj = seq.lam(j)
+            factor = (lj - lam) * (lj + lam) / (lj * lj) if even else (lj - lam) / lj
+            acc *= factor ** seq.mu(j)
+    return acc
+
+
+def reference_counting(seq, N, t) -> int:
+    """n(t): total multiplicity of frequencies with |lambda_n| <= t."""
+    seq.check_prefix(N)
+    t = mp.mpf(t)
+    if not t > 0:
+        raise ConfigError("t must be positive")
+    return sum(seq.mu(n) for n in range(1, N + 1) if abs(seq.lam(n)) <= t)
+
+
+def reference_integrated_counting(seq, N, r) -> mp.mpf:
+    """N(r) = sum_{|lambda_n| <= r} mu_n log(r / |lambda_n|)."""
+    seq.check_prefix(N)
+    r = mp.mpf(r)
+    if not r > 0:
+        raise ConfigError("r must be positive")
+    total = mp.mpf(0)
+    for n in range(1, N + 1):
+        m = abs(seq.lam(n))
+        if m <= r:
+            total += seq.mu(n) * mp.log(r / m)
+    return total
+
+
+def reference_integrated_about(seq, N, n) -> mp.mpf:
+    """N(|lambda_n|, lambda_n) over the truncated prefix."""
+    seq.check_prefix(N)
+    if not 1 <= n <= N:
+        raise ConfigError(f"n={n} outside prefix 1..{N}")
+    lam = seq.lam(n)
+    r = abs(lam)
+    total = seq.mu(n) * mp.log(r)
+    for k in range(1, N + 1):
+        if k == n:
+            continue
+        d = abs(lam - seq.lam(k))
+        if 0 < d <= r:
+            total += seq.mu(k) * mp.log(r / d)
+    return total
+
+
+def reference_trend_ratios(seq, N):
+    """The ratio lists of geometric conditions (i) and (ii) and of the density trend."""
+    ratios_i = [reference_integrated_counting(seq, N, abs(seq.lam(j))) / abs(seq.lam(j))
+                for j in range(1, N + 1)]
+    ratios_ii = [reference_integrated_about(seq, N, n) / abs(seq.lam(n))
+                 for n in range(1, N + 1)]
+    density = [mp.mpf(reference_counting(seq, N, abs(seq.lam(j)))) / abs(seq.lam(j))
+               for j in range(1, N + 1)]
+    return ratios_i, ratios_ii, density

@@ -2,7 +2,8 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import (bits, jittered_mu3, reference_apply_to_exponential,
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, decaying_coeffs, jittered_mu3,
+                      per_point_apply_to_exponential, reference_apply_to_exponential,
                       reference_exp_monomial_derivative)
 
 from expspan import (DomainError, FlatIndex, Interval, PrecisionContext,
@@ -37,7 +38,7 @@ class TestOperator:
         op, ctx = op6
         floor = mp.mpf(10) ** (-ctx.digits + 20)
         for n in range(1, 7):
-            val = apply_to_exponential(op, squares12.lam(n), 0, mp.mpf("0.7"), ctx)
+            val, = apply_to_exponential(op, squares12.lam(n), 0, [mp.mpf("0.7")], ctx)
             assert abs(val) < floor
 
     def test_annihilates_monomial_weights(self, op_mult):
@@ -45,7 +46,7 @@ class TestOperator:
         floor = mp.mpf(10) ** (-ctx.digits + 20)
         for n in range(1, 4):
             for k in range(seq.mu(n)):
-                val = apply_to_exponential(op, seq.lam(n), k, mp.mpf("0.3"), ctx)
+                val, = apply_to_exponential(op, seq.lam(n), k, [mp.mpf("0.3")], ctx)
                 assert abs(val) < floor, (n, k)
 
     def test_eigenvalue_identity(self, op6, squares12):
@@ -55,7 +56,7 @@ class TestOperator:
             for _ in range(10):
                 lam = mp.mpc(rng.uniform(-8, 8), rng.uniform(-8, 8))
                 x = mp.mpf(rng.uniform(0, 1))
-                got = apply_to_exponential(op, lam, 0, x, ctx)
+                got, = apply_to_exponential(op, lam, 0, [x], ctx)
                 want = (eval_product(ProductKind.F_PLAIN, squares12, 6, lam)
                         * mp.exp(lam * x))
                 assert abs(got - want) < mp.mpf(10) ** (-ctx.digits // 2)
@@ -63,7 +64,7 @@ class TestOperator:
     def test_off_spectrum_value_at_origin(self, op6, squares12):
         op, ctx = op6
         lam = mp.mpf("2.5")
-        got = apply_to_exponential(op, lam, 0, 0, ctx)
+        got, = apply_to_exponential(op, lam, 0, [0], ctx)
         want = eval_product(ProductKind.F_PLAIN, squares12, 6, lam)
         assert abs(got - want) < mp.mpf("1e-60")
 
@@ -102,8 +103,8 @@ class TestExactIntegers:
             op = carleson_operator(seq, seq.size, ctx)
             for n in range(1, seq.size + 1):
                 for k in range(seq.mu(n)):
-                    for x in (mp.mpf("0.3"), mp.mpf("-0.7")):
-                        got = apply_to_exponential(op, seq.lam(n), k, x, ctx)
+                    xs = (mp.mpf("0.3"), mp.mpf("-0.7"))
+                    for x, got in zip(xs, apply_to_exponential(op, seq.lam(n), k, xs, ctx)):
                         want = reference_apply_to_exponential(op, seq.lam(n), k, x, ctx)
                         assert bits([got.real, got.imag]) == bits([want.real, want.imag])
 
@@ -126,8 +127,51 @@ class TestExactIntegers:
             ctx = PrecisionContext(digits=120, trunc_N=6)
             op = carleson_operator(seq, 6, ctx)
             for n in range(1, 7):
-                val = apply_to_exponential(op, seq.lam(n), 0, mp.mpf("0.5"), ctx)
+                val, = apply_to_exponential(op, seq.lam(n), 0, [mp.mpf("0.5")], ctx)
                 assert abs(val) < mp.mpf("1e-100"), n
+
+
+class TestSharedDerivativeTable:
+    """One table F^(j)(lam)/j! per application, cut at the degree, gives every
+    point the per-point value bit for bit."""
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("terms", FIXTURE_TERMS)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["jittered_mu3"])
+    def test_matches_per_point_bit_for_bit(self, name, terms, dps):
+        with mp.workdps(dps):
+            seq = jittered_mu3(terms, 0) if name == "jittered_mu3" else fixture(name, terms)
+            # the longest prefix of at most 6 frequencies whose degree is at most 20
+            N = max(n for n in range(1, min(seq.size, 6) + 1)
+                    if seq.total_multiplicity(n) <= 20)
+            ctx = PrecisionContext(digits=50, trunc_N=N)
+            op = carleson_operator(seq, N, ctx)
+            xs = (mp.mpf("0.3"), mp.mpf("-0.7"), mp.mpf(2) / 3)
+            # the frequency past the prefix, where there is one, is off the spectrum
+            for n in range(1, min(N + 1, seq.size) + 1):
+                for k in sorted({0, seq.mu(n) - 1, op.degree + 1}):
+                    got = apply_to_exponential(op, seq.lam(n), k, xs, ctx)
+                    assert len(got) == len(xs)
+                    for x, val in zip(xs, got):
+                        want = per_point_apply_to_exponential(op, seq.lam(n), k, x, ctx)
+                        assert bits([val.real, val.imag]) == bits([want.real, want.imag])
+
+    def test_residual_matches_per_point_sums(self):
+        seq = jittered_mu3(5, 1)
+        ctx = PrecisionContext(digits=50, trunc_N=5)
+        op = carleson_operator(seq, 5, ctx)
+        s = TaylorDirichletSeries(seq=seq, coeffs=decaying_coeffs(seq),
+                                  claimed_sector=Sector(0, 1))
+        grid = [mp.mpf(i) / 7 for i in range(1, 7)]
+        worst = mp.mpf(0)
+        for x in grid:
+            acc = mp.mpc(0)
+            for idx, c in s.coeffs.items():
+                if c != 0:
+                    acc += c * per_point_apply_to_exponential(op, seq.lam(idx.n), idx.k,
+                                                              x, ctx)
+            worst = max(worst, abs(acc))
+        assert bits(residual_on_span(op, s, grid, ctx).sup_residual) == bits(worst)
 
 
 class TestResidualOnSpan:

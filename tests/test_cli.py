@@ -8,7 +8,8 @@ import mpmath as mp
 import pytest
 
 import expspan
-from expspan import Interval, PrecisionContext, load_sequence, lk_eval, lk_function
+from expspan import (Interval, PrecisionContext, ProductKind, eval_product,
+                     load_sequence, lk_eval, lk_function)
 from expspan.cli import main
 
 
@@ -157,6 +158,25 @@ class TestBasicCommands:
         assert code == 0
         assert float(json.loads(out)["sup_residual"]) < 1e-30
 
+    def test_carleson_apply_huge_k(self, seq_file):
+        # F^(j)(lambda)/j! vanishes past the degree 4, so k = 10^8 sums five terms;
+        # oracle: e^(x) sum_j k!/(k-j)! x^(k-j) F^(j)(1)/j!, F's Taylor
+        # coefficients at 1 by mpmath's numerical differentiation.  The value
+        # is printed from its 53-bit rounding (ROADMAP item 7), so 14 digits
+        # are compared
+        k, x = 100000000, mp.mpf("0.5")
+        done = console_script(["carleson", "apply", "--seq", seq_file, "--N", "4",
+                               "--lam", "1", "--x", "0.5", "--k", str(k)])
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        seq = load_sequence(seq_file)
+        with mp.workdps(80):
+            taylor = mp.taylor(lambda z: eval_product(ProductKind.F_PLAIN, seq, 4, z), 1, 4)
+            want = mp.exp(x) * sum(mp.ff(k, j) * x ** (k - j) * d
+                                   for j, d in enumerate(taylor))
+            assert abs(mp.mpf(got["value_re"]) / want - 1) < mp.mpf("1e-14")
+        assert got["value_im"] == "0.0"
+
 
 def console_script(argv):
     """The CLI in a fresh process, as the console script runs it at mpmath's
@@ -296,6 +316,8 @@ class TestExitCodes:
          "digits=0 below floor 50"),
         (["lk", "eval", "--seq", "{seq}", "--N", "0", "--interval", "0,1", "--z", "1"],
          "trunc_N must be >= 1"),
+        (["analyze", "{seq}", "--N", "0"], "--N must be >= 1, got 0"),
+        (["analyze", "{seq}", "--N", "-1"], "--N must be >= 1, got -1"),
         # a count below 1 would print an empty result
         (["lk", "lowerbound", "--seq", "{seq}", "--N", "8", "--interval", "0,1",
           "--circles", "-3"], "--circles must be >= 1, got -3"),
@@ -330,7 +352,8 @@ class TestExitCodes:
             "moment-N", "series-index", "config-moment-N", "config-series-N",
             "analyze-eps-nan", "analyze-eps-inf", "lk-eps-nan", "lk-eps-minus-inf",
             "bound-eps-nan", "bound-eps-inf", "bound-beta-nan", "gram-digits-zero",
-            "series-digits-zero", "lk-N-zero", "lk-circles-negative", "lk-circles-zero",
+            "series-digits-zero", "lk-N-zero", "analyze-N-zero", "analyze-N-negative",
+            "lk-circles-negative", "lk-circles-zero",
             "gram-partitions-negative", "gram-dps-above-digits",
             "product-dps-above-digits", "series-dps-above-digits",
             "counterexample-dps-above-digits", "interval-empty", "interval-reversed",
@@ -437,6 +460,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("N", ["0", "99"])
     def test_series_prefix_out_of_range_is_sequence_error(self, capsys, tmp_path,
                                                          action, N):
+        # a prefix length below 1 is a bad option, one past the series a bad sequence
         rows = [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]
         path = tmp_path / "series.json"
         path.write_text(json.dumps({
@@ -444,9 +468,14 @@ class TestExitCodes:
             "sector": {"eta": "0", "beta": "1"}, "coeffs": rows}))
         argv = ["series", action, "--series", str(path), "--N", N]
         code = main(argv + (["--z", "0"] if action == "eval" else []))
-        assert code == 6
-        assert capsys.readouterr().err == (f"error: prefix length N={N} out of range "
-                                           "1..8 for sequence squares(8)\n")
+        err = capsys.readouterr().err
+        if N == "0":
+            assert code == 2
+            assert err == "error: --N must be >= 1, got 0\n"
+        else:
+            assert code == 6
+            assert err == (f"error: prefix length N={N} out of range 1..8 for sequence "
+                           "squares(8)\n")
 
     @pytest.mark.parametrize("cap", ["abc", "0"])
     def test_bad_max_dim_is_config_error(self, capsys, seq_file, monkeypatch, cap):

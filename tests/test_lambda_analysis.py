@@ -3,7 +3,8 @@ import random
 import mpmath as mp
 import pytest
 from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_factor,
-                      reference_gap_check, reference_separation_search)
+                      per_n_derivative_factor, reference_counting, reference_gap_check,
+                      reference_separation_search, reference_trend_ratios)
 
 from expspan import MultiplicitySequence, SequenceError, core, fixture
 from expspan.core import nearest_gaps
@@ -241,17 +242,18 @@ class TestCondensation:
 
     @pytest.mark.parametrize("dps", [15, 60])
     def test_no_precision_escalation(self, dps, monkeypatch):
+        # one sweep for all 16 removed factors, at no more than dps + 20 digits
         seen = []
-        original = products.derivative_factor
+        original = products.derivative_factors
 
         def recording(*args, **kwargs):
             seen.append(mp.mp.dps)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(products, "derivative_factor", recording)
+        monkeypatch.setattr(products, "derivative_factors", recording)
         with mp.workdps(dps):
             la.condensation_index(fixture("carleson_counterexample", 8), 16)
-        assert len(seen) == 16
+        assert len(seen) == 1
         assert max(seen) <= dps + 20
 
     def test_duplicate_frequency_rejected(self):
@@ -269,6 +271,43 @@ class TestCondensation:
             assert (chat < mp.mpf("0.3")) == gii.passed
 
 
+class TestSharedTable:
+    """One prefix table and one removed-factor sweep give the ratios, counts and
+    condensation index of the per-n and per-pair loops bit for bit."""
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("terms", FIXTURE_TERMS)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_matches_per_n_loops_bit_for_bit(self, name, terms, dps):
+        with mp.workdps(dps):
+            seq = fixture(name, terms)
+            N = seq.size
+            want_i, want_ii, want_density = reference_trend_ratios(seq, N)
+            gi, gii = la.geometric_conditions(seq, N)
+            density = la.density_trend(seq, N)
+            assert bits(gi.ratios) == bits(want_i)
+            assert bits(gii.ratios) == bits(want_ii)
+            assert bits(density.ratios) == bits(want_density)
+            for t in [abs(seq.lam(n)) for n in range(1, N + 1)] + [mp.mpf("2.5")]:
+                assert la.counting(seq, N, t) == reference_counting(seq, N, t)
+            # example_iii and carleson_counterexample at 9 and 10 terms raise the
+            # disk-overlap SequenceError
+            try:
+                reference_gap_check(seq, N, "0.1")
+            except SequenceError:
+                return
+            rep = la.analyze(seq, N, "0.1")
+            assert bits(rep.geom_i.ratios) == bits(want_i)
+            assert bits(rep.geom_ii.ratios) == bits(want_ii)
+            assert bits(rep.density.ratios) == bits(want_density)
+            if rep.condensation is not None:
+                with mp.workdps(dps + 20):
+                    want = [-mp.log(abs(per_n_derivative_factor(
+                                seq, N, n, products.ProductKind.F_EVEN))) / abs(seq.lam(n))
+                            for n in range(1, N + 1)]
+                assert bits(rep.condensation.ratios) == bits(want)
+
+
 class TestAnalyze:
     def test_squares_all_pass(self):
         rep = la.analyze(fixture("squares", 12), 12, "0.1")
@@ -282,14 +321,16 @@ class TestAnalyze:
         assert rep.condensation is None
 
     def test_two_gap_scans(self, monkeypatch):
-        # gap_check scans once, and separation_search reads its gaps
+        # one distance table per analyze: the gap check scans it once, and
+        # separation_search reads its gaps
         calls = []
-        original = core.nearest_gaps
+        original = core.prefix_table
 
         def counting(*args):
             calls.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(core, "nearest_gaps", counting)
+        monkeypatch.setattr(core, "prefix_table", counting)
+        monkeypatch.setattr(la, "prefix_table", counting)
         la.analyze(fixture("example_ii", 6), 12, "0.1")
         assert calls == [12]

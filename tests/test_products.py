@@ -2,13 +2,14 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import (escalated_derivative_factor, jittered_mu3,
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_factor,
+                      jittered_mu3, per_n_derivative_factor,
                       reference_fitted_separation_constant)
 
 from expspan import products
 from expspan import (ConfigError, DomainError, Interval, MultiplicitySequence,
                      PrecisionContext, ProductKind, blaschke_eval,
-                     derivative_factor, eval_product, fixture, gnk_eval,
+                     derivative_factors, eval_product, fixture, gnk_eval,
                      laurent_coeffs, lk_circle_minima, lk_eval, lk_function,
                      taylor_coeffs)
 
@@ -46,18 +47,18 @@ class TestEvalProduct:
 class TestDerivativeFactor:
     def test_two_point_hand_value(self):
         seq = MultiplicitySequence.from_pairs([(1, 1), (2, 1)])
-        got = derivative_factor(seq, 2, 1)
+        got = derivative_factors(seq, 2)[0]
         assert abs(got - mp.mpf("-0.5")) < mp.mpf("1e-55")
 
     def test_single_entry(self):
         seq = MultiplicitySequence.from_pairs([(mp.mpc(2, 1), 1)])
-        got = derivative_factor(seq, 1, 1)
+        got = derivative_factors(seq, 1)[0]
         assert abs(got + 1 / mp.mpc(2, 1)) < mp.mpf("1e-55")
 
     def test_never_vanishes(self, squares8):
         for n in range(1, 9):
-            assert abs(derivative_factor(squares8, 8, n)) > 0
-            assert abs(derivative_factor(squares8, 8, n, ProductKind.F_EVEN)) > 0
+            assert abs(derivative_factors(squares8, 8)[n - 1]) > 0
+            assert abs(derivative_factors(squares8, 8, ProductKind.F_EVEN)[n - 1]) > 0
 
     @pytest.mark.parametrize("dps", [15, 60])
     @pytest.mark.parametrize("kind", [ProductKind.F_PLAIN, ProductKind.F_EVEN])
@@ -67,10 +68,32 @@ class TestDerivativeFactor:
         seq = fixture("carleson_counterexample", 4)
         with mp.workdps(dps):
             for n in range(1, 9):
-                got = derivative_factor(seq, 8, n, kind)
+                got = derivative_factors(seq, 8, kind)[n - 1]
                 want = escalated_derivative_factor(seq, 8, n, kind, dps)
                 assert got != 0
                 assert abs(got - want) <= mp.mpf(10) ** (3 - dps) * abs(want)
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("terms", FIXTURE_TERMS)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_sweep_matches_per_n_bit_for_bit(self, name, terms, dps):
+        # each pair's numerator is formed once and negated for the other order
+        with mp.workdps(dps):
+            seq = fixture(name, terms)
+            for kind in (ProductKind.F_PLAIN, ProductKind.F_EVEN):
+                got = derivative_factors(seq, seq.size, kind)
+                want = [per_n_derivative_factor(seq, seq.size, n, kind)
+                        for n in range(1, seq.size + 1)]
+                assert bits([v.real for v in got]) == bits([v.real for v in want])
+                assert bits([v.imag for v in got]) == bits([v.imag for v in want])
+
+    def test_sweep_matches_per_n_on_complex_frequencies(self):
+        seq = jittered_mu3(8, 2)
+        for kind in (ProductKind.F_PLAIN, ProductKind.F_EVEN):
+            got = derivative_factors(seq, 8, kind)
+            for n in range(1, 9):
+                want = per_n_derivative_factor(seq, 8, n, kind)
+                assert bits([got[n - 1].real, got[n - 1].imag]) == bits([want.real, want.imag])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_numerical_derivative(self, seed):
@@ -86,7 +109,7 @@ class TestDerivativeFactor:
             h = mp.mpf(10) ** (-mp.mp.dps // 4)
             f = lambda z: eval_product(ProductKind.F_PLAIN, seq, 4, z)
             num = central_diff(f, seq.lam(n), mu, h) / mp.factorial(mu)
-        got = derivative_factor(seq, 4, n)
+        got = derivative_factors(seq, 4)[n - 1]
         assert abs(got - num) < mp.mpf(10) ** (-mp.mp.dps // 4)
 
 
