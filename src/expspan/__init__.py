@@ -1,21 +1,22 @@
 """High-precision toolkit for exponential systems {x^k e^(lambda_n x)}.
 
 Public surface: domain types and sequence utilities (core, fixtures),
-class diagnostics (lambda_analysis), canonical products and the windowed
-even product (products), Gram systems with distances and biorthogonal
-families (gram), Taylor-Dirichlet series (series), the moment solver
-(moment), and the truncated infinite-order operator (carleson).
+class diagnostics that each read one prefix table of moduli and distances
+from core.prefix_table (lambda_analysis), canonical products and the
+windowed even product (products), Gram systems with distances and
+biorthogonal families (gram), Taylor-Dirichlet series (series), the moment
+solver (moment), and the truncated infinite-order operator (carleson).
 """
 
 from .core import (FlatIndex, Interval, MultiplicitySequence,
-                   PrecisionContext, Sector, Violation, flat_position,
-                   flatten, sector_contains, validate_sequence)
+                   PrecisionContext, PrefixTable, Sector, Violation, flatten,
+                   prefix_table, validate_sequence)
 from .errors import (CapError, ConfigError, DomainError, ExpspanError,
                      PrecisionError, SequenceError)
 from .fixtures import fixture, list_fixtures, load_sequence, sequence_from_spec
 from .gram import (BiorthogonalFamily, DomainSpec, GramSystem, biorthogonal,
-                   dual_norms, gram_matrix, inner_product, mixed_completeness,
-                   monomial_exp_integral, recover_coefficients)
+                   dual_norms, gram_matrix, mixed_completeness,
+                   monomial_exp_integrals, recover_coefficients)
 from .products import (LKFunction, LaurentCoeffs, ProductKind, blaschke_eval,
                        derivative_factors, eval_product, gnk_eval,
                        laurent_coeffs, lk_circle_minima, lk_eval, lk_function,

@@ -25,7 +25,7 @@ from . import gram as gram_mod
 from . import lambda_analysis, products
 from . import moment as moment_mod
 from . import series as series_mod
-from .core import Interval, PrecisionContext, validate_sequence
+from .core import Interval, PrecisionContext, read_count, read_number, validate_sequence
 from .errors import (CapError, ConfigError, DomainError, ExpspanError,
                      PrecisionError, SequenceError)
 from .fixtures import list_fixtures, load_sequence, read_json, sequence_from_spec
@@ -61,29 +61,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _number(text: str, option: str, real: bool = False):
-    """Every real or complex option and config number, read at the working
-    precision with a trailing 'i' as the imaginary unit.  Text that does not
-    parse, a complex value where a real one is needed, nan and inf are a
-    ConfigError.  A modulus of 10^dps or more is a PrecisionError: the parsed
-    value is then off by more than 1, so no digit of a phase is right, and
-    mpmath's cos/exp would first reduce it with about log10|x| digits of pi or
-    ln 2."""
-    text = text.strip()
-    try:
-        x = mp.mpmathify(text[:-1] + "j" if text.endswith("i") else text)
-    except (ValueError, TypeError, AttributeError):
-        x = None
-    if x is None or (real and not isinstance(x, mp.mpf)):
-        raise ConfigError(f"{option} must be a {'real ' if real else ''}number, got {text!r}")
-    if not mp.isfinite(x):
-        raise ConfigError(f"{option} must be finite, got {text!r}")
-    if abs(x) >= mp.mpf(10) ** (dps := mp.mp.dps):
-        raise PrecisionError(f"{option} must have modulus below 10^{dps} to be resolved "
-                             f"at {dps} digits, got {mp.nstr(abs(x), 5)}")
-    return x
-
-
 def _parse_interval(text: str, digits: int) -> Interval:
     """'gamma,beta' read at the command's working digits; endpoints that are
     out of order fail with Interval's own message."""
@@ -92,7 +69,8 @@ def _parse_interval(text: str, digits: int) -> Interval:
     except (ValueError, AttributeError) as exc:
         raise ConfigError(f"bad interval {text!r}; expected 'gamma,beta'") from exc
     with mp.workdps(digits):
-        return Interval(*(_number(x, "interval endpoint", real=True) for x in (gamma, beta)))
+        return Interval(*(read_number(x, "interval endpoint", real=True)
+                          for x in (gamma, beta)))
 
 
 def _parse_grid(text: str) -> list:
@@ -104,7 +82,7 @@ def _parse_grid(text: str) -> list:
         raise ConfigError(f"bad grid {text!r}; expected 'lo:hi:steps'") from exc
     if steps < 2:
         raise ConfigError(f"grid {text!r} needs steps >= 2")
-    lo, hi = (_number(x, "--grid endpoint", real=True) for x in (lo, hi))
+    lo, hi = (read_number(x, "--grid endpoint", real=True) for x in (lo, hi))
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
@@ -201,7 +179,7 @@ _Result = tuple[dict, tuple[list[str], list[list]] | None]
 
 def _cmd_analyze(args) -> _Result:
     report = lambda_analysis.analyze(load_sequence(args.seq, default_terms=args.terms),
-                                     args.terms, _number(args.eps, "--eps", real=True))
+                                     args.terms, read_number(args.eps, "--eps", real=True))
     dps = 30
     rows = [[n + 1] + [_num(v.ratios[n], dps)
                        for v in (report.geom_i, report.geom_ii, report.necessary)]
@@ -226,7 +204,7 @@ def _cmd_product_eval(args) -> _Result:
             "F_even": products.ProductKind.F_EVEN,
             "L_even": products.ProductKind.L_EVEN}[args.kind]
     with mp.workdps(ctx.digits):
-        z = _number(args.z, "--z")
+        z = read_number(args.z, "--z")
         val = products.eval_product(kind, seq, args.N, z)
     return {"kind": args.kind, "z": _pair(z, args.dps),
             **_value_obj(val, args.dps)}, None
@@ -238,10 +216,10 @@ def _cmd_lk(args) -> _Result:
     with mp.workdps(ctx.digits):
         lk = products.lk_function(seq, _parse_interval(args.interval, ctx.digits), ctx)
         if args.action == "eval":
-            z = _number(args.z, "--z")
+            z = read_number(args.z, "--z")
             return {"z": _pair(z, args.dps),
                     **_value_obj(products.lk_eval(lk, z), args.dps)}, None
-        eps = _number(args.eps, "--eps", real=True)
+        eps = read_number(args.eps, "--eps", real=True)
         ns = list(range(1, min(args.circles, lk.trunc_N) + 1))
         minima = products.lk_circle_minima(lk, eps, ns)
     rows = [[m.n, _num(m.radius, args.dps), _num(m.min_abs, args.dps),
@@ -303,7 +281,7 @@ def _cmd_series(args) -> _Result:
     # the values are printed at ctx.digits, not at the ambient precision
     with mp.workdps(ctx.digits):
         if args.action == "eval":
-            z = _number(args.z, "--z")
+            z = read_number(args.z, "--z")
             res = series_mod.td_eval(s, z, terms)
             return {**_value_obj(res.value, args.dps),
                     "tail_bound": _num(res.tail_bound, args.dps),
@@ -311,8 +289,8 @@ def _cmd_series(args) -> _Result:
         if args.action == "abscissa":
             rep = series_mod.star_abscissa(s, terms)
             return _abscissa_obj(rep, args.dps), None
-        rep = series_mod.bound_check(s, _number(args.beta, "--beta", real=True),
-                                     _number(args.eps, "--eps", real=True))
+        rep = series_mod.bound_check(s, read_number(args.beta, "--beta", real=True),
+                                     read_number(args.eps, "--eps", real=True))
         return {"m_hat": _num(rep.m_hat, args.dps),
                 "argmax": list(rep.argmax) if rep.argmax else None,
                 "verdict": rep.verdict}, None
@@ -340,8 +318,8 @@ def _cmd_carleson(args) -> _Result:
     if args.action == "apply":
         k = _at_least(args.k, 0, "--k")
         with mp.workdps(ctx.digits):
-            lam = _number(args.lam, "--lam")
-            x = _number(args.x, "--x", real=True)
+            lam = read_number(args.lam, "--lam")
+            x = read_number(args.x, "--x", real=True)
             val, = carleson_mod.apply_to_exponential(op, lam, k, [x], ctx)
         return _value_obj(val, args.dps), None
     # residual over a grid for a series file
@@ -361,10 +339,7 @@ _EXPERIMENT_KINDS = ("analyze", "gram", "biorthogonal", "distance-trend", "serie
 
 
 def _cfg_int(cfg: dict, key: str, default: int, least: int | None = None) -> int:
-    try:
-        value = int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config {key!r} must be an integer, got {cfg[key]!r}") from exc
+    value = read_count(cfg.get(key, default), f"config {key!r}")
     return value if least is None else _at_least(value, least, f"config {key!r}")
 
 
@@ -394,7 +369,7 @@ def _cmd_run(args) -> None:
     artifacts = {}  # file name -> JSON object, or (header, rows) for a CSV
 
     if kind in ("analyze", "full-report"):
-        eps = _number(str(cfg.get("eps", "0.1")), "config 'eps'", real=True)
+        eps = read_number(str(cfg.get("eps", "0.1")), "config 'eps'", real=True)
         rep = lambda_analysis.analyze(seq, N, eps)
         artifacts["analyze.json"] = _pick(_analyze_obj(rep, dps), "provenance",
                                           "all_passed", "geometric_i", "geometric_ii")

@@ -8,7 +8,10 @@ one element.  Everything downstream (products, Gram matrices, series,
 operators) is parameterised by a truncation prefix of the sequence and a
 PrecisionContext.  The prefix table of moduli and pairwise distances, and
 the nearest gaps and separation disks read from it, are here too, shared by
-the sequence diagnostics and the contour quadrature.
+the sequence diagnostics and the contour quadrature.  So are `read_number`,
+which reads every number option, config number and series sector, and
+`read_count`, which reads a config's counts and a sequence file's term count
+and multiplicities.
 """
 
 from __future__ import annotations
@@ -157,11 +160,6 @@ def flatten(seq: MultiplicitySequence, N: int) -> list[FlatIndex]:
     return [FlatIndex(n, k) for n in range(1, N + 1) for k in range(seq.mu(n))]
 
 
-def flat_position(seq: MultiplicitySequence, N: int) -> dict[FlatIndex, int]:
-    """Inverse of flatten: index -> row/column position."""
-    return {idx: i for i, idx in enumerate(flatten(seq, N))}
-
-
 @dataclass(frozen=True)
 class Interval:
     """Bounded interval (gamma, beta); midpoint sigma and half-length tau
@@ -222,8 +220,38 @@ class Sector:
         return None
 
 
-def sector_contains(s: Sector, z) -> bool:
-    return s.violation(z) is None
+def read_number(text: str, name: str, real: bool = False):
+    """Every real or complex number of an option, a config or an input file,
+    read at the working precision with a trailing 'i' as the imaginary unit.
+    Text that does not parse, a complex value where a real one is needed, nan
+    and inf are a ConfigError.  A modulus of 10^dps or more is a
+    PrecisionError: the parsed value is then off by more than 1, so no digit
+    of a phase is right, and mpmath's cos/exp would first reduce it with about
+    log10|x| digits of pi or ln 2."""
+    text = text.strip()
+    try:
+        x = mp.mpmathify(text[:-1] + "j" if text.endswith("i") else text)
+    except (ValueError, TypeError, AttributeError):
+        x = None
+    if x is None or (real and not isinstance(x, mp.mpf)):
+        raise ConfigError(f"{name} must be a {'real ' if real else ''}number, got {text!r}")
+    if not mp.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {text!r}")
+    if abs(x) >= mp.mpf(10) ** (dps := mp.mp.dps):
+        raise PrecisionError(f"{name} must have modulus below 10^{dps} to be resolved "
+                             f"at {dps} digits, got {mp.nstr(abs(x), 5)}")
+    return x
+
+
+def read_count(value, name: str) -> int:
+    """An integer count from JSON: an int or a string of digits.  A float or a
+    bool, which int() would truncate or read as 0 or 1, is a ConfigError."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 DIGITS_FLOOR = 50
@@ -329,12 +357,3 @@ def prefix_table(seq: MultiplicitySequence, N: int) -> PrefixTable:
     return PrefixTable(seq=seq, moduli=tuple(abs(lam) for lam in lams),
                        dist=tuple(map(tuple, dist)))
 
-
-def nearest_gaps(seq: MultiplicitySequence, N: int) -> list[mp.mpf]:
-    """The prefix's nearest gaps; see PrefixTable.nearest_gaps."""
-    return prefix_table(seq, N).nearest_gaps()
-
-
-def separation_disks(seq: MultiplicitySequence, N: int, eps) -> SeparationDisks:
-    """The prefix's separation disks; see PrefixTable.separation_disks."""
-    return prefix_table(seq, N).separation_disks(eps)

@@ -26,7 +26,7 @@ from typing import Callable
 
 import mpmath as mp
 
-from .core import MultiplicitySequence
+from .core import MultiplicitySequence, read_count
 from .errors import ConfigError
 
 # extra decimal digits kept when materialising generator entries
@@ -148,9 +148,14 @@ def sequence_from_spec(spec: dict, default_terms: int | None = None) -> Multipli
         if not isinstance(entries, list) or not entries:
             raise ConfigError("explicit spec needs a non-empty 'entries' list")
         try:
-            rows = [(_exact_mpc(str(e[0]), str(e[1])), int(e[2])) for e in entries]
+            rows = [(_exact_mpc(str(e[0]), str(e[1])), read_count(e[2], "multiplicity"))
+                    for e in entries]
         except (IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad entry in sequence spec: {exc}") from exc
+        for i, (lam, _) in enumerate(rows, 1):
+            if not mp.isfinite(lam):
+                raise ConfigError(f"sequence entry {i} must be finite, got "
+                                  f"{entries[i - 1][0]!r}, {entries[i - 1][1]!r}")
         return MultiplicitySequence.from_pairs(rows,
                                                provenance=spec.get("provenance", "explicit"))
     if kind == "generator":
@@ -158,7 +163,8 @@ def sequence_from_spec(spec: dict, default_terms: int | None = None) -> Multipli
         terms = spec.get("terms", default_terms)
         if name is None or terms is None:
             raise ConfigError("generator spec needs 'name' and 'terms'")
-        return fixture(str(name), int(terms), **spec.get("params", {}))
+        return fixture(str(name), read_count(terms, "generator 'terms'"),
+                       **spec.get("params", {}))
     raise ConfigError(f"unknown sequence spec kind {kind!r}")
 
 

@@ -102,11 +102,6 @@ def monomial_exp_integrals(pmax: int, a, dom: DomainSpec) -> list:
     return table
 
 
-def monomial_exp_integral(p: int, a, dom: DomainSpec) -> mp.mpc:
-    """Integral of t^p e^(a t) over the domain (see `monomial_exp_integrals`)."""
-    return monomial_exp_integrals(p, a, dom)[p]
-
-
 def _series_integral(p: int, a, gamma, beta) -> mp.mpc:
     # sum_m a^m/m! (beta^(p+m+1) - gamma^(p+m+1))/(p+m+1), entire in a
     eps = mp.mpf(10) ** (-mp.mp.dps - 5)
@@ -124,13 +119,6 @@ def _series_integral(p: int, a, gamma, beta) -> mp.mpc:
         if m > 10000:
             raise PrecisionError("series branch of the monomial integral did not converge")
     return total
-
-
-def inner_product(seq: MultiplicitySequence, a: FlatIndex, b: FlatIndex,
-                  dom: DomainSpec) -> mp.mpc:
-    """L2 inner product <e_a, e_b>, conjugating the second argument."""
-    lam = seq.lam(a.n) + mp.conj(seq.lam(b.n))
-    return monomial_exp_integral(a.k + b.k, lam, dom)
 
 
 def hermitian_cholesky(M: mp.matrix) -> mp.matrix:
@@ -202,9 +190,10 @@ class GramSystem:
 
 def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
               dom: DomainSpec) -> mp.matrix:
-    """The Gram matrix block by block: the entries of frequencies n >= m are
-    integrals of t^(k+l) e^((lambda_n + conj lambda_m) t), read from one table
-    per pair; each is bit for bit `inner_product`."""
+    """The Gram matrix <e_(n,k), e_(m,l)> block by block.  The block of the
+    frequencies n >= m holds the integrals of t^(k+l) e^((lambda_n + conj
+    lambda_m) t), read from one `monomial_exp_integrals` table; the block of
+    m, n is its conjugate transpose."""
     d = len(idx)
     M = mp.matrix(d, d)
     runs = [list(run) for _, run in groupby(range(d), key=lambda i: idx[i].n)]

@@ -70,15 +70,11 @@ def trend_verdict(ratios: list) -> TrendVerdict:
 
 # -- counting functions -------------------------------------------------------
 
-# Each public (seq, N) function builds the prefix table and calls its worker;
-# `analyze` builds the table once and calls the workers itself.
+# Every diagnostic below reads the prefix's moduli and distances from one
+# `core.prefix_table`; `analyze` builds it once for all of them.
 
-def counting(seq: MultiplicitySequence, N: int, t) -> int:
+def counting(tab: PrefixTable, t) -> int:
     """n(t): total multiplicity of frequencies with |lambda_n| <= t."""
-    return _counting(prefix_table(seq, N), t)
-
-
-def _counting(tab: PrefixTable, t) -> int:
     t = mp.mpf(t)
     if not t > 0:
         raise ConfigError("t must be positive")
@@ -93,17 +89,13 @@ def counting_about(seq: MultiplicitySequence, N: int, z0, t) -> int:
     return sum(seq.mu(n) for n in range(1, N + 1) if abs(seq.lam(n) - z0) <= t)
 
 
-def integrated_counting(seq: MultiplicitySequence, N: int, r) -> mp.mpf:
+def integrated_counting(tab: PrefixTable, r) -> mp.mpf:
     """N(r): integral of n(t)/t from 0 to r, in closed form.
 
     The counting function is a step function vanishing near 0 (all
     frequencies are nonzero), so the integral collapses to
     sum_{|lambda_n| <= r} mu_n log(r / |lambda_n|).
     """
-    return _integrated_counting(prefix_table(seq, N), r)
-
-
-def _integrated_counting(tab: PrefixTable, r) -> mp.mpf:
     r = mp.mpf(r)
     if not r > 0:
         raise ConfigError("r must be positive")
@@ -114,19 +106,14 @@ def _integrated_counting(tab: PrefixTable, r) -> mp.mpf:
     return total
 
 
-def integrated_about(seq: MultiplicitySequence, N: int, n: int) -> mp.mpf:
+def integrated_about(tab: PrefixTable, n: int) -> mp.mpf:
     """N(|lambda_n|, lambda_n): closed form over the truncated prefix.
 
     Equals sum over 0 < |lambda_n - lambda_k| <= |lambda_n| of
     mu_k log|lambda_n / (lambda_n - lambda_k)| plus mu_n log|lambda_n|.
     """
-    tab = prefix_table(seq, N)
-    if not 1 <= n <= N:
-        raise ConfigError(f"n={n} outside prefix 1..{N}")
-    return _integrated_about(tab, n)
-
-
-def _integrated_about(tab: PrefixTable, n: int) -> mp.mpf:
+    if not 1 <= n <= tab.N:
+        raise ConfigError(f"n={n} outside prefix 1..{tab.N}")
     r = tab.moduli[n - 1]
     total = tab.seq.mu(n) * mp.log(r)
     for k, d in enumerate(tab.dist[n - 1], 1):
@@ -144,22 +131,21 @@ class PartialSumReport:
     verdict: str  # "converging" or "diverging"
 
 
-def condition_a_partials(seq: MultiplicitySequence, N: int) -> PartialSumReport:
+def condition_a_partials(tab: PrefixTable) -> PartialSumReport:
     """Partial sums of sum mu_n/|lambda_n| with a tail-ratio heuristic.
 
     Converging verdict when the last-quarter increments decay geometrically
     (mean successive ratio < 0.99).
     """
-    seq.check_prefix(N)
-    if N < 2:
+    if tab.N < 2:
         raise ConfigError("need N >= 2")
-    increments = [mp.mpf(seq.mu(n)) / abs(seq.lam(n)) for n in range(1, N + 1)]
+    increments = [mp.mpf(tab.seq.mu(n)) / mod for n, mod in enumerate(tab.moduli, 1)]
     partials = []
     acc = mp.mpf(0)
     for d in increments:
         acc += d
         partials.append(acc)
-    quarter = max(2, N // 4)
+    quarter = max(2, tab.N // 4)
     tail = increments[-quarter:]
     ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1) if tail[i] != 0]
     mean_ratio = sum(ratios) / len(ratios) if ratios else mp.mpf(1)
@@ -170,45 +156,31 @@ def condition_a_partials(seq: MultiplicitySequence, N: int) -> PartialSumReport:
 
 # -- geometric conditions -----------------------------------------------------
 
-def geometric_conditions(seq: MultiplicitySequence, N: int) -> tuple[TrendVerdict, TrendVerdict]:
+def geometric_conditions(tab: PrefixTable) -> tuple[TrendVerdict, TrendVerdict]:
     """Trend verdicts for N(r)/r at r = |lambda_j| and N(|lambda_n|, lambda_n)/|lambda_n|."""
-    return _geometric_conditions(prefix_table(seq, N))
-
-
-def _geometric_conditions(tab: PrefixTable) -> tuple[TrendVerdict, TrendVerdict]:
     if tab.N < 6:
         raise ConfigError("need N >= 6 for a meaningful trend")
-    ratios_i = [_integrated_counting(tab, m) / m for m in tab.moduli]
-    ratios_ii = [_integrated_about(tab, n) / m for n, m in enumerate(tab.moduli, 1)]
+    ratios_i = [integrated_counting(tab, m) / m for m in tab.moduli]
+    ratios_ii = [integrated_about(tab, n) / m for n, m in enumerate(tab.moduli, 1)]
     return trend_verdict(ratios_i), trend_verdict(ratios_ii)
 
 
-def necessary_condition(seq: MultiplicitySequence, N: int) -> TrendVerdict:
+def necessary_condition(tab: PrefixTable) -> TrendVerdict:
     """Trend of mu_n log|lambda_n| / |lambda_n| (necessary for interpolation)."""
-    seq.check_prefix(N)
-    ratios = [seq.mu(n) * mp.log(abs(seq.lam(n))) / abs(seq.lam(n))
-              for n in range(1, N + 1)]
-    return trend_verdict(ratios)
+    return trend_verdict([tab.seq.mu(n) * mp.log(mod) / mod
+                          for n, mod in enumerate(tab.moduli, 1)])
 
 
-def density_trend(seq: MultiplicitySequence, N: int) -> TrendVerdict:
+def density_trend(tab: PrefixTable) -> TrendVerdict:
     """Trend of the raw counting ratio n(t)/t at t = |lambda_j| (density zero)."""
-    return _density_trend(prefix_table(seq, N))
-
-
-def _density_trend(tab: PrefixTable) -> TrendVerdict:
-    return trend_verdict([mp.mpf(_counting(tab, m)) / m for m in tab.moduli])
+    return trend_verdict([mp.mpf(counting(tab, m)) / m for m in tab.moduli])
 
 
 # -- gap condition and separation disks ---------------------------------------
 
-def gap_check(seq: MultiplicitySequence, N: int, eps) -> SeparationDisks:
+def gap_check(tab: PrefixTable, eps) -> SeparationDisks:
     """The prefix's separation disks, once the large disks are checked to be
     pairwise disjoint; an overlap is a SequenceError."""
-    return _gap_check(prefix_table(seq, N), eps)
-
-
-def _gap_check(tab: PrefixTable, eps) -> SeparationDisks:
     disks = tab.separation_disks(eps)
     large = disks.radii_large
     for a, row in enumerate(tab.dist):
@@ -219,16 +191,16 @@ def _gap_check(tab: PrefixTable, eps) -> SeparationDisks:
     return disks
 
 
-def separation_search(seq: MultiplicitySequence, gaps) -> mp.mpf | None:
+def separation_search(tab: PrefixTable, gaps) -> mp.mpf | None:
     """Largest delta in (0, 1/10) with |lambda_n - lambda_k| <= delta |lambda_k|
     only for n = k, scanned on a 40-point geometric grid.  None if even the
     smallest grid point fails.
 
     gaps are the prefix's nearest gaps, gap_k = min_{n != k} |lambda_n -
-    lambda_k| as `core.nearest_gaps` scans them.  Each grid point tests
+    lambda_k| as `PrefixTable.nearest_gaps` scans them.  Each grid point tests
     gap_k > delta |lambda_k|, which holds exactly when every pair does.
     """
-    pairs = [(gap, abs(seq.lam(k))) for k, gap in enumerate(gaps, 1)]
+    pairs = list(zip(gaps, tab.moduli))
     delta = mp.mpf("0.09")
     for _ in range(40):
         if all(gap > delta * mod for gap, mod in pairs):
@@ -301,15 +273,14 @@ class ClassReport:
 
 
 def analyze(seq: MultiplicitySequence, N: int, eps) -> ClassReport:
-    seq.check_prefix(N)
-    cond_a = condition_a_partials(seq, N)
-    eta_hat = seq.max_arg(N)
     tab = prefix_table(seq, N)
-    geom_i, geom_ii = _geometric_conditions(tab)
-    nec = necessary_condition(seq, N)
-    dens = _density_trend(tab)
-    gap = _gap_check(tab, eps)
-    delta = separation_search(seq, gap.gaps)
+    cond_a = condition_a_partials(tab)
+    eta_hat = seq.max_arg(N)
+    geom_i, geom_ii = geometric_conditions(tab)
+    nec = necessary_condition(tab)
+    dens = density_trend(tab)
+    gap = gap_check(tab, eps)
+    delta = separation_search(tab, gap.gaps)
     cond = None
     if all(seq.mu(n) == 1 for n in range(1, N + 1)) and N >= 6:
         cond = condensation_index(seq, N)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .core import Interval, MultiplicitySequence, PrecisionContext, separation_disks
+from .core import Interval, MultiplicitySequence, PrecisionContext, prefix_table
 from .errors import ConfigError, DomainError
 
 # halvings K of the windowed even product's cosine window
@@ -255,7 +255,7 @@ def lk_circle_minima(lk: LKFunction, eps, ns: list[int],
     lower bound; their infimum over n is the fitted constant.
     """
     eps = mp.mpf(eps)
-    radii = separation_disks(lk.seq, lk.trunc_N, eps).radii_small
+    radii = prefix_table(lk.seq, lk.trunc_N).separation_disks(eps).radii_small
     beta = lk.interval.beta
     roots = _roots(samples)
     out = []
@@ -319,7 +319,7 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int) -> LaurentC
     if not 1 <= J <= mu:
         raise ConfigError(f"J={J} must be in 1..mu_n={mu}")
     eps = mp.mpf(eps)
-    r = separation_disks(lk.seq, lk.trunc_N, eps).radii_small[n - 1]
+    r = prefix_table(lk.seq, lk.trunc_N).separation_disks(eps).radii_small[n - 1]
     center = 1j * lk.seq.lam(n)
     coarse, fine = _contour_moments(lk, center, r, J, quad_Q)
     worst = mp.mpf(0)

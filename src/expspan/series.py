@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .core import FlatIndex, MultiplicitySequence, Sector
+from .core import FlatIndex, MultiplicitySequence, Sector, read_number
 from .errors import ConfigError, DomainError
 from .fixtures import read_json, sequence_from_spec
 
@@ -166,16 +166,22 @@ def series_to_obj(s: TaylorDirichletSeries, dps: int = 30) -> dict:
 
 
 def coeff_rows(rows) -> dict[FlatIndex, mp.mpc]:
-    """Coefficients from the [n, k, re, im] rows of series and moments files."""
-    return {FlatIndex(int(n), int(k)): mp.mpc(mp.mpmathify(str(re)), mp.mpmathify(str(im)))
-            for n, k, re, im in rows}
+    """Coefficients from the [n, k, re, im] rows of series and moments files;
+    a coefficient that is not finite is a ConfigError."""
+    out = {}
+    for n, k, re, im in rows:
+        c = mp.mpc(mp.mpmathify(str(re)), mp.mpmathify(str(im)))
+        if not mp.isfinite(c):
+            raise ConfigError(f"coefficient ({n}, {k}) must be finite, got {re!r}, {im!r}")
+        out[FlatIndex(int(n), int(k))] = c
+    return out
 
 
 def series_from_obj(obj: dict) -> TaylorDirichletSeries:
     try:
         seq = sequence_from_spec(obj["seq"])
-        sector = Sector(mp.mpmathify(str(obj["sector"]["eta"])),
-                        mp.mpmathify(str(obj["sector"]["beta"])))
+        sector = Sector(*(read_number(str(obj["sector"][key]), f"sector {key!r}", real=True)
+                          for key in ("eta", "beta")))
         coeffs = coeff_rows(obj["coeffs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad series object: {exc}") from exc

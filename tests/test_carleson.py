@@ -274,7 +274,8 @@ class TestCounterexample:
 
     def test_sequence_certified_non_interpolating(self):
         # the experiment's frequency set fails geometric condition (II)
+        from expspan.core import prefix_table
         from expspan.lambda_analysis import geometric_conditions
         seq = fixture("carleson_counterexample", 8)
-        _, gii = geometric_conditions(seq, 16)
+        _, gii = geometric_conditions(prefix_table(seq, 16))
         assert not gii.passed

@@ -344,6 +344,24 @@ class TestExitCodes:
         (["gram", "distance", "--seq", "{seq}", "--N", "4", "--interval", "0,inf"],
          "interval endpoint must be finite"),
         (["run", "{interval_config}"], "need gamma < beta, got (1.0, 0.0)"),
+        # a series file's sector is read by the rule of the number options
+        (["series", "eval", "--series", "{nan_beta_series}", "--z", "-1"],
+         "sector 'beta' must be finite, got 'nan'"),
+        (["series", "bound", "--series", "{inf_beta_series}", "--beta", "1"],
+         "sector 'beta' must be finite, got 'inf'"),
+        (["series", "eval", "--series", "{nan_eta_series}", "--z", "-1"],
+         "sector 'eta' must be finite, got 'nan'"),
+        # a number in an input file that is not finite is refused where it is read
+        (["validate", "{nan_entry_seq}"], "sequence entry 2 must be finite, got 'nan', '0'"),
+        (["series", "eval", "--series", "{nan_coeff_series}", "--z", "-1"],
+         "coefficient (2, 0) must be finite, got 'nan', '0'"),
+        (["moment", "solve", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
+          "--data", "{nan_moments}"], "coefficient (2, 0) must be finite, got 'nan', '0'"),
+        # int() would truncate a float count and read a bool as 0 or 1
+        (["run", "{float_N_config}"], "config 'N' must be an integer, got 6.7"),
+        (["analyze", "{float_terms_seq}"], "generator 'terms' must be an integer, got 8.7"),
+        (["analyze", "{bool_terms_seq}"], "generator 'terms' must be an integer, got True"),
+        (["validate", "{float_mu_seq}"], "multiplicity must be an integer, got 2.5"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
@@ -357,7 +375,10 @@ class TestExitCodes:
             "gram-partitions-negative", "gram-dps-above-digits",
             "product-dps-above-digits", "series-dps-above-digits",
             "counterexample-dps-above-digits", "interval-empty", "interval-reversed",
-            "interval-nan", "interval-inf", "config-interval-reversed"])
+            "interval-nan", "interval-inf", "config-interval-reversed",
+            "series-sector-beta-nan", "series-sector-beta-inf", "series-sector-eta-nan",
+            "sequence-entry-nan", "series-coeff-nan", "moment-row-nan", "config-N-float",
+            "sequence-terms-float", "sequence-terms-bool", "sequence-mu-float"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
@@ -380,7 +401,23 @@ class TestExitCodes:
                                    "interval": "0,1", "data": rows, "out": bundle},
                  "series_config": {"kind": "series", "seq": squares4, "out": bundle,
                                    "series": {"seq": squares4, "sector": sector,
-                                              "coeffs": rows[:4]}}}
+                                              "coeffs": rows[:4]}},
+                 "nan_beta_series": {"seq": squares, "sector": {"eta": "0", "beta": "nan"},
+                                     "coeffs": rows},
+                 "inf_beta_series": {"seq": squares, "sector": {"eta": "0", "beta": "inf"},
+                                     "coeffs": rows},
+                 "nan_eta_series": {"seq": squares, "sector": {"eta": "nan", "beta": "1"},
+                                    "coeffs": rows},
+                 "nan_entry_seq": {"kind": "explicit",
+                                   "entries": [[1, 0, 1], ["nan", "0", 1], [9, 0, 1]]},
+                 "nan_coeff_series": {"seq": squares, "sector": sector,
+                                      "coeffs": [rows[0], [2, 0, "nan", "0"]] + rows[2:]},
+                 "nan_moments": [rows[0], [2, 0, "nan", "0"]] + rows[2:],
+                 "float_N_config": {"kind": "analyze", "seq": squares, "N": 6.7,
+                                    "out": bundle},
+                 "float_terms_seq": {"kind": "generator", "name": "squares", "terms": 8.7},
+                 "bool_terms_seq": {"kind": "generator", "name": "squares", "terms": True},
+                 "float_mu_seq": {"kind": "explicit", "entries": [[1, 0, 2.5], [4, 0, 1]]}}
         paths = {"seq": seq_file}
         for name, obj in files.items():
             paths[name] = str(tmp_path / f"{name}.json")
@@ -552,6 +589,21 @@ class TestNumberOptions:
         assert done.returncode == 3
         assert done.stderr == (f"error: {name} must have modulus below 10^{digits} to be "
                                f"resolved at {digits} digits, got 1.0e+999999\n")
+
+
+    @pytest.mark.parametrize("field", ["eta", "beta"])
+    def test_huge_sector_is_precision_error(self, tmp_path, field):
+        # a series file's sector is read by the same rule; a beta of 1e999999 ran
+        # in mpmath's argument reduction of exp until killed
+        sector = {"eta": "0", "beta": "1", field: "1e999999"}
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({
+            "seq": {"kind": "generator", "name": "squares", "terms": 8}, "sector": sector,
+            "coeffs": [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 9)]}))
+        done = console_script(["series", "eval", "--series", str(path), "--z", "-1"])
+        assert done.returncode == 3
+        assert done.stderr == (f"error: sector {field!r} must have modulus below 10^15 to "
+                               "be resolved at 15 digits, got 1.0e+999999\n")
 
 
 class TestDeterminism:

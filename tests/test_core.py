@@ -9,9 +9,7 @@ from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, reference_fitted_separ
 import expspan
 from expspan import (ConfigError, FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, PrecisionError, Sector, SequenceError, fixture,
-                     flat_position, flatten, sector_contains,
-                     sequence_from_spec, validate_sequence)
-from expspan.core import nearest_gaps, separation_disks
+                     flatten, prefix_table, sequence_from_spec, validate_sequence)
 
 
 class TestValidate:
@@ -75,7 +73,7 @@ class TestFlatten:
             idx = flatten(seq, N)
             assert len(idx) == seq.total_multiplicity(N)
             assert len(set(idx)) == len(idx)
-            pos = flat_position(seq, N)
+            pos = {ix: i for i, ix in enumerate(flatten(seq, N))}
             for i, ix in enumerate(idx):
                 assert pos[ix] == i
                 assert 1 <= ix.n <= N and 0 <= ix.k < seq.mu(ix.n)
@@ -84,14 +82,14 @@ class TestFlatten:
 class TestSector:
     def test_half_plane(self):
         s = Sector(0, 1)
-        assert sector_contains(s, mp.mpf("0.5"))
-        assert not sector_contains(s, 1)  # boundary excluded
-        assert not sector_contains(s, mp.mpc(2, -5))
+        assert s.violation(mp.mpf("0.5")) is None
+        assert s.violation(1) is not None  # boundary excluded
+        assert s.violation(mp.mpc(2, -5)) is not None
 
     def test_aperture(self):
         s = Sector(mp.pi / 4, 0)
-        assert sector_contains(s, mp.mpc(-1, 0.5))
-        assert not sector_contains(s, mp.mpc(-1, 1.5))
+        assert s.violation(mp.mpc(-1, 0.5)) is None
+        assert s.violation(mp.mpc(-1, 1.5)) is not None
 
     def test_violation_message_names_inequality(self):
         s = Sector(0, 1)
@@ -103,10 +101,10 @@ class TestSector:
         found = 0
         while found < 25:
             z = mp.mpc(rng.uniform(-5, 0.3), rng.uniform(-3, 3))
-            if sector_contains(s, z):
+            if s.violation(z) is None:
                 found += 1
                 t = mp.mpf(rng.uniform(0, 4))
-                assert sector_contains(s, z - t)
+                assert s.violation(z - t) is None
 
     def test_eta_range(self):
         with pytest.raises(ValueError):
@@ -185,31 +183,32 @@ class TestNearestGaps:
         with mp.workdps(dps):
             seq = fixture(name, terms)
             N = seq.size
-            assert bits(nearest_gaps(seq, N)) == bits(reference_nearest_gaps(seq, N))
+            tab = prefix_table(seq, N)
+            assert bits(tab.nearest_gaps()) == bits(reference_nearest_gaps(seq, N))
             for eps in ("0.1", "0.3"):
-                assert (bits(separation_disks(seq, N, eps).fitted_m)
+                assert (bits(tab.separation_disks(eps).fitted_m)
                         == bits(reference_fitted_separation_constant(seq, N, eps)))
 
     def test_duplicate_is_a_sequence_error(self):
         seq = MultiplicitySequence.from_pairs([(1, 1), (4, 1), (4, 1)])
         with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
-            nearest_gaps(seq, 3)
+            prefix_table(seq, 3).nearest_gaps()
         with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
-            separation_disks(seq, 3, "0.1")
+            prefix_table(seq, 3).separation_disks("0.1")
 
     def test_unresolvable_rate_is_precision_error(self):
         # an eps the CLI accepts can still give an exponent eps |lambda_n| / mu_n
         # of whose exponential no digit would be right
         seq = fixture("squares", 8)
         with pytest.raises(PrecisionError) as info:
-            separation_disks(seq, 8, "1e59")
+            prefix_table(seq, 8).separation_disks("1e59")
         assert str(info.value) == ("eps*|lambda_4|/mu_4 must be below 10^60 to be "
                                    "resolved at 60 digits, got 1.6e+60")
 
     def test_one_frequency_has_no_gap(self):
         seq = fixture("squares", 8)
-        for call in (lambda: nearest_gaps(seq, 1),
-                     lambda: separation_disks(seq, 1, "0.1")):
+        for call in (lambda: prefix_table(seq, 1).nearest_gaps(),
+                     lambda: prefix_table(seq, 1).separation_disks("0.1")):
             with pytest.raises(ConfigError,
                                match="need N >= 2 frequencies to take a gap, got N=1"):
                 call()
@@ -238,11 +237,12 @@ def test_positivity_guards_refuse_nan(x):
     ctx = PrecisionContext(digits=60, trunc_N=4)
     op = carleson.carleson_operator(seq, 4, ctx)
     x = mp.mpf(x)
+    tab = prefix_table(seq, 8)
     calls = [
-        (lambda: separation_disks(seq, 8, x), "eps must be positive"),
-        (lambda: lambda_analysis.counting(seq, 8, x), "t must be positive"),
-        (lambda: lambda_analysis.integrated_counting(seq, 8, x), "r must be positive"),
-        (lambda: lambda_analysis.gap_check(seq, 8, x), "eps must be positive"),
+        (lambda: tab.separation_disks(x), "eps must be positive"),
+        (lambda: lambda_analysis.counting(tab, x), "t must be positive"),
+        (lambda: lambda_analysis.integrated_counting(tab, x), "r must be positive"),
+        (lambda: lambda_analysis.gap_check(tab, x), "eps must be positive"),
         (lambda: series.bound_check(s, 1, x), "eps must be positive"),
         (lambda: carleson.class_membership(op, s, Interval(0, 1), x, 4, ctx),
          "delta must be positive"),

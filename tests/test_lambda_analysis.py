@@ -7,7 +7,7 @@ from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_f
                       reference_separation_search, reference_trend_ratios)
 
 from expspan import MultiplicitySequence, SequenceError, core, fixture
-from expspan.core import nearest_gaps
+from expspan.core import prefix_table
 from expspan import lambda_analysis as la
 from expspan import products
 
@@ -15,7 +15,7 @@ from expspan import products
 class TestConditionA:
     def test_inverse_squares_partials(self):
         seq = fixture("squares", 4)
-        rep = la.condition_a_partials(seq, 4)
+        rep = la.condition_a_partials(prefix_table(seq, 4))
         expect = [1, mp.mpf(5) / 4, mp.mpf(5) / 4 + mp.mpf(1) / 9,
                   mp.mpf(5) / 4 + mp.mpf(1) / 9 + mp.mpf(1) / 16]
         for got, want in zip(rep.partials, expect):
@@ -24,7 +24,7 @@ class TestConditionA:
     def test_ratio_sequence_partials_hand_sum(self):
         # mu/|lambda| = (2/3)^n: partial sums 2/3, 10/9, 38/27
         seq = fixture("example_v", 3)
-        rep = la.condition_a_partials(seq, 3)
+        rep = la.condition_a_partials(prefix_table(seq, 3))
         for got, want in zip(rep.partials,
                              [mp.mpf(2) / 3, mp.mpf(10) / 9, mp.mpf(38) / 27]):
             assert abs(got - want) < mp.mpf("1e-50")
@@ -33,26 +33,27 @@ class TestConditionA:
     def test_harmonic_diverges(self):
         # the tail-ratio heuristic needs a long prefix to see 1/n flatten out
         seq = MultiplicitySequence.from_pairs([(n, 1) for n in range(1, 401)])
-        assert la.condition_a_partials(seq, 400).verdict == "diverging"
+        assert la.condition_a_partials(prefix_table(seq, 400)).verdict == "diverging"
 
     def test_squares_converge(self):
         seq = fixture("squares", 24)
-        assert la.condition_a_partials(seq, 24).verdict == "converging"
+        assert la.condition_a_partials(prefix_table(seq, 24)).verdict == "converging"
 
 
 class TestCounting:
     def test_ratio_sequence_steps(self):
-        seq = fixture("example_v", 4)
-        assert la.counting(seq, 4, 3) == 2
-        assert la.counting(seq, 4, 9) == 6
-        assert la.counting(seq, 4, mp.mpf("0.5")) == 0
+        tab = prefix_table(fixture("example_v", 4), 4)
+        assert la.counting(tab, 3) == 2
+        assert la.counting(tab, 9) == 6
+        assert la.counting(tab, mp.mpf("0.5")) == 0
 
     def test_step_jump_is_mu(self):
         seq = fixture("example_v", 4)
+        tab = prefix_table(seq, 4)
         for n in range(1, 5):
             r = abs(seq.lam(n))
-            below = la.counting(seq, 4, r - mp.mpf("1e-9"))
-            at = la.counting(seq, 4, r)
+            below = la.counting(tab, r - mp.mpf("1e-9"))
+            at = la.counting(tab, r)
             assert at - below == seq.mu(n)
 
     def test_counting_about(self):
@@ -63,19 +64,19 @@ class TestCounting:
 
 class TestIntegratedCounting:
     def test_empty_below_first_modulus(self, squares8):
-        assert la.integrated_counting(squares8, 8, mp.mpf("0.5")) == 0
+        assert la.integrated_counting(prefix_table(squares8, 8), mp.mpf("0.5")) == 0
 
     def test_isolated_frequency_log_only(self):
         # nothing within |lambda_1| of lambda_1: the sum is empty and only
         # the log term survives
         seq = MultiplicitySequence.from_pairs([(5, 1), (100, 1), (1000, 1)])
-        val = la.integrated_about(seq, 3, 1)
+        val = la.integrated_about(prefix_table(seq, 3), 1)
         assert abs(val - mp.log(5)) < mp.mpf("1e-50")
 
     def test_squares_n2_hand_value(self):
         seq = fixture("squares", 6)
         want = mp.log(mp.mpf(4) / 3) + mp.log(4)
-        assert abs(la.integrated_about(seq, 6, 2) - want) < mp.mpf("1e-50")
+        assert abs(la.integrated_about(prefix_table(seq, 6), 2) - want) < mp.mpf("1e-50")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_quadrature_oracle(self, seed):
@@ -96,19 +97,19 @@ class TestIntegratedCounting:
 
         oracle = mp.quad(lambda t: integrand(t) / t, [0] + pts + [r])
         oracle += seq.mu(n) * mp.log(r)
-        got = la.integrated_about(seq, M, n)
+        got = la.integrated_about(prefix_table(seq, M), n)
         assert abs(got - oracle) < mp.mpf(10) ** (-mp.mp.dps // 2)
 
 
 class TestGeometricConditions:
     def test_example_ii_both_pass(self):
         seq = fixture("example_ii", 16)
-        gi, gii = la.geometric_conditions(seq, 32)
+        gi, gii = la.geometric_conditions(prefix_table(seq, 32))
         assert gi.passed and gii.passed
 
     def test_example_iii_condition_ii_fails(self):
         seq = fixture("example_iii", 16)
-        gi, gii = la.geometric_conditions(seq, 32)
+        gi, gii = la.geometric_conditions(prefix_table(seq, 32))
         assert gi.passed
         assert not gii.passed
         # ratios plateau near 1 instead of decaying
@@ -116,31 +117,31 @@ class TestGeometricConditions:
 
     def test_ratio_sequence_both_pass(self):
         seq = fixture("example_v", 8)
-        gi, gii = la.geometric_conditions(seq, 8)
+        gi, gii = la.geometric_conditions(prefix_table(seq, 8))
         assert gi.passed and gii.passed
 
     def test_bounded_multiplicity_passes(self):
         # mu = O(1) over a separated base keeps the conditions
         seq = fixture("example_iv", 14, mu=3)
-        gi, gii = la.geometric_conditions(seq, 14)
+        gi, gii = la.geometric_conditions(prefix_table(seq, 14))
         assert gi.passed and gii.passed
 
     def test_necessary_condition_fixture_vi(self):
         ok = fixture("example_vi", 8)
-        assert la.necessary_condition(ok, 8).passed
+        assert la.necessary_condition(prefix_table(ok, 8)).passed
 
     def test_density_zero_trend(self):
-        assert la.density_trend(fixture("squares", 12), 12).passed
-        assert la.density_trend(fixture("example_v", 8), 8).passed
+        assert la.density_trend(prefix_table(fixture("squares", 12), 12)).passed
+        assert la.density_trend(prefix_table(fixture("example_v", 8), 8)).passed
 
     def test_short_prefix_rejected(self, squares8):
         with pytest.raises(ValueError):
-            la.geometric_conditions(squares8, 5)
+            la.geometric_conditions(prefix_table(squares8, 5))
 
 
 class TestGapCheck:
     def test_squares_have_polynomial_separation(self, squares8):
-        rep = la.gap_check(squares8, 8, "0.1")
+        rep = la.gap_check(prefix_table(squares8, 8), "0.1")
         assert rep.fitted_m > 0
         # nearest square is the previous one except at n = 1
         assert abs(rep.gaps[0] - 3) < mp.mpf("1e-40")
@@ -148,19 +149,19 @@ class TestGapCheck:
             assert abs(rep.gaps[n - 1] - (2 * n - 1)) < mp.mpf("1e-40")
 
     def test_radii_ratio_three_to_one(self, squares8):
-        rep = la.gap_check(squares8, 8, "0.2")
+        rep = la.gap_check(prefix_table(squares8, 8), "0.2")
         for big, small in zip(rep.radii_large, rep.radii_small):
             assert abs(big / small - 3) < mp.mpf("1e-45")
 
     def test_example_iii_constant_decays_with_prefix(self):
         seq = fixture("example_iii", 5)
-        fits = [la.gap_check(seq, N, "0.1").fitted_m for N in (6, 8, 10)]
+        fits = [la.gap_check(prefix_table(seq, N), "0.1").fitted_m for N in (6, 8, 10)]
         assert fits[0] > fits[1] > fits[2]
 
     def test_zero_gap_rejected(self):
         seq = MultiplicitySequence.from_pairs([(1, 1), (1, 1)])
         with pytest.raises(SequenceError):
-            la.gap_check(seq, 2, "0.1")
+            la.gap_check(prefix_table(seq, 2), "0.1")
 
     @pytest.mark.parametrize("dps", [15, 60])
     @pytest.mark.parametrize("terms", FIXTURE_TERMS)
@@ -174,9 +175,9 @@ class TestGapCheck:
                 want = reference_gap_check(seq, seq.size, "0.1")
             except SequenceError as exc:
                 with pytest.raises(SequenceError, match=str(exc)):
-                    la.gap_check(seq, seq.size, "0.1")
+                    la.gap_check(prefix_table(seq, seq.size), "0.1")
                 return
-            rep = la.gap_check(seq, seq.size, "0.1")
+            rep = la.gap_check(prefix_table(seq, seq.size), "0.1")
         assert bits(rep.gaps) == bits(want[0])
         assert bits(rep.fitted_m) == bits(want[1])
         assert bits(rep.radii_large) == bits(want[2])
@@ -185,13 +186,13 @@ class TestGapCheck:
 
 class TestSeparationSearch:
     def test_ratio_sequence_has_wide_delta(self):
-        seq = fixture("example_v", 8)
-        delta = la.separation_search(seq, nearest_gaps(seq, 8))
+        tab = prefix_table(fixture("example_v", 8), 8)
+        delta = la.separation_search(tab, tab.nearest_gaps())
         assert delta is not None and delta > mp.mpf("0.05")
 
     def test_near_duplicates_have_no_delta(self):
-        seq = fixture("example_iii", 8)
-        assert la.separation_search(seq, nearest_gaps(seq, 16)) is None
+        tab = prefix_table(fixture("example_iii", 8), 16)
+        assert la.separation_search(tab, tab.nearest_gaps()) is None
 
     @pytest.mark.parametrize("dps", [15, 60])
     @pytest.mark.parametrize("terms", FIXTURE_TERMS)
@@ -199,7 +200,8 @@ class TestSeparationSearch:
     def test_matches_the_pair_scan_bit_for_bit(self, name, terms, dps):
         with mp.workdps(dps):
             seq = fixture(name, terms)
-            got = la.separation_search(seq, nearest_gaps(seq, seq.size))
+            tab = prefix_table(seq, seq.size)
+            got = la.separation_search(tab, tab.nearest_gaps())
             assert bits(got) == bits(reference_separation_search(seq, seq.size))
 
     def test_duplicate_frequency_raises(self):
@@ -267,7 +269,7 @@ class TestCondensation:
                                ("example_iii", 12, 24)):
             seq = fixture(name, terms)
             chat = la.condensation_index(seq, N).chat
-            _, gii = la.geometric_conditions(seq, N)
+            _, gii = la.geometric_conditions(prefix_table(seq, N))
             assert (chat < mp.mpf("0.3")) == gii.passed
 
 
@@ -283,13 +285,14 @@ class TestSharedTable:
             seq = fixture(name, terms)
             N = seq.size
             want_i, want_ii, want_density = reference_trend_ratios(seq, N)
-            gi, gii = la.geometric_conditions(seq, N)
-            density = la.density_trend(seq, N)
+            tab = prefix_table(seq, N)
+            gi, gii = la.geometric_conditions(tab)
+            density = la.density_trend(tab)
             assert bits(gi.ratios) == bits(want_i)
             assert bits(gii.ratios) == bits(want_ii)
             assert bits(density.ratios) == bits(want_density)
             for t in [abs(seq.lam(n)) for n in range(1, N + 1)] + [mp.mpf("2.5")]:
-                assert la.counting(seq, N, t) == reference_counting(seq, N, t)
+                assert la.counting(tab, t) == reference_counting(seq, N, t)
             # example_iii and carleson_counterexample at 9 and 10 terms raise the
             # disk-overlap SequenceError
             try:
