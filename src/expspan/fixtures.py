@@ -26,7 +26,7 @@ from typing import Callable
 
 import mpmath as mp
 
-from .core import MultiplicitySequence, read_count
+from .core import MultiplicitySequence, read_count, read_number
 from .errors import ConfigError
 
 # extra decimal digits kept when materialising generator entries
@@ -49,9 +49,13 @@ def _pair_entries(n_terms: int, gap_log: Callable[[int], mp.mpf]) -> list:
     return out
 
 
+def _count_param(params: dict, key: str, default: int) -> int:
+    return read_count(params.get(key, default), f"generator param {key!r}")
+
+
 def _gen_power(n_terms: int, params: dict) -> list:
-    p = mp.mpmathify(params.get("exponent", 2))
-    mu = int(params.get("mu", 1))
+    p = read_number(str(params.get("exponent", 2)), "generator param 'exponent'", real=True)
+    mu = _count_param(params, "mu", 1)
     return [(mp.mpc(mp.mpf(n) ** p), mu) for n in range(1, n_terms + 1)]
 
 
@@ -69,13 +73,13 @@ def _gen_example_iii(n_terms: int, params: dict) -> list:
 
 
 def _gen_example_iv(n_terms: int, params: dict) -> list:
-    mu = int(params.get("mu", 2))
+    mu = _count_param(params, "mu", 2)
     return [(mp.mpc(mp.mpf(n) ** 2), mu) for n in range(1, n_terms + 1)]
 
 
 def _gen_example_v(n_terms: int, params: dict) -> list:
-    base = int(params.get("base", 3))
-    mu_base = int(params.get("mu_base", 2))
+    base = _count_param(params, "base", 3)
+    mu_base = _count_param(params, "mu_base", 2)
     return [(mp.mpc(mp.mpf(base) ** n), mu_base ** n) for n in range(1, n_terms + 1)]
 
 
@@ -161,10 +165,12 @@ def sequence_from_spec(spec: dict, default_terms: int | None = None) -> Multipli
     if kind == "generator":
         name = spec.get("name")
         terms = spec.get("terms", default_terms)
+        params = spec.get("params", {})
         if name is None or terms is None:
             raise ConfigError("generator spec needs 'name' and 'terms'")
-        return fixture(str(name), read_count(terms, "generator 'terms'"),
-                       **spec.get("params", {}))
+        if not isinstance(params, dict):
+            raise ConfigError(f"generator 'params' must be an object, got {params!r}")
+        return fixture(str(name), read_count(terms, "generator 'terms'"), **params)
     raise ConfigError(f"unknown sequence spec kind {kind!r}")
 
 

@@ -1,20 +1,34 @@
 """Exact inner products, Gram systems, dual norms, and biorthogonal families.
 
-Inner products of exponential monomials on a bounded interval or on
-(-inf, 0) have closed forms, so Gram matrices are assembled exactly at
-working precision.  Assembly takes one pair of endpoint exponentials per
-frequency pair: the mu_n x mu_m block of lambda_n, lambda_m shares the
-exponent lambda_n + conj(lambda_m), so one table of integrals
-I(0..mu_n+mu_m-2) fills it.  One Hermitian Cholesky factorization
-M = L L^H then serves every downstream quantity through the forward columns
+Inner products of exponential monomials on a bounded interval (gamma, beta)
+or on (-inf, 0) have closed forms, so Gram matrices are exact at working
+precision.  The precision ladder needs only the Cholesky factor M = L L^H,
+and `_factor` computes it one of two ways:
+
+- When every mu_n = 1, the Gram is Cauchy-like: Lambda M + M Lambda^H =
+  u u^H - v v^H with u_a = e^(lambda_a beta) and v_a = e^(lambda_a gamma)
+  (u = 1 and v = 0 on the half-line).  The generalized Schur algorithm
+  (Gohberg, Kailath and Olshevsky, 1995; Kailath and Sayed, 1995) gives L
+  from these 2d exponentials in O(d^2) work, with no assembly.  On a bounded
+  interval it applies when 2 min Re lambda_n (beta - gamma) >= 1/2, where no
+  entry takes the series branch of `monomial_exp_integrals`.
+- Otherwise the Gram is assembled and factored by `hermitian_cholesky`.
+  Assembly takes one pair of endpoint exponentials per frequency pair: the
+  mu_n x mu_m block of lambda_n, lambda_m shares the exponent lambda_n +
+  conj(lambda_m), so one table of integrals I(0..mu_n+mu_m-2) fills it.
+
+`GramSystem.matrix` is the assembled M, built on first read at the accepted
+digits (or kept from the ladder when it assembled one).  One factorization
+then serves every downstream quantity through the forward columns
 y_j = L^-1 e_j, since (M^-1)_ab = <y_b, y_a>: the dual norms ||r_j|| = ||y_j||
 and distances 1/||r_j|| (`dual_norms`), and the dual block of a mixed system
 (`mixed_completeness`).  The backward sweep runs only for the full inverse
-Gram with its identity residual (`biorthogonal`) and for coefficient
-recovery (one solve against the moments).
+Gram with its identity residual (`biorthogonal`, which factors the assembled
+M itself when the ladder's factor came from the generators) and for
+coefficient recovery (one solve against the moments).
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
-digits scale linearly with Re lambda_N; assembly auto-escalates precision
+digits scale linearly with Re lambda_N; the ladder auto-escalates precision
 (rungs d, 2d, 4d; a rung whose floor the last ratio misses by more than 10
 digits is skipped) until the pivot floor is met.
 """
@@ -23,6 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from typing import Sequence
 
@@ -174,18 +189,31 @@ def _backward(L: mp.matrix, y: mp.matrix) -> mp.matrix:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Hermitian positive-definite Gram matrix with its factorization."""
+    """Hermitian positive-definite Gram matrix, by its Cholesky factor.
+
+    `assembled` is the matrix the ladder assembled and factored at
+    digits_used, or None when `chol` came from the displacement generators.
+    """
 
     seq: MultiplicitySequence
     indices: tuple[FlatIndex, ...]
-    matrix: mp.matrix
+    domain: DomainSpec
     chol: mp.matrix
     digits_used: int
     cond_estimate: mp.mpf
+    assembled: mp.matrix | None = None
 
     @property
     def dim(self) -> int:
         return len(self.indices)
+
+    @cached_property
+    def matrix(self) -> mp.matrix:
+        """The Gram matrix, assembled at digits_used on first read."""
+        if self.assembled is not None:
+            return self.assembled
+        with mp.workdps(self.digits_used):
+            return _assemble(self.seq, self.indices, self.domain)
 
 
 def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
@@ -211,16 +239,62 @@ def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
     return M
 
 
+def _schur_cholesky(lams: Sequence, u: list, v: list) -> mp.matrix:
+    """Lower-triangular L with L L^H = M for the Cauchy-like M_ij =
+    (u_i conj u_j - v_i conj v_j) / (lambda_i + conj lambda_j), by the
+    generalized Schur algorithm on the generators u, v (updated in place).
+    Step k takes the pivot column r_i of the Schur complement, sets
+    L[i, k] = r_i / sqrt(r_k) and updates u_i -= (r_i / r_k) u_k, and v_i the
+    same way.  A pivot that is not strictly positive raises PrecisionError,
+    as in `hermitian_cholesky`."""
+    d = len(lams)
+    L = mp.matrix(d, d)
+    for k in range(d):
+        uk, vk, lk = mp.conj(u[k]), mp.conj(v[k]), mp.conj(lams[k])
+        pivot = mp.re((u[k] * uk - v[k] * vk) / (lams[k] + lk))
+        if not pivot > 0:
+            raise PrecisionError(f"non-positive pivot at row {k}")
+        root = mp.sqrt(pivot)
+        L[k, k] = root
+        for i in range(k + 1, d):
+            r = (u[i] * uk - v[i] * vk) / (lams[i] + lk)
+            L[i, k] = r / root
+            c = r / pivot
+            u[i] -= c * u[k]
+            v[i] -= c * v[k]
+    return L
+
+
+def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
+            dom: DomainSpec) -> tuple[mp.matrix, mp.matrix | None]:
+    """The Cholesky factor of the Gram matrix at the working precision, and
+    the matrix when it was assembled for it: None from the generators, which
+    serve when every mu_n = 1 and, on a bounded interval, 2 min Re lambda_n
+    (beta - gamma) >= 1/2, so that no entry would take the series branch of
+    `monomial_exp_integrals`."""
+    lams = [seq.lam(ix.n) for ix in idx]
+    if not any(ix.k for ix in idx):
+        if dom.kind == "half_line_neg":
+            d = len(lams)
+            return _schur_cholesky(lams, [mp.mpc(1)] * d, [mp.mpc(0)] * d), None
+        gamma, beta = dom.interval.gamma, dom.interval.beta
+        if 2 * min(mp.re(lam) for lam in lams) * (beta - gamma) >= mp.mpf("0.5"):
+            return _schur_cholesky(lams, [mp.exp(lam * beta) for lam in lams],
+                                   [mp.exp(lam * gamma) for lam in lams]), None
+    M = _assemble(seq, idx, dom)
+    return hermitian_cholesky(M), M
+
+
 def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
                 ctx: PrecisionContext) -> GramSystem:
-    """Assemble and factor the Gram matrix of the truncated system.
+    """Factor the Gram matrix of the truncated system (`_factor`).
 
     Escalates working digits over the rungs d, 2d, 4d of the requested
     precision d until the Cholesky pivots clear the relative floor
     10^(-digits/2); a rung whose floor the last ratio misses by more than 10
     digits is skipped, and the 4d rung is never skipped.  The accepted rung
-    is assembled and factored afresh at its own digits.  Exhaustion is an
-    explicit failure naming the achieved condition estimate.
+    is factored afresh at its own digits.  Exhaustion is an explicit failure
+    naming the achieved condition estimate.
     """
     idx = flatten(seq, N)
     if dom.kind == "half_line_neg":
@@ -234,9 +308,8 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
     last_cond = mp.mpf("inf")
     while True:
         with mp.workdps(digits):
-            M = _assemble(seq, idx, dom)
             try:
-                L = hermitian_cholesky(M)
+                L, M = _factor(seq, idx, dom)
             except PrecisionError:
                 L = None
             if L is not None:
@@ -244,8 +317,9 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
                 ratio = min(pivots) / max(pivots)
                 last_cond = (max(pivots) / min(pivots)) ** 2
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
-                    return GramSystem(seq=seq, indices=tuple(idx), matrix=M, chol=L,
-                                      digits_used=digits, cond_estimate=last_cond)
+                    return GramSystem(seq=seq, indices=tuple(idx), domain=dom, chol=L,
+                                      digits_used=digits, cond_estimate=last_cond,
+                                      assembled=M)
         if digits >= 4 * ctx.digits:
             raise PrecisionError(
                 f"Gram factorization needs more than {digits} digits "
@@ -279,8 +353,9 @@ def _norm(y) -> mp.mpf:
 
 def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
     """Dual norms ||r_j|| = sqrt((M^-1)_jj) = ||L^-1 e_j|| and distances
-    1/||r_j|| (the Schur complement), from the forward sweeps alone; bit for
-    bit those of `biorthogonal`."""
+    1/||r_j|| (the Schur complement), from the forward sweeps of the ladder's
+    factor alone; bit for bit those of `biorthogonal` when the ladder
+    assembled M."""
     with mp.workdps(g.digits_used):
         norms = tuple(_norm(_forward(g.chol, mp.eye(g.dim).column(j)))
                       for j in range(g.dim))
@@ -288,18 +363,27 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
 
 
 def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
-    """Invert the Gram through its factorization, column j of C = M^-1 being
-    L^-H y_j with y_j = L^-1 e_j, checked by the residual of C M against the
-    identity.  The dual norms ||y_j|| and the distances 1/||y_j|| are those
-    of `dual_norms`, which skips the backward sweeps and the residual."""
+    """Invert the Gram through a factorization L L^H = M, column j of C = M^-1
+    being L^-H y_j with y_j = L^-1 e_j, checked by the residual of C M against
+    the identity.  L is the ladder's factor of the assembled M, or, when the
+    ladder factored from the generators, `hermitian_cholesky` of `g.matrix`.
+    With the ladder's factor, the dual norms ||y_j|| and the distances
+    1/||y_j|| are those of `dual_norms`, which skips the backward sweeps and
+    the residual."""
     d = g.dim
     with mp.workdps(g.digits_used):
+        # the one consumer that does not use the ladder's factor: C from the
+        # generators' factor moves the rounding noise in Im C_ii (about 1e-476;
+        # exactly 0 for the true inverse) that recorded benchmark digests pin.
+        # ROADMAP.md item 1, C Hermitian with a real diagonal by construction,
+        # removes this exception.
+        L = g.chol if g.assembled is not None else hermitian_cholesky(g.matrix)
         C = mp.matrix(d, d)
         norms = []
         for j in range(d):
-            y = _forward(g.chol, mp.eye(d).column(j))
+            y = _forward(L, mp.eye(d).column(j))
             norms.append(_norm(y))
-            col = _backward(g.chol, y)
+            col = _backward(L, y)
             for i in range(d):
                 C[i, j] = col[i]
         resid = mp.mpf(0)

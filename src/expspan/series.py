@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .core import FlatIndex, MultiplicitySequence, Sector, read_number
+from .core import FlatIndex, MultiplicitySequence, Sector, read_count, read_number
 from .errors import ConfigError, DomainError
 from .fixtures import read_json, sequence_from_spec
 
@@ -166,14 +166,20 @@ def series_to_obj(s: TaylorDirichletSeries, dps: int = 30) -> dict:
 
 
 def coeff_rows(rows) -> dict[FlatIndex, mp.mpc]:
-    """Coefficients from the [n, k, re, im] rows of series and moments files;
-    a coefficient that is not finite is a ConfigError."""
+    """Coefficients from the [n, k, re, im] rows of series and moments files.
+    n >= 1 and k >= 0 are counts (`read_count`); a repeated (n, k) or a
+    coefficient that is not finite is a ConfigError."""
     out = {}
     for n, k, re, im in rows:
+        n, k = read_count(n, "row index n"), read_count(k, "row power k")
+        if n < 1 or k < 0:
+            raise ConfigError(f"row ({n}, {k}) needs n >= 1 and k >= 0")
+        if (n, k) in out:
+            raise ConfigError(f"coefficient ({n}, {k}) is given twice")
         c = mp.mpc(mp.mpmathify(str(re)), mp.mpmathify(str(im)))
         if not mp.isfinite(c):
             raise ConfigError(f"coefficient ({n}, {k}) must be finite, got {re!r}, {im!r}")
-        out[FlatIndex(int(n), int(k))] = c
+        out[FlatIndex(n, k)] = c
     return out
 
 

@@ -48,6 +48,18 @@ def jittered_mu3(N, seed):
           / 2 ** 20, 3) for n in range(1, N + 1)], "jittered-mu3")
 
 
+def halfline_distance(seq, N, n):
+    """D_n = (2 Re lambda_n)^(-1/2) prod_(k != n) |lambda_n - lambda_k| / |lambda_n +
+    conj lambda_k|: the distance of e^(lambda_n t) to the span of the others in
+    L^2(-inf, 0), the closed form of the rank-1 (Cauchy) Gram, where every mu = 1."""
+    lam = seq.lam(n)
+    d = 1 / mp.sqrt(2 * mp.re(lam))
+    for k in range(1, N + 1):
+        if k != n:
+            d *= abs(lam - seq.lam(k)) / abs(lam + mp.conj(seq.lam(k)))
+    return d
+
+
 def escalated_derivative_factor(seq, N, n, kind, dps):
     """derivative_factor in the cancelling 1 - lambda_n/lambda_j (F_PLAIN) or
     1 - lambda_n^2/lambda_j^2 (F_EVEN) form, at log10(|lambda_n|/gap) + dps + 30
@@ -241,11 +253,11 @@ def reference_apply_to_exponential(op, lam, k: int, x, ctx) -> mp.mpc:
 # -- the Gram precision ladder before it skipped rungs --
 # A verbatim copy (bar the name and the module prefixes) of `gram_matrix`
 # when it factored every rung of d, 2d, 4d in turn, so the tests can check the
-# skipping ladder bit for bit.  It calls gram.hermitian_cholesky through the
-# module, so a monkeypatched counter sees its factorizations too.
+# skipping ladder bit for bit.  It calls gram._factor through the module, so a
+# monkeypatched counter sees its factorizations too.
 
 def walked_gram_matrix(seq, N, dom, ctx):
-    """Assemble and factor the Gram matrix, escalating working digits
+    """Factor the Gram matrix, escalating working digits
     (doubling, up to 4x the requested precision) until the Cholesky pivots
     clear the relative floor 10^(-digits/2)."""
     idx = flatten(seq, N)
@@ -260,9 +272,8 @@ def walked_gram_matrix(seq, N, dom, ctx):
     last_cond = mp.mpf("inf")
     while True:
         with mp.workdps(digits):
-            M = gram._assemble(seq, idx, dom)
             try:
-                L = gram.hermitian_cholesky(M)
+                L, M = gram._factor(seq, idx, dom)
             except PrecisionError:
                 L = None
             if L is not None:
@@ -270,8 +281,9 @@ def walked_gram_matrix(seq, N, dom, ctx):
                 ratio = min(pivots) / max(pivots)
                 last_cond = (max(pivots) / min(pivots)) ** 2
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
-                    return gram.GramSystem(seq=seq, indices=tuple(idx), matrix=M, chol=L,
-                                           digits_used=digits, cond_estimate=last_cond)
+                    return gram.GramSystem(seq=seq, indices=tuple(idx), domain=dom, chol=L,
+                                           digits_used=digits, cond_estimate=last_cond,
+                                           assembled=M)
         if digits >= 4 * ctx.digits:
             raise PrecisionError(
                 f"Gram factorization needs more than {digits} digits "

@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 import expspan
+from conftest import halfline_distance
 from expspan import (Interval, PrecisionContext, ProductKind, eval_product,
                      load_sequence, lk_eval, lk_function)
 from expspan.cli import main
@@ -91,9 +92,12 @@ class TestBasicCommands:
                              ids=["bounded", "half-line", "mixed"])
     def test_gram_distance_needs_no_full_inverse(self, capsys, seq_file, monkeypatch,
                                                  argv):
-        def refuse(g):
-            raise AssertionError(f"gram {argv[0]} computed the full inverse")
+        def refuse(*args):
+            raise AssertionError(f"gram {argv[0]} computed the full inverse or assembled M")
         monkeypatch.setattr("expspan.gram.biorthogonal", refuse)
+        if argv[0] == "distance":
+            # a mu = 1 Gram is factored from its generators, and no distance reads M
+            monkeypatch.setattr("expspan.gram._assemble", refuse)
         code, out = run(capsys, "gram", argv[0], "--seq", seq_file, "--N", "4",
                         "--digits", "120", *argv[1:])
         assert code == 0
@@ -362,6 +366,31 @@ class TestExitCodes:
         (["analyze", "{float_terms_seq}"], "generator 'terms' must be an integer, got 8.7"),
         (["analyze", "{bool_terms_seq}"], "generator 'terms' must be an integer, got True"),
         (["validate", "{float_mu_seq}"], "multiplicity must be an integer, got 2.5"),
+        # a series or moments row's n and k are counts, and each (n, k) is given once
+        (["series", "eval", "--series", "{float_n_series}", "--z", "-1"],
+         "row index n must be an integer, got 1.5"),
+        (["series", "eval", "--series", "{bool_n_series}", "--z", "-1"],
+         "row index n must be an integer, got True"),
+        (["series", "eval", "--series", "{zero_n_series}", "--z", "-1"],
+         "row (0, 0) needs n >= 1 and k >= 0"),
+        (["series", "eval", "--series", "{repeated_series}", "--z", "-1"],
+         "coefficient (1, 0) is given twice"),
+        (["moment", "solve", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
+          "--data", "{float_k_moments}"], "row power k must be an integer, got 0.5"),
+        (["moment", "solve", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
+          "--data", "{negative_k_moments}"], "row (2, -1) needs n >= 1 and k >= 0"),
+        (["moment", "solve", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
+          "--data", "{repeated_moments}"], "coefficient (2, 0) is given twice"),
+        # a generator's params are read by the rules of counts and numbers
+        (["validate", "{float_mu_param_seq}"], "generator param 'mu' must be an integer, got 2.5"),
+        (["validate", "{bool_base_param_seq}"],
+         "generator param 'base' must be an integer, got True"),
+        (["validate", "{string_mu_base_param_seq}"],
+         "generator param 'mu_base' must be an integer, got 'two'"),
+        (["validate", "{nan_exponent_seq}"], "generator param 'exponent' must be finite"),
+        (["analyze", "{word_exponent_seq}"],
+         "generator param 'exponent' must be a real number, got 'two'"),
+        (["validate", "{list_params_seq}"], "generator 'params' must be an object, got [2]"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
@@ -378,7 +407,12 @@ class TestExitCodes:
             "interval-nan", "interval-inf", "config-interval-reversed",
             "series-sector-beta-nan", "series-sector-beta-inf", "series-sector-eta-nan",
             "sequence-entry-nan", "series-coeff-nan", "moment-row-nan", "config-N-float",
-            "sequence-terms-float", "sequence-terms-bool", "sequence-mu-float"])
+            "sequence-terms-float", "sequence-terms-bool", "sequence-mu-float",
+            "series-row-n-float", "series-row-n-bool", "series-row-n-zero",
+            "series-row-repeated", "moment-row-k-float", "moment-row-k-negative",
+            "moment-row-repeated", "param-mu-float", "param-base-bool",
+            "param-mu-base-string", "param-exponent-nan", "param-exponent-word",
+            "params-list"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
@@ -417,7 +451,30 @@ class TestExitCodes:
                                     "out": bundle},
                  "float_terms_seq": {"kind": "generator", "name": "squares", "terms": 8.7},
                  "bool_terms_seq": {"kind": "generator", "name": "squares", "terms": True},
-                 "float_mu_seq": {"kind": "explicit", "entries": [[1, 0, 2.5], [4, 0, 1]]}}
+                 "float_mu_seq": {"kind": "explicit", "entries": [[1, 0, 2.5], [4, 0, 1]]},
+                 "float_n_series": {"seq": squares, "sector": sector,
+                                    "coeffs": [[1.5, 0, "1", "0"]] + rows[1:]},
+                 "bool_n_series": {"seq": squares, "sector": sector,
+                                   "coeffs": [[True, 0, "1", "0"]] + rows[1:]},
+                 "zero_n_series": {"seq": squares, "sector": sector,
+                                   "coeffs": [[0, 0, "1", "0"]] + rows[1:]},
+                 "repeated_series": {"seq": squares, "sector": sector,
+                                     "coeffs": rows + [[1, 0, "2", "0"]]},
+                 "float_k_moments": [rows[0], [2, 0.5, "1", "0"]] + rows[2:],
+                 "negative_k_moments": [rows[0], [2, -1, "1", "0"]] + rows[2:],
+                 "repeated_moments": {"values": rows + [[2, "0", "1", "0"]]},
+                 "float_mu_param_seq": {"kind": "generator", "name": "example_iv",
+                                        "terms": 4, "params": {"mu": 2.5}},
+                 "bool_base_param_seq": {"kind": "generator", "name": "example_v",
+                                         "terms": 4, "params": {"base": True}},
+                 "string_mu_base_param_seq": {"kind": "generator", "name": "example_v",
+                                              "terms": 4, "params": {"mu_base": "two"}},
+                 "nan_exponent_seq": {"kind": "generator", "name": "power", "terms": 4,
+                                      "params": {"exponent": "nan"}},
+                 "word_exponent_seq": {"kind": "generator", "name": "power", "terms": 8,
+                                       "params": {"exponent": "two"}},
+                 "list_params_seq": {"kind": "generator", "name": "power", "terms": 4,
+                                     "params": [2]}}
         paths = {"seq": seq_file}
         for name, obj in files.items():
             paths[name] = str(tmp_path / f"{name}.json")
@@ -819,17 +876,8 @@ class TestOptionsAtDigits:
 
 class TestHalfLineClosedForm:
     """gram distance --half-line against the Blaschke-product closed form
-    D_n = (2 Re lambda_n)^(-1/2) prod_{k != n} |lambda_n - lambda_k| / |lambda_n + conj(lambda_k)|,
-    run at the CLI's 15 digits."""
-
-    @staticmethod
-    def closed_form(seq, N, n):
-        lam = seq.lam(n)
-        d = 1 / mp.sqrt(2 * mp.re(lam))
-        for k in range(1, N + 1):
-            if k != n:
-                d *= abs(lam - seq.lam(k)) / abs(lam + mp.conj(seq.lam(k)))
-        return d
+    D_n = (2 Re lambda_n)^(-1/2) prod_{k != n} |lambda_n - lambda_k| / |lambda_n + conj(lambda_k)|
+    (`conftest.halfline_distance`), run at the CLI's 15 digits."""
 
     @pytest.mark.parametrize("spec, N", [
         ({"kind": "generator", "name": "squares", "terms": 12}, 12),
@@ -850,5 +898,5 @@ class TestHalfLineClosedForm:
         assert [r["n"] for r in rows] == list(range(1, N + 1))
         with mp.workdps(40):
             for r in rows:
-                want = self.closed_form(seq, N, r["n"])
+                want = halfline_distance(seq, N, r["n"])
                 assert abs(mp.mpf(r["distance"]) / want - 1) < mp.mpf("1e-14")

@@ -146,6 +146,17 @@ class TestSequenceSpec:
                                   "terms": 3})
         assert seq.size == 3 and seq.lam(3) == 27 and seq.mu(3) == 8
 
+    def test_generator_params_as_strings(self):
+        # a count may be a string of digits and the exponent a decimal string
+        for name, params in (("example_v", {"base": "2", "mu_base": "3"}),
+                             ("example_iv", {"mu": "3"}),
+                             ("power", {"exponent": "1.5", "mu": "2"})):
+            given = sequence_from_spec({"kind": "generator", "name": name, "terms": 4,
+                                        "params": params})
+            want = fixture(name, 4, **{k: float(v) if "." in v else int(v)
+                                       for k, v in params.items()})
+            assert given.entries == want.entries
+
     def test_string_entries_keep_precision(self):
         spec = {"kind": "explicit",
                 "entries": [["1." + "0" * 40 + "1", "0", 1], ["2", "0", 1]]}

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from conftest import jittered_mu3, rand_complex, walked_gram_matrix
+from conftest import halfline_distance, jittered_mu3, rand_complex, walked_gram_matrix
 
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
@@ -297,33 +297,126 @@ class TestRungSkip:
             want = _ladder_outcome(walked_gram_matrix, seq, N, kind, digits)
         assert got == want
 
-    @pytest.mark.parametrize("name, N, digits, rungs", [
-        ("squares", 16, 120, [120, 480]),
-        ("example_iv", 16, 200, [200, 400, 800]),
-        ("squares", 12, 50, [50, 200]),
-        ("example_iv", 16, 100, [100, 400]),
-        ("example_iv", 8, 15, [15, 30, 60]),
-    ])
-    def test_factored_rungs(self, monkeypatch, name, N, digits, rungs):
+    @pytest.mark.parametrize("seq, N, digits, rungs", [
+        (fixture("squares", 16), 16, 120, [120, 480]),
+        (fixture("example_iv", 16), 16, 200, [200, 400, 800]),
+        (fixture("squares", 12), 12, 50, [50, 200]),
+        (fixture("example_iv", 16), 16, 100, [100, 400]),
+        (fixture("example_iv", 8), 8, 15, [15, 30, 60]),
+        (jittered((1,) * 14, 0), 14, 400, [400]),
+    ], ids=["squares16", "example_iv16-guard-band", "squares12", "example_iv16",
+            "example_iv8", "jittered-squares14"])
+    def test_factored_rungs(self, monkeypatch, seq, N, digits, rungs):
         # squares 16's 240-digit rung misses its floor by 89 digits and is
         # skipped; example_iv 16's 400-digit rung misses it by less than the
         # guard band and is factored; the cap is always factored; after a
-        # failed factorization (example_iv 8 at 15) the ladder keeps doubling
+        # failed factorization (example_iv 8 at 15) the ladder keeps doubling;
+        # jittered squares 14 (the moment system of the confluent-moment
+        # benchmark) is accepted at its first rung
         seen = []
-        factor = gram.hermitian_cholesky
+        factor = gram._factor
 
-        def counted(M):
+        def counted(*args):
             seen.append(mp.mp.dps)
-            return factor(M)
+            return factor(*args)
 
-        monkeypatch.setattr(gram, "hermitian_cholesky", counted)
+        monkeypatch.setattr(gram, "_factor", counted)
         with mp.workdps(15):
             try:
-                gram_matrix(fixture(name, N), N, DomainSpec.bounded(Interval(0, 1)),
-                            _ladder_ctx(digits, N))
+                gram_matrix(seq, N, DomainSpec.bounded(Interval(0, 1)), _ladder_ctx(digits, N))
             except PrecisionError:
                 pass
         assert seen == rungs
+
+
+def assembled_norms(g):
+    """Dual norms from `hermitian_cholesky` of the assembled matrix, at the
+    working precision."""
+    L = hermitian_cholesky(g.matrix)
+    return [gram._norm(_forward(L, mp.eye(g.dim).column(j))) for j in range(g.dim)]
+
+
+# (label, sequence factory, N): every mu = 1 fixture, and jittered squares
+SIMPLE_FIXTURES = [
+    ("squares", lambda: fixture("squares", 12), 12),
+    ("power", lambda: fixture("power", 10), 10),
+    ("example_i", lambda: fixture("example_i", 12), 12),
+    ("example_ii", lambda: fixture("example_ii", 6), 12),
+    ("example_iii", lambda: fixture("example_iii", 4), 8),
+    ("carleson_counterexample", lambda: fixture("carleson_counterexample", 3), 6),
+    ("jittered-squares", lambda: jittered((1,) * 14, 0), 14),
+]
+
+
+@pytest.mark.parametrize("dps", [15, 60])
+class TestSchurFactor:
+    """The mu = 1 Grams are factored from their displacement generators, with
+    no assembly, where no entry takes the series branch; every other Gram is
+    assembled and factored as before."""
+
+    @pytest.mark.parametrize("N", [5, 10, 20, 30, 40])
+    def test_half_line_distances_match_closed_form(self, dps, N):
+        # first-order bound: relative error cond * 10^-digits
+        with mp.workdps(dps):
+            seq = fixture("squares", N)
+            g = gram_matrix(seq, N, DomainSpec.half_line(),
+                            PrecisionContext(digits=50, trunc_N=N))
+            dists = dual_norms(g)[1]
+        assert g.assembled is None
+        with mp.workdps(2 * g.digits_used + 20):
+            err = max(abs(d - halfline_distance(seq, N, n)) / halfline_distance(seq, N, n)
+                      for n, d in enumerate(dists, 1))
+            assert err < g.cond_estimate * mp.mpf(10) ** -g.digits_used
+
+    @pytest.mark.parametrize("half_line", [False, True], ids=["bounded", "half-line"])
+    @pytest.mark.parametrize("name, make, N", SIMPLE_FIXTURES,
+                             ids=[c[0] for c in SIMPLE_FIXTURES])
+    def test_as_accurate_as_assembled_cholesky(self, dps, half_line, name, make, N):
+        dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
+        with mp.workdps(dps):
+            seq = make()
+            g = gram_matrix(seq, N, dom, PrecisionContext(digits=120, trunc_N=N))
+            schur = dual_norms(g)[0]
+        assert g.assembled is None
+        with mp.workdps(g.digits_used):
+            assembled = assembled_norms(g)
+        with mp.workdps(2 * g.digits_used + 20):
+            hi = gram_matrix(seq, N, dom, PrecisionContext(digits=2 * g.digits_used + 20,
+                                                           trunc_N=N))
+            want = assembled_norms(hi)
+            assert rel_err(schur, want) <= rel_err(assembled, want)
+
+    @pytest.mark.parametrize("seq, dom", [
+        (fixture("squares", 6), DomainSpec.bounded(Interval(0, "0.2"))),
+        (jittered((1, 2, 1, 3), 0), DomainSpec.bounded(Interval(0, 1))),
+        (jittered((1, 2, 1, 3), 0), DomainSpec.half_line()),
+    ], ids=["short-interval", "mu2-bounded", "mu2-half-line"])
+    def test_other_grams_take_assembled_branch(self, dps, seq, dom):
+        with mp.workdps(dps):
+            N = seq.size
+            g = gram_matrix(seq, N, dom, PrecisionContext(digits=60, trunc_N=N))
+        with mp.workdps(g.digits_used):
+            M = gram._assemble(seq, flatten(seq, N), dom)
+            L = hermitian_cholesky(M)
+        d = g.dim
+        assert g.assembled is not None and g.matrix is g.assembled
+        assert [bits(g.matrix[i, j]) for i in range(d) for j in range(d)] == \
+            [bits(M[i, j]) for i in range(d) for j in range(d)]
+        assert [bits(g.chol[i, j]) for i in range(d) for j in range(d)] == \
+            [bits(L[i, j]) for i in range(d) for j in range(d)]
+
+    @pytest.mark.parametrize("half_line", [False, True], ids=["bounded", "half-line"])
+    def test_lazy_matrix_is_assembled_at_digits_used(self, dps, half_line):
+        dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
+        with mp.workdps(dps):
+            seq = fixture("squares", 10)
+            g = gram_matrix(seq, 10, dom, PrecisionContext(digits=100, trunc_N=10))
+            got = g.matrix
+        with mp.workdps(g.digits_used):
+            want = gram._assemble(seq, flatten(seq, 10), dom)
+        assert g.assembled is None and g.matrix is got
+        assert [bits(got[i, j]) for i in range(10) for j in range(10)] == \
+            [bits(want[i, j]) for i in range(10) for j in range(10)]
 
 
 class TestCholesky:
