@@ -77,20 +77,11 @@ def _parse_grid(text: str) -> list:
     """'lo:hi:steps' -> steps equispaced points from lo to hi inclusive."""
     try:
         lo, hi, steps = text.split(":")
-        steps = int(steps)
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}; expected 'lo:hi:steps'") from exc
-    if steps < 2:
-        raise ConfigError(f"grid {text!r} needs steps >= 2")
+    steps = read_count(steps, "--grid steps", least=2)
     lo, hi = (read_number(x, "--grid endpoint", real=True) for x in (lo, hi))
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
-def _at_least(value: int, least: int, name: str) -> int:
-    """An integer option or config field below its least value is a ConfigError."""
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _load_seq(args) -> "MultiplicitySequence":
@@ -311,16 +302,15 @@ def _cmd_moment(args) -> _Result:
 def _cmd_carleson(args) -> _Result:
     ctx = _ctx(args)
     if args.action == "counterexample":
-        rep = carleson_mod.counterexample(_at_least(args.nmax, 2, "--nmax"), ctx)
+        rep = carleson_mod.counterexample(args.nmax, ctx)
         return _counterexample_obj(rep, args.dps), None
     seq = _load_seq(args)
     op = carleson_mod.carleson_operator(seq, args.N, ctx)
     if args.action == "apply":
-        k = _at_least(args.k, 0, "--k")
         with mp.workdps(ctx.digits):
             lam = read_number(args.lam, "--lam")
             x = read_number(args.x, "--x", real=True)
-            val, = carleson_mod.apply_to_exponential(op, lam, k, [x], ctx)
+            val, = carleson_mod.apply_to_exponential(op, lam, args.k, [x], ctx)
         return _value_obj(val, args.dps), None
     # residual over a grid for a series file
     s = series_mod.load_series(args.series)
@@ -338,11 +328,6 @@ _EXPERIMENT_KINDS = ("analyze", "gram", "biorthogonal", "distance-trend", "serie
                      "moment", "carleson", "counterexample", "full-report")
 
 
-def _cfg_int(cfg: dict, key: str, default: int, least: int | None = None) -> int:
-    value = read_count(cfg.get(key, default), f"config {key!r}")
-    return value if least is None else _at_least(value, least, f"config {key!r}")
-
-
 def _cmd_run(args) -> None:
     """Validate the whole config, compute every artifact, then write the bundle."""
     cfg = read_json(args.config, "config")
@@ -358,10 +343,11 @@ def _cmd_run(args) -> None:
         raise ConfigError("series experiment needs a 'series' object")
     if kind == "moment" and cfg.get("data") is None:
         raise ConfigError("moment experiment needs a 'data' row list")
-    N = _cfg_int(cfg, "N", 6)
-    nmax = (_cfg_int(cfg, "nmax", 5, least=2)
+    N = read_count(cfg.get("N", 6), "config 'N'", least=1)
+    nmax = (read_count(cfg.get("nmax", 5), "config 'nmax'", least=2)
             if kind in ("counterexample", "full-report") else None)
-    ctx = PrecisionContext(digits=_cfg_int(cfg, "digits", 120), trunc_N=N)
+    ctx = PrecisionContext(digits=read_count(cfg.get("digits", 120), "config 'digits'"),
+                           trunc_N=N)
     seq = sequence_from_spec(seq_spec, default_terms=N) if seq_spec else None
     interval = (_parse_interval(cfg.get("interval", "0,1"), ctx.digits)
                 if kind not in ("analyze", "series", "counterexample") else None)
@@ -545,16 +531,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (dest, option, least) of every count option; --digits keeps PrecisionContext's
+# floor and --seed takes any integer.  The --N of analyze and series is a prefix
+# length (dest terms), elsewhere the product truncation trunc_N.
+_COUNT_OPTIONS = (("N", "--N", 1), ("terms", "--N", 1), ("dps", "--dps", 1),
+                  ("circles", "--circles", 1), ("partitions", "--partitions", 1),
+                  ("k", "--k", 0), ("nmax", "--nmax", 2))
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        # the --N of analyze and series is a prefix length (dest terms); elsewhere
-        # it is trunc_N, which PrecisionContext checks
-        for dest, option in (("dps", "--dps"), ("circles", "--circles"),
-                             ("partitions", "--partitions"), ("terms", "--N")):
+        for dest, option, least in _COUNT_OPTIONS:
             if getattr(args, dest, None) is not None:
-                _at_least(getattr(args, dest), 1, option)
+                read_count(getattr(args, dest), option, least)
         # no digit past the working digits is right, and mp.nstr at a huge --dps hangs
         if hasattr(args, "dps") and args.dps > (digits := _ctx(args).digits):
             raise ConfigError(f"--dps must be <= the working digits {digits}, "

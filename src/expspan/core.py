@@ -10,13 +10,15 @@ PrecisionContext.  The prefix table of moduli and pairwise distances, and
 the nearest gaps and separation disks read from it, are here too, shared by
 the sequence diagnostics and the contour quadrature.  So are `read_number`,
 which reads every number option, config number and series sector, and
-`read_count`, which reads a config's counts and a sequence file's term count
-and multiplicities.
+`read_count`, which reads and bounds every count: the integer options, a
+config's counts, a sequence file's term count, multiplicities and generator
+params, a series or moments row's index and power, and EXPSPAN_MAX_DIM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import mpmath as mp
@@ -67,11 +69,24 @@ class MultiplicitySequence:
         """Multiplicity mu_n, 1-based."""
         return self.entries[n - 1][1]
 
+    @cached_property
+    def _first_bad_entry(self) -> "Violation | None":
+        """The first entry with lambda_n = 0 or mu_n < 1: no prefix through it
+        spans an exponential system."""
+        return next((v for i, (lam, mu) in enumerate(self.entries, 1)
+                     for v in _entry_violations(i, lam, mu)), None)
+
     def check_prefix(self, N: int) -> None:
+        """The gate of every computing path: 1 <= N <= size, and no entry of the
+        prefix breaks a per-entry invariant of `validate_sequence`."""
         if not 1 <= N <= self.size:
             raise SequenceError(
                 f"prefix length N={N} out of range 1..{self.size} for sequence "
                 f"{self.provenance or '<anonymous>'}")
+        bad = self._first_bad_entry
+        if bad is not None and bad.index <= N:
+            raise SequenceError(f"entry n={bad.index} of sequence "
+                                f"{self.provenance or '<anonymous>'}: {bad.detail}")
 
     def total_multiplicity(self, N: int) -> int:
         self.check_prefix(N)
@@ -90,6 +105,13 @@ class Violation:
     index: int
     rule: str
     detail: str
+
+
+def _entry_violations(i: int, lam, mu: int):
+    if lam == 0:
+        yield Violation(i, "nonzero", "lambda must be nonzero")
+    if mu < 1:
+        yield Violation(i, "multiplicity", f"mu={mu} must be >= 1")
 
 
 def _arg_key(lam) -> mp.mpf:
@@ -127,10 +149,7 @@ def validate_sequence(seq: MultiplicitySequence) -> list[Violation]:
     if not ent:
         return [Violation(0, "non-empty", "sequence has no entries")]
     for i, (lam, mu) in enumerate(ent, start=1):
-        if lam == 0:
-            out.append(Violation(i, "nonzero", "lambda must be nonzero"))
-        if mu < 1:
-            out.append(Violation(i, "multiplicity", f"mu={mu} must be >= 1"))
+        out.extend(_entry_violations(i, lam, mu))
     seen: dict = {}
     for i, (lam, _) in enumerate(ent, start=1):
         if lam in seen:
@@ -243,15 +262,20 @@ def read_number(text: str, name: str, real: bool = False):
     return x
 
 
-def read_count(value, name: str) -> int:
-    """An integer count from JSON: an int or a string of digits.  A float or a
-    bool, which int() would truncate or read as 0 or 1, is a ConfigError."""
-    if not isinstance(value, (bool, float)):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+def read_count(value, name: str, least: int | None = None) -> int:
+    """Every integer count of an option, a config, an input file or the
+    environment: an int or a string of digits.  A float or a bool, which int()
+    would truncate or read as 0 or 1, and a count below `least` are a
+    ConfigError."""
+    try:
+        count = None if isinstance(value, (bool, float)) else int(value)
+    except (TypeError, ValueError):
+        count = None
+    if count is None:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and count < least:
+        raise ConfigError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 DIGITS_FLOOR = 50

@@ -15,7 +15,7 @@ Sequence spec files are JSON:
     {"kind": "generator", "name": "example_v", "params": {...}, "terms": 8}
 
 re/im may be numbers or decimal strings; strings keep every digit, whatever
-the caller's precision.
+the caller's precision.  A generator takes only the params it declares.
 """
 
 from __future__ import annotations
@@ -49,46 +49,37 @@ def _pair_entries(n_terms: int, gap_log: Callable[[int], mp.mpf]) -> list:
     return out
 
 
-def _count_param(params: dict, key: str, default: int) -> int:
-    return read_count(params.get(key, default), f"generator param {key!r}")
+def _gen_power(n_terms: int, exponent, mu: int) -> list:
+    return [(mp.mpc(mp.mpf(n) ** exponent), mu) for n in range(1, n_terms + 1)]
 
 
-def _gen_power(n_terms: int, params: dict) -> list:
-    p = read_number(str(params.get("exponent", 2)), "generator param 'exponent'", real=True)
-    mu = _count_param(params, "mu", 1)
-    return [(mp.mpc(mp.mpf(n) ** p), mu) for n in range(1, n_terms + 1)]
-
-
-def _gen_example_i(n_terms: int, params: dict) -> list:
+def _gen_example_i(n_terms: int) -> list:
     # separated positive reals with a convergent reciprocal sum
-    return _gen_power(n_terms, {"exponent": 2, "mu": 1})
+    return _gen_power(n_terms, mp.mpf(2), 1)
 
 
-def _gen_example_ii(n_terms: int, params: dict) -> list:
+def _gen_example_ii(n_terms: int) -> list:
     return _pair_entries(n_terms, lambda n: -mp.mpf(n))
 
 
-def _gen_example_iii(n_terms: int, params: dict) -> list:
+def _gen_example_iii(n_terms: int) -> list:
     return _pair_entries(n_terms, lambda n: -mp.mpf(n) ** 2)
 
 
-def _gen_example_iv(n_terms: int, params: dict) -> list:
-    mu = _count_param(params, "mu", 2)
+def _gen_example_iv(n_terms: int, mu: int) -> list:
     return [(mp.mpc(mp.mpf(n) ** 2), mu) for n in range(1, n_terms + 1)]
 
 
-def _gen_example_v(n_terms: int, params: dict) -> list:
-    base = _count_param(params, "base", 3)
-    mu_base = _count_param(params, "mu_base", 2)
+def _gen_example_v(n_terms: int, base: int, mu_base: int) -> list:
     return [(mp.mpc(mp.mpf(base) ** n), mu_base ** n) for n in range(1, n_terms + 1)]
 
 
-def _gen_example_vi(n_terms: int, params: dict) -> list:
+def _gen_example_vi(n_terms: int) -> list:
     return [(mp.mpc(mp.mpf(n) ** 2 * mp.mpf(10) ** n), 10 ** n)
             for n in range(1, n_terms + 1)]
 
 
-def _gen_counterexample(n_terms: int, params: dict) -> list:
+def _gen_counterexample(n_terms: int) -> list:
     return _pair_entries(n_terms, lambda n: -mp.mpf(n) ** 4)
 
 
@@ -99,40 +90,56 @@ class FixtureInfo:
     paired: bool = False
 
 
-_GENERATORS: dict[str, tuple[Callable, FixtureInfo]] = {
+def _real(value, name: str):
+    return read_number(str(value), name, real=True)
+
+
+# name -> (generator, info, {param: (reader, default)}); a multiplicity param has
+# no lower bound here, so that `validate` can load and report mu <= 0
+_GENERATORS: dict[str, tuple[Callable, FixtureInfo, dict]] = {
     "power": (_gen_power, FixtureInfo(
-        "power", "lambda_n = n^exponent with constant mu (params: exponent, mu)")),
+        "power", "lambda_n = n^exponent with constant mu (params: exponent, mu)"),
+        {"exponent": (_real, 2), "mu": (read_count, 1)}),
     "squares": (_gen_example_i, FixtureInfo(
-        "squares", "lambda_n = n^2, mu = 1 (alias of example_i)")),
+        "squares", "lambda_n = n^2, mu = 1 (alias of example_i)"), {}),
     "example_i": (_gen_example_i, FixtureInfo(
-        "example_i", "separated reals lambda_n = n^2, mu = 1")),
+        "example_i", "separated reals lambda_n = n^2, mu = 1"), {}),
     "example_ii": (_gen_example_ii, FixtureInfo(
-        "example_ii", "pairs n^2 and n^2 + e^(-n), mu = 1", paired=True)),
+        "example_ii", "pairs n^2 and n^2 + e^(-n), mu = 1", paired=True), {}),
     "example_iii": (_gen_example_iii, FixtureInfo(
-        "example_iii", "pairs n^2 and n^2 + e^(-n^2), mu = 1", paired=True)),
+        "example_iii", "pairs n^2 and n^2 + e^(-n^2), mu = 1", paired=True), {}),
     "example_iv": (_gen_example_iv, FixtureInfo(
-        "example_iv", "lambda_n = n^2 with constant mu (params: mu, default 2)")),
+        "example_iv", "lambda_n = n^2 with constant mu (params: mu, default 2)"),
+        {"mu": (read_count, 2)}),
     "example_v": (_gen_example_v, FixtureInfo(
-        "example_v", "lambda_n = 3^n, mu_n = 2^n (params: base, mu_base)")),
+        "example_v", "lambda_n = 3^n, mu_n = 2^n (params: base, mu_base)"),
+        {"base": (read_count, 3), "mu_base": (read_count, 2)}),
     "example_vi": (_gen_example_vi, FixtureInfo(
-        "example_vi", "lambda_n = n^2 10^n, mu_n = 10^n")),
+        "example_vi", "lambda_n = n^2 10^n, mu_n = 10^n"), {}),
     "carleson_counterexample": (_gen_counterexample, FixtureInfo(
-        "carleson_counterexample", "pairs n^2 and n^2 + e^(-n^4), mu = 1", paired=True)),
+        "carleson_counterexample", "pairs n^2 and n^2 + e^(-n^4), mu = 1", paired=True), {}),
 }
 
 
 def list_fixtures() -> list[FixtureInfo]:
-    return [info for _, info in _GENERATORS.values()]
+    return [info for _, info, _ in _GENERATORS.values()]
 
 
 def fixture(name: str, n_terms: int, **params) -> MultiplicitySequence:
-    """Materialise a named generator; n_terms counts formula indices."""
+    """Materialise a named generator; n_terms counts formula indices.  Each
+    param the generator declares is read as a count or a real number, and a
+    param it does not declare is a ConfigError."""
     if name not in _GENERATORS:
         raise ConfigError(f"unknown fixture {name!r}; known: {sorted(_GENERATORS)}")
-    if n_terms < 1:
-        raise ConfigError("n_terms must be >= 1")
-    gen, _ = _GENERATORS[name]
-    return MultiplicitySequence(entries=tuple(gen(n_terms, params)),
+    n_terms = read_count(n_terms, "n_terms", least=1)
+    gen, _, declared = _GENERATORS[name]
+    for key in params:
+        if key not in declared:
+            raise ConfigError(f"generator {name!r} has no param {key!r}; "
+                              f"known: {', '.join(declared) or 'none'}")
+    kw = {key: read(params.get(key, default), f"generator param {key!r}")
+          for key, (read, default) in declared.items()}
+    return MultiplicitySequence(entries=tuple(gen(n_terms, **kw)),
                                 provenance=f"{name}({n_terms})")
 
 
@@ -170,7 +177,7 @@ def sequence_from_spec(spec: dict, default_terms: int | None = None) -> Multipli
             raise ConfigError("generator spec needs 'name' and 'terms'")
         if not isinstance(params, dict):
             raise ConfigError(f"generator 'params' must be an object, got {params!r}")
-        return fixture(str(name), read_count(terms, "generator 'terms'"), **params)
+        return fixture(str(name), read_count(terms, "generator 'terms'", least=1), **params)
     raise ConfigError(f"unknown sequence spec kind {kind!r}")
 
 

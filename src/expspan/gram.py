@@ -44,7 +44,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .core import (FlatIndex, Interval, MultiplicitySequence, PrecisionContext,
-                   flatten)
+                   flatten, read_count)
 from .errors import CapError, ConfigError, DomainError, PrecisionError
 
 DEFAULT_MAX_DIM = 64
@@ -53,14 +53,8 @@ _RUNG_GUARD_DIGITS = 10  # a skipped rung's floor is missed by more than this
 
 
 def _max_dim() -> int:
-    text = os.environ.get("EXPSPAN_MAX_DIM", str(DEFAULT_MAX_DIM))
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(f"EXPSPAN_MAX_DIM must be a positive integer, got {text!r}")
-    return cap
+    return read_count(os.environ.get("EXPSPAN_MAX_DIM", DEFAULT_MAX_DIM),
+                      "EXPSPAN_MAX_DIM", least=1)
 
 
 @dataclass(frozen=True)
@@ -301,8 +295,8 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
         bad = [n for n in range(1, N + 1) if not mp.re(seq.lam(n)) > 0]
         if bad:
             raise DomainError(f"half-line domain needs Re lambda_n > 0; violated at n={bad}")
-    if len(idx) > _max_dim():
-        raise CapError(f"Gram dimension {len(idx)} exceeds cap {_max_dim()} "
+    if len(idx) > (cap := _max_dim()):
+        raise CapError(f"Gram dimension {len(idx)} exceeds cap {cap} "
                        "(set EXPSPAN_MAX_DIM to raise)")
     digits = ctx.digits
     last_cond = mp.mpf("inf")

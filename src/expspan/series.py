@@ -171,9 +171,7 @@ def coeff_rows(rows) -> dict[FlatIndex, mp.mpc]:
     coefficient that is not finite is a ConfigError."""
     out = {}
     for n, k, re, im in rows:
-        n, k = read_count(n, "row index n"), read_count(k, "row power k")
-        if n < 1 or k < 0:
-            raise ConfigError(f"row ({n}, {k}) needs n >= 1 and k >= 0")
+        n, k = read_count(n, "row index n", least=1), read_count(k, "row power k", least=0)
         if (n, k) in out:
             raise ConfigError(f"coefficient ({n}, {k}) is given twice")
         c = mp.mpc(mp.mpmathify(str(re)), mp.mpmathify(str(im)))

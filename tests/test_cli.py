@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,12 +8,14 @@ import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expspan
 from conftest import halfline_distance
 from expspan import (Interval, PrecisionContext, ProductKind, eval_product,
                      load_sequence, lk_eval, lk_function)
-from expspan.cli import main
+from expspan.cli import build_parser, main
 
 
 @pytest.fixture
@@ -257,7 +261,7 @@ class TestExitCodes:
         (["carleson", "residual", "--seq", "{seq}", "--N", "6",
           "--series", "{series}", "--grid", "0:1"], "expected 'lo:hi:steps'"),
         (["carleson", "residual", "--seq", "{seq}", "--N", "6",
-          "--series", "{series}", "--grid", "0:1:1"], "needs steps >= 2"),
+          "--series", "{series}", "--grid", "0:1:1"], "--grid steps must be >= 2, got 1"),
         (["carleson", "residual", "--seq", "{seq}", "--N", "6",
           "--series", "{series}", "--grid", "a:1:3"],
          "--grid endpoint must be a real number, got 'a'"),
@@ -319,7 +323,7 @@ class TestExitCodes:
         (["series", "eval", "--series", "{series}", "--z", "0", "--digits", "0"],
          "digits=0 below floor 50"),
         (["lk", "eval", "--seq", "{seq}", "--N", "0", "--interval", "0,1", "--z", "1"],
-         "trunc_N must be >= 1"),
+         "--N must be >= 1, got 0"),
         (["analyze", "{seq}", "--N", "0"], "--N must be >= 1, got 0"),
         (["analyze", "{seq}", "--N", "-1"], "--N must be >= 1, got -1"),
         # a count below 1 would print an empty result
@@ -363,6 +367,8 @@ class TestExitCodes:
           "--data", "{nan_moments}"], "coefficient (2, 0) must be finite, got 'nan', '0'"),
         # int() would truncate a float count and read a bool as 0 or 1
         (["run", "{float_N_config}"], "config 'N' must be an integer, got 6.7"),
+        (["run", "{zero_N_config}"], "config 'N' must be >= 1, got 0"),
+        (["run", "{negative_N_config}"], "config 'N' must be >= 1, got -1"),
         (["analyze", "{float_terms_seq}"], "generator 'terms' must be an integer, got 8.7"),
         (["analyze", "{bool_terms_seq}"], "generator 'terms' must be an integer, got True"),
         (["validate", "{float_mu_seq}"], "multiplicity must be an integer, got 2.5"),
@@ -372,13 +378,13 @@ class TestExitCodes:
         (["series", "eval", "--series", "{bool_n_series}", "--z", "-1"],
          "row index n must be an integer, got True"),
         (["series", "eval", "--series", "{zero_n_series}", "--z", "-1"],
-         "row (0, 0) needs n >= 1 and k >= 0"),
+         "row index n must be >= 1, got 0"),
         (["series", "eval", "--series", "{repeated_series}", "--z", "-1"],
          "coefficient (1, 0) is given twice"),
         (["moment", "solve", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
           "--data", "{float_k_moments}"], "row power k must be an integer, got 0.5"),
         (["moment", "solve", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
-          "--data", "{negative_k_moments}"], "row (2, -1) needs n >= 1 and k >= 0"),
+          "--data", "{negative_k_moments}"], "row power k must be >= 0, got -1"),
         (["moment", "solve", "--seq", "{seq}", "--N", "6", "--interval", "0,1",
           "--data", "{repeated_moments}"], "coefficient (2, 0) is given twice"),
         # a generator's params are read by the rules of counts and numbers
@@ -391,6 +397,12 @@ class TestExitCodes:
         (["analyze", "{word_exponent_seq}"],
          "generator param 'exponent' must be a real number, got 'two'"),
         (["validate", "{list_params_seq}"], "generator 'params' must be an object, got [2]"),
+        # a generator declares its params, and a term count is at least 1
+        (["validate", "{unknown_param_seq}"],
+         "generator 'power' has no param 'bogus'; known: exponent, mu"),
+        (["validate", "{zero_terms_seq}"], "generator 'terms' must be >= 1, got 0"),
+        (["carleson", "residual", "--seq", "{seq}", "--N", "6",
+          "--series", "{series}", "--grid", "0:1:x"], "--grid steps must be an integer, got 'x'"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
@@ -407,12 +419,12 @@ class TestExitCodes:
             "interval-nan", "interval-inf", "config-interval-reversed",
             "series-sector-beta-nan", "series-sector-beta-inf", "series-sector-eta-nan",
             "sequence-entry-nan", "series-coeff-nan", "moment-row-nan", "config-N-float",
-            "sequence-terms-float", "sequence-terms-bool", "sequence-mu-float",
+            "config-N-zero", "config-N-negative", "sequence-terms-float", "sequence-terms-bool", "sequence-mu-float",
             "series-row-n-float", "series-row-n-bool", "series-row-n-zero",
             "series-row-repeated", "moment-row-k-float", "moment-row-k-negative",
             "moment-row-repeated", "param-mu-float", "param-base-bool",
             "param-mu-base-string", "param-exponent-nan", "param-exponent-word",
-            "params-list"])
+            "params-list", "param-unknown", "sequence-terms-zero", "grid-steps-word"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
@@ -449,6 +461,9 @@ class TestExitCodes:
                  "nan_moments": [rows[0], [2, 0, "nan", "0"]] + rows[2:],
                  "float_N_config": {"kind": "analyze", "seq": squares, "N": 6.7,
                                     "out": bundle},
+                 "zero_N_config": {"kind": "gram", "seq": squares, "N": 0, "out": bundle},
+                 "negative_N_config": {"kind": "analyze", "seq": squares, "N": "-1",
+                                       "out": bundle},
                  "float_terms_seq": {"kind": "generator", "name": "squares", "terms": 8.7},
                  "bool_terms_seq": {"kind": "generator", "name": "squares", "terms": True},
                  "float_mu_seq": {"kind": "explicit", "entries": [[1, 0, 2.5], [4, 0, 1]]},
@@ -474,7 +489,10 @@ class TestExitCodes:
                  "word_exponent_seq": {"kind": "generator", "name": "power", "terms": 8,
                                        "params": {"exponent": "two"}},
                  "list_params_seq": {"kind": "generator", "name": "power", "terms": 4,
-                                     "params": [2]}}
+                                     "params": [2]},
+                 "unknown_param_seq": {"kind": "generator", "name": "power", "terms": 4,
+                                       "params": {"bogus": 1}},
+                 "zero_terms_seq": {"kind": "generator", "name": "squares", "terms": 0}}
         paths = {"seq": seq_file}
         for name, obj in files.items():
             paths[name] = str(tmp_path / f"{name}.json")
@@ -577,7 +595,8 @@ class TestExitCodes:
         code = main(["gram", "build", "--seq", seq_file, "--N", "2"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == f"error: EXPSPAN_MAX_DIM must be a positive integer, got {cap!r}\n"
+        assert err == {"abc": "error: EXPSPAN_MAX_DIM must be an integer, got 'abc'\n",
+                       "0": "error: EXPSPAN_MAX_DIM must be >= 1, got 0\n"}[cap]
 
 
 # every real or complex number option: (argv with the value at {value}, the name
@@ -661,6 +680,139 @@ class TestNumberOptions:
         assert done.returncode == 3
         assert done.stderr == (f"error: sector {field!r} must have modulus below 10^15 to "
                                "be resolved at 15 digits, got 1.0e+999999\n")
+
+
+# the least value of every integer option; --digits has PrecisionContext's floor
+# and --seed takes any integer
+_COUNT_LEAST = {"--N": 1, "--dps": 1, "--circles": 1, "--partitions": 1, "--k": 0,
+                "--nmax": 2, "--digits": 50, "--seed": None}
+
+# what each subcommand needs besides its integer options
+_REQUIRED = {
+    ("analyze",): ["{seq}"],
+    ("validate",): ["{seq}"],
+    ("product", "eval"): ["--seq", "{seq}", "--z", "1+1i"],
+    ("lk", "eval"): ["--seq", "{seq}", "--interval", "0,1", "--z", "1"],
+    ("lk", "lowerbound"): ["--seq", "{seq}", "--interval", "0,1"],
+    **{("gram", action): ["--seq", "{seq}"]
+       for action in ("build", "distance", "biorthogonal", "mixed")},
+    ("series", "eval"): ["--series", "{series}", "--z", "-1"],
+    ("series", "abscissa"): ["--series", "{series}"],
+    ("series", "bound"): ["--series", "{series}", "--beta", "1"],
+    ("moment", "solve"): ["--seq", "{seq}", "--interval", "0,1", "--data", "{moments}"],
+    ("carleson", "apply"): ["--seq", "{seq}", "--lam", "1"],
+    ("carleson", "residual"): ["--seq", "{seq}", "--series", "{series}",
+                               "--grid", "0.1:0.9:3"],
+    ("carleson", "counterexample"): [],
+}
+
+
+def _int_options(parser, path=()):
+    """{subcommand path: option of each type=int action} over the parser's leaves."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        options = [a.option_strings[0] for a in parser._actions if a.type is int]
+        return {path: options} if options else {}
+    return {leaf: options for sub in subs for name, child in sub.choices.items()
+            for leaf, options in _int_options(child, path + (name,)).items()}
+
+
+_INT_OPTIONS = _int_options(build_parser())
+_SIZE = 8  # every sequence and series file of the sweep has 8 entries
+
+
+def _values(option, below):
+    """The values drawn for an option: least - 1 (when `below`), least, one past the
+    sequence or the working digits, and small valid ones; --digits <= 200 and
+    --partitions <= 3 keep every call short."""
+    return {"--N": [0, 1, _SIZE + 1, 3, 6], "--dps": [0, 1, 201, 5, 30],
+            "--circles": [0, 1, _SIZE + 1, 2], "--partitions": [0, 1, 3, 2],
+            "--k": [-1, 0, _SIZE + 1, 2], "--nmax": [1, 2, _SIZE + 1, 4],
+            "--digits": [49, 50, 200, 80], "--seed": [-1, 0, 7]}[option][not below:]
+
+
+@pytest.fixture(scope="module")
+def sweep_files(tmp_path_factory):
+    """{name: (sequence file, series file over that sequence, index of its bad entry
+    or None)} for squares(8) and its explicit copies with lambda_j = 0 or mu_j = 0,
+    and the moments file."""
+    root = tmp_path_factory.mktemp("sweep")
+    squares = [[n * n, 0, 1] for n in range(1, _SIZE + 1)]
+    rows = [[n, 0, f"1e-{n * n}", "0"] for n in range(1, _SIZE + 1)]
+    specs = {"squares": ({"kind": "generator", "name": "squares", "terms": _SIZE}, None)}
+    for j in range(1, _SIZE + 1):
+        for field, bad in (("lambda", [0, 0, 1]), ("mu", [j * j, 0, 0])):
+            specs[f"zero-{field}-{j}"] = ({"kind": "explicit", "entries":
+                                           squares[:j - 1] + [bad] + squares[j:]}, j)
+    seqs = {}
+    for name, (spec, j) in specs.items():
+        # a coefficient of mu_j = 0 would be out of bounds, so that row is left out
+        coeffs = [r for r in rows if not (name.startswith("zero-mu") and r[0] == j)]
+        seq_path, series_path = root / f"{name}.json", root / f"{name}-series.json"
+        seq_path.write_text(json.dumps(spec))
+        series_path.write_text(json.dumps(
+            {"seq": spec, "sector": {"eta": "0", "beta": "1"}, "coeffs": coeffs}))
+        seqs[name] = (str(seq_path), str(series_path), j)
+    (root / "moments.json").write_text(json.dumps(rows))
+    return seqs, str(root / "moments.json")
+
+
+class TestCountOptions:
+    """One reader bounds every count: a count option below its least value exits 2
+    with one line naming the option, the bound and the value, and a sequence with
+    lambda_n = 0 or mu_n = 0 in the prefix computes nothing."""
+
+    def test_every_int_option_is_swept(self):
+        assert set(_INT_OPTIONS) == set(_REQUIRED)
+        assert {o for options in _INT_OPTIONS.values() for o in options} == set(_COUNT_LEAST)
+
+    @pytest.mark.parametrize("path", [p for p, options in _INT_OPTIONS.items()
+                                      if "--N" in options], ids=" ".join)
+    @pytest.mark.parametrize("N", ["0", "-1"])
+    def test_N_below_one_is_config_error(self, capsys, sweep_files, path, N):
+        seqs, moments = sweep_files
+        seq, series, _ = seqs["squares"]
+        argv = [a.format(seq=seq, series=series, moments=moments) for a in _REQUIRED[path]]
+        code = main([*path, *argv, "--N", N])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --N must be >= 1, got {N}\n"
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_count_sweep(self, sweep_files, data):
+        seqs, moments = sweep_files
+        path = data.draw(st.sampled_from(sorted(_INT_OPTIONS)), label="subcommand")
+        options = _INT_OPTIONS[path]
+        varied = data.draw(st.sampled_from(options), label="varied option")
+        values = {option: data.draw(st.sampled_from(_values(option, option == varied)),
+                                    label=option) for option in options}
+        # squares half the time, else a copy with lambda_j = 0 or mu_j = 0
+        seq, series, bad = seqs[data.draw(st.one_of(
+            st.just("squares"), st.sampled_from(sorted(set(seqs) - {"squares"}))),
+            label="sequence")]
+        argv = [*path, *(a.format(seq=seq, series=series, moments=moments)
+                         for a in _REQUIRED[path]),
+                *(f"{option}={value}" for option, value in values.items())]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4, 5, 6)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        least, value = _COUNT_LEAST[varied], values[varied]
+        if least is not None and value < least:
+            assert code == 2
+            assert err == (f"error: digits={value} below floor {least}\n"
+                           if varied == "--digits"
+                           else f"error: {varied} must be >= {least}, got {value}\n")
+        elif bad is not None and path == ("validate",):
+            assert code == 0 and json.loads(out.getvalue())["valid"] is False
+        elif bad is not None and path != ("series", "bound") and bad <= values.get("--N", 0):
+            # nothing is computed over a prefix that holds lambda_j = 0 or mu_j = 0;
+            # `series bound` reads the coefficients, not a prefix
+            assert code != 0
 
 
 class TestDeterminism:

@@ -79,6 +79,33 @@ class TestFlatten:
                 assert 1 <= ix.n <= N and 0 <= ix.k < seq.mu(ix.n)
 
 
+class TestPrefixGate:
+    """check_prefix refuses a prefix holding lambda_n = 0 or mu_n < 1, with the
+    detail validate_sequence reports for that entry."""
+
+    @pytest.mark.parametrize("pairs, detail", [
+        ([(1, 1), (0, 1), (9, 1)], "lambda must be nonzero"),
+        ([(1, 1), (4, 0), (9, 1)], "mu=0 must be >= 1"),
+        ([(1, 1), (4, -2), (9, 1)], "mu=-2 must be >= 1"),
+    ], ids=["zero-lambda", "zero-mu", "negative-mu"])
+    def test_bad_entry_in_prefix_is_sequence_error(self, pairs, detail):
+        seq = MultiplicitySequence.from_pairs(pairs, provenance="bad")
+        seq.check_prefix(1)
+        for N in (2, 3):
+            with pytest.raises(SequenceError) as exc:
+                seq.check_prefix(N)
+            assert str(exc.value) == f"entry n=2 of sequence bad: {detail}"
+        assert [(v.index, v.detail) for v in validate_sequence(seq)
+                if v.rule in ("nonzero", "multiplicity")] == [(2, detail)]
+
+    def test_generator_with_mu_zero_loads(self):
+        # validate must still be able to load and report it
+        seq = fixture("example_iv", 3, mu=0)
+        assert [v.rule for v in validate_sequence(seq)] == ["multiplicity"] * 3
+        with pytest.raises(SequenceError):
+            seq.check_prefix(1)
+
+
 class TestSector:
     def test_half_plane(self):
         s = Sector(0, 1)
@@ -171,6 +198,24 @@ class TestSequenceSpec:
         with mp.workdps(15):
             seq = MultiplicitySequence.from_pairs([(lam, 1)])
         assert seq.lam(1) == lam
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("power", {"bogus": 1}, "generator 'power' has no param 'bogus'; known: exponent, mu"),
+        ("example_v", {"mu": 2}, "generator 'example_v' has no param 'mu'; known: base, mu_base"),
+        ("squares", {"mu": 2}, "generator 'squares' has no param 'mu'; known: none"),
+    ])
+    def test_undeclared_param_rejected(self, name, params, message):
+        with pytest.raises(ConfigError) as exc:
+            fixture(name, 4, **params)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n_terms, message", [
+        (0, "n_terms must be >= 1, got 0"), (-3, "n_terms must be >= 1, got -3"),
+        (2.0, "n_terms must be an integer, got 2.0")])
+    def test_term_count_is_read_as_a_count(self, n_terms, message):
+        with pytest.raises(ConfigError) as exc:
+            fixture("squares", n_terms)
+        assert str(exc.value) == message
 
     def test_bad_spec_rejected(self):
         from expspan import ConfigError
