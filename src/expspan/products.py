@@ -22,6 +22,8 @@ from .errors import ConfigError, DomainError
 
 # halvings K of the windowed even product's cosine window
 _COS_K = 8
+# guard bits kept beyond the working precision by _lk_values' factor product
+_GUARD = 64
 
 
 class ProductKind(enum.Enum):
@@ -204,25 +206,62 @@ def _window(lk: LKFunction, z):
     return mp.sin(t) * scale / mp.sin(t * scale) if t != 0 else mp.mpf(1)
 
 
+def _fx(xs, keep: int):
+    """Integers [(a_j, b_j)] and one exponent e with xs[j] = (a_j + b_j i) 2^e
+    exactly; None when two exponents of xs lie more than 2 keep bits apart."""
+    parts = [(-m if s else m, x) for v in xs for s, m, x, _ in v._mpc_]
+    exps = [x for m, x in parts if m] or [0]  # inf and nan read as 0
+    e = min(exps)
+    if max(exps) - e > 2 * keep:
+        return None
+    ints = [m and m << (x - e) for m, x in parts]
+    return list(zip(ints[::2], ints[1::2])), e
+
+
+def _fx_product(squares, mus, zz, keep: int):
+    """prod_j (sq_j + zz)^mu_j from `_fx` forms: exact sums, each multiply truncated
+    to `keep` bits, one rounding to the working precision.  None where a form is
+    missing or zz and the squares lie more than 2 keep bits apart."""
+    if squares is None or zz is None or abs(zz[1] - squares[1]) > 2 * keep:
+        return None
+    (sqs, e), ([(c, d)], f) = squares, zz
+    s = max(e - f, 0)  # align to the lower exponent: shift the squares or zz
+    c, d = c << max(f - e, 0), d << max(f - e, 0)
+    A, B, E = 1, 0, min(e, f) * sum(mus)
+    for (a, b), mu in zip(sqs, mus):
+        a, b = (a << s) + c, (b << s) + d
+        for _ in range(mu):
+            A, B = A * a - B * b, A * b + B * a
+            drop = max(A.bit_length(), B.bit_length()) - keep
+            if drop > 0:
+                A, B, E = A >> drop, B >> drop, E + drop
+    return mp.mpc(mp.mpf((A, E)), mp.mpf((B, E)))
+
+
 def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
     """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
     the squares, C = prod lambda_n^(-2 mu_n), zeros and phase are built once."""
     seq, N = lk.seq, lk.trunc_N
     squares = [(seq.lam(n) ** 2, seq.mu(n)) for n in range(1, N + 1)]
     const = mp.fprod(sq ** -mu for sq, mu in squares)
-    zeros = [c * seq.lam(n) for n in range(1, N + 1) for c in (1j, -1j)]
+    # z == zero compares the normalised mpf tuples, and no zero is nan
+    zeros = {(c * seq.lam(n))._mpc_ for n in range(1, N + 1) for c in (1j, -1j)}
     phase = -1j * lk.interval.sigma
+    keep = mp.mp.prec + _GUARD
+    fixed, mus = _fx([sq for sq, _ in squares], keep), [mu for _, mu in squares]
     out = []
     for z in zs:
         z = mp.mpc(z)
-        if z in zeros:
+        if z._mpc_ in zeros:
             out.append(mp.mpc(0))
             continue
         zz = z * z
         val = const * mp.exp(phase * z) * _window(lk, z)
-        for sq, mu in squares:
-            val *= (sq + zz) ** mu
-        out.append(val)
+        poly = _fx_product(fixed, mus, _fx([zz], keep), keep)
+        if poly is None:
+            for sq, mu in squares:
+                val *= (sq + zz) ** mu
+        out.append(val if poly is None else val * poly)
     return out
 
 
