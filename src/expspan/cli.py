@@ -181,7 +181,7 @@ def _cmd_analyze(args) -> _Result:
 
 def _cmd_validate(args) -> _Result:
     seq = _load_seq(args)
-    violations = validate_sequence(seq)
+    violations = validate_sequence(seq, args.N)
     return {"provenance": seq.provenance,
             "valid": not violations,
             "violations": [{"index": v.index, "rule": v.rule, "detail": v.detail}
@@ -281,7 +281,7 @@ def _cmd_series(args) -> _Result:
             rep = series_mod.star_abscissa(s, terms)
             return _abscissa_obj(rep, args.dps), None
         rep = series_mod.bound_check(s, read_number(args.beta, "--beta", real=True),
-                                     read_number(args.eps, "--eps", real=True))
+                                     read_number(args.eps, "--eps", real=True), terms)
         return {"m_hat": _num(rep.m_hat, args.dps),
                 "argmax": list(rep.argmax) if rep.argmax else None,
                 "verdict": rep.verdict}, None

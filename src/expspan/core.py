@@ -76,13 +76,16 @@ class MultiplicitySequence:
         return next((v for i, (lam, mu) in enumerate(self.entries, 1)
                      for v in _entry_violations(i, lam, mu)), None)
 
-    def check_prefix(self, N: int) -> None:
-        """The gate of every computing path: 1 <= N <= size, and no entry of the
-        prefix breaks a per-entry invariant of `validate_sequence`."""
+    def _check_length(self, N: int) -> None:
         if not 1 <= N <= self.size:
             raise SequenceError(
                 f"prefix length N={N} out of range 1..{self.size} for sequence "
                 f"{self.provenance or '<anonymous>'}")
+
+    def check_prefix(self, N: int) -> None:
+        """The gate of every computing path: 1 <= N <= size, and no entry of the
+        prefix breaks a per-entry invariant of `validate_sequence`."""
+        self._check_length(N)
         bad = self._first_bad_entry
         if bad is not None and bad.index <= N:
             raise SequenceError(f"entry n={bad.index} of sequence "
@@ -137,15 +140,18 @@ def _stored_dps(seq: MultiplicitySequence) -> int:
     return int(bits / 3.32) + 20
 
 
-def validate_sequence(seq: MultiplicitySequence) -> list[Violation]:
-    """Check every sequence invariant; violations are data, not failures.
+def validate_sequence(seq: MultiplicitySequence, N: int | None = None) -> list[Violation]:
+    """Check every sequence invariant over the first N entries (default: all);
+    violations are data, not failures, but an N out of range raises SequenceError.
 
     Reports all broken rules: nonzero frequencies, positive multiplicities,
     pairwise distinctness, non-decreasing moduli, and the argument tie-break
     for equal moduli.
     """
+    if N is not None:
+        seq._check_length(N)
     out: list[Violation] = []
-    ent = seq.entries
+    ent = seq.entries[:N]
     if not ent:
         return [Violation(0, "non-empty", "sequence has no entries")]
     for i, (lam, mu) in enumerate(ent, start=1):

@@ -8,6 +8,14 @@ Blaschke-type quotient analytic right of Re z = -4.
 
 All truncated products are polynomials (times bounded factors), so growth
 statements become fitted-constant trend checks rather than type bounds.
+
+The windowed product's factor product prod (lambda_n^2 + z^2)^mu_n is taken
+in integer fixed point: exact sums, each multiply truncated to _GUARD = 64 bits
+beyond the working precision, and one rounding per point, so it is within
+mp.eps = 2^(1-prec) in modulus of the exact product of the rounded squares and
+z^2.  A point whose exponents lie more than 2 (prec + _GUARD) bits apart takes
+mpmath's per-factor loop instead, with no shift of that size.  `eval_product`, `derivative_factors`
+and the other products keep their per-factor mpmath loops.
 """
 
 from __future__ import annotations
@@ -240,7 +248,13 @@ def _fx_product(squares, mus, zz, keep: int):
 
 def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
     """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
-    the squares, C = prod lambda_n^(-2 mu_n), zeros and phase are built once."""
+    the squares, C = prod lambda_n^(-2 mu_n), zeros and phase are built once.
+
+    The factor product is `_fx_product`'s, one rounding per point with _GUARD
+    guard bits.  Where its exponents lie too far apart (z^2 tiny or huge beside
+    the squares, or one part tiny beside the other) the point takes the
+    per-factor loop, so no addend below the kept bits forces a huge shift.  A
+    non-finite z reads as finite there, but its window is nan and so is G."""
     seq, N = lk.seq, lk.trunc_N
     squares = [(seq.lam(n) ** 2, seq.mu(n)) for n in range(1, N + 1)]
     const = mp.fprod(sq ** -mu for sq, mu in squares)

@@ -128,26 +128,32 @@ class BoundReport:
     verdict: str  # "bounded" | "blow-up"
 
 
-def bound_check(s: TaylorDirichletSeries, beta, eps) -> BoundReport:
-    """Fitted constant max |c_{n,k}| e^((beta-eps) Re lambda_n).
+def bound_check(s: TaylorDirichletSeries, beta, eps, N: int | None = None) -> BoundReport:
+    """Fitted constant max |c_{n,k}| e^((beta-eps) Re lambda_n) over the
+    coefficients with n <= N; N defaults to the prefix they cover, and the
+    prefix passes `check_prefix` as in `td_eval` and `star_abscissa`.
 
     Bounded verdict when the max is attained in the first half of the
-    prefix; a max attained at the end signals exponent blow-up.
+    prefix (of the sequence when N is not given); a max attained at the end
+    signals exponent blow-up.
     """
+    coeffs = sorted((idx, c) for idx, c in s.coeffs.items() if N is None or idx.n <= N)
+    if N is not None or coeffs:
+        s.seq.check_prefix(coeffs[-1][0].n if N is None else N)
     eps = mp.mpf(eps)
     if not eps > 0:
         raise ConfigError("eps must be positive")
     beta = mp.mpf(beta)
     m_hat = mp.mpf(0)
     argmax = None
-    for idx, c in sorted(s.coeffs.items()):
+    for idx, c in coeffs:
         val = abs(c) * mp.exp((beta - eps) * mp.re(s.seq.lam(idx.n)))
         if val > m_hat:
             m_hat = val
             argmax = idx
     if argmax is None:
         return BoundReport(m_hat=mp.mpf(0), argmax=None, verdict="bounded")
-    verdict = "bounded" if argmax.n <= max(1, s.seq.size // 2) else "blow-up"
+    verdict = "bounded" if argmax.n <= max(1, (N or s.seq.size) // 2) else "blow-up"
     return BoundReport(m_hat=m_hat, argmax=argmax, verdict=verdict)
 
 

@@ -568,7 +568,7 @@ class TestExitCodes:
                                "to be resolved at 120 digits, got 1.0e+999999\n")
         assert not bundle.exists()
 
-    @pytest.mark.parametrize("action", ["eval", "abscissa"])
+    @pytest.mark.parametrize("action", ["eval", "abscissa", "bound"])
     @pytest.mark.parametrize("N", ["0", "99"])
     def test_series_prefix_out_of_range_is_sequence_error(self, capsys, tmp_path,
                                                          action, N):
@@ -579,7 +579,7 @@ class TestExitCodes:
             "seq": {"kind": "generator", "name": "squares", "terms": 8},
             "sector": {"eta": "0", "beta": "1"}, "coeffs": rows}))
         argv = ["series", action, "--series", str(path), "--N", N]
-        code = main(argv + (["--z", "0"] if action == "eval" else []))
+        code = main(argv + {"eval": ["--z", "0"], "bound": ["--beta", "1"]}.get(action, []))
         err = capsys.readouterr().err
         if N == "0":
             assert code == 2
@@ -588,6 +588,18 @@ class TestExitCodes:
             assert code == 6
             assert err == (f"error: prefix length N={N} out of range 1..8 for sequence "
                            "squares(8)\n")
+
+    def test_validate_N_reads_a_prefix(self, capsys, tmp_path):
+        # entry 2 has mu = 0: --N 1 leaves it out, and an N past the file exits 6
+        path = tmp_path / "explicit.json"
+        path.write_text(json.dumps({"kind": "explicit", "entries": [[1, 0, 1], [4, 0, 0]]}))
+        for N, valid in (("1", True), ("2", False)):
+            code, out = run(capsys, "validate", str(path), "--N", N)
+            assert code == 0 and json.loads(out)["valid"] is valid
+        code = main(["validate", str(path), "--N", "99"])
+        assert code == 6
+        assert capsys.readouterr().err == ("error: prefix length N=99 out of range 1..2 "
+                                           "for sequence explicit\n")
 
     @pytest.mark.parametrize("cap", ["abc", "0"])
     def test_bad_max_dim_is_config_error(self, capsys, seq_file, monkeypatch, cap):
@@ -807,11 +819,14 @@ class TestCountOptions:
             assert err == (f"error: digits={value} below floor {least}\n"
                            if varied == "--digits"
                            else f"error: {varied} must be >= {least}, got {value}\n")
-        elif bad is not None and path == ("validate",):
-            assert code == 0 and json.loads(out.getvalue())["valid"] is False
-        elif bad is not None and path != ("series", "bound") and bad <= values.get("--N", 0):
-            # nothing is computed over a prefix that holds lambda_j = 0 or mu_j = 0;
-            # `series bound` reads the coefficients, not a prefix
+        elif path == ("validate",):
+            # validate reports the violations of the first N entries; N past them exits 6
+            N = values["--N"]
+            assert code == (6 if N > _SIZE else 0)
+            if not code:
+                assert json.loads(out.getvalue())["valid"] is (bad is None or bad > N)
+        elif bad is not None and bad <= values.get("--N", 0):
+            # nothing is computed over a prefix that holds lambda_j = 0 or mu_j = 0
             assert code != 0
 
 

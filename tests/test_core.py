@@ -42,6 +42,17 @@ class TestValidate:
         bad = MultiplicitySequence.from_pairs([(mp.mpc(1, 1), 1), (mp.mpc(1, -1), 1)])
         assert any(v.rule == "arg-order" for v in validate_sequence(bad))
 
+    def test_first_N_entries(self):
+        seq = MultiplicitySequence.from_pairs([(1, 1), (4, 1), (0, 1), (2, 0)], "p")
+        assert validate_sequence(seq, 2) == []
+        assert [(v.index, v.rule) for v in validate_sequence(seq, 3)] == [
+            (3, "nonzero"), (3, "modulus-order")]
+        assert validate_sequence(seq, 4) == validate_sequence(seq)
+        for N in (0, 5):
+            with pytest.raises(SequenceError,
+                               match=f"prefix length N={N} out of range 1..4 for sequence p"):
+                validate_sequence(seq, N)
+
     @pytest.mark.parametrize("name,terms", [
         ("example_i", 8), ("example_ii", 8), ("example_iii", 8),
         ("example_iv", 8), ("example_v", 6), ("example_vi", 5),

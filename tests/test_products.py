@@ -1,4 +1,5 @@
 import random
+import time
 
 import mpmath as mp
 import pytest
@@ -7,6 +8,8 @@ from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_f
                       reference_fitted_separation_constant)
 
 from expspan import products
+from expspan.cli import main
+from expspan.core import prefix_table
 from expspan import (ConfigError, DomainError, Interval, MultiplicitySequence,
                      PrecisionContext, ProductKind, blaschke_eval,
                      derivative_factors, eval_product, fixture, gnk_eval,
@@ -423,6 +426,80 @@ class TestBatchedPath:
                         break
                     want *= base ** seq.mu(n)
                 assert eval_product(kind, seq, 6, z) == want
+
+
+def mixed_mu(N, seed):
+    """lambda_n = n^2 + delta_n as in jittered_mu3, with mu_n drawn from {1, 2, 3}."""
+    rng = random.Random(seed)
+    return MultiplicitySequence.from_pairs(
+        [(n * n + mp.mpc(rng.randint(-209715, 209715), rng.randint(-209715, 209715))
+          / 2 ** 20, rng.choice((1, 2, 3))) for n in range(1, N + 1)], "mixed-mu")
+
+
+class TestFixedPointProduct:
+    """The factor product prod (lambda_n^2 + z^2)^mu_n of the windowed product is
+    rounded once per point: within 2^-prec in modulus of the exact product of the
+    same rounded squares, so within mp.eps at every precision."""
+
+    @pytest.mark.parametrize("dps", [15, 60, 120])
+    @pytest.mark.parametrize("make", [lambda: jittered_mu3(12, 0), lambda: jittered_mu3(12, 1),
+                                      lambda: mixed_mu(12, 2)], ids=["mu3-0", "mu3-1", "mixed"])
+    def test_within_eps_of_exact(self, dps, make):
+        with mp.workdps(dps):
+            seq = make()
+            radii = prefix_table(seq, 12).separation_disks(mp.mpf("0.1")).radii_small
+            roots = [mp.expjpi(mp.mpf(q) / 8) for q in range(16)]
+            zs = [1j * seq.lam(n) + radii[n - 1] * w for n in range(1, 13) for w in roots]
+            rng = random.Random(dps)
+            zs += [mp.mpc(rng.uniform(-5, 5), rng.uniform(-200, 200)) for _ in range(24)]
+            squares = [seq.lam(n) ** 2 for n in range(1, 13)]
+            mus = [seq.mu(n) for n in range(1, 13)]
+            keep = mp.mp.prec + products._GUARD
+            fixed = products._fx(squares, keep)
+            for z in zs:
+                zz = z * z
+                got = products._fx_product(fixed, mus, products._fx([zz], keep), keep)
+                assert got is not None, z
+                eps = +mp.eps  # mp.eps is evaluated where it is read
+                with mp.workdps(4 * dps + 50):
+                    want = mp.fprod((sq + zz) ** mu for sq, mu in zip(squares, mus))
+                    assert abs(got - want) <= eps * abs(want), z
+
+    def test_non_finite_point_is_nan(self, squares8, unit_interval):
+        lk = lk_function(squares8, unit_interval, PrecisionContext(digits=60, trunc_N=6))
+        for z in (mp.inf, mp.mpc(1, mp.inf), mp.mpc(mp.ninf, mp.inf), mp.nan):
+            assert mp.isnan(lk_eval(lk, z))
+
+
+# `lk eval --seq <squares, 8 terms> --N 6 --interval 0,1` before the fixed-point
+# product: a point tiny beside lambda_n^2 or with one part tiny beside the other
+# takes the per-factor loop, and a zero of the product is found by its tuples
+_LK_EVAL_STDOUT = '{{\n  "schema_version": 1,\n  "value_im": "{}",\n  "value_re": "{}",\n' \
+                  '  "z": [\n    "{}",\n    "{}"\n  ]\n}}\n'
+_EXTREME_POINTS = {
+    "1e-1000000000": ("-5.0e-1000000001", "1.0", "1.0e-1000000000", "0.0"),
+    "1e-1000000000+1i": ("3.16205861137510109011430348586e-1000000000",
+                         "1.29976240553551952231314967629e-2000000000",
+                         "1.0e-1000000000", "1.0"),
+    "1e-1000000000+4i": ("-7.27592999431577473926107430218e-999999999",
+                         "-8.19407277581206362696694099031e-1999999999",
+                         "1.0e-1000000000", "4.0"),
+    "0": ("0.0", "1.0", "0.0", "0.0"),
+    "-4i": ("0.0", "0.0", "0.0", "-4.0"),
+    "2i": ("0.0", "-6.66228943505397769494859520061", "0.0", "2.0"),
+}
+
+
+@pytest.mark.parametrize("z", sorted(_EXTREME_POINTS))
+def test_lk_eval_extreme_points(capsys, tmp_path, z):
+    path = tmp_path / "squares8.json"
+    path.write_text('{"kind": "generator", "name": "squares", "terms": 8}')
+    start = time.perf_counter()
+    code = main(["lk", "eval", "--seq", str(path), "--N", "6", "--interval", "0,1",
+                 f"--z={z}"])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert capsys.readouterr().out == _LK_EVAL_STDOUT.format(*_EXTREME_POINTS[z])
 
 
 class TestGnk:

@@ -7,7 +7,7 @@ from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, decaying_coeffs, jitte
 
 from expspan import series as series_mod
 from expspan import (DomainError, FlatIndex, MultiplicitySequence,
-                     PrecisionContext, Sector, TaylorDirichletSeries,
+                     PrecisionContext, Sector, SequenceError, TaylorDirichletSeries,
                      bound_check, fixture, star_abscissa, td_eval)
 from expspan.gram import DomainSpec, gram_matrix, recover_coefficients
 from expspan.series import series_from_obj, series_to_obj
@@ -157,6 +157,26 @@ class TestBoundCheck:
                                   claimed_sector=Sector(0, 1))
         rep = bound_check(s, 1, "0.1")
         assert rep.m_hat == 0 and rep.verdict == "bounded"
+
+    def test_prefix_N(self, squares12):
+        beta, eps = mp.mpf(1), mp.mpf("0.1")
+        s = make_series(squares12,
+                        lambda n, k: mp.exp(-(beta - 2 * eps) * squares12.lam(n)))
+        assert bound_check(s, beta, eps, 12) == bound_check(s, beta, eps)
+        rep = bound_check(s, beta, eps, 6)
+        assert rep.argmax == FlatIndex(6, 0) and rep.verdict == "blow-up"
+        assert rep.m_hat == abs(s.coeff(6, 0)) * mp.exp((beta - eps) * squares12.lam(6))
+        with pytest.raises(SequenceError, match="prefix length N=13 out of range 1..12"):
+            bound_check(s, beta, eps, 13)
+
+    def test_covered_prefix_is_gated(self):
+        # mu_3 = 0 carries no coefficient, but the coefficients at n = 4 cover it
+        seq = MultiplicitySequence.from_pairs([(1, 1), (4, 1), (9, 0), (16, 1)], "gap")
+        s = TaylorDirichletSeries(seq=seq, coeffs={FlatIndex(1, 0): mp.mpc(1),
+                                                   FlatIndex(4, 0): mp.mpc("1e-9")})
+        with pytest.raises(SequenceError, match="entry n=3 of sequence gap: mu=0"):
+            bound_check(s, 1, "0.1")
+        assert bound_check(s, 1, "0.1", 2).argmax == FlatIndex(1, 0)
 
 
 class TestGramRoundTrip:
