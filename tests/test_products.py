@@ -438,8 +438,8 @@ def mixed_mu(N, seed):
 
 class TestFixedPointProduct:
     """The factor product prod (lambda_n^2 + z^2)^mu_n of the windowed product is
-    rounded once per point: within 2^-prec in modulus of the exact product of the
-    same rounded squares, so within mp.eps at every precision."""
+    rounded once per point: within mp.eps in modulus of the exact product of the
+    same rounded lambda_n^2 and z^2, at every precision."""
 
     @pytest.mark.parametrize("dps", [15, 60, 120])
     @pytest.mark.parametrize("make", [lambda: jittered_mu3(12, 0), lambda: jittered_mu3(12, 1),
@@ -471,9 +471,9 @@ class TestFixedPointProduct:
             assert mp.isnan(lk_eval(lk, z))
 
 
-# `lk eval --seq <squares, 8 terms> --N 6 --interval 0,1` before the fixed-point
-# product: a point tiny beside lambda_n^2 or with one part tiny beside the other
-# takes the per-factor loop, and a zero of the product is found by its tuples
+# stdout of `lk eval --seq <squares, 8 terms> --N 6 --interval 0,1` as the per-factor
+# product printed it: a point tiny beside lambda_n^2, or with one part of z^2 tiny
+# beside the other, still takes that loop, with no shift by billions of bits
 _LK_EVAL_STDOUT = '{{\n  "schema_version": 1,\n  "value_im": "{}",\n  "value_re": "{}",\n' \
                   '  "z": [\n    "{}",\n    "{}"\n  ]\n}}\n'
 _EXTREME_POINTS = {
