@@ -281,7 +281,7 @@ def _cmd_series(args) -> _Result:
             rep = series_mod.star_abscissa(s, terms)
             return _abscissa_obj(rep, args.dps), None
         rep = series_mod.bound_check(s, read_number(args.beta, "--beta", real=True),
-                                     read_number(args.eps, "--eps", real=True), terms)
+                                     read_number(args.eps, "--eps", real=True), args.terms)
         return {"m_hat": _num(rep.m_hat, args.dps),
                 "argmax": list(rep.argmax) if rep.argmax else None,
                 "verdict": rep.verdict}, None

@@ -10,12 +10,15 @@ All truncated products are polynomials (times bounded factors), so growth
 statements become fitted-constant trend checks rather than type bounds.
 
 The windowed product's factor product prod (lambda_n^2 + z^2)^mu_n is taken
-in integer fixed point: exact sums, each multiply truncated to _GUARD = 64 bits
-beyond the working precision, and one rounding per point, so it is within
-mp.eps = 2^(1-prec) in modulus of the exact product of the rounded squares and
-z^2.  A point whose exponents lie more than 2 (prec + _GUARD) bits apart takes
-mpmath's per-factor loop instead, with no shift of that size.  `eval_product`, `derivative_factors`
-and the other products keep their per-factor mpmath loops.
+in integer fixed point: exact sums, each power mu_n by squaring, each multiply
+truncated to _GUARD = 64 bits plus log2(sum mu_n) bits beyond the working
+precision, and one rounding per point, so it is within mp.eps = 2^(1-prec) in
+modulus of the exact product of the rounded squares and z^2, and its cost grows
+with log mu_n.  A point whose exponents lie more than twice the kept bits apart
+takes mpmath's per-factor loop instead, with no shift of that size, and so does
+every point when sum mu_n >= 2^_GUARD, where squaring would cost more than
+mpmath's exp(mu log) powers.  `eval_product`, `derivative_factors` and the
+other products keep their per-factor mpmath loops.
 """
 
 from __future__ import annotations
@@ -226,10 +229,18 @@ def _fx(xs, keep: int):
     return list(zip(ints[::2], ints[1::2])), e
 
 
+def _fx_mul(A: int, B: int, a: int, b: int, keep: int):
+    """(A + B i)(a + b i) truncated to `keep` bits: (re, im, bits dropped)."""
+    A, B = A * a - B * b, A * b + B * a
+    drop = max(A.bit_length(), B.bit_length(), keep) - keep
+    return A >> drop, B >> drop, drop
+
+
 def _fx_product(squares, mus, zz, keep: int):
-    """prod_j (sq_j + zz)^mu_j from `_fx` forms: exact sums, each multiply truncated
-    to `keep` bits, one rounding to the working precision.  None where a form is
-    missing or zz and the squares lie more than 2 keep bits apart."""
+    """prod_j (sq_j + zz)^mu_j from `_fx` forms: exact sums, each power by squaring
+    with every multiply truncated to `keep` bits, one rounding to the working
+    precision.  None where a form is missing or zz and the squares lie more than
+    2 keep bits apart."""
     if squares is None or zz is None or abs(zz[1] - squares[1]) > 2 * keep:
         return None
     (sqs, e), ([(c, d)], f) = squares, zz
@@ -237,12 +248,15 @@ def _fx_product(squares, mus, zz, keep: int):
     c, d = c << max(f - e, 0), d << max(f - e, 0)
     A, B, E = 1, 0, min(e, f) * sum(mus)
     for (a, b), mu in zip(sqs, mus):
-        a, b = (a << s) + c, (b << s) + d
-        for _ in range(mu):
-            A, B = A * a - B * b, A * b + B * a
-            drop = max(A.bit_length(), B.bit_length()) - keep
-            if drop > 0:
-                A, B, E = A >> drop, B >> drop, E + drop
+        a, b, x = (a << s) + c, (b << s) + d, 0  # (a + b i) 2^x = factor^(2^j)
+        while mu:
+            if mu & 1:
+                A, B, drop = _fx_mul(A, B, a, b, keep)
+                E += x + drop
+            mu >>= 1
+            if mu:
+                a, b, drop = _fx_mul(a, b, a, b, keep)
+                x = 2 * x + drop
     return mp.mpc(mp.mpf((A, E)), mp.mpf((B, E)))
 
 
@@ -251,18 +265,22 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
     the squares, C = prod lambda_n^(-2 mu_n), zeros and phase are built once.
 
     The factor product is `_fx_product`'s, one rounding per point with _GUARD
-    guard bits.  Where its exponents lie too far apart (z^2 tiny or huge beside
-    the squares, or one part tiny beside the other) the point takes the
-    per-factor loop, so no addend below the kept bits forces a huge shift.  A
-    non-finite z reads as finite there, but its window is nan and so is G."""
+    guard bits and log2(sum mu_n) more, which cover the truncations of the
+    powers by squaring.  From sum mu_n >= 2^_GUARD on, and where its exponents
+    lie too far apart (z^2 tiny or huge beside the squares, or one part tiny
+    beside the other), the point takes the per-factor loop, so no addend below
+    the kept bits forces a huge shift.  A non-finite z reads as finite there,
+    but its window is nan and so is G."""
     seq, N = lk.seq, lk.trunc_N
     squares = [(seq.lam(n) ** 2, seq.mu(n)) for n in range(1, N + 1)]
     const = mp.fprod(sq ** -mu for sq, mu in squares)
     # z == zero compares the normalised mpf tuples, and no zero is nan
     zeros = {(c * seq.lam(n))._mpc_ for n in range(1, N + 1) for c in (1j, -1j)}
     phase = -1j * lk.interval.sigma
-    keep = mp.mp.prec + _GUARD
-    fixed, mus = _fx([sq for sq, _ in squares], keep), [mu for _, mu in squares]
+    mus = [mu for _, mu in squares]
+    total = sum(mus).bit_length()
+    keep = mp.mp.prec + _GUARD + total
+    fixed = _fx([sq for sq, _ in squares], keep) if total <= _GUARD else None
     out = []
     for z in zs:
         z = mp.mpc(z)

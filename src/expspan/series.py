@@ -130,16 +130,16 @@ class BoundReport:
 
 def bound_check(s: TaylorDirichletSeries, beta, eps, N: int | None = None) -> BoundReport:
     """Fitted constant max |c_{n,k}| e^((beta-eps) Re lambda_n) over the
-    coefficients with n <= N; N defaults to the prefix they cover, and the
-    prefix passes `check_prefix` as in `td_eval` and `star_abscissa`.
+    coefficients with n <= N (default: all).  The prefix read, N or else the
+    one the coefficients cover, passes `check_prefix` as in `td_eval`.
 
-    Bounded verdict when the max is attained in the first half of the
-    prefix (of the sequence when N is not given); a max attained at the end
-    signals exponent blow-up.
+    Bounded verdict when the max is attained in the first half of 1..N
+    (default: the sequence); a max attained at the end signals exponent blow-up.
     """
     coeffs = sorted((idx, c) for idx, c in s.coeffs.items() if N is None or idx.n <= N)
-    if N is not None or coeffs:
-        s.seq.check_prefix(coeffs[-1][0].n if N is None else N)
+    read = N if N is not None else max((idx.n for idx, _ in coeffs), default=None)
+    if read is not None:
+        s.seq.check_prefix(read)
     eps = mp.mpf(eps)
     if not eps > 0:
         raise ConfigError("eps must be positive")
@@ -153,7 +153,8 @@ def bound_check(s: TaylorDirichletSeries, beta, eps, N: int | None = None) -> Bo
             argmax = idx
     if argmax is None:
         return BoundReport(m_hat=mp.mpf(0), argmax=None, verdict="bounded")
-    verdict = "bounded" if argmax.n <= max(1, (N or s.seq.size) // 2) else "blow-up"
+    half = (s.seq.size if N is None else N) // 2
+    verdict = "bounded" if argmax.n <= max(1, half) else "blow-up"
     return BoundReport(m_hat=m_hat, argmax=argmax, verdict=verdict)
 
 

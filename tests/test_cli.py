@@ -589,6 +589,22 @@ class TestExitCodes:
             assert err == (f"error: prefix length N={N} out of range 1..8 for sequence "
                            "squares(8)\n")
 
+    def test_series_bound_gates_the_prefix_it_reads(self, capsys, tmp_path):
+        # mu_3 = 0: the coefficients at n = 1, 2 leave it out, --N 3 or one at n = 4 do not
+        entries = [[1, 0, 1], [4, 0, 1], [9, 0, 0], [16, 0, 1]]
+        for rows, N, want in (([[1, 0, "1", "0"], [2, 0, "1e-4", "0"]], [], 0),
+                              ([[1, 0, "1", "0"], [2, 0, "1e-4", "0"]], ["--N", "3"], 6),
+                              ([[1, 0, "1", "0"], [4, 0, "1e-16", "0"]], [], 6)):
+            path = tmp_path / "series.json"
+            path.write_text(json.dumps({
+                "seq": {"kind": "explicit", "entries": entries, "provenance": "gap"},
+                "sector": {"eta": "0", "beta": "1"}, "coeffs": rows}))
+            code = main(["series", "bound", "--series", str(path), "--beta", "1", *N])
+            err = capsys.readouterr().err
+            assert code == want
+            assert err == ("error: entry n=3 of sequence gap: mu=0 must be >= 1\n"
+                           if want else "")
+
     def test_validate_N_reads_a_prefix(self, capsys, tmp_path):
         # entry 2 has mu = 0: --N 1 leaves it out, and an N past the file exits 6
         path = tmp_path / "explicit.json"

@@ -443,7 +443,8 @@ class TestFixedPointProduct:
 
     @pytest.mark.parametrize("dps", [15, 60, 120])
     @pytest.mark.parametrize("make", [lambda: jittered_mu3(12, 0), lambda: jittered_mu3(12, 1),
-                                      lambda: mixed_mu(12, 2)], ids=["mu3-0", "mu3-1", "mixed"])
+                                      lambda: mixed_mu(12, 2), lambda: fixture("example_vi", 12)],
+                             ids=["mu3-0", "mu3-1", "mixed", "mu-10^n"])
     def test_within_eps_of_exact(self, dps, make):
         with mp.workdps(dps):
             seq = make()
@@ -454,7 +455,7 @@ class TestFixedPointProduct:
             zs += [mp.mpc(rng.uniform(-5, 5), rng.uniform(-200, 200)) for _ in range(24)]
             squares = [seq.lam(n) ** 2 for n in range(1, 13)]
             mus = [seq.mu(n) for n in range(1, 13)]
-            keep = mp.mp.prec + products._GUARD
+            keep = mp.mp.prec + products._GUARD + sum(mus).bit_length()
             fixed = products._fx(squares, keep)
             for z in zs:
                 zz = z * z
@@ -488,6 +489,30 @@ _EXTREME_POINTS = {
     "-4i": ("0.0", "0.0", "0.0", "-4.0"),
     "2i": ("0.0", "-6.66228943505397769494859520061", "0.0", "2.0"),
 }
+
+
+# stdout of `lk eval --seq <name, 8 terms> --interval 0,1 --z=1+2i` as the per-factor
+# product printed it; mu_n = 2^n and 10^n, so sum mu_n is 510 and about 1.1e8
+_LARGE_MU_VALUES = {
+    "example_v": ("1.15327992251348339109474293665", "1.16820764580585635188360738317"),
+    "example_vi": ("-0.553191763259391841078569665929", "2.22282900249391740059953631754"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_MU_VALUES))
+def test_lk_large_multiplicities(capsys, tmp_path, name):
+    # each power mu_n costs about log2 mu_n multiplies, not mu_n
+    path = tmp_path / f"{name}.json"
+    path.write_text(f'{{"kind": "generator", "name": "{name}", "terms": 8}}')
+    start = time.perf_counter()
+    code = main(["lk", "eval", "--seq", str(path), "--interval", "0,1", "--z=1+2i"])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert capsys.readouterr().out == _LK_EVAL_STDOUT.format(*_LARGE_MU_VALUES[name],
+                                                             "1.0", "2.0")
+    start = time.perf_counter()
+    assert main(["lk", "lowerbound", "--seq", str(path), "--interval", "0,1"]) == 0
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("z", sorted(_EXTREME_POINTS))
