@@ -17,14 +17,16 @@ and `_factor` computes it one of two ways:
   mu_n x mu_m block of lambda_n, lambda_m shares the exponent lambda_n +
   conj(lambda_m), so one table of integrals I(0..mu_n+mu_m-2) fills it.
 
-`GramSystem.matrix` is the assembled M, built on first read at the accepted
-digits (or kept from the ladder when it assembled one).  One factorization
+`GramSystem.matrix` is M at the accepted digits: the matrix the ladder
+assembled, or, from the generators, M_ab = (u_a conj u_b - v_a conj v_b) /
+(lambda_a + conj lambda_b) built on first read from the accepted rung's own u
+and v, so that no exponential is taken again.  One factorization
 then serves every downstream quantity through the forward columns
 y_j = L^-1 e_j, since (M^-1)_ab = <y_b, y_a>: the dual norms ||r_j|| = ||y_j||
 and distances 1/||r_j|| (`dual_norms`), and the dual block of a mixed system
 (`mixed_completeness`).  The backward sweep runs only for the full inverse
-Gram with its identity residual (`biorthogonal`, which factors the assembled
-M itself when the ladder's factor came from the generators) and for
+Gram with its identity residual (`biorthogonal`, which assembles M and
+factors it itself when the ladder's factor came from the generators) and for
 coefficient recovery (one solve against the moments).
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
@@ -186,7 +188,8 @@ class GramSystem:
     """Hermitian positive-definite Gram matrix, by its Cholesky factor.
 
     `assembled` is the matrix the ladder assembled and factored at
-    digits_used, or None when `chol` came from the displacement generators.
+    digits_used, or None when `chol` came from the displacement generators;
+    `generators` is then the pair (u, v) that the accepted rung factored.
     """
 
     seq: MultiplicitySequence
@@ -196,6 +199,7 @@ class GramSystem:
     digits_used: int
     cond_estimate: mp.mpf
     assembled: mp.matrix | None = None
+    generators: tuple[tuple, tuple] | None = None
 
     @property
     def dim(self) -> int:
@@ -203,11 +207,21 @@ class GramSystem:
 
     @cached_property
     def matrix(self) -> mp.matrix:
-        """The Gram matrix, assembled at digits_used on first read."""
+        """The Gram matrix at digits_used: the assembled one, or M_ab = (u_a
+        conj u_b - v_a conj v_b) / (lambda_a + conj lambda_b) from the
+        generators, for a >= b, and M_ba = conj M_ab, built on first read."""
         if self.assembled is not None:
             return self.assembled
+        u, v = self.generators
+        lams = [self.seq.lam(ix.n) for ix in self.indices]
+        M = mp.matrix(self.dim, self.dim)
         with mp.workdps(self.digits_used):
-            return _assemble(self.seq, self.indices, self.domain)
+            for a in range(self.dim):
+                for b in range(a + 1):
+                    M[a, b] = ((u[a] * mp.conj(u[b]) - v[a] * mp.conj(v[b]))
+                               / (lams[a] + mp.conj(lams[b])))
+                    M[b, a] = mp.conj(M[a, b])
+        return M
 
 
 def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
@@ -259,24 +273,28 @@ def _schur_cholesky(lams: Sequence, u: list, v: list) -> mp.matrix:
     return L
 
 
-def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
-            dom: DomainSpec) -> tuple[mp.matrix, mp.matrix | None]:
-    """The Cholesky factor of the Gram matrix at the working precision, and
-    the matrix when it was assembled for it: None from the generators, which
-    serve when every mu_n = 1 and, on a bounded interval, 2 min Re lambda_n
-    (beta - gamma) >= 1/2, so that no entry would take the series branch of
-    `monomial_exp_integrals`."""
+def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
+            ) -> tuple[mp.matrix, mp.matrix | None, tuple[tuple, tuple] | None]:
+    """The Cholesky factor of the Gram matrix at the working precision, with
+    either the matrix assembled for it or the generators (u, v) it came from.
+    The generators serve when every mu_n = 1 and, on a bounded interval,
+    2 min Re lambda_n (beta - gamma) >= 1/2, so that no entry would take the
+    series branch of `monomial_exp_integrals`."""
     lams = [seq.lam(ix.n) for ix in idx]
+    gens = None
     if not any(ix.k for ix in idx):
         if dom.kind == "half_line_neg":
-            d = len(lams)
-            return _schur_cholesky(lams, [mp.mpc(1)] * d, [mp.mpc(0)] * d), None
-        gamma, beta = dom.interval.gamma, dom.interval.beta
-        if 2 * min(mp.re(lam) for lam in lams) * (beta - gamma) >= mp.mpf("0.5"):
-            return _schur_cholesky(lams, [mp.exp(lam * beta) for lam in lams],
-                                   [mp.exp(lam * gamma) for lam in lams]), None
+            gens = (mp.mpc(1),) * len(lams), (mp.mpc(0),) * len(lams)
+        else:
+            gamma, beta = dom.interval.gamma, dom.interval.beta
+            if 2 * min(mp.re(lam) for lam in lams) * (beta - gamma) >= mp.mpf("0.5"):
+                gens = (tuple(mp.exp(lam * beta) for lam in lams),
+                        tuple(mp.exp(lam * gamma) for lam in lams))
+    if gens is not None:
+        # _schur_cholesky updates its generators in place; gens keeps them
+        return _schur_cholesky(lams, list(gens[0]), list(gens[1])), None, gens
     M = _assemble(seq, idx, dom)
-    return hermitian_cholesky(M), M
+    return hermitian_cholesky(M), M, None
 
 
 def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
@@ -303,7 +321,7 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
     while True:
         with mp.workdps(digits):
             try:
-                L, M = _factor(seq, idx, dom)
+                L, M, gens = _factor(seq, idx, dom)
             except PrecisionError:
                 L = None
             if L is not None:
@@ -313,7 +331,7 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
                     return GramSystem(seq=seq, indices=tuple(idx), domain=dom, chol=L,
                                       digits_used=digits, cond_estimate=last_cond,
-                                      assembled=M)
+                                      assembled=M, generators=gens)
         if digits >= 4 * ctx.digits:
             raise PrecisionError(
                 f"Gram factorization needs more than {digits} digits "
@@ -359,19 +377,23 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
 def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
     """Invert the Gram through a factorization L L^H = M, column j of C = M^-1
     being L^-H y_j with y_j = L^-1 e_j, checked by the residual of C M against
-    the identity.  L is the ladder's factor of the assembled M, or, when the
-    ladder factored from the generators, `hermitian_cholesky` of `g.matrix`.
-    With the ladder's factor, the dual norms ||y_j|| and the distances
-    1/||y_j|| are those of `dual_norms`, which skips the backward sweeps and
-    the residual."""
+    the identity.  M is the assembled matrix and L the ladder's factor of it,
+    or, when the ladder factored from the generators, M is assembled at
+    digits_used and L is its `hermitian_cholesky`.  With the ladder's factor,
+    the dual norms ||y_j|| and the distances 1/||y_j|| are those of
+    `dual_norms`, which skips the backward sweeps and the residual."""
     d = g.dim
     with mp.workdps(g.digits_used):
-        # the one consumer that does not use the ladder's factor: C from the
-        # generators' factor moves the rounding noise in Im C_ii (about 1e-476;
-        # exactly 0 for the true inverse) that recorded benchmark digests pin.
-        # ROADMAP.md item 1, C Hermitian with a real diagonal by construction,
-        # removes this exception.
-        L = g.chol if g.assembled is not None else hermitian_cholesky(g.matrix)
+        # the one consumer that neither uses the ladder's factor nor reads
+        # `g.matrix` from the generators: either moves the rounding noise in
+        # Im C_ii (about 1e-476; exactly 0 for the true inverse) that recorded
+        # benchmark digests pin.  ROADMAP.md item 1, C Hermitian with a real
+        # diagonal by construction, removes this exception.
+        if g.assembled is not None:
+            M, L = g.assembled, g.chol
+        else:
+            M = _assemble(g.seq, g.indices, g.domain)
+            L = hermitian_cholesky(M)
         C = mp.matrix(d, d)
         norms = []
         for j in range(d):
@@ -381,7 +403,7 @@ def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
             for i in range(d):
                 C[i, j] = col[i]
         resid = mp.mpf(0)
-        R = C * g.matrix
+        R = C * M
         for i in range(d):
             for j in range(d):
                 target = 1 if i == j else 0

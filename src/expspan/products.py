@@ -17,8 +17,9 @@ modulus of the exact product of the rounded squares and z^2, and its cost grows
 with log mu_n.  A point whose exponents lie more than twice the kept bits apart
 takes mpmath's per-factor loop instead, with no shift of that size, and so does
 every point when sum mu_n >= 2^_GUARD, where squaring would cost more than
-mpmath's exp(mu log) powers.  `eval_product`, `derivative_factors` and the
-other products keep their per-factor mpmath loops.
+mpmath's exp(mu log) powers, which that loop and `eval_product` take with
+log2 mu_n guard bits from mu_n >= 2^8 on.  `eval_product`, `derivative_factors`
+and the other products keep their per-factor mpmath loops.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .errors import ConfigError, DomainError
 _COS_K = 8
 # guard bits kept beyond the working precision by _lk_values' factor product
 _GUARD = 64
+# multiplicities below 2^_POW_BITS keep mpmath's own power (`_power`)
+_POW_BITS = 8
 
 
 class ProductKind(enum.Enum):
@@ -63,6 +66,17 @@ def _factor_base(kind: ProductKind, lam, z, zz):
     return 1 + zz / (lam * lam)
 
 
+def _power(base, mu: int):
+    """base ** mu, for the caller's next operation to round: from mu >=
+    2^_POW_BITS on it is taken with log2 mu more bits, so that the error of
+    mpmath's exp(mu log) power, about mu 2^-(prec+10) relative, stays below an
+    ulp of the working precision."""
+    if mu.bit_length() <= _POW_BITS:
+        return base ** mu
+    with mp.workprec(mp.mp.prec + mu.bit_length()):
+        return base ** mu
+
+
 def eval_product(kind: ProductKind, seq: MultiplicitySequence, N: int, z) -> mp.mpc:
     """Finite product over the prefix, factors in modulus-increasing order.
 
@@ -76,7 +90,7 @@ def eval_product(kind: ProductKind, seq: MultiplicitySequence, N: int, z) -> mp.
         base = _factor_base(kind, seq.lam(n), z, zz)
         if base == 0:
             return mp.mpc(0)
-        acc *= base ** seq.mu(n)
+        acc *= _power(base, seq.mu(n))
     return acc
 
 
@@ -292,7 +306,7 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
         poly = _fx_product(fixed, mus, _fx([zz], keep), keep)
         if poly is None:
             for sq, mu in squares:
-                val *= (sq + zz) ** mu
+                val *= _power(sq + zz, mu)
         out.append(val if poly is None else val * poly)
     return out
 

@@ -53,11 +53,13 @@ def td_eval(s: TaylorDirichletSeries, z, N: int) -> EvalResult:
 
     The bound fits the coefficient envelope m = max C_n e^((beta-eps) Re
     lambda_n), sums the envelope terms over the known frequencies beyond N,
-    and closes with a geometric extrapolation; eps = (beta - Re z)/4.
+    and closes with a geometric extrapolation; eps = (beta - Re z)/4.  The
+    envelope reads every entry, so the whole sequence passes `check_prefix`.
     Evaluation outside the claimed sector is refused with the violated
     inequality.
     """
     s.seq.check_prefix(N)
+    s.seq.check_prefix(s.seq.size)
     z = mp.mpc(z)
     bad = s.claimed_sector.violation(z)
     if bad is not None:

@@ -273,7 +273,7 @@ def walked_gram_matrix(seq, N, dom, ctx):
     while True:
         with mp.workdps(digits):
             try:
-                L, M = gram._factor(seq, idx, dom)
+                L, M, gens = gram._factor(seq, idx, dom)
             except PrecisionError:
                 L = None
             if L is not None:
@@ -283,13 +283,58 @@ def walked_gram_matrix(seq, N, dom, ctx):
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
                     return gram.GramSystem(seq=seq, indices=tuple(idx), domain=dom, chol=L,
                                            digits_used=digits, cond_estimate=last_cond,
-                                           assembled=M)
+                                           assembled=M, generators=gens)
         if digits >= 4 * ctx.digits:
             raise PrecisionError(
                 f"Gram factorization needs more than {digits} digits "
                 f"(condition estimate {mp.nstr(last_cond, 5)}); "
                 "raise ctx.digits")
         digits = min(2 * digits, 4 * ctx.digits)
+
+
+# -- the biorthogonal family before `GramSystem.matrix` read the generators --
+# A verbatim copy (bar the name, the module prefixes and `g.matrix`) of
+# `biorthogonal` when the lazy `g.matrix` of a system factored from its
+# generators was `_assemble` at digits_used: `parent_matrix` is that property,
+# read once, so the tests can check the family bit for bit.
+
+def parent_matrix(g):
+    """The Gram matrix, assembled at digits_used on first read."""
+    if g.assembled is not None:
+        return g.assembled
+    with mp.workdps(g.digits_used):
+        return gram._assemble(g.seq, g.indices, g.domain)
+
+
+def parent_biorthogonal(g):
+    """Invert the Gram through a factorization L L^H = M, column j of C = M^-1
+    being L^-H y_j with y_j = L^-1 e_j, checked by the residual of C M against
+    the identity.  L is the ladder's factor of the assembled M, or, when the
+    ladder factored from the generators, `hermitian_cholesky` of `g.matrix`.
+    With the ladder's factor, the dual norms ||y_j|| and the distances
+    1/||y_j|| are those of `dual_norms`, which skips the backward sweeps and
+    the residual."""
+    d = g.dim
+    matrix = parent_matrix(g)
+    with mp.workdps(g.digits_used):
+        L = g.chol if g.assembled is not None else gram.hermitian_cholesky(matrix)
+        C = mp.matrix(d, d)
+        norms = []
+        for j in range(d):
+            y = gram._forward(L, mp.eye(d).column(j))
+            norms.append(gram._norm(y))
+            col = gram._backward(L, y)
+            for i in range(d):
+                C[i, j] = col[i]
+        resid = mp.mpf(0)
+        R = C * matrix
+        for i in range(d):
+            for j in range(d):
+                target = 1 if i == j else 0
+                resid = max(resid, abs(R[i, j] - target))
+        dists = tuple(1 / nv for nv in norms)
+    return gram.BiorthogonalFamily(indices=g.indices, coeffs=C, norms=tuple(norms),
+                                   distances=dists, identity_residual=resid)
 
 
 # -- the analyzer's and the Carleson operator's loops before they shared tables --

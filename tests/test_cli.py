@@ -605,6 +605,22 @@ class TestExitCodes:
             assert err == ("error: entry n=3 of sequence gap: mu=0 must be >= 1\n"
                            if want else "")
 
+    def test_series_eval_gates_every_entry_it_reads(self, capsys, tmp_path):
+        # lambda_8 = 0 carries no coefficient and lies past --N 3, but the tail
+        # envelope reads it; lambda_8 = 64 is squares(8)
+        rows = [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 8)]
+        for last, want in ((0, 6), (64, 0)):
+            entries = [[n * n, 0, 1] for n in range(1, 8)] + [[last, 0, 1]]
+            path = tmp_path / "series.json"
+            path.write_text(json.dumps({
+                "seq": {"kind": "explicit", "entries": entries, "provenance": "tail"},
+                "sector": {"eta": "0", "beta": "1"}, "coeffs": rows}))
+            code = main(["series", "eval", "--series", str(path), "--z=-1", "--N", "3"])
+            err = capsys.readouterr().err
+            assert code == want
+            assert err == ("error: entry n=8 of sequence tail: lambda must be nonzero\n"
+                           if want else "")
+
     def test_validate_N_reads_a_prefix(self, capsys, tmp_path):
         # entry 2 has mu = 0: --N 1 leaves it out, and an N past the file exits 6
         path = tmp_path / "explicit.json"

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from conftest import halfline_distance, jittered_mu3, rand_complex, walked_gram_matrix
+from conftest import (halfline_distance, jittered_mu3, parent_biorthogonal, rand_complex,
+                      walked_gram_matrix)
 
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
@@ -407,16 +408,121 @@ class TestSchurFactor:
 
     @pytest.mark.parametrize("half_line", [False, True], ids=["bounded", "half-line"])
     def test_lazy_matrix_is_assembled_at_digits_used(self, dps, half_line):
+        # M_ab = (u_a conj u_b - v_a conj v_b) / (lambda_a + conj lambda_b) for
+        # a >= b and M_ba = conj M_ab, from generators taken afresh at
+        # digits_used; on the half-line (u = 1, v = 0) that is, bit for bit,
+        # the matrix assembled at digits_used
         dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
         with mp.workdps(dps):
             seq = fixture("squares", 10)
             g = gram_matrix(seq, 10, dom, PrecisionContext(digits=100, trunc_N=10))
             got = g.matrix
         with mp.workdps(g.digits_used):
-            want = gram._assemble(seq, flatten(seq, 10), dom)
+            lams = [seq.lam(n) for n in range(1, 11)]
+            if half_line:
+                u, v = [mp.mpc(1)] * 10, [mp.mpc(0)] * 10
+            else:
+                u = [mp.exp(lam * dom.interval.beta) for lam in lams]
+                v = [mp.exp(lam * dom.interval.gamma) for lam in lams]
+            want = mp.matrix(10, 10)
+            for a in range(10):
+                for b in range(a + 1):
+                    want[a, b] = ((u[a] * mp.conj(u[b]) - v[a] * mp.conj(v[b]))
+                                  / (lams[a] + mp.conj(lams[b])))
+                    want[b, a] = mp.conj(want[a, b])
+            assembled = gram._assemble(seq, flatten(seq, 10), dom)
         assert g.assembled is None and g.matrix is got
         assert [bits(got[i, j]) for i in range(10) for j in range(10)] == \
             [bits(want[i, j]) for i in range(10) for j in range(10)]
+        if half_line:
+            assert [bits(got[i, j]) for i in range(10) for j in range(10)] == \
+                [bits(assembled[i, j]) for i in range(10) for j in range(10)]
+
+
+# (label, sequence factory, N, domain): every Gram that the generators factor
+GENERATOR_CASES = [(name, make, N, dom) for name, make, N in SIMPLE_FIXTURES
+                   for dom in ("0,1", "half-line")] + [
+    ("squares", lambda: fixture("squares", 8), 8, "-1,2"),
+    # 2 lambda_1 (beta - gamma) = 1/2: the rule's boundary, still the generators
+    ("boundary", lambda: MultiplicitySequence.from_pairs(
+        [(mp.mpf(1) / 4, 1)] + [(n * n, 1) for n in range(1, 6)], "boundary"), 6, "0,1"),
+]
+
+# (label, sequence, domain, factored from the generators)
+BIORTHOGONAL_CASES = [
+    ("squares-bounded", fixture("squares", 8), DOMAINS["0,1"], True),
+    ("jittered-half-line", jittered((1,) * 6, 1), DOMAINS["half-line"], True),
+    ("squares-short-interval", fixture("squares", 6),
+     DomainSpec.bounded(Interval(0, "0.2")), False),
+    ("mu3-bounded", jittered_mu3(4, 2), DOMAINS["0,1"], False),
+]
+
+
+@pytest.mark.parametrize("dps", [15, 60, 120])
+class TestGeneratorMatrix:
+    """`GramSystem.matrix` on the generator path is built from the accepted
+    rung's generators: as accurate as assembly, with no assembly and no
+    exponential; `biorthogonal` still assembles M, and its family is the one
+    it was when `g.matrix` was that assembled M."""
+
+    @pytest.mark.parametrize("name, make, N, dom", GENERATOR_CASES,
+                             ids=[f"{c[0]}-{c[3]}" for c in GENERATOR_CASES])
+    def test_within_4_eps_of_assembled(self, dps, name, make, N, dom):
+        with mp.workdps(dps):
+            seq = make()
+            g = gram_matrix(seq, N, DOMAINS[dom], PrecisionContext(digits=120, trunc_N=N))
+            got = g.matrix
+        assert g.assembled is None and g.generators is not None
+        with mp.workdps(g.digits_used):
+            eps = +mp.eps  # mp.eps is a constant of whatever precision reads it
+        with mp.workdps(2 * g.digits_used + 20):
+            want = gram._assemble(seq, g.indices, DOMAINS[dom])
+            worst = max(abs(got[a, b] - want[a, b]) / abs(want[a, b])
+                        for a in range(g.dim) for b in range(g.dim))
+        assert worst <= 4 * eps, worst / eps
+
+    @pytest.mark.parametrize("dom", ["0,1", "half-line"])
+    def test_no_assembly_and_no_exponential(self, monkeypatch, dps, dom):
+        seq = jittered((1,) * 8, dps)
+        with mp.workdps(dps):
+            g = gram_matrix(seq, 8, DOMAINS[dom], PrecisionContext(digits=60, trunc_N=8))
+        calls = {"_assemble": 0, "exp": 0}
+        assemble, exp = gram._assemble, mp.exp
+
+        def counted_assemble(*args):
+            calls["_assemble"] += 1
+            return assemble(*args)
+
+        def counted_exp(x):
+            calls["exp"] += 1
+            return exp(x)
+
+        monkeypatch.setattr(gram, "_assemble", counted_assemble)
+        monkeypatch.setattr(mp, "exp", counted_exp)
+        with mp.workdps(dps):
+            M = g.matrix
+            assert calls == {"_assemble": 0, "exp": 0}
+            biorthogonal(g)
+        # the counters see biorthogonal's assembly: one call, one pair per entry
+        # of the bounded interval's lower triangle
+        assert calls == {"_assemble": 1, "exp": 72 if dom == "0,1" else 0}
+        assert g.matrix is M
+
+    @pytest.mark.parametrize("name, seq, dom, generators", BIORTHOGONAL_CASES,
+                             ids=[c[0] for c in BIORTHOGONAL_CASES])
+    def test_biorthogonal_equals_parent(self, dps, name, seq, dom, generators):
+        with mp.workdps(dps):
+            g = gram_matrix(seq, seq.size, dom,
+                            PrecisionContext(digits=60, trunc_N=seq.size))
+            got = biorthogonal(g)
+            want = parent_biorthogonal(g)
+        d = g.dim
+        assert [bits(got.coeffs[i, j]) for i in range(d) for j in range(d)] == \
+            [bits(want.coeffs[i, j]) for i in range(d) for j in range(d)]
+        assert [bits(v) for v in got.norms] == [bits(v) for v in want.norms]
+        assert [bits(v) for v in got.distances] == [bits(v) for v in want.distances]
+        assert bits(got.identity_residual) == bits(want.identity_residual)
+        assert (g.generators is not None) == generators
 
 
 class TestCholesky:

@@ -47,6 +47,37 @@ class TestEvalProduct:
         assert abs(got - want) < mp.mpf("1e-55")
 
 
+# lambda^2 = 1, 16, 81 with mu = 1, 10^100, 3: every factor of z = 1 + 2i but
+# lambda = 9's is exact, so the error is the powers' and the products'
+HUGE_MU = MultiplicitySequence.from_pairs([(1, 1), (4, 10 ** 100), (9, 3)], "huge-mu")
+
+
+@pytest.mark.parametrize("dps", [15, 50])
+class TestHugeMultiplicity:
+    """A power mu_n = 10^100, far past where mpmath's exp(mu log) power keeps
+    its digits, is within a few ulps of a 400-digit reference, in
+    `eval_product` and in the per-factor loop of the windowed product."""
+
+    @pytest.mark.parametrize("kind", list(ProductKind), ids=lambda k: k.name)
+    def test_eval_product(self, dps, kind):
+        with mp.workdps(dps):
+            got = eval_product(kind, HUGE_MU, 3, mp.mpc(1, 2))
+            eps = +mp.eps
+        with mp.workdps(400):
+            want = eval_product(kind, HUGE_MU, 3, mp.mpc(1, 2))
+            assert abs(got - want) / abs(want) <= 4 * eps
+
+    def test_windowed_product(self, dps):
+        # sum mu_n >= 2^64: every point takes the per-factor loop
+        lk = lk_function(HUGE_MU, Interval(0, 1), PrecisionContext(digits=50, trunc_N=3))
+        with mp.workdps(dps):
+            got = lk_eval(lk, mp.mpc(1, 2))
+            eps = +mp.eps
+        with mp.workdps(400):
+            want = lk_eval(lk, mp.mpc(1, 2))
+            assert abs(got - want) / abs(want) <= 4 * eps
+
+
 class TestDerivativeFactor:
     def test_two_point_hand_value(self):
         seq = MultiplicitySequence.from_pairs([(1, 1), (2, 1)])

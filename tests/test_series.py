@@ -56,6 +56,15 @@ class TestTdEval:
         r = td_eval(s, mp.mpf("0.5"), 6)
         assert r.tail_bound > 0
 
+    def test_tail_envelope_entries_are_gated(self):
+        # lambda_4 = 0 lies past N = 2 and past the coefficients, but the tail
+        # envelope reads every entry of the sequence
+        seq = MultiplicitySequence.from_pairs([(1, 1), (4, 1), (9, 1), (0, 1)], "tail")
+        s = TaylorDirichletSeries(seq=seq, coeffs={FlatIndex(1, 0): mp.mpc(1)},
+                                  claimed_sector=Sector(mp.mpf(0), mp.mpf(1)))
+        with pytest.raises(SequenceError, match="entry n=4 of sequence tail: lambda must"):
+            td_eval(s, -1, 2)
+
 
 class TestStarAbscissa:
     def test_exact_exponential_decay(self, squares12):
