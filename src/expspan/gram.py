@@ -1,33 +1,34 @@
 """Exact inner products, Gram systems, dual norms, and biorthogonal families.
 
-Inner products of exponential monomials on a bounded interval (gamma, beta)
-or on (-inf, 0) have closed forms, so Gram matrices are exact at working
-precision.  The precision ladder needs only the Cholesky factor M = L L^H,
-and `_factor` computes it one of two ways:
+Inner products of exponential monomials e_a = t^k e^(lambda_n t) on a bounded
+interval (gamma, beta) or on (-inf, 0) have closed forms, so Gram matrices are
+exact at working precision.  The precision ladder needs only the Cholesky
+factor M = L L^H, and `_factor` computes it one way for every Gram.  Since
+(t^k e^(lambda t))' = lambda t^k e^(lambda t) + k t^(k-1) e^(lambda t), the
+Gram has displacement structure A M + M A^H = u u^H - v v^H, with A lower
+bidiagonal (lambda_n on its diagonal, k below it inside each frequency's
+block) and u, v the values of e_a at the right and left ends.  Written with
+x = u - v, taken through expm1 so that short intervals do not cancel, the
+right side is x x^H + x v^H + v x^H; on the half-line x_a = [k = 0] and v = 0.
+The generalized Schur algorithm (Gohberg, Kailath and Olshevsky, Math. Comp.
+64, 1995; Kailath and Sayed, SIAM Rev. 37, 1995) gives L from these
+generators in O(d^2) work, with no assembly: each pivot column is one
+bidiagonal solve.  Where lambda_n + conj lambda_m vanishes, or the right side
+of a frequency pair would cancel, the displacement does not determine its
+entries; those are pinned in closed form and updated as Cholesky would.
 
-- When every mu_n = 1, the Gram is Cauchy-like: Lambda M + M Lambda^H =
-  u u^H - v v^H with u_a = e^(lambda_a beta) and v_a = e^(lambda_a gamma)
-  (u = 1 and v = 0 on the half-line).  The generalized Schur algorithm
-  (Gohberg, Kailath and Olshevsky, 1995; Kailath and Sayed, 1995) gives L
-  from these 2d exponentials in O(d^2) work, with no assembly.  On a bounded
-  interval it applies when 2 min Re lambda_n (beta - gamma) >= 1/2, where no
-  entry takes the series branch of `monomial_exp_integrals`.
-- Otherwise the Gram is assembled and factored by `hermitian_cholesky`.
-  Assembly takes one pair of endpoint exponentials per frequency pair: the
-  mu_n x mu_m block of lambda_n, lambda_m shares the exponent lambda_n +
-  conj(lambda_m), so one table of integrals I(0..mu_n+mu_m-2) fills it.
-
-`GramSystem.matrix` is M at the accepted digits: the matrix the ladder
-assembled, or, from the generators, M_ab = (u_a conj u_b - v_a conj v_b) /
-(lambda_a + conj lambda_b) built on first read from the accepted rung's own u
-and v, so that no exponential is taken again.  One factorization
-then serves every downstream quantity through the forward columns
-y_j = L^-1 e_j, since (M^-1)_ab = <y_b, y_a>: the dual norms ||r_j|| = ||y_j||
-and distances 1/||r_j|| (`dual_norms`), and the dual block of a mixed system
-(`mixed_completeness`).  The backward sweep runs only for the full inverse
-Gram with its identity residual (`biorthogonal`, which assembles M and
-factors it itself when the ladder's factor came from the generators) and for
-coefficient recovery (one solve against the moments).
+`GramSystem.matrix` is M at the accepted digits, built on first read by the
+same displacement recurrence from the accepted rung's generators, with no
+exponential.  One factorization then serves every downstream quantity
+through the forward columns y_j = L^-1 e_j, since (M^-1)_ab = <y_b, y_a>: the
+dual norms ||r_j|| = ||y_j|| and distances 1/||r_j|| (`dual_norms`), and the
+dual block of a mixed system (`mixed_completeness`).  The backward sweep runs
+only for the full inverse Gram with its identity residual (`biorthogonal`,
+which assembles M itself and factors it by `hermitian_cholesky`) and for
+coefficient recovery (one solve against the moments).  Assembly takes one
+pair of endpoint exponentials per frequency pair: the mu_n x mu_m block of
+lambda_n, lambda_m shares the exponent lambda_n + conj(lambda_m), so one table
+of integrals I(0..mu_n+mu_m-2) fills it.
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
 digits scale linearly with Re lambda_N; the ladder auto-escalates precision
@@ -37,6 +38,7 @@ digits is skipped) until the pivot floor is met.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +54,8 @@ from .errors import CapError, ConfigError, DomainError, PrecisionError
 DEFAULT_MAX_DIM = 64
 
 _RUNG_GUARD_DIGITS = 10  # a skipped rung's floor is missed by more than this
+_GENERATOR_GUARD_DIGITS = 20  # the generators' exponentials carry these extra digits
+_CANCELLATION = 4  # a frequency pair whose displacement cancels more is pinned
 
 
 def _max_dim() -> int:
@@ -187,9 +191,10 @@ def _backward(L: mp.matrix, y: mp.matrix) -> mp.matrix:
 class GramSystem:
     """Hermitian positive-definite Gram matrix, by its Cholesky factor.
 
-    `assembled` is the matrix the ladder assembled and factored at
-    digits_used, or None when `chol` came from the displacement generators;
-    `generators` is then the pair (u, v) that the accepted rung factored.
+    `generators` is what the accepted rung factored (`_factor`): the
+    displacement generators (x, v) at 20 guard digits, which the ladder
+    rounded to digits_used, and the pinned entries, which the displacement
+    leaves undetermined.
     """
 
     seq: MultiplicitySequence
@@ -198,8 +203,7 @@ class GramSystem:
     chol: mp.matrix
     digits_used: int
     cond_estimate: mp.mpf
-    assembled: mp.matrix | None = None
-    generators: tuple[tuple, tuple] | None = None
+    generators: tuple[tuple, tuple, dict]
 
     @property
     def dim(self) -> int:
@@ -207,94 +211,232 @@ class GramSystem:
 
     @cached_property
     def matrix(self) -> mp.matrix:
-        """The Gram matrix at digits_used: the assembled one, or M_ab = (u_a
-        conj u_b - v_a conj v_b) / (lambda_a + conj lambda_b) from the
-        generators, for a >= b, and M_ba = conj M_ab, built on first read."""
-        if self.assembled is not None:
-            return self.assembled
-        u, v = self.generators
-        lams = [self.seq.lam(ix.n) for ix in self.indices]
-        M = mp.matrix(self.dim, self.dim)
-        with mp.workdps(self.digits_used):
-            for a in range(self.dim):
+        """The Gram matrix at digits_used, built on first read from the
+        accepted rung's generators with no exponential: for a >= b,
+        (lambda_a + conj lambda_b) M_ab = x_a conj(x_b + v_b) + v_a conj x_b
+        - k_a M_(a-1,b) - k_b M_(a,b-1), and M_ba = conj M_ab, each term
+        present where its index lies in the same frequency's block.  The
+        diagonal is the real Re(...) / (2 Re lambda_a), so Im M_aa is an exact
+        0.  The recurrence runs at the generators' 20 guard digits, which
+        absorb its cancellation, and each entry is rounded once.  The pinned
+        entries, and the confluent frequency pairs whose recurrence would
+        cancel beyond that (`_series_entries`), are read in closed form."""
+        x, v, pinned = self.generators
+        idx, d = self.indices, self.dim
+        lams = [self.seq.lam(ix.n) for ix in idx]
+        G = [[None] * d for _ in range(d)]
+        with mp.workdps(self.digits_used + _GENERATOR_GUARD_DIGITS):
+            closed = {**_series_entries(self.seq, idx, self.domain), **pinned}
+            xc = [mp.conj(a) for a in x]
+            w = [mp.conj(a + b) for a, b in zip(x, v)]
+            lc = [mp.conj(lam) for lam in lams]
+            for a in range(d):
                 for b in range(a + 1):
-                    M[a, b] = ((u[a] * mp.conj(u[b]) - v[a] * mp.conj(v[b]))
-                               / (lams[a] + mp.conj(lams[b])))
-                    M[b, a] = mp.conj(M[a, b])
+                    if (a, b) in closed:
+                        m = closed[a, b]
+                    else:
+                        m = x[a] * w[b] + v[a] * xc[b]
+                        if idx[a].k:
+                            m -= idx[a].k * G[a - 1][b]
+                        if idx[b].k:
+                            m -= idx[b].k * G[a][b - 1]
+                        m = (mp.mpc(mp.re(m) / (2 * mp.re(lams[a]))) if a == b
+                             else m / (lams[a] + lc[b]))
+                    G[a][b], G[b][a] = m, mp.conj(m)
+        M = mp.matrix(d, d)
+        with mp.workdps(self.digits_used):
+            for a in range(d):
+                for b in range(d):
+                    M[a, b] = +G[a][b]
         return M
 
 
-def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
-              dom: DomainSpec) -> mp.matrix:
-    """The Gram matrix <e_(n,k), e_(m,l)> block by block.  The block of the
-    frequencies n >= m holds the integrals of t^(k+l) e^((lambda_n + conj
-    lambda_m) t), read from one `monomial_exp_integrals` table; the block of
-    m, n is its conjugate transpose."""
-    d = len(idx)
-    M = mp.matrix(d, d)
-    runs = [list(run) for _, run in groupby(range(d), key=lambda i: idx[i].n)]
+def _runs(idx: Sequence[FlatIndex]) -> list[list[int]]:
+    """The positions of each frequency's block, in order."""
+    return [list(run) for _, run in groupby(range(len(idx)), key=lambda i: idx[i].n)]
+
+
+def _closed_entries(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec,
+                    pick=None) -> dict:
+    """The Gram entries M_ij, i >= j, of every frequency pair n >= m that
+    pick(rows, cols, lambda_n + conj lambda_m) selects (all when pick is
+    None), rows and cols the pair's blocks.  The block holds the integrals
+    of t^(k+l) e^((lambda_n + conj lambda_m) t), read from one
+    `monomial_exp_integrals` table."""
+    out = {}
+    runs = _runs(idx)
     for r, rows in enumerate(runs):
         for cols in runs[:r + 1]:
             a = seq.lam(idx[rows[0]].n) + mp.conj(seq.lam(idx[cols[0]].n))
+            if pick is not None and not pick(rows, cols, a):
+                continue
             table = monomial_exp_integrals(idx[rows[-1]].k + idx[cols[-1]].k, a, dom)
             for i in rows:
                 for j in cols:
                     if j > i:
                         break
-                    v = table[idx[i].k + idx[j].k]
-                    M[i, j] = v
-                    M[j, i] = mp.conj(v)
+                    out[i, j] = table[idx[i].k + idx[j].k]
+    return out
+
+
+def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
+              dom: DomainSpec) -> mp.matrix:
+    """The Gram matrix <e_(n,k), e_(m,l)> from every entry in closed form
+    (`_closed_entries`), the block of m < n being the conjugate transpose of
+    that of n, m."""
+    d = len(idx)
+    M = mp.matrix(d, d)
+    for (i, j), v in _closed_entries(seq, idx, dom).items():
+        M[i, j] = v
+        M[j, i] = mp.conj(v)
     return M
 
 
-def _schur_cholesky(lams: Sequence, u: list, v: list) -> mp.matrix:
-    """Lower-triangular L with L L^H = M for the Cauchy-like M_ij =
-    (u_i conj u_j - v_i conj v_j) / (lambda_i + conj lambda_j), by the
-    generalized Schur algorithm on the generators u, v (updated in place).
-    Step k takes the pivot column r_i of the Schur complement, sets
-    L[i, k] = r_i / sqrt(r_k) and updates u_i -= (r_i / r_k) u_k, and v_i the
-    same way.  A pivot that is not strictly positive raises PrecisionError,
-    as in `hermitian_cholesky`."""
+def _series_entries(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
+                    dom: DomainSpec) -> dict:
+    """The entries of the confluent frequency pairs (mu_n + mu_m > 2) where
+    |lambda_n + conj lambda_m| (beta - gamma) < 1/2: there the recurrence of
+    `GramSystem.matrix` cancels, as the by-parts recurrence of
+    `monomial_exp_integrals` does, which takes its series instead, with no
+    exponential."""
+    if dom.kind == "half_line_neg":
+        return {}
+    width = dom.interval.beta - dom.interval.gamma
+    return _closed_entries(seq, idx, dom, lambda rows, cols, a: (
+        len(rows) + len(cols) > 2 and abs(a) * width < mp.mpf("0.5")))
+
+
+def _generators(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
+                dom: DomainSpec) -> tuple[tuple, tuple]:
+    """The displacement generators (x, v) of the Gram, with u = x + v the
+    values of e_a at the right end and v those at the left end: on (gamma,
+    beta), x_a = e^(lambda gamma) (beta^k expm1(lambda (beta - gamma)) +
+    beta^k - gamma^k) and v_a = gamma^k e^(lambda gamma), one exponential and
+    one expm1 per frequency, at 20 guard digits (`_factor` rounds them to the
+    working precision); on the half-line x_a = [k = 0] and v = 0."""
+    if dom.kind == "half_line_neg":
+        return tuple(mp.mpc(0 if ix.k else 1) for ix in idx), (mp.mpc(0),) * len(idx)
+    gamma, beta = dom.interval.gamma, dom.interval.beta
+    x, v = [], []
+    with mp.extradps(_GENERATOR_GUARD_DIGITS):
+        for n, run in groupby(idx, key=lambda ix: ix.n):
+            lam = seq.lam(n)
+            eg, em1 = mp.exp(lam * gamma), mp.expm1(lam * (beta - gamma))
+            for ix in run:
+                x.append(eg * (beta ** ix.k * em1 + (beta ** ix.k - gamma ** ix.k)))
+                v.append(gamma ** ix.k * eg)
+    return tuple(x), tuple(v)
+
+
+def _log_abs_expm1(y: float) -> float:
+    """log |e^y - 1|, without overflow; -inf at y = 0."""
+    if y > 0:
+        return y + math.log(-math.expm1(-y))
+    return math.log(-math.expm1(y)) if y < 0 else -math.inf
+
+
+def _log_add(a: float, b: float) -> float:
+    """log(e^a + e^b)."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+
+
+def _pinned(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec,
+            x: Sequence, v: Sequence) -> dict:
+    """The entries that the displacement does not determine accurately, in
+    closed form (`_closed_entries`).  A frequency pair n >= m is pinned when
+    x_n conj(x_m + v_m) + v_n conj x_m, the right side of its k = 0 entry,
+    would cancel by more than a factor `_CANCELLATION`: when |x_n| (|x_m| +
+    |v_m|) + |v_n| |x_m| exceeds that factor times |v_n| |v_m| |expm1(y)|,
+    y = Re(lambda_n + conj lambda_m) (beta - gamma), a lower bound of the
+    right side's modulus | u_n conj u_m - v_n conj v_m | with u = x + v.  So
+    a pair is pinned always where lambda_n + conj lambda_m = 0, never on the
+    half-line, where the right side is 1, nor for real frequencies of one
+    sign.  The test runs in floating point on the logarithms, and a pair
+    whose test reads nan is pinned."""
+    if dom.kind == "half_line_neg":
+        return {}
+    width = dom.interval.beta - dom.interval.gamma
+    runs = _runs(idx)
+    with mp.workdps(15):
+        logs = [(float(mp.log(abs(x[r[0]]))), float(mp.log(abs(v[r[0]]))),
+                 float(mp.re(seq.lam(idx[r[0]].n)) * width)) for r in runs]
+    pairs = set()
+    for r, (lxn, lvn, yn) in enumerate(logs):
+        for c, (lxm, lvm, ym) in enumerate(logs[:r + 1]):
+            cancel = (_log_add(lxn + _log_add(lxm, lvm), lvn + lxm)
+                      - lvn - lvm - _log_abs_expm1(yn + ym))
+            if not cancel <= math.log(_CANCELLATION):
+                pairs.add((runs[r][0], runs[c][0]))
+    return _closed_entries(seq, idx, dom, lambda rows, cols, a: (rows[0], cols[0]) in pairs)
+
+
+def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
+                    pinned: dict) -> mp.matrix:
+    """Lower-triangular L with L L^H = M for the Gram M with A M + M A^H =
+    x x^H + x v^H + v x^H, A lower bidiagonal with lambda_i on its diagonal
+    and s_i = k_i below it, by the generalized Schur algorithm on the
+    generators x, v (updated in place; v None stands for 0).
+
+    Step k takes the pivot column m_i of the Schur complement, i >= k, from
+    (lambda_i + conj lambda_k) m_i = x_i conj(x_k + v_k) + v_i conj x_k -
+    s_i m_(i-1), where s_i is taken for i > k only, or, for a pinned entry,
+    from the pinned value, which each step updates as Cholesky would.  It
+    sets L[i, k] = m_i / sqrt(Re m_k) and x_i -= m_i x_k / Re m_k, and v_i
+    the same way.  A pivot that is not strictly positive raises
+    PrecisionError, as in `hermitian_cholesky`."""
     d = len(lams)
     L = mp.matrix(d, d)
+    pinned = dict(pinned)
     for k in range(d):
-        uk, vk, lk = mp.conj(u[k]), mp.conj(v[k]), mp.conj(lams[k])
-        pivot = mp.re((u[k] * uk - v[k] * vk) / (lams[k] + lk))
+        lk = mp.conj(lams[k])
+        xk = mp.conj(x[k])
+        xvk = xk if v is None else mp.conj(x[k] + v[k])
+        m = [None] * d
+        for i in range(k, d):
+            if (i, k) in pinned:
+                m[i] = pinned.pop((i, k))
+                continue
+            r = x[i] * xvk
+            if v is not None:
+                r += v[i] * xk
+            if i == k:
+                m[i] = mp.re(r) / (2 * mp.re(lams[k]))
+                continue
+            if s[i]:
+                r -= s[i] * m[i - 1]
+            m[i] = r / (lams[i] + lk)
+        pivot = mp.re(m[k])
         if not pivot > 0:
             raise PrecisionError(f"non-positive pivot at row {k}")
         root = mp.sqrt(pivot)
+        rinv = 1 / root
         L[k, k] = root
+        cx = x[k] / pivot
+        cv = None if v is None else v[k] / pivot
         for i in range(k + 1, d):
-            r = (u[i] * uk - v[i] * vk) / (lams[i] + lk)
-            L[i, k] = r / root
-            c = r / pivot
-            u[i] -= c * u[k]
-            v[i] -= c * v[k]
+            L[i, k] = m[i] * rinv
+            x[i] -= m[i] * cx
+            if v is not None:
+                v[i] -= m[i] * cv
+        for (i, j) in pinned:
+            pinned[i, j] -= L[i, k] * mp.conj(L[j, k])
     return L
 
 
 def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
-            ) -> tuple[mp.matrix, mp.matrix | None, tuple[tuple, tuple] | None]:
-    """The Cholesky factor of the Gram matrix at the working precision, with
-    either the matrix assembled for it or the generators (u, v) it came from.
-    The generators serve when every mu_n = 1 and, on a bounded interval,
-    2 min Re lambda_n (beta - gamma) >= 1/2, so that no entry would take the
-    series branch of `monomial_exp_integrals`."""
+            ) -> tuple[mp.matrix, tuple[tuple, tuple, dict]]:
+    """The Cholesky factor of the Gram matrix at the working precision, by
+    `_schur_cholesky` on the displacement generators rounded to it, for every
+    Gram: mu_n >= 1, a bounded interval of any length or the half-line.  With
+    it come the generators at their guard digits and the pinned entries, for
+    `GramSystem.matrix`."""
     lams = [seq.lam(ix.n) for ix in idx]
-    gens = None
-    if not any(ix.k for ix in idx):
-        if dom.kind == "half_line_neg":
-            gens = (mp.mpc(1),) * len(lams), (mp.mpc(0),) * len(lams)
-        else:
-            gamma, beta = dom.interval.gamma, dom.interval.beta
-            if 2 * min(mp.re(lam) for lam in lams) * (beta - gamma) >= mp.mpf("0.5"):
-                gens = (tuple(mp.exp(lam * beta) for lam in lams),
-                        tuple(mp.exp(lam * gamma) for lam in lams))
-    if gens is not None:
-        # _schur_cholesky updates its generators in place; gens keeps them
-        return _schur_cholesky(lams, list(gens[0]), list(gens[1])), None, gens
-    M = _assemble(seq, idx, dom)
-    return hermitian_cholesky(M), M, None
+    x, v = _generators(seq, idx, dom)
+    pinned = _pinned(seq, idx, dom, x, v)
+    L = _schur_cholesky(lams, [ix.k for ix in idx], [+a for a in x],
+                        None if dom.kind == "half_line_neg" else [+b for b in v], pinned)
+    return L, (x, v, pinned)
 
 
 def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
@@ -321,7 +463,7 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
     while True:
         with mp.workdps(digits):
             try:
-                L, M, gens = _factor(seq, idx, dom)
+                L, gens = _factor(seq, idx, dom)
             except PrecisionError:
                 L = None
             if L is not None:
@@ -331,7 +473,7 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
                     return GramSystem(seq=seq, indices=tuple(idx), domain=dom, chol=L,
                                       digits_used=digits, cond_estimate=last_cond,
-                                      assembled=M, generators=gens)
+                                      generators=gens)
         if digits >= 4 * ctx.digits:
             raise PrecisionError(
                 f"Gram factorization needs more than {digits} digits "
@@ -366,8 +508,8 @@ def _norm(y) -> mp.mpf:
 def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
     """Dual norms ||r_j|| = sqrt((M^-1)_jj) = ||L^-1 e_j|| and distances
     1/||r_j|| (the Schur complement), from the forward sweeps of the ladder's
-    factor alone; bit for bit those of `biorthogonal` when the ladder
-    assembled M."""
+    factor alone; `biorthogonal` reads its own factor of the assembled
+    matrix, so the two agree to the working precision, not bit for bit."""
     with mp.workdps(g.digits_used):
         norms = tuple(_norm(_forward(g.chol, mp.eye(g.dim).column(j)))
                       for j in range(g.dim))
@@ -377,23 +519,19 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
 def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
     """Invert the Gram through a factorization L L^H = M, column j of C = M^-1
     being L^-H y_j with y_j = L^-1 e_j, checked by the residual of C M against
-    the identity.  M is the assembled matrix and L the ladder's factor of it,
-    or, when the ladder factored from the generators, M is assembled at
-    digits_used and L is its `hermitian_cholesky`.  With the ladder's factor,
-    the dual norms ||y_j|| and the distances 1/||y_j|| are those of
-    `dual_norms`, which skips the backward sweeps and the residual."""
+    the identity.  M is assembled at digits_used and L is its
+    `hermitian_cholesky`; the dual norms ||y_j|| and the distances 1/||y_j||
+    agree with those of `dual_norms`, which reads the ladder's factor and
+    skips the backward sweeps and the residual, to the working precision."""
     d = g.dim
     with mp.workdps(g.digits_used):
         # the one consumer that neither uses the ladder's factor nor reads
-        # `g.matrix` from the generators: either moves the rounding noise in
-        # Im C_ii (about 1e-476; exactly 0 for the true inverse) that recorded
-        # benchmark digests pin.  ROADMAP.md item 1, C Hermitian with a real
-        # diagonal by construction, removes this exception.
-        if g.assembled is not None:
-            M, L = g.assembled, g.chol
-        else:
-            M = _assemble(g.seq, g.indices, g.domain)
-            L = hermitian_cholesky(M)
+        # `g.matrix`: either moves the rounding noise in Im C_ii (about
+        # 1e-476; exactly 0 for the true inverse) that recorded benchmark
+        # digests pin.  ROADMAP.md item 1, C Hermitian with a real diagonal
+        # by construction, removes this exception.
+        M = _assemble(g.seq, g.indices, g.domain)
+        L = hermitian_cholesky(M)
         C = mp.matrix(d, d)
         norms = []
         for j in range(d):

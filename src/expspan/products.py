@@ -10,14 +10,17 @@ All truncated products are polynomials (times bounded factors), so growth
 statements become fitted-constant trend checks rather than type bounds.
 
 The windowed product's factor product prod (lambda_n^2 + z^2)^mu_n is taken
-in integer fixed point: exact sums, each power mu_n by squaring, each multiply
-truncated to _GUARD = 64 bits plus log2(sum mu_n) bits beyond the working
-precision, and one rounding per point, so it is within mp.eps = 2^(1-prec) in
-modulus of the exact product of the rounded squares and z^2, and its cost grows
-with log mu_n.  A point whose exponents lie more than twice the kept bits apart
-takes mpmath's per-factor loop instead, with no shift of that size, and so does
-every point when sum mu_n >= 2^_GUARD, where squaring would cost more than
-mpmath's exp(mu log) powers, which that loop and `eval_product` take with
+in integer fixed point: exact sums, each power mu_n by squaring, each sum and
+multiply truncated to _GUARD = 64 bits plus log2(sum mu_n) bits beyond the
+working precision, and one rounding per point, so it is within mp.eps =
+2^(1-prec) in modulus of the exact product of the rounded squares and z^2, and
+its cost grows with log mu_n.  z^2 itself is exact, from z's integers, so
+Re(lambda_n^2 + z^2) keeps x^2 at z = x + i lambda_n however small x is; the
+per-factor loop forms each lambda_n^2 + z^2 with one rounding per part
+(`_plus_square`).  A point whose exponents lie more than twice the kept bits
+apart takes mpmath's per-factor loop instead, with no shift of that size, and
+so does every point when sum mu_n >= 2^_GUARD, where squaring would cost more
+than mpmath's exp(mu log) powers, which that loop and `eval_product` take with
 log2 mu_n guard bits from mu_n >= 2^8 on.  `eval_product`, `derivative_factors`
 and the other products keep their per-factor mpmath loops.
 """
@@ -28,6 +31,7 @@ import enum
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg, mpf_shift
 
 from .core import Interval, MultiplicitySequence, PrecisionContext, prefix_table
 from .errors import ConfigError, DomainError
@@ -250,11 +254,48 @@ def _fx_mul(A: int, B: int, a: int, b: int, keep: int):
     return A >> drop, B >> drop, drop
 
 
+def _fx_square(z):
+    """The `_fx` form of z^2, exact, from that of z (None stays None)."""
+    if z is None:
+        return None
+    [(a, b)], e = z
+    return [(a * a - b * b, 2 * a * b)], 2 * e
+
+
+def _sum_rounded(terms, prec: int):
+    """The sum of raw finite mpf values, rounded once to prec bits where the
+    two largest lie within 2 prec + 64 bits of each other (they are added
+    exactly, so their cancellation exposes the third), else within an ulp;
+    no shift exceeds about that many bits."""
+    terms = sorted((t for t in terms if t[1]), key=lambda t: t[2] + t[3], reverse=True)
+    if not terms:
+        return fzero
+    head, *rest = terms
+    if rest and head[2] + head[3] - rest[0][2] - rest[0][3] <= 2 * prec + 64:
+        head = mpf_add(head, rest.pop(0))
+    for t in rest:
+        head = mpf_add(head, t, prec)
+    return mpf_add(head, fzero, prec)
+
+
+def _plus_square(sq, z) -> mp.mpc:
+    """sq + z^2 with each part rounded once: Re sq + x^2 - y^2 and Im sq + 2xy
+    for z = x + iy, the squares and products exact, so Re(lambda_n^2 + z^2)
+    keeps x^2 at z = x + i lambda_n however small x is (`_sum_rounded`)."""
+    (a, b), (x, y) = sq._mpc_, z._mpc_
+    if not all(v[1] or not v[2] for v in (a, b, x, y)):  # inf or nan
+        return sq + z * z
+    prec = mp.mp.prec
+    re = _sum_rounded([a, mpf_mul(x, x), mpf_neg(mpf_mul(y, y))], prec)
+    im = _sum_rounded([b, mpf_shift(mpf_mul(x, y), 1)], prec)
+    return mp.make_mpc((re, im))
+
+
 def _fx_product(squares, mus, zz, keep: int):
-    """prod_j (sq_j + zz)^mu_j from `_fx` forms: exact sums, each power by squaring
-    with every multiply truncated to `keep` bits, one rounding to the working
-    precision.  None where a form is missing or zz and the squares lie more than
-    2 keep bits apart."""
+    """prod_j (sq_j + zz)^mu_j from `_fx` forms: exact sums truncated to `keep`
+    bits, each power by squaring with every multiply truncated to `keep` bits,
+    one rounding to the working precision.  None where a form is missing or zz
+    and the squares lie more than 2 keep bits apart."""
     if squares is None or zz is None or abs(zz[1] - squares[1]) > 2 * keep:
         return None
     (sqs, e), ([(c, d)], f) = squares, zz
@@ -262,7 +303,9 @@ def _fx_product(squares, mus, zz, keep: int):
     c, d = c << max(f - e, 0), d << max(f - e, 0)
     A, B, E = 1, 0, min(e, f) * sum(mus)
     for (a, b), mu in zip(sqs, mus):
-        a, b, x = (a << s) + c, (b << s) + d, 0  # (a + b i) 2^x = factor^(2^j)
+        a, b = (a << s) + c, (b << s) + d  # exact, then truncated to keep bits
+        x = max(a.bit_length(), b.bit_length(), keep) - keep
+        a, b = a >> x, b >> x  # (a + b i) 2^x = factor^(2^j)
         while mu:
             if mu & 1:
                 A, B, drop = _fx_mul(A, B, a, b, keep)
@@ -276,7 +319,8 @@ def _fx_product(squares, mus, zz, keep: int):
 
 def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
     """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
-    the squares, C = prod lambda_n^(-2 mu_n), zeros and phase are built once.
+    the squares, C = prod lambda_n^(-2 mu_n), zeros and phase are built once,
+    and z^2 is exact at each point.
 
     The factor product is `_fx_product`'s, one rounding per point with _GUARD
     guard bits and log2(sum mu_n) more, which cover the truncations of the
@@ -301,12 +345,11 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
         if z._mpc_ in zeros:
             out.append(mp.mpc(0))
             continue
-        zz = z * z
         val = const * mp.exp(phase * z) * _window(lk, z)
-        poly = _fx_product(fixed, mus, _fx([zz], keep), keep)
+        poly = _fx_product(fixed, mus, _fx_square(_fx([z], keep)), keep)
         if poly is None:
             for sq, mu in squares:
-                val *= _power(sq + zz, mu)
+                val *= _power(_plus_square(sq, z), mu)
         out.append(val if poly is None else val * poly)
     return out
 

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -273,7 +274,7 @@ def walked_gram_matrix(seq, N, dom, ctx):
     while True:
         with mp.workdps(digits):
             try:
-                L, M, gens = gram._factor(seq, idx, dom)
+                L, gens = gram._factor(seq, idx, dom)
             except PrecisionError:
                 L = None
             if L is not None:
@@ -283,7 +284,7 @@ def walked_gram_matrix(seq, N, dom, ctx):
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
                     return gram.GramSystem(seq=seq, indices=tuple(idx), domain=dom, chol=L,
                                            digits_used=digits, cond_estimate=last_cond,
-                                           assembled=M, generators=gens)
+                                           generators=gens)
         if digits >= 4 * ctx.digits:
             raise PrecisionError(
                 f"Gram factorization needs more than {digits} digits "
@@ -292,32 +293,59 @@ def walked_gram_matrix(seq, N, dom, ctx):
         digits = min(2 * digits, 4 * ctx.digits)
 
 
-# -- the biorthogonal family before `GramSystem.matrix` read the generators --
-# A verbatim copy (bar the name, the module prefixes and `g.matrix`) of
-# `biorthogonal` when the lazy `g.matrix` of a system factored from its
-# generators was `_assemble` at digits_used: `parent_matrix` is that property,
-# read once, so the tests can check the family bit for bit.
+# -- the precision ladder and the biorthogonal family on the assembled Gram --
+# Verbatim copies (bar the names, the module prefixes, the dimension cap and
+# the factorization) of `gram_matrix` and `biorthogonal` when a Gram that the
+# displacement generators did not serve (mu > 1, or a short bounded interval)
+# was assembled and factored by `hermitian_cholesky` at every rung, and
+# `biorthogonal` inverted that assembled matrix with the ladder's factor of
+# it.  Here every Gram takes that branch, so the tests can check the
+# generator ladder's digits_used and the family bit for bit against it.
 
-def parent_matrix(g):
-    """The Gram matrix, assembled at digits_used on first read."""
-    if g.assembled is not None:
-        return g.assembled
-    with mp.workdps(g.digits_used):
-        return gram._assemble(g.seq, g.indices, g.domain)
+def assembled_gram_matrix(seq, N, dom, ctx):
+    """The Gram ladder on the assembled matrix: a namespace with the fields
+    of the system, the assembled matrix in `assembled`."""
+    idx = flatten(seq, N)
+    if dom.kind == "half_line_neg":
+        bad = [n for n in range(1, N + 1) if not mp.re(seq.lam(n)) > 0]
+        if bad:
+            raise DomainError(f"half-line domain needs Re lambda_n > 0; violated at n={bad}")
+    digits = ctx.digits
+    last_cond = mp.mpf("inf")
+    while True:
+        with mp.workdps(digits):
+            try:
+                M = gram._assemble(seq, idx, dom)
+                L = gram.hermitian_cholesky(M)
+            except PrecisionError:
+                L = None
+            if L is not None:
+                pivots = [mp.re(L[i, i]) for i in range(len(idx))]
+                ratio = min(pivots) / max(pivots)
+                last_cond = (max(pivots) / min(pivots)) ** 2
+                if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
+                    return SimpleNamespace(seq=seq, indices=tuple(idx), domain=dom, chol=L,
+                                           digits_used=digits, cond_estimate=last_cond,
+                                           assembled=M, dim=len(idx))
+        if digits >= 4 * ctx.digits:
+            raise PrecisionError(
+                f"Gram factorization needs more than {digits} digits "
+                f"(condition estimate {mp.nstr(last_cond, 5)}); "
+                "raise ctx.digits")
+        digits = min(2 * digits, 4 * ctx.digits)
+        if (L is not None and digits < 4 * ctx.digits
+                and ratio ** 2 < mp.mpf(10) ** (-digits / 2 - gram._RUNG_GUARD_DIGITS)):
+            digits = 4 * ctx.digits
 
 
 def parent_biorthogonal(g):
     """Invert the Gram through a factorization L L^H = M, column j of C = M^-1
     being L^-H y_j with y_j = L^-1 e_j, checked by the residual of C M against
-    the identity.  L is the ladder's factor of the assembled M, or, when the
-    ladder factored from the generators, `hermitian_cholesky` of `g.matrix`.
-    With the ladder's factor, the dual norms ||y_j|| and the distances
-    1/||y_j|| are those of `dual_norms`, which skips the backward sweeps and
-    the residual."""
+    the identity.  M is the assembled matrix and L the ladder's factor of it
+    (`assembled_gram_matrix`)."""
     d = g.dim
-    matrix = parent_matrix(g)
     with mp.workdps(g.digits_used):
-        L = g.chol if g.assembled is not None else gram.hermitian_cholesky(matrix)
+        M, L = g.assembled, g.chol
         C = mp.matrix(d, d)
         norms = []
         for j in range(d):
@@ -327,7 +355,7 @@ def parent_biorthogonal(g):
             for i in range(d):
                 C[i, j] = col[i]
         resid = mp.mpf(0)
-        R = C * matrix
+        R = C * M
         for i in range(d):
             for j in range(d):
                 target = 1 if i == j else 0

@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from conftest import (halfline_distance, jittered_mu3, parent_biorthogonal, rand_complex,
-                      walked_gram_matrix)
+from conftest import (assembled_gram_matrix, halfline_distance, jittered_mu3,
+                      parent_biorthogonal, rand_complex, walked_gram_matrix)
 
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
@@ -257,7 +257,8 @@ class TestBlockAssembly:
 LADDER_CASES = [
     ("squares16-climbs", fixture("squares", 16), 16, "bounded", 120),
     ("example_iv16-guard-band", fixture("example_iv", 16), 16, "bounded", 200),
-    ("example_iv8-first-pivot-fails", fixture("example_iv", 8), 8, "bounded", 15),
+    ("example_iv8-skips-to-cap", fixture("example_iv", 8), 8, "bounded", 15),
+    ("example_iii12-first-pivot-fails", fixture("example_iii", 12), 12, "bounded", 18),
     ("squares12-exhausts", fixture("squares", 12), 12, "bounded", 50),
     ("example_iv16-exhausts", fixture("example_iv", 16), 16, "bounded", 100),
     ("squares8-second-rung", fixture("squares", 8), 8, "bounded", 50),
@@ -303,17 +304,19 @@ class TestRungSkip:
         (fixture("example_iv", 16), 16, 200, [200, 400, 800]),
         (fixture("squares", 12), 12, 50, [50, 200]),
         (fixture("example_iv", 16), 16, 100, [100, 400]),
-        (fixture("example_iv", 8), 8, 15, [15, 30, 60]),
+        (fixture("example_iv", 8), 8, 15, [15, 60]),
+        (fixture("example_iii", 12), 12, 18, [18, 36, 72]),
         (jittered((1,) * 14, 0), 14, 400, [400]),
     ], ids=["squares16", "example_iv16-guard-band", "squares12", "example_iv16",
-            "example_iv8", "jittered-squares14"])
+            "example_iv8", "example_iii12", "jittered-squares14"])
     def test_factored_rungs(self, monkeypatch, seq, N, digits, rungs):
         # squares 16's 240-digit rung misses its floor by 89 digits and is
         # skipped; example_iv 16's 400-digit rung misses it by less than the
-        # guard band and is factored; the cap is always factored; after a
-        # failed factorization (example_iv 8 at 15) the ladder keeps doubling;
-        # jittered squares 14 (the moment system of the confluent-moment
-        # benchmark) is accepted at its first rung
+        # guard band and is factored; the cap is always factored, as after
+        # example_iv 8's 15-digit rung; after a failed factorization
+        # (example_iii 12 at 18, a non-positive pivot) the ladder keeps
+        # doubling; jittered squares 14 (the moment system of the
+        # confluent-moment benchmark) is accepted at its first rung
         seen = []
         factor = gram._factor
 
@@ -329,11 +332,38 @@ class TestRungSkip:
                 pass
         assert seen == rungs
 
+    # the benchmark's confluent systems: mu = 3 at 300 digits, mu = 2 at 200
+    PARITY_CASES = LADDER_CASES + [
+        (f"bench-mu{mu}-seed{seed}", jittered((mu,) * 8, seed), 8, "bounded", digits)
+        for mu, digits in ((3, 300), (2, 200)) for seed in (0, 1)]
+
+    @pytest.mark.parametrize("case", PARITY_CASES, ids=[c[0] for c in PARITY_CASES])
+    def test_digits_used_equals_assembled_ladder(self, case):
+        # the ladder on the generators accepts the rung that the ladder on the
+        # assembled matrix accepted, or exhausts where it did
+        _, seq, N, kind, digits = case
+        dom = (DomainSpec.half_line() if kind == "half-line"
+               else DomainSpec.bounded(Interval(0, 1)))
+
+        def outcome(build):
+            try:
+                return build(seq, N, dom, _ladder_ctx(digits, N)).digits_used
+            except PrecisionError as exc:
+                return type(exc)
+
+        with mp.workdps(15):
+            assert outcome(gram_matrix) == outcome(assembled_gram_matrix)
+
+
+def assembled_chol(g):
+    """`hermitian_cholesky` of the matrix assembled at the working precision."""
+    return hermitian_cholesky(gram._assemble(g.seq, g.indices, g.domain))
+
 
 def assembled_norms(g):
     """Dual norms from `hermitian_cholesky` of the assembled matrix, at the
     working precision."""
-    L = hermitian_cholesky(g.matrix)
+    L = assembled_chol(g)
     return [gram._norm(_forward(L, mp.eye(g.dim).column(j))) for j in range(g.dim)]
 
 
@@ -348,12 +378,52 @@ SIMPLE_FIXTURES = [
     ("jittered-squares", lambda: jittered((1,) * 14, 0), 14),
 ]
 
+GRAM_DOMAINS = {**DOMAINS, "0,0.05": DomainSpec.bounded(Interval(0, "0.05"))}
+
+# (label, mu, N, domain): jittered squares with mu = 2 and 3 on a long, a
+# wide, a short interval and the half-line
+CONFLUENT_CASES = [(f"mu{mu}-{dom}", mu, N, dom) for mu in (2, 3) for dom, N in [
+    ("0,1", 5), ("-1,2", 4), ("0,0.05", 4), ("half-line", 6)]]
+
+# (label, sequence): frequencies with lambda_n + conj lambda_m = 0 or Re of it
+# small beside |lambda|, whose displacement cannot give those entries
+PINNED_CASES = [
+    ("reflected", MultiplicitySequence.from_pairs(
+        [(-1, 1), (1, 2), (2, 1), (mp.mpc(0, 3), 2), (mp.mpc("0.01", 10), 1)], "reflected")),
+    ("imaginary", MultiplicitySequence.from_pairs(
+        [(mp.mpc(0, k), 2) for k in range(1, 5)], "imaginary")),
+    ("small-real-part", MultiplicitySequence.from_pairs(
+        [(mp.mpc("0.001", 5 * k), 1) for k in range(1, 7)], "small-real-part")),
+]
+
+
+def chol_error(L, ref):
+    """The largest error of the lower triangle of L, relative to the diagonal
+    of ref in its row."""
+    return max(abs(L[i, j] - ref[i, j]) / abs(ref[i, i])
+               for i in range(ref.rows) for j in range(i + 1))
+
+
+def counted_calls(monkeypatch, *names):
+    """Count the calls of gram.<name> (mp.<name> for exp) in a dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        owner = mp if name == "exp" else gram
+        func = getattr(owner, name)
+
+        def counted(*args, _name=name, _func=func):
+            calls[_name] += 1
+            return _func(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
 
 @pytest.mark.parametrize("dps", [15, 60])
 class TestSchurFactor:
-    """The mu = 1 Grams are factored from their displacement generators, with
-    no assembly, where no entry takes the series branch; every other Gram is
-    assembled and factored as before."""
+    """Every Gram is factored from its displacement generators, with no
+    assembly: as accurately as `hermitian_cholesky` of the assembled matrix,
+    for mu_n >= 1, on short intervals and on the half-line."""
 
     @pytest.mark.parametrize("N", [5, 10, 20, 30, 40])
     def test_half_line_distances_match_closed_form(self, dps, N):
@@ -363,7 +433,7 @@ class TestSchurFactor:
             g = gram_matrix(seq, N, DomainSpec.half_line(),
                             PrecisionContext(digits=50, trunc_N=N))
             dists = dual_norms(g)[1]
-        assert g.assembled is None
+        assert g.generators[2] == {}
         with mp.workdps(2 * g.digits_used + 20):
             err = max(abs(d - halfline_distance(seq, N, n)) / halfline_distance(seq, N, n)
                       for n, d in enumerate(dists, 1))
@@ -378,7 +448,7 @@ class TestSchurFactor:
             seq = make()
             g = gram_matrix(seq, N, dom, PrecisionContext(digits=120, trunc_N=N))
             schur = dual_norms(g)[0]
-        assert g.assembled is None
+        assert g.generators[2] == {}
         with mp.workdps(g.digits_used):
             assembled = assembled_norms(g)
         with mp.workdps(2 * g.digits_used + 20):
@@ -387,96 +457,166 @@ class TestSchurFactor:
             want = assembled_norms(hi)
             assert rel_err(schur, want) <= rel_err(assembled, want)
 
+    @pytest.mark.parametrize("name, mu, N, dom", CONFLUENT_CASES,
+                             ids=[c[0] for c in CONFLUENT_CASES])
+    def test_confluent_as_accurate_as_assembled_cholesky(self, dps, name, mu, N, dom):
+        # L, relative to its diagonal, and the dual norms, against the
+        # assembled Cholesky at 2 digits + 20
+        with mp.workdps(dps):
+            seq = jittered((mu,) * N, dps)
+            g = gram_matrix(seq, N, GRAM_DOMAINS[dom], PrecisionContext(digits=120, trunc_N=N))
+            schur = dual_norms(g)[0]
+        assert g.generators[2] == {}
+        with mp.workdps(g.digits_used):
+            L = assembled_chol(g)
+            assembled = assembled_norms(g)
+        with mp.workdps(2 * g.digits_used + 20):
+            ref = assembled_chol(g)
+            want = assembled_norms(g)
+            assert chol_error(g.chol, ref) <= chol_error(L, ref)
+            assert rel_err(schur, want) <= rel_err(assembled, want)
+
+    @pytest.mark.parametrize("name, seq", PINNED_CASES, ids=[c[0] for c in PINNED_CASES])
+    def test_pinned_pairs(self, dps, name, seq):
+        # where lambda_n + conj lambda_m vanishes the displacement says nothing
+        # of M_nm: the pinned entries carry it, and L and the dual norms stay
+        # within a factor 4 of the assembled Cholesky's error
+        dom = DomainSpec.bounded(Interval(0, 1))
+        with mp.workdps(dps):
+            N = seq.size
+            g = gram_matrix(seq, N, dom, PrecisionContext(digits=60, trunc_N=N))
+            schur = dual_norms(g)[0]
+        assert g.generators[2]
+        with mp.workdps(g.digits_used):
+            L = assembled_chol(g)
+            assembled = assembled_norms(g)
+        with mp.workdps(2 * g.digits_used + 20):
+            ref = assembled_chol(g)
+            want = assembled_norms(g)
+            assert chol_error(g.chol, ref) <= 4 * chol_error(L, ref)
+            assert rel_err(schur, want) <= 4 * rel_err(assembled, want)
+
     @pytest.mark.parametrize("seq, dom", [
         (fixture("squares", 6), DomainSpec.bounded(Interval(0, "0.2"))),
         (jittered((1, 2, 1, 3), 0), DomainSpec.bounded(Interval(0, 1))),
         (jittered((1, 2, 1, 3), 0), DomainSpec.half_line()),
     ], ids=["short-interval", "mu2-bounded", "mu2-half-line"])
-    def test_other_grams_take_assembled_branch(self, dps, seq, dom):
+    def test_other_grams_take_the_generators(self, monkeypatch, dps, seq, dom):
+        # a short interval (2 min Re lambda_n (beta - gamma) < 1/2) and mu > 1
+        # make no assembly and no Cholesky: L is `_schur_cholesky` on
+        # generators taken afresh, with nothing pinned
+        calls = counted_calls(monkeypatch, "_assemble", "hermitian_cholesky")
         with mp.workdps(dps):
             N = seq.size
             g = gram_matrix(seq, N, dom, PrecisionContext(digits=60, trunc_N=N))
+            M = g.matrix
+        assert calls == {"_assemble": 0, "hermitian_cholesky": 0}
+        idx = flatten(seq, N)
         with mp.workdps(g.digits_used):
-            M = gram._assemble(seq, flatten(seq, N), dom)
-            L = hermitian_cholesky(M)
+            x, v = gram._generators(seq, idx, dom)
+            L = gram._schur_cholesky([seq.lam(ix.n) for ix in idx], [ix.k for ix in idx],
+                                     [+a for a in x], None if dom.kind == "half_line_neg"
+                                     else [+b for b in v], {})
         d = g.dim
-        assert g.assembled is not None and g.matrix is g.assembled
-        assert [bits(g.matrix[i, j]) for i in range(d) for j in range(d)] == \
-            [bits(M[i, j]) for i in range(d) for j in range(d)]
+        assert g.generators[2] == {} and M.rows == d
         assert [bits(g.chol[i, j]) for i in range(d) for j in range(d)] == \
             [bits(L[i, j]) for i in range(d) for j in range(d)]
 
+    @pytest.mark.parametrize("seq", [fixture("squares", 10), jittered((2,) * 5, 3)],
+                             ids=["squares", "mu2"])
     @pytest.mark.parametrize("half_line", [False, True], ids=["bounded", "half-line"])
-    def test_lazy_matrix_is_assembled_at_digits_used(self, dps, half_line):
-        # M_ab = (u_a conj u_b - v_a conj v_b) / (lambda_a + conj lambda_b) for
-        # a >= b and M_ba = conj M_ab, from generators taken afresh at
-        # digits_used; on the half-line (u = 1, v = 0) that is, bit for bit,
-        # the matrix assembled at digits_used
+    def test_lazy_matrix_is_the_recurrence_at_digits_used(self, dps, half_line, seq):
+        # for a >= b, (lambda_a + conj lambda_b) M_ab = x_a conj(x_b + v_b)
+        # + v_a conj x_b - k_a M_(a-1,b) - k_b M_(a,b-1), with M_aa its real
+        # part over 2 Re lambda_a, from generators at 20 guard digits, each
+        # entry rounded once to digits_used
         dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
         with mp.workdps(dps):
-            seq = fixture("squares", 10)
-            g = gram_matrix(seq, 10, dom, PrecisionContext(digits=100, trunc_N=10))
+            N = seq.size
+            g = gram_matrix(seq, N, dom, PrecisionContext(digits=100, trunc_N=N))
             got = g.matrix
-        with mp.workdps(g.digits_used):
-            lams = [seq.lam(n) for n in range(1, 11)]
+        idx, d = flatten(seq, N), g.dim
+        with mp.workdps(g.digits_used + 20):
+            lams = [seq.lam(ix.n) for ix in idx]
             if half_line:
-                u, v = [mp.mpc(1)] * 10, [mp.mpc(0)] * 10
+                x, v = [mp.mpc(int(ix.k == 0)) for ix in idx], [mp.mpc(0)] * d
             else:
-                u = [mp.exp(lam * dom.interval.beta) for lam in lams]
-                v = [mp.exp(lam * dom.interval.gamma) for lam in lams]
-            want = mp.matrix(10, 10)
-            for a in range(10):
+                x = [mp.expm1(lams[a]) + (1 if idx[a].k else 0) for a in range(d)]
+                v = [mp.mpc(int(ix.k == 0)) for ix in idx]
+            want = [[None] * d for _ in range(d)]
+            for a in range(d):
                 for b in range(a + 1):
-                    want[a, b] = ((u[a] * mp.conj(u[b]) - v[a] * mp.conj(v[b]))
-                                  / (lams[a] + mp.conj(lams[b])))
-                    want[b, a] = mp.conj(want[a, b])
-            assembled = gram._assemble(seq, flatten(seq, 10), dom)
-        assert g.assembled is None and g.matrix is got
-        assert [bits(got[i, j]) for i in range(10) for j in range(10)] == \
-            [bits(want[i, j]) for i in range(10) for j in range(10)]
-        if half_line:
-            assert [bits(got[i, j]) for i in range(10) for j in range(10)] == \
-                [bits(assembled[i, j]) for i in range(10) for j in range(10)]
+                    r = x[a] * mp.conj(x[b] + v[b]) + v[a] * mp.conj(x[b])
+                    if idx[a].k:
+                        r -= idx[a].k * want[a - 1][b]
+                    if idx[b].k:
+                        r -= idx[b].k * want[a][b - 1]
+                    want[a][b] = (mp.mpc(mp.re(r) / (2 * mp.re(lams[a]))) if a == b
+                                  else r / (lams[a] + mp.conj(lams[b])))
+                    want[b][a] = mp.conj(want[a][b])
+        with mp.workdps(g.digits_used):
+            want = [[+want[a][b] for b in range(d)] for a in range(d)]
+        assert g.matrix is got
+        assert [bits(got[a, b]) for a in range(d) for b in range(d)] == \
+            [bits(want[a][b]) for a in range(d) for b in range(d)]
+
+    def test_short_interval_from_generators(self, monkeypatch, dps):
+        # mu = 1, N = 10 on (0, 0.005) at 200 digits, where every integral
+        # takes its series (about a second to assemble): the generators take
+        # one exponential and one expm1 per frequency and rung
+        seq = jittered((1,) * 10, 0)
+        dom = DomainSpec.bounded(Interval(0, "0.005"))
+        calls = counted_calls(monkeypatch, "_assemble", "hermitian_cholesky")
+        with mp.workdps(dps):
+            g = gram_matrix(seq, 10, dom, PrecisionContext(digits=200, trunc_N=10))
+            schur = dual_norms(g)[0]
+        assert calls == {"_assemble": 0, "hermitian_cholesky": 0}
+        monkeypatch.undo()
+        with mp.workdps(g.digits_used):
+            assembled = assembled_norms(g)
+        with mp.workdps(2 * g.digits_used + 20):
+            want = assembled_norms(g)
+        assert rel_err(schur, want) <= rel_err(assembled, want)
 
 
-# (label, sequence factory, N, domain): every Gram that the generators factor
+# (label, sequence factory, N, domain): mu = 1 fixtures, and confluent Grams
 GENERATOR_CASES = [(name, make, N, dom) for name, make, N in SIMPLE_FIXTURES
                    for dom in ("0,1", "half-line")] + [
     ("squares", lambda: fixture("squares", 8), 8, "-1,2"),
-    # 2 lambda_1 (beta - gamma) = 1/2: the rule's boundary, still the generators
+    # 2 lambda_1 (beta - gamma) = 1/2, where the generators first served
     ("boundary", lambda: MultiplicitySequence.from_pairs(
         [(mp.mpf(1) / 4, 1)] + [(n * n, 1) for n in range(1, 6)], "boundary"), 6, "0,1"),
-]
+] + [(f"mu{mu}", lambda mu=mu, N=N: jittered((mu,) * N, 7), N, dom)
+     for _, mu, N, dom in CONFLUENT_CASES]
 
-# (label, sequence, domain, factored from the generators)
+# (label, sequence, domain)
 BIORTHOGONAL_CASES = [
-    ("squares-bounded", fixture("squares", 8), DOMAINS["0,1"], True),
-    ("jittered-half-line", jittered((1,) * 6, 1), DOMAINS["half-line"], True),
-    ("squares-short-interval", fixture("squares", 6),
-     DomainSpec.bounded(Interval(0, "0.2")), False),
-    ("mu3-bounded", jittered_mu3(4, 2), DOMAINS["0,1"], False),
+    ("squares-bounded", fixture("squares", 8), DOMAINS["0,1"]),
+    ("jittered-half-line", jittered((1,) * 6, 1), DOMAINS["half-line"]),
+    ("squares-short-interval", fixture("squares", 6), DomainSpec.bounded(Interval(0, "0.2"))),
+    ("mu3-bounded", jittered_mu3(4, 2), DOMAINS["0,1"]),
 ]
 
 
 @pytest.mark.parametrize("dps", [15, 60, 120])
 class TestGeneratorMatrix:
-    """`GramSystem.matrix` on the generator path is built from the accepted
-    rung's generators: as accurate as assembly, with no assembly and no
+    """`GramSystem.matrix` is built from the accepted rung's generators: as
+    accurate as assembly, with a real diagonal, no assembly and no
     exponential; `biorthogonal` still assembles M, and its family is the one
-    it was when `g.matrix` was that assembled M."""
+    it was when the ladder assembled M."""
 
     @pytest.mark.parametrize("name, make, N, dom", GENERATOR_CASES,
                              ids=[f"{c[0]}-{c[3]}" for c in GENERATOR_CASES])
     def test_within_4_eps_of_assembled(self, dps, name, make, N, dom):
         with mp.workdps(dps):
             seq = make()
-            g = gram_matrix(seq, N, DOMAINS[dom], PrecisionContext(digits=120, trunc_N=N))
+            g = gram_matrix(seq, N, GRAM_DOMAINS[dom], PrecisionContext(digits=120, trunc_N=N))
             got = g.matrix
-        assert g.assembled is None and g.generators is not None
+        assert all(mp.im(got[a, a]) == 0 for a in range(g.dim))
         with mp.workdps(g.digits_used):
             eps = +mp.eps  # mp.eps is a constant of whatever precision reads it
         with mp.workdps(2 * g.digits_used + 20):
-            want = gram._assemble(seq, g.indices, DOMAINS[dom])
+            want = gram._assemble(seq, g.indices, GRAM_DOMAINS[dom])
             worst = max(abs(got[a, b] - want[a, b]) / abs(want[a, b])
                         for a in range(g.dim) for b in range(g.dim))
         assert worst <= 4 * eps, worst / eps
@@ -486,19 +626,7 @@ class TestGeneratorMatrix:
         seq = jittered((1,) * 8, dps)
         with mp.workdps(dps):
             g = gram_matrix(seq, 8, DOMAINS[dom], PrecisionContext(digits=60, trunc_N=8))
-        calls = {"_assemble": 0, "exp": 0}
-        assemble, exp = gram._assemble, mp.exp
-
-        def counted_assemble(*args):
-            calls["_assemble"] += 1
-            return assemble(*args)
-
-        def counted_exp(x):
-            calls["exp"] += 1
-            return exp(x)
-
-        monkeypatch.setattr(gram, "_assemble", counted_assemble)
-        monkeypatch.setattr(mp, "exp", counted_exp)
+        calls = counted_calls(monkeypatch, "_assemble", "exp")
         with mp.workdps(dps):
             M = g.matrix
             assert calls == {"_assemble": 0, "exp": 0}
@@ -508,21 +636,40 @@ class TestGeneratorMatrix:
         assert calls == {"_assemble": 1, "exp": 72 if dom == "0,1" else 0}
         assert g.matrix is M
 
-    @pytest.mark.parametrize("name, seq, dom, generators", BIORTHOGONAL_CASES,
-                             ids=[c[0] for c in BIORTHOGONAL_CASES])
-    def test_biorthogonal_equals_parent(self, dps, name, seq, dom, generators):
+    @pytest.mark.parametrize("name, mu, N, dom", CONFLUENT_CASES,
+                             ids=[c[0] for c in CONFLUENT_CASES])
+    def test_ladder_and_matrix_take_no_assembly(self, monkeypatch, dps, name, mu, N, dom):
+        # the ladder takes one exponential per frequency and rung (the
+        # generators' e^(lambda gamma); none on the half-line), and M none
+        seq = jittered((mu,) * N, dps)
+        calls = counted_calls(monkeypatch, "_assemble", "hermitian_cholesky", "exp", "_factor")
         with mp.workdps(dps):
-            g = gram_matrix(seq, seq.size, dom,
-                            PrecisionContext(digits=60, trunc_N=seq.size))
+            g = gram_matrix(seq, N, GRAM_DOMAINS[dom], PrecisionContext(digits=60, trunc_N=N))
+            exps = calls["exp"]
+            g.matrix
+        assert exps == (0 if dom == "half-line" else N * calls["_factor"])
+        assert calls == {"_assemble": 0, "hermitian_cholesky": 0, "exp": exps,
+                         "_factor": calls["_factor"]}
+
+    @pytest.mark.parametrize("name, seq, dom", BIORTHOGONAL_CASES,
+                             ids=[c[0] for c in BIORTHOGONAL_CASES])
+    def test_biorthogonal_equals_parent(self, dps, name, seq, dom):
+        # the ladder on the generators accepts the assembled ladder's rung,
+        # and biorthogonal's family is the one computed from that ladder's
+        # assembled matrix and factor
+        with mp.workdps(dps):
+            ctx = PrecisionContext(digits=60, trunc_N=seq.size)
+            g = gram_matrix(seq, seq.size, dom, ctx)
             got = biorthogonal(g)
-            want = parent_biorthogonal(g)
+            parent = assembled_gram_matrix(seq, seq.size, dom, ctx)
+            want = parent_biorthogonal(parent)
         d = g.dim
+        assert g.digits_used == parent.digits_used
         assert [bits(got.coeffs[i, j]) for i in range(d) for j in range(d)] == \
             [bits(want.coeffs[i, j]) for i in range(d) for j in range(d)]
         assert [bits(v) for v in got.norms] == [bits(v) for v in want.norms]
         assert [bits(v) for v in got.distances] == [bits(v) for v in want.distances]
         assert bits(got.identity_residual) == bits(want.identity_residual)
-        assert (g.generators is not None) == generators
 
 
 class TestCholesky:
@@ -725,10 +872,10 @@ def bits(v):
 @pytest.mark.parametrize("dps", [15, 120])
 @pytest.mark.parametrize("half_line", [False, True], ids=["bounded", "half-line"])
 class TestDiagonalPath:
-    """The dual norms read only the forward columns L^-1 e_j and are those of
-    the biorthogonal family; the column-wise inverse and the two sweeps give
-    the bits of full forward and backward sweeps; the mixed system's two
-    blocks are as accurate as the whole mixed Gram."""
+    """The dual norms read only the forward columns L^-1 e_j and are at least
+    as accurate as those of the biorthogonal family; the column-wise inverse
+    and the two sweeps give the bits of full forward and backward sweeps; the
+    mixed system's two blocks are as accurate as the whole mixed Gram."""
 
     @staticmethod
     def system(dps, half_line):
@@ -736,20 +883,27 @@ class TestDiagonalPath:
         seq = jittered_mu3(4, dps)
         return gram_matrix(seq, 4, dom, PrecisionContext(digits=max(dps, 50), trunc_N=4))
 
-    def test_dual_norms_equal_biorthogonal(self, dps, half_line):
+    def test_dual_norms_as_accurate_as_biorthogonal(self, dps, half_line):
+        # dual_norms reads the ladder's factor and biorthogonal factors the
+        # assembled matrix; both against the assembled Cholesky at 2 digits + 20
         with mp.workdps(dps):
             g = self.system(dps, half_line)
             norms, dists = dual_norms(g)
             fam = biorthogonal(g)
-        assert [bits(v) for v in norms] == [bits(v) for v in fam.norms]
-        assert [bits(v) for v in dists] == [bits(v) for v in fam.distances]
+        with mp.workdps(2 * g.digits_used + 20):
+            want = assembled_norms(g)
+            assert rel_err(norms, want) <= rel_err(fam.norms, want)
+            assert rel_err(dists, [1 / v for v in want]) <= \
+                rel_err(fam.distances, [1 / v for v in want])
 
     def test_inverse_equals_full_solves(self, dps, half_line):
+        # biorthogonal's own factor: `hermitian_cholesky` of the matrix it
+        # assembles at digits_used
         with mp.workdps(dps):
             g = self.system(dps, half_line)
             C = biorthogonal(g).coeffs
             with mp.workdps(g.digits_used):
-                ref = reference_inverse(g.chol)
+                ref = reference_inverse(assembled_chol(g))
         assert g.dim == 12
         for i in range(g.dim):
             for j in range(g.dim):

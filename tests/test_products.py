@@ -467,6 +467,44 @@ def mixed_mu(N, seed):
           / 2 ** 20, rng.choice((1, 2, 3))) for n in range(1, N + 1)], "mixed-mu")
 
 
+class TestExactSquare:
+    """z^2 enters the windowed product exactly: at z = x + i lambda_n with x
+    tiny, Re(lambda_n^2 + z^2) is x^2, which a rounded z^2 loses, and so Re L
+    is within a few eps of its value at 600 digits (a rounded z^2 left half of
+    it at x = 1e-40)."""
+
+    @pytest.mark.parametrize("dps", [15, 50])
+    @pytest.mark.parametrize("x", ["1e-40", "1e-3", "1e-200"])
+    @pytest.mark.parametrize("y", [1, 4, 9])
+    def test_real_part_keeps_x_squared(self, dps, x, y, squares8, unit_interval):
+        with mp.workdps(dps):
+            lk = lk_function(squares8, unit_interval, PrecisionContext(digits=50, trunc_N=6))
+            z = mp.mpc(x, y)
+            got = lk_eval(lk, z)
+            eps = +mp.eps  # mp.eps is evaluated where it is read
+        with mp.workdps(600):
+            want = lk_eval(lk_function(squares8, unit_interval,
+                                       PrecisionContext(digits=600, trunc_N=6)), z)
+            assert abs(mp.re(got) - mp.re(want)) <= 8 * eps * abs(mp.re(want))
+            assert abs(got - want) <= 8 * eps * abs(want)
+
+    @pytest.mark.parametrize("dps", [15, 50])
+    def test_sum_rounded_once(self, dps):
+        # Re sq + x^2 - y^2 in any order of sizes, against the exact sum
+        rng = random.Random(dps)
+        with mp.workdps(dps):
+            for _ in range(200):
+                y = mp.mpf(rng.uniform(-3, 3))
+                x = mp.mpf(rng.uniform(-1, 1)) * mp.mpf(2) ** -rng.randint(0, 4 * mp.mp.prec)
+                sq = y * y + (mp.mpf(rng.uniform(-1, 1)) * mp.mpf(2) ** -rng.randint(0, 200)
+                              if rng.random() < 0.5 else 0)
+                got = products._plus_square(mp.mpc(sq, 1), mp.mpc(x, y))
+                eps = +mp.eps
+                with mp.workprec(8 * mp.mp.prec + 100):
+                    want = sq + x * x - y * y
+                assert abs(mp.re(got) - want) <= eps * abs(want)
+
+
 class TestFixedPointProduct:
     """The factor product prod (lambda_n^2 + z^2)^mu_n of the windowed product is
     rounded once per point: within mp.eps in modulus of the exact product of the
@@ -505,16 +543,18 @@ class TestFixedPointProduct:
 
 # stdout of `lk eval --seq <squares, 8 terms> --N 6 --interval 0,1` as the per-factor
 # product printed it: a point tiny beside lambda_n^2, or with one part of z^2 tiny
-# beside the other, still takes that loop, with no shift by billions of bits
+# beside the other, still takes that loop, with no shift by billions of bits.  At
+# x + i and x + 4i, x = 1e-1000000000, Re(lambda_n^2 + z^2) = x^2 is kept, so
+# value_re is x^2 times the mantissa that 300 digits give at x = 1e-40
 _LK_EVAL_STDOUT = '{{\n  "schema_version": 1,\n  "value_im": "{}",\n  "value_re": "{}",\n' \
                   '  "z": [\n    "{}",\n    "{}"\n  ]\n}}\n'
 _EXTREME_POINTS = {
     "1e-1000000000": ("-5.0e-1000000001", "1.0", "1.0e-1000000000", "0.0"),
     "1e-1000000000+1i": ("3.16205861137510109011430348586e-1000000000",
-                         "1.29976240553551952231314967629e-2000000000",
+                         "2.88079171122307006737030141922e-2000000000",
                          "1.0e-1000000000", "1.0"),
     "1e-1000000000+4i": ("-7.27592999431577473926107430218e-999999999",
-                         "-8.19407277581206362696694099031e-1999999999",
+                         "-9.10356402510153546937457527808e-1999999999",
                          "1.0e-1000000000", "4.0"),
     "0": ("0.0", "1.0", "0.0", "0.0"),
     "-4i": ("0.0", "0.0", "0.0", "-4.0"),
