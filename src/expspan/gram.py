@@ -38,7 +38,6 @@ digits is skipped) until the pivot floor is met.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,13 +234,10 @@ class GramSystem:
                     if (a, b) in closed:
                         m = closed[a, b]
                     else:
-                        m = x[a] * w[b] + v[a] * xc[b]
-                        if idx[a].k:
-                            m -= idx[a].k * G[a - 1][b]
-                        if idx[b].k:
-                            m -= idx[b].k * G[a][b - 1]
-                        m = (mp.mpc(mp.re(m) / (2 * mp.re(lams[a]))) if a == b
-                             else m / (lams[a] + lc[b]))
+                        below = [k * G[i][j] for k, i, j in
+                                 ((idx[a].k, a - 1, b), (idx[b].k, a, b - 1)) if k]
+                        m = mp.mpc(_displacement_entry(x[a], v[a], xc[b], w[b], lams[a],
+                                                       lc[b], a == b, below))
                     G[a][b], G[b][a] = m, mp.conj(m)
         M = mp.matrix(d, d)
         with mp.workdps(self.digits_used):
@@ -328,47 +324,49 @@ def _generators(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
     return tuple(x), tuple(v)
 
 
-def _log_abs_expm1(y: float) -> float:
-    """log |e^y - 1|, without overflow; -inf at y = 0."""
-    if y > 0:
-        return y + math.log(-math.expm1(-y))
-    return math.log(-math.expm1(y)) if y < 0 else -math.inf
-
-
-def _log_add(a: float, b: float) -> float:
-    """log(e^a + e^b)."""
-    hi, lo = max(a, b), min(a, b)
-    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
-
-
 def _pinned(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec,
             x: Sequence, v: Sequence) -> dict:
     """The entries that the displacement does not determine accurately, in
-    closed form (`_closed_entries`).  A frequency pair n >= m is pinned when
-    x_n conj(x_m + v_m) + v_n conj x_m, the right side of its k = 0 entry,
-    would cancel by more than a factor `_CANCELLATION`: when |x_n| (|x_m| +
-    |v_m|) + |v_n| |x_m| exceeds that factor times |v_n| |v_m| |expm1(y)|,
-    y = Re(lambda_n + conj lambda_m) (beta - gamma), a lower bound of the
-    right side's modulus | u_n conj u_m - v_n conj v_m | with u = x + v.  So
-    a pair is pinned always where lambda_n + conj lambda_m = 0, never on the
-    half-line, where the right side is 1, nor for real frequencies of one
-    sign.  The test runs in floating point on the logarithms, and a pair
-    whose test reads nan is pinned."""
+    closed form (`_closed_entries`).  A frequency pair n >= m is pinned where
+    lambda_n + conj lambda_m = 0, or where the right side of its k = 0 entry,
+    x_n conj(x_m + v_m) + v_n conj x_m, is smaller than the sum of its terms'
+    moduli, |x_n| (|x_m| + |v_m|) + |v_n| |x_m|, by more than a factor
+    `_CANCELLATION`.  The test is unchanged when x_n, v_n are scaled
+    together, so each frequency's pair is scaled to modulus at most 1 by a
+    power of two and tested in Python's complex floats, whose 53 bits put
+    the right side's rounding error far below that factor.  On the
+    half-line the right side is 1 and nothing is pinned."""
     if dom.kind == "half_line_neg":
         return {}
-    width = dom.interval.beta - dom.interval.gamma
-    runs = _runs(idx)
-    with mp.workdps(15):
-        logs = [(float(mp.log(abs(x[r[0]]))), float(mp.log(abs(v[r[0]]))),
-                 float(mp.re(seq.lam(idx[r[0]].n)) * width)) for r in runs]
-    pairs = set()
-    for r, (lxn, lvn, yn) in enumerate(logs):
-        for c, (lxm, lvm, ym) in enumerate(logs[:r + 1]):
-            cancel = (_log_add(lxn + _log_add(lxm, lvm), lvn + lxm)
-                      - lvn - lvm - _log_abs_expm1(yn + ym))
-            if not cancel <= math.log(_CANCELLATION):
-                pairs.add((runs[r][0], runs[c][0]))
-    return _closed_entries(seq, idx, dom, lambda rows, cols, a: (rows[0], cols[0]) in pairs)
+    heads = [run[0] for run in _runs(idx)]
+    scaled = {}
+    for n in heads:
+        scale = mp.ldexp(1, -max(mp.mag(x[n]), mp.mag(v[n])))
+        scaled[n] = complex(x[n] * scale), complex(v[n] * scale)
+    cancel = set()
+    for i, n in enumerate(heads):
+        xn, vn = scaled[n]
+        for m in heads[:i + 1]:
+            xm, vm = scaled[m]
+            rhs = xn * (xm + vm).conjugate() + vn * xm.conjugate()
+            if _CANCELLATION * abs(rhs) < abs(xn) * (abs(xm) + abs(vm)) + abs(vn) * abs(xm):
+                cancel.add((n, m))
+    return _closed_entries(seq, idx, dom, lambda rows, cols, a: (
+        a == 0 or (rows[0], cols[0]) in cancel))
+
+
+def _displacement_entry(xa, va, xcb, wb, lam_a, lcb, diagonal: bool, below) -> mp.mpc | mp.mpf:
+    """The solution m of (lambda_a + conj lambda_b) m = x_a conj(x_b + v_b)
+    + v_a conj x_b - (the terms of below, subtracted in turn), from xcb =
+    conj x_b, wb = conj(x_b + v_b) and lcb = conj lambda_b (va None stands
+    for 0).  On the diagonal m is the real Re(...) / (2 Re lambda_a): the
+    imaginary part of the right side is rounding noise."""
+    r = xa * wb
+    if va is not None:
+        r += va * xcb
+    for t in below:
+        r -= t
+    return mp.re(r) / (2 * mp.re(lam_a)) if diagonal else r / (lam_a + lcb)
 
 
 def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
@@ -397,15 +395,8 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
             if (i, k) in pinned:
                 m[i] = pinned.pop((i, k))
                 continue
-            r = x[i] * xvk
-            if v is not None:
-                r += v[i] * xk
-            if i == k:
-                m[i] = mp.re(r) / (2 * mp.re(lams[k]))
-                continue
-            if s[i]:
-                r -= s[i] * m[i - 1]
-            m[i] = r / (lams[i] + lk)
+            m[i] = _displacement_entry(x[i], None if v is None else v[i], xk, xvk, lams[i],
+                                       lk, i == k, (s[i] * m[i - 1],) if s[i] and i > k else ())
         pivot = mp.re(m[k])
         if not pivot > 0:
             raise PrecisionError(f"non-positive pivot at row {k}")

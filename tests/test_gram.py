@@ -378,7 +378,8 @@ SIMPLE_FIXTURES = [
     ("jittered-squares", lambda: jittered((1,) * 14, 0), 14),
 ]
 
-GRAM_DOMAINS = {**DOMAINS, "0,0.05": DomainSpec.bounded(Interval(0, "0.05"))}
+GRAM_DOMAINS = {**DOMAINS, **{w: DomainSpec.bounded(Interval(0, w.split(",")[1]))
+                               for w in ("0,0.2", "0,0.05", "0,0.005")}}
 
 # (label, mu, N, domain): jittered squares with mu = 2 and 3 on a long, a
 # wide, a short interval and the half-line
@@ -504,7 +505,8 @@ class TestSchurFactor:
     def test_other_grams_take_the_generators(self, monkeypatch, dps, seq, dom):
         # a short interval (2 min Re lambda_n (beta - gamma) < 1/2) and mu > 1
         # make no assembly and no Cholesky: L is `_schur_cholesky` on
-        # generators taken afresh, with nothing pinned
+        # generators taken afresh, with nothing pinned, and M is within 4 eps
+        # of the assembled matrix, with a real diagonal
         calls = counted_calls(monkeypatch, "_assemble", "hermitian_cholesky")
         with mp.workdps(dps):
             N = seq.size
@@ -518,9 +520,18 @@ class TestSchurFactor:
                                      [+a for a in x], None if dom.kind == "half_line_neg"
                                      else [+b for b in v], {})
         d = g.dim
-        assert g.generators[2] == {} and M.rows == d
+        assert g.generators[2] == {}
         assert [bits(g.chol[i, j]) for i in range(d) for j in range(d)] == \
             [bits(L[i, j]) for i in range(d) for j in range(d)]
+        assert all(mp.im(M[a, a]) == 0 for a in range(d))
+        monkeypatch.undo()
+        with mp.workdps(g.digits_used):
+            eps = +mp.eps
+        with mp.workdps(2 * g.digits_used + 20):
+            want = gram._assemble(seq, idx, dom)
+            worst = max(abs(M[a, b] - want[a, b]) / abs(want[a, b])
+                        for a in range(d) for b in range(d))
+        assert worst <= 4 * eps, worst / eps
 
     @pytest.mark.parametrize("seq", [fixture("squares", 10), jittered((2,) * 5, 3)],
                              ids=["squares", "mu2"])
@@ -529,7 +540,10 @@ class TestSchurFactor:
         # for a >= b, (lambda_a + conj lambda_b) M_ab = x_a conj(x_b + v_b)
         # + v_a conj x_b - k_a M_(a-1,b) - k_b M_(a,b-1), with M_aa its real
         # part over 2 Re lambda_a, from generators at 20 guard digits, each
-        # entry rounded once to digits_used
+        # entry rounded once to digits_used; on the half-line with every mu_n
+        # = 1 (x = 1, v = 0) each entry is the one division
+        # 1 / (lambda_a + conj lambda_b), and M is, bit for bit, the matrix
+        # assembled at digits_used
         dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
         with mp.workdps(dps):
             N = seq.size
@@ -556,9 +570,13 @@ class TestSchurFactor:
                     want[b][a] = mp.conj(want[a][b])
         with mp.workdps(g.digits_used):
             want = [[+want[a][b] for b in range(d)] for a in range(d)]
+            assembled = gram._assemble(seq, idx, dom)
         assert g.matrix is got
         assert [bits(got[a, b]) for a in range(d) for b in range(d)] == \
             [bits(want[a][b]) for a in range(d) for b in range(d)]
+        if half_line and d == N:
+            assert [bits(got[a, b]) for a in range(d) for b in range(d)] == \
+                [bits(assembled[a, b]) for a in range(d) for b in range(d)]
 
     def test_short_interval_from_generators(self, monkeypatch, dps):
         # mu = 1, N = 10 on (0, 0.005) at 200 digits, where every integral
@@ -586,6 +604,9 @@ GENERATOR_CASES = [(name, make, N, dom) for name, make, N in SIMPLE_FIXTURES
     # 2 lambda_1 (beta - gamma) = 1/2, where the generators first served
     ("boundary", lambda: MultiplicitySequence.from_pairs(
         [(mp.mpf(1) / 4, 1)] + [(n * n, 1) for n in range(1, 6)], "boundary"), 6, "0,1"),
+    # short intervals, where the parent assembled every mu = 1 Gram
+    ("squares", lambda: fixture("squares", 6), 6, "0,0.2"),
+    ("jittered-squares", lambda: jittered((1,) * 6, 0), 6, "0,0.005"),
 ] + [(f"mu{mu}", lambda mu=mu, N=N: jittered((mu,) * N, 7), N, dom)
      for _, mu, N, dom in CONFLUENT_CASES]
 
