@@ -45,6 +45,13 @@ def _num(x, dps: int) -> str:
     return mp.nstr(mp.mpf(x), dps)
 
 
+def _decay_rate(d, lam, text) -> str | None:
+    """text(log(d) / Re lambda), the rate column of a distance table; None (JSON
+    null, an empty CSV cell) where Re lambda = 0."""
+    re = mp.re(lam)
+    return text(mp.log(d) / re) if re else None
+
+
 def _dump(obj, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
@@ -239,7 +246,7 @@ def _cmd_gram(args) -> _Result:
     if args.action == "distance":
         norms, dists = gram_mod.dual_norms(g)
         rows = [[ix.n, ix.k, _num(mp.re(seq.lam(ix.n)), dps), _num(d, dps),
-                 _num(mp.log(d) / mp.re(seq.lam(ix.n)), dps), _num(norm, dps)]
+                 _decay_rate(d, seq.lam(ix.n), lambda x: _num(x, dps)), _num(norm, dps)]
                 for ix, d, norm in zip(g.indices, dists, norms)]
         obj["distances"] = [dict(zip(("n", "k", "re_lambda", "distance", "log_ratio",
                                       "dual_norm"), r)) for r in rows]
@@ -366,7 +373,7 @@ def _cmd_run(args) -> None:
             "dim": g.dim, "digits_used": g.digits_used,
             "identity_residual": _num(fam.identity_residual, 8)}
         rows = [[ix.n, mp.nstr(mp.re(seq.lam(ix.n)), dps), mp.nstr(d, dps),
-                 mp.nstr(mp.log(d) / mp.re(seq.lam(ix.n)), dps)]
+                 _decay_rate(d, seq.lam(ix.n), lambda x: mp.nstr(x, dps))]
                 for ix, d in zip(g.indices, fam.distances)]
         artifacts["distance_trend.csv"] = (
             ["n", "re_lambda", "distance", "log_distance_over_re_lambda"], rows)

@@ -976,6 +976,46 @@ class TestRunReports:
         assert float(obj["sup_annihilation_residual"]) < 1e-80
 
 
+# lambda = i, 1 (mu = 2), -i, then 4, 9, 16 so that full-report's analyze has
+# six terms: Re lambda_n = 0 at n = 1 and 3, where the rate log(d)/Re lambda_n
+# has no value
+_IMAGINARY_ENTRIES = [["0", "1", 1], ["1", "0", 2], ["0", "-1", 1],
+                      ["4", "0", 1], ["9", "0", 1], ["16", "0", 1]]
+
+
+class TestZeroRealPart:
+    """A frequency with Re lambda_n = 0 has a distance but no rate: the rate is
+    null in JSON and an empty CSV cell, and the command exits 0."""
+
+    def test_gram_distance(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "explicit", "entries": _IMAGINARY_ENTRIES[:3]}))
+        csv_path = tmp_path / "dist.csv"
+        code, out = run(capsys, "gram", "distance", "--seq", str(path), "--N", "3",
+                        "--interval", "0,1", "--csv", str(csv_path))
+        assert code == 0
+        rates = [row["log_ratio"] for row in json.loads(out)["distances"]]
+        assert rates[0] is None and rates[3] is None
+        assert all(float(r) < 0 for r in rates[1:3])
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[4] == "" for row in rows] == [True, False, False, True]
+
+    @pytest.mark.parametrize("kind", ["gram", "biorthogonal", "distance-trend",
+                                      "full-report"])
+    def test_run_writes_the_bundle(self, capsys, tmp_path, kind):
+        N = 6 if kind == "full-report" else 3
+        cfg = {"kind": kind, "seq": {"kind": "explicit", "entries": _IMAGINARY_ENTRIES},
+               "N": N, "nmax": 4, "interval": "0,1", "out": str(tmp_path / "bundle")}
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        code, _ = run(capsys, "run", str(cpath))
+        assert code == 0
+        rows = (tmp_path / "bundle" / "distance_trend.csv").read_text().splitlines()[1:]
+        empty = [row.split(",")[3] == "" for row in rows]
+        assert empty == [True, False, False, True] + [False] * (N - 3)
+        assert (tmp_path / "bundle" / "manifest.json").exists()
+
+
 class TestOneCopy:
     def test_second_main_builds_no_parser(self, capsys, monkeypatch):
         assert main(["fixtures"]) == 0

@@ -261,6 +261,21 @@ class TestLKEval:
             means.append(s)
         assert all(means[i + 1] < means[i] for i in range(len(means) - 1))
 
+    @pytest.mark.parametrize("dps", [15, 50])
+    def test_exact_zero_at_rounded_pole(self, dps):
+        # lambda kept at 80 digits: z = +-i lambda rounded to the working
+        # precision is a zero of G, and a point a few ulps away is not
+        with mp.workdps(80):
+            seq = MultiplicitySequence.from_pairs(
+                [(mp.mpc(n * n, 0) + mp.mpc(1, -2) / 3, 2) for n in range(1, 5)])
+        with mp.workdps(dps):
+            lk = lk_function(seq, Interval(0, 1), PrecisionContext(digits=60, trunc_N=4))
+            for n in range(1, 5):
+                for c in (1j, -1j):
+                    z = c * seq.lam(n)
+                    assert lk_eval(lk, z) == 0
+                    assert lk_eval(lk, z * (1 + 4 * mp.eps)) != 0
+
     def test_circle_minima_positive(self, lk):
         minima = lk_circle_minima(lk, "0.1", [1, 2, 3, 4], samples=48)
         assert all(m.min_abs > 0 for m in minima)
@@ -439,6 +454,25 @@ class TestBatchedPath:
             laurent_coeffs(lk, 2, "0.1", 3, 16)
         assert sum(seen) == 32
 
+    def test_circle_minima_one_batch(self, dps, monkeypatch):
+        # one evaluation for all circles, each minimum the bits of its circle alone
+        with mp.workdps(dps):
+            _, lk = self.make_lk()
+            alone = [lk_circle_minima(lk, "0.1", [n], samples=16)[0] for n in range(1, 7)]
+            seen = []
+            batch = products._lk_values
+
+            def counting(lk, zs):
+                zs = list(zs)
+                seen.append(len(zs))
+                return batch(lk, zs)
+
+            monkeypatch.setattr(products, "_lk_values", counting)
+            minima = lk_circle_minima(lk, "0.1", list(range(1, 7)), samples=16)
+        assert seen == [96]
+        assert minima == alone
+        assert [bits(m.min_abs) for m in minima] == [bits(m.min_abs) for m in alone]
+
     @pytest.mark.parametrize("kind", [ProductKind.F_EVEN, ProductKind.L_EVEN])
     def test_even_products_match_per_factor(self, dps, kind):
         with mp.workdps(dps):
@@ -465,6 +499,25 @@ def mixed_mu(N, seed):
     return MultiplicitySequence.from_pairs(
         [(n * n + mp.mpc(rng.randint(-209715, 209715), rng.randint(-209715, 209715))
           / 2 ** 20, rng.choice((1, 2, 3))) for n in range(1, N + 1)], "mixed-mu")
+
+
+def with_mus(mus, seed=0):
+    """jittered_mu3's frequencies with the multiplicities mus."""
+    seq = jittered_mu3(len(mus), seed)
+    return MultiplicitySequence.from_pairs(
+        [(seq.lam(n), mu) for n, mu in enumerate(mus, 1)], "jittered-mus")
+
+
+# mu patterns of twelve factors: the _fx_mul calls per point of one power by
+# squaring per factor (the count sum_j popcount(mu_j) + bitlen(mu_j) - 1) and of
+# the shared bits
+MU_PATTERNS = {"mu3": ([3] * 12, 36, 13), "mu1": ([1] * 12, 12, 11),
+               "mu2": ([2] * 12, 24, 12), "cycling": ([1, 2, 3] * 4, 24, 16),
+               "pow2": ([2 ** (j % 5) for j in range(12)], 33, 15)}
+
+
+def squaring_muls(mus):
+    return sum(bin(mu).count("1") + mu.bit_length() - 1 for mu in mus)
 
 
 class TestExactSquare:
@@ -512,8 +565,10 @@ class TestFixedPointProduct:
 
     @pytest.mark.parametrize("dps", [15, 60, 120])
     @pytest.mark.parametrize("make", [lambda: jittered_mu3(12, 0), lambda: jittered_mu3(12, 1),
-                                      lambda: mixed_mu(12, 2), lambda: fixture("example_vi", 12)],
-                             ids=["mu3-0", "mu3-1", "mixed", "mu-10^n"])
+                                      lambda: mixed_mu(12, 2), lambda: fixture("example_vi", 12),
+                                      lambda: with_mus(MU_PATTERNS["pow2"][0], 3),
+                                      lambda: with_mus(MU_PATTERNS["mu1"][0], 4)],
+                             ids=["mu3-0", "mu3-1", "mixed", "mu-10^n", "mu-2^(n%5)", "mu1"])
     def test_within_eps_of_exact(self, dps, make):
         with mp.workdps(dps):
             seq = make()
@@ -526,14 +581,53 @@ class TestFixedPointProduct:
             mus = [seq.mu(n) for n in range(1, 13)]
             keep = mp.mp.prec + products._GUARD + sum(mus).bit_length()
             fixed = products._fx(squares, keep)
+            plan = products._mu_bits(mus)
             for z in zs:
                 zz = z * z
-                got = products._fx_product(fixed, mus, products._fx([zz], keep), keep)
+                got = products._fx_product(fixed, plan, products._fx([zz], keep), keep)
                 assert got is not None, z
                 eps = +mp.eps  # mp.eps is evaluated where it is read
                 with mp.workdps(4 * dps + 50):
                     want = mp.fprod((sq + zz) ** mu for sq, mu in zip(squares, mus))
                     assert abs(got - want) <= eps * abs(want), z
+
+    @pytest.fixture
+    def mul_calls(self, monkeypatch):
+        calls = []
+        mul = products._fx_mul
+
+        def counted(*args):
+            calls.append(args)
+            return mul(*args)
+
+        monkeypatch.setattr(products, "_fx_mul", counted)
+        return calls
+
+    @staticmethod
+    def count_muls(mus, calls):
+        """_fx_mul calls of one point's factor product with multiplicities mus."""
+        with mp.workdps(30):
+            seq = with_mus(mus)
+            keep = mp.mp.prec + products._GUARD + sum(mus).bit_length()
+            fixed = products._fx([seq.lam(n) ** 2 for n in range(1, len(mus) + 1)], keep)
+            zz = products._fx([mp.mpc("0.75", "2.5") ** 2], keep)
+            calls.clear()
+            assert products._fx_product(fixed, products._mu_bits(mus), zz, keep) is not None
+        return len(calls)
+
+    @pytest.mark.parametrize("pattern", list(MU_PATTERNS))
+    def test_shared_squarings(self, pattern, mul_calls):
+        # every power of a bit set is formed once: mu = 3 takes 13 multiplies
+        # per point where a power per factor takes 36
+        mus, per_factor, want = MU_PATTERNS[pattern]
+        assert squaring_muls(mus) == per_factor
+        assert self.count_muls(mus, mul_calls) == want
+
+    def test_never_more_than_per_factor(self, mul_calls):
+        rng = random.Random(5)
+        for _ in range(40):
+            mus = [rng.randint(1, 2 ** rng.randint(1, 10)) for _ in range(rng.randint(1, 12))]
+            assert self.count_muls(mus, mul_calls) < squaring_muls(mus), mus
 
     def test_non_finite_point_is_nan(self, squares8, unit_interval):
         lk = lk_function(squares8, unit_interval, PrecisionContext(digits=60, trunc_N=6))
