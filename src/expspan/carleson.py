@@ -26,18 +26,16 @@ _GUARD = 40
 
 @dataclass(frozen=True)
 class CarlesonOperator:
-    """Maclaurin coefficients of the truncated products.
+    """Maclaurin coefficients of the truncated plain product.
 
     fcoeffs: coefficients of the plain product (a polynomial of degree
     `degree` = total multiplicity of the prefix; entries beyond are zero).
-    gcoeffs: the all-positive coefficients of the absolute-value product,
-    used as the derivative-series majorant weights.
+    Only `class_membership` reads the majorant weights; it builds them itself.
     """
 
     seq: MultiplicitySequence
     N: int
     fcoeffs: tuple
-    gcoeffs: tuple
     degree: int
 
 
@@ -45,9 +43,7 @@ def carleson_operator(seq: MultiplicitySequence, N: int,
                       ctx: PrecisionContext) -> CarlesonOperator:
     degree = seq.total_multiplicity(N)
     f = taylor_coeffs(ProductKind.F_PLAIN, seq, N, degree, ctx)
-    g = taylor_coeffs(ProductKind.G_ABS, seq, N, degree, ctx)
-    return CarlesonOperator(seq=seq, N=N, fcoeffs=tuple(f), gcoeffs=tuple(g),
-                            degree=degree)
+    return CarlesonOperator(seq=seq, N=N, fcoeffs=tuple(f), degree=degree)
 
 
 def exp_monomial_derivative(lam, k: int, m: int, x) -> mp.mpc:
@@ -124,7 +120,7 @@ def residual_on_span(op: CarlesonOperator, s: TaylorDirichletSeries,
 
 @dataclass(frozen=True)
 class ClassMembershipReport:
-    """Partial sums of sum_m gcoeffs[m] |s^(m)(x)| at each grid point."""
+    """Partial sums of sum_m G_m |s^(m)(x)| at each grid point."""
 
     grid: tuple
     partial_sums: tuple  # one tuple of partial sums per grid point
@@ -137,9 +133,12 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
     """Convergence evidence for the majorant derivative series on
     [gamma+delta, beta-delta].
 
-    The truncated majorant is a polynomial, so terms beyond the operator
-    degree vanish; the verdict asks the increments past the degree to stay
-    below 1e-30 * (series scale), i.e. the partial sums to have stabilised.
+    The weights G_m are the all-positive Maclaurin coefficients of the
+    absolute-value product over the operator's prefix, built after the
+    argument checks.  The truncated majorant is a polynomial, so terms beyond
+    the operator degree vanish; the verdict asks the increments past the
+    degree to stay below 1e-30 * (series scale), i.e. the partial sums to have
+    stabilised.
     """
     delta = mp.mpf(delta)
     if not delta > 0:
@@ -149,6 +148,7 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
     lo, hi = interval.gamma + delta, interval.beta - delta
     if not lo < hi:
         raise ConfigError("delta eats the whole interval")
+    gcoeffs = taylor_coeffs(ProductKind.G_ABS, op.seq, op.N, op.degree, ctx)
     grid = [lo + (hi - lo) * i / 8 for i in range(9)]
     with mp.workdps(ctx.digits):
         all_partials = []
@@ -157,7 +157,7 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
             acc = mp.mpf(0)
             partials = []
             for m in range(M + 1):
-                gm = op.gcoeffs[m] if m < len(op.gcoeffs) else mp.mpf(0)
+                gm = gcoeffs[m] if m < len(gcoeffs) else mp.mpf(0)
                 term = mp.mpf(0)
                 if gm != 0:
                     dv = mp.mpc(0)
@@ -212,7 +212,8 @@ def counterexample(Nmax: int, ctx: PrecisionContext,
     """Run the grouping experiment for the near-duplicate pair sequence.
 
     Group differences are computed through expm1 so no catastrophic
-    cancellation occurs; still, magnitudes like e^(n^3) cap Nmax at 8.
+    cancellation occurs; still, magnitudes like e^(n^3) cap Nmax at 8.  At
+    z = 0 every group term e^(n^3)(e^0 - e^0) is exactly 0, and so is the sum.
     """
     if Nmax < 2:
         raise ConfigError("Nmax must be >= 2")
@@ -228,7 +229,6 @@ def counterexample(Nmax: int, ctx: PrecisionContext,
     rows = []
     sums = [mp.mpc(0)] * len(samples)
     partials = []
-    zero_sum = mp.mpc(0)
     with mp.workdps(ctx.digits):
         for n in range(1, Nmax + 1):
             n3 = mp.mpf(n) ** 3
@@ -241,7 +241,6 @@ def counterexample(Nmax: int, ctx: PrecisionContext,
                 g_abs.append(abs(group))
                 bounds.append(mp.exp(n3 - mp.mpf(n) ** 4 + abs(z)))
                 u_abs.append(abs(mp.exp(n3 + z * n * n)))
-            zero_sum += -mp.exp(n3) * mp.expm1(mp.mpc(0) * tiny)
             rows.append(CounterexampleRow(n=n, grouped_abs=tuple(g_abs),
                                           grouped_bound=tuple(bounds),
                                           ungrouped_abs=tuple(u_abs)))
@@ -254,4 +253,4 @@ def counterexample(Nmax: int, ctx: PrecisionContext,
                                 partial_sums=tuple(partials),
                                 grouped_decreasing=dec,
                                 ungrouped_increasing=inc,
-                                value_at_zero=zero_sum)
+                                value_at_zero=mp.mpc(0))

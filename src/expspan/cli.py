@@ -198,9 +198,7 @@ def _cmd_validate(args) -> _Result:
 def _cmd_product_eval(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
-    kind = {"F": products.ProductKind.F_PLAIN, "G": products.ProductKind.G_ABS,
-            "F_even": products.ProductKind.F_EVEN,
-            "L_even": products.ProductKind.L_EVEN}[args.kind]
+    kind = products.ProductKind(args.kind)
     with mp.workdps(ctx.digits):
         z = read_number(args.z, "--z")
         val = products.eval_product(kind, seq, args.N, z)
@@ -414,9 +412,8 @@ def _cmd_run(args) -> None:
 
 # -- argument wiring -------------------------------------------------------------
 
-def _add_common(p, seq=True):
-    if seq:
-        p.add_argument("--seq", required=True, help="sequence spec JSON file")
+def _add_common(p):
+    p.add_argument("--seq", required=True, help="sequence spec JSON file")
     p.add_argument("--N", type=int, default=8, help="truncation prefix length")
     p.add_argument("--digits", type=int, default=None, help="working decimal digits")
     p.add_argument("--dps", type=int, default=30, help="printed digits")
@@ -447,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="action", required=True)
     pe = psub.add_parser("eval")
     _add_common(pe)
-    pe.add_argument("--kind", default="F", choices=["F", "G", "F_even", "L_even"])
+    pe.add_argument("--kind", default="F", choices=[k.value for k in products.ProductKind])
     pe.add_argument("--z", required=True, help="evaluation point, e.g. '1.5+0.5i'")
     pe.set_defaults(func=_cmd_product_eval)
 

@@ -91,6 +91,13 @@ class MultiplicitySequence:
             raise SequenceError(f"entry n={bad.index} of sequence "
                                 f"{self.provenance or '<anonymous>'}: {bad.detail}")
 
+    def check_indices(self, indices: Iterable[FlatIndex], word: str) -> None:
+        """Refuse the first (n, k) outside 1 <= n <= size, 0 <= k < mu_n; `word`
+        names the rows.  An n past a prefix but within the sequence is allowed."""
+        for idx in indices:
+            if not (1 <= idx.n <= self.size and 0 <= idx.k < self.mu(idx.n)):
+                raise ConfigError(f"{word} index {idx} outside multiplicity bounds")
+
     def total_multiplicity(self, N: int) -> int:
         self.check_prefix(N)
         return sum(mu for _, mu in self.entries[:N])

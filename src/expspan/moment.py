@@ -93,8 +93,10 @@ def solve(d: MomentData, seq: MultiplicitySequence, N: int, interval: Interval,
     so that <U, e_a> = d_a exactly in exact arithmetic;
     the achieved residual is verified against 10^(-digits/3).  The solution
     coefficients are also run through the coefficient-bound check, which
-    must look bounded whenever the growth gate passed.
+    must look bounded whenever the growth gate passed.  A data row that
+    addresses no element of the system is refused before any work.
     """
+    seq.check_indices(d.values, "moment")
     gate = growth_check(d, seq, N, interval)
     if not gate.passed and not force:
         raise GrowthGateError(
@@ -145,6 +147,7 @@ class BesselReport:
 
 def bessel_diagnostic(d: MomentData, seq: MultiplicitySequence, N: int,
                       interval: Interval, ctx: PrecisionContext) -> BesselReport:
+    seq.check_indices(d.values, "moment")
     if N >= 4:  # the growth gate needs a few frequencies to fit anything
         gate = growth_check(d, seq, N, interval)
         if not gate.passed:

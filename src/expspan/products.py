@@ -504,10 +504,11 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int) -> LaurentC
 def gnk_eval(lk: LKFunction, laurent: LaurentCoeffs, n: int, k: int, z) -> mp.mpc:
     """Interpolation function G_{n,k}(z) = (G(z)/k!) sum_l A_{k+l} (z - i lambda_n)^-l.
 
-    Outside the separation disk the defining sum is used directly.  Inside,
-    the pole of 1/G makes that form singular, so the regular-part rewrite is
-    used instead.  Both need the full principal part (J = mu_n): the sum reads
-    A_{k+1..mu_n}.
+    One formula at every z != i lambda_n, inside the separation disk as well
+    as outside it: the sum reads A_{k+1..mu_n}, so it needs the full principal
+    part (J = mu_n).  The zero of G of order mu_n at i lambda_n cancels the
+    pole of the sum there, so the singularity is removable; at z = i lambda_n
+    itself the value is the interpolation condition, 1 for k = 0, else 0.
     """
     if n != laurent.n:
         raise ConfigError("laurent coefficients belong to a different n")
@@ -515,28 +516,18 @@ def gnk_eval(lk: LKFunction, laurent: LaurentCoeffs, n: int, k: int, z) -> mp.mp
     if not 0 <= k < mu:
         raise ConfigError(f"k={k} must be < mu_n={mu}")
     z = mp.mpc(z)
-    center = 1j * lk.seq.lam(n)
-    w = z - center
+    w = z - 1j * lk.seq.lam(n)
     A = laurent.values
     if len(A) < mu:
         raise DomainError("G_{n,k} needs the full principal part "
                           f"(have J={len(A)}, need mu_n={mu})")
-    if abs(w) >= laurent.radius:
-        g = lk_eval(lk, z)
-        s = mp.mpc(0)
-        for l in range(1, mu - k + 1):
-            s += A[k + l - 1] / w ** l
-        return g * s / mp.factorial(k)
     if w == 0:
         return mp.mpc(1) if k == 0 else mp.mpc(0)
     g = lk_eval(lk, z)
-    principal = sum(A[j - 1] / w ** j for j in range(1, mu + 1))
-    regular = 1 / g - principal
-    # (z-c)^k/k! - G (z-c)^k p_n(z)/k! - (G/k!) sum_{j<=k} A_j (z-c)^(k-j)
-    val = w ** k / mp.factorial(k)
-    val -= g * w ** k * regular / mp.factorial(k)
-    val -= g / mp.factorial(k) * sum(A[j - 1] * w ** (k - j) for j in range(1, k + 1))
-    return val
+    s = mp.mpc(0)
+    for l in range(1, mu - k + 1):
+        s += A[k + l - 1] / w ** l
+    return g * s / mp.factorial(k)
 
 
 def blaschke_eval(seq: MultiplicitySequence, N: int, z) -> mp.mpc:

@@ -25,9 +25,7 @@ class TaylorDirichletSeries:
     claimed_sector: Sector = field(default_factory=lambda: Sector(mp.mpf(0), mp.mpf(0)))
 
     def __post_init__(self):
-        for idx in self.coeffs:
-            if not (1 <= idx.n <= self.seq.size and 0 <= idx.k < self.seq.mu(idx.n)):
-                raise ConfigError(f"coefficient index {idx} outside multiplicity bounds")
+        self.seq.check_indices(self.coeffs, "coefficient")
 
     def coeff(self, n: int, k: int) -> mp.mpc:
         return self.coeffs.get(FlatIndex(n, k), mp.mpc(0))

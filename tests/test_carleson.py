@@ -11,7 +11,7 @@ from expspan import (DomainError, FlatIndex, Interval, PrecisionContext,
                      TaylorDirichletSeries, apply_to_exponential,
                      carleson_operator, class_membership, counterexample,
                      eval_product, exp_monomial_derivative, fixture,
-                     residual_on_span)
+                     residual_on_span, taylor_coeffs)
 
 
 @pytest.fixture
@@ -32,7 +32,8 @@ class TestOperator:
         seq, op, ctx = op_mult
         assert op.degree == 14
         assert len(op.fcoeffs) == op.degree + 1
-        assert all(g > 0 for g in op.gcoeffs)
+        gcoeffs = taylor_coeffs(ProductKind.G_ABS, seq, op.N, op.degree, ctx)
+        assert all(g > 0 for g in gcoeffs)
 
     def test_annihilates_truncated_frequencies(self, op6, squares12):
         op, ctx = op6
@@ -227,7 +228,8 @@ class TestClassMembership:
     def test_majorant_coefficients_factorial_trend(self, op6):
         # type-zero shadow: m * G_m^(1/m) decreases once past the first terms
         op, ctx = op6
-        rhos = [m * op.gcoeffs[m] ** (mp.mpf(1) / m)
+        gcoeffs = taylor_coeffs(ProductKind.G_ABS, op.seq, op.N, op.degree, ctx)
+        rhos = [m * gcoeffs[m] ** (mp.mpf(1) / m)
                 for m in range(2, op.degree + 1)]
         assert all(rhos[i + 1] < rhos[i] for i in range(len(rhos) - 1))
 

@@ -976,6 +976,72 @@ class TestRunReports:
         assert float(obj["sup_annihilation_residual"]) < 1e-80
 
 
+# squares(5) with mu = 1, 2, 1, 2, 1: a moments or series row (n, k) addresses an
+# element when 1 <= n <= 5 and k < mu_n
+_MIXED_ENTRIES = [[n * n, 0, 2 - n % 2] for n in range(1, 6)]
+
+
+class TestMomentRowBounds:
+    """A moments row (n, k) with no element e_{n,k} is refused before any work, as
+    a series file's row is: exit 2, one line, and `run` writes nothing.  A row past
+    the prefix N but within the sequence is allowed."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """write(name, obj): the path of a JSON file holding obj, rewritten per call."""
+        root = tmp_path_factory.mktemp("rows")
+
+        def write(name, obj):
+            path = root / name
+            path.write_text(json.dumps(obj))
+            return str(path)
+        return write
+
+    @pytest.mark.parametrize("row", [[1, 5], [99, 0]], ids=["k-past-mu", "n-past-size"])
+    def test_moment_solve_and_run(self, capsys, tmp_path, seq_file, files, row):
+        rows = [[n, 0, f"1e-{n * n}", "0"] for n in range(1, 5)] + [[*row, "1", "0"]]
+        refused = (2, f"error: moment index FlatIndex(n={row[0]}, k={row[1]}) "
+                      "outside multiplicity bounds\n")
+        code = main(["moment", "solve", "--seq", seq_file, "--N", "4", "--interval",
+                     "0,1", "--digits", "60", "--data", files("moments.json", rows)])
+        assert (code, capsys.readouterr().err) == refused
+        cfg = {"kind": "moment", "seq": {"kind": "generator", "name": "squares",
+                                         "terms": 8},
+               "N": 4, "digits": 60, "interval": "0,1", "data": rows,
+               "out": str(tmp_path / "m")}
+        code = main(["run", files("cfg.json", cfg)])
+        assert (code, capsys.readouterr().err) == refused
+        assert not (tmp_path / "m").exists()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_row_sweep(self, files, data):
+        size = len(_MIXED_ENTRIES)
+        mus = [mu for _, _, mu in _MIXED_ENTRIES] + [1, 1]  # n = size+1, size+2: none
+        pairs = [(n, k) for n in range(1, size + 3) for k in range(mus[n - 1] + 2)]
+        drawn = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3,
+                                   unique=True), label="rows")
+        rows = [[n, k, f"1e-{n * n}", "0"] for n, k in drawn]
+        seq = {"kind": "explicit", "entries": _MIXED_ENTRIES}
+        series = {"seq": seq, "sector": {"eta": "0", "beta": "1"}, "coeffs": rows}
+        bad = next(((n, k) for n, k in drawn if not (n <= size and k < mus[n - 1])), None)
+        for word, argv in (
+                ("moment", ["moment", "solve", "--seq", files("seq.json", seq), "--N", "4",
+                            "--interval", "0,1", "--digits", "50",
+                            "--data", files("moments.json", rows)]),
+                ("coefficient", ["series", "eval", "--series",
+                                 files("series.json", series), "--z", "0"])):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if bad is None:
+                assert code == 0, (argv[:2], err.getvalue())
+            else:
+                assert code == 2
+                assert err.getvalue() == (f"error: {word} index FlatIndex(n={bad[0]}, "
+                                          f"k={bad[1]}) outside multiplicity bounds\n")
+
+
 # lambda = i, 1 (mu = 2), -i, then 4, 9, 16 so that full-report's analyze has
 # six terms: Re lambda_n = 0 at n = 1 and 3, where the rate log(d)/Re lambda_n
 # has no value

@@ -5,7 +5,7 @@ import pytest
 from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, decaying_coeffs, jittered_mu3,
                       reference_growth_fit)
 
-from expspan import (FlatIndex, GrowthGateError, Interval, MomentData,
+from expspan import (ConfigError, FlatIndex, GrowthGateError, Interval, MomentData,
                      PrecisionContext, fixture)
 from expspan.gram import DomainSpec, biorthogonal, gram_matrix
 from expspan.moment import bessel_diagnostic, growth_check, moments_from_obj, solve
@@ -178,6 +178,27 @@ class TestBessel:
                     want = 1 if a == b else 0
                     worst = max(worst, abs(ip - want))
             assert worst < mp.mpf("1e-40")
+
+
+class TestRowBounds:
+    @pytest.mark.parametrize("call", [solve, bessel_diagnostic])
+    @pytest.mark.parametrize("n, k", [(1, 1), (9, 0)])
+    def test_row_outside_bounds_refused_before_any_work(self, squares8, unit_interval,
+                                                        monkeypatch, call, n, k):
+        # squares(8) has mu = 1: (1, 1) and (9, 0) address no element
+        def refuse(*args):
+            raise AssertionError("a Gram was built for data with a row out of bounds")
+        monkeypatch.setattr("expspan.moment.gram_matrix", refuse)
+        d = MomentData(values={FlatIndex(1, 0): mp.mpc(1), FlatIndex(n, k): mp.mpc(1)})
+        with pytest.raises(ConfigError, match=rf"^moment index FlatIndex\(n={n}, k={k}\) "
+                                              "outside multiplicity bounds$"):
+            call(d, squares8, 4, unit_interval, PrecisionContext(digits=60, trunc_N=4))
+
+    def test_row_past_prefix_allowed(self, squares8, unit_interval):
+        # n = 6 > N = 4 is within the sequence; the solve reads only n <= N
+        d = MomentData(values={FlatIndex(n, 0): mp.mpf(10) ** (-n * n) for n in range(1, 7)})
+        sol = solve(d, squares8, 4, unit_interval, PrecisionContext(digits=60, trunc_N=4))
+        assert sol.residual_max < mp.mpf(10) ** -15
 
 
 class TestMomentsIO:

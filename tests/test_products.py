@@ -692,6 +692,34 @@ def test_lk_eval_extreme_points(capsys, tmp_path, z):
     assert capsys.readouterr().out == _LK_EVAL_STDOUT.format(*_EXTREME_POINTS[z])
 
 
+def direct_gnk(lk, A, n, k, z):
+    """(G(z)/k!) sum_{l=1..mu_n-k} A_{k+l} w^-l, w = z - i lambda_n != 0, written out."""
+    w = z - 1j * lk.seq.lam(n)
+    s = mp.mpc(0)
+    for l in range(1, lk.seq.mu(n) - k + 1):
+        s += A[k + l - 1] / w ** l
+    return lk_eval(lk, z) * s / mp.factorial(k)
+
+
+def gnk_points(dps, ratios):
+    """(lk, laurent, n, k, z) at working precision dps on the mixed-mu sequence:
+    every n and k, z = i lambda_n + ratio r e^(i theta) for each |w|/r in ratios
+    and two angles theta, with the Laurent coefficients taken at dps."""
+    seq = MultiplicitySequence.from_pairs(
+        [(1, 2), (mp.mpf("2.5"), 1), (mp.mpf("4.5"), 2)], "mixed-mu")
+    lk = lk_function(seq, Interval(0, 1), PrecisionContext(digits=120, trunc_N=3))
+    out = []
+    with mp.workdps(dps):
+        for n in (1, 2, 3):
+            laurent = laurent_coeffs(lk, n, "0.1", seq.mu(n), 64)
+            for ratio in ratios:
+                for theta in ("0.3", "2.2"):
+                    w = mp.mpf(ratio) * laurent.radius * mp.expj(mp.mpf(theta))
+                    z = 1j * seq.lam(n) + w
+                    out.extend((lk, laurent, n, k, z) for k in range(seq.mu(n)))
+    return out
+
+
 class TestGnk:
     @pytest.fixture
     def setup(self):
@@ -739,6 +767,34 @@ class TestGnk:
             want = lk_eval(lk, z) / ((z - c) * gp)
             got = gnk_eval(lk, laurents[2], 2, 0, z)
             assert abs(got - want) < mp.mpf("1e-35")
+
+    @pytest.mark.parametrize("dps", [15, 60, 120])
+    def test_one_formula_inside_and_outside(self, dps):
+        # the defining sum, bit for bit, inside the separation disk as well as
+        # outside it: the pole of 1/G at i lambda_n is a removable singularity
+        # of G_{n,k}, so no second form is needed near it
+        with mp.workdps(dps):
+            for lk, laurent, n, k, z in gnk_points(dps, ("0.5", "1e-3", "1e-20",
+                                                          "1.5", "3")):
+                got = gnk_eval(lk, laurent, n, k, z)
+                want = direct_gnk(lk, laurent.values, n, k, z)
+                assert bits(got.real) == bits(want.real), (n, k, z)
+                assert bits(got.imag) == bits(want.imag), (n, k, z)
+
+    @pytest.mark.parametrize("dps", [15, 60, 120])
+    def test_inside_disk_accuracy(self, dps):
+        # against the same sum with the same A at 3 dps + 40 digits: the sum
+        # loses nothing to the pole it cancels
+        with mp.workdps(dps):
+            points = gnk_points(dps, ("0.5", "1e-3", "1e-20"))
+            got = [gnk_eval(*p) for p in points]
+            eps = +mp.eps  # fixed at dps, not re-read at the reference precision
+        worst = mp.mpf(0)
+        with mp.workdps(3 * dps + 40):
+            for (lk, laurent, n, k, z), g in zip(points, got):
+                want = direct_gnk(lk, laurent.values, n, k, z)
+                worst = max(worst, abs(g - want) / abs(want))
+        assert worst <= 8 * eps, mp.nstr(worst / eps, 5)
 
     def test_inside_disk_needs_full_principal_part(self, setup):
         seq, lk, laurents = setup
