@@ -27,6 +27,20 @@ so does every point when sum mu_n >= 2^_GUARD, where squaring would cost more
 than mpmath's exp(mu log) powers, which that loop and `eval_product` take with
 log2 mu_n guard bits from mu_n >= 2^8 on.  `eval_product`, `derivative_factors`
 and the other products keep their per-factor mpmath loops.
+
+The phase and window e^(-i sigma z) prod_{k=1..K} cos(tau z / 2^k) are taken in
+the same fixed point from one exponential E = e^(-i tau z / 2^K), as
+e^(-i gamma z) E prod_{j=1..K} (1 + E^(2^j)) / 2 (sigma - tau = gamma): K
+squarings and K multiplies, no division, exactly 1 at z = 0, and the 1 of
+1 + E^(2^j) dropped where it lies below the kept bits.  The exponential's
+argument is exact, so the window keeps its digits however large tau z is.  C,
+the window and the factor product are folded with one rounding per point: at
+mu = 3, N = 12 on (0, beta) a point costs one exponential at the kept bits and
+13 + 2K + 2 = 31 integer multiplies, where mpmath's phase and Viete's window
+took three transcendental calls.  A point whose E has its two parts more than
+_GUARD/2 + log2(sum mu_n) bits apart (z = x + i lambda_n with x tiny), whose
+factor product takes the per-factor loop, or that is not finite, takes that
+loop with mpmath's phase and Viete's window (`_window`).
 """
 
 from __future__ import annotations
@@ -35,11 +49,11 @@ import enum
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import (fzero, mpf_add, mpf_mul, mpf_neg, mpf_pos, mpf_shift,
-                          round_nearest)
+from mpmath.libmp import (fzero, mpc_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_shift, mpf_sub, round_nearest)
 
 from .core import Interval, MultiplicitySequence, PrecisionContext, prefix_table
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, PrecisionError
 
 # halvings K of the windowed even product's cosine window
 _COS_K = 8
@@ -252,11 +266,33 @@ def _fx(xs, keep: int):
     return list(zip(ints[::2], ints[1::2])), e
 
 
+def _fx1(v, keep: int):
+    """The (a, b, e) form (a + b i) 2^e of one mpc v, or None, as in `_fx`."""
+    form = _fx([v], keep)
+    if form is None:
+        return None
+    [(a, b)], e = form
+    return a, b, e
+
+
 def _fx_mul(A: int, B: int, a: int, b: int, keep: int):
     """(A + B i)(a + b i) truncated to `keep` bits: (re, im, bits dropped)."""
     A, B = A * a - B * b, A * b + B * a
     drop = max(A.bit_length(), B.bit_length(), keep) - keep
     return A >> drop, B >> drop, drop
+
+
+def _fx_times(u, v, keep: int):
+    """The product of two (a, b, e) forms (a + b i) 2^e, truncated to keep bits."""
+    (A, B, E), (a, b, e) = u, v
+    A, B, drop = _fx_mul(A, B, a, b, keep)
+    return A, B, E + e + drop
+
+
+def _fx_round(u) -> mp.mpc:
+    """An (a, b, e) form rounded to the working precision, once per part."""
+    A, B, E = u
+    return mp.mpc(mp.mpf((A, E)), mp.mpf((B, E)))
 
 
 def _fx_square(z):
@@ -265,6 +301,11 @@ def _fx_square(z):
         return None
     [(a, b)], e = z
     return [(a * a - b * b, 2 * a * b)], 2 * e
+
+
+def _finite(*parts) -> bool:
+    """No raw mpf of parts is inf or nan (their mantissa is 0, their exponent not)."""
+    return all(v[1] or not v[2] for v in parts)
 
 
 def _sum_rounded(terms, prec: int):
@@ -288,7 +329,7 @@ def _plus_square(sq, z) -> mp.mpc:
     for z = x + iy, the squares and products exact, so Re(lambda_n^2 + z^2)
     keeps x^2 at z = x + i lambda_n however small x is (`_sum_rounded`)."""
     (a, b), (x, y) = sq._mpc_, z._mpc_
-    if not all(v[1] or not v[2] for v in (a, b, x, y)):  # inf or nan
+    if not _finite(a, b, x, y):
         return sq + z * z
     prec = mp.mp.prec
     re = _sum_rounded([a, mpf_mul(x, x), mpf_neg(mpf_mul(y, y))], prec)
@@ -310,12 +351,12 @@ def _mu_bits(mus):
 
 
 def _fx_product(squares, plan, zz, keep: int):
-    """prod_j (sq_j + zz)^mu_j from `_fx` forms and the `_mu_bits` plan of the
-    mu_j: exact sums truncated to `keep` bits; the product P_b of the factors
-    whose mu_j has bit b, formed once per distinct set; then from the top bit
-    down A = A^2 P_b, every multiply truncated to `keep` bits; one rounding to
-    the working precision.  None where a form is missing or zz and the squares
-    lie more than 2 keep bits apart."""
+    """prod_j (sq_j + zz)^mu_j as an (a, b, e) form, from `_fx` forms and the
+    `_mu_bits` plan of the mu_j: exact sums truncated to `keep` bits; the product
+    P_b of the factors whose mu_j has bit b, formed once per distinct set; then
+    from the top bit down A = A^2 P_b, every multiply truncated to `keep` bits.
+    None where a form is missing or zz and the squares lie more than 2 keep bits
+    apart."""
     if squares is None or zz is None or abs(zz[1] - squares[1]) > 2 * keep:
         return None
     (sqs, e), ([(c, d)], f) = squares, zz
@@ -329,65 +370,136 @@ def _fx_product(squares, plan, zz, keep: int):
         factors.append((a >> x, b >> x, x))
     prods = []
     for js in sets:
-        A, B, E = factors[js[0]]
+        acc = factors[js[0]]
         for j in js[1:]:
-            a, b, x = factors[j]
-            A, B, drop = _fx_mul(A, B, a, b, keep)
-            E += x + drop
-        prods.append((A, B, E))
-    A, B, E = prods[steps[0]]  # the top bit of the largest mu_j is set
+            acc = _fx_times(acc, factors[j], keep)
+        prods.append(acc)
+    acc = prods[steps[0]]  # the top bit of the largest mu_j is set
     for i in steps[1:]:
-        A, B, drop = _fx_mul(A, B, A, B, keep)
-        E = 2 * E + drop
+        acc = _fx_times(acc, acc, keep)
         if i is not None:
-            a, b, x = prods[i]
-            A, B, drop = _fx_mul(A, B, a, b, keep)
-            E += x + drop
-    E += min(e, f) * total
-    return mp.mpc(mp.mpf((A, E)), mp.mpf((B, E)))
+            acc = _fx_times(acc, prods[i], keep)
+    A, B, E = acc
+    return A, B, E + min(e, f) * total
+
+
+def _fx_exp(rate, z, keep: int, span: int):
+    """e^(-i rate z) for a real raw mpf rate, as an (a, b, e) form: mpmath's
+    exponential at keep bits of the exact argument rate y - i rate x, z = x + iy.
+    None where its two parts lie more than span bits apart, where truncation to
+    keep bits would cost the smaller part its relative accuracy."""
+    x, y = z._mpc_
+    re, im = mpc_exp((mpf_mul(rate, y), mpf_neg(mpf_mul(rate, x))), keep)
+    if re[1] and im[1] and abs(re[2] + re[3] - im[2] - im[3]) > span:
+        return None
+    return _fx1(mp.make_mpc((re, im)), keep)
+
+
+def _fx_one_plus(u, keep: int):
+    """1 + u for an (a, b, e) form u, exact, then truncated to keep bits.  The 1
+    is dropped where it lies below u's kept bits, and u where it lies below the
+    1's, so no shift exceeds about 2 keep bits however large or small u is."""
+    a, b, e = u
+    top = e + max(a.bit_length(), b.bit_length())
+    if top > keep + 1:
+        return u
+    if top < -keep:
+        return 1, 0, 0
+    if e < 0:
+        a += 1 << -e
+    else:
+        a, b, e = (a << e) + 1, b << e, 0
+    x = max(a.bit_length(), b.bit_length(), keep) - keep
+    return a >> x, b >> x, e + x
+
+
+def _window_rates(lk: LKFunction, keep: int):
+    """`_fx_window`'s rates (tau 2^-K, gamma + tau 2^-K) as raw mpf, tau =
+    (beta - gamma)/2 from the interval's endpoints, each sum rounded to keep
+    bits (exact where the endpoints lie within keep bits of each other)."""
+    gamma = lk.interval.gamma._mpf_
+    rate = mpf_shift(mpf_sub(lk.interval.beta._mpf_, gamma, keep), -1 - lk.K)
+    return rate, rate if gamma == fzero else mpf_add(gamma, rate, keep)
+
+
+def _fx_window(rates, z, K: int, keep: int, span: int):
+    """Phase and window e^(-i sigma z) prod_{k=1..K} cos(tau z / 2^k) as an (a, b,
+    e) form, from E = e^(-i tau z / 2^K): since sigma - tau = gamma it is
+    e^(-i gamma z) E prod_{j=1..K} (1 + E^(2^j)) / 2, with no division and no
+    0/0 (E = 1 at z = 0 gives exactly 1).  rates = (tau 2^-K, gamma + tau 2^-K):
+    one exponential where gamma = 0, else a second, e^(-i (gamma + tau 2^-K) z),
+    in place of E as the first factor; then K squarings and K multiplies, each
+    truncated to keep bits.  None where `_fx_exp` refuses an exponential."""
+    rate, lead = rates
+    E = _fx_exp(rate, z, keep, span)
+    acc = E if lead is rate or E is None else _fx_exp(lead, z, keep, span)
+    if acc is None:
+        return None
+    for _ in range(K):
+        E = _fx_times(E, E, keep)
+        acc = _fx_times(acc, _fx_one_plus(E, keep), keep)
+    A, B, e = acc
+    return A, B, e - K
 
 
 def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
     """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
-    the squares, C = 1/prod (lambda_n^2)^mu_n, the zeros +-i lambda_n (negated
-    and rounded parts of lambda_n, no multiplication), the phase and the bit
-    plan of the mu_n are built once per batch, and z^2 is exact at each point.
+    the squares, C = 1/prod (lambda_n^2)^mu_n (at the kept bits), the zeros
+    +-i lambda_n (negated and rounded parts of lambda_n, no multiplication), the
+    phase and window rates and the bit plan of the mu_n are built once per
+    batch, and z^2 is exact at each point.
 
-    The factor product is `_fx_product`'s, one rounding per point with _GUARD
-    guard bits and log2(sum mu_n) more, which cover the truncations of the
-    products and squarings.  From sum mu_n >= 2^_GUARD on, and where its
-    exponents lie too far apart (z^2 tiny or huge beside the squares, or one
-    part tiny beside the other), the point takes the per-factor loop, so no
-    addend below the kept bits forces a huge shift.  A non-finite z reads as
-    finite there, but its window is nan and so is G."""
+    A point costs one exponential at the kept bits (two where gamma != 0), the
+    factor product's multiplies (`_fx_product`: 13 at mu = 3, N = 12), the
+    window's K squarings and K multiplies (`_fx_window`), two multiplies by C
+    and the window, and one rounding: all in integers truncated to _GUARD guard
+    bits and log2(sum mu_n) more, which cover the truncations, so mu = 3, N = 12
+    on (0, beta) takes one exponential and 31 integer multiplies per point.
+    From sum mu_n >= 2^_GUARD on, where the factor product's exponents lie too
+    far apart (z^2 tiny or huge beside the squares, or one part tiny beside the
+    other), where an exponential's two parts lie more than _GUARD/2 + log2(sum
+    mu_n) bits apart (z = x + i lambda_n with x tiny), and at a non-finite z,
+    the point takes the per-factor loop with mpmath's phase and Viete's
+    `_window`, so no addend below the kept bits forces a huge shift; at a
+    non-finite z that window is nan, and so is G."""
     seq, N = lk.seq, lk.trunc_N
     squares = [(seq.lam(n) ** 2, seq.mu(n)) for n in range(1, N + 1)]
-    const = 1 / mp.fprod(_power(sq, mu) for sq, mu in squares)
+    prec = mp.mp.prec
+    plan = _mu_bits([mu for _, mu in squares])
+    total = plan[2].bit_length()
+    keep = prec + _GUARD + total
+    with mp.workprec(keep):
+        const = mp.mpc(1 / mp.fprod(_power(sq, mu) for sq, mu in squares))
     # z == zero compares the normalised mpf tuples, and no zero is nan;
     # i (a + b i) = -b + a i and -i (a + b i) = b - a i, each part rounded
-    prec = mp.mp.prec
     zeros = set()
     for n in range(1, N + 1):
         a, b = seq.lam(n)._mpc_
         zeros.add((mpf_neg(b, prec, round_nearest), mpf_pos(a, prec, round_nearest)))
         zeros.add((mpf_pos(b, prec, round_nearest), mpf_neg(a, prec, round_nearest)))
     phase = -1j * lk.interval.sigma
-    plan = _mu_bits([mu for _, mu in squares])
-    total = plan[2].bit_length()
-    keep = prec + _GUARD + total
-    fixed = _fx([sq for sq, _ in squares], keep) if total <= _GUARD else None
+    rates = _window_rates(lk, keep)
+    span = keep - prec - _GUARD // 2  # an exponential's small part keeps prec + 32 bits
+    scale = _fx1(const, keep)
+    fixed = _fx([sq for sq, _ in squares], keep) if total <= _GUARD and scale else None
     out = []
     for z in zs:
         z = mp.mpc(z)
         if z._mpc_ in zeros:
             out.append(mp.mpc(0))
             continue
+        poly = window = None
+        if _finite(*z._mpc_):
+            poly = _fx_product(fixed, plan, _fx_square(_fx([z], keep)), keep)
+        if poly is not None:
+            window = _fx_window(rates, z, lk.K, keep, span)
+        if window is not None:
+            out.append(_fx_round(_fx_times(_fx_times(scale, window, keep), poly, keep)))
+            continue
         val = const * mp.exp(phase * z) * _window(lk, z)
-        poly = _fx_product(fixed, plan, _fx_square(_fx([z], keep)), keep)
-        if poly is None:
-            for sq, mu in squares:
-                val *= _power(_plus_square(sq, z), mu)
-        out.append(val if poly is None else val * poly)
+        for sq, mu in squares:
+            val *= _power(_plus_square(sq, z), mu)
+        out.append(val)
     return out
 
 
@@ -399,6 +511,24 @@ def lk_eval(lk: LKFunction, z) -> mp.mpc:
 def _check_pole(lk: LKFunction, n: int) -> None:
     if not 1 <= n <= lk.trunc_N:
         raise ConfigError(f"n={n} outside the product's zeros 1..trunc_N={lk.trunc_N}")
+
+
+def _circle_radii(lk: LKFunction, eps, ns: list[int]) -> list[mp.mpf]:
+    """The radii r_n of the separation circles about i lambda_n, n in ns, each
+    checked against the working precision: a node i lambda_n + r_n w keeps half
+    the working digits of its offset from the pole only while r_n >= |lambda_n|
+    10^(-dps/2), and below about |lambda_n| 10^-dps it rounds onto the pole."""
+    radii = prefix_table(lk.seq, lk.trunc_N).separation_disks(eps).radii_small
+    out = []
+    for n in ns:
+        r = radii[n - 1]
+        need = int(mp.ceil(2 * mp.log10(abs(lk.seq.lam(n)) / r)))
+        if need > mp.mp.dps:
+            raise PrecisionError(f"separation circle n={n} has radius r_n={mp.nstr(r, 6)}, "
+                                 f"too small for {mp.mp.dps} working digits: its nodes "
+                                 f"need at least {need}")
+        out.append(r)
+    return out
 
 
 @dataclass(frozen=True)
@@ -418,22 +548,23 @@ def lk_circle_minima(lk: LKFunction, eps, ns: list[int],
 
     The compensated constants are the finite-scale shadow of the circle
     lower bound; their infimum over n is the fitted constant.  Every circle's
-    samples are evaluated in one batch, each with the bits it has alone.
+    samples are evaluated in one batch, each with the bits it has alone.  A
+    circle too small for the working precision is refused (`_circle_radii`)
+    before any is evaluated.
     """
     eps = mp.mpf(eps)
-    radii = prefix_table(lk.seq, lk.trunc_N).separation_disks(eps).radii_small
-    beta = lk.interval.beta
-    roots = _roots(samples)
     for n in ns:
         _check_pole(lk, n)
-    values = _lk_values(lk, [1j * lk.seq.lam(n) + radii[n - 1] * w
-                             for n in ns for w in roots])
+    radii = _circle_radii(lk, eps, ns)
+    beta = lk.interval.beta
+    roots = _roots(samples)
+    values = _lk_values(lk, [1j * lk.seq.lam(n) + r * w
+                             for n, r in zip(ns, radii) for w in roots])
     out = []
-    for i, n in enumerate(ns):
+    for i, (n, r) in enumerate(zip(ns, radii)):
         mn = min(abs(g) for g in values[i * samples:(i + 1) * samples])
         decay = mp.exp(-(beta - eps) * mp.re(lk.seq.lam(n)))
-        out.append(CircleMinimum(n=n, radius=radii[n - 1], min_abs=mn,
-                                 fitted_const=mn * decay))
+        out.append(CircleMinimum(n=n, radius=r, min_abs=mn, fitted_const=mn * decay))
     return out
 
 
@@ -480,22 +611,23 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int) -> LaurentC
     """Contour quadrature for the principal part of 1/G at i lambda_n.
 
     Runs the trapezoid rule at quad_Q and 2*quad_Q nodes; the relative
-    movement between the two is reported and gates `converged` at 1e-30.  The
-    quad_Q coarse nodes are every other fine node, so G is evaluated at
-    2*quad_Q points in all.
+    movement between the two, |coarse - fine| / |fine| for each moment, is
+    reported and gates `converged` at 1e-30.  The quad_Q coarse nodes are every
+    other fine node, so G is evaluated at 2*quad_Q points in all.  A circle too
+    small for the working precision is refused (`_circle_radii`).
     """
     _check_pole(lk, n)
     mu = lk.seq.mu(n)
     if not 1 <= J <= mu:
         raise ConfigError(f"J={J} must be in 1..mu_n={mu}")
     eps = mp.mpf(eps)
-    r = prefix_table(lk.seq, lk.trunc_N).separation_disks(eps).radii_small[n - 1]
+    [r] = _circle_radii(lk, eps, [n])
     center = 1j * lk.seq.lam(n)
     coarse, fine = _contour_moments(lk, center, r, J, quad_Q)
-    worst = mp.mpf(0)
-    for a, b in zip(coarse, fine):
-        scale = max(abs(b), mp.mpf(1e-300))
-        worst = max(worst, abs(a - b) / scale)
+    # |coarse - fine| / |fine|, with no floor under |fine|: 0 where the two
+    # agree, infinite where only the fine moment is 0
+    worst = max(mp.mpf(0) if a == b else abs(a - b) / abs(b) if b else mp.inf
+                for a, b in zip(coarse, fine))
     return LaurentCoeffs(n=n, values=tuple(fine), eps=eps, radius=r,
                          quad_Q=quad_Q, converged=bool(worst < mp.mpf("1e-30")),
                          max_rel_change=worst)

@@ -11,7 +11,7 @@ from expspan import products
 from expspan.cli import main
 from expspan.core import prefix_table
 from expspan import (ConfigError, DomainError, Interval, MultiplicitySequence,
-                     PrecisionContext, ProductKind, blaschke_eval,
+                     PrecisionContext, PrecisionError, ProductKind, blaschke_eval,
                      derivative_factors, eval_product, fixture, gnk_eval,
                      laurent_coeffs, lk_circle_minima, lk_eval, lk_function,
                      taylor_coeffs)
@@ -231,6 +231,59 @@ class TestVieteWindow:
                     assert self.rel_error(lk, z, dps) < 4 * mp.eps, (off, im)
 
 
+@pytest.mark.parametrize("dps", [15, 60, 120])
+@pytest.mark.parametrize("interval", [(0, 1), (-1, 2)], ids=["tau-half", "tau-3/2"])
+class TestFixedWindow:
+    """The fixed-point phase and window e^(-i gamma z) E prod_j (1 + E^(2^j)) / 2,
+    E = e^(-i tau z / 2^K), rounded once, against e^(-i sigma z) times the
+    explicit cosine product at 2 dps + 20 digits: within mp.eps in modulus,
+    however large tau z, since the exponential's argument is exact."""
+
+    @staticmethod
+    def fixed(lk, z, span=None):
+        prec = mp.mp.prec
+        keep = prec + products._GUARD
+        # span = 2 keep never refuses: the refusal guards the parts, not the modulus
+        u = products._fx_window(products._window_rates(lk, keep), mp.mpc(z), lk.K, keep,
+                                2 * keep if span is None else span)
+        return u if u is None else products._fx_round(u)
+
+    def rel_error(self, lk, z, dps):
+        got = self.fixed(lk, z)
+        with mp.workdps(2 * dps + 20):
+            want = mp.exp(-1j * lk.interval.sigma * z) * cosine_window(lk, z)
+        return abs(got - want) / abs(want)
+
+    @pytest.fixture
+    def lk(self, squares8, interval):
+        return lk_function(squares8, Interval(*interval),
+                           PrecisionContext(digits=120, trunc_N=6))
+
+    def test_one_at_origin(self, lk, dps):
+        with mp.workdps(dps):
+            assert self.fixed(lk, 0) == 1
+            assert self.fixed(lk, 0, span=0) == 1
+
+    def test_contour_nodes(self, lk, dps):
+        with mp.workdps(dps):
+            for n in (1, 4, 8):
+                for w in products._roots(16):
+                    z = 1j * lk.seq.lam(n) + mp.mpf("0.3") * w
+                    assert self.rel_error(lk, z, dps) < mp.eps, z
+                    assert self.rel_error(lk, -z, dps) < mp.eps, -z
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_where_both_sines_vanish(self, lk, dps, m):
+        # tau z = 2^K pi m, Viete's 0/0; E is about +-1 there, its imaginary part
+        # tiny, so `_lk_values` refuses the closest points and takes `_window`
+        with mp.workdps(dps):
+            x = mp.ldexp(mp.pi * m, lk.K) / lk.interval.tau
+            for off in ("0", "1e-8", "-1e-8", "-1e-5"):
+                for im in ("0", "1e-20"):
+                    z = mp.mpc(x + mp.mpf(off), mp.mpf(im))
+                    assert self.rel_error(lk, z, dps) < mp.eps, (off, im)
+
+
 class TestLKEval:
     @pytest.fixture
     def lk(self, squares8, unit_interval):
@@ -389,14 +442,85 @@ def reference_laurent(lk, n, eps, J, Q, digits=None):
 
     with mp.workdps(digits or mp.mp.dps):
         coarse, fine = moments(Q), moments(2 * Q)
-        worst = mp.mpf(0)
-        for a, b in zip(coarse, fine):
-            worst = max(worst, abs(a - b) / max(abs(b), mp.mpf(1e-300)))
+        worst = max(abs(a - b) / abs(b) for a, b in zip(coarse, fine))
     return tuple(fine), worst, bool(worst < mp.mpf("1e-30"))
 
 
 def max_rel_error(got, want):
     return max(abs(g - w) / abs(w) for g, w in zip(got, want))
+
+
+class TestLaurentGate:
+    """`max_rel_change` is |coarse - fine| / |fine| with no floor under |fine|."""
+
+    def test_tiny_coefficient_keeps_its_change(self):
+        # |A_1| = 1.27e-429 here: a 1e-300 floor read the change as 1.87e-208
+        seq = fixture("squares", 30)
+        lk = lk_function(seq, Interval(0, 1), PrecisionContext(digits=120, trunc_N=30))
+        with mp.workdps(120):
+            coarse, fine = products._contour_moments(
+                lk, 1j * seq.lam(30), products._circle_radii(lk, mp.mpf("0.1"), [30])[0],
+                1, 2)
+            lc = laurent_coeffs(lk, 30, "0.1", 1, 2)
+            assert abs(lc.values[0]) < mp.mpf("1e-400")
+            assert lc.max_rel_change == abs(coarse[0] - fine[0]) / abs(fine[0])
+            assert mp.mpf("1e-80") < lc.max_rel_change < mp.mpf("1e-78")
+            assert lc.converged
+
+    @pytest.mark.parametrize("coarse, fine, want", [
+        ([1, 2], [1, 2], 0), ([1, 0], [1, 0], 0), ([1, 1], [2, 1], mp.mpf(1) / 2),
+        ([1, mp.mpf("1e-400")], [1, 0], mp.inf)], ids=["equal", "equal-zero", "half", "zero"])
+    def test_edge_cases(self, monkeypatch, coarse, fine, want):
+        # 0 where the two rules agree, even at 0; infinite where only fine is 0
+        monkeypatch.setattr(products, "_contour_moments", lambda *args: (
+            [mp.mpc(v) for v in coarse], [mp.mpc(v) for v in fine]))
+        lk = lk_function(fixture("squares", 4), Interval(0, 1),
+                         PrecisionContext(digits=60, trunc_N=4))
+        lc = laurent_coeffs(lk, 1, "0.1", 1, 4)
+        assert lc.max_rel_change == want
+        assert lc.converged is (want == 0)
+
+
+class TestCirclePrecision:
+    """A separation circle whose radius r_n is below |lambda_n| 10^(-dps/2) is
+    refused with PrecisionError (exit 3) by both of its callers, which name n,
+    r_n and the digits its nodes need; squares(40) at n = 25 needs 61."""
+
+    @pytest.fixture
+    def lk(self):
+        return lk_function(fixture("squares", 40), Interval(0, 1),
+                           PrecisionContext(digits=60, trunc_N=40))
+
+    @pytest.mark.parametrize("n, need", [(25, 61), (30, 85), (40, 146)])
+    def test_both_sides_of_the_bound(self, lk, n, need):
+        calls = (lambda: lk_circle_minima(lk, "0.1", [1, n], samples=8),
+                 lambda: laurent_coeffs(lk, n, "0.1", 1, 2))
+        for call in calls:
+            with mp.workdps(need - 1):
+                with pytest.raises(PrecisionError, match=rf"separation circle n={n} has "
+                                   rf"radius r_n=\S+, too small for {need - 1} working "
+                                   rf"digits: its nodes need at least {need}$"):
+                    call()
+            with mp.workdps(need):
+                call()
+
+    def test_first_refused_circle_is_named(self, lk):
+        with mp.workdps(60):
+            with pytest.raises(PrecisionError, match="n=25 "):
+                lk_circle_minima(lk, "0.1", list(range(1, 41)), samples=8)
+            assert lk_circle_minima(lk, "0.1", list(range(1, 25)), samples=8)
+
+    def test_cli_exit_3(self, capsys, tmp_path):
+        # 60 digits printed min_abs 0.0 for n = 37..40, whose nodes round onto i lambda_n
+        path = tmp_path / "squares40.json"
+        path.write_text('{"kind": "generator", "name": "squares", "terms": 40}')
+        argv = ["lk", "lowerbound", "--seq", str(path), "--N", "40", "--interval", "0,1",
+                "--circles", "40"]
+        assert main([*argv, "--digits", "60"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: separation circle n=25 has radius r_n=")
+        assert main([*argv[:-1], "24", "--digits", "60"]) == 0
 
 
 @pytest.mark.parametrize("dps", [15, 120])
@@ -527,7 +651,7 @@ class TestExactSquare:
     it at x = 1e-40)."""
 
     @pytest.mark.parametrize("dps", [15, 50])
-    @pytest.mark.parametrize("x", ["1e-40", "1e-3", "1e-200"])
+    @pytest.mark.parametrize("x", ["1e-40", "1e-3", "1e-200", "1e-20", "1e-10"])
     @pytest.mark.parametrize("y", [1, 4, 9])
     def test_real_part_keeps_x_squared(self, dps, x, y, squares8, unit_interval):
         with mp.workdps(dps):
@@ -586,6 +710,7 @@ class TestFixedPointProduct:
                 zz = z * z
                 got = products._fx_product(fixed, plan, products._fx([zz], keep), keep)
                 assert got is not None, z
+                got = products._fx_round(got)
                 eps = +mp.eps  # mp.eps is evaluated where it is read
                 with mp.workdps(4 * dps + 50):
                     want = mp.fprod((sq + zz) ** mu for sq, mu in zip(squares, mus))
@@ -635,11 +760,31 @@ class TestFixedPointProduct:
             assert mp.isnan(lk_eval(lk, z))
 
 
+@pytest.mark.parametrize("dps", [15, 60])
+@pytest.mark.parametrize("make", [lambda: (fixture("squares", 8), (0, 1)),
+                                  lambda: (fixture("squares", 8), (-1, 2)),
+                                  lambda: (HUGE_MU, (0, 1))],
+                         ids=["fixed", "fixed-gamma", "per-factor"])
+def test_non_finite_point_is_nan_on_every_path(dps, make):
+    # the fixed path for gamma = 0 and gamma != 0, and the per-factor loop that
+    # every point of sum mu_n >= 2^64 takes; inside a batch of finite points too
+    seq, interval = make()
+    lk = lk_function(seq, Interval(*interval), PrecisionContext(digits=60, trunc_N=3))
+    bad = [mp.inf, mp.ninf, mp.mpc(1, mp.inf), mp.mpc(mp.inf, 1), mp.mpc(mp.ninf, mp.inf),
+           mp.nan, mp.mpc(mp.nan, 1), mp.mpc(0, mp.nan)]
+    with mp.workdps(dps):
+        values = products._lk_values(lk, [mp.mpc(1, 2), *bad, mp.mpc("0.5", 1)])
+        assert all(mp.isfinite(v) and v != 0 for v in (values[0], values[-1]))
+        assert all(mp.isnan(v) for v in values[1:-1])
+
+
 # stdout of `lk eval --seq <squares, 8 terms> --N 6 --interval 0,1` as the per-factor
 # product printed it: a point tiny beside lambda_n^2, or with one part of z^2 tiny
 # beside the other, still takes that loop, with no shift by billions of bits.  At
 # x + i and x + 4i, x = 1e-1000000000, Re(lambda_n^2 + z^2) = x^2 is kept, so
-# value_re is x^2 times the mantissa that 300 digits give at x = 1e-40
+# value_re is x^2 times the mantissa that 300 digits give at x = 1e-40.  At
+# +-1e30i and 1e6+1e6i the window's E^(2^j) lie about 10^27 and 10^6 bits from 1,
+# which is dropped, not shifted to; 1e-30 takes the loop (E's parts too far apart)
 _LK_EVAL_STDOUT = '{{\n  "schema_version": 1,\n  "value_im": "{}",\n  "value_re": "{}",\n' \
                   '  "z": [\n    "{}",\n    "{}"\n  ]\n}}\n'
 _EXTREME_POINTS = {
@@ -653,6 +798,13 @@ _EXTREME_POINTS = {
     "0": ("0.0", "1.0", "0.0", "0.0"),
     "-4i": ("0.0", "0.0", "0.0", "-4.0"),
     "2i": ("0.0", "-6.66228943505397769494859520061", "0.0", "2.0"),
+    "1e30i": ("0.0", "1.01980712526614071818332072559e+433446250493284538925247808093",
+              "0.0", "1.0e+30"),
+    "-1e30i": ("0.0", "2.53183703088348831583713875588e-848231409967288725881110824",
+               "0.0", "-1.0e+30"),
+    "1e6+1e6i": ("9.18762291444870768136789143704e+433505",
+                 "-1.37795305943397837275893725235e+433506", "1000000.0", "1000000.0"),
+    "1e-30": ("-5.0e-31", "1.0", "1.0e-30", "0.0"),
 }
 
 
