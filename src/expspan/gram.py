@@ -25,7 +25,11 @@ dual norms ||r_j|| = ||y_j|| and distances 1/||r_j|| (`dual_norms`), and the
 dual block of a mixed system (`mixed_completeness`).  The backward sweep runs
 only for the full inverse Gram with its identity residual (`biorthogonal`,
 which assembles M itself and factors it by `hermitian_cholesky`) and for
-coefficient recovery (one solve against the moments).  Assembly takes one
+coefficient recovery (one solve against the moments).  For the inverse,
+each column's backward sweep runs to the diagonal only, and C_ij = conj C_ji
+above it, so C is Hermitian off its diagonal by construction.  Every kernel
+runs on mpmath's raw values (`mpmath.libmp`) with the roundings of the mpf
+and mpc arithmetic it replaced, in the same order.  Assembly takes one
 pair of endpoint exponentials per frequency pair: the mu_n x mu_m block of
 lambda_n, lambda_m shares the exponent lambda_n + conj(lambda_m), so one table
 of integrals I(0..mu_n+mu_m-2) fills it.
@@ -45,6 +49,11 @@ from itertools import groupby
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import (fone, fzero, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div,
+                          mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
+                          mpc_pos, mpc_sub, mpc_sub_mpf, mpf_abs, mpf_add, mpf_div,
+                          mpf_gt, mpf_hypot, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
+                          mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum)
 
 from .core import (FlatIndex, Interval, MultiplicitySequence, PrecisionContext,
                    flatten, read_count)
@@ -135,54 +144,201 @@ def _series_integral(p: int, a, gamma, beta) -> mp.mpc:
     return total
 
 
+# -- kernels on mpmath's raw values --
+# A raw value is an mpf's _mpf_ (a 4-tuple) or an mpc's _mpc_ (a pair of
+# them).  Each helper makes the libmp call that mpmath's operator makes for
+# the same operand types, at the context's precision and rounding: mpc / mpf
+# is mpc_div_mpf (mpc_div with a zero imaginary part would round twice), int *
+# mpc is mpc_mul_int, and conj rounds nothing at the working precision.  So
+# every kernel below rounds as its mp-object form did, bit for bit, and keeps
+# its result types.
+
+_CZERO = (fzero, fzero)
+
+
+def _raw(v):
+    """The raw value of an mpf or mpc."""
+    return v._mpc_ if isinstance(v, mp.mpc) else v._mpf_
+
+
+def _obj(r):
+    """The mpf or mpc of a raw value."""
+    return mp.make_mpc(r) if len(r) == 2 else mp.make_mpf(r)
+
+
+def _stored(r):
+    """r as an mp.matrix keeps it: a matrix stores no zero, and reads one back
+    as an mpf 0."""
+    return fzero if r == _CZERO else r
+
+
+def _rows(A: mp.matrix) -> list[list]:
+    """The raw entries of A by rows, as A reads them."""
+    return [[_raw(A[i, j]) for j in range(A.cols)] for i in range(A.rows)]
+
+
+def _matrix(rows) -> mp.matrix:
+    """The mp.matrix of raw rows."""
+    A = mp.matrix(len(rows), len(rows[0]))
+    for i, row in enumerate(rows):
+        for j, r in enumerate(row):
+            if r != fzero:
+                A[i, j] = _obj(r)
+    return A
+
+
+def _add(a, b, prec, rnd):
+    if len(a) == 2:
+        return mpc_add(a, b, prec, rnd) if len(b) == 2 else mpc_add_mpf(a, b, prec, rnd)
+    return mpc_add_mpf(b, a, prec, rnd) if len(b) == 2 else mpf_add(a, b, prec, rnd)
+
+
+def _sub(a, b, prec, rnd):
+    if len(a) == 2:
+        return mpc_sub(a, b, prec, rnd) if len(b) == 2 else mpc_sub_mpf(a, b, prec, rnd)
+    return mpc_sub((a, fzero), b, prec, rnd) if len(b) == 2 else mpf_sub(a, b, prec, rnd)
+
+
+def _mul(a, b, prec, rnd):
+    if len(a) == 2:
+        return mpc_mul(a, b, prec, rnd) if len(b) == 2 else mpc_mul_mpf(a, b, prec, rnd)
+    return mpc_mul_mpf(b, a, prec, rnd) if len(b) == 2 else mpf_mul(a, b, prec, rnd)
+
+
+def _mul_int(a, n: int, prec, rnd):
+    return mpc_mul_int(a, n, prec, rnd) if len(a) == 2 else mpf_mul_int(a, n, prec, rnd)
+
+
+def _div(a, b, prec, rnd):
+    if len(a) == 2:
+        return mpc_div(a, b, prec, rnd) if len(b) == 2 else mpc_div_mpf(a, b, prec, rnd)
+    return mpc_mpf_div(a, b, prec, rnd) if len(b) == 2 else mpf_div(a, b, prec, rnd)
+
+
+def _pos(a, prec, rnd):
+    return mpc_pos(a, prec, rnd) if len(a) == 2 else mpf_pos(a, prec, rnd)
+
+
+def _as_mpc(a, prec, rnd):
+    """a as mp.mpc(a) makes it: both parts rounded, an mpf's imaginary part 0."""
+    return mpc_pos(a, prec, rnd) if len(a) == 2 else (mpf_pos(a, prec, rnd), fzero)
+
+
+def _conj(a, prec, rnd):
+    return mpc_conjugate(a, prec, rnd) if len(a) == 2 else a
+
+
+def _re(a):
+    return a[0] if len(a) == 2 else a
+
+
+def _dot(pairs, conjugate: bool = False):
+    """sum a_k b_k (b_k conjugated if asked) over raw pairs, as mp.fdot takes
+    it: every product exact, the sum rounded once per part; an mpf where
+    every term is real."""
+    prec, rnd = mp.mp._prec_rounding
+    real, imag = [], []
+    for a, b in pairs:
+        if len(b) == 2:
+            br, bi = b
+            if conjugate:
+                bi = mpf_neg(bi)
+            if len(a) == 2:
+                ar, ai = a
+                real.append(mpf_mul(ar, br))
+                real.append(mpf_neg(mpf_mul(ai, bi)))
+                imag.append(mpf_mul(ar, bi))
+                imag.append(mpf_mul(ai, br))
+            else:
+                real.append(mpf_mul(a, br))
+                imag.append(mpf_mul(a, bi))
+        elif len(a) == 2:
+            real.append(mpf_mul(a[0], b))
+            imag.append(mpf_mul(a[1], b))
+        else:
+            real.append(mpf_mul(a, b))
+    s = mpf_sum(real, prec, rnd)
+    return (s, mpf_sum(imag, prec, rnd)) if imag else s
+
+
 def hermitian_cholesky(M: mp.matrix) -> mp.matrix:
     """Lower-triangular L with L L^H = M; raises PrecisionError when a pivot
-    is not strictly positive (matrix numerically not positive definite)."""
+    is not strictly positive (matrix numerically not positive definite).
+    Row by row, each entry's sum of L_ik conj(L_jk) rounded term by term."""
     n = M.rows
-    L = mp.matrix(n, n)
+    prec, rnd = mp.mp._prec_rounding
+    A = _rows(M)
+    L, Lc = [], []  # the rows of L so far, and their conjugates
     for i in range(n):
+        row = []
         for j in range(i + 1):
-            s = mp.mpc(0)
-            for k in range(j):
-                s += L[i, k] * mp.conj(L[j, k])
+            cj = Lc[j] if j < i else [_conj(r, prec, rnd) for r in row]
+            s = _CZERO
+            for a, b in zip(row, cj):
+                s = _add(s, _mul(a, b, prec, rnd), prec, rnd)
             if i == j:
-                d = mp.re(M[i, i] - s)
-                if not d > 0:
+                d = _re(_sub(A[i][i], s, prec, rnd))
+                if not mpf_gt(d, fzero):
                     raise PrecisionError(f"non-positive pivot at row {i}")
-                L[i, j] = mp.sqrt(d)
+                row.append(mpf_sqrt(d, prec, rnd))
             else:
-                L[i, j] = (M[i, j] - s) / L[j, j]
-    return L
+                row.append(_stored(_div(_sub(A[i][j], s, prec, rnd), L[j][j], prec, rnd)))
+        L.append(row)
+        Lc.append([_conj(r, prec, rnd) for r in row])
+    return _matrix([row + [fzero] * (n - i - 1) for i, row in enumerate(L)])
 
 
-def _forward(L: mp.matrix, rhs: mp.matrix) -> mp.matrix:
-    """L^-1 rhs.
+def _factor_rows(L: mp.matrix):
+    """The raw factor that the sweeps read: the rows of L below its diagonal,
+    its diagonal, and the conjugates of its columns below the diagonal."""
+    prec, rnd = mp.mp._prec_rounding
+    A = _rows(L)
+    n = len(A)
+    return ([A[i][:i] for i in range(n)], [A[i][i] for i in range(n)],
+            [[_conj(A[k][i], prec, rnd) for k in range(i + 1, n)] for i in range(n)])
+
+
+def _unit(n: int, j: int) -> list:
+    """The raw column j of mp.eye(n)."""
+    e = [fzero] * n
+    e[j] = fone
+    return e
+
+
+def _forward(F, rhs: list) -> list:
+    """L^-1 rhs for the raw factor F of L (`_factor_rows`) and raw rhs.
 
     The sweep starts at the first nonzero row of rhs (row 0 for an all-zero
     rhs), skipping only exact zero terms.  Subtracting those complex zeros
     would round rhs[i] to a complex number, as mp.mpc does, so s is seeded
     that way: the bits and types are those of the full sweep.
     """
-    n = L.rows
-    start = next((i for i in range(n) if rhs[i]), 0)
-    y = mp.matrix(n, 1)
+    rows, diag, _ = F
+    prec, rnd = mp.mp._prec_rounding
+    n = len(rhs)
+    start = next((i for i in range(n) if rhs[i] != fzero), 0)
+    y = [fzero] * n
     for i in range(start, n):
-        s = mp.mpc(rhs[i]) if start else rhs[i]
-        for k in range(start, i):
-            s -= L[i, k] * y[k]
-        y[i] = s / L[i, i]
+        s = _as_mpc(rhs[i], prec, rnd) if start else rhs[i]
+        for a, b in zip(rows[i][start:], y[start:i]):
+            s = _sub(s, _mul(a, b, prec, rnd), prec, rnd)
+        y[i] = _stored(_div(s, diag[i], prec, rnd))
     return y
 
 
-def _backward(L: mp.matrix, y: mp.matrix) -> mp.matrix:
-    """L^-H y."""
-    n = L.rows
-    x = mp.matrix(n, 1)
-    for i in reversed(range(n)):
+def _backward(F, y: list, stop: int = 0) -> list:
+    """Rows stop..n-1 of L^-H y for the raw factor F of L and raw y; the rows
+    above stop are left 0.  Row i reads only the rows below it, so they are
+    those of the full sweep."""
+    _, diag, cols = F
+    prec, rnd = mp.mp._prec_rounding
+    n = len(y)
+    x = [fzero] * n
+    for i in reversed(range(stop, n)):
         s = y[i]
-        for k in range(i + 1, n):
-            s -= mp.conj(L[k, i]) * x[k]
-        x[i] = s / L[i, i]
+        for a, b in zip(cols[i], x[i + 1:]):
+            s = _sub(s, _mul(a, b, prec, rnd), prec, rnd)
+        x[i] = _stored(_div(s, diag[i], prec, rnd))
     return x
 
 
@@ -222,29 +378,29 @@ class GramSystem:
         cancel beyond that (`_series_entries`), are read in closed form."""
         x, v, pinned = self.generators
         idx, d = self.indices, self.dim
-        lams = [self.seq.lam(ix.n) for ix in idx]
+        lams = [_raw(self.seq.lam(ix.n)) for ix in idx]
         G = [[None] * d for _ in range(d)]
         with mp.workdps(self.digits_used + _GENERATOR_GUARD_DIGITS):
-            closed = {**_series_entries(self.seq, idx, self.domain), **pinned}
-            xc = [mp.conj(a) for a in x]
-            w = [mp.conj(a + b) for a, b in zip(x, v)]
-            lc = [mp.conj(lam) for lam in lams]
+            prec, rnd = mp.mp._prec_rounding
+            closed = {key: _raw(m) for key, m in
+                      {**_series_entries(self.seq, idx, self.domain), **pinned}.items()}
+            x, v = [_raw(a) for a in x], [_raw(b) for b in v]
+            xc = [_conj(a, prec, rnd) for a in x]
+            w = [_conj(_add(a, b, prec, rnd), prec, rnd) for a, b in zip(x, v)]
+            lc = [_conj(lam, prec, rnd) for lam in lams]
             for a in range(d):
                 for b in range(a + 1):
                     if (a, b) in closed:
                         m = closed[a, b]
                     else:
-                        below = [k * G[i][j] for k, i, j in
+                        below = [_mul_int(G[i][j], k, prec, rnd) for k, i, j in
                                  ((idx[a].k, a - 1, b), (idx[b].k, a, b - 1)) if k]
-                        m = mp.mpc(_displacement_entry(x[a], v[a], xc[b], w[b], lams[a],
-                                                       lc[b], a == b, below))
-                    G[a][b], G[b][a] = m, mp.conj(m)
-        M = mp.matrix(d, d)
+                        m = _as_mpc(_displacement_entry(x[a], v[a], xc[b], w[b], lams[a],
+                                                        lc[b], a == b, below), prec, rnd)
+                    G[a][b], G[b][a] = m, _conj(m, prec, rnd)
         with mp.workdps(self.digits_used):
-            for a in range(d):
-                for b in range(d):
-                    M[a, b] = +G[a][b]
-        return M
+            prec, rnd = mp.mp._prec_rounding
+            return _matrix([[_stored(_pos(m, prec, rnd)) for m in row] for row in G])
 
 
 def _runs(idx: Sequence[FlatIndex]) -> list[list[int]]:
@@ -355,18 +511,21 @@ def _pinned(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
         a == 0 or (rows[0], cols[0]) in cancel))
 
 
-def _displacement_entry(xa, va, xcb, wb, lam_a, lcb, diagonal: bool, below) -> mp.mpc | mp.mpf:
+def _displacement_entry(xa, va, xcb, wb, lam_a, lcb, diagonal: bool, below):
     """The solution m of (lambda_a + conj lambda_b) m = x_a conj(x_b + v_b)
     + v_a conj x_b - (the terms of below, subtracted in turn), from xcb =
     conj x_b, wb = conj(x_b + v_b) and lcb = conj lambda_b (va None stands
-    for 0).  On the diagonal m is the real Re(...) / (2 Re lambda_a): the
-    imaginary part of the right side is rounding noise."""
-    r = xa * wb
+    for 0), all raw.  On the diagonal m is the real Re(...) / (2 Re lambda_a):
+    the imaginary part of the right side is rounding noise."""
+    prec, rnd = mp.mp._prec_rounding
+    r = _mul(xa, wb, prec, rnd)
     if va is not None:
-        r += va * xcb
+        r = _add(r, _mul(va, xcb, prec, rnd), prec, rnd)
     for t in below:
-        r -= t
-    return mp.re(r) / (2 * mp.re(lam_a)) if diagonal else r / (lam_a + lcb)
+        r = _sub(r, t, prec, rnd)
+    if diagonal:
+        return mpf_div(_re(r), mpf_mul_int(_re(lam_a), 2, prec, rnd), prec, rnd)
+    return _div(r, _add(lam_a, lcb, prec, rnd), prec, rnd)
 
 
 def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
@@ -374,7 +533,7 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
     """Lower-triangular L with L L^H = M for the Gram M with A M + M A^H =
     x x^H + x v^H + v x^H, A lower bidiagonal with lambda_i on its diagonal
     and s_i = k_i below it, by the generalized Schur algorithm on the
-    generators x, v (updated in place; v None stands for 0).
+    generators x, v (v None stands for 0).
 
     Step k takes the pivot column m_i of the Schur complement, i >= k, from
     (lambda_i + conj lambda_k) m_i = x_i conj(x_k + v_k) + v_i conj x_k -
@@ -384,35 +543,41 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
     the same way.  A pivot that is not strictly positive raises
     PrecisionError, as in `hermitian_cholesky`."""
     d = len(lams)
-    L = mp.matrix(d, d)
-    pinned = dict(pinned)
+    prec, rnd = mp.mp._prec_rounding
+    lams = [_raw(lam) for lam in lams]
+    x = [_raw(a) for a in x]
+    v = None if v is None else [_raw(b) for b in v]
+    pinned = {key: _raw(m) for key, m in pinned.items()}
+    L = [[fzero] * d for _ in range(d)]
     for k in range(d):
-        lk = mp.conj(lams[k])
-        xk = mp.conj(x[k])
-        xvk = xk if v is None else mp.conj(x[k] + v[k])
+        lk = _conj(lams[k], prec, rnd)
+        xk = _conj(x[k], prec, rnd)
+        xvk = xk if v is None else _conj(_add(x[k], v[k], prec, rnd), prec, rnd)
         m = [None] * d
         for i in range(k, d):
             if (i, k) in pinned:
                 m[i] = pinned.pop((i, k))
                 continue
+            below = (_mul_int(m[i - 1], s[i], prec, rnd),) if s[i] and i > k else ()
             m[i] = _displacement_entry(x[i], None if v is None else v[i], xk, xvk, lams[i],
-                                       lk, i == k, (s[i] * m[i - 1],) if s[i] and i > k else ())
-        pivot = mp.re(m[k])
-        if not pivot > 0:
+                                       lk, i == k, below)
+        pivot = _re(m[k])
+        if not mpf_gt(pivot, fzero):
             raise PrecisionError(f"non-positive pivot at row {k}")
-        root = mp.sqrt(pivot)
-        rinv = 1 / root
-        L[k, k] = root
-        cx = x[k] / pivot
-        cv = None if v is None else v[k] / pivot
+        root = mpf_sqrt(pivot, prec, rnd)
+        rinv = mpf_rdiv_int(1, root, prec, rnd)
+        L[k][k] = root
+        cx = _div(x[k], pivot, prec, rnd)
+        cv = None if v is None else _div(v[k], pivot, prec, rnd)
         for i in range(k + 1, d):
-            L[i, k] = m[i] * rinv
-            x[i] -= m[i] * cx
+            L[i][k] = _stored(_mul(m[i], rinv, prec, rnd))
+            x[i] = _sub(x[i], _mul(m[i], cx, prec, rnd), prec, rnd)
             if v is not None:
-                v[i] -= m[i] * cv
+                v[i] = _sub(v[i], _mul(m[i], cv, prec, rnd), prec, rnd)
         for (i, j) in pinned:
-            pinned[i, j] -= L[i, k] * mp.conj(L[j, k])
-    return L
+            pinned[i, j] = _sub(pinned[i, j], _mul(L[i][k], _conj(L[j][k], prec, rnd),
+                                                   prec, rnd), prec, rnd)
+    return _matrix(L)
 
 
 def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
@@ -491,54 +656,90 @@ class BiorthogonalFamily:
     identity_residual: mp.mpf
 
 
-def _norm(y) -> mp.mpf:
-    # real by construction: the squares are summed exactly and rounded once
-    return mp.sqrt(mp.fsum(y, absolute=True, squared=True))
+def _norm(y) -> tuple:
+    """||y|| of a raw vector, raw, as mp.sqrt(mp.fsum(y, absolute=True,
+    squared=True)) takes it: real by construction, the squares summed
+    exactly and rounded once."""
+    prec, rnd = mp.mp._prec_rounding
+    squares = []
+    for r in y:
+        if len(r) == 2:
+            squares.append(mpf_mul(r[0], r[0]))
+            squares.append(mpf_mul(r[1], r[1]))
+        else:
+            squares.append(mpf_mul(r, r))
+    return mpf_sqrt(mpf_sum(squares, prec, rnd, True), prec, rnd)
 
 
 def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
     """Dual norms ||r_j|| = sqrt((M^-1)_jj) = ||L^-1 e_j|| and distances
     1/||r_j|| (the Schur complement), from the forward sweeps of the ladder's
-    factor alone; `biorthogonal` reads its own factor of the assembled
-    matrix, so the two agree to the working precision, not bit for bit."""
+    factor alone, on raw values with the roundings of mp-object arithmetic.
+    `biorthogonal` adds each column's backward sweep, run to the diagonal
+    only, with C Hermitian off its diagonal by construction, on its own
+    factor of the assembled matrix, so the two agree to the working
+    precision, not bit for bit."""
     with mp.workdps(g.digits_used):
-        norms = tuple(_norm(_forward(g.chol, mp.eye(g.dim).column(j)))
-                      for j in range(g.dim))
+        F = _factor_rows(g.chol)
+        norms = tuple(mp.make_mpf(_norm(_forward(F, _unit(g.dim, j)))) for j in range(g.dim))
         return norms, tuple(1 / nv for nv in norms)
+
+
+def _identity_residual(C: list, M: list) -> tuple:
+    """max |(C M)_ij - delta_ij| over all d^2 entries of raw C and M, raw:
+    each entry of C M an exact dot product rounded once (`_dot`), as C * M
+    takes it."""
+    prec, rnd = mp.mp._prec_rounding
+    cols = list(zip(*M))
+    resid = fzero
+    for i, row in enumerate(C):
+        for j, col in enumerate(cols):
+            r = _stored(_dot(zip(row, col)))
+            t = fone if i == j else fzero
+            if len(r) == 2:
+                e = mpf_hypot(*mpc_sub_mpf(r, t, prec, rnd), prec, rnd)
+            else:
+                e = mpf_abs(mpf_sub(r, t, prec, rnd), prec, rnd)
+            if mpf_gt(e, resid):
+                resid = e
+    return resid
 
 
 def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
     """Invert the Gram through a factorization L L^H = M, column j of C = M^-1
     being L^-H y_j with y_j = L^-1 e_j, checked by the residual of C M against
-    the identity.  M is assembled at digits_used and L is its
-    `hermitian_cholesky`; the dual norms ||y_j|| and the distances 1/||y_j||
-    agree with those of `dual_norms`, which reads the ladder's factor and
-    skips the backward sweeps and the residual, to the working precision."""
+    the identity over all d^2 entries.  M is assembled at digits_used and L
+    is its `hermitian_cholesky`.  Column j's backward sweep runs to row j
+    only: the sweeps give C's lower triangle and diagonal, and C_ij = conj
+    C_ji above it, so C is Hermitian off its diagonal by construction, at a
+    third of the backward work.  The kernels run on raw values with the
+    roundings of mp-object arithmetic.  The dual norms ||y_j|| and the
+    distances 1/||y_j|| agree with those of `dual_norms`, which reads the
+    ladder's factor and skips the backward sweeps and the residual, to the
+    working precision."""
     d = g.dim
     with mp.workdps(g.digits_used):
+        prec, rnd = mp.mp._prec_rounding
         # the one consumer that neither uses the ladder's factor nor reads
         # `g.matrix`: either moves the rounding noise in Im C_ii (about
         # 1e-476; exactly 0 for the true inverse) that recorded benchmark
-        # digests pin.  ROADMAP.md item 1, C Hermitian with a real diagonal
-        # by construction, removes this exception.
+        # digests pin, and the sweeps keep it, bit for bit.  ROADMAP.md
+        # item 1, C with a real diagonal by construction, removes this
+        # exception.
         M = _assemble(g.seq, g.indices, g.domain)
-        L = hermitian_cholesky(M)
-        C = mp.matrix(d, d)
+        F = _factor_rows(hermitian_cholesky(M))
+        C = [[None] * d for _ in range(d)]
         norms = []
         for j in range(d):
-            y = _forward(L, mp.eye(d).column(j))
-            norms.append(_norm(y))
-            col = _backward(L, y)
-            for i in range(d):
-                C[i, j] = col[i]
-        resid = mp.mpf(0)
-        R = C * M
-        for i in range(d):
-            for j in range(d):
-                target = 1 if i == j else 0
-                resid = max(resid, abs(R[i, j] - target))
+            y = _forward(F, _unit(d, j))
+            norms.append(mp.make_mpf(_norm(y)))
+            x = _backward(F, y, stop=j)
+            C[j][j] = x[j]
+            for i in range(j + 1, d):
+                C[i][j], C[j][i] = x[i], _conj(x[i], prec, rnd)
+        resid = mp.make_mpf(_identity_residual(C, _rows(M)))
         dists = tuple(1 / nv for nv in norms)
-    return BiorthogonalFamily(indices=g.indices, coeffs=C, norms=tuple(norms),
+    return BiorthogonalFamily(indices=g.indices, coeffs=_matrix(C), norms=tuple(norms),
                               distances=dists, identity_residual=resid)
 
 
@@ -548,9 +749,9 @@ def recover_coefficients(g: GramSystem, moments: Sequence) -> list[mp.mpc]:
     if len(moments) != g.dim:
         raise ConfigError(f"expected {g.dim} moments, got {len(moments)}")
     with mp.workdps(g.digits_used):
-        rhs = mp.matrix([mp.conj(v) for v in moments])
-        u = _backward(g.chol, _forward(g.chol, rhs))
-        return [mp.conj(u[a]) for a in range(g.dim)]
+        F = _factor_rows(g.chol)
+        u = _backward(F, _forward(F, [_stored(_raw(mp.conj(v))) for v in moments]))
+        return [mp.conj(_obj(r)) for r in u]
 
 
 @dataclass(frozen=True)
@@ -581,11 +782,12 @@ def mixed_completeness(g: GramSystem,
         for i, a in enumerate(n1):
             for j, b in enumerate(n1):
                 gram[i, j] = g.matrix[pos[a], pos[b]]
-        ys = [_forward(g.chol, mp.eye(g.dim).column(pos[b])) for b in n2]
+        F = _factor_rows(g.chol)
+        ys = [_forward(F, _unit(g.dim, pos[b])) for b in n2]
         dual = mp.matrix(len(n2), len(n2))
         for i, y in enumerate(ys):
             for j in range(i + 1):
-                dual[j, i] = mp.fdot(y, ys[j], conjugate=True)
+                dual[j, i] = _obj(_dot(zip(y, ys[j]), conjugate=True))
                 dual[i, j] = mp.conj(dual[j, i])
         eigs = [e for block in (gram, dual) if block.rows
                 for e in mp.eigh(block, eigvals_only=True)]

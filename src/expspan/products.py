@@ -40,7 +40,9 @@ mu = 3, N = 12 on (0, beta) a point costs one exponential at the kept bits and
 took three transcendental calls.  A point whose E has its two parts more than
 _GUARD/2 + log2(sum mu_n) bits apart (z = x + i lambda_n with x tiny), whose
 factor product takes the per-factor loop, or that is not finite, takes that
-loop with mpmath's phase and Viete's window (`_window`).
+loop with mpmath's phase and Viete's window (`_window`), whose arguments
+-i sigma z and tau z are exact too, so that loop keeps their digits however
+large tau z is.
 """
 
 from __future__ import annotations
@@ -245,13 +247,26 @@ def _roots(count: int) -> list[mp.mpc]:
     return [mp.expjpi(mp.mpf(2 * q) / count) for q in range(count)]
 
 
+def _times(rate, z) -> mp.mpc:
+    """rate z for a raw real rate, exact: one unrounded mpf_mul per part of z."""
+    x, y = z._mpc_
+    return mp.make_mpc((mpf_mul(rate, x), mpf_mul(rate, y)))
+
+
 def _window(lk: LKFunction, z):
     """prod_{k=1..K} cos(tau z / 2^k) = sin(tau z) / (2^K sin(tau z / 2^K)) by Viete.
 
-    The sines take exact power-of-two scalings of one rounded tau z, so the
-    quotient holds where both vanish; at z = 0, the one exact 0/0, it is 1."""
-    t, scale = lk.interval.tau * z, mp.ldexp(1, -lk.K)
-    return mp.sin(t) * scale / mp.sin(t * scale) if t != 0 else mp.mpf(1)
+    tau z and tau z / 2^K are exact (`_times`; tau = (beta - gamma)/2 is exact
+    where the endpoints lie within _GUARD bits beyond the working precision),
+    so the window keeps its digits however large tau z is, and the quotient
+    holds where both sines vanish; at z = 0, the one exact 0/0, it is 1."""
+    z = mp.mpc(z)
+    interval = lk.interval
+    tau = mpf_shift(mpf_sub(interval.beta._mpf_, interval.gamma._mpf_, mp.mp.prec + _GUARD), -1)
+    t = _times(tau, z)
+    if t == 0:
+        return mp.mpf(1)
+    return mp.sin(t) * mp.ldexp(1, -lk.K) / mp.sin(_times(mpf_shift(tau, -lk.K), z))
 
 
 def _fx(xs, keep: int):
@@ -460,8 +475,8 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
     other), where an exponential's two parts lie more than _GUARD/2 + log2(sum
     mu_n) bits apart (z = x + i lambda_n with x tiny), and at a non-finite z,
     the point takes the per-factor loop with mpmath's phase and Viete's
-    `_window`, so no addend below the kept bits forces a huge shift; at a
-    non-finite z that window is nan, and so is G."""
+    `_window` of exact arguments, so no addend below the kept bits forces a
+    huge shift; at a non-finite z that window is nan, and so is G."""
     seq, N = lk.seq, lk.trunc_N
     squares = [(seq.lam(n) ** 2, seq.mu(n)) for n in range(1, N + 1)]
     prec = mp.mp.prec
@@ -477,7 +492,7 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
         a, b = seq.lam(n)._mpc_
         zeros.add((mpf_neg(b, prec, round_nearest), mpf_pos(a, prec, round_nearest)))
         zeros.add((mpf_pos(b, prec, round_nearest), mpf_neg(a, prec, round_nearest)))
-    phase = -1j * lk.interval.sigma
+    sigma = mpf_shift(mpf_add(lk.interval.gamma._mpf_, lk.interval.beta._mpf_, keep), -1)
     rates = _window_rates(lk, keep)
     span = keep - prec - _GUARD // 2  # an exponential's small part keeps prec + 32 bits
     scale = _fx1(const, keep)
@@ -496,7 +511,9 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
         if window is not None:
             out.append(_fx_round(_fx_times(_fx_times(scale, window, keep), poly, keep)))
             continue
-        val = const * mp.exp(phase * z) * _window(lk, z)
+        x, y = z._mpc_
+        minus_iz = mp.make_mpc((y, mpf_neg(x)))  # exact
+        val = const * mp.exp(_times(sigma, minus_iz)) * _window(lk, z)
         for sq, mu in squares:
             val *= _power(_plus_square(sq, z), mu)
         out.append(val)

@@ -49,16 +49,27 @@ def jittered_mu3(N, seed):
           / 2 ** 20, 3) for n in range(1, N + 1)], "jittered-mu3")
 
 
-def halfline_distance(seq, N, n):
-    """D_n = (2 Re lambda_n)^(-1/2) prod_(k != n) |lambda_n - lambda_k| / |lambda_n +
-    conj lambda_k|: the distance of e^(lambda_n t) to the span of the others in
-    L^2(-inf, 0), the closed form of the rank-1 (Cauchy) Gram, where every mu = 1."""
-    lam = seq.lam(n)
-    d = 1 / mp.sqrt(2 * mp.re(lam))
-    for k in range(1, N + 1):
-        if k != n:
-            d *= abs(lam - seq.lam(k)) / abs(lam + mp.conj(seq.lam(k)))
-    return d
+def halfline_inverse(seq, N):
+    """The inverse C = M^-1 of the Gram M_ab = 1/(lambda_a + conj lambda_b) of
+    e^(lambda_n t), n = 1..N, in L^2(-inf, 0), every mu = 1, in closed form:
+    M is a Cauchy matrix, and with p_a = 2 Re lambda_a prod_(k != a)
+    (conj lambda_a + lambda_k) / (conj lambda_a - conj lambda_k),
+    C_ab = p_a conj(p_b) / (conj lambda_a + lambda_b).  The distance of
+    e^(lambda_a t) to the span of the others is 1/sqrt(C_aa) = (2 Re
+    lambda_a)^(-1/2) prod_(k != a) |lambda_a - lambda_k| / |lambda_a + conj
+    lambda_k|.  A namespace of p, C (a list of rows) and the distances, at the
+    working precision."""
+    lams = [seq.lam(n) for n in range(1, N + 1)]
+    p = []
+    for a, la in enumerate(lams):
+        pa = 2 * mp.re(la)
+        for k, lk in enumerate(lams):
+            if k != a:
+                pa *= (mp.conj(la) + lk) / (mp.conj(la) - mp.conj(lk))
+        p.append(pa)
+    C = [[p[a] * mp.conj(p[b]) / (mp.conj(lams[a]) + lams[b]) for b in range(N)]
+         for a in range(N)]
+    return SimpleNamespace(p=p, C=C, distances=[1 / mp.sqrt(mp.re(C[a][a])) for a in range(N)])
 
 
 def escalated_derivative_factor(seq, N, n, kind, dps):
@@ -293,6 +304,193 @@ def walked_gram_matrix(seq, N, dom, ctx):
         digits = min(2 * digits, 4 * ctx.digits)
 
 
+# -- the Gram kernels on mp objects, before they ran on raw values --
+# Verbatim copies (bar the names, the module prefixes, and the loops of
+# `GramSystem.matrix` and of the identity residual taken out of their
+# functions) of `hermitian_cholesky`, `_forward`, `_backward`, `_norm`,
+# `_displacement_entry`, `_schur_cholesky`, the matrix recurrence and the
+# residual loop, so the tests can check the raw-value kernels bit for bit.
+
+def parent_hermitian_cholesky(M: mp.matrix) -> mp.matrix:
+    """Lower-triangular L with L L^H = M; raises PrecisionError when a pivot
+    is not strictly positive (matrix numerically not positive definite)."""
+    n = M.rows
+    L = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(i + 1):
+            s = mp.mpc(0)
+            for k in range(j):
+                s += L[i, k] * mp.conj(L[j, k])
+            if i == j:
+                d = mp.re(M[i, i] - s)
+                if not d > 0:
+                    raise PrecisionError(f"non-positive pivot at row {i}")
+                L[i, j] = mp.sqrt(d)
+            else:
+                L[i, j] = (M[i, j] - s) / L[j, j]
+    return L
+
+
+def parent_forward(L: mp.matrix, rhs: mp.matrix) -> mp.matrix:
+    """L^-1 rhs.
+
+    The sweep starts at the first nonzero row of rhs (row 0 for an all-zero
+    rhs), skipping only exact zero terms.  Subtracting those complex zeros
+    would round rhs[i] to a complex number, as mp.mpc does, so s is seeded
+    that way: the bits and types are those of the full sweep.
+    """
+    n = L.rows
+    start = next((i for i in range(n) if rhs[i]), 0)
+    y = mp.matrix(n, 1)
+    for i in range(start, n):
+        s = mp.mpc(rhs[i]) if start else rhs[i]
+        for k in range(start, i):
+            s -= L[i, k] * y[k]
+        y[i] = s / L[i, i]
+    return y
+
+
+def parent_backward(L: mp.matrix, y: mp.matrix) -> mp.matrix:
+    """L^-H y."""
+    n = L.rows
+    x = mp.matrix(n, 1)
+    for i in reversed(range(n)):
+        s = y[i]
+        for k in range(i + 1, n):
+            s -= mp.conj(L[k, i]) * x[k]
+        x[i] = s / L[i, i]
+    return x
+
+
+def parent_norm(y) -> mp.mpf:
+    # real by construction: the squares are summed exactly and rounded once
+    return mp.sqrt(mp.fsum(y, absolute=True, squared=True))
+
+
+def parent_displacement_entry(xa, va, xcb, wb, lam_a, lcb, diagonal: bool, below):
+    """The solution m of (lambda_a + conj lambda_b) m = x_a conj(x_b + v_b)
+    + v_a conj x_b - (the terms of below, subtracted in turn), from xcb =
+    conj x_b, wb = conj(x_b + v_b) and lcb = conj lambda_b (va None stands
+    for 0).  On the diagonal m is the real Re(...) / (2 Re lambda_a): the
+    imaginary part of the right side is rounding noise."""
+    r = xa * wb
+    if va is not None:
+        r += va * xcb
+    for t in below:
+        r -= t
+    return mp.re(r) / (2 * mp.re(lam_a)) if diagonal else r / (lam_a + lcb)
+
+
+def parent_schur_cholesky(lams, s, x: list, v, pinned: dict) -> mp.matrix:
+    """Lower-triangular L with L L^H = M for the Gram M with A M + M A^H =
+    x x^H + x v^H + v x^H, by the generalized Schur algorithm on the
+    generators x, v (updated in place; v None stands for 0)."""
+    d = len(lams)
+    L = mp.matrix(d, d)
+    pinned = dict(pinned)
+    for k in range(d):
+        lk = mp.conj(lams[k])
+        xk = mp.conj(x[k])
+        xvk = xk if v is None else mp.conj(x[k] + v[k])
+        m = [None] * d
+        for i in range(k, d):
+            if (i, k) in pinned:
+                m[i] = pinned.pop((i, k))
+                continue
+            m[i] = parent_displacement_entry(x[i], None if v is None else v[i], xk, xvk,
+                                             lams[i], lk, i == k,
+                                             (s[i] * m[i - 1],) if s[i] and i > k else ())
+        pivot = mp.re(m[k])
+        if not pivot > 0:
+            raise PrecisionError(f"non-positive pivot at row {k}")
+        root = mp.sqrt(pivot)
+        rinv = 1 / root
+        L[k, k] = root
+        cx = x[k] / pivot
+        cv = None if v is None else v[k] / pivot
+        for i in range(k + 1, d):
+            L[i, k] = m[i] * rinv
+            x[i] -= m[i] * cx
+            if v is not None:
+                v[i] -= m[i] * cv
+        for (i, j) in pinned:
+            pinned[i, j] -= L[i, k] * mp.conj(L[j, k])
+    return L
+
+
+def parent_factor(g):
+    """The ladder's factor of g, by `parent_schur_cholesky` on the accepted
+    rung's generators rounded to digits_used, as `gram._factor` takes it."""
+    x, v, pinned = g.generators
+    with mp.workdps(g.digits_used):
+        return parent_schur_cholesky([g.seq.lam(ix.n) for ix in g.indices],
+                                     [ix.k for ix in g.indices], [+a for a in x],
+                                     None if g.domain.kind == "half_line_neg"
+                                     else [+b for b in v], pinned)
+
+
+def parent_matrix(g) -> mp.matrix:
+    """`GramSystem.matrix` of g by the mp-object recurrence."""
+    x, v, pinned = g.generators
+    idx, d = g.indices, g.dim
+    lams = [g.seq.lam(ix.n) for ix in idx]
+    G = [[None] * d for _ in range(d)]
+    with mp.workdps(g.digits_used + gram._GENERATOR_GUARD_DIGITS):
+        closed = {**gram._series_entries(g.seq, idx, g.domain), **pinned}
+        xc = [mp.conj(a) for a in x]
+        w = [mp.conj(a + b) for a, b in zip(x, v)]
+        lc = [mp.conj(lam) for lam in lams]
+        for a in range(d):
+            for b in range(a + 1):
+                if (a, b) in closed:
+                    m = closed[a, b]
+                else:
+                    below = [k * G[i][j] for k, i, j in
+                             ((idx[a].k, a - 1, b), (idx[b].k, a, b - 1)) if k]
+                    m = mp.mpc(parent_displacement_entry(x[a], v[a], xc[b], w[b], lams[a],
+                                                         lc[b], a == b, below))
+                G[a][b], G[b][a] = m, mp.conj(m)
+    M = mp.matrix(d, d)
+    with mp.workdps(g.digits_used):
+        for a in range(d):
+            for b in range(d):
+                M[a, b] = +G[a][b]
+    return M
+
+
+def parent_identity_residual(C: mp.matrix, M: mp.matrix) -> mp.mpf:
+    """max |(C M)_ij - delta_ij| over all entries, at the working precision."""
+    d = C.rows
+    resid = mp.mpf(0)
+    R = C * M
+    for i in range(d):
+        for j in range(d):
+            target = 1 if i == j else 0
+            resid = max(resid, abs(R[i, j] - target))
+    return resid
+
+
+def parent_dual_block(g, n2) -> mp.matrix:
+    """The dual block <y_b, y_a> over n2 of `mixed_completeness`."""
+    pos = {ix: i for i, ix in enumerate(g.indices)}
+    with mp.workdps(g.digits_used):
+        ys = [parent_forward(g.chol, mp.eye(g.dim).column(pos[b])) for b in n2]
+        dual = mp.matrix(len(n2), len(n2))
+        for i, y in enumerate(ys):
+            for j in range(i + 1):
+                dual[j, i] = mp.fdot(y, ys[j], conjugate=True)
+                dual[i, j] = mp.conj(dual[j, i])
+    return dual
+
+
+def parent_recover_coefficients(g, moments) -> list:
+    """conj(M^-1 conj(m)) from one solve with the ladder's factor."""
+    with mp.workdps(g.digits_used):
+        rhs = mp.matrix([mp.conj(v) for v in moments])
+        u = parent_backward(g.chol, parent_forward(g.chol, rhs))
+        return [mp.conj(u[a]) for a in range(g.dim)]
+
+
 # -- the precision ladder and the biorthogonal family on the assembled Gram --
 # Verbatim copies (bar the names, the module prefixes, the dimension cap and
 # the factorization) of `gram_matrix` and `biorthogonal` when a Gram that the
@@ -300,7 +498,8 @@ def walked_gram_matrix(seq, N, dom, ctx):
 # was assembled and factored by `hermitian_cholesky` at every rung, and
 # `biorthogonal` inverted that assembled matrix with the ladder's factor of
 # it.  Here every Gram takes that branch, so the tests can check the
-# generator ladder's digits_used and the family bit for bit against it.
+# generator ladder's digits_used and the family bit for bit against it.  Both
+# run on the mp-object kernels above.
 
 def assembled_gram_matrix(seq, N, dom, ctx):
     """The Gram ladder on the assembled matrix: a namespace with the fields
@@ -316,7 +515,7 @@ def assembled_gram_matrix(seq, N, dom, ctx):
         with mp.workdps(digits):
             try:
                 M = gram._assemble(seq, idx, dom)
-                L = gram.hermitian_cholesky(M)
+                L = parent_hermitian_cholesky(M)
             except PrecisionError:
                 L = None
             if L is not None:
@@ -349,17 +548,12 @@ def parent_biorthogonal(g):
         C = mp.matrix(d, d)
         norms = []
         for j in range(d):
-            y = gram._forward(L, mp.eye(d).column(j))
-            norms.append(gram._norm(y))
-            col = gram._backward(L, y)
+            y = parent_forward(L, mp.eye(d).column(j))
+            norms.append(parent_norm(y))
+            col = parent_backward(L, y)
             for i in range(d):
                 C[i, j] = col[i]
-        resid = mp.mpf(0)
-        R = C * M
-        for i in range(d):
-            for j in range(d):
-                target = 1 if i == j else 0
-                resid = max(resid, abs(R[i, j] - target))
+        resid = parent_identity_residual(C, M)
         dists = tuple(1 / nv for nv in norms)
     return gram.BiorthogonalFamily(indices=g.indices, coeffs=C, norms=tuple(norms),
                                    distances=dists, identity_residual=resid)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expspan
-from conftest import halfline_distance
-from expspan import (Interval, PrecisionContext, ProductKind, eval_product,
+from conftest import halfline_inverse
+from expspan import (Interval, PrecisionContext, ProductKind, eval_product, gram,
                      load_sequence, lk_eval, lk_function)
 from expspan.cli import build_parser, main
 
@@ -1179,17 +1179,20 @@ class TestOptionsAtDigits:
             assert abs(got - want) < mp.mpf("1e-55") * abs(want)
 
 
+# complex jitter in multiples of 2^-10
+JITTERED_10 = {"kind": "explicit", "entries": [
+    [str(n * n + (37 * n % 201 - 100) / 1024), str((53 * n % 201 - 100) / 1024), 1]
+    for n in range(1, 11)]}
+
+
 class TestHalfLineClosedForm:
     """gram distance --half-line against the Blaschke-product closed form
-    D_n = (2 Re lambda_n)^(-1/2) prod_{k != n} |lambda_n - lambda_k| / |lambda_n + conj(lambda_k)|
-    (`conftest.halfline_distance`), run at the CLI's 15 digits."""
+    D_n = (2 Re lambda_n)^(-1/2) prod_{k != n} |lambda_n - lambda_k| / |lambda_n + conj(lambda_k)|,
+    run at the CLI's 15 digits, and gram biorthogonal --half-line against the
+    closed-form inverse of the Cauchy Gram (`conftest.halfline_inverse`)."""
 
     @pytest.mark.parametrize("spec, N", [
-        ({"kind": "generator", "name": "squares", "terms": 12}, 12),
-        # complex jitter in multiples of 2^-10
-        ({"kind": "explicit", "entries": [
-            [str(n * n + (37 * n % 201 - 100) / 1024), str((53 * n % 201 - 100) / 1024), 1]
-            for n in range(1, 11)]}, 10),
+        ({"kind": "generator", "name": "squares", "terms": 12}, 12), (JITTERED_10, 10),
     ], ids=["squares-12", "jittered-10"])
     def test_distances_match(self, capsys, tmp_path, spec, N):
         path = tmp_path / "seq.json"
@@ -1202,6 +1205,39 @@ class TestHalfLineClosedForm:
         rows = json.loads(out)["distances"]
         assert [r["n"] for r in rows] == list(range(1, N + 1))
         with mp.workdps(40):
+            want = halfline_inverse(seq, N).distances
             for r in rows:
-                want = halfline_distance(seq, N, r["n"])
-                assert abs(mp.mpf(r["distance"]) / want - 1) < mp.mpf("1e-14")
+                assert abs(mp.mpf(r["distance"]) / want[r["n"] - 1] - 1) < mp.mpf("1e-14")
+
+    @pytest.mark.parametrize("dps", [15, 60, 120])
+    @pytest.mark.parametrize("spec, N", [
+        ({"kind": "generator", "name": "squares", "terms": 8}, 8), (JITTERED_10, 10),
+    ], ids=["squares-8", "jittered-10"])
+    def test_biorthogonal_matches_cauchy_inverse(self, capsys, monkeypatch, tmp_path, dps,
+                                                 spec, N):
+        # the command in process at ambient dps, its family recorded where it
+        # is computed (the printed values carry only the ambient digits):
+        # every entry of C, above the diagonal too, and every distance within
+        # cond_estimate 10^-digits_used of the closed form, relative to it
+        # (at most 0.47 of that here; the estimate from the pivots falls
+        # short of the condition from N = 14 on)
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(spec))
+        families = []
+        biorthogonal = gram.biorthogonal
+        monkeypatch.setattr(gram, "biorthogonal",
+                            lambda g: families.append((g, biorthogonal(g))) or families[-1][1])
+        with mp.workdps(dps):
+            seq = load_sequence(str(path))
+            code, out = run(capsys, "gram", "biorthogonal", "--half-line", "--seq", str(path),
+                            "--N", str(N), "--digits", str(max(dps, 50)))
+        assert code == 0
+        [(g, fam)] = families
+        assert json.loads(out)["digits_used"] == g.digits_used
+        with mp.workdps(2 * g.digits_used + 20):
+            want = halfline_inverse(seq, N)
+            tol = g.cond_estimate * mp.mpf(10) ** -g.digits_used
+            for a in range(N):
+                for b in range(N):
+                    assert abs(fam.coeffs[a, b] - want.C[a][b]) <= tol * abs(want.C[a][b])
+                assert abs(fam.distances[a] - want.distances[a]) <= tol * want.distances[a]

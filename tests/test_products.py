@@ -284,6 +284,66 @@ class TestFixedWindow:
                     assert self.rel_error(lk, z, dps) < mp.eps, (off, im)
 
 
+def full_precision_squares(N, seed):
+    """Real lambda_n = n^2 + delta_n, delta_n in [-0.2, 0.2] with every bit of
+    the working precision, so that (3/2) lambda_n is not exact there; mu_n = 1."""
+    rng = random.Random(seed)
+    prec = mp.mp.prec
+    return MultiplicitySequence.from_pairs(
+        [(n * n + (mp.ldexp(rng.getrandbits(prec), -prec) - mp.mpf("0.5")) * mp.mpf("0.4"), 1)
+         for n in range(1, N + 1)], "full-precision-squares")
+
+
+@pytest.mark.parametrize("dps", [15, 60, 120])
+@pytest.mark.parametrize("interval", [(0, 1), (-1, 2)], ids=["tau-half", "tau-3/2"])
+class TestLoopWindow:
+    """Points that take the per-factor loop, near a zero (z = x + i lambda_n,
+    x tiny, where E's parts lie too far apart) and where sum mu_n >= 2^64: the
+    phase e^(-i sigma z) and Viete's window take exact arguments, so the value
+    is within one mp.eps per factor of the explicit product at 2 dps + 20
+    digits, with the same rounded squares, however large tau z is (at most
+    9.5 eps for 12 factors).  Where sigma z and tau z were rounded, the
+    near-zero points on (-1, 2) read up to 60 eps at 15 digits and 20 at 60."""
+
+    @staticmethod
+    def worst_error(monkeypatch, lk, zs, dps):
+        """The largest relative error over zs, in mp.eps per factor."""
+        calls = []
+        window = products._window
+        monkeypatch.setattr(products, "_window",
+                            lambda *args: calls.append(args) or window(*args))
+        with mp.workdps(dps):
+            zs = [mp.mpc(z) for z in zs]
+            got = products._lk_values(lk, zs)
+            squares = [(lk.seq.lam(n) ** 2, lk.seq.mu(n)) for n in range(1, lk.trunc_N + 1)]
+            eps = +mp.eps
+        assert len(calls) == len(zs)  # every point took the loop
+        errors = []
+        with mp.workdps(2 * dps + 20):
+            for z, g in zip(zs, got):
+                want = mp.exp(-1j * lk.interval.sigma * z) * cosine_window(lk, z)
+                for sq, mu in squares:
+                    want *= products._power(sq + z * z, mu) / products._power(sq, mu)
+                errors.append(abs(g - want) / abs(want) / eps)
+        return max(errors) / lk.trunc_N
+
+    def test_near_a_zero(self, monkeypatch, dps, interval):
+        with mp.workdps(dps):
+            seq = full_precision_squares(12, dps)
+            zs = [mp.mpf(x) + s * 1j * seq.lam(n) for n in (1, 5, 12)
+                  for x in ("1e-20", "-1e-30") for s in (1, -1)]
+        lk = lk_function(seq, Interval(*interval), PrecisionContext(digits=max(dps, 50),
+                                                                    trunc_N=12))
+        assert self.worst_error(monkeypatch, lk, zs, dps) < 1
+
+    def test_huge_multiplicity(self, monkeypatch, dps, interval):
+        # exact dyadic points, so that lambda_n^2 + z^2 is exact and its power
+        # of 10^100 well conditioned
+        lk = lk_function(HUGE_MU, Interval(*interval), PrecisionContext(digits=50, trunc_N=3))
+        zs = [mp.mpc(a, b) / 8 for a in (-200, 7, 160) for b in (-90, 13, 240)]
+        assert self.worst_error(monkeypatch, lk, zs, dps) < 1
+
+
 class TestLKEval:
     @pytest.fixture
     def lk(self, squares8, unit_interval):
