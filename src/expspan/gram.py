@@ -365,6 +365,13 @@ class GramSystem:
         return len(self.indices)
 
     @cached_property
+    def sweep_factor(self):
+        """The raw factor of chol that the sweeps read (`_factor_rows`), built
+        once for `dual_norms`, `recover_coefficients` and `mixed_completeness`."""
+        with mp.workdps(self.digits_used):
+            return _factor_rows(self.chol)
+
+    @cached_property
     def matrix(self) -> mp.matrix:
         """The Gram matrix at digits_used, built on first read from the
         accepted rung's generators with no exponential: for a >= b,
@@ -680,7 +687,7 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
     factor of the assembled matrix, so the two agree to the working
     precision, not bit for bit."""
     with mp.workdps(g.digits_used):
-        F = _factor_rows(g.chol)
+        F = g.sweep_factor
         norms = tuple(mp.make_mpf(_norm(_forward(F, _unit(g.dim, j)))) for j in range(g.dim))
         return norms, tuple(1 / nv for nv in norms)
 
@@ -749,7 +756,7 @@ def recover_coefficients(g: GramSystem, moments: Sequence) -> list[mp.mpc]:
     if len(moments) != g.dim:
         raise ConfigError(f"expected {g.dim} moments, got {len(moments)}")
     with mp.workdps(g.digits_used):
-        F = _factor_rows(g.chol)
+        F = g.sweep_factor
         u = _backward(F, _forward(F, [_stored(_raw(mp.conj(v))) for v in moments]))
         return [mp.conj(_obj(r)) for r in u]
 
@@ -782,7 +789,7 @@ def mixed_completeness(g: GramSystem,
         for i, a in enumerate(n1):
             for j, b in enumerate(n1):
                 gram[i, j] = g.matrix[pos[a], pos[b]]
-        F = _factor_rows(g.chol)
+        F = g.sweep_factor
         ys = [_forward(F, _unit(g.dim, pos[b])) for b in n2]
         dual = mp.matrix(len(n2), len(n2))
         for i, y in enumerate(ys):

@@ -253,16 +253,21 @@ def _times(rate, z) -> mp.mpc:
     return mp.make_mpc((mpf_mul(rate, x), mpf_mul(rate, y)))
 
 
-def _window(lk: LKFunction, z):
-    """prod_{k=1..K} cos(tau z / 2^k) = sin(tau z) / (2^K sin(tau z / 2^K)) by Viete.
+def _centre_radius(interval: Interval, bits: int):
+    """sigma = (gamma + beta)/2 and tau = (beta - gamma)/2 as raw mpf, each sum
+    rounded to bits (exact where the endpoints lie within bits of each other)."""
+    gamma, beta = interval.gamma._mpf_, interval.beta._mpf_
+    return mpf_shift(mpf_add(gamma, beta, bits), -1), mpf_shift(mpf_sub(beta, gamma, bits), -1)
 
-    tau z and tau z / 2^K are exact (`_times`; tau = (beta - gamma)/2 is exact
-    where the endpoints lie within _GUARD bits beyond the working precision),
-    so the window keeps its digits however large tau z is, and the quotient
-    holds where both sines vanish; at z = 0, the one exact 0/0, it is 1."""
+
+def _window(lk: LKFunction, z, tau):
+    """prod_{k=1..K} cos(tau z / 2^k) = sin(tau z) / (2^K sin(tau z / 2^K)) by Viete,
+    for the raw half-length tau (`_centre_radius`).
+
+    tau z and tau z / 2^K are exact (`_times`), so the window keeps its digits
+    however large tau z is, and the quotient holds where both sines vanish; at
+    z = 0, the one exact 0/0, it is 1."""
     z = mp.mpc(z)
-    interval = lk.interval
-    tau = mpf_shift(mpf_sub(interval.beta._mpf_, interval.gamma._mpf_, mp.mp.prec + _GUARD), -1)
     t = _times(tau, z)
     if t == 0:
         return mp.mpf(1)
@@ -429,11 +434,10 @@ def _fx_one_plus(u, keep: int):
 
 
 def _window_rates(lk: LKFunction, keep: int):
-    """`_fx_window`'s rates (tau 2^-K, gamma + tau 2^-K) as raw mpf, tau =
-    (beta - gamma)/2 from the interval's endpoints, each sum rounded to keep
-    bits (exact where the endpoints lie within keep bits of each other)."""
+    """`_fx_window`'s rates (tau 2^-K, gamma + tau 2^-K) as raw mpf, tau from
+    `_centre_radius` at keep bits and the sum rounded to keep bits."""
     gamma = lk.interval.gamma._mpf_
-    rate = mpf_shift(mpf_sub(lk.interval.beta._mpf_, gamma, keep), -1 - lk.K)
+    rate = mpf_shift(_centre_radius(lk.interval, keep)[1], -lk.K)
     return rate, rate if gamma == fzero else mpf_add(gamma, rate, keep)
 
 
@@ -492,7 +496,7 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
         a, b = seq.lam(n)._mpc_
         zeros.add((mpf_neg(b, prec, round_nearest), mpf_pos(a, prec, round_nearest)))
         zeros.add((mpf_pos(b, prec, round_nearest), mpf_neg(a, prec, round_nearest)))
-    sigma = mpf_shift(mpf_add(lk.interval.gamma._mpf_, lk.interval.beta._mpf_, keep), -1)
+    sigma, tau = _centre_radius(lk.interval, keep)
     rates = _window_rates(lk, keep)
     span = keep - prec - _GUARD // 2  # an exponential's small part keeps prec + 32 bits
     scale = _fx1(const, keep)
@@ -513,7 +517,7 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
             continue
         x, y = z._mpc_
         minus_iz = mp.make_mpc((y, mpf_neg(x)))  # exact
-        val = const * mp.exp(_times(sigma, minus_iz)) * _window(lk, z)
+        val = const * mp.exp(_times(sigma, minus_iz)) * _window(lk, z, tau)
         for sq, mu in squares:
             val *= _power(_plus_square(sq, z), mu)
         out.append(val)

@@ -1212,15 +1212,17 @@ class TestHalfLineClosedForm:
     @pytest.mark.parametrize("dps", [15, 60, 120])
     @pytest.mark.parametrize("spec, N", [
         ({"kind": "generator", "name": "squares", "terms": 8}, 8), (JITTERED_10, 10),
-    ], ids=["squares-8", "jittered-10"])
+        ({"kind": "generator", "name": "squares", "terms": 16}, 16),
+    ], ids=["squares-8", "jittered-10", "squares-16"])
     def test_biorthogonal_matches_cauchy_inverse(self, capsys, monkeypatch, tmp_path, dps,
                                                  spec, N):
         # the command in process at ambient dps, its family recorded where it
         # is computed (the printed values carry only the ambient digits):
         # every entry of C, above the diagonal too, and every distance within
-        # cond_estimate 10^-digits_used of the closed form, relative to it
-        # (at most 0.47 of that here; the estimate from the pivots falls
-        # short of the condition from N = 14 on)
+        # kappa 10^-digits_used of the closed form, relative to it, with
+        # kappa = ||C|| ||M|| in the max-row-sum norm of the closed forms
+        # (at most 0.004 of that here, and at N = 20; the ladder's
+        # cond_estimate from the pivots falls short of kappa from N = 14 on)
         path = tmp_path / "seq.json"
         path.write_text(json.dumps(spec))
         families = []
@@ -1236,7 +1238,10 @@ class TestHalfLineClosedForm:
         assert json.loads(out)["digits_used"] == g.digits_used
         with mp.workdps(2 * g.digits_used + 20):
             want = halfline_inverse(seq, N)
-            tol = g.cond_estimate * mp.mpf(10) ** -g.digits_used
+            lams = [seq.lam(n) for n in range(1, N + 1)]
+            norm_M = max(sum(1 / abs(la + mp.conj(lb)) for lb in lams) for la in lams)
+            norm_C = max(sum(abs(c) for c in row) for row in want.C)
+            tol = norm_C * norm_M * mp.mpf(10) ** -g.digits_used
             for a in range(N):
                 for b in range(N):
                     assert abs(fam.coeffs[a, b] - want.C[a][b]) <= tol * abs(want.C[a][b])

@@ -192,8 +192,13 @@ class TestVieteWindow:
     product at 2 dps + 20 digits."""
 
     @staticmethod
-    def rel_error(lk, z, dps):
-        got = products._window(lk, z)
+    def window(lk, z):
+        """`_window` with tau from the interval at the working precision."""
+        return products._window(lk, z, products._centre_radius(lk.interval, mp.mp.prec)[1])
+
+    @classmethod
+    def rel_error(cls, lk, z, dps):
+        got = cls.window(lk, z)
         with mp.workdps(2 * dps + 20):
             want = cosine_window(lk, z)
         return abs(got - want) / abs(want)
@@ -206,8 +211,8 @@ class TestVieteWindow:
     def test_one_at_origin(self, lk, dps):
         with mp.workdps(dps):
             assert lk.K == 8
-            assert products._window(lk, 0) == 1
-            assert products._window(lk, mp.mpc(0)) == 1
+            assert self.window(lk, 0) == 1
+            assert self.window(lk, mp.mpc(0)) == 1
 
     def test_contour_nodes(self, lk, dps):
         # rounding tau z moves the window by up to |tau z| ulps where |Im z|
