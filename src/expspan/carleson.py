@@ -30,7 +30,6 @@ class CarlesonOperator:
 
     fcoeffs: coefficients of the plain product (a polynomial of degree
     `degree` = total multiplicity of the prefix; entries beyond are zero).
-    Only `class_membership` reads the majorant weights; it builds them itself.
     """
 
     seq: MultiplicitySequence

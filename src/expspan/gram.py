@@ -29,10 +29,14 @@ coefficient recovery (one solve against the moments).  For the inverse,
 each column's backward sweep runs to the diagonal only, and C_ij = conj C_ji
 above it, so C is Hermitian off its diagonal by construction.  Every kernel
 runs on mpmath's raw values (`mpmath.libmp`) with the roundings of the mpf
-and mpc arithmetic it replaced, in the same order.  Assembly takes one
-pair of endpoint exponentials per frequency pair: the mu_n x mu_m block of
-lambda_n, lambda_m shares the exponent lambda_n + conj(lambda_m), so one table
-of integrals I(0..mu_n+mu_m-2) fills it.
+and mpc arithmetic it replaced, in the same order.  Both factorizations
+emit the factor in the one raw form that the sweeps read (`Factor`: the
+rows of L below its diagonal, its diagonal, and its conjugated columns), and
+the assembled M is raw rows; an mp.matrix is built only for the public
+outputs, `GramSystem.matrix` and the biorthogonal coefficients.  Assembly
+takes one pair of endpoint exponentials per frequency pair: the mu_n x mu_m
+block of lambda_n, lambda_m shares the exponent lambda_n + conj(lambda_m), so
+one table of integrals I(0..mu_n+mu_m-2) fills it.
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
 digits scale linearly with Re lambda_N; the ladder auto-escalates precision
@@ -46,7 +50,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (fone, fzero, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div,
@@ -172,11 +176,6 @@ def _stored(r):
     return fzero if r == _CZERO else r
 
 
-def _rows(A: mp.matrix) -> list[list]:
-    """The raw entries of A by rows, as A reads them."""
-    return [[_raw(A[i, j]) for j in range(A.cols)] for i in range(A.rows)]
-
-
 def _matrix(rows) -> mp.matrix:
     """The mp.matrix of raw rows."""
     A = mp.matrix(len(rows), len(rows[0]))
@@ -261,14 +260,24 @@ def _dot(pairs, conjugate: bool = False):
     return (s, mpf_sum(imag, prec, rnd)) if imag else s
 
 
-def hermitian_cholesky(M: mp.matrix) -> mp.matrix:
-    """Lower-triangular L with L L^H = M; raises PrecisionError when a pivot
-    is not strictly positive (matrix numerically not positive definite).
-    Row by row, each entry's sum of L_ik conj(L_jk) rounded term by term."""
-    n = M.rows
+class Factor(NamedTuple):
+    """The Cholesky factor L of M = L L^H in raw values, as the sweeps read
+    it: the rows of L below its diagonal, its diagonal (real), and the
+    conjugates of its columns below the diagonal."""
+
+    rows: list
+    diag: list
+    cols: list
+
+
+def hermitian_cholesky(M: list) -> Factor:
+    """The factor L L^H = M of the raw rows M; raises PrecisionError when a
+    pivot is not strictly positive (matrix numerically not positive
+    definite).  Row by row, each entry's sum of L_ik conj(L_jk) rounded term
+    by term."""
+    n = len(M)
     prec, rnd = mp.mp._prec_rounding
-    A = _rows(M)
-    L, Lc = [], []  # the rows of L so far, and their conjugates
+    L, Lc = Factor([], [], []), []  # Lc: the conjugates of the rows of L so far
     for i in range(n):
         row = []
         for j in range(i + 1):
@@ -277,25 +286,16 @@ def hermitian_cholesky(M: mp.matrix) -> mp.matrix:
             for a, b in zip(row, cj):
                 s = _add(s, _mul(a, b, prec, rnd), prec, rnd)
             if i == j:
-                d = _re(_sub(A[i][i], s, prec, rnd))
+                d = _re(_sub(M[i][i], s, prec, rnd))
                 if not mpf_gt(d, fzero):
                     raise PrecisionError(f"non-positive pivot at row {i}")
-                row.append(mpf_sqrt(d, prec, rnd))
+                L.diag.append(mpf_sqrt(d, prec, rnd))
             else:
-                row.append(_stored(_div(_sub(A[i][j], s, prec, rnd), L[j][j], prec, rnd)))
-        L.append(row)
-        Lc.append([_conj(r, prec, rnd) for r in row])
-    return _matrix([row + [fzero] * (n - i - 1) for i, row in enumerate(L)])
-
-
-def _factor_rows(L: mp.matrix):
-    """The raw factor that the sweeps read: the rows of L below its diagonal,
-    its diagonal, and the conjugates of its columns below the diagonal."""
-    prec, rnd = mp.mp._prec_rounding
-    A = _rows(L)
-    n = len(A)
-    return ([A[i][:i] for i in range(n)], [A[i][i] for i in range(n)],
-            [[_conj(A[k][i], prec, rnd) for k in range(i + 1, n)] for i in range(n)])
+                row.append(_stored(_div(_sub(M[i][j], s, prec, rnd), L.diag[j], prec, rnd)))
+        L.rows.append(row)
+        Lc.append(cj)  # the conjugated row i, taken at j = i
+    L.cols.extend([Lc[k][i] for k in range(i + 1, n)] for i in range(n))
+    return L
 
 
 def _unit(n: int, j: int) -> list:
@@ -305,8 +305,8 @@ def _unit(n: int, j: int) -> list:
     return e
 
 
-def _forward(F, rhs: list) -> list:
-    """L^-1 rhs for the raw factor F of L (`_factor_rows`) and raw rhs.
+def _forward(F: Factor, rhs: list) -> list:
+    """L^-1 rhs for the factor F of L and raw rhs.
 
     The sweep starts at the first nonzero row of rhs (row 0 for an all-zero
     rhs), skipping only exact zero terms.  Subtracting those complex zeros
@@ -326,8 +326,8 @@ def _forward(F, rhs: list) -> list:
     return y
 
 
-def _backward(F, y: list, stop: int = 0) -> list:
-    """Rows stop..n-1 of L^-H y for the raw factor F of L and raw y; the rows
+def _backward(F: Factor, y: list, stop: int = 0) -> list:
+    """Rows stop..n-1 of L^-H y for the factor F of L and raw y; the rows
     above stop are left 0.  Row i reads only the rows below it, so they are
     those of the full sweep."""
     _, diag, cols = F
@@ -355,7 +355,7 @@ class GramSystem:
     seq: MultiplicitySequence
     indices: tuple[FlatIndex, ...]
     domain: DomainSpec
-    chol: mp.matrix
+    chol: Factor
     digits_used: int
     cond_estimate: mp.mpf
     generators: tuple[tuple, tuple, dict]
@@ -363,13 +363,6 @@ class GramSystem:
     @property
     def dim(self) -> int:
         return len(self.indices)
-
-    @cached_property
-    def sweep_factor(self):
-        """The raw factor of chol that the sweeps read (`_factor_rows`), built
-        once for `dual_norms`, `recover_coefficients` and `mixed_completeness`."""
-        with mp.workdps(self.digits_used):
-            return _factor_rows(self.chol)
 
     @cached_property
     def matrix(self) -> mp.matrix:
@@ -439,15 +432,17 @@ def _closed_entries(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: Do
 
 
 def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
-              dom: DomainSpec) -> mp.matrix:
-    """The Gram matrix <e_(n,k), e_(m,l)> from every entry in closed form
-    (`_closed_entries`), the block of m < n being the conjugate transpose of
-    that of n, m."""
+              dom: DomainSpec) -> list[list]:
+    """The raw rows of the Gram matrix <e_(n,k), e_(m,l)> from every entry in
+    closed form (`_closed_entries`), the block of m < n being the conjugate
+    transpose of that of n, m, and the diagonal the conjugate of its
+    integral, as an mp.matrix kept them (`_stored`)."""
+    prec, rnd = mp.mp._prec_rounding
     d = len(idx)
-    M = mp.matrix(d, d)
+    M = [[fzero] * d for _ in range(d)]
     for (i, j), v in _closed_entries(seq, idx, dom).items():
-        M[i, j] = v
-        M[j, i] = mp.conj(v)
+        r = _raw(v)
+        M[i][j], M[j][i] = _stored(r), _stored(_conj(r, prec, rnd))
     return M
 
 
@@ -536,8 +531,8 @@ def _displacement_entry(xa, va, xcb, wb, lam_a, lcb, diagonal: bool, below):
 
 
 def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
-                    pinned: dict) -> mp.matrix:
-    """Lower-triangular L with L L^H = M for the Gram M with A M + M A^H =
+                    pinned: dict) -> Factor:
+    """The factor L L^H = M of the Gram M with A M + M A^H =
     x x^H + x v^H + v x^H, A lower bidiagonal with lambda_i on its diagonal
     and s_i = k_i below it, by the generalized Schur algorithm on the
     generators x, v (v None stands for 0).
@@ -546,16 +541,16 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
     (lambda_i + conj lambda_k) m_i = x_i conj(x_k + v_k) + v_i conj x_k -
     s_i m_(i-1), where s_i is taken for i > k only, or, for a pinned entry,
     from the pinned value, which each step updates as Cholesky would.  It
-    sets L[i, k] = m_i / sqrt(Re m_k) and x_i -= m_i x_k / Re m_k, and v_i
-    the same way.  A pivot that is not strictly positive raises
-    PrecisionError, as in `hermitian_cholesky`."""
+    sets L[i, k] = m_i / sqrt(Re m_k), column k of the factor, and x_i -=
+    m_i x_k / Re m_k, and v_i the same way.  A pivot that is not strictly
+    positive raises PrecisionError, as in `hermitian_cholesky`."""
     d = len(lams)
     prec, rnd = mp.mp._prec_rounding
     lams = [_raw(lam) for lam in lams]
     x = [_raw(a) for a in x]
     v = None if v is None else [_raw(b) for b in v]
     pinned = {key: _raw(m) for key, m in pinned.items()}
-    L = [[fzero] * d for _ in range(d)]
+    L = Factor([[] for _ in range(d)], [], [])
     for k in range(d):
         lk = _conj(lams[k], prec, rnd)
         xk = _conj(x[k], prec, rnd)
@@ -573,22 +568,26 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
             raise PrecisionError(f"non-positive pivot at row {k}")
         root = mpf_sqrt(pivot, prec, rnd)
         rinv = mpf_rdiv_int(1, root, prec, rnd)
-        L[k][k] = root
+        L.diag.append(root)
         cx = _div(x[k], pivot, prec, rnd)
         cv = None if v is None else _div(v[k], pivot, prec, rnd)
+        col = []
         for i in range(k + 1, d):
-            L[i][k] = _stored(_mul(m[i], rinv, prec, rnd))
+            lik = _stored(_mul(m[i], rinv, prec, rnd))
+            L.rows[i].append(lik)
+            col.append(_conj(lik, prec, rnd))
             x[i] = _sub(x[i], _mul(m[i], cx, prec, rnd), prec, rnd)
             if v is not None:
                 v[i] = _sub(v[i], _mul(m[i], cv, prec, rnd), prec, rnd)
-        for (i, j) in pinned:
-            pinned[i, j] = _sub(pinned[i, j], _mul(L[i][k], _conj(L[j][k], prec, rnd),
-                                                   prec, rnd), prec, rnd)
-    return _matrix(L)
+        L.cols.append(col)
+        for (i, j) in pinned:  # j > k: the pinned entries of column k are taken
+            pinned[i, j] = _sub(pinned[i, j], _mul(L.rows[i][k], col[j - k - 1], prec, rnd),
+                                prec, rnd)
+    return L
 
 
 def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
-            ) -> tuple[mp.matrix, tuple[tuple, tuple, dict]]:
+            ) -> tuple[Factor, tuple[tuple, tuple, dict]]:
     """The Cholesky factor of the Gram matrix at the working precision, by
     `_schur_cholesky` on the displacement generators rounded to it, for every
     Gram: mu_n >= 1, a bounded interval of any length or the half-line.  With
@@ -630,7 +629,7 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
             except PrecisionError:
                 L = None
             if L is not None:
-                pivots = [mp.re(L[i, i]) for i in range(len(idx))]
+                pivots = [mp.make_mpf(r) for r in L.diag]
                 ratio = min(pivots) / max(pivots)
                 last_cond = (max(pivots) / min(pivots)) ** 2
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
@@ -687,8 +686,8 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
     factor of the assembled matrix, so the two agree to the working
     precision, not bit for bit."""
     with mp.workdps(g.digits_used):
-        F = g.sweep_factor
-        norms = tuple(mp.make_mpf(_norm(_forward(F, _unit(g.dim, j)))) for j in range(g.dim))
+        norms = tuple(mp.make_mpf(_norm(_forward(g.chol, _unit(g.dim, j))))
+                      for j in range(g.dim))
         return norms, tuple(1 / nv for nv in norms)
 
 
@@ -731,10 +730,11 @@ def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
         # `g.matrix`: either moves the rounding noise in Im C_ii (about
         # 1e-476; exactly 0 for the true inverse) that recorded benchmark
         # digests pin, and the sweeps keep it, bit for bit.  ROADMAP.md
-        # item 1, C with a real diagonal by construction, removes this
-        # exception.
+        # items 1 and 2 (a per-job re-record of those digests, then C from
+        # the inverse's own displacement generators, with a real diagonal)
+        # remove this exception.
         M = _assemble(g.seq, g.indices, g.domain)
-        F = _factor_rows(hermitian_cholesky(M))
+        F = hermitian_cholesky(M)
         C = [[None] * d for _ in range(d)]
         norms = []
         for j in range(d):
@@ -744,7 +744,7 @@ def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
             C[j][j] = x[j]
             for i in range(j + 1, d):
                 C[i][j], C[j][i] = x[i], _conj(x[i], prec, rnd)
-        resid = mp.make_mpf(_identity_residual(C, _rows(M)))
+        resid = mp.make_mpf(_identity_residual(C, M))
         dists = tuple(1 / nv for nv in norms)
     return BiorthogonalFamily(indices=g.indices, coeffs=_matrix(C), norms=tuple(norms),
                               distances=dists, identity_residual=resid)
@@ -756,7 +756,7 @@ def recover_coefficients(g: GramSystem, moments: Sequence) -> list[mp.mpc]:
     if len(moments) != g.dim:
         raise ConfigError(f"expected {g.dim} moments, got {len(moments)}")
     with mp.workdps(g.digits_used):
-        F = g.sweep_factor
+        F = g.chol
         u = _backward(F, _forward(F, [_stored(_raw(mp.conj(v))) for v in moments]))
         return [mp.conj(_obj(r)) for r in u]
 
@@ -766,7 +766,6 @@ class MixedReport:
     n1: tuple[FlatIndex, ...]
     n2: tuple[FlatIndex, ...]
     min_singular: mp.mpf
-    max_singular: mp.mpf
 
 
 def mixed_completeness(g: GramSystem,
@@ -776,7 +775,7 @@ def mixed_completeness(g: GramSystem,
     A strictly positive value is the finite-dimensional reflection of
     hereditary completeness.  The partition must split the full truncated
     index set.  By biorthogonality that Gram is block-diagonal, so its
-    extreme eigenvalues are those of the Gram block M[N1, N1] and of the dual
+    eigenvalues are those of the Gram block M[N1, N1] and of the dual
     block C[a, b] = <r_a, r_b> = <y_b, y_a> over N2, from one forward sweep
     y_b = L^-1 e_b per b in N2.
     """
@@ -789,14 +788,12 @@ def mixed_completeness(g: GramSystem,
         for i, a in enumerate(n1):
             for j, b in enumerate(n1):
                 gram[i, j] = g.matrix[pos[a], pos[b]]
-        F = g.sweep_factor
-        ys = [_forward(F, _unit(g.dim, pos[b])) for b in n2]
+        ys = [_forward(g.chol, _unit(g.dim, pos[b])) for b in n2]
         dual = mp.matrix(len(n2), len(n2))
         for i, y in enumerate(ys):
             for j in range(i + 1):
                 dual[j, i] = _obj(_dot(zip(y, ys[j]), conjugate=True))
                 dual[i, j] = mp.conj(dual[j, i])
-        eigs = [e for block in (gram, dual) if block.rows
-                for e in mp.eigh(block, eigvals_only=True)]
-        smin, smax = min(eigs), max(eigs)
-    return MixedReport(n1=n1, n2=n2, min_singular=smin, max_singular=smax)
+        smin = min(e for block in (gram, dual) if block.rows
+                   for e in mp.eigh(block, eigvals_only=True))
+    return MixedReport(n1=n1, n2=n2, min_singular=smin)

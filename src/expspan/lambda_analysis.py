@@ -81,14 +81,6 @@ def counting(tab: PrefixTable, t) -> int:
     return sum(tab.seq.mu(n) for n, mod in enumerate(tab.moduli, 1) if mod <= t)
 
 
-def counting_about(seq: MultiplicitySequence, N: int, z0, t) -> int:
-    """n(t, z0): total multiplicity within distance t of z0."""
-    seq.check_prefix(N)
-    t = mp.mpf(t)
-    z0 = mp.mpc(z0)
-    return sum(seq.mu(n) for n in range(1, N + 1) if abs(seq.lam(n) - z0) <= t)
-
-
 def integrated_counting(tab: PrefixTable, r) -> mp.mpf:
     """N(r): integral of n(t)/t from 0 to r, in closed form.
 

@@ -166,7 +166,10 @@ def derivative_factors(seq: MultiplicitySequence, N: int,
 
 def derivative_factor(seq: MultiplicitySequence, N: int, n: int,
                       kind: ProductKind = ProductKind.F_PLAIN) -> mp.mpc:
-    """The n-th of `derivative_factors`; bench/spans.py traces this name."""
+    """The n-th of `derivative_factors`.  Nothing in the program calls it, but
+    bench/spans.py traces this name and bench/test_bench.py asserts that the
+    tracer finds every name it wraps, so it cannot leave before a benchmark
+    change (ROADMAP.md items 6 and 11)."""
     seq.check_prefix(N)
     if not 1 <= n <= N:
         raise ConfigError(f"n={n} outside prefix 1..{N}")
@@ -433,11 +436,12 @@ def _fx_one_plus(u, keep: int):
     return a >> x, b >> x, e + x
 
 
-def _window_rates(lk: LKFunction, keep: int):
-    """`_fx_window`'s rates (tau 2^-K, gamma + tau 2^-K) as raw mpf, tau from
-    `_centre_radius` at keep bits and the sum rounded to keep bits."""
+def _window_rates(lk: LKFunction, tau, keep: int):
+    """`_fx_window`'s rates (tau 2^-K, gamma + tau 2^-K) as raw mpf, for the
+    raw half-length tau (`_centre_radius` at keep bits), the sum rounded to
+    keep bits."""
     gamma = lk.interval.gamma._mpf_
-    rate = mpf_shift(_centre_radius(lk.interval, keep)[1], -lk.K)
+    rate = mpf_shift(tau, -lk.K)
     return rate, rate if gamma == fzero else mpf_add(gamma, rate, keep)
 
 
@@ -497,7 +501,7 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
         zeros.add((mpf_neg(b, prec, round_nearest), mpf_pos(a, prec, round_nearest)))
         zeros.add((mpf_pos(b, prec, round_nearest), mpf_neg(a, prec, round_nearest)))
     sigma, tau = _centre_radius(lk.interval, keep)
-    rates = _window_rates(lk, keep)
+    rates = _window_rates(lk, tau, keep)
     span = keep - prec - _GUARD // 2  # an exponential's small part keeps prec + 32 bits
     scale = _fx1(const, keep)
     fixed = _fx([sq for sq, _ in squares], keep) if total <= _GUARD and scale else None

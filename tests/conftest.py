@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import fzero
 
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, PrecisionError, ProductKind, SequenceError,
@@ -91,6 +92,28 @@ def escalated_derivative_factor(seq, N, n, kind, dps):
 # every built-in fixture at the term counts that the report sweep uses
 FIXTURE_NAMES = [f.name for f in list_fixtures()]
 FIXTURE_TERMS = (6, 9, 10, 12)
+
+
+def counting_about(seq, N, z0, t) -> int:
+    """n(t, z0): total multiplicity within distance t of z0."""
+    seq.check_prefix(N)
+    t = mp.mpf(t)
+    z0 = mp.mpc(z0)
+    return sum(seq.mu(n) for n in range(1, N + 1) if abs(seq.lam(n) - z0) <= t)
+
+
+def as_matrix(A) -> mp.matrix:
+    """The mp.matrix of a raw Cholesky factor (`gram.Factor`, whose L is 0
+    above its diagonal) or of raw rows (`gram._assemble`), each raw value
+    made the mpf or mpc it is."""
+    if isinstance(A, gram.Factor):
+        n = len(A.diag)
+        A = [row + [d] + [fzero] * (n - i - 1) for i, (row, d) in enumerate(zip(A.rows, A.diag))]
+    M = mp.matrix(len(A), len(A[0]))
+    for i, row in enumerate(A):
+        for j, r in enumerate(row):
+            M[i, j] = mp.make_mpc(r) if len(r) == 2 else mp.make_mpf(r)
+    return M
 
 
 def bits(x):
@@ -289,7 +312,7 @@ def walked_gram_matrix(seq, N, dom, ctx):
             except PrecisionError:
                 L = None
             if L is not None:
-                pivots = [mp.re(L[i, i]) for i in range(len(idx))]
+                pivots = [mp.make_mpf(r) for r in L.diag]
                 ratio = min(pivots) / max(pivots)
                 last_cond = (max(pivots) / min(pivots)) ** 2
                 if ratio ** 2 >= mp.mpf(10) ** (-digits / 2):
@@ -307,9 +330,22 @@ def walked_gram_matrix(seq, N, dom, ctx):
 # -- the Gram kernels on mp objects, before they ran on raw values --
 # Verbatim copies (bar the names, the module prefixes, and the loops of
 # `GramSystem.matrix` and of the identity residual taken out of their
-# functions) of `hermitian_cholesky`, `_forward`, `_backward`, `_norm`,
-# `_displacement_entry`, `_schur_cholesky`, the matrix recurrence and the
-# residual loop, so the tests can check the raw-value kernels bit for bit.
+# functions) of `_assemble`, `hermitian_cholesky`, `_forward`, `_backward`,
+# `_norm`, `_displacement_entry`, `_schur_cholesky`, the matrix recurrence
+# and the residual loop, so the tests can check the raw-value kernels bit
+# for bit.  The readers of a raw factor or raw rows take `as_matrix` of it.
+
+def parent_assemble(seq, idx, dom) -> mp.matrix:
+    """The Gram matrix <e_(n,k), e_(m,l)> from every entry in closed form
+    (`_closed_entries`), the block of m < n being the conjugate transpose of
+    that of n, m."""
+    d = len(idx)
+    M = mp.matrix(d, d)
+    for (i, j), v in gram._closed_entries(seq, idx, dom).items():
+        M[i, j] = v
+        M[j, i] = mp.conj(v)
+    return M
+
 
 def parent_hermitian_cholesky(M: mp.matrix) -> mp.matrix:
     """Lower-triangular L with L L^H = M; raises PrecisionError when a pivot
@@ -474,7 +510,8 @@ def parent_dual_block(g, n2) -> mp.matrix:
     """The dual block <y_b, y_a> over n2 of `mixed_completeness`."""
     pos = {ix: i for i, ix in enumerate(g.indices)}
     with mp.workdps(g.digits_used):
-        ys = [parent_forward(g.chol, mp.eye(g.dim).column(pos[b])) for b in n2]
+        L = as_matrix(g.chol)
+        ys = [parent_forward(L, mp.eye(g.dim).column(pos[b])) for b in n2]
         dual = mp.matrix(len(n2), len(n2))
         for i, y in enumerate(ys):
             for j in range(i + 1):
@@ -487,19 +524,20 @@ def parent_recover_coefficients(g, moments) -> list:
     """conj(M^-1 conj(m)) from one solve with the ladder's factor."""
     with mp.workdps(g.digits_used):
         rhs = mp.matrix([mp.conj(v) for v in moments])
-        u = parent_backward(g.chol, parent_forward(g.chol, rhs))
+        L = as_matrix(g.chol)
+        u = parent_backward(L, parent_forward(L, rhs))
         return [mp.conj(u[a]) for a in range(g.dim)]
 
 
 # -- the precision ladder and the biorthogonal family on the assembled Gram --
-# Verbatim copies (bar the names, the module prefixes, the dimension cap and
-# the factorization) of `gram_matrix` and `biorthogonal` when a Gram that the
-# displacement generators did not serve (mu > 1, or a short bounded interval)
-# was assembled and factored by `hermitian_cholesky` at every rung, and
-# `biorthogonal` inverted that assembled matrix with the ladder's factor of
-# it.  Here every Gram takes that branch, so the tests can check the
-# generator ladder's digits_used and the family bit for bit against it.  Both
-# run on the mp-object kernels above.
+# Verbatim copies (bar the names, the module prefixes, the dimension cap, the
+# assembly and the factorization) of `gram_matrix` and `biorthogonal` when a
+# Gram that the displacement generators did not serve (mu > 1, or a short
+# bounded interval) was assembled and factored by `hermitian_cholesky` at
+# every rung, and `biorthogonal` inverted that assembled matrix with the
+# ladder's factor of it.  Here every Gram takes that branch, so the tests can
+# check the generator ladder's digits_used and the family bit for bit against
+# it.  Both run on the mp-object kernels above.
 
 def assembled_gram_matrix(seq, N, dom, ctx):
     """The Gram ladder on the assembled matrix: a namespace with the fields
@@ -514,7 +552,7 @@ def assembled_gram_matrix(seq, N, dom, ctx):
     while True:
         with mp.workdps(digits):
             try:
-                M = gram._assemble(seq, idx, dom)
+                M = parent_assemble(seq, idx, dom)
                 L = parent_hermitian_cholesky(M)
             except PrecisionError:
                 L = None

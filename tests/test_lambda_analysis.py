@@ -2,9 +2,9 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_factor,
-                      per_n_derivative_factor, reference_counting, reference_gap_check,
-                      reference_separation_search, reference_trend_ratios)
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, counting_about,
+                      escalated_derivative_factor, per_n_derivative_factor, reference_counting,
+                      reference_gap_check, reference_separation_search, reference_trend_ratios)
 
 from expspan import MultiplicitySequence, SequenceError, core, fixture
 from expspan.core import prefix_table
@@ -58,8 +58,8 @@ class TestCounting:
 
     def test_counting_about(self):
         seq = fixture("squares", 6)
-        assert la.counting_about(seq, 6, 4, 3) == 2  # 1 and 4 within 3 of 4
-        assert la.counting_about(seq, 6, 4, 0) == 1  # the point itself
+        assert counting_about(seq, 6, 4, 3) == 2  # 1 and 4 within 3 of 4
+        assert counting_about(seq, 6, 4, 0) == 1  # the point itself
 
 
 class TestIntegratedCounting:
@@ -93,7 +93,7 @@ class TestIntegratedCounting:
         pts = [t for t in radii if 0 < t < r]
 
         def integrand(t):
-            return la.counting_about(seq, M, lam, t) - seq.mu(n)
+            return counting_about(seq, M, lam, t) - seq.mu(n)
 
         oracle = mp.quad(lambda t: integrand(t) / t, [0] + pts + [r])
         oracle += seq.mu(n) * mp.log(r)

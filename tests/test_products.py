@@ -249,7 +249,8 @@ class TestFixedWindow:
         prec = mp.mp.prec
         keep = prec + products._GUARD
         # span = 2 keep never refuses: the refusal guards the parts, not the modulus
-        u = products._fx_window(products._window_rates(lk, keep), mp.mpc(z), lk.K, keep,
+        tau = products._centre_radius(lk.interval, keep)[1]
+        u = products._fx_window(products._window_rates(lk, tau, keep), mp.mpc(z), lk.K, keep,
                                 2 * keep if span is None else span)
         return u if u is None else products._fx_round(u)
 
