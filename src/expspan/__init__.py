@@ -14,9 +14,9 @@ from .core import (FlatIndex, Interval, MultiplicitySequence,
 from .errors import (CapError, ConfigError, DomainError, ExpspanError,
                      PrecisionError, SequenceError)
 from .fixtures import fixture, list_fixtures, load_sequence, sequence_from_spec
-from .gram import (BiorthogonalFamily, DomainSpec, GramSystem, biorthogonal,
-                   dual_norms, gram_matrix, mixed_completeness,
-                   monomial_exp_integrals, recover_coefficients)
+from .gram import (BiorthogonalFamily, GramSystem, biorthogonal, dual_norms,
+                   gram_matrix, mixed_completeness, monomial_exp_integrals,
+                   recover_coefficients)
 from .products import (LKFunction, LaurentCoeffs, ProductKind, blaschke_eval,
                        derivative_factors, eval_product, gnk_eval,
                        laurent_coeffs, lk_circle_minima, lk_eval, lk_function,

@@ -229,8 +229,7 @@ def _cmd_lk(args) -> _Result:
 def _cmd_gram(args) -> _Result:
     seq = _load_seq(args)
     ctx = _ctx(args)
-    dom = (gram_mod.DomainSpec.half_line() if args.half_line
-           else gram_mod.DomainSpec.bounded(_parse_interval(args.interval, ctx.digits)))
+    dom = None if args.half_line else _parse_interval(args.interval, ctx.digits)
     g = gram_mod.gram_matrix(seq, args.N, dom, ctx)
     dps = args.dps
     obj = {"dim": g.dim,
@@ -365,7 +364,7 @@ def _cmd_run(args) -> None:
         artifacts["analyze.json"] = _pick(_analyze_obj(rep, dps), "provenance",
                                           "all_passed", "geometric_i", "geometric_ii")
     if kind in ("gram", "biorthogonal", "distance-trend", "full-report"):
-        g = gram_mod.gram_matrix(seq, N, gram_mod.DomainSpec.bounded(interval), ctx)
+        g = gram_mod.gram_matrix(seq, N, interval, ctx)
         fam = gram_mod.biorthogonal(g)
         artifacts["biorthogonal.json"] = {
             "dim": g.dim, "digits_used": g.digits_used,

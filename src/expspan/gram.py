@@ -2,14 +2,16 @@
 
 Inner products of exponential monomials e_a = t^k e^(lambda_n t) on a bounded
 interval (gamma, beta) or on (-inf, 0) have closed forms, so Gram matrices are
-exact at working precision.  The precision ladder needs only the Cholesky
-factor M = L L^H, and `_factor` computes it one way for every Gram.  Since
+exact at working precision.  A domain is an `Interval`, or None for (-inf, 0).
+The precision ladder needs only the Cholesky factor M = L L^H, and `_factor`
+computes it one way for every Gram.  Since
 (t^k e^(lambda t))' = lambda t^k e^(lambda t) + k t^(k-1) e^(lambda t), the
 Gram has displacement structure A M + M A^H = u u^H - v v^H, with A lower
 bidiagonal (lambda_n on its diagonal, k below it inside each frequency's
 block) and u, v the values of e_a at the right and left ends.  Written with
 x = u - v, taken through expm1 so that short intervals do not cancel, the
-right side is x x^H + x v^H + v x^H; on the half-line x_a = [k = 0] and v = 0.
+right side is x x^H + x v^H + v x^H; on the half-line the generators are
+(x, 0) with x_a = [k = 0], and the same recursion factors them.
 The generalized Schur algorithm (Gohberg, Kailath and Olshevsky, Math. Comp.
 64, 1995; Kailath and Sayed, SIAM Rev. 37, 1995) gives L from these
 generators in O(d^2) work, with no assembly: each pivot column is one
@@ -75,31 +77,9 @@ def _max_dim() -> int:
                       "EXPSPAN_MAX_DIM", least=1)
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Integration domain: a bounded interval or the negative half-line."""
-
-    kind: str  # "bounded" | "half_line_neg"
-    interval: Interval | None = None
-
-    @classmethod
-    def bounded(cls, interval: Interval) -> "DomainSpec":
-        return cls(kind="bounded", interval=interval)
-
-    @classmethod
-    def half_line(cls) -> "DomainSpec":
-        return cls(kind="half_line_neg", interval=None)
-
-    def __post_init__(self):
-        if self.kind not in ("bounded", "half_line_neg"):
-            raise ConfigError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "bounded" and self.interval is None:
-            raise ConfigError("bounded domain needs an interval")
-
-
-def monomial_exp_integrals(pmax: int, a, dom: DomainSpec) -> list:
+def monomial_exp_integrals(pmax: int, a, dom: Interval | None) -> list:
     """Integrals I(p) of t^p e^(a t) over the domain for p = 0..pmax, in
-    closed form.
+    closed form; the domain is an `Interval`, or None for (-inf, 0).
 
     Bounded, a != 0: by-parts recurrence I(p) = [t^p e^(at)/a] - (p/a) I(p-1)
     from one pair of endpoint exponentials, so I(p) has the same bits in every
@@ -113,11 +93,11 @@ def monomial_exp_integrals(pmax: int, a, dom: DomainSpec) -> list:
         raise ConfigError("p must be >= 0")
     a = mp.mpc(a)
     ps = range(pmax + 1)
-    if dom.kind == "half_line_neg":
+    if dom is None:
         if not mp.re(a) > 0:
             raise DomainError(f"half-line integral needs Re a > 0, got {mp.nstr(a, 8)}")
         return [mp.mpc(-1) ** p * mp.factorial(p) / a ** (p + 1) for p in ps]
-    gamma, beta = dom.interval.gamma, dom.interval.beta
+    gamma, beta = dom.gamma, dom.beta
     if a == 0:
         return [mp.mpc(beta ** (p + 1) - gamma ** (p + 1)) / (p + 1) for p in ps]
     if abs(a) * (beta - gamma) < mp.mpf("0.5"):
@@ -354,7 +334,7 @@ class GramSystem:
 
     seq: MultiplicitySequence
     indices: tuple[FlatIndex, ...]
-    domain: DomainSpec
+    domain: Interval | None
     chol: Factor
     digits_used: int
     cond_estimate: mp.mpf
@@ -408,8 +388,8 @@ def _runs(idx: Sequence[FlatIndex]) -> list[list[int]]:
     return [list(run) for _, run in groupby(range(len(idx)), key=lambda i: idx[i].n)]
 
 
-def _closed_entries(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec,
-                    pick=None) -> dict:
+def _closed_entries(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
+                    dom: Interval | None, pick=None) -> dict:
     """The Gram entries M_ij, i >= j, of every frequency pair n >= m that
     pick(rows, cols, lambda_n + conj lambda_m) selects (all when pick is
     None), rows and cols the pair's blocks.  The block holds the integrals
@@ -432,7 +412,7 @@ def _closed_entries(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: Do
 
 
 def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
-              dom: DomainSpec) -> list[list]:
+              dom: Interval | None) -> list[list]:
     """The raw rows of the Gram matrix <e_(n,k), e_(m,l)> from every entry in
     closed form (`_closed_entries`), the block of m < n being the conjugate
     transpose of that of n, m, and the diagonal the conjugate of its
@@ -447,30 +427,31 @@ def _assemble(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
 
 
 def _series_entries(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
-                    dom: DomainSpec) -> dict:
+                    dom: Interval | None) -> dict:
     """The entries of the confluent frequency pairs (mu_n + mu_m > 2) where
     |lambda_n + conj lambda_m| (beta - gamma) < 1/2: there the recurrence of
     `GramSystem.matrix` cancels, as the by-parts recurrence of
     `monomial_exp_integrals` does, which takes its series instead, with no
     exponential."""
-    if dom.kind == "half_line_neg":
+    if dom is None:
         return {}
-    width = dom.interval.beta - dom.interval.gamma
+    width = dom.beta - dom.gamma
     return _closed_entries(seq, idx, dom, lambda rows, cols, a: (
         len(rows) + len(cols) > 2 and abs(a) * width < mp.mpf("0.5")))
 
 
 def _generators(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
-                dom: DomainSpec) -> tuple[tuple, tuple]:
+                dom: Interval | None) -> tuple[tuple, tuple]:
     """The displacement generators (x, v) of the Gram, with u = x + v the
     values of e_a at the right end and v those at the left end: on (gamma,
     beta), x_a = e^(lambda gamma) (beta^k expm1(lambda (beta - gamma)) +
     beta^k - gamma^k) and v_a = gamma^k e^(lambda gamma), one exponential and
     one expm1 per frequency, at 20 guard digits (`_factor` rounds them to the
-    working precision); on the half-line x_a = [k = 0] and v = 0."""
-    if dom.kind == "half_line_neg":
+    working precision); on the half-line x_a = [k = 0] and v = 0, which
+    `_schur_cholesky` and `GramSystem.matrix` read as they read any v."""
+    if dom is None:
         return tuple(mp.mpc(0 if ix.k else 1) for ix in idx), (mp.mpc(0),) * len(idx)
-    gamma, beta = dom.interval.gamma, dom.interval.beta
+    gamma, beta = dom.gamma, dom.beta
     x, v = [], []
     with mp.extradps(_GENERATOR_GUARD_DIGITS):
         for n, run in groupby(idx, key=lambda ix: ix.n):
@@ -482,7 +463,7 @@ def _generators(seq: MultiplicitySequence, idx: Sequence[FlatIndex],
     return tuple(x), tuple(v)
 
 
-def _pinned(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec,
+def _pinned(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: Interval | None,
             x: Sequence, v: Sequence) -> dict:
     """The entries that the displacement does not determine accurately, in
     closed form (`_closed_entries`).  A frequency pair n >= m is pinned where
@@ -494,7 +475,7 @@ def _pinned(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
     power of two and tested in Python's complex floats, whose 53 bits put
     the right side's rounding error far below that factor.  On the
     half-line the right side is 1 and nothing is pinned."""
-    if dom.kind == "half_line_neg":
+    if dom is None:
         return {}
     heads = [run[0] for run in _runs(idx)]
     scaled = {}
@@ -516,13 +497,11 @@ def _pinned(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
 def _displacement_entry(xa, va, xcb, wb, lam_a, lcb, diagonal: bool, below):
     """The solution m of (lambda_a + conj lambda_b) m = x_a conj(x_b + v_b)
     + v_a conj x_b - (the terms of below, subtracted in turn), from xcb =
-    conj x_b, wb = conj(x_b + v_b) and lcb = conj lambda_b (va None stands
-    for 0), all raw.  On the diagonal m is the real Re(...) / (2 Re lambda_a):
-    the imaginary part of the right side is rounding noise."""
+    conj x_b, wb = conj(x_b + v_b) and lcb = conj lambda_b, all raw.  On the
+    diagonal m is the real Re(...) / (2 Re lambda_a): the imaginary part of
+    the right side is rounding noise."""
     prec, rnd = mp.mp._prec_rounding
-    r = _mul(xa, wb, prec, rnd)
-    if va is not None:
-        r = _add(r, _mul(va, xcb, prec, rnd), prec, rnd)
+    r = _add(_mul(xa, wb, prec, rnd), _mul(va, xcb, prec, rnd), prec, rnd)
     for t in below:
         r = _sub(r, t, prec, rnd)
     if diagonal:
@@ -530,12 +509,13 @@ def _displacement_entry(xa, va, xcb, wb, lam_a, lcb, diagonal: bool, below):
     return _div(r, _add(lam_a, lcb, prec, rnd), prec, rnd)
 
 
-def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
+def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list,
                     pinned: dict) -> Factor:
     """The factor L L^H = M of the Gram M with A M + M A^H =
     x x^H + x v^H + v x^H, A lower bidiagonal with lambda_i on its diagonal
     and s_i = k_i below it, by the generalized Schur algorithm on the
-    generators x, v (v None stands for 0).
+    generators x, v (v = 0 on the half-line: its products add exact zeros,
+    which round nothing).
 
     Step k takes the pivot column m_i of the Schur complement, i >= k, from
     (lambda_i + conj lambda_k) m_i = x_i conj(x_k + v_k) + v_i conj x_k -
@@ -548,21 +528,20 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
     prec, rnd = mp.mp._prec_rounding
     lams = [_raw(lam) for lam in lams]
     x = [_raw(a) for a in x]
-    v = None if v is None else [_raw(b) for b in v]
+    v = [_raw(b) for b in v]
     pinned = {key: _raw(m) for key, m in pinned.items()}
     L = Factor([[] for _ in range(d)], [], [])
     for k in range(d):
         lk = _conj(lams[k], prec, rnd)
         xk = _conj(x[k], prec, rnd)
-        xvk = xk if v is None else _conj(_add(x[k], v[k], prec, rnd), prec, rnd)
+        xvk = _conj(_add(x[k], v[k], prec, rnd), prec, rnd)
         m = [None] * d
         for i in range(k, d):
             if (i, k) in pinned:
                 m[i] = pinned.pop((i, k))
                 continue
             below = (_mul_int(m[i - 1], s[i], prec, rnd),) if s[i] and i > k else ()
-            m[i] = _displacement_entry(x[i], None if v is None else v[i], xk, xvk, lams[i],
-                                       lk, i == k, below)
+            m[i] = _displacement_entry(x[i], v[i], xk, xvk, lams[i], lk, i == k, below)
         pivot = _re(m[k])
         if not mpf_gt(pivot, fzero):
             raise PrecisionError(f"non-positive pivot at row {k}")
@@ -570,15 +549,14 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
         rinv = mpf_rdiv_int(1, root, prec, rnd)
         L.diag.append(root)
         cx = _div(x[k], pivot, prec, rnd)
-        cv = None if v is None else _div(v[k], pivot, prec, rnd)
+        cv = _div(v[k], pivot, prec, rnd)
         col = []
         for i in range(k + 1, d):
             lik = _stored(_mul(m[i], rinv, prec, rnd))
             L.rows[i].append(lik)
             col.append(_conj(lik, prec, rnd))
             x[i] = _sub(x[i], _mul(m[i], cx, prec, rnd), prec, rnd)
-            if v is not None:
-                v[i] = _sub(v[i], _mul(m[i], cv, prec, rnd), prec, rnd)
+            v[i] = _sub(v[i], _mul(m[i], cv, prec, rnd), prec, rnd)
         L.cols.append(col)
         for (i, j) in pinned:  # j > k: the pinned entries of column k are taken
             pinned[i, j] = _sub(pinned[i, j], _mul(L.rows[i][k], col[j - k - 1], prec, rnd),
@@ -586,7 +564,7 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list | None,
     return L
 
 
-def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
+def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: Interval | None
             ) -> tuple[Factor, tuple[tuple, tuple, dict]]:
     """The Cholesky factor of the Gram matrix at the working precision, by
     `_schur_cholesky` on the displacement generators rounded to it, for every
@@ -596,14 +574,15 @@ def _factor(seq: MultiplicitySequence, idx: Sequence[FlatIndex], dom: DomainSpec
     lams = [seq.lam(ix.n) for ix in idx]
     x, v = _generators(seq, idx, dom)
     pinned = _pinned(seq, idx, dom, x, v)
-    L = _schur_cholesky(lams, [ix.k for ix in idx], [+a for a in x],
-                        None if dom.kind == "half_line_neg" else [+b for b in v], pinned)
+    L = _schur_cholesky(lams, [ix.k for ix in idx], [+a for a in x], [+b for b in v],
+                        pinned)
     return L, (x, v, pinned)
 
 
-def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
+def gram_matrix(seq: MultiplicitySequence, N: int, dom: Interval | None,
                 ctx: PrecisionContext) -> GramSystem:
-    """Factor the Gram matrix of the truncated system (`_factor`).
+    """Factor the Gram matrix of the truncated system (`_factor`) on the
+    domain, an `Interval` or None for (-inf, 0).
 
     Escalates working digits over the rungs d, 2d, 4d of the requested
     precision d until the Cholesky pivots clear the relative floor
@@ -613,7 +592,7 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: DomainSpec,
     naming the achieved condition estimate.
     """
     idx = flatten(seq, N)
-    if dom.kind == "half_line_neg":
+    if dom is None:
         bad = [n for n in range(1, N + 1) if not mp.re(seq.lam(n)) > 0]
         if bad:
             raise DomainError(f"half-line domain needs Re lambda_n > 0; violated at n={bad}")
@@ -664,17 +643,10 @@ class BiorthogonalFamily:
 
 def _norm(y) -> tuple:
     """||y|| of a raw vector, raw, as mp.sqrt(mp.fsum(y, absolute=True,
-    squared=True)) takes it: real by construction, the squares summed
-    exactly and rounded once."""
+    squared=True)) takes it: <y, y> by `_dot`, whose real part sums the
+    squares exactly and rounds once, and whose imaginary part is an exact 0."""
     prec, rnd = mp.mp._prec_rounding
-    squares = []
-    for r in y:
-        if len(r) == 2:
-            squares.append(mpf_mul(r[0], r[0]))
-            squares.append(mpf_mul(r[1], r[1]))
-        else:
-            squares.append(mpf_mul(r, r))
-    return mpf_sqrt(mpf_sum(squares, prec, rnd, True), prec, rnd)
+    return mpf_sqrt(_re(_dot(zip(y, y), conjugate=True)), prec, rnd)
 
 
 def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
@@ -763,7 +735,6 @@ def recover_coefficients(g: GramSystem, moments: Sequence) -> list[mp.mpc]:
 
 @dataclass(frozen=True)
 class MixedReport:
-    n1: tuple[FlatIndex, ...]
     n2: tuple[FlatIndex, ...]
     min_singular: mp.mpf
 
@@ -796,4 +767,4 @@ def mixed_completeness(g: GramSystem,
                 dual[i, j] = mp.conj(dual[j, i])
         smin = min(e for block in (gram, dual) if block.rows
                    for e in mp.eigh(block, eigvals_only=True))
-    return MixedReport(n1=n1, n2=n2, min_singular=smin)
+    return MixedReport(n2=n2, min_singular=smin)

@@ -209,12 +209,13 @@ class CondensationReport:
     ratios: tuple  # -log|F'(lambda_n)| / |lambda_n| over the whole prefix
 
 
-def condensation_index(seq: MultiplicitySequence, N: int) -> CondensationReport:
+def condensation_index(tab: PrefixTable) -> CondensationReport:
     """Estimate of the condensation index from the truncated even product.
 
     chat = max over the tail half of the prefix of -log|F'(lambda_n)|/|lambda_n|
     where F is the even product with simple zeros.  Defined only for
-    sequences with all multiplicities equal to one.
+    sequences with all multiplicities equal to one and no duplicate frequency
+    (`PrefixTable.nearest_gaps`).
 
     Works at the caller's precision plus _CONDENSATION_GUARD digits, however
     close two frequencies are: `products.derivative_factors` forms each factor
@@ -222,15 +223,13 @@ def condensation_index(seq: MultiplicitySequence, N: int) -> CondensationReport:
     rounded, so a near-duplicate pair cancels nothing.  The product then has a
     relative error of a few N ulps and the log is well conditioned.
     """
-    seq.check_prefix(N)
+    seq, N = tab.seq, tab.N
     if N < 6:
         raise ConfigError("need N >= 6")
     if any(seq.mu(n) != 1 for n in range(1, N + 1)):
         raise SequenceError("condensation index requires simple frequencies (mu = 1)")
+    tab.nearest_gaps()
     lams = [seq.lam(n) for n in range(1, N + 1)]
-    for n, lam in enumerate(lams, 1):
-        if lams.count(lam) > 1:
-            raise SequenceError(f"zero gap at n={n}: duplicate frequency")
     with mp.workdps(mp.mp.dps + _CONDENSATION_GUARD):
         dvals = products.derivative_factors(seq, N, kind=products.ProductKind.F_EVEN)
         ratios = [-mp.log(abs(dval)) / abs(lam) for dval, lam in zip(dvals, lams)]
@@ -275,7 +274,7 @@ def analyze(seq: MultiplicitySequence, N: int, eps) -> ClassReport:
     delta = separation_search(tab, gap.gaps)
     cond = None
     if all(seq.mu(n) == 1 for n in range(1, N + 1)) and N >= 6:
-        cond = condensation_index(seq, N)
+        cond = condensation_index(tab)
     return ClassReport(provenance=seq.provenance, N=N, cond_a=cond_a,
                        eta_hat=eta_hat, cond_b_passed=bool(eta_hat < mp.pi / 2),
                        geom_i=geom_i, geom_ii=geom_ii, necessary=nec,

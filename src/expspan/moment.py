@@ -18,8 +18,7 @@ import mpmath as mp
 from .core import FlatIndex, Interval, MultiplicitySequence, PrecisionContext, Sector
 from .errors import ConfigError, DomainError, ExpspanError
 from .fixtures import read_json
-from .gram import (DomainSpec, GramSystem, biorthogonal, gram_matrix,
-                   recover_coefficients)
+from .gram import GramSystem, biorthogonal, gram_matrix, recover_coefficients
 from .series import TaylorDirichletSeries, bound_check, coeff_rows, tail_abscissa
 
 # ratio below which the fitted exponent is reported as effectively -inf
@@ -103,8 +102,7 @@ def solve(d: MomentData, seq: MultiplicitySequence, N: int, interval: Interval,
             f"fitted growth a={mp.nstr(gate.a, 8)} not below "
             f"beta - slack = {mp.nstr(gate.beta - gate.slack, 8)}; "
             "pass force=True to solve anyway")
-    dom = DomainSpec.bounded(interval)
-    g = gram_matrix(seq, N, dom, ctx)
+    g = gram_matrix(seq, N, interval, ctx)
     idx = list(g.indices)
     with mp.workdps(g.digits_used):
         rhs = mp.matrix([d.value(ix.n, ix.k) for ix in idx])
@@ -152,7 +150,7 @@ def bessel_diagnostic(d: MomentData, seq: MultiplicitySequence, N: int,
         gate = growth_check(d, seq, N, interval)
         if not gate.passed:
             raise GrowthGateError("growth gate fails; Bessel diagnostics are meaningless")
-    g = gram_matrix(seq, N, DomainSpec.bounded(interval), ctx)
+    g = gram_matrix(seq, N, interval, ctx)
     fam = biorthogonal(g)
     idx = list(g.indices)
     with mp.workdps(g.digits_used):

@@ -193,7 +193,7 @@ def _factor_coeffs(kind: ProductKind, lam, mu: int) -> list[mp.mpc]:
 
 
 def taylor_coeffs(kind: ProductKind, seq: MultiplicitySequence, N: int, M: int,
-                  ctx: PrecisionContext | None = None) -> list[mp.mpc]:
+                  ctx: PrecisionContext) -> list[mp.mpc]:
     """First M+1 Maclaurin coefficients of the truncated product.
 
     The truncated product is a polynomial; coefficients beyond its degree
@@ -202,8 +202,7 @@ def taylor_coeffs(kind: ProductKind, seq: MultiplicitySequence, N: int, M: int,
     seq.check_prefix(N)
     if M < 1:
         raise ConfigError("M must be >= 1")
-    dps = (ctx.digits if ctx else mp.mp.dps) + 10
-    with mp.workdps(dps):
+    with mp.workdps(ctx.digits + 10):
         acc = [mp.mpc(1)]
         for n in range(1, N + 1):
             fac = _factor_coeffs(kind, seq.lam(n), seq.mu(n))
@@ -228,12 +227,11 @@ class LKFunction:
 
     L is the L_EVEN product over the prefix, so G vanishes exactly at
     +-i lambda_n for n <= trunc_N.  sigma and tau come from the target
-    interval; the half-widths tau 2^-k sum to tau (1 - 2^-K) < tau.
+    interval; the half-widths tau 2^-k sum to tau (1 - 2^-K) < tau, K = _COS_K.
     """
 
     seq: MultiplicitySequence
     interval: Interval
-    K: int
     trunc_N: int
 
     def __post_init__(self):
@@ -242,7 +240,7 @@ class LKFunction:
 
 def lk_function(seq: MultiplicitySequence, interval: Interval,
                 ctx: PrecisionContext) -> LKFunction:
-    return LKFunction(seq=seq, interval=interval, K=_COS_K, trunc_N=ctx.trunc_N)
+    return LKFunction(seq=seq, interval=interval, trunc_N=ctx.trunc_N)
 
 
 def _roots(count: int) -> list[mp.mpc]:
@@ -263,9 +261,9 @@ def _centre_radius(interval: Interval, bits: int):
     return mpf_shift(mpf_add(gamma, beta, bits), -1), mpf_shift(mpf_sub(beta, gamma, bits), -1)
 
 
-def _window(lk: LKFunction, z, tau):
+def _window(z, tau):
     """prod_{k=1..K} cos(tau z / 2^k) = sin(tau z) / (2^K sin(tau z / 2^K)) by Viete,
-    for the raw half-length tau (`_centre_radius`).
+    K = _COS_K, for the raw half-length tau (`_centre_radius`).
 
     tau z and tau z / 2^K are exact (`_times`), so the window keeps its digits
     however large tau z is, and the quotient holds where both sines vanish; at
@@ -274,7 +272,7 @@ def _window(lk: LKFunction, z, tau):
     t = _times(tau, z)
     if t == 0:
         return mp.mpf(1)
-    return mp.sin(t) * mp.ldexp(1, -lk.K) / mp.sin(_times(mpf_shift(tau, -lk.K), z))
+    return mp.sin(t) * mp.ldexp(1, -_COS_K) / mp.sin(_times(mpf_shift(tau, -_COS_K), z))
 
 
 def _fx(xs, keep: int):
@@ -441,13 +439,13 @@ def _window_rates(lk: LKFunction, tau, keep: int):
     raw half-length tau (`_centre_radius` at keep bits), the sum rounded to
     keep bits."""
     gamma = lk.interval.gamma._mpf_
-    rate = mpf_shift(tau, -lk.K)
+    rate = mpf_shift(tau, -_COS_K)
     return rate, rate if gamma == fzero else mpf_add(gamma, rate, keep)
 
 
-def _fx_window(rates, z, K: int, keep: int, span: int):
-    """Phase and window e^(-i sigma z) prod_{k=1..K} cos(tau z / 2^k) as an (a, b,
-    e) form, from E = e^(-i tau z / 2^K): since sigma - tau = gamma it is
+def _fx_window(rates, z, keep: int, span: int):
+    """Phase and window e^(-i sigma z) prod_{k=1..K} cos(tau z / 2^k), K = _COS_K,
+    as an (a, b, e) form, from E = e^(-i tau z / 2^K): since sigma - tau = gamma it is
     e^(-i gamma z) E prod_{j=1..K} (1 + E^(2^j)) / 2, with no division and no
     0/0 (E = 1 at z = 0 gives exactly 1).  rates = (tau 2^-K, gamma + tau 2^-K):
     one exponential where gamma = 0, else a second, e^(-i (gamma + tau 2^-K) z),
@@ -458,11 +456,11 @@ def _fx_window(rates, z, K: int, keep: int, span: int):
     acc = E if lead is rate or E is None else _fx_exp(lead, z, keep, span)
     if acc is None:
         return None
-    for _ in range(K):
+    for _ in range(_COS_K):
         E = _fx_times(E, E, keep)
         acc = _fx_times(acc, _fx_one_plus(E, keep), keep)
     A, B, e = acc
-    return A, B, e - K
+    return A, B, e - _COS_K
 
 
 def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
@@ -515,13 +513,13 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
         if _finite(*z._mpc_):
             poly = _fx_product(fixed, plan, _fx_square(_fx([z], keep)), keep)
         if poly is not None:
-            window = _fx_window(rates, z, lk.K, keep, span)
+            window = _fx_window(rates, z, keep, span)
         if window is not None:
             out.append(_fx_round(_fx_times(_fx_times(scale, window, keep), poly, keep)))
             continue
         x, y = z._mpc_
         minus_iz = mp.make_mpc((y, mpf_neg(x)))  # exact
-        val = const * mp.exp(_times(sigma, minus_iz)) * _window(lk, z, tau)
+        val = const * mp.exp(_times(sigma, minus_iz)) * _window(z, tau)
         for sq, mu in squares:
             val *= _power(_plus_square(sq, z), mu)
         out.append(val)
@@ -606,7 +604,6 @@ class LaurentCoeffs:
     values: tuple[mp.mpc, ...]
     eps: mp.mpf
     radius: mp.mpf
-    quad_Q: int
     converged: bool
     max_rel_change: mp.mpf
 
@@ -654,8 +651,7 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int) -> LaurentC
     worst = max(mp.mpf(0) if a == b else abs(a - b) / abs(b) if b else mp.inf
                 for a, b in zip(coarse, fine))
     return LaurentCoeffs(n=n, values=tuple(fine), eps=eps, radius=r,
-                         quad_Q=quad_Q, converged=bool(worst < mp.mpf("1e-30")),
-                         max_rel_change=worst)
+                         converged=bool(worst < mp.mpf("1e-30")), max_rel_change=worst)
 
 
 def gnk_eval(lk: LKFunction, laurent: LaurentCoeffs, n: int, k: int, z) -> mp.mpc:

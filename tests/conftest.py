@@ -296,7 +296,7 @@ def walked_gram_matrix(seq, N, dom, ctx):
     (doubling, up to 4x the requested precision) until the Cholesky pivots
     clear the relative floor 10^(-digits/2)."""
     idx = flatten(seq, N)
-    if dom.kind == "half_line_neg":
+    if dom is None:
         bad = [n for n in range(1, N + 1) if not mp.re(seq.lam(n)) > 0]
         if bad:
             raise DomainError(f"half-line domain needs Re lambda_n > 0; violated at n={bad}")
@@ -461,8 +461,8 @@ def parent_factor(g):
     with mp.workdps(g.digits_used):
         return parent_schur_cholesky([g.seq.lam(ix.n) for ix in g.indices],
                                      [ix.k for ix in g.indices], [+a for a in x],
-                                     None if g.domain.kind == "half_line_neg"
-                                     else [+b for b in v], pinned)
+                                     None if g.domain is None else [+b for b in v],
+                                     pinned)
 
 
 def parent_matrix(g) -> mp.matrix:
@@ -543,7 +543,7 @@ def assembled_gram_matrix(seq, N, dom, ctx):
     """The Gram ladder on the assembled matrix: a namespace with the fields
     of the system, the assembled matrix in `assembled`."""
     idx = flatten(seq, N)
-    if dom.kind == "half_line_neg":
+    if dom is None:
         bad = [n for n in range(1, N + 1) if not mp.re(seq.lam(n)) > 0]
         if bad:
             raise DomainError(f"half-line domain needs Re lambda_n > 0; violated at n={bad}")

@@ -15,10 +15,9 @@ import pytest
 from expspan import (FlatIndex, GrowthGateError, Interval, MomentData,
                      PrecisionContext, ProductKind, apply_to_exponential,
                      carleson_operator, counterexample, eval_product, fixture,
-                     lk_circle_minima, lk_eval, lk_function)
-from expspan.gram import (DomainSpec, biorthogonal, gram_matrix,
-                          mixed_completeness, monomial_exp_integrals,
-                          recover_coefficients)
+                     lk_circle_minima, lk_eval, lk_function, prefix_table)
+from expspan.gram import (biorthogonal, gram_matrix, mixed_completeness,
+                          monomial_exp_integrals, recover_coefficients)
 from expspan.lambda_analysis import condensation_index
 from expspan.moment import solve
 
@@ -33,7 +32,7 @@ def gram200():
     """Shared fixture system: squares, (0,1), N=6, 200 digits."""
     seq = fixture("squares", 12)
     ctx = PrecisionContext(digits=200, trunc_N=6)
-    g = gram_matrix(seq, 6, DomainSpec.bounded(Interval(0, 1)), ctx)
+    g = gram_matrix(seq, 6, Interval(0, 1), ctx)
     return seq, ctx, g, biorthogonal(g)
 
 
@@ -41,7 +40,7 @@ def test_criterion_01_biorthogonality():
     t0 = time.monotonic()
     seq = fixture("squares", 12)
     ctx = PrecisionContext(digits=200, trunc_N=6)
-    g = gram_matrix(seq, 6, DomainSpec.bounded(Interval(0, 1)), ctx)
+    g = gram_matrix(seq, 6, Interval(0, 1), ctx)
     fam = biorthogonal(g)
     # <r_a, e_b> entries are exactly the rows of coeffs * Gram
     resid = fam.identity_residual
@@ -63,7 +62,7 @@ def test_criterion_03_distance_exponent_trend():
     t0 = time.monotonic()
     seq = fixture("squares", 8)
     ctx = PrecisionContext(digits=200, trunc_N=8)
-    g = gram_matrix(seq, 8, DomainSpec.bounded(Interval(0, 1)), ctx)
+    g = gram_matrix(seq, 8, Interval(0, 1), ctx)
     fam = biorthogonal(g)
     with mp.workdps(g.digits_used):
         ratios = [mp.log(fam.distances[i]) / mp.re(seq.lam(ix.n))
@@ -161,8 +160,8 @@ def test_criterion_07_counterexample_dichotomy():
 
 
 def test_criterion_08_condensation_discrimination():
-    c_ii = condensation_index(fixture("example_ii", 12), 24).chat
-    c_iii = condensation_index(fixture("example_iii", 12), 24).chat
+    c_ii = condensation_index(prefix_table(fixture("example_ii", 12), 24)).chat
+    c_iii = condensation_index(prefix_table(fixture("example_iii", 12), 24)).chat
     ok = c_ii <= mp.mpf("0.2") and c_iii >= mp.mpf("0.5")
     assert report(8, ok,
                   f"chat(example_ii) = {mp.nstr(c_ii, 4)} <= 0.2, "
@@ -194,7 +193,7 @@ def test_criterion_09_windowed_product_lower_bound():
 def test_criterion_10_half_line_distances():
     seq = fixture("squares", 12)
     ctx = PrecisionContext(digits=200, trunc_N=12)
-    g = gram_matrix(seq, 12, DomainSpec.half_line(), ctx)
+    g = gram_matrix(seq, 12, None, ctx)
     fam = biorthogonal(g)
     with mp.workdps(g.digits_used):
         ratios = [abs(mp.log(fam.distances[i])) / mp.re(seq.lam(ix.n))
@@ -213,7 +212,7 @@ def test_criterion_10_half_line_trend_shadow():
     # toward zero along the prefix and the distances sit below the norms
     seq = fixture("squares", 12)
     ctx = PrecisionContext(digits=200, trunc_N=12)
-    g = gram_matrix(seq, 12, DomainSpec.half_line(), ctx)
+    g = gram_matrix(seq, 12, None, ctx)
     fam = biorthogonal(g)
     with mp.workdps(g.digits_used):
         ratios = [abs(mp.log(fam.distances[i])) / mp.re(seq.lam(ix.n))
@@ -256,7 +255,7 @@ def test_criterion_12_integral_oracle():
             a = mp.mpc(rng.uniform(-8, 8), rng.uniform(-8, 8))
             lo = mp.mpf(rng.uniform(-2, 1))
             hi = lo + mp.mpf(rng.uniform(0.2, 2.5))
-            dom = DomainSpec.bounded(Interval(lo, hi))
+            dom = Interval(lo, hi)
             got = monomial_exp_integrals(p, a, dom)[p]
             want = mp.quad(lambda t: t ** p * mp.exp(a * t), [lo, hi])
             worst = max(worst, abs(got - want))

@@ -13,15 +13,14 @@ from conftest import (as_matrix, assembled_gram_matrix, halfline_inverse, jitter
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
                      fixture, flatten, gram)
-from expspan.gram import (DomainSpec, _backward, _forward, _obj, _raw,
-                          biorthogonal, dual_norms, gram_matrix, hermitian_cholesky,
-                          mixed_completeness, monomial_exp_integrals,
-                          recover_coefficients)
+from expspan.gram import (_backward, _forward, _obj, _raw, biorthogonal, dual_norms,
+                          gram_matrix, hermitian_cholesky, mixed_completeness,
+                          monomial_exp_integrals, recover_coefficients)
 
 
 @pytest.fixture
 def dom01():
-    return DomainSpec.bounded(Interval(0, 1))
+    return Interval(0, 1)
 
 
 class TestMonomialIntegral:
@@ -30,25 +29,25 @@ class TestMonomialIntegral:
         assert abs(monomial_exp_integrals(1, 1, dom01)[1] - 1) < mp.mpf("1e-55")
 
     def test_pure_exponential(self):
-        dom = DomainSpec.bounded(Interval(-1, 2))
+        dom = Interval(-1, 2)
         a = mp.mpc(2, 1)
         want = (mp.exp(2 * a) - mp.exp(-a)) / a
         assert abs(monomial_exp_integrals(0, a, dom)[0] - want) < mp.mpf("1e-50")
 
     def test_half_line_factorial_formula(self):
-        dom = DomainSpec.half_line()
+        dom = None
         assert abs(monomial_exp_integrals(2, 2, dom)[2] - mp.mpf(1) / 4) < mp.mpf("1e-55")
 
     def test_half_line_needs_positive_real_part(self):
         with pytest.raises(DomainError):
-            monomial_exp_integrals(0, mp.mpc(-1, 3), DomainSpec.half_line())
+            monomial_exp_integrals(0, mp.mpc(-1, 3), None)
 
     def test_zero_exponent_polynomial(self, dom01):
         assert abs(monomial_exp_integrals(3, 0, dom01)[3] - mp.mpf(1) / 4) < mp.mpf("1e-55")
 
     def test_series_and_recurrence_branches_agree(self):
         # straddle the |a|(beta-gamma) = 1/2 switch
-        dom = DomainSpec.bounded(Interval(0, 1))
+        dom = Interval(0, 1)
         for p in (0, 2, 5):
             lo = monomial_exp_integrals(p, mp.mpc("0.49", "0.05"), dom)[p]
             hi = monomial_exp_integrals(p, mp.mpc("0.51", "0.05"), dom)[p]
@@ -65,7 +64,7 @@ class TestMonomialIntegral:
         lo, hi = sorted((rng.uniform(-2, 2), rng.uniform(-2, 2)))
         if hi - lo < mp.mpf("0.1"):
             hi = lo + 1
-        dom = DomainSpec.bounded(Interval(lo, hi))
+        dom = Interval(lo, hi)
         got = monomial_exp_integrals(p, a, dom)[p]
         want = mp.quad(lambda t: t ** p * mp.exp(a * t), [lo, hi])
         assert abs(got - want) < mp.mpf(10) ** (-mp.mp.dps // 2)
@@ -92,7 +91,7 @@ class TestInnerProduct:
 
     def test_half_line_closed_form(self):
         seq = MultiplicitySequence.from_pairs([(1, 2), (3, 2)])
-        dom = DomainSpec.half_line()
+        dom = None
         for (a, b, k, l) in [(1, 2, 0, 1), (1, 1, 1, 1), (2, 2, 0, 0)]:
             got = reference_inner_product(seq, FlatIndex(a, k), FlatIndex(b, l), dom)
             lam = seq.lam(a) + mp.conj(seq.lam(b))
@@ -176,7 +175,7 @@ class TestGramMatrix:
         seq = MultiplicitySequence.from_pairs([(mp.mpc(-1, 1), 1), (2, 1)])
         ctx = PrecisionContext(digits=60, trunc_N=2)
         with pytest.raises(DomainError):
-            gram_matrix(seq, 2, DomainSpec.half_line(), ctx)
+            gram_matrix(seq, 2, None, ctx)
 
 
 def reference_assemble(seq, idx, dom):
@@ -205,9 +204,7 @@ NEAR_CANCELLING = MultiplicitySequence.from_pairs(
     [(mp.mpc(1, 2) / 32, 2), (mp.mpc(-3, 3) / 64, 1), (mp.mpc(0, 2), 2), (mp.mpc(3, 1), 3)],
     "near-cancelling")
 
-DOMAINS = {"0,1": DomainSpec.bounded(Interval(0, 1)),
-           "-1,2": DomainSpec.bounded(Interval(-1, 2)),
-           "half-line": DomainSpec.half_line()}
+DOMAINS = {"0,1": Interval(0, 1), "-1,2": Interval(-1, 2), "half-line": None}
 
 ASSEMBLY_CASES = [(name, mus, dom) for name, mus in [
     ("mu1", (1,) * 6), ("mu2", (2,) * 4), ("mu3", (3,) * 4), ("mixed", (1, 3, 2, 1, 3))]
@@ -278,8 +275,7 @@ def _ladder_ctx(digits, N):
 
 def _ladder_outcome(build, seq, N, kind, digits):
     """Every bit of the GramSystem that build returns, or its error and text."""
-    dom = (DomainSpec.half_line() if kind == "half-line"
-           else DomainSpec.bounded(Interval(0, 1)))
+    dom = None if kind == "half-line" else Interval(0, 1)
     try:
         g = build(seq, N, dom, _ladder_ctx(digits, N))
     except PrecisionError as exc:
@@ -331,7 +327,7 @@ class TestRungSkip:
         monkeypatch.setattr(gram, "_factor", counted)
         with mp.workdps(15):
             try:
-                gram_matrix(seq, N, DomainSpec.bounded(Interval(0, 1)), _ladder_ctx(digits, N))
+                gram_matrix(seq, N, Interval(0, 1), _ladder_ctx(digits, N))
             except PrecisionError:
                 pass
         assert seen == rungs
@@ -346,8 +342,7 @@ class TestRungSkip:
         # the ladder on the generators accepts the rung that the ladder on the
         # assembled matrix accepted, or exhausts where it did
         _, seq, N, kind, digits = case
-        dom = (DomainSpec.half_line() if kind == "half-line"
-               else DomainSpec.bounded(Interval(0, 1)))
+        dom = None if kind == "half-line" else Interval(0, 1)
 
         def outcome(build):
             try:
@@ -382,7 +377,7 @@ SIMPLE_FIXTURES = [
     ("jittered-squares", lambda: jittered((1,) * 14, 0), 14),
 ]
 
-GRAM_DOMAINS = {**DOMAINS, **{w: DomainSpec.bounded(Interval(0, w.split(",")[1]))
+GRAM_DOMAINS = {**DOMAINS, **{w: Interval(0, w.split(",")[1])
                                for w in ("0,0.2", "0,0.05", "0,0.005")}}
 
 # (label, mu, N, domain): jittered squares with mu = 2 and 3 on a long, a
@@ -435,8 +430,7 @@ class TestSchurFactor:
         # first-order bound: relative error cond * 10^-digits
         with mp.workdps(dps):
             seq = fixture("squares", N)
-            g = gram_matrix(seq, N, DomainSpec.half_line(),
-                            PrecisionContext(digits=50, trunc_N=N))
+            g = gram_matrix(seq, N, None, PrecisionContext(digits=50, trunc_N=N))
             dists = dual_norms(g)[1]
         assert g.generators[2] == {}
         with mp.workdps(2 * g.digits_used + 20):
@@ -448,7 +442,7 @@ class TestSchurFactor:
     @pytest.mark.parametrize("name, make, N", SIMPLE_FIXTURES,
                              ids=[c[0] for c in SIMPLE_FIXTURES])
     def test_as_accurate_as_assembled_cholesky(self, dps, half_line, name, make, N):
-        dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
+        dom = None if half_line else Interval(0, 1)
         with mp.workdps(dps):
             seq = make()
             g = gram_matrix(seq, N, dom, PrecisionContext(digits=120, trunc_N=N))
@@ -486,7 +480,7 @@ class TestSchurFactor:
         # where lambda_n + conj lambda_m vanishes the displacement says nothing
         # of M_nm: the pinned entries carry it, and L and the dual norms stay
         # within a factor 4 of the assembled Cholesky's error
-        dom = DomainSpec.bounded(Interval(0, 1))
+        dom = Interval(0, 1)
         with mp.workdps(dps):
             N = seq.size
             g = gram_matrix(seq, N, dom, PrecisionContext(digits=60, trunc_N=N))
@@ -502,9 +496,9 @@ class TestSchurFactor:
             assert rel_err(schur, want) <= 4 * rel_err(assembled, want)
 
     @pytest.mark.parametrize("seq, dom", [
-        (fixture("squares", 6), DomainSpec.bounded(Interval(0, "0.2"))),
-        (jittered((1, 2, 1, 3), 0), DomainSpec.bounded(Interval(0, 1))),
-        (jittered((1, 2, 1, 3), 0), DomainSpec.half_line()),
+        (fixture("squares", 6), Interval(0, "0.2")),
+        (jittered((1, 2, 1, 3), 0), Interval(0, 1)),
+        (jittered((1, 2, 1, 3), 0), None),
     ], ids=["short-interval", "mu2-bounded", "mu2-half-line"])
     def test_other_grams_take_the_generators(self, monkeypatch, dps, seq, dom):
         # a short interval (2 min Re lambda_n (beta - gamma) < 1/2) and mu > 1
@@ -521,8 +515,7 @@ class TestSchurFactor:
         with mp.workdps(g.digits_used):
             x, v = gram._generators(seq, idx, dom)
             L = gram._schur_cholesky([seq.lam(ix.n) for ix in idx], [ix.k for ix in idx],
-                                     [+a for a in x], None if dom.kind == "half_line_neg"
-                                     else [+b for b in v], {})
+                                     [+a for a in x], [+b for b in v], {})
         d = g.dim
         assert g.generators[2] == {}
         assert g.chol == L
@@ -547,7 +540,7 @@ class TestSchurFactor:
         # = 1 (x = 1, v = 0) each entry is the one division
         # 1 / (lambda_a + conj lambda_b), and M is, bit for bit, the matrix
         # assembled at digits_used
-        dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
+        dom = None if half_line else Interval(0, 1)
         with mp.workdps(dps):
             N = seq.size
             g = gram_matrix(seq, N, dom, PrecisionContext(digits=100, trunc_N=N))
@@ -586,7 +579,7 @@ class TestSchurFactor:
         # takes its series (about a second to assemble): the generators take
         # one exponential and one expm1 per frequency and rung
         seq = jittered((1,) * 10, 0)
-        dom = DomainSpec.bounded(Interval(0, "0.005"))
+        dom = Interval(0, "0.005")
         calls = counted_calls(monkeypatch, "_assemble", "hermitian_cholesky")
         with mp.workdps(dps):
             g = gram_matrix(seq, 10, dom, PrecisionContext(digits=200, trunc_N=10))
@@ -617,7 +610,7 @@ GENERATOR_CASES = [(name, make, N, dom) for name, make, N in SIMPLE_FIXTURES
 BIORTHOGONAL_CASES = [
     ("squares-bounded", fixture("squares", 8), DOMAINS["0,1"]),
     ("jittered-half-line", jittered((1,) * 6, 1), DOMAINS["half-line"]),
-    ("squares-short-interval", fixture("squares", 6), DomainSpec.bounded(Interval(0, "0.2"))),
+    ("squares-short-interval", fixture("squares", 6), Interval(0, "0.2")),
     ("mu3-bounded", jittered_mu3(4, 2), DOMAINS["0,1"]),
 ]
 
@@ -922,7 +915,7 @@ class TestDiagonalPath:
 
     @staticmethod
     def system(dps, half_line):
-        dom = DomainSpec.half_line() if half_line else DomainSpec.bounded(Interval(0, 1))
+        dom = None if half_line else Interval(0, 1)
         seq = jittered_mu3(4, dps)
         return gram_matrix(seq, 4, dom, PrecisionContext(digits=max(dps, 50), trunc_N=4))
 

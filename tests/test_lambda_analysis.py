@@ -212,20 +212,20 @@ class TestSeparationSearch:
 
 class TestCondensation:
     def test_squares_small(self):
-        rep = la.condensation_index(fixture("squares", 12), 12)
+        rep = la.condensation_index(prefix_table(fixture("squares", 12), 12))
         assert rep.chat <= mp.mpf("0.1")
 
     def test_example_ii_small(self):
-        rep = la.condensation_index(fixture("example_ii", 12), 24)
+        rep = la.condensation_index(prefix_table(fixture("example_ii", 12), 24))
         assert rep.chat <= mp.mpf("0.2")
 
     def test_example_iii_large(self):
-        rep = la.condensation_index(fixture("example_iii", 12), 24)
+        rep = la.condensation_index(prefix_table(fixture("example_iii", 12), 24))
         assert rep.chat >= mp.mpf("0.5")
 
     def test_multiplicities_rejected(self):
         with pytest.raises(SequenceError):
-            la.condensation_index(fixture("example_v", 6), 6)
+            la.condensation_index(prefix_table(fixture("example_v", 6), 6))
 
     @pytest.mark.parametrize("dps", [15, 30, 60, 120])
     @pytest.mark.parametrize("name,terms", [("example_ii", 12), ("example_iii", 12),
@@ -234,7 +234,7 @@ class TestCondensation:
         seq = fixture(name, terms)
         N = 2 * terms
         with mp.workdps(dps):
-            rep = la.condensation_index(seq, N)
+            rep = la.condensation_index(prefix_table(seq, N))
             for n in range(1, N + 1):
                 ref = escalated_derivative_factor(seq, N, n, products.ProductKind.F_EVEN,
                                                   dps)
@@ -254,21 +254,21 @@ class TestCondensation:
 
         monkeypatch.setattr(products, "derivative_factors", recording)
         with mp.workdps(dps):
-            la.condensation_index(fixture("carleson_counterexample", 8), 16)
+            la.condensation_index(prefix_table(fixture("carleson_counterexample", 8), 16))
         assert len(seen) == 1
         assert max(seen) <= dps + 20
 
     def test_duplicate_frequency_rejected(self):
         seq = MultiplicitySequence.from_pairs([(n * n, 1) for n in range(1, 7)] + [(36, 1)])
         with pytest.raises(SequenceError, match="duplicate frequency"):
-            la.condensation_index(seq, 7)
+            la.condensation_index(prefix_table(seq, 7))
 
     def test_agrees_with_geometric_verdicts(self):
         # small index <-> geometric conditions pass, on the three fixtures
         for name, terms, N in (("squares", 12, 12), ("example_ii", 12, 24),
                                ("example_iii", 12, 24)):
             seq = fixture(name, terms)
-            chat = la.condensation_index(seq, N).chat
+            chat = la.condensation_index(prefix_table(seq, N)).chat
             _, gii = la.geometric_conditions(prefix_table(seq, N))
             assert (chat < mp.mpf("0.3")) == gii.passed
 

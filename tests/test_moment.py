@@ -7,7 +7,7 @@ from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, decaying_coeffs, jitte
 
 from expspan import (ConfigError, FlatIndex, GrowthGateError, Interval, MomentData,
                      PrecisionContext, fixture)
-from expspan.gram import DomainSpec, biorthogonal, gram_matrix
+from expspan.gram import biorthogonal, gram_matrix
 from expspan.moment import bessel_diagnostic, growth_check, moments_from_obj, solve
 
 
@@ -79,7 +79,7 @@ class TestSolve:
     def test_known_series_round_trip(self, squares12, unit_interval, ctx200):
         # d = exact moments of a known truncated series -> recover it exactly
         rng = random.Random(41)
-        g = gram_matrix(squares12, 6, DomainSpec.bounded(unit_interval), ctx200)
+        g = gram_matrix(squares12, 6, unit_interval, ctx200)
         with mp.workdps(g.digits_used):
             c0 = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                   for _ in range(g.dim)]
@@ -139,7 +139,7 @@ class TestBessel:
         d = MomentData(values={FlatIndex(n, 0): mp.mpc(1, 1) for n in range(1, 5)})
         # truncating at N=1 keeps a single scaled dual element
         rep = bessel_diagnostic(d, seq, 1, unit_interval, ctx)
-        g = gram_matrix(seq, 1, DomainSpec.bounded(unit_interval), ctx)
+        g = gram_matrix(seq, 1, unit_interval, ctx)
         with mp.workdps(g.digits_used):
             norm_r2 = 1 / mp.re(g.matrix[0, 0])
             want = abs(seq.lam(1) * d.value(1, 0)) ** 2 * norm_r2
@@ -162,7 +162,7 @@ class TestBessel:
     def test_scaled_families_biorthogonal(self, squares12, unit_interval, ctx200):
         # <U_a, V_b> = delta for U = lambda d r and V = e / conj(lambda d)
         d = exp_data(squares12, mp.mpf("0.5"))
-        g = gram_matrix(squares12, 6, DomainSpec.bounded(unit_interval), ctx200)
+        g = gram_matrix(squares12, 6, unit_interval, ctx200)
         fam = biorthogonal(g)
         with mp.workdps(g.digits_used):
             worst = mp.mpf(0)

@@ -147,20 +147,24 @@ class TestDerivativeFactor:
         assert abs(got - num) < mp.mpf(10) ** (-mp.mp.dps // 4)
 
 
+# the 60 digits that conftest pins: taylor_coeffs works at ctx.digits + 10
+CTX60 = PrecisionContext(digits=60)
+
+
 class TestTaylorCoeffs:
     def test_constant_term_is_one(self, squares8):
         for kind in ProductKind:
-            assert abs(taylor_coeffs(kind, squares8, 6, 4)[0] - 1) < mp.mpf("1e-55")
+            assert abs(taylor_coeffs(kind, squares8, 6, 4, CTX60)[0] - 1) < mp.mpf("1e-55")
 
     def test_linear_coefficient_is_minus_sum(self):
         seq = fixture("example_v", 3)
-        c = taylor_coeffs(ProductKind.F_PLAIN, seq, 3, 2)
+        c = taylor_coeffs(ProductKind.F_PLAIN, seq, 3, 2, CTX60)
         want = -sum(mp.mpf(seq.mu(n)) / seq.lam(n) for n in range(1, 4))
         assert abs(c[1] - want) < mp.mpf("1e-50")
 
     def test_abs_kind_all_positive(self):
         seq = fixture("example_v", 3)
-        c = taylor_coeffs(ProductKind.G_ABS, seq, 3, 14)
+        c = taylor_coeffs(ProductKind.G_ABS, seq, 3, 14, CTX60)
         deg = seq.total_multiplicity(3)
         assert all(v > 0 for v in c[:deg + 1])
         assert all(v == 0 for v in c[deg + 1:])
@@ -170,7 +174,7 @@ class TestTaylorCoeffs:
         deg = squares8.total_multiplicity(6)
         for kind in (ProductKind.F_PLAIN, ProductKind.L_EVEN):
             mult = 2 if kind is ProductKind.L_EVEN else 1
-            c = taylor_coeffs(kind, squares8, 6, mult * deg)
+            c = taylor_coeffs(kind, squares8, 6, mult * deg, CTX60)
             for _ in range(10):
                 z = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * abs(squares8.lam(6)) / 2
                 poly = mp.polyval(list(reversed(c)), z)
@@ -182,7 +186,7 @@ class TestTaylorCoeffs:
 def cosine_window(lk, z):
     """The window as the explicit product of K cosines cos(tau z / 2^k)."""
     return mp.fprod(mp.cos(lk.interval.tau * mp.mpf(2) ** -k * z)
-                    for k in range(1, lk.K + 1))
+                    for k in range(1, products._COS_K + 1))
 
 
 @pytest.mark.parametrize("dps", [15, 120])
@@ -194,7 +198,7 @@ class TestVieteWindow:
     @staticmethod
     def window(lk, z):
         """`_window` with tau from the interval at the working precision."""
-        return products._window(lk, z, products._centre_radius(lk.interval, mp.mp.prec)[1])
+        return products._window(z, products._centre_radius(lk.interval, mp.mp.prec)[1])
 
     @classmethod
     def rel_error(cls, lk, z, dps):
@@ -210,7 +214,7 @@ class TestVieteWindow:
 
     def test_one_at_origin(self, lk, dps):
         with mp.workdps(dps):
-            assert lk.K == 8
+            assert products._COS_K == 8
             assert self.window(lk, 0) == 1
             assert self.window(lk, mp.mpc(0)) == 1
 
@@ -229,7 +233,7 @@ class TestVieteWindow:
         # tau z = 2^K pi m is 0/0 in the closed form; the window there is +-1
         # and flat, so 4 ulps hold without a product fallback
         with mp.workdps(dps):
-            x = mp.ldexp(mp.pi * m, lk.K) / lk.interval.tau
+            x = mp.ldexp(mp.pi * m, products._COS_K) / lk.interval.tau
             for off in ("0", "1e-8", "-1e-8", "-1e-5"):
                 for im in ("0", "1e-20"):
                     z = mp.mpc(x + mp.mpf(off), mp.mpf(im))
@@ -250,7 +254,7 @@ class TestFixedWindow:
         keep = prec + products._GUARD
         # span = 2 keep never refuses: the refusal guards the parts, not the modulus
         tau = products._centre_radius(lk.interval, keep)[1]
-        u = products._fx_window(products._window_rates(lk, tau, keep), mp.mpc(z), lk.K, keep,
+        u = products._fx_window(products._window_rates(lk, tau, keep), mp.mpc(z), keep,
                                 2 * keep if span is None else span)
         return u if u is None else products._fx_round(u)
 
@@ -283,7 +287,7 @@ class TestFixedWindow:
         # tau z = 2^K pi m, Viete's 0/0; E is about +-1 there, its imaginary part
         # tiny, so `_lk_values` refuses the closest points and takes `_window`
         with mp.workdps(dps):
-            x = mp.ldexp(mp.pi * m, lk.K) / lk.interval.tau
+            x = mp.ldexp(mp.pi * m, products._COS_K) / lk.interval.tau
             for off in ("0", "1e-8", "-1e-8", "-1e-5"):
                 for im in ("0", "1e-20"):
                     z = mp.mpc(x + mp.mpf(off), mp.mpf(im))
@@ -481,7 +485,7 @@ def reference_lk_eval(lk, z):
             return mp.mpc(0)
         acc *= base ** lk.seq.mu(n)
     val *= acc
-    for k in range(1, lk.K + 1):
+    for k in range(1, products._COS_K + 1):
         val *= mp.cos(lk.interval.tau * mp.mpf(2) ** -k * z)
     return val
 

@@ -9,7 +9,7 @@ from expspan import series as series_mod
 from expspan import (DomainError, FlatIndex, MultiplicitySequence,
                      PrecisionContext, Sector, SequenceError, TaylorDirichletSeries,
                      bound_check, fixture, star_abscissa, td_eval)
-from expspan.gram import DomainSpec, gram_matrix, recover_coefficients
+from expspan.gram import gram_matrix, recover_coefficients
 from expspan.series import series_from_obj, series_to_obj
 
 
@@ -192,7 +192,7 @@ class TestGramRoundTrip:
     def test_moment_recovery_matches_coefficients(self, squares12, unit_interval):
         # finite-scale coefficient formula: c_{n,k} = <f, r_{n,k}>
         ctx = PrecisionContext(digits=120, trunc_N=6)
-        g = gram_matrix(squares12, 6, DomainSpec.bounded(unit_interval), ctx)
+        g = gram_matrix(squares12, 6, unit_interval, ctx)
         rng = random.Random(31)
         with mp.workdps(g.digits_used):
             for _ in range(10):
@@ -206,7 +206,7 @@ class TestGramRoundTrip:
     def test_equal_moments_force_equal_coefficients(self, squares12, unit_interval):
         # Gram invertibility: distinct truncated series cannot share moments
         ctx = PrecisionContext(digits=120, trunc_N=6)
-        g = gram_matrix(squares12, 6, DomainSpec.bounded(unit_interval), ctx)
+        g = gram_matrix(squares12, 6, unit_interval, ctx)
         rng = random.Random(37)
         with mp.workdps(g.digits_used):
             c1 = [mp.mpc(rng.uniform(-1, 1)) for _ in range(g.dim)]
