@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpc_abs, mpc_sub
 
 from .errors import ConfigError, PrecisionError, SequenceError
 
@@ -347,9 +348,11 @@ class PrefixTable:
     def N(self) -> int:
         return len(self.moduli)
 
-    def nearest_gaps(self) -> list[mp.mpf]:
-        """min_{k != n} |lambda_n - lambda_k| for n = 1..N; a zero gap is a
-        SequenceError, and N = 1, having no gap, a ConfigError."""
+    @cached_property
+    def gaps(self) -> tuple:
+        """min_{k != n} |lambda_n - lambda_k| for n = 1..N, scanned once per table
+        and kept with it; a zero gap is a SequenceError, and N = 1, having no
+        gap, a ConfigError, on every read."""
         if self.N < 2:
             raise ConfigError(f"need N >= 2 frequencies to take a gap, got N={self.N}")
         gaps = []
@@ -358,7 +361,7 @@ class PrefixTable:
             if gap == 0:
                 raise SequenceError(f"zero gap at n={n}: duplicate frequency")
             gaps.append(gap)
-        return gaps
+        return tuple(gaps)
 
     def separation_disks(self, eps) -> SeparationDisks:
         """The prefix's separation disks, from the nearest gaps.  eps <= 0 is a
@@ -375,22 +378,26 @@ class PrefixTable:
                 raise PrecisionError(
                     f"eps*|lambda_{n}|/mu_{n} must be below 10^{dps} to be resolved at "
                     f"{dps} digits, got {mp.nstr(x, 5)}")
-        gaps = self.nearest_gaps()
+        gaps = self.gaps
         m = min(gap * mp.exp(x) for gap, x in zip(gaps, rates))
         decay = [mp.exp(-x) for x in rates]
-        return SeparationDisks(eps=eps, gaps=tuple(gaps), fitted_m=m,
+        return SeparationDisks(eps=eps, gaps=gaps, fitted_m=m,
                                radii_large=tuple(m / 2 * d for d in decay),
                                radii_small=tuple(m / 6 * d for d in decay))
 
 
 def prefix_table(seq: MultiplicitySequence, N: int) -> PrefixTable:
-    """The moduli and pairwise distances of the prefix, one subtraction per pair."""
+    """The moduli and pairwise distances of the prefix, one subtraction per pair,
+    each |a - b| the mpc_abs(mpc_sub(a, b)) that mpc arithmetic takes, on the
+    frequencies' raw values."""
     seq.check_prefix(N)
-    lams = [seq.lam(n) for n in range(1, N + 1)]
-    dist = [[mp.mpf(0)] * N for _ in range(N)]
-    for a in range(N):
+    prec, rnd = mp.mp._prec_rounding
+    lams = [seq.lam(n)._mpc_ for n in range(1, N + 1)]
+    dist = [[fzero] * N for _ in range(N)]
+    for a, lam in enumerate(lams):
+        row = dist[a]
         for b in range(a + 1, N):
-            dist[a][b] = dist[b][a] = abs(lams[a] - lams[b])
-    return PrefixTable(seq=seq, moduli=tuple(abs(lam) for lam in lams),
-                       dist=tuple(map(tuple, dist)))
-
+            row[b] = dist[b][a] = mpc_abs(mpc_sub(lam, lams[b], prec, rnd), prec, rnd)
+    make = mp.make_mpf
+    return PrefixTable(seq=seq, moduli=tuple(make(mpc_abs(lam, prec, rnd)) for lam in lams),
+                       dist=tuple(tuple(map(make, row)) for row in dist))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import mpmath as mp
+from mpmath.libmp import mpf_add, mpf_exp, mpf_shift, mpf_sub, round_nearest
 
 from .core import MultiplicitySequence, read_count, read_number
 from .errors import ConfigError
@@ -37,7 +38,9 @@ def _pair_entries(n_terms: int, gap_log: Callable[[int], mp.mpf]) -> list:
     """lambda_{2n-1} = n^2 and lambda_{2n} = n^2 + exp(gap_log(n)), mu = 1.
 
     gap_log(n) is the (negative) natural log of the near-duplicate offset;
-    precision is raised per entry so the offset is not absorbed.
+    precision is raised per entry so the offset is not absorbed.  Each sum is
+    the one that base + mp.exp(gap_log(n)) rounds at that precision, bit for
+    bit; `_offset_sum` mostly takes it from a short exponential.
     """
     out = []
     for n in range(1, n_terms + 1):
@@ -45,8 +48,39 @@ def _pair_entries(n_terms: int, gap_log: Callable[[int], mp.mpf]) -> list:
         with mp.workdps(max(mp.mp.dps, need)):
             base = mp.mpf(n) ** 2
             out.append((mp.mpc(base), 1))
-            out.append((mp.mpc(base + mp.exp(gap_log(n))), 1))
+            gap = gap_log(n)
+            total = _offset_sum(base, gap)
+            out.append((mp.mpc(base + mp.exp(gap) if total is None else total), 1))
     return out
+
+
+def _offset_sum(base: mp.mpf, g: mp.mpf) -> mp.mpf | None:
+    """base + e^g as base + mp.exp(g) rounds it at the working precision p,
+    from e^g at w = 128, 256, ... bits while w < p - 8; None when no such w
+    decides it.
+
+    Ziv's rounding test (ACM TOMS 17, 1991): x = e^g at w bits, rounded to
+    nearest from mpmath's guard bits, lies within about half an ulp of e^g,
+    and mp.exp(g) at p >= w + 9 bits within 1/512 of an ulp at w.  So both lie
+    in [x - h, x + h] with h = |x| 2^(1-w), at least an ulp of x; x - h and
+    x + h are exact, and each sum with base is rounded once.  Rounding is
+    monotonic, so when base + (x - h) and base + (x + h) round to one value
+    at p, base + mp.exp(g) rounds to it too.  Only about 30 digits of a tiny
+    offset survive the sum, so at n = 12 of carleson_counterexample a 128-bit
+    e^g decides a sum of some 30,000 bits, where mp.exp(g) would take all of
+    them.  A small n, whose offset keeps bits beyond w, takes mp.exp(g).
+    """
+    prec, rnd = mp.mp._prec_rounding
+    base, g = base._mpf_, g._mpf_
+    w = 128
+    while w < prec - 8:
+        x = mpf_exp(g, w, round_nearest)
+        h = mpf_shift(x, 1 - w)
+        low = mpf_add(base, mpf_sub(x, h), prec, rnd)
+        if low == mpf_add(base, mpf_add(x, h), prec, rnd):
+            return mp.make_mpf(low)
+        w *= 2
+    return None
 
 
 def _gen_power(n_terms: int, exponent, mu: int) -> list:

@@ -7,6 +7,15 @@ table, checked here to be disjoint), and whether the condensation index
 vanishes.  Asymptotic statements are untestable on a prefix, so every
 verdict is a trend heuristic that carries the raw ratio evidence it was
 derived from.
+
+The pairwise loops (the distance table of `core.prefix_table`, the log sums
+of `integrated_counting` and `integrated_about`, the disk test of
+`gap_check`, and the removed-factor sweep of `products.derivative_factors`)
+run on mpmath's raw values (`mpmath.libmp`): each makes the libmp call that
+the mpf and mpc operators made, in the same order and with the same
+precision and rounding, so every value keeps its bits.  An int multiplicity
+times a log is mpf_mul_int, mp.log of a positive mpf is mpf_log, and a
+comparison reads the same answer from mpf_le or mpf_lt as from the operator.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_le, mpf_log, mpf_lt, mpf_mul_int
 
 from .core import MultiplicitySequence, PrefixTable, SeparationDisks, prefix_table
 from .errors import ConfigError, SequenceError
@@ -78,7 +88,14 @@ def counting(tab: PrefixTable, t) -> int:
     t = mp.mpf(t)
     if not t > 0:
         raise ConfigError("t must be positive")
-    return sum(tab.seq.mu(n) for n, mod in enumerate(tab.moduli, 1) if mod <= t)
+    t = t._mpf_
+    return sum(mu for (_, mu), mod in zip(tab.seq.entries, tab.moduli)
+               if mpf_le(mod._mpf_, t))
+
+
+def _mu_log(mu: int, x, prec: int, rnd: str):
+    """mu * mp.log(x) for a positive raw x, as the mpf operators round it."""
+    return mpf_mul_int(mpf_log(x, prec, rnd), mu, prec, rnd)
 
 
 def integrated_counting(tab: PrefixTable, r) -> mp.mpf:
@@ -91,11 +108,15 @@ def integrated_counting(tab: PrefixTable, r) -> mp.mpf:
     r = mp.mpf(r)
     if not r > 0:
         raise ConfigError("r must be positive")
-    total = mp.mpf(0)
-    for n, m in enumerate(tab.moduli, 1):
-        if m <= r:
-            total += tab.seq.mu(n) * mp.log(r / m)
-    return total
+    prec, rnd = mp.mp._prec_rounding
+    r = r._mpf_
+    total = fzero
+    for (_, mu), m in zip(tab.seq.entries, tab.moduli):
+        m = m._mpf_
+        if mpf_le(m, r):
+            total = mpf_add(total, _mu_log(mu, mpf_div(r, m, prec, rnd), prec, rnd),
+                            prec, rnd)
+    return mp.make_mpf(total)
 
 
 def integrated_about(tab: PrefixTable, n: int) -> mp.mpf:
@@ -106,12 +127,16 @@ def integrated_about(tab: PrefixTable, n: int) -> mp.mpf:
     """
     if not 1 <= n <= tab.N:
         raise ConfigError(f"n={n} outside prefix 1..{tab.N}")
-    r = tab.moduli[n - 1]
-    total = tab.seq.mu(n) * mp.log(r)
-    for k, d in enumerate(tab.dist[n - 1], 1):
-        if k != n and 0 < d <= r:
-            total += tab.seq.mu(k) * mp.log(r / d)
-    return total
+    prec, rnd = mp.mp._prec_rounding
+    r = tab.moduli[n - 1]._mpf_
+    total = _mu_log(tab.seq.mu(n), r, prec, rnd)
+    for k, ((_, mu), d) in enumerate(zip(tab.seq.entries, tab.dist[n - 1]), 1):
+        d = d._mpf_
+        if k != n and d != fzero and mpf_le(d, r):
+            total = mpf_add(total, _mu_log(mu, mpf_div(r, d, prec, rnd), prec, rnd),
+                            prec, rnd)
+    return mp.make_mpf(total)
+
 
 
 # -- condition A --------------------------------------------------------------
@@ -174,25 +199,26 @@ def gap_check(tab: PrefixTable, eps) -> SeparationDisks:
     """The prefix's separation disks, once the large disks are checked to be
     pairwise disjoint; an overlap is a SequenceError."""
     disks = tab.separation_disks(eps)
-    large = disks.radii_large
+    prec, rnd = mp.mp._prec_rounding
+    large = [x._mpf_ for x in disks.radii_large]
     for a, row in enumerate(tab.dist):
         for b in range(a + 1, tab.N):
-            if row[b] < large[a] + large[b]:
+            if mpf_lt(row[b]._mpf_, mpf_add(large[a], large[b], prec, rnd)):
                 raise SequenceError("separation disks overlap despite the fitted "
                                     "constant; the fit is inconsistent")
     return disks
 
 
-def separation_search(tab: PrefixTable, gaps) -> mp.mpf | None:
+def separation_search(tab: PrefixTable) -> mp.mpf | None:
     """Largest delta in (0, 1/10) with |lambda_n - lambda_k| <= delta |lambda_k|
     only for n = k, scanned on a 40-point geometric grid.  None if even the
     smallest grid point fails.
 
-    gaps are the prefix's nearest gaps, gap_k = min_{n != k} |lambda_n -
-    lambda_k| as `PrefixTable.nearest_gaps` scans them.  Each grid point tests
-    gap_k > delta |lambda_k|, which holds exactly when every pair does.
+    Each grid point tests gap_k > delta |lambda_k| on the table's nearest gaps
+    gap_k = min_{n != k} |lambda_n - lambda_k| (`PrefixTable.gaps`), which holds
+    exactly when every pair does.
     """
-    pairs = list(zip(gaps, tab.moduli))
+    pairs = list(zip(tab.gaps, tab.moduli))
     delta = mp.mpf("0.09")
     for _ in range(40):
         if all(gap > delta * mod for gap, mod in pairs):
@@ -215,7 +241,7 @@ def condensation_index(tab: PrefixTable) -> CondensationReport:
     chat = max over the tail half of the prefix of -log|F'(lambda_n)|/|lambda_n|
     where F is the even product with simple zeros.  Defined only for
     sequences with all multiplicities equal to one and no duplicate frequency
-    (`PrefixTable.nearest_gaps`).
+    (`PrefixTable.gaps`).
 
     Works at the caller's precision plus _CONDENSATION_GUARD digits, however
     close two frequencies are: `products.derivative_factors` forms each factor
@@ -228,7 +254,7 @@ def condensation_index(tab: PrefixTable) -> CondensationReport:
         raise ConfigError("need N >= 6")
     if any(seq.mu(n) != 1 for n in range(1, N + 1)):
         raise SequenceError("condensation index requires simple frequencies (mu = 1)")
-    tab.nearest_gaps()
+    tab.gaps  # a duplicate frequency raises here
     lams = [seq.lam(n) for n in range(1, N + 1)]
     with mp.workdps(mp.mp.dps + _CONDENSATION_GUARD):
         dvals = products.derivative_factors(seq, N, kind=products.ProductKind.F_EVEN)
@@ -271,7 +297,7 @@ def analyze(seq: MultiplicitySequence, N: int, eps) -> ClassReport:
     nec = necessary_condition(tab)
     dens = density_trend(tab)
     gap = gap_check(tab, eps)
-    delta = separation_search(tab, gap.gaps)
+    delta = separation_search(tab)
     cond = None
     if all(seq.mu(n) == 1 for n in range(1, N + 1)) and N >= 6:
         cond = condensation_index(tab)

@@ -51,8 +51,9 @@ import enum
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import (fzero, mpc_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos,
-                          mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (from_int, fzero, mpc_add, mpc_exp, mpc_mpf_div, mpc_mul,
+                          mpc_neg, mpc_pow_int, mpc_sub, mpf_add, mpf_div, mpf_mul,
+                          mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest)
 
 from .core import Interval, MultiplicitySequence, PrecisionContext, prefix_table
 from .errors import ConfigError, DomainError, PrecisionError
@@ -140,27 +141,43 @@ def derivative_factors(seq: MultiplicitySequence, N: int,
     takes its negation, which is exact: a - b = -(b - a) and a + b = b + a
     bit for bit under round-to-nearest.  The denominators lambda_j (or
     lambda_j^2) are computed once each.
+
+    The sweep runs on the frequencies' raw values (`mpmath.libmp`) and makes
+    the calls the mpc operators made, in the same order, at the working
+    precision and rounding, so each value keeps its bits.  Only mpc_div's
+    |den|^2, which it forms at prec + 10 bits from the denominator alone, is
+    taken once per denominator and not once per pair.
     """
     seq.check_prefix(N)
     if kind not in (ProductKind.F_PLAIN, ProductKind.F_EVEN):
         raise ConfigError("removed-factor derivative defined for F_PLAIN and F_EVEN")
     even = kind is ProductKind.F_EVEN
-    lams = [seq.lam(n) for n in range(1, N + 1)]
-    dens = [lam * lam for lam in lams] if even else lams
+    prec, rnd = mp.mp._prec_rounding
+    wp = prec + 10
+    lams = [seq.lam(n)._mpc_ for n in range(1, N + 1)]
+    mus = [seq.mu(n) for n in range(1, N + 1)]
+    dens = [mpc_mul(lam, lam, prec, rnd) for lam in lams] if even else lams
+    mags = [mpf_add(mpf_mul(c, c), mpf_mul(d, d), wp) for c, d in dens]
     # num[n][j]: numerator of lambda_j's factor in the value at lambda_n
     num = [[None] * N for _ in range(N)]
-    for n in range(N):
+    for n, lam in enumerate(lams):
         for j in range(n + 1, N):
-            diff = lams[j] - lams[n]
-            num[n][j] = diff * (lams[j] + lams[n]) if even else diff
-            num[j][n] = -num[n][j]
+            diff = mpc_sub(lams[j], lam, prec, rnd)
+            if even:
+                diff = mpc_mul(diff, mpc_add(lams[j], lam, prec, rnd), prec, rnd)
+            num[n][j] = diff
+            num[j][n] = mpc_neg(diff, prec, rnd)
+    lead = from_int(-2 if even else -1)
     out = []
     for n, lam in enumerate(lams):
-        acc = ((-2 if even else -1) / lam) ** seq.mu(n + 1)
-        for j, den in enumerate(dens):
+        acc = mpc_pow_int(mpc_mpf_div(lead, lam, prec, rnd), mus[n], prec, rnd)
+        for j, ((c, d), mag) in enumerate(zip(dens, mags)):
             if j != n:
-                acc *= (num[n][j] / den) ** seq.mu(j + 1)
-        out.append(acc)
+                a, b = num[n][j]  # mpc_div(num, den), its |den|^2 taken above
+                quot = (mpf_div(mpf_add(mpf_mul(a, c), mpf_mul(b, d), wp), mag, prec, rnd),
+                        mpf_div(mpf_sub(mpf_mul(b, c), mpf_mul(a, d), wp), mag, prec, rnd))
+                acc = mpc_mul(acc, mpc_pow_int(quot, mus[j], prec, rnd), prec, rnd)
+        out.append(mp.make_mpc(acc))
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from mpmath.libmp import fzero
 
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval, MultiplicitySequence,
-                     PrecisionContext, PrecisionError, ProductKind, SequenceError,
+                     PrecisionContext, PrecisionError, PrefixTable, ProductKind, SequenceError,
                      fixture, flatten, gram, list_fixtures)
 
 
@@ -42,12 +42,13 @@ def rand_complex(rng, scale=1.0):
     return mp.mpc(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
 
 
-def jittered_mu3(N, seed):
-    """lambda_n = n^2 + delta_n, delta_n complex with parts exact multiples of 2^-20."""
+def jittered_mu3(N, seed, mu=3):
+    """lambda_n = n^2 + delta_n, delta_n complex with parts exact multiples of 2^-20,
+    and mu_n = mu."""
     rng = random.Random(seed)
     return MultiplicitySequence.from_pairs(
         [(n * n + mp.mpc(rng.randint(-209715, 209715), rng.randint(-209715, 209715))
-          / 2 ** 20, 3) for n in range(1, N + 1)], "jittered-mu3")
+          / 2 ** 20, mu) for n in range(1, N + 1)], f"jittered-mu{mu}")
 
 
 def halfline_inverse(seq, N):
@@ -687,3 +688,105 @@ def reference_trend_ratios(seq, N):
     density = [mp.mpf(reference_counting(seq, N, abs(seq.lam(j)))) / abs(seq.lam(j))
                for j in range(1, N + 1)]
     return ratios_i, ratios_ii, density
+
+
+# -- the analyzer's and the paired fixtures' mp-object loops before they ran on
+# raw values --
+# Verbatim copies (bar the names) of the distance table, the log sums, the
+# counting function, the disk test, the removed-factor sweep and the paired
+# entries, so the tests can check the raw-value kernels bit for bit.
+
+def parent_prefix_table(seq, N) -> PrefixTable:
+    """The moduli and pairwise distances of the prefix, one subtraction per pair."""
+    seq.check_prefix(N)
+    lams = [seq.lam(n) for n in range(1, N + 1)]
+    dist = [[mp.mpf(0)] * N for _ in range(N)]
+    for a in range(N):
+        for b in range(a + 1, N):
+            dist[a][b] = dist[b][a] = abs(lams[a] - lams[b])
+    return PrefixTable(seq=seq, moduli=tuple(abs(lam) for lam in lams),
+                       dist=tuple(map(tuple, dist)))
+
+
+def parent_counting(tab, t) -> int:
+    """n(t): total multiplicity of frequencies with |lambda_n| <= t."""
+    t = mp.mpf(t)
+    if not t > 0:
+        raise ConfigError("t must be positive")
+    return sum(tab.seq.mu(n) for n, mod in enumerate(tab.moduli, 1) if mod <= t)
+
+
+def parent_integrated_counting(tab, r) -> mp.mpf:
+    """N(r) = sum_{|lambda_n| <= r} mu_n log(r / |lambda_n|)."""
+    r = mp.mpf(r)
+    if not r > 0:
+        raise ConfigError("r must be positive")
+    total = mp.mpf(0)
+    for n, m in enumerate(tab.moduli, 1):
+        if m <= r:
+            total += tab.seq.mu(n) * mp.log(r / m)
+    return total
+
+
+def parent_integrated_about(tab, n) -> mp.mpf:
+    """N(|lambda_n|, lambda_n) over the truncated prefix."""
+    if not 1 <= n <= tab.N:
+        raise ConfigError(f"n={n} outside prefix 1..{tab.N}")
+    r = tab.moduli[n - 1]
+    total = tab.seq.mu(n) * mp.log(r)
+    for k, d in enumerate(tab.dist[n - 1], 1):
+        if k != n and 0 < d <= r:
+            total += tab.seq.mu(k) * mp.log(r / d)
+    return total
+
+
+def parent_gap_check(tab, eps):
+    """The separation disks, once the large disks are checked to be pairwise disjoint."""
+    disks = tab.separation_disks(eps)
+    large = disks.radii_large
+    for a, row in enumerate(tab.dist):
+        for b in range(a + 1, tab.N):
+            if row[b] < large[a] + large[b]:
+                raise SequenceError("separation disks overlap despite the fitted "
+                                    "constant; the fit is inconsistent")
+    return disks
+
+
+def parent_derivative_factors(seq, N, kind=ProductKind.F_PLAIN) -> list:
+    """Removed-factor values F^(mu_n)(lambda_n) / mu_n!, n = 1..N, from one pairwise sweep."""
+    seq.check_prefix(N)
+    even = kind is ProductKind.F_EVEN
+    lams = [seq.lam(n) for n in range(1, N + 1)]
+    dens = [lam * lam for lam in lams] if even else lams
+    num = [[None] * N for _ in range(N)]
+    for n in range(N):
+        for j in range(n + 1, N):
+            diff = lams[j] - lams[n]
+            num[n][j] = diff * (lams[j] + lams[n]) if even else diff
+            num[j][n] = -num[n][j]
+    out = []
+    for n, lam in enumerate(lams):
+        acc = ((-2 if even else -1) / lam) ** seq.mu(n + 1)
+        for j, den in enumerate(dens):
+            if j != n:
+                acc *= (num[n][j] / den) ** seq.mu(j + 1)
+        out.append(acc)
+    return out
+
+
+# the paired fixtures' gap_log(n), the log of each pair's offset
+PAIR_GAP_LOGS = {"example_ii": lambda n: -mp.mpf(n),
+                 "example_iii": lambda n: -mp.mpf(n) ** 2,
+                 "carleson_counterexample": lambda n: -mp.mpf(n) ** 4}
+
+
+def parent_pair_entries(n_terms, gap_log) -> list:
+    """lambda_{2n-1} = n^2 and lambda_{2n} = n^2 + exp(gap_log(n)), mu = 1."""
+    out = []
+    for n in range(1, n_terms + 1):
+        need = int(-gap_log(n) / mp.log(10)) + 30  # fixtures._GEN_GUARD
+        with mp.workdps(max(mp.mp.dps, need)):
+            base = mp.mpf(n) ** 2
+            out.append((mp.mpc(base), 1))
+            out.append((mp.mpc(base + mp.exp(gap_log(n))), 1))
+    return out

@@ -3,10 +3,11 @@ import pathlib
 
 import mpmath as mp
 import pytest
-from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, reference_fitted_separation_constant,
-                      reference_nearest_gaps)
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, PAIR_GAP_LOGS, bits, parent_pair_entries,
+                      reference_fitted_separation_constant, reference_nearest_gaps)
 
 import expspan
+from expspan import fixtures
 from expspan import (ConfigError, FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, PrecisionError, Sector, SequenceError, fixture,
                      flatten, prefix_table, sequence_from_spec, validate_sequence)
@@ -242,6 +243,32 @@ class TestSequenceSpec:
         assert 0 < gap < mp.mpf("1e-60")
 
 
+class TestPairOffsets:
+    @pytest.mark.parametrize("dps", [15, 30, 60])
+    def test_match_the_full_precision_sum_bit_for_bit(self, dps, monkeypatch):
+        # terms 1-14 of each paired fixture; the short exponential decides
+        # every large offset, and n = 1 takes base + mp.exp(gap) itself
+        decided = {}
+        original = fixtures._offset_sum
+
+        def recording(base, g):
+            total = original(base, g)
+            decided[int(base)] = total is not None
+            return total
+
+        monkeypatch.setattr(fixtures, "_offset_sum", recording)
+        with mp.workdps(dps):
+            for name, gap_log in PAIR_GAP_LOGS.items():
+                decided.clear()
+                got = fixtures.fixture(name, 14).entries
+                want = parent_pair_entries(14, gap_log)
+                assert [(lam._mpc_, mu) for lam, mu in got] == \
+                    [(lam._mpc_, mu) for lam, mu in want]
+                assert not decided[1]
+                if name != "example_ii":
+                    assert decided[14 ** 2]
+
+
 class TestNearestGaps:
     @pytest.mark.parametrize("dps", [15, 60])
     @pytest.mark.parametrize("terms", FIXTURE_TERMS)
@@ -251,7 +278,7 @@ class TestNearestGaps:
             seq = fixture(name, terms)
             N = seq.size
             tab = prefix_table(seq, N)
-            assert bits(tab.nearest_gaps()) == bits(reference_nearest_gaps(seq, N))
+            assert bits(tab.gaps) == bits(reference_nearest_gaps(seq, N))
             for eps in ("0.1", "0.3"):
                 assert (bits(tab.separation_disks(eps).fitted_m)
                         == bits(reference_fitted_separation_constant(seq, N, eps)))
@@ -259,7 +286,7 @@ class TestNearestGaps:
     def test_duplicate_is_a_sequence_error(self):
         seq = MultiplicitySequence.from_pairs([(1, 1), (4, 1), (4, 1)])
         with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
-            prefix_table(seq, 3).nearest_gaps()
+            prefix_table(seq, 3).gaps
         with pytest.raises(SequenceError, match="zero gap at n=2: duplicate frequency"):
             prefix_table(seq, 3).separation_disks("0.1")
 
@@ -274,7 +301,7 @@ class TestNearestGaps:
 
     def test_one_frequency_has_no_gap(self):
         seq = fixture("squares", 8)
-        for call in (lambda: prefix_table(seq, 1).nearest_gaps(),
+        for call in (lambda: prefix_table(seq, 1).gaps,
                      lambda: prefix_table(seq, 1).separation_disks("0.1")):
             with pytest.raises(ConfigError,
                                match="need N >= 2 frequencies to take a gap, got N=1"):

@@ -3,8 +3,11 @@ import random
 import mpmath as mp
 import pytest
 from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, counting_about,
-                      escalated_derivative_factor, per_n_derivative_factor, reference_counting,
-                      reference_gap_check, reference_separation_search, reference_trend_ratios)
+                      escalated_derivative_factor, jittered_mu3, parent_counting,
+                      parent_derivative_factors, parent_gap_check, parent_integrated_about,
+                      parent_integrated_counting, parent_prefix_table, per_n_derivative_factor,
+                      reference_counting, reference_gap_check, reference_separation_search,
+                      reference_trend_ratios)
 
 from expspan import MultiplicitySequence, SequenceError, core, fixture
 from expspan.core import prefix_table
@@ -55,6 +58,14 @@ class TestCounting:
             below = la.counting(tab, r - mp.mpf("1e-9"))
             at = la.counting(tab, r)
             assert at - below == seq.mu(n)
+
+    def test_unsorted_prefix_counts_every_entry(self):
+        # counting reads no order: a prefix never validated counts the same
+        seq = MultiplicitySequence.from_pairs([(9, 1), (1, 2), (-4, 3), (2j, 1)])
+        tab = prefix_table(seq, 4)
+        for t in ("0.5", 1, 2, 3, 4, 9, 10):
+            assert la.counting(tab, t) == reference_counting(seq, 4, t)
+        assert la.counting(tab, 2) == 3
 
     def test_counting_about(self):
         seq = fixture("squares", 6)
@@ -187,12 +198,12 @@ class TestGapCheck:
 class TestSeparationSearch:
     def test_ratio_sequence_has_wide_delta(self):
         tab = prefix_table(fixture("example_v", 8), 8)
-        delta = la.separation_search(tab, tab.nearest_gaps())
+        delta = la.separation_search(tab)
         assert delta is not None and delta > mp.mpf("0.05")
 
     def test_near_duplicates_have_no_delta(self):
         tab = prefix_table(fixture("example_iii", 8), 16)
-        assert la.separation_search(tab, tab.nearest_gaps()) is None
+        assert la.separation_search(tab) is None
 
     @pytest.mark.parametrize("dps", [15, 60])
     @pytest.mark.parametrize("terms", FIXTURE_TERMS)
@@ -201,7 +212,7 @@ class TestSeparationSearch:
         with mp.workdps(dps):
             seq = fixture(name, terms)
             tab = prefix_table(seq, seq.size)
-            got = la.separation_search(tab, tab.nearest_gaps())
+            got = la.separation_search(tab)
             assert bits(got) == bits(reference_separation_search(seq, seq.size))
 
     def test_duplicate_frequency_raises(self):
@@ -311,6 +322,38 @@ class TestSharedTable:
                 assert bits(rep.condensation.ratios) == bits(want)
 
 
+class TestRawKernels:
+    """The raw-value kernels against verbatim mp-object copies of the loops they
+    replaced, on complex frequencies: the built-in fixtures are all real, so
+    they never reach the imaginary parts of mpc_sub, mpc_abs and mpc_div."""
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_complex_jitter_matches_mp_objects_bit_for_bit(self, seed, dps):
+        N = 12
+        seq = jittered_mu3(N, seed, mu=1)
+        with mp.workdps(dps):
+            tab, want = prefix_table(seq, N), parent_prefix_table(seq, N)
+            assert bits(tab.moduli) == bits(want.moduli)
+            assert tuple(map(bits, tab.dist)) == tuple(map(bits, want.dist))
+            gi, gii = la.geometric_conditions(tab)
+            assert bits(gi.ratios) == bits([parent_integrated_counting(want, m) / m
+                                            for m in want.moduli])
+            assert bits(gii.ratios) == bits([parent_integrated_about(want, n) / m
+                                             for n, m in enumerate(want.moduli, 1)])
+            assert bits(la.density_trend(tab).ratios) == bits(
+                [mp.mpf(parent_counting(want, m)) / m for m in want.moduli])
+            got, ref = la.gap_check(tab, "0.1"), parent_gap_check(want, "0.1")
+            assert bits(got.fitted_m) == bits(ref.fitted_m)
+            assert bits(got.radii_large) == bits(ref.radii_large)
+            ratios = la.condensation_index(tab).ratios
+            with mp.workdps(dps + 20):
+                dvals = parent_derivative_factors(seq, N, products.ProductKind.F_EVEN)
+                want_ratios = [-mp.log(abs(d)) / abs(seq.lam(n))
+                               for n, d in enumerate(dvals, 1)]
+            assert bits(ratios) == bits(want_ratios)
+
+
 class TestAnalyze:
     def test_squares_all_pass(self):
         rep = la.analyze(fixture("squares", 12), 12, "0.1")
@@ -337,3 +380,19 @@ class TestAnalyze:
         monkeypatch.setattr(la, "prefix_table", counting)
         la.analyze(fixture("example_ii", 6), 12, "0.1")
         assert calls == [12]
+
+    def test_one_nearest_gap_scan(self, monkeypatch):
+        # the separation disks and the condensation index read the table's
+        # gaps, scanned once
+        scans = []
+        prop = core.PrefixTable.__dict__["gaps"]
+        original = prop.func
+
+        def scan(tab):
+            scans.append(tab.N)
+            return original(tab)
+
+        monkeypatch.setattr(prop, "func", scan)
+        rep = la.analyze(fixture("example_ii", 6), 12, "0.1")
+        assert rep.condensation is not None
+        assert scans == [12]
