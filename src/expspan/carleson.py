@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import mpmath as mp
 
@@ -55,34 +56,39 @@ def exp_monomial_derivative(lam, k: int, m: int, x) -> mp.mpc:
     return total * mp.exp(lam * x)
 
 
-def apply_to_exponential(op: CarlesonOperator, lam, k: int, xs,
-                         ctx: PrecisionContext) -> list[mp.mpc]:
-    """Apply the operator to t^k e^(lam t) at each point of xs via the Leibniz
-    expansion.
+def apply_to_exponential(op: CarlesonOperator, lam, ks: Sequence[int], xs,
+                         ctx: PrecisionContext) -> list[list[mp.mpc]]:
+    """Apply the operator to t^k e^(lam t) for each k of ks at each point of
+    xs via the Leibniz expansion: one row of values per k.
 
     Equals e^(lam x) sum_j (k!/(k-j)!) x^(k-j) F_poly^(j)(lam)/j!; for k=0
     this is the eigen-relation F(lam) e^(lam x), and for a truncated
     frequency with k < mu_n the value vanishes to the precision floor.  The
-    table F_poly^(j)(lam)/j! is built once for all points, and only up to
-    j = degree: past it the derivatives of the polynomial are exact zeros.
+    table F_poly^(j)(lam)/j! and the exponentials e^(lam x) are built once
+    for every k and point, the table only up to j = degree: past it the
+    derivatives of the polynomial are exact zeros.
     """
     with mp.workdps(ctx.digits + _GUARD):
         # mp.mpc(z) would round even an mpc z to the ambient precision
         lam = lam if isinstance(lam, mp.mpc) else mp.mpc(lam)
         ds = []
-        for j in range(min(k, op.degree) + 1):
+        for j in range(min(max(ks, default=0), op.degree) + 1):
             # F^(j)(lam)/j! by Horner on the shifted coefficient list
             dj = mp.mpc(0)
             for m in reversed(range(j, op.degree + 1)):
                 dj = dj * lam + op.fcoeffs[m] * math.comb(m, j)
             ds.append(dj)
+        xs = [mp.mpc(x) for x in xs]
+        exps = [mp.exp(lam * x) for x in xs]
         out = []
-        for x in xs:
-            x = mp.mpc(x)
-            total = mp.mpc(0)
-            for j, dj in enumerate(ds):
-                total += math.perm(k, j) * x ** (k - j) * dj
-            out.append(total * mp.exp(lam * x))
+        for k in ks:
+            row = []
+            for x, ex in zip(xs, exps):
+                total = mp.mpc(0)
+                for j, dj in enumerate(ds[:k + 1]):
+                    total += math.perm(k, j) * x ** (k - j) * dj
+                row.append(total * ex)
+            out.append(row)
     return out
 
 
@@ -107,12 +113,20 @@ def residual_on_span(op: CarlesonOperator, s: TaylorDirichletSeries,
             f"operator truncation N={op.N}; they are not annihilated")
     scale = max((abs(c) for c in s.coeffs.values()), default=mp.mpf(1))
     pts = tuple(mp.mpf(x) for x in grid)
+    # one application per frequency, for all of its k
+    groups = {}
+    for idx, c in s.coeffs.items():
+        if c != 0:
+            groups.setdefault(idx.n, []).append(idx)
+    vals = {}
+    for n, idxs in groups.items():
+        vals.update(zip(idxs, apply_to_exponential(op, s.seq.lam(n), [ix.k for ix in idxs],
+                                                   pts, ctx)))
     # each point adds the coefficients in the order of s.coeffs
     accs = [mp.mpc(0)] * len(pts)
     for idx, c in s.coeffs.items():
         if c != 0:
-            vals = apply_to_exponential(op, s.seq.lam(idx.n), idx.k, pts, ctx)
-            accs = [acc + c * v for acc, v in zip(accs, vals)]
+            accs = [acc + c * v for acc, v in zip(accs, vals[idx])]
     worst = max((abs(acc) for acc in accs), default=mp.mpf(0))
     return ResidualReport(sup_residual=worst, scale=scale, grid=pts)
 

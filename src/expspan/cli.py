@@ -314,7 +314,7 @@ def _cmd_carleson(args) -> _Result:
         with mp.workdps(ctx.digits):
             lam = read_number(args.lam, "--lam")
             x = read_number(args.x, "--x", real=True)
-            val, = carleson_mod.apply_to_exponential(op, lam, args.k, [x], ctx)
+            [[val]] = carleson_mod.apply_to_exponential(op, lam, [args.k], [x], ctx)
         return _value_obj(val, args.dps), None
     # residual over a grid for a series file
     s = series_mod.load_series(args.series)
@@ -388,8 +388,10 @@ def _cmd_run(args) -> None:
     if kind in ("carleson", "full-report"):
         op = carleson_mod.carleson_operator(seq, N, ctx)
         grid = [interval.gamma + interval.length * (i + 1) / 11 for i in range(10)]
-        worst = max(abs(v) for n in range(1, N + 1) for k in range(seq.mu(n))
-                    for v in carleson_mod.apply_to_exponential(op, seq.lam(n), k, grid, ctx))
+        worst = max(abs(v) for n in range(1, N + 1)
+                    for row in carleson_mod.apply_to_exponential(op, seq.lam(n),
+                                                                 range(seq.mu(n)), grid, ctx)
+                    for v in row)
         artifacts["carleson_annihilation.json"] = {
             "sup_annihilation_residual": _num(worst, 8), "degree": op.degree}
     if kind in ("counterexample", "full-report"):

@@ -31,7 +31,13 @@ coefficient recovery (one solve against the moments).  For the inverse,
 each column's backward sweep runs to the diagonal only, and C_ij = conj C_ji
 above it, so C is Hermitian off its diagonal by construction.  Every kernel
 runs on mpmath's raw values (`mpmath.libmp`) with the roundings of the mpf
-and mpc arithmetic it replaced, in the same order.  Both factorizations
+and mpc arithmetic it replaced, in the same order.  A complex product takes
+three integer products (Gauss) where mpc_mul takes four, and an exact dot
+product (the identity residual's d^2 entries, a norm, the dual block) is
+summed as one integer; each part is rounded once, as mpc_mul and mpf_sum
+round it, and where they would round otherwise (a zero part or parts far
+apart, mpf_add's perturbation shortcut, mpf_sum dropping a term) the
+mpmath routine runs itself.  Both factorizations
 emit the factor in the one raw form that the sweeps read (`Factor`: the
 rows of L below its diagonal, its diagonal, and its conjugated columns), and
 the assembled M is raw rows; an mp.matrix is built only for the public
@@ -55,8 +61,8 @@ from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div,
-                          mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
+from mpmath.libmp import (fone, from_man_exp, fzero, mpc_add, mpc_add_mpf, mpc_conjugate,
+                          mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
                           mpc_pos, mpc_sub, mpc_sub_mpf, mpf_abs, mpf_add, mpf_div,
                           mpf_gt, mpf_hypot, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
                           mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum)
@@ -133,9 +139,11 @@ def _series_integral(p: int, a, gamma, beta) -> mp.mpc:
 # them).  Each helper makes the libmp call that mpmath's operator makes for
 # the same operand types, at the context's precision and rounding: mpc / mpf
 # is mpc_div_mpf (mpc_div with a zero imaginary part would round twice), int *
-# mpc is mpc_mul_int, and conj rounds nothing at the working precision.  So
-# every kernel below rounds as its mp-object form did, bit for bit, and keeps
-# its result types.
+# mpc is mpc_mul_int, and conj rounds nothing at the working precision; mpc *
+# mpc (`_cmul`) and the dot products (`_dot`, `_norm`) compute mpc_mul's and
+# mpf_sum's exact values in fewer integer products and round them as those
+# calls do.  So every kernel below rounds as its mp-object form did, bit for
+# bit, and keeps its result types.
 
 _CZERO = (fzero, fzero)
 
@@ -179,9 +187,66 @@ def _sub(a, b, prec, rnd):
 
 
 def _mul(a, b, prec, rnd):
+    """a b, a complex product by `_cmul`."""
     if len(a) == 2:
-        return mpc_mul(a, b, prec, rnd) if len(b) == 2 else mpc_mul_mpf(a, b, prec, rnd)
+        return _cmul(a, b, prec, rnd) if len(b) == 2 else mpc_mul_mpf(a, b, prec, rnd)
     return mpc_mul_mpf(b, a, prec, rnd) if len(b) == 2 else mpf_mul(a, b, prec, rnd)
+
+
+def _int(x, e: int) -> int:
+    """The signed integer m with m 2^e equal to the raw mpf x (e at most its
+    exponent where x is nonzero)."""
+    sign, man, exp, _ = x
+    return ((-man if sign else man) << (exp - e)) if man else 0
+
+
+def _cmul(z, w, prec, rnd):
+    """z w for raw complex z = a + bi, w = c + di, as mpc_mul rounds it, from
+    three integer products at a common exponent (Gauss): ac - bd and
+    (a + b)(c + d) - ac - bd are exact, and each is rounded once, as
+    mpc_mul's mpf_sub(ac, bd) and mpf_add(ad, bc) round them.  mpc_mul runs
+    instead where a part is zero, where the parts of an operand lie more than
+    64 bits apart (the aligned integers would grow), and where its mpf_add
+    may take the perturbation shortcut for an exact add: lowest bits more
+    than 100 apart and tops more than prec + 4.  That is decided exactly for
+    ac, bd, and to one bit for ad, bc, whose uncertain case takes mpc_mul."""
+    (a, b), (c, d) = z, w
+    sa, A, ea, na = a
+    sb, B, eb, nb = b
+    sc, C, ec, nc = c
+    sd, D, ed, nd = d
+    if not (A and B and C and D) or abs(ea - eb) > 64 or abs(ec - ed) > 64:
+        return mpc_mul(z, w, prec, rnd)
+    low = ea + ed - eb - ec  # lowest bit of ad less that of bc
+    if abs(low) > 100:
+        top = ea + na + ed + nd - eb - nb - ec - nc  # tops' difference, +-1
+        if (top if low > 0 else -top) > prec + 3:
+            return mpc_mul(z, w, prec, rnd)
+    # the parts of each operand as integers at its least exponent, e and f
+    if ea > eb:
+        A, e = A << (ea - eb), eb
+    else:
+        B, e = B << (eb - ea), ea
+    if ec > ed:
+        C, f = C << (ec - ed), ed
+    else:
+        D, f = D << (ed - ec), ec
+    if sa:
+        A = -A
+    if sb:
+        B = -B
+    if sc:
+        C = -C
+    if sd:
+        D = -D
+    ac, bd = A * C, B * D
+    low = ea + ec - eb - ed
+    if abs(low) > 100:
+        top = ac.bit_length() - bd.bit_length()
+        if (top if low > 0 else -top) > prec + 4:
+            return mpc_mul(z, w, prec, rnd)
+    return (from_man_exp(ac - bd, e + f, prec, rnd),
+            from_man_exp((A + B) * (C + D) - ac - bd, e + f, prec, rnd))
 
 
 def _mul_int(a, n: int, prec, rnd):
@@ -211,10 +276,62 @@ def _re(a):
     return a[0] if len(a) == 2 else a
 
 
-def _dot(pairs, conjugate: bool = False):
+class _Split(NamedTuple):
+    """A raw vector (conjugated if asked) in exact integers: per entry (re, im,
+    re + im, e), the entry being (re + i im) 2^e with e the least exponent
+    of its nonzero parts; `low` is the least of those exponents, `span` how
+    far the greatest lies above it, `cplx` whether an entry is complex, and
+    `raw` the vector itself.  The kernels make no inf or nan, so every part
+    is finite."""
+
+    raw: list
+    terms: list
+    low: int
+    span: int
+    cplx: bool
+
+
+def _split(vec, conjugate: bool = False) -> _Split:
+    """The `_Split` of a raw vector, its entries conjugated if asked."""
+    if conjugate:
+        vec = [(r[0], mpf_neg(r[1])) if len(r) == 2 else r for r in vec]
+    pairs = [r if len(r) == 2 else (r, fzero) for r in vec]
+    exps = [p[2] for r in pairs for p in r if p[1]]
+    low = min(exps, default=0)
+    span = max(exps, default=0) - low
+    terms = []
+    for x, y in pairs:
+        e = min((p[2] for p in (x, y) if p[1]), default=low)
+        a, b = _int(x, e), _int(y, e)
+        terms.append((a, b, a + b, e))
+    return _Split(vec, terms, low, span, any(len(r) == 2 for r in vec))
+
+
+def _dot(u: _Split, w: _Split):
+    """sum u_k w_k over split vectors, as mp.fdot takes it: every product
+    exact, the sum rounded once per part; an mpf where every term is real.
+    Each term takes three integer products (Gauss, as in `_cmul`), and the
+    sum is one Python integer rounded once, which is mpf_sum's value wherever
+    mpf_sum drops no product: where the products' lowest bits span at most
+    2 prec, its max_extra_prec.  Elsewhere `_fsum_dot` takes the products to
+    mpf_sum."""
+    prec, rnd = mp.mp._prec_rounding
+    if u.span + w.span > 2 * prec:
+        return _fsum_dot(zip(u.raw, w.raw))
+    low = u.low + w.low
+    re = im = 0
+    for (a, b, s, e), (c, d, t, f) in zip(u.terms, w.terms):
+        ac, bd = a * c, b * d
+        re += (ac - bd) << (e + f - low)
+        im += (s * t - ac - bd) << (e + f - low)
+    re = from_man_exp(re, low, prec, rnd)
+    return (re, from_man_exp(im, low, prec, rnd)) if u.cplx or w.cplx else re
+
+
+def _fsum_dot(pairs, conjugate: bool = False):
     """sum a_k b_k (b_k conjugated if asked) over raw pairs, as mp.fdot takes
-    it: every product exact, the sum rounded once per part; an mpf where
-    every term is real."""
+    it: every product exact, and mpf_sum rounds the sum once per part; an
+    mpf where every term is real."""
     prec, rnd = mp.mp._prec_rounding
     real, imag = [], []
     for a, b in pairs:
@@ -643,10 +760,16 @@ class BiorthogonalFamily:
 
 def _norm(y) -> tuple:
     """||y|| of a raw vector, raw, as mp.sqrt(mp.fsum(y, absolute=True,
-    squared=True)) takes it: <y, y> by `_dot`, whose real part sums the
-    squares exactly and rounds once, and whose imaginary part is an exact 0."""
+    squared=True)) takes it: the squares of the parts summed as one integer
+    and rounded once, which is mpf_sum's value wherever it drops no square
+    (their lowest bits span at most 2 prec, as in `_dot`); elsewhere the
+    real part of `_fsum_dot`'s <y, y>."""
     prec, rnd = mp.mp._prec_rounding
-    return mpf_sqrt(_re(_dot(zip(y, y), conjugate=True)), prec, rnd)
+    u = _split(y)
+    if u.span > prec:
+        return mpf_sqrt(_re(_fsum_dot(zip(y, y), conjugate=True)), prec, rnd)
+    s = sum((a * a + b * b) << 2 * (e - u.low) for a, b, _, e in u.terms)
+    return mpf_sqrt(from_man_exp(s, 2 * u.low, prec, rnd), prec, rnd)
 
 
 def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
@@ -666,13 +789,13 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
 def _identity_residual(C: list, M: list) -> tuple:
     """max |(C M)_ij - delta_ij| over all d^2 entries of raw C and M, raw:
     each entry of C M an exact dot product rounded once (`_dot`), as C * M
-    takes it."""
+    takes it.  Each row of C and column of M is split into integers once."""
     prec, rnd = mp.mp._prec_rounding
-    cols = list(zip(*M))
+    cols = [_split(col) for col in zip(*M)]
     resid = fzero
-    for i, row in enumerate(C):
+    for i, row in enumerate(map(_split, C)):
         for j, col in enumerate(cols):
-            r = _stored(_dot(zip(row, col)))
+            r = _stored(_dot(row, col))
             t = fone if i == j else fzero
             if len(r) == 2:
                 e = mpf_hypot(*mpc_sub_mpf(r, t, prec, rnd), prec, rnd)
@@ -760,10 +883,11 @@ def mixed_completeness(g: GramSystem,
             for j, b in enumerate(n1):
                 gram[i, j] = g.matrix[pos[a], pos[b]]
         ys = [_forward(g.chol, _unit(g.dim, pos[b])) for b in n2]
+        yc = [_split(y, conjugate=True) for y in ys]
         dual = mp.matrix(len(n2), len(n2))
-        for i, y in enumerate(ys):
+        for i, y in enumerate(map(_split, ys)):
             for j in range(i + 1):
-                dual[j, i] = _obj(_dot(zip(y, ys[j]), conjugate=True))
+                dual[j, i] = _obj(_dot(y, yc[j]))
                 dual[i, j] = mp.conj(dual[j, i])
         smin = min(e for block in (gram, dual) if block.rows
                    for e in mp.eigh(block, eigvals_only=True))

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import fzero
+from mpmath.libmp import fzero, mpf_mul, mpf_neg, mpf_sum
 
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, PrecisionError, PrefixTable, ProductKind, SequenceError,
@@ -402,6 +402,36 @@ def parent_backward(L: mp.matrix, y: mp.matrix) -> mp.matrix:
 def parent_norm(y) -> mp.mpf:
     # real by construction: the squares are summed exactly and rounded once
     return mp.sqrt(mp.fsum(y, absolute=True, squared=True))
+
+
+def parent_dot(pairs, conjugate: bool = False):
+    """sum a_k b_k (b_k conjugated if asked) over raw pairs, as mp.fdot takes
+    it: every product exact, the sum rounded once per part; an mpf where
+    every term is real.  A verbatim copy of `_dot` before it summed as
+    integers, on raw values."""
+    prec, rnd = mp.mp._prec_rounding
+    real, imag = [], []
+    for a, b in pairs:
+        if len(b) == 2:
+            br, bi = b
+            if conjugate:
+                bi = mpf_neg(bi)
+            if len(a) == 2:
+                ar, ai = a
+                real.append(mpf_mul(ar, br))
+                real.append(mpf_neg(mpf_mul(ai, bi)))
+                imag.append(mpf_mul(ar, bi))
+                imag.append(mpf_mul(ai, br))
+            else:
+                real.append(mpf_mul(a, br))
+                imag.append(mpf_mul(a, bi))
+        elif len(a) == 2:
+            real.append(mpf_mul(a[0], b))
+            imag.append(mpf_mul(a[1], b))
+        else:
+            real.append(mpf_mul(a, b))
+    s = mpf_sum(real, prec, rnd)
+    return (s, mpf_sum(imag, prec, rnd)) if imag else s
 
 
 def parent_displacement_entry(xa, va, xcb, wb, lam_a, lcb, diagonal: bool, below):

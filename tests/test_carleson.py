@@ -39,7 +39,7 @@ class TestOperator:
         op, ctx = op6
         floor = mp.mpf(10) ** (-ctx.digits + 20)
         for n in range(1, 7):
-            val, = apply_to_exponential(op, squares12.lam(n), 0, [mp.mpf("0.7")], ctx)
+            [[val]] = apply_to_exponential(op, squares12.lam(n), [0], [mp.mpf("0.7")], ctx)
             assert abs(val) < floor
 
     def test_annihilates_monomial_weights(self, op_mult):
@@ -47,7 +47,7 @@ class TestOperator:
         floor = mp.mpf(10) ** (-ctx.digits + 20)
         for n in range(1, 4):
             for k in range(seq.mu(n)):
-                val, = apply_to_exponential(op, seq.lam(n), k, [mp.mpf("0.3")], ctx)
+                [[val]] = apply_to_exponential(op, seq.lam(n), [k], [mp.mpf("0.3")], ctx)
                 assert abs(val) < floor, (n, k)
 
     def test_eigenvalue_identity(self, op6, squares12):
@@ -57,7 +57,7 @@ class TestOperator:
             for _ in range(10):
                 lam = mp.mpc(rng.uniform(-8, 8), rng.uniform(-8, 8))
                 x = mp.mpf(rng.uniform(0, 1))
-                got, = apply_to_exponential(op, lam, 0, [x], ctx)
+                [[got]] = apply_to_exponential(op, lam, [0], [x], ctx)
                 want = (eval_product(ProductKind.F_PLAIN, squares12, 6, lam)
                         * mp.exp(lam * x))
                 assert abs(got - want) < mp.mpf(10) ** (-ctx.digits // 2)
@@ -65,7 +65,7 @@ class TestOperator:
     def test_off_spectrum_value_at_origin(self, op6, squares12):
         op, ctx = op6
         lam = mp.mpf("2.5")
-        got, = apply_to_exponential(op, lam, 0, [0], ctx)
+        [[got]] = apply_to_exponential(op, lam, [0], [0], ctx)
         want = eval_product(ProductKind.F_PLAIN, squares12, 6, lam)
         assert abs(got - want) < mp.mpf("1e-60")
 
@@ -102,10 +102,11 @@ class TestExactIntegers:
         ctx = PrecisionContext(digits=120, trunc_N=seq.size)
         with mp.workdps(160):
             op = carleson_operator(seq, seq.size, ctx)
+            xs = (mp.mpf("0.3"), mp.mpf("-0.7"))
             for n in range(1, seq.size + 1):
-                for k in range(seq.mu(n)):
-                    xs = (mp.mpf("0.3"), mp.mpf("-0.7"))
-                    for x, got in zip(xs, apply_to_exponential(op, seq.lam(n), k, xs, ctx)):
+                rows = apply_to_exponential(op, seq.lam(n), range(seq.mu(n)), xs, ctx)
+                for k, row in enumerate(rows):
+                    for x, got in zip(xs, row):
                         want = reference_apply_to_exponential(op, seq.lam(n), k, x, ctx)
                         assert bits([got.real, got.imag]) == bits([want.real, want.imag])
 
@@ -128,13 +129,14 @@ class TestExactIntegers:
             ctx = PrecisionContext(digits=120, trunc_N=6)
             op = carleson_operator(seq, 6, ctx)
             for n in range(1, 7):
-                val, = apply_to_exponential(op, seq.lam(n), 0, [mp.mpf("0.5")], ctx)
+                [[val]] = apply_to_exponential(op, seq.lam(n), [0], [mp.mpf("0.5")], ctx)
                 assert abs(val) < mp.mpf("1e-100"), n
 
 
 class TestSharedDerivativeTable:
-    """One table F^(j)(lam)/j! per application, cut at the degree, gives every
-    point the per-point value bit for bit."""
+    """One table F^(j)(lam)/j! and one exponential per point for every k of an
+    application, the table cut at the degree, give every k and point the
+    per-point value bit for bit."""
 
     @pytest.mark.parametrize("dps", [15, 60])
     @pytest.mark.parametrize("terms", FIXTURE_TERMS)
@@ -150,9 +152,10 @@ class TestSharedDerivativeTable:
             xs = (mp.mpf("0.3"), mp.mpf("-0.7"), mp.mpf(2) / 3)
             # the frequency past the prefix, where there is one, is off the spectrum
             for n in range(1, min(N + 1, seq.size) + 1):
-                for k in sorted({0, seq.mu(n) - 1, op.degree + 1}):
-                    got = apply_to_exponential(op, seq.lam(n), k, xs, ctx)
-                    assert len(got) == len(xs)
+                ks = sorted({0, seq.mu(n) - 1, op.degree + 1})
+                rows = apply_to_exponential(op, seq.lam(n), ks, xs, ctx)
+                assert [len(got) for got in rows] == [len(xs)] * len(ks)
+                for k, got in zip(ks, rows):
                     for x, val in zip(xs, got):
                         want = per_point_apply_to_exponential(op, seq.lam(n), k, x, ctx)
                         assert bits([val.real, val.imag]) == bits([want.real, want.imag])

@@ -1,12 +1,16 @@
+import itertools
+import math
 import random
 from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import mpf_neg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import fone, from_man_exp, fzero, mpc_mul, mpf_add, mpf_mul, mpf_neg, mpf_sum
 from conftest import (as_matrix, assembled_gram_matrix, halfline_inverse, jittered_mu3,
-                      parent_assemble, parent_backward, parent_biorthogonal, parent_dual_block,
-                      parent_factor, parent_forward, parent_hermitian_cholesky,
+                      parent_assemble, parent_backward, parent_biorthogonal, parent_dot,
+                      parent_dual_block, parent_factor, parent_forward, parent_hermitian_cholesky,
                       parent_identity_residual, parent_matrix, parent_norm,
                       parent_recover_coefficients, rand_complex, walked_gram_matrix)
 
@@ -1170,3 +1174,265 @@ class TestMixedCompleteness:
         n1 = list(g.indices[:3]) + [g.indices[0]]
         with pytest.raises(ConfigError, match="disjointly"):
             mixed_completeness(g, (n1, list(g.indices[3:])))
+
+
+# -- Gauss's three-product complex multiply and the integer dot products --
+
+GAUSS_PRECS = [53, 200, 1600, 2700]
+
+
+def _part(sign, man, exp):
+    """The raw mpf (-1)^sign man 2^exp, exact."""
+    return from_man_exp(-man if sign else man, exp)
+
+
+def _counted(monkeypatch, name):
+    """Count the calls gram makes to its global `name`."""
+    calls = []
+    f = getattr(gram, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(gram, name, wrapped)
+    return calls
+
+
+def shortcut_case(prec, low, top, signs, R, swap=False):
+    """Operands z, w whose exact products p = ac and q = bd (p = ac and q =
+    bd in the imaginary part ad + bc where swap) have lowest bits `low`
+    apart and tops `top` apart.  p lies one unit of its last bit above a
+    rounding midpoint at prec, and q, of that side's sign, exceeds the unit:
+    where mpf_add takes its perturbation shortcut, the two roundings of
+    p -+ q differ.  R holds prec bits, its top bit set."""
+    sa, sb, sc, sd = signs
+    g = 40  # bits of p below its rounding midpoint
+    E, ed = -17, -50
+    A = (((R << 1) | 1) << g) | 1
+    nb = prec + 1 + g - top + low  # q's bits
+    B = (1 << (nb - 1)) | (R & ((1 << (nb - 2)) - 1)) | 1
+    a, b = _part(sa, A, E), _part(sb, B, E - low - ed)
+    c, d = _part(sc, 1, 0), _part(sd, 1, ed)
+    return (a, b), ((d, c) if swap else (c, d))
+
+
+def check_cmul(z, w, prec, rnd="n"):
+    got = gram._cmul(z, w, prec, rnd)
+    assert got == mpc_mul(z, w, prec, rnd), (z, w, prec, rnd)
+
+
+@pytest.mark.parametrize("prec", GAUSS_PRECS)
+class TestGaussProducts:
+    """`_cmul` gives mpc_mul's bits from three integer products, and takes
+    mpc_mul exactly where a part is zero, where an operand's parts lie more
+    than 64 bits apart, and where mpc_mul's mpf_add may take its
+    perturbation shortcut (lowest bits more than 100 apart, tops more than
+    prec + 4): each boundary is crossed from both sides."""
+
+    @pytest.mark.parametrize("signs", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, 1)])
+    @pytest.mark.parametrize("low", [100, 101])
+    @pytest.mark.parametrize("offset", [3, 4, 5])
+    @pytest.mark.parametrize("swap", [False, True], ids=["re", "im"])
+    def test_shortcut_boundary(self, monkeypatch, prec, signs, low, offset, swap):
+        calls = _counted(monkeypatch, "mpc_mul")
+        R = (1 << (prec - 1)) | random.Random(prec).getrandbits(prec - 1)
+        z, w = shortcut_case(prec, low, prec + offset, signs, R, swap)
+        check_cmul(z, w, prec)
+        # ac, bd decided exactly; ad, bc to one bit, the uncertain top prec + 4 to mpc_mul
+        assert len(calls) == (low > 100 and offset > (3 if swap else 4))
+
+    @pytest.mark.parametrize("spread", [63, 64, 65, 66])
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_part_spread(self, monkeypatch, prec, spread, operand):
+        calls = _counted(monkeypatch, "mpc_mul")
+        rng = random.Random(spread)
+        parts = [_part(rng.getrandbits(1), rng.getrandbits(prec) | 1 << prec | 1, -9)
+                 for _ in range(4)]
+        i = 2 * operand + rng.getrandbits(1)
+        parts[i] = _part(parts[i][0], parts[i][1], -9 + spread)
+        check_cmul(tuple(parts[:2]), tuple(parts[2:]), prec)
+        assert len(calls) == (spread > 64)
+
+    @pytest.mark.parametrize("zero", range(4))
+    def test_zero_part(self, monkeypatch, prec, zero):
+        calls = _counted(monkeypatch, "mpc_mul")
+        parts = [_part(0, 3, 1), _part(1, 5, 2), _part(0, 7, -1), _part(1, 9, 0)]
+        parts[zero] = fzero
+        check_cmul(tuple(parts[:2]), tuple(parts[2:]), prec)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("odd", [0, 1])
+    def test_rounding_ties(self, monkeypatch, prec, odd):
+        # re = T and im = T + 2 with T = 2R + 1 of prec + 1 bits: both exact
+        # midpoints, rounded to even down (R even) and up (R odd)
+        calls = _counted(monkeypatch, "mpc_mul")
+        R = (1 << (prec - 1)) | random.Random(prec).getrandbits(prec - 1) & ~1 | odd
+        T = (R << 1) | 1
+        z, w = (from_man_exp(T + 1, 0), fone), (fone, fone)
+        check_cmul(z, w, prec)
+        got = gram._cmul(z, w, prec, "n")
+        assert got[0] == from_man_exp(R + odd, 1), got
+        assert not calls
+
+    def test_exact_cancellation(self, monkeypatch, prec):
+        calls = _counted(monkeypatch, "mpc_mul")
+        rng = random.Random(prec)
+        a, b = (_part(rng.getrandbits(1), rng.getrandbits(prec) | 1, rng.randint(-30, 30))
+                for _ in range(2))
+        check_cmul((a, b), (b, a), prec)
+        assert gram._cmul((a, b), (b, a), prec, "n")[0] == fzero
+        assert not calls
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_mpc_mul(self, prec, data):
+        kind = data.draw(st.sampled_from(["random", "shortcut", "cancel"]), label="kind")
+        # a shortcut case puts ac beside a midpoint of rounding to nearest
+        rnd = "n" if kind == "shortcut" else data.draw(st.sampled_from("nfcdu"), label="rounding")
+        if kind == "shortcut":
+            R = data.draw(st.integers(1 << (prec - 1), (1 << prec) - 1), label="R")
+            z, w = shortcut_case(prec, data.draw(st.sampled_from([100, 101]), label="low"),
+                                 prec + data.draw(st.sampled_from([3, 4, 5]), label="top"),
+                                 data.draw(st.tuples(*[st.integers(0, 1)] * 4), label="signs"),
+                                 R, data.draw(st.booleans(), label="swap"))
+        else:
+            base = data.draw(st.integers(-3000, 3000), label="exponent")
+
+            def part(label):
+                if data.draw(st.integers(0, 9), label=f"{label} zero") == 0:
+                    return fzero
+                n = data.draw(st.integers(1, prec + 70), label=f"{label} bits")
+                return _part(data.draw(st.integers(0, 1), label=f"{label} sign"),
+                             data.draw(st.integers(1 << (n - 1), (1 << n) - 1),
+                                       label=f"{label} mantissa") | 1,
+                             base + data.draw(st.integers(-70, 70), label=f"{label} exponent"))
+
+            z = (part("a"), part("b"))
+            w = (z[1], z[0]) if kind == "cancel" else (part("c"), part("d"))
+        check_cmul(z, w, prec, rnd)
+
+
+def _vector(rng, d, prec, exps, real_share=0.25, zero_share=0.15):
+    """d raw values, each zero, real or complex, parts of up to prec bits at
+    an exponent drawn from exps."""
+    def part():
+        if rng.random() < zero_share:
+            return fzero
+        return _part(rng.getrandbits(1), rng.getrandbits(prec) | 1, rng.choice(exps))
+    out = []
+    for _ in range(d):
+        r = rng.random()
+        out.append(part() if r < real_share else (part(), part()))
+    return out
+
+
+class TestExactSums:
+    """`_dot`, `_norm` and `_identity_residual` sum exact products as one
+    integer and give the bits of mpf_sum, which their mp-object copies
+    take; where mpf_sum drops a term (the products' lowest bits span more
+    than 2 prec) they take mpf_sum themselves."""
+
+    @pytest.mark.parametrize("prec", [53, 200, 1600])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dot_equals_parent(self, monkeypatch, prec, conjugate, seed):
+        rng = random.Random(seed)
+        calls = _counted(monkeypatch, "mpf_sum")
+        # seeds 0-3 stay inside 2 prec, seeds 4 and 5 spread past it
+        spread = (prec // 2 if seed < 4 else 3 * prec)
+        with mp.workprec(prec):
+            for d in (1, 2, 5):
+                u = _vector(rng, d, prec, range(-spread // 2, spread // 2 + 1, 7))
+                w = _vector(rng, d, prec, range(-spread // 2, spread // 2 + 1, 7))
+                want = parent_dot(zip(u, w), conjugate=conjugate)
+                assert gram._dot(gram._split(u), gram._split(w, conjugate)) == want
+        assert bool(calls) == (seed >= 4)
+
+    @pytest.mark.parametrize("prec", [53, 200, 1600])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_dot_falls_back_where_mpf_sum_drops(self, monkeypatch, prec, complex_entries):
+        # 2^(3 prec) + 1 - 2^(3 prec): mpf_sum drops the 1 and returns 0
+        big = _part(0, 1, 3 * prec)
+        u = [big, fone, mpf_neg(big)]
+        if complex_entries:
+            u = [(r, fzero) for r in u]
+        w = [fone] * 3
+        calls = _counted(monkeypatch, "mpf_sum")
+        with mp.workprec(prec):
+            want = parent_dot(zip(u, w))
+            got = gram._dot(gram._split(u), gram._split(w))
+        assert got == want
+        assert (want[0] if complex_entries else want) == fzero  # the exact sum is 1
+        assert calls
+
+    @pytest.mark.parametrize("prec", [53, 200, 1600])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_norm_equals_parent(self, monkeypatch, prec, seed):
+        rng = random.Random(seed)
+        calls = _counted(monkeypatch, "mpf_sum")
+        spread = prec // 3 if seed < 2 else 2 * prec
+        with mp.workprec(prec):
+            for d in (1, 3, 6):
+                y = _vector(rng, d, prec, range(-spread // 2, spread // 2 + 1, 5))
+                assert gram._norm(y) == parent_norm([_obj(r) for r in y])._mpf_
+        assert bool(calls) == (seed >= 2)
+
+    @pytest.mark.parametrize("prec", [53, 200, 1600])
+    def test_norm_falls_back_where_mpf_sum_drops(self, monkeypatch, prec):
+        # m^2 an exact midpoint at prec, rounded to even down; the square of
+        # 2^(-prec - 10) lies more than 2 prec below it, and mpf_sum drops it
+        m = next(m for m in itertools.count(math.isqrt(1 << prec) | 1, 2)
+                 if (m * m).bit_length() == prec + 1 and not m * m & 2)
+        y = [(_part(0, m, 0), fzero), _part(0, 1, -prec - 10)]
+        squares = [mpf_mul(p, p) for p in (y[0][0], y[1])]
+        assert mpf_sum(squares, prec, "n") != mpf_add(*squares, prec, "n")
+        calls = _counted(monkeypatch, "mpf_sum")
+        with mp.workprec(prec):
+            assert gram._norm(y) == parent_norm([_obj(r) for r in y])._mpf_
+        assert calls
+
+    @pytest.mark.parametrize("dps", [15, 120])
+    @pytest.mark.parametrize("name, make, dom", RAW_CASES[::3], ids=[c[0] for c in RAW_CASES[::3]])
+    def test_residual_and_dual_block_equal_parent(self, monkeypatch, dps, name, make, dom):
+        # biorthogonal's identity residual of its C and M, and the full dual block
+        seen = {}
+        residual = gram._identity_residual
+
+        def captured(C, M):
+            seen["C"], seen["M"] = C, M
+            return residual(C, M)
+
+        monkeypatch.setattr(gram, "_identity_residual", captured)
+        blocks = []
+        eigh = mp.eigh
+        monkeypatch.setattr(mp, "eigh", lambda A, **kw: (blocks.append(A), eigh(A, **kw))[1])
+        calls = _counted(monkeypatch, "mpf_sum")
+        with mp.workdps(dps):
+            seq = make(dps)
+            g = gram_matrix(seq, seq.size, dom, PrecisionContext(digits=max(dps, 50),
+                                                                 trunc_N=seq.size))
+            fam = biorthogonal(g)
+            mixed_completeness(g, ([], g.indices))
+        # the simple frequencies' rows and columns span at most 2 prec; the
+        # confluent and pinned systems' may span more, and take mpf_sum there
+        assert not calls or not name.startswith("mu1"), len(calls)
+        with mp.workdps(g.digits_used):
+            want = parent_identity_residual(as_matrix(seen["C"]), as_matrix(seen["M"]))
+        assert bits(fam.identity_residual) == bits(want)
+        assert matrix_bits(blocks[-1]) == matrix_bits(parent_dual_block(g, g.indices))
+
+    @pytest.mark.parametrize("prec", [53, 1600])
+    def test_residual_falls_back_where_mpf_sum_drops(self, monkeypatch, prec):
+        # row 0 of C M sums 2^(3 prec) + 1 - 2^(3 prec), which mpf_sum takes as 0
+        big = _part(0, 1, 3 * prec)
+        C = [[(big, fzero), (fone, fzero), (mpf_neg(big), fzero)],
+             [(fzero, fone), (fone, fone), fzero],
+             [fone, fzero, (fone, mpf_neg(fone))]]
+        M = [[(fone, fzero)] * 3 for _ in range(3)]
+        calls = _counted(monkeypatch, "mpf_sum")
+        with mp.workprec(prec):
+            got = gram._identity_residual(C, M)
+            want = parent_identity_residual(as_matrix(C), as_matrix(M))
+        assert got == want._mpf_
+        assert calls
