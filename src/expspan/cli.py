@@ -12,6 +12,7 @@ byte-identical output.  Every failure class has its own exit code:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -52,17 +53,27 @@ def _decay_rate(d, lam, text) -> str | None:
     return text(mp.log(d) / re) if re else None
 
 
+@contextlib.contextmanager
+def _writing(what: str, path: str):
+    """Turn an OSError raised inside into a ConfigError naming `what` and
+    path, as `fixtures.read_json` does for a file it cannot read."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _dump(obj, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
+        with _writing("output file", path), open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing("CSV file", path), open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -347,6 +358,9 @@ def _cmd_run(args) -> None:
         raise ConfigError("series experiment needs a 'series' object")
     if kind == "moment" and cfg.get("data") is None:
         raise ConfigError("moment experiment needs a 'data' row list")
+    outdir = cfg.get("out", args.out or "expspan-report")
+    if not isinstance(outdir, str):
+        raise ConfigError(f"config 'out' must be a string, got {outdir!r}")
     N = read_count(cfg.get("N", 6), "config 'N'", least=1)
     nmax = (read_count(cfg.get("nmax", 5), "config 'nmax'", least=2)
             if kind in ("counterexample", "full-report") else None)
@@ -399,8 +413,8 @@ def _cmd_run(args) -> None:
         artifacts["counterexample.json"] = _pick(
             _counterexample_obj(rep, dps), "grouped_decreasing", "ungrouped_increasing")
 
-    outdir = cfg.get("out", args.out or "expspan-report")
-    os.makedirs(outdir, exist_ok=True)
+    with _writing("output directory", outdir):
+        os.makedirs(outdir, exist_ok=True)
     for name, content in artifacts.items():
         path = os.path.join(outdir, name)
         if name.endswith(".csv"):

@@ -37,11 +37,11 @@ product (the identity residual's d^2 entries, a norm, the dual block) is
 summed as one integer; each part is rounded once, as mpc_mul and mpf_sum
 round it, and where they would round otherwise (a zero part or parts far
 apart, mpf_add's perturbation shortcut, mpf_sum dropping a term) the
-mpmath routine runs itself.  Both factorizations
-emit the factor in the one raw form that the sweeps read (`Factor`: the
-rows of L below its diagonal, its diagonal, and its conjugated columns), and
-the assembled M is raw rows; an mp.matrix is built only for the public
-outputs, `GramSystem.matrix` and the biorthogonal coefficients.  Assembly
+mpmath routine runs itself.  Both factorizations emit the factor in the
+one raw form that the sweeps read (`Factor`: the rows of L below its
+diagonal and its diagonal, a column being conjugated as it is read), and the
+assembled M is raw rows; an mp.matrix is built only for the public outputs,
+`GramSystem.matrix` and the biorthogonal coefficients.  Assembly
 takes one pair of endpoint exponentials per frequency pair: the mu_n x mu_m
 block of lambda_n, lambda_m shares the exponent lambda_n + conj(lambda_m), so
 one table of integrals I(0..mu_n+mu_m-2) fills it.
@@ -63,7 +63,7 @@ from typing import NamedTuple, Sequence
 import mpmath as mp
 from mpmath.libmp import (fone, from_man_exp, fzero, mpc_add, mpc_add_mpf, mpc_conjugate,
                           mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
-                          mpc_pos, mpc_sub, mpc_sub_mpf, mpf_abs, mpf_add, mpf_div,
+                          mpc_pos, mpc_sub, mpc_sub_mpf, mpf_add, mpf_div,
                           mpf_gt, mpf_hypot, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
                           mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum)
 
@@ -165,12 +165,11 @@ def _stored(r):
 
 
 def _matrix(rows) -> mp.matrix:
-    """The mp.matrix of raw rows."""
+    """The mp.matrix of raw rows; it stores no zero, and reads one as an mpf 0."""
     A = mp.matrix(len(rows), len(rows[0]))
     for i, row in enumerate(rows):
         for j, r in enumerate(row):
-            if r != fzero:
-                A[i, j] = _obj(r)
+            A[i, j] = _obj(r)
     return A
 
 
@@ -281,10 +280,10 @@ class _Split(NamedTuple):
     re + im, e), the entry being (re + i im) 2^e with e the least exponent
     of its nonzero parts; `low` is the least of those exponents, `span` how
     far the greatest lies above it, `cplx` whether an entry is complex, and
-    `raw` the vector itself.  The kernels make no inf or nan, so every part
-    is finite."""
+    `parts` each entry's raw (re, im), with fzero as the im of an mpf.  The
+    kernels make no inf or nan, so every part is finite."""
 
-    raw: list
+    parts: list
     terms: list
     low: int
     span: int
@@ -293,31 +292,36 @@ class _Split(NamedTuple):
 
 def _split(vec, conjugate: bool = False) -> _Split:
     """The `_Split` of a raw vector, its entries conjugated if asked."""
+    parts = [r if len(r) == 2 else (r, fzero) for r in vec]
     if conjugate:
-        vec = [(r[0], mpf_neg(r[1])) if len(r) == 2 else r for r in vec]
-    pairs = [r if len(r) == 2 else (r, fzero) for r in vec]
-    exps = [p[2] for r in pairs for p in r if p[1]]
+        parts = [(a, mpf_neg(b)) for a, b in parts]
+    exps = [p[2] for r in parts for p in r if p[1]]
     low = min(exps, default=0)
     span = max(exps, default=0) - low
     terms = []
-    for x, y in pairs:
+    for x, y in parts:
         e = min((p[2] for p in (x, y) if p[1]), default=low)
         a, b = _int(x, e), _int(y, e)
         terms.append((a, b, a + b, e))
-    return _Split(vec, terms, low, span, any(len(r) == 2 for r in vec))
+    return _Split(parts, terms, low, span, any(len(r) == 2 for r in vec))
 
 
 def _dot(u: _Split, w: _Split):
     """sum u_k w_k over split vectors, as mp.fdot takes it: every product
-    exact, the sum rounded once per part; an mpf where every term is real.
-    Each term takes three integer products (Gauss, as in `_cmul`), and the
-    sum is one Python integer rounded once, which is mpf_sum's value wherever
-    mpf_sum drops no product: where the products' lowest bits span at most
-    2 prec, its max_extra_prec.  Elsewhere `_fsum_dot` takes the products to
-    mpf_sum."""
+    exact, the sum rounded once per part; an mpf where neither vector is
+    complex.  Each term takes three integer products (Gauss, as in `_cmul`),
+    and the sum is one Python integer rounded once, which is mpf_sum's value
+    wherever mpf_sum drops no product: where the products' lowest bits span
+    at most 2 prec, its max_extra_prec.  Elsewhere mpf_sum takes the parts'
+    products in mp.fdot's order, with the zero ones of real parts it skips."""
     prec, rnd = mp.mp._prec_rounding
     if u.span + w.span > 2 * prec:
-        return _fsum_dot(zip(u.raw, w.raw))
+        real, imag = [], []
+        for (a, b), (c, d) in zip(u.parts, w.parts):
+            real += mpf_mul(a, c), mpf_neg(mpf_mul(b, d))
+            imag += mpf_mul(a, d), mpf_mul(b, c)
+        re = mpf_sum(real, prec, rnd)
+        return (re, mpf_sum(imag, prec, rnd)) if u.cplx or w.cplx else re
     low = u.low + w.low
     re = im = 0
     for (a, b, s, e), (c, d, t, f) in zip(u.terms, w.terms):
@@ -328,43 +332,14 @@ def _dot(u: _Split, w: _Split):
     return (re, from_man_exp(im, low, prec, rnd)) if u.cplx or w.cplx else re
 
 
-def _fsum_dot(pairs, conjugate: bool = False):
-    """sum a_k b_k (b_k conjugated if asked) over raw pairs, as mp.fdot takes
-    it: every product exact, and mpf_sum rounds the sum once per part; an
-    mpf where every term is real."""
-    prec, rnd = mp.mp._prec_rounding
-    real, imag = [], []
-    for a, b in pairs:
-        if len(b) == 2:
-            br, bi = b
-            if conjugate:
-                bi = mpf_neg(bi)
-            if len(a) == 2:
-                ar, ai = a
-                real.append(mpf_mul(ar, br))
-                real.append(mpf_neg(mpf_mul(ai, bi)))
-                imag.append(mpf_mul(ar, bi))
-                imag.append(mpf_mul(ai, br))
-            else:
-                real.append(mpf_mul(a, br))
-                imag.append(mpf_mul(a, bi))
-        elif len(a) == 2:
-            real.append(mpf_mul(a[0], b))
-            imag.append(mpf_mul(a[1], b))
-        else:
-            real.append(mpf_mul(a, b))
-    s = mpf_sum(real, prec, rnd)
-    return (s, mpf_sum(imag, prec, rnd)) if imag else s
-
-
 class Factor(NamedTuple):
     """The Cholesky factor L of M = L L^H in raw values, as the sweeps read
-    it: the rows of L below its diagonal, its diagonal (real), and the
-    conjugates of its columns below the diagonal."""
+    it: the rows of L below its diagonal and its diagonal (real).  Column i
+    of L below the diagonal is rows[k][i], k > i, which the backward sweep
+    conjugates as it reads it."""
 
     rows: list
     diag: list
-    cols: list
 
 
 def hermitian_cholesky(M: list) -> Factor:
@@ -374,7 +349,7 @@ def hermitian_cholesky(M: list) -> Factor:
     by term."""
     n = len(M)
     prec, rnd = mp.mp._prec_rounding
-    L, Lc = Factor([], [], []), []  # Lc: the conjugates of the rows of L so far
+    L, Lc = Factor([], []), []  # Lc: the conjugates of the rows of L so far
     for i in range(n):
         row = []
         for j in range(i + 1):
@@ -391,7 +366,6 @@ def hermitian_cholesky(M: list) -> Factor:
                 row.append(_stored(_div(_sub(M[i][j], s, prec, rnd), L.diag[j], prec, rnd)))
         L.rows.append(row)
         Lc.append(cj)  # the conjugated row i, taken at j = i
-    L.cols.extend([Lc[k][i] for k in range(i + 1, n)] for i in range(n))
     return L
 
 
@@ -410,7 +384,7 @@ def _forward(F: Factor, rhs: list) -> list:
     would round rhs[i] to a complex number, as mp.mpc does, so s is seeded
     that way: the bits and types are those of the full sweep.
     """
-    rows, diag, _ = F
+    rows, diag = F
     prec, rnd = mp.mp._prec_rounding
     n = len(rhs)
     start = next((i for i in range(n) if rhs[i] != fzero), 0)
@@ -425,16 +399,17 @@ def _forward(F: Factor, rhs: list) -> list:
 
 def _backward(F: Factor, y: list, stop: int = 0) -> list:
     """Rows stop..n-1 of L^-H y for the factor F of L and raw y; the rows
-    above stop are left 0.  Row i reads only the rows below it, so they are
-    those of the full sweep."""
-    _, diag, cols = F
+    above stop are left 0.  Row i of L^H is column i of L conjugated,
+    conj(rows[k][i]) for k > i, which rounds nothing.  Row i reads only the
+    rows below it, so they are those of the full sweep."""
+    rows, diag = F
     prec, rnd = mp.mp._prec_rounding
     n = len(y)
     x = [fzero] * n
     for i in reversed(range(stop, n)):
         s = y[i]
-        for a, b in zip(cols[i], x[i + 1:]):
-            s = _sub(s, _mul(a, b, prec, rnd), prec, rnd)
+        for row, b in zip(rows[i + 1:], x[i + 1:]):
+            s = _sub(s, _mul(_conj(row[i], prec, rnd), b, prec, rnd), prec, rnd)
         x[i] = _stored(_div(s, diag[i], prec, rnd))
     return x
 
@@ -497,7 +472,7 @@ class GramSystem:
                     G[a][b], G[b][a] = m, _conj(m, prec, rnd)
         with mp.workdps(self.digits_used):
             prec, rnd = mp.mp._prec_rounding
-            return _matrix([[_stored(_pos(m, prec, rnd)) for m in row] for row in G])
+            return _matrix([[_pos(m, prec, rnd) for m in row] for row in G])
 
 
 def _runs(idx: Sequence[FlatIndex]) -> list[list[int]]:
@@ -639,15 +614,16 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list,
     s_i m_(i-1), where s_i is taken for i > k only, or, for a pinned entry,
     from the pinned value, which each step updates as Cholesky would.  It
     sets L[i, k] = m_i / sqrt(Re m_k), column k of the factor, and x_i -=
-    m_i x_k / Re m_k, and v_i the same way.  A pivot that is not strictly
-    positive raises PrecisionError, as in `hermitian_cholesky`."""
+    m_i x_k / Re m_k, and v_i the same way; a pinned entry (i, j) below the
+    pivot column takes L[i, k] conj L[j, k] off.  A pivot that is not
+    strictly positive raises PrecisionError, as in `hermitian_cholesky`."""
     d = len(lams)
     prec, rnd = mp.mp._prec_rounding
     lams = [_raw(lam) for lam in lams]
     x = [_raw(a) for a in x]
     v = [_raw(b) for b in v]
     pinned = {key: _raw(m) for key, m in pinned.items()}
-    L = Factor([[] for _ in range(d)], [], [])
+    L = Factor([[] for _ in range(d)], [])
     for k in range(d):
         lk = _conj(lams[k], prec, rnd)
         xk = _conj(x[k], prec, rnd)
@@ -667,17 +643,13 @@ def _schur_cholesky(lams: Sequence, s: Sequence[int], x: list, v: list,
         L.diag.append(root)
         cx = _div(x[k], pivot, prec, rnd)
         cv = _div(v[k], pivot, prec, rnd)
-        col = []
         for i in range(k + 1, d):
-            lik = _stored(_mul(m[i], rinv, prec, rnd))
-            L.rows[i].append(lik)
-            col.append(_conj(lik, prec, rnd))
+            L.rows[i].append(_stored(_mul(m[i], rinv, prec, rnd)))
             x[i] = _sub(x[i], _mul(m[i], cx, prec, rnd), prec, rnd)
             v[i] = _sub(v[i], _mul(m[i], cv, prec, rnd), prec, rnd)
-        L.cols.append(col)
         for (i, j) in pinned:  # j > k: the pinned entries of column k are taken
-            pinned[i, j] = _sub(pinned[i, j], _mul(L.rows[i][k], col[j - k - 1], prec, rnd),
-                                prec, rnd)
+            lj = _conj(L.rows[j][k], prec, rnd)
+            pinned[i, j] = _sub(pinned[i, j], _mul(L.rows[i][k], lj, prec, rnd), prec, rnd)
     return L
 
 
@@ -763,11 +735,11 @@ def _norm(y) -> tuple:
     squared=True)) takes it: the squares of the parts summed as one integer
     and rounded once, which is mpf_sum's value wherever it drops no square
     (their lowest bits span at most 2 prec, as in `_dot`); elsewhere the
-    real part of `_fsum_dot`'s <y, y>."""
+    real part of `_dot`'s sum of y_k conj y_k, which falls back there too."""
     prec, rnd = mp.mp._prec_rounding
     u = _split(y)
     if u.span > prec:
-        return mpf_sqrt(_re(_fsum_dot(zip(y, y), conjugate=True)), prec, rnd)
+        return mpf_sqrt(_re(_dot(u, _split(y, conjugate=True))), prec, rnd)
     s = sum((a * a + b * b) << 2 * (e - u.low) for a, b, _, e in u.terms)
     return mpf_sqrt(from_man_exp(s, 2 * u.low, prec, rnd), prec, rnd)
 
@@ -789,18 +761,16 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
 def _identity_residual(C: list, M: list) -> tuple:
     """max |(C M)_ij - delta_ij| over all d^2 entries of raw C and M, raw:
     each entry of C M an exact dot product rounded once (`_dot`), as C * M
-    takes it.  Each row of C and column of M is split into integers once."""
+    takes it, a real entry r read as (r, 0) (mpf_hypot(r, 0) is mpf_abs(r)).
+    Each row of C and column of M is split into integers once."""
     prec, rnd = mp.mp._prec_rounding
     cols = [_split(col) for col in zip(*M)]
     resid = fzero
     for i, row in enumerate(map(_split, C)):
         for j, col in enumerate(cols):
-            r = _stored(_dot(row, col))
-            t = fone if i == j else fzero
-            if len(r) == 2:
-                e = mpf_hypot(*mpc_sub_mpf(r, t, prec, rnd), prec, rnd)
-            else:
-                e = mpf_abs(mpf_sub(r, t, prec, rnd), prec, rnd)
+            r = _dot(row, col)
+            r = r if len(r) == 2 else (r, fzero)
+            e = mpf_hypot(*mpc_sub_mpf(r, fone if i == j else fzero, prec, rnd), prec, rnd)
             if mpf_gt(e, resid):
                 resid = e
     return resid

@@ -225,6 +225,28 @@ class TestExitCodes:
                 assert code == 2
                 assert err.startswith(f"error: {what} {bad} is not valid JSON: ")
 
+    @pytest.mark.parametrize("argv, what, target", [
+        (["fixtures", "--out", "{missing}/x.json"], "output file", "{missing}/x.json"),
+        (["gram", "distance", "--seq", "{seq}", "--N", "4", "--out", "{missing}/x.json"],
+         "output file", "{missing}/x.json"),
+        (["gram", "distance", "--seq", "{seq}", "--N", "4", "--csv", "{missing}/x.csv"],
+         "CSV file", "{missing}/x.csv"),
+        (["run", "{config}", "--out", "{file}"], "output directory", "{file}"),
+    ], ids=["fixtures-out", "gram-out", "gram-csv", "run-out-file"])
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path, seq_file,
+                                               argv, what, target):
+        # a failed write exits 2 as a failed read does, naming the path
+        paths = {"seq": seq_file, "missing": str(tmp_path / "missing"),
+                 "file": str(tmp_path / "file"), "config": str(tmp_path / "cfg.json")}
+        (tmp_path / "file").write_text("")
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"kind": "analyze", "seq": {"kind": "generator", "name": "squares", "terms": 8}}))
+        code = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {what} {target.format(**paths)}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_bad_complex_is_config_error(self, capsys, seq_file):
         code, _ = run(capsys, "product", "eval", "--seq", seq_file,
                       "--N", "2", "--kind", "F", "--z", "nonsense")
@@ -403,6 +425,10 @@ class TestExitCodes:
         (["validate", "{zero_terms_seq}"], "generator 'terms' must be >= 1, got 0"),
         (["carleson", "residual", "--seq", "{seq}", "--N", "6",
           "--series", "{series}", "--grid", "0:1:x"], "--grid steps must be an integer, got 'x'"),
+        # a bundle directory is a path, refused before any artifact is computed
+        (["run", "{number_out_config}"], "config 'out' must be a string, got 5"),
+        (["run", "{null_out_config}"], "config 'out' must be a string, got None"),
+        (["run", "{list_out_config}"], "config 'out' must be a string, got ['report']"),
     ], ids=["complex", "grid-fields", "grid-steps", "grid-number", "config-list",
             "config-int", "analyze-N", "gram-digits", "lk-digits", "config-digits",
             "lk-eps", "series-beta", "series-eps", "carleson-x", "analyze-eps",
@@ -424,7 +450,8 @@ class TestExitCodes:
             "series-row-repeated", "moment-row-k-float", "moment-row-k-negative",
             "moment-row-repeated", "param-mu-float", "param-base-bool",
             "param-mu-base-string", "param-exponent-nan", "param-exponent-word",
-            "params-list", "param-unknown", "sequence-terms-zero", "grid-steps-word"])
+            "params-list", "param-unknown", "sequence-terms-zero", "grid-steps-word",
+            "config-out-number", "config-out-null", "config-out-list"])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, seq_file,
                                              argv, condition):
         squares = {"kind": "generator", "name": "squares", "terms": 8}
@@ -492,7 +519,10 @@ class TestExitCodes:
                                      "params": [2]},
                  "unknown_param_seq": {"kind": "generator", "name": "power", "terms": 4,
                                        "params": {"bogus": 1}},
-                 "zero_terms_seq": {"kind": "generator", "name": "squares", "terms": 0}}
+                 "zero_terms_seq": {"kind": "generator", "name": "squares", "terms": 0},
+                 "number_out_config": {"kind": "full-report", "seq": squares, "out": 5},
+                 "null_out_config": {"kind": "full-report", "seq": squares, "out": None},
+                 "list_out_config": {"kind": "full-report", "seq": squares, "out": ["report"]}}
         paths = {"seq": seq_file}
         for name, obj in files.items():
             paths[name] = str(tmp_path / f"{name}.json")

@@ -321,6 +321,26 @@ def test_library_raises_no_bare_value_error():
     assert not found
 
 
+def test_every_import_is_read():
+    # a name a module imports and never reads is dead; __init__.py imports to re-export
+    found = []
+    for path in sorted(pathlib.Path(expspan.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found
+
+
 @pytest.mark.parametrize("x", ["nan", "0", "-1"])
 def test_positivity_guards_refuse_nan(x):
     # NaN compares false with 0 either way, so each guard asks x > 0

@@ -1350,7 +1350,7 @@ class TestExactSums:
         assert bool(calls) == (seed >= 4)
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
-    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("complex_entries", [False, True, "imaginary-order"])
     def test_dot_falls_back_where_mpf_sum_drops(self, monkeypatch, prec, complex_entries):
         # 2^(3 prec) + 1 - 2^(3 prec): mpf_sum drops the 1 and returns 0
         big = _part(0, 1, 3 * prec)
@@ -1358,12 +1358,21 @@ class TestExactSums:
         if complex_entries:
             u = [(r, fzero) for r in u]
         w = [fone] * 3
+        if complex_entries == "imaginary-order":
+            # the imaginary products in mp.fdot's order, 2^(3 prec), 0,
+            # -2^(3 prec), 1, keep the 1; taken as 0, 2^(3 prec), 1, -2^(3 prec)
+            # they would drop it
+            u = [(big, fzero), (mpf_neg(big), fone)]
+            w = [(fzero, fone), (fone, fone)]
         calls = _counted(monkeypatch, "mpf_sum")
         with mp.workprec(prec):
             want = parent_dot(zip(u, w))
             got = gram._dot(gram._split(u), gram._split(w))
         assert got == want
-        assert (want[0] if complex_entries else want) == fzero  # the exact sum is 1
+        if complex_entries == "imaginary-order":
+            assert want[1] == fone
+        else:
+            assert (want[0] if complex_entries else want) == fzero  # the exact sum is 1
         assert calls
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
