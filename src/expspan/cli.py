@@ -361,6 +361,8 @@ def _cmd_run(args) -> None:
     outdir = cfg.get("out", args.out or "expspan-report")
     if not isinstance(outdir, str):
         raise ConfigError(f"config 'out' must be a string, got {outdir!r}")
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise ConfigError(f"cannot write output directory {outdir}: not a directory")
     N = read_count(cfg.get("N", 6), "config 'N'", least=1)
     nmax = (read_count(cfg.get("nmax", 5), "config 'nmax'", least=2)
             if kind in ("counterexample", "full-report") else None)
@@ -572,9 +574,10 @@ def main(argv=None) -> int:
         result = args.func(args)
         if result is not None:  # `run` writes its own bundle
             obj, table = result
-            _dump({"schema_version": SCHEMA_VERSION, **obj}, args.out)
+            # the CSV first: a failed write leaves stdout empty
             if table is not None and args.csv:
                 _write_csv(args.csv, *table)
+            _dump({"schema_version": SCHEMA_VERSION, **obj}, args.out)
         return 0
     except ExpspanError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -124,6 +126,46 @@ def bits(x):
     if isinstance(x, (list, tuple)):
         return tuple(bits(v) for v in x)
     return x._mpf_
+
+
+def rebind(monkeypatch, target, wrap):
+    """Replace the function named by `target`, "module.name" (an expspan
+    module, or "mp" for mpmath), with wrap(function).  An expspan
+    function is replaced in every expspan module that binds it, so its calls
+    go through the wrapper whichever name they take (`carleson` imports
+    `taylor_coeffs` from `products`); any other function, a libmp kernel or
+    mp.exp, only in the module named (`products` binds `mpc_mul` too)."""
+    home, name = target.rsplit(".", 1)
+    owner = mp if home == "mp" else sys.modules[f"expspan.{home}"]
+    func = getattr(owner, name)
+    wrapper = wrap(func)
+    if not func.__module__.startswith("expspan"):
+        monkeypatch.setattr(owner, name, wrapper)
+        return
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "expspan" or mod_name.startswith("expspan."):
+            for attr, val in list(vars(mod).items()):
+                if val is func:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def counted_calls(monkeypatch, *targets):
+    """Count the calls of each target "module.name", bound as `rebind` binds
+    it, in a dict: function name -> calls so far."""
+    calls = {}
+    for target in targets:
+        name = target.rsplit(".", 1)[1]
+        calls[name] = 0
+
+        def wrap(func, name=name):
+            @functools.wraps(func)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return counted
+
+        rebind(monkeypatch, target, wrap)
+    return calls
 
 
 def decaying_coeffs(seq):

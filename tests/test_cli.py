@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expspan
-from conftest import halfline_inverse
+from conftest import counted_calls, halfline_inverse
 from expspan import (Interval, PrecisionContext, ProductKind, eval_product, gram,
                      load_sequence, lk_eval, lk_function)
 from expspan.cli import build_parser, main
@@ -170,7 +170,7 @@ class TestBasicCommands:
         # F^(j)(lambda)/j! vanishes past the degree 4, so k = 10^8 sums five terms;
         # oracle: e^(x) sum_j k!/(k-j)! x^(k-j) F^(j)(1)/j!, F's Taylor
         # coefficients at 1 by mpmath's numerical differentiation.  The value
-        # is printed from its 53-bit rounding (ROADMAP item 7), so 14 digits
+        # is printed from its 53-bit rounding (ROADMAP item 8), so 14 digits
         # are compared
         k, x = 100000000, mp.mpf("0.5")
         done = console_script(["carleson", "apply", "--seq", seq_file, "--N", "4",
@@ -233,17 +233,22 @@ class TestExitCodes:
          "CSV file", "{missing}/x.csv"),
         (["run", "{config}", "--out", "{file}"], "output directory", "{file}"),
     ], ids=["fixtures-out", "gram-out", "gram-csv", "run-out-file"])
-    def test_unwritable_output_is_config_error(self, capsys, tmp_path, seq_file,
+    def test_unwritable_output_is_config_error(self, capsys, monkeypatch, tmp_path, seq_file,
                                                argv, what, target):
-        # a failed write exits 2 as a failed read does, naming the path
+        # a failed write exits 2 as a failed read does, naming the path, and
+        # prints nothing a caller could take for a result; `run` refuses an
+        # output directory that is a file before it analyzes anything
         paths = {"seq": seq_file, "missing": str(tmp_path / "missing"),
                  "file": str(tmp_path / "file"), "config": str(tmp_path / "cfg.json")}
         (tmp_path / "file").write_text("")
         (tmp_path / "cfg.json").write_text(json.dumps(
             {"kind": "analyze", "seq": {"kind": "generator", "name": "squares", "terms": 8}}))
+        calls = counted_calls(monkeypatch, "lambda_analysis.analyze")
         code = main([a.format(**paths) for a in argv])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 2
+        assert out == ""
+        assert calls == {"analyze": 0}
         assert err.startswith(f"error: cannot write {what} {target.format(**paths)}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 

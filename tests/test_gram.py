@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import fone, from_man_exp, fzero, mpc_mul, mpf_add, mpf_mul, mpf_neg, mpf_sum
-from conftest import (as_matrix, assembled_gram_matrix, halfline_inverse, jittered_mu3,
-                      parent_assemble, parent_backward, parent_biorthogonal, parent_dot,
-                      parent_dual_block, parent_factor, parent_forward, parent_hermitian_cholesky,
-                      parent_identity_residual, parent_matrix, parent_norm,
-                      parent_recover_coefficients, rand_complex, walked_gram_matrix)
+from conftest import (as_matrix, assembled_gram_matrix, counted_calls, halfline_inverse,
+                      jittered_mu3, parent_assemble, parent_backward, parent_biorthogonal,
+                      parent_dot, parent_dual_block, parent_factor, parent_forward,
+                      parent_hermitian_cholesky, parent_identity_residual, parent_matrix,
+                      parent_norm, parent_recover_coefficients, rand_complex, walked_gram_matrix)
 
 from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval,
                      MultiplicitySequence, PrecisionContext, PrecisionError,
@@ -243,18 +243,11 @@ class TestBlockAssembly:
 
     def test_one_exponential_pair_per_frequency_pair(self, monkeypatch):
         # mu = 3, N = 8: 36 frequency pairs n >= m, against 300 entries i >= j
-        calls = []
-        exp = mp.exp
-
-        def counted(x):
-            calls.append(x)
-            return exp(x)
-
-        monkeypatch.setattr(mp, "exp", counted)
+        calls = counted_calls(monkeypatch, "mp.exp")
         seq = jittered_mu3(8, 0)
         with mp.workdps(50):
             gram._assemble(seq, flatten(seq, 8), DOMAINS["0,1"])
-        assert len(calls) == 72
+        assert calls["exp"] == 72
 
 
 # (label, sequence, N, domain, requested digits).  PrecisionContext floors its
@@ -408,21 +401,6 @@ def chol_error(L, ref):
                for i in range(ref.rows) for j in range(i + 1))
 
 
-def counted_calls(monkeypatch, *names):
-    """Count the calls of gram.<name> (mp.<name> for exp) in a dict."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        owner = mp if name == "exp" else gram
-        func = getattr(owner, name)
-
-        def counted(*args, _name=name, _func=func):
-            calls[_name] += 1
-            return _func(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("dps", [15, 60])
 class TestSchurFactor:
     """Every Gram is factored from its displacement generators, with no
@@ -509,7 +487,7 @@ class TestSchurFactor:
         # make no assembly and no Cholesky: L is `_schur_cholesky` on
         # generators taken afresh, with nothing pinned, and M is within 4 eps
         # of the assembled matrix, with a real diagonal
-        calls = counted_calls(monkeypatch, "_assemble", "hermitian_cholesky")
+        calls = counted_calls(monkeypatch, "gram._assemble", "gram.hermitian_cholesky")
         with mp.workdps(dps):
             N = seq.size
             g = gram_matrix(seq, N, dom, PrecisionContext(digits=60, trunc_N=N))
@@ -584,7 +562,7 @@ class TestSchurFactor:
         # one exponential and one expm1 per frequency and rung
         seq = jittered((1,) * 10, 0)
         dom = Interval(0, "0.005")
-        calls = counted_calls(monkeypatch, "_assemble", "hermitian_cholesky")
+        calls = counted_calls(monkeypatch, "gram._assemble", "gram.hermitian_cholesky")
         with mp.workdps(dps):
             g = gram_matrix(seq, 10, dom, PrecisionContext(digits=200, trunc_N=10))
             schur = dual_norms(g)[0]
@@ -647,7 +625,7 @@ class TestGeneratorMatrix:
         seq = jittered((1,) * 8, dps)
         with mp.workdps(dps):
             g = gram_matrix(seq, 8, DOMAINS[dom], PrecisionContext(digits=60, trunc_N=8))
-        calls = counted_calls(monkeypatch, "_assemble", "exp")
+        calls = counted_calls(monkeypatch, "gram._assemble", "mp.exp")
         with mp.workdps(dps):
             M = g.matrix
             assert calls == {"_assemble": 0, "exp": 0}
@@ -663,7 +641,8 @@ class TestGeneratorMatrix:
         # the ladder takes one exponential per frequency and rung (the
         # generators' e^(lambda gamma); none on the half-line), and M none
         seq = jittered((mu,) * N, dps)
-        calls = counted_calls(monkeypatch, "_assemble", "hermitian_cholesky", "exp", "_factor")
+        calls = counted_calls(monkeypatch, "gram._assemble", "gram.hermitian_cholesky",
+                              "mp.exp", "gram._factor")
         with mp.workdps(dps):
             g = gram_matrix(seq, N, GRAM_DOMAINS[dom], PrecisionContext(digits=60, trunc_N=N))
             exps = calls["exp"]
@@ -1186,19 +1165,6 @@ def _part(sign, man, exp):
     return from_man_exp(-man if sign else man, exp)
 
 
-def _counted(monkeypatch, name):
-    """Count the calls gram makes to its global `name`."""
-    calls = []
-    f = getattr(gram, name)
-
-    def wrapped(*args, **kwargs):
-        calls.append(args)
-        return f(*args, **kwargs)
-
-    monkeypatch.setattr(gram, name, wrapped)
-    return calls
-
-
 def shortcut_case(prec, low, top, signs, R, swap=False):
     """Operands z, w whose exact products p = ac and q = bd (p = ac and q =
     bd in the imaginary part ad + bc where swap) have lowest bits `low`
@@ -1235,54 +1201,54 @@ class TestGaussProducts:
     @pytest.mark.parametrize("offset", [3, 4, 5])
     @pytest.mark.parametrize("swap", [False, True], ids=["re", "im"])
     def test_shortcut_boundary(self, monkeypatch, prec, signs, low, offset, swap):
-        calls = _counted(monkeypatch, "mpc_mul")
+        calls = counted_calls(monkeypatch, "gram.mpc_mul")
         R = (1 << (prec - 1)) | random.Random(prec).getrandbits(prec - 1)
         z, w = shortcut_case(prec, low, prec + offset, signs, R, swap)
         check_cmul(z, w, prec)
         # ac, bd decided exactly; ad, bc to one bit, the uncertain top prec + 4 to mpc_mul
-        assert len(calls) == (low > 100 and offset > (3 if swap else 4))
+        assert calls["mpc_mul"] == (low > 100 and offset > (3 if swap else 4))
 
     @pytest.mark.parametrize("spread", [63, 64, 65, 66])
     @pytest.mark.parametrize("operand", [0, 1])
     def test_part_spread(self, monkeypatch, prec, spread, operand):
-        calls = _counted(monkeypatch, "mpc_mul")
+        calls = counted_calls(monkeypatch, "gram.mpc_mul")
         rng = random.Random(spread)
         parts = [_part(rng.getrandbits(1), rng.getrandbits(prec) | 1 << prec | 1, -9)
                  for _ in range(4)]
         i = 2 * operand + rng.getrandbits(1)
         parts[i] = _part(parts[i][0], parts[i][1], -9 + spread)
         check_cmul(tuple(parts[:2]), tuple(parts[2:]), prec)
-        assert len(calls) == (spread > 64)
+        assert calls["mpc_mul"] == (spread > 64)
 
     @pytest.mark.parametrize("zero", range(4))
     def test_zero_part(self, monkeypatch, prec, zero):
-        calls = _counted(monkeypatch, "mpc_mul")
+        calls = counted_calls(monkeypatch, "gram.mpc_mul")
         parts = [_part(0, 3, 1), _part(1, 5, 2), _part(0, 7, -1), _part(1, 9, 0)]
         parts[zero] = fzero
         check_cmul(tuple(parts[:2]), tuple(parts[2:]), prec)
-        assert len(calls) == 1
+        assert calls["mpc_mul"] == 1
 
     @pytest.mark.parametrize("odd", [0, 1])
     def test_rounding_ties(self, monkeypatch, prec, odd):
         # re = T and im = T + 2 with T = 2R + 1 of prec + 1 bits: both exact
         # midpoints, rounded to even down (R even) and up (R odd)
-        calls = _counted(monkeypatch, "mpc_mul")
+        calls = counted_calls(monkeypatch, "gram.mpc_mul")
         R = (1 << (prec - 1)) | random.Random(prec).getrandbits(prec - 1) & ~1 | odd
         T = (R << 1) | 1
         z, w = (from_man_exp(T + 1, 0), fone), (fone, fone)
         check_cmul(z, w, prec)
         got = gram._cmul(z, w, prec, "n")
         assert got[0] == from_man_exp(R + odd, 1), got
-        assert not calls
+        assert not calls["mpc_mul"]
 
     def test_exact_cancellation(self, monkeypatch, prec):
-        calls = _counted(monkeypatch, "mpc_mul")
+        calls = counted_calls(monkeypatch, "gram.mpc_mul")
         rng = random.Random(prec)
         a, b = (_part(rng.getrandbits(1), rng.getrandbits(prec) | 1, rng.randint(-30, 30))
                 for _ in range(2))
         check_cmul((a, b), (b, a), prec)
         assert gram._cmul((a, b), (b, a), prec, "n")[0] == fzero
-        assert not calls
+        assert not calls["mpc_mul"]
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1338,7 +1304,7 @@ class TestExactSums:
     @pytest.mark.parametrize("seed", range(6))
     def test_dot_equals_parent(self, monkeypatch, prec, conjugate, seed):
         rng = random.Random(seed)
-        calls = _counted(monkeypatch, "mpf_sum")
+        calls = counted_calls(monkeypatch, "gram.mpf_sum")
         # seeds 0-3 stay inside 2 prec, seeds 4 and 5 spread past it
         spread = (prec // 2 if seed < 4 else 3 * prec)
         with mp.workprec(prec):
@@ -1347,7 +1313,7 @@ class TestExactSums:
                 w = _vector(rng, d, prec, range(-spread // 2, spread // 2 + 1, 7))
                 want = parent_dot(zip(u, w), conjugate=conjugate)
                 assert gram._dot(gram._split(u), gram._split(w, conjugate)) == want
-        assert bool(calls) == (seed >= 4)
+        assert bool(calls["mpf_sum"]) == (seed >= 4)
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
     @pytest.mark.parametrize("complex_entries", [False, True, "imaginary-order"])
@@ -1364,7 +1330,7 @@ class TestExactSums:
             # they would drop it
             u = [(big, fzero), (mpf_neg(big), fone)]
             w = [(fzero, fone), (fone, fone)]
-        calls = _counted(monkeypatch, "mpf_sum")
+        calls = counted_calls(monkeypatch, "gram.mpf_sum")
         with mp.workprec(prec):
             want = parent_dot(zip(u, w))
             got = gram._dot(gram._split(u), gram._split(w))
@@ -1373,19 +1339,19 @@ class TestExactSums:
             assert want[1] == fone
         else:
             assert (want[0] if complex_entries else want) == fzero  # the exact sum is 1
-        assert calls
+        assert calls["mpf_sum"]
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
     @pytest.mark.parametrize("seed", range(4))
     def test_norm_equals_parent(self, monkeypatch, prec, seed):
         rng = random.Random(seed)
-        calls = _counted(monkeypatch, "mpf_sum")
+        calls = counted_calls(monkeypatch, "gram.mpf_sum")
         spread = prec // 3 if seed < 2 else 2 * prec
         with mp.workprec(prec):
             for d in (1, 3, 6):
                 y = _vector(rng, d, prec, range(-spread // 2, spread // 2 + 1, 5))
                 assert gram._norm(y) == parent_norm([_obj(r) for r in y])._mpf_
-        assert bool(calls) == (seed >= 2)
+        assert bool(calls["mpf_sum"]) == (seed >= 2)
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
     def test_norm_falls_back_where_mpf_sum_drops(self, monkeypatch, prec):
@@ -1396,10 +1362,10 @@ class TestExactSums:
         y = [(_part(0, m, 0), fzero), _part(0, 1, -prec - 10)]
         squares = [mpf_mul(p, p) for p in (y[0][0], y[1])]
         assert mpf_sum(squares, prec, "n") != mpf_add(*squares, prec, "n")
-        calls = _counted(monkeypatch, "mpf_sum")
+        calls = counted_calls(monkeypatch, "gram.mpf_sum")
         with mp.workprec(prec):
             assert gram._norm(y) == parent_norm([_obj(r) for r in y])._mpf_
-        assert calls
+        assert calls["mpf_sum"]
 
     @pytest.mark.parametrize("dps", [15, 120])
     @pytest.mark.parametrize("name, make, dom", RAW_CASES[::3], ids=[c[0] for c in RAW_CASES[::3]])
@@ -1416,7 +1382,7 @@ class TestExactSums:
         blocks = []
         eigh = mp.eigh
         monkeypatch.setattr(mp, "eigh", lambda A, **kw: (blocks.append(A), eigh(A, **kw))[1])
-        calls = _counted(monkeypatch, "mpf_sum")
+        calls = counted_calls(monkeypatch, "gram.mpf_sum")
         with mp.workdps(dps):
             seq = make(dps)
             g = gram_matrix(seq, seq.size, dom, PrecisionContext(digits=max(dps, 50),
@@ -1425,7 +1391,7 @@ class TestExactSums:
             mixed_completeness(g, ([], g.indices))
         # the simple frequencies' rows and columns span at most 2 prec; the
         # confluent and pinned systems' may span more, and take mpf_sum there
-        assert not calls or not name.startswith("mu1"), len(calls)
+        assert not calls["mpf_sum"] or not name.startswith("mu1"), calls["mpf_sum"]
         with mp.workdps(g.digits_used):
             want = parent_identity_residual(as_matrix(seen["C"]), as_matrix(seen["M"]))
         assert bits(fam.identity_residual) == bits(want)
@@ -1439,9 +1405,9 @@ class TestExactSums:
              [(fzero, fone), (fone, fone), fzero],
              [fone, fzero, (fone, mpf_neg(fone))]]
         M = [[(fone, fzero)] * 3 for _ in range(3)]
-        calls = _counted(monkeypatch, "mpf_sum")
+        calls = counted_calls(monkeypatch, "gram.mpf_sum")
         with mp.workprec(prec):
             got = gram._identity_residual(C, M)
             want = parent_identity_residual(as_matrix(C), as_matrix(M))
         assert got == want._mpf_
-        assert calls
+        assert calls["mpf_sum"]

@@ -2,7 +2,7 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, counting_about,
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, counted_calls, counting_about,
                       escalated_derivative_factor, jittered_mu3, parent_counting,
                       parent_derivative_factors, parent_gap_check, parent_integrated_about,
                       parent_integrated_counting, parent_prefix_table, per_n_derivative_factor,
@@ -369,17 +369,9 @@ class TestAnalyze:
     def test_two_gap_scans(self, monkeypatch):
         # one distance table per analyze: the gap check scans it once, and
         # separation_search reads its gaps
-        calls = []
-        original = core.prefix_table
-
-        def counting(*args):
-            calls.append(args[1])
-            return original(*args)
-
-        monkeypatch.setattr(core, "prefix_table", counting)
-        monkeypatch.setattr(la, "prefix_table", counting)
+        calls = counted_calls(monkeypatch, "core.prefix_table")
         la.analyze(fixture("example_ii", 6), 12, "0.1")
-        assert calls == [12]
+        assert calls == {"prefix_table": 1}
 
     def test_one_nearest_gap_scan(self, monkeypatch):
         # the separation disks and the condensation index read the table's

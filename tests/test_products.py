@@ -3,8 +3,8 @@ import time
 
 import mpmath as mp
 import pytest
-from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, escalated_derivative_factor,
-                      jittered_mu3, per_n_derivative_factor,
+from conftest import (FIXTURE_NAMES, FIXTURE_TERMS, bits, counted_calls,
+                      escalated_derivative_factor, jittered_mu3, per_n_derivative_factor,
                       reference_fitted_separation_constant)
 
 from expspan import products
@@ -318,16 +318,13 @@ class TestLoopWindow:
     @staticmethod
     def worst_error(monkeypatch, lk, zs, dps):
         """The largest relative error over zs, in mp.eps per factor."""
-        calls = []
-        window = products._window
-        monkeypatch.setattr(products, "_window",
-                            lambda *args: calls.append(args) or window(*args))
+        calls = counted_calls(monkeypatch, "products._window")
         with mp.workdps(dps):
             zs = [mp.mpc(z) for z in zs]
             got = products._lk_values(lk, zs)
             squares = [(lk.seq.lam(n) ** 2, lk.seq.mu(n)) for n in range(1, lk.trunc_N + 1)]
             eps = +mp.eps
-        assert len(calls) == len(zs)  # every point took the loop
+        assert calls["_window"] == len(zs)  # every point took the loop
         errors = []
         with mp.workdps(2 * dps + 20):
             for z, g in zip(zs, got):
@@ -788,15 +785,7 @@ class TestFixedPointProduct:
 
     @pytest.fixture
     def mul_calls(self, monkeypatch):
-        calls = []
-        mul = products._fx_mul
-
-        def counted(*args):
-            calls.append(args)
-            return mul(*args)
-
-        monkeypatch.setattr(products, "_fx_mul", counted)
-        return calls
+        return counted_calls(monkeypatch, "products._fx_mul")
 
     @staticmethod
     def count_muls(mus, calls):
@@ -806,9 +795,9 @@ class TestFixedPointProduct:
             keep = mp.mp.prec + products._GUARD + sum(mus).bit_length()
             fixed = products._fx([seq.lam(n) ** 2 for n in range(1, len(mus) + 1)], keep)
             zz = products._fx([mp.mpc("0.75", "2.5") ** 2], keep)
-            calls.clear()
+            before = calls["_fx_mul"]
             assert products._fx_product(fixed, products._mu_bits(mus), zz, keep) is not None
-        return len(calls)
+        return calls["_fx_mul"] - before
 
     @pytest.mark.parametrize("pattern", list(MU_PATTERNS))
     def test_shared_squarings(self, pattern, mul_calls):
