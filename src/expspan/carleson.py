@@ -195,6 +195,15 @@ def class_membership(op: CarlesonOperator, s: TaylorDirichletSeries,
 _COUNTEREXAMPLE_NMAX = 8
 
 
+def check_nmax(Nmax: int) -> None:
+    """Refuse a counterexample Nmax below 2 or past the e^(n^3) budget."""
+    if Nmax < 2:
+        raise ConfigError("Nmax must be >= 2")
+    if Nmax > _COUNTEREXAMPLE_NMAX:
+        raise PrecisionError(
+            f"Nmax={Nmax} beyond the e^(n^3) budget (max {_COUNTEREXAMPLE_NMAX})")
+
+
 @dataclass(frozen=True)
 class CounterexampleRow:
     n: int
@@ -228,11 +237,7 @@ def counterexample(Nmax: int, ctx: PrecisionContext,
     cancellation occurs; still, magnitudes like e^(n^3) cap Nmax at 8.  At
     z = 0 every group term e^(n^3)(e^0 - e^0) is exactly 0, and so is the sum.
     """
-    if Nmax < 2:
-        raise ConfigError("Nmax must be >= 2")
-    if Nmax > _COUNTEREXAMPLE_NMAX:
-        raise PrecisionError(
-            f"Nmax={Nmax} beyond the e^(n^3) budget (max {_COUNTEREXAMPLE_NMAX})")
+    check_nmax(Nmax)
     if samples is None:
         samples = (mp.mpc(-1), mp.mpc(-2, 1), mp.mpc(0, 2))
     samples = tuple(mp.mpc(z) for z in samples)

@@ -371,6 +371,10 @@ def _cmd_run(args) -> None:
     seq = sequence_from_spec(seq_spec, default_terms=N) if seq_spec else None
     interval = (_parse_interval(cfg.get("interval", "0,1"), ctx.digits)
                 if kind not in ("analyze", "series", "counterexample") else None)
+    if kind in ("gram", "biorthogonal", "distance-trend", "moment", "full-report"):
+        gram_mod.check_dimension(seq.total_multiplicity(N))
+    if nmax is not None:
+        carleson_mod.check_nmax(nmax)
     dps = 30
     artifacts = {}  # file name -> JSON object, or (header, rows) for a CSV
 

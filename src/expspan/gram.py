@@ -30,21 +30,20 @@ which assembles M itself and factors it by `hermitian_cholesky`) and for
 coefficient recovery (one solve against the moments).  For the inverse,
 each column's backward sweep runs to the diagonal only, and C_ij = conj C_ji
 above it, so C is Hermitian off its diagonal by construction.  Every kernel
-runs on mpmath's raw values (`mpmath.libmp`) with the roundings of the mpf
-and mpc arithmetic it replaced, in the same order.  A complex product takes
-three integer products (Gauss) where mpc_mul takes four, and an exact dot
-product (the identity residual's d^2 entries, a norm, the dual block) is
-summed as one integer; each part is rounded once, as mpc_mul and mpf_sum
-round it, and where they would round otherwise (a zero part or parts far
-apart, mpf_add's perturbation shortcut, mpf_sum dropping a term) the
-mpmath routine runs itself.  Both factorizations emit the factor in the
-one raw form that the sweeps read (`Factor`: the rows of L below its
-diagonal and its diagonal, a column being conjugated as it is read), and the
-assembled M is raw rows; an mp.matrix is built only for the public outputs,
-`GramSystem.matrix` and the biorthogonal coefficients.  Assembly
-takes one pair of endpoint exponentials per frequency pair: the mu_n x mu_m
-block of lambda_n, lambda_m shares the exponent lambda_n + conj(lambda_m), so
-one table of integrals I(0..mu_n+mu_m-2) fills it.
+runs on mpmath's raw values (`mpmath.libmp`), most with the roundings of the
+mpf and mpc arithmetic they replaced, in the same order.  A complex product
+takes three integer products (Gauss) where mpc_mul takes four, and an exact
+dot product (the identity residual's d^2 entries, a norm, the dual block) is
+summed as one integer; each exact value is rounded once, with mpc_mul only
+where a part is zero or an operand's parts lie more than 64 bits apart.
+Both factorizations emit the factor in the one raw form that the sweeps read
+(`Factor`: the rows of L below its diagonal and its diagonal, a column being
+conjugated as it is read), and the assembled M is raw rows; an mp.matrix is
+built only for the public outputs, `GramSystem.matrix` and the biorthogonal
+coefficients.  Assembly takes one pair of endpoint exponentials per
+frequency pair: the mu_n x mu_m block of lambda_n, lambda_m shares the
+exponent lambda_n + conj(lambda_m), so one table of integrals
+I(0..mu_n+mu_m-2) fills it.
 
 The Gram condition number grows like e^(2 beta Re lambda_N), so required
 digits scale linearly with Re lambda_N; the ladder auto-escalates precision
@@ -64,8 +63,8 @@ import mpmath as mp
 from mpmath.libmp import (fone, from_man_exp, fzero, mpc_add, mpc_add_mpf, mpc_conjugate,
                           mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
                           mpc_pos, mpc_sub, mpc_sub_mpf, mpf_add, mpf_div,
-                          mpf_gt, mpf_hypot, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
-                          mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum)
+                          mpf_gt, mpf_hypot, mpf_mul, mpf_mul_int, mpf_pos,
+                          mpf_rdiv_int, mpf_sqrt, mpf_sub)
 
 from .core import (FlatIndex, Interval, MultiplicitySequence, PrecisionContext,
                    flatten, read_count)
@@ -78,9 +77,12 @@ _GENERATOR_GUARD_DIGITS = 20  # the generators' exponentials carry these extra d
 _CANCELLATION = 4  # a frequency pair whose displacement cancels more is pinned
 
 
-def _max_dim() -> int:
-    return read_count(os.environ.get("EXPSPAN_MAX_DIM", DEFAULT_MAX_DIM),
-                      "EXPSPAN_MAX_DIM", least=1)
+def check_dimension(dim: int) -> None:
+    """Refuse a Gram of dimension dim above the cap, EXPSPAN_MAX_DIM or 64."""
+    cap = read_count(os.environ.get("EXPSPAN_MAX_DIM", DEFAULT_MAX_DIM),
+                     "EXPSPAN_MAX_DIM", least=1)
+    if dim > cap:
+        raise CapError(f"Gram dimension {dim} exceeds cap {cap} (set EXPSPAN_MAX_DIM to raise)")
 
 
 def monomial_exp_integrals(pmax: int, a, dom: Interval | None) -> list:
@@ -139,11 +141,13 @@ def _series_integral(p: int, a, gamma, beta) -> mp.mpc:
 # them).  Each helper makes the libmp call that mpmath's operator makes for
 # the same operand types, at the context's precision and rounding: mpc / mpf
 # is mpc_div_mpf (mpc_div with a zero imaginary part would round twice), int *
-# mpc is mpc_mul_int, and conj rounds nothing at the working precision; mpc *
-# mpc (`_cmul`) and the dot products (`_dot`, `_norm`) compute mpc_mul's and
-# mpf_sum's exact values in fewer integer products and round them as those
-# calls do.  So every kernel below rounds as its mp-object form did, bit for
-# bit, and keeps its result types.
+# mpc is mpc_mul_int, and conj rounds nothing at the working precision.  So
+# those kernels round as their mp-object forms did, bit for bit, and keep
+# their result types.  mpc * mpc (`_cmul`) and the dot products (`_dot`,
+# `_norm`) compute the exact value in fewer integer products and round each
+# part once: mpc_mul's and mpf_sum's result wherever those add exactly, and
+# still the exact value rounded once where mpf_add's perturbation shortcut or
+# mpf_sum dropping a term would round otherwise.
 
 _CZERO = (fzero, fzero)
 
@@ -200,27 +204,18 @@ def _int(x, e: int) -> int:
 
 
 def _cmul(z, w, prec, rnd):
-    """z w for raw complex z = a + bi, w = c + di, as mpc_mul rounds it, from
-    three integer products at a common exponent (Gauss): ac - bd and
-    (a + b)(c + d) - ac - bd are exact, and each is rounded once, as
-    mpc_mul's mpf_sub(ac, bd) and mpf_add(ad, bc) round them.  mpc_mul runs
-    instead where a part is zero, where the parts of an operand lie more than
-    64 bits apart (the aligned integers would grow), and where its mpf_add
-    may take the perturbation shortcut for an exact add: lowest bits more
-    than 100 apart and tops more than prec + 4.  That is decided exactly for
-    ac, bd, and to one bit for ad, bc, whose uncertain case takes mpc_mul."""
+    """z w for raw complex z = a + bi, w = c + di, from three integer products
+    at a common exponent (Gauss): ac - bd and (a + b)(c + d) - ac - bd are
+    exact, and each is rounded once.  Where a part is zero or the parts of an
+    operand lie more than 64 bits apart (the aligned integers would grow),
+    the result is mpc_mul's."""
     (a, b), (c, d) = z, w
-    sa, A, ea, na = a
-    sb, B, eb, nb = b
-    sc, C, ec, nc = c
-    sd, D, ed, nd = d
+    sa, A, ea, _ = a
+    sb, B, eb, _ = b
+    sc, C, ec, _ = c
+    sd, D, ed, _ = d
     if not (A and B and C and D) or abs(ea - eb) > 64 or abs(ec - ed) > 64:
         return mpc_mul(z, w, prec, rnd)
-    low = ea + ed - eb - ec  # lowest bit of ad less that of bc
-    if abs(low) > 100:
-        top = ea + na + ed + nd - eb - nb - ec - nc  # tops' difference, +-1
-        if (top if low > 0 else -top) > prec + 3:
-            return mpc_mul(z, w, prec, rnd)
     # the parts of each operand as integers at its least exponent, e and f
     if ea > eb:
         A, e = A << (ea - eb), eb
@@ -239,11 +234,6 @@ def _cmul(z, w, prec, rnd):
     if sd:
         D = -D
     ac, bd = A * C, B * D
-    low = ea + ec - eb - ed
-    if abs(low) > 100:
-        top = ac.bit_length() - bd.bit_length()
-        if (top if low > 0 else -top) > prec + 4:
-            return mpc_mul(z, w, prec, rnd)
     return (from_man_exp(ac - bd, e + f, prec, rnd),
             from_man_exp((A + B) * (C + D) - ac - bd, e + f, prec, rnd))
 
@@ -278,50 +268,34 @@ def _re(a):
 class _Split(NamedTuple):
     """A raw vector (conjugated if asked) in exact integers: per entry (re, im,
     re + im, e), the entry being (re + i im) 2^e with e the least exponent
-    of its nonzero parts; `low` is the least of those exponents, `span` how
-    far the greatest lies above it, `cplx` whether an entry is complex, and
-    `parts` each entry's raw (re, im), with fzero as the im of an mpf.  The
-    kernels make no inf or nan, so every part is finite."""
+    of its nonzero parts; `low` is the least of those exponents and `cplx`
+    whether an entry is complex.  The kernels make no inf or nan, so every
+    part is finite."""
 
-    parts: list
     terms: list
     low: int
-    span: int
     cplx: bool
 
 
 def _split(vec, conjugate: bool = False) -> _Split:
     """The `_Split` of a raw vector, its entries conjugated if asked."""
     parts = [r if len(r) == 2 else (r, fzero) for r in vec]
-    if conjugate:
-        parts = [(a, mpf_neg(b)) for a, b in parts]
-    exps = [p[2] for r in parts for p in r if p[1]]
-    low = min(exps, default=0)
-    span = max(exps, default=0) - low
+    low = min((p[2] for r in parts for p in r if p[1]), default=0)
     terms = []
     for x, y in parts:
         e = min((p[2] for p in (x, y) if p[1]), default=low)
         a, b = _int(x, e), _int(y, e)
+        if conjugate:
+            b = -b
         terms.append((a, b, a + b, e))
-    return _Split(parts, terms, low, span, any(len(r) == 2 for r in vec))
+    return _Split(terms, low, any(len(r) == 2 for r in vec))
 
 
 def _dot(u: _Split, w: _Split):
-    """sum u_k w_k over split vectors, as mp.fdot takes it: every product
-    exact, the sum rounded once per part; an mpf where neither vector is
-    complex.  Each term takes three integer products (Gauss, as in `_cmul`),
-    and the sum is one Python integer rounded once, which is mpf_sum's value
-    wherever mpf_sum drops no product: where the products' lowest bits span
-    at most 2 prec, its max_extra_prec.  Elsewhere mpf_sum takes the parts'
-    products in mp.fdot's order, with the zero ones of real parts it skips."""
+    """sum u_k w_k over split vectors: each term takes three integer products
+    (Gauss, as in `_cmul`), the sum is one Python integer, and each part is
+    rounded once; an mpf where neither vector is complex."""
     prec, rnd = mp.mp._prec_rounding
-    if u.span + w.span > 2 * prec:
-        real, imag = [], []
-        for (a, b), (c, d) in zip(u.parts, w.parts):
-            real += mpf_mul(a, c), mpf_neg(mpf_mul(b, d))
-            imag += mpf_mul(a, d), mpf_mul(b, c)
-        re = mpf_sum(real, prec, rnd)
-        return (re, mpf_sum(imag, prec, rnd)) if u.cplx or w.cplx else re
     low = u.low + w.low
     re = im = 0
     for (a, b, s, e), (c, d, t, f) in zip(u.terms, w.terms):
@@ -685,9 +659,7 @@ def gram_matrix(seq: MultiplicitySequence, N: int, dom: Interval | None,
         bad = [n for n in range(1, N + 1) if not mp.re(seq.lam(n)) > 0]
         if bad:
             raise DomainError(f"half-line domain needs Re lambda_n > 0; violated at n={bad}")
-    if len(idx) > (cap := _max_dim()):
-        raise CapError(f"Gram dimension {len(idx)} exceeds cap {cap} "
-                       "(set EXPSPAN_MAX_DIM to raise)")
+    check_dimension(len(idx))
     digits = ctx.digits
     last_cond = mp.mpf("inf")
     while True:
@@ -731,15 +703,10 @@ class BiorthogonalFamily:
 
 
 def _norm(y) -> tuple:
-    """||y|| of a raw vector, raw, as mp.sqrt(mp.fsum(y, absolute=True,
-    squared=True)) takes it: the squares of the parts summed as one integer
-    and rounded once, which is mpf_sum's value wherever it drops no square
-    (their lowest bits span at most 2 prec, as in `_dot`); elsewhere the
-    real part of `_dot`'s sum of y_k conj y_k, which falls back there too."""
+    """||y|| of a raw vector, raw: the squares of the parts summed as one
+    integer and rounded once, then the square root."""
     prec, rnd = mp.mp._prec_rounding
     u = _split(y)
-    if u.span > prec:
-        return mpf_sqrt(_re(_dot(u, _split(y, conjugate=True))), prec, rnd)
     s = sum((a * a + b * b) << 2 * (e - u.low) for a, b, _, e in u.terms)
     return mpf_sqrt(from_man_exp(s, 2 * u.low, prec, rnd), prec, rnd)
 
@@ -747,7 +714,7 @@ def _norm(y) -> tuple:
 def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
     """Dual norms ||r_j|| = sqrt((M^-1)_jj) = ||L^-1 e_j|| and distances
     1/||r_j|| (the Schur complement), from the forward sweeps of the ladder's
-    factor alone, on raw values with the roundings of mp-object arithmetic.
+    factor alone, on raw values, each sum of squares rounded once (`_norm`).
     `biorthogonal` adds each column's backward sweep, run to the diagonal
     only, with C Hermitian off its diagonal by construction, on its own
     factor of the assembled matrix, so the two agree to the working
@@ -760,8 +727,8 @@ def dual_norms(g: GramSystem) -> tuple[tuple, tuple]:
 
 def _identity_residual(C: list, M: list) -> tuple:
     """max |(C M)_ij - delta_ij| over all d^2 entries of raw C and M, raw:
-    each entry of C M an exact dot product rounded once (`_dot`), as C * M
-    takes it, a real entry r read as (r, 0) (mpf_hypot(r, 0) is mpf_abs(r)).
+    each entry of C M an exact dot product rounded once (`_dot`), a real
+    entry r read as (r, 0) (mpf_hypot(r, 0) is mpf_abs(r)).
     Each row of C and column of M is split into integers once."""
     prec, rnd = mp.mp._prec_rounding
     cols = [_split(col) for col in zip(*M)]
@@ -783,8 +750,8 @@ def biorthogonal(g: GramSystem) -> BiorthogonalFamily:
     is its `hermitian_cholesky`.  Column j's backward sweep runs to row j
     only: the sweeps give C's lower triangle and diagonal, and C_ij = conj
     C_ji above it, so C is Hermitian off its diagonal by construction, at a
-    third of the backward work.  The kernels run on raw values with the
-    roundings of mp-object arithmetic.  The dual norms ||y_j|| and the
+    third of the backward work.  The kernels run on raw values, each exact
+    dot product rounded once.  The dual norms ||y_j|| and the
     distances 1/||y_j|| agree with those of `dual_norms`, which reads the
     ladder's factor and skips the backward sweeps and the residual, to the
     working precision."""

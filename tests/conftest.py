@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import fzero, mpf_mul, mpf_neg, mpf_sum
 
-from expspan import (CapError, ConfigError, DomainError, FlatIndex, Interval, MultiplicitySequence,
+from expspan import (ConfigError, DomainError, FlatIndex, Interval, MultiplicitySequence,
                      PrecisionContext, PrecisionError, PrefixTable, ProductKind, SequenceError,
                      fixture, flatten, gram, list_fixtures)
 
@@ -343,9 +343,7 @@ def walked_gram_matrix(seq, N, dom, ctx):
         bad = [n for n in range(1, N + 1) if not mp.re(seq.lam(n)) > 0]
         if bad:
             raise DomainError(f"half-line domain needs Re lambda_n > 0; violated at n={bad}")
-    if len(idx) > gram._max_dim():
-        raise CapError(f"Gram dimension {len(idx)} exceeds cap {gram._max_dim()} "
-                       "(set EXPSPAN_MAX_DIM to raise)")
+    gram.check_dimension(len(idx))
     digits = ctx.digits
     last_cond = mp.mpf("inf")
     while True:

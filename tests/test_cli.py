@@ -998,6 +998,26 @@ class TestRunReports:
         assert code == exit_code
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("cfg, exit_code, message", [
+        ({"nmax": 9}, 3, "Nmax=9 beyond the e^(n^3) budget (max 8)"),
+        ({"seq": {"kind": "generator", "name": "squares", "terms": 80}, "N": 80}, 4,
+         "Gram dimension 80 exceeds cap 64 (set EXPSPAN_MAX_DIM to raise)"),
+    ], ids=["nmax-budget", "gram-cap"])
+    def test_doomed_config_refused_before_work(self, capsys, tmp_path, monkeypatch,
+                                               cfg, exit_code, message):
+        # a full report whose counterexample or Gram the library would refuse
+        # is refused by the same check, with the same line, before `analyze`
+        monkeypatch.chdir(tmp_path)
+        cfg = {"kind": "full-report",
+               "seq": {"kind": "generator", "name": "squares", "terms": 8}, **cfg}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        calls = counted_calls(monkeypatch, "lambda_analysis.analyze", "gram.biorthogonal")
+        code = main(["run", "cfg.json"])
+        assert code == exit_code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == {"analyze": 0, "biorthogonal": 0}
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_carleson_kind(self, capsys, tmp_path):
         cfg = {"kind": "carleson",
                "seq": {"kind": "generator", "name": "squares", "terms": 6},

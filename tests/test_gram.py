@@ -7,7 +7,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import fone, from_man_exp, fzero, mpc_mul, mpf_add, mpf_mul, mpf_neg, mpf_sum
+from mpmath.libmp import (fone, from_man_exp, fzero, mpc_mul, mpf_add, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_sqrt, mpf_sub)
 from conftest import (as_matrix, assembled_gram_matrix, counted_calls, halfline_inverse,
                       jittered_mu3, parent_assemble, parent_backward, parent_biorthogonal,
                       parent_dot, parent_dual_block, parent_factor, parent_forward,
@@ -1169,9 +1170,9 @@ def shortcut_case(prec, low, top, signs, R, swap=False):
     """Operands z, w whose exact products p = ac and q = bd (p = ac and q =
     bd in the imaginary part ad + bc where swap) have lowest bits `low`
     apart and tops `top` apart.  p lies one unit of its last bit above a
-    rounding midpoint at prec, and q, of that side's sign, exceeds the unit:
-    where mpf_add takes its perturbation shortcut, the two roundings of
-    p -+ q differ.  R holds prec bits, its top bit set."""
+    rounding midpoint at prec, and q exceeds the unit: where q takes p toward
+    zero (`opposes`) and mpf_add takes its perturbation shortcut, the two
+    roundings of p -+ q differ.  R holds prec bits, its top bit set."""
     sa, sb, sc, sd = signs
     g = 40  # bits of p below its rounding midpoint
     E, ed = -17, -50
@@ -1183,18 +1184,60 @@ def shortcut_case(prec, low, top, signs, R, swap=False):
     return (a, b), ((d, c) if swap else (c, d))
 
 
+def opposes(signs, swap):
+    """Whether q takes p toward zero in a `shortcut_case`: p - q in the real
+    part with p, q of one sign, p + q in the imaginary one of opposite signs."""
+    sa, sb, sc, sd = signs
+    return (sa ^ sc == sb ^ sd) != swap
+
+
+def exact(x, prec, rnd):
+    """x, summed by mpf_mul and mpf_add at prec 0 (which round nothing and
+    take no shortcut), rounded once."""
+    return mpf_pos(x, prec, rnd)
+
+
+def exact_cmul(z, w, prec, rnd):
+    """z w for raw complex z = a + bi, w = c + di, each part exact and then
+    rounded once."""
+    (a, b), (c, d) = z, w
+    return (exact(mpf_sub(mpf_mul(a, c), mpf_mul(b, d)), prec, rnd),
+            exact(mpf_add(mpf_mul(a, d), mpf_mul(b, c)), prec, rnd))
+
+
+def perturbs(p, q, prec):
+    """Whether mpf_add(p, q, prec) perturbs in place of adding: both nonzero,
+    lowest bits more than 100 apart, and the top of the one whose lowest bit
+    is higher more than prec + 4 above the other's."""
+    if not (p[1] and q[1]):
+        return False
+    if p[2] < q[2]:
+        p, q = q, p
+    return p[2] - q[2] > 100 and p[2] + p[3] - q[2] - q[3] > prec + 4
+
+
 def check_cmul(z, w, prec, rnd="n"):
+    """`_cmul` is the exact product rounded once, and mpc_mul's wherever
+    mpc_mul's add and subtract do not perturb; returns whether mpc_mul's
+    differs."""
     got = gram._cmul(z, w, prec, rnd)
-    assert got == mpc_mul(z, w, prec, rnd), (z, w, prec, rnd)
+    assert got == exact_cmul(z, w, prec, rnd), (z, w, prec, rnd)
+    (a, b), (c, d) = z, w
+    shortcut = (perturbs(mpf_mul(a, c), mpf_mul(b, d), prec)
+                or perturbs(mpf_mul(a, d), mpf_mul(b, c), prec))
+    lossy = mpc_mul(z, w, prec, rnd) != got
+    assert shortcut or not lossy, (z, w, prec, rnd)
+    return lossy
 
 
 @pytest.mark.parametrize("prec", GAUSS_PRECS)
 class TestGaussProducts:
-    """`_cmul` gives mpc_mul's bits from three integer products, and takes
-    mpc_mul exactly where a part is zero, where an operand's parts lie more
-    than 64 bits apart, and where mpc_mul's mpf_add may take its
-    perturbation shortcut (lowest bits more than 100 apart, tops more than
-    prec + 4): each boundary is crossed from both sides."""
+    """`_cmul` gives the exact product rounded once from three integer
+    products, and takes mpc_mul exactly where a part is zero or an operand's
+    parts lie more than 64 bits apart, where mpc_mul is exact too: each
+    boundary is crossed from both sides.  Where mpc_mul's add perturbs in
+    place of adding (lowest bits more than 100 apart, tops more than prec +
+    4), mpc_mul may round the other way, and `_cmul` still does not take it."""
 
     @pytest.mark.parametrize("signs", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, 1)])
     @pytest.mark.parametrize("low", [100, 101])
@@ -1204,9 +1247,11 @@ class TestGaussProducts:
         calls = counted_calls(monkeypatch, "gram.mpc_mul")
         R = (1 << (prec - 1)) | random.Random(prec).getrandbits(prec - 1)
         z, w = shortcut_case(prec, low, prec + offset, signs, R, swap)
-        check_cmul(z, w, prec)
-        # ac, bd decided exactly; ad, bc to one bit, the uncertain top prec + 4 to mpc_mul
-        assert calls["mpc_mul"] == (low > 100 and offset > (3 if swap else 4))
+        # mpc_mul perturbs past low 100 and tops prec + 4 apart, at offset 5,
+        # and then rounds p -+ q the other way where q takes p toward its
+        # midpoint; `_cmul` rounds the exact value
+        assert check_cmul(z, w, prec) == (low > 100 and offset > 4 and opposes(signs, swap))
+        assert not calls["mpc_mul"]
 
     @pytest.mark.parametrize("spread", [63, 64, 65, 66])
     @pytest.mark.parametrize("operand", [0, 1])
@@ -1217,7 +1262,7 @@ class TestGaussProducts:
                  for _ in range(4)]
         i = 2 * operand + rng.getrandbits(1)
         parts[i] = _part(parts[i][0], parts[i][1], -9 + spread)
-        check_cmul(tuple(parts[:2]), tuple(parts[2:]), prec)
+        assert not check_cmul(tuple(parts[:2]), tuple(parts[2:]), prec)
         assert calls["mpc_mul"] == (spread > 64)
 
     @pytest.mark.parametrize("zero", range(4))
@@ -1225,7 +1270,7 @@ class TestGaussProducts:
         calls = counted_calls(monkeypatch, "gram.mpc_mul")
         parts = [_part(0, 3, 1), _part(1, 5, 2), _part(0, 7, -1), _part(1, 9, 0)]
         parts[zero] = fzero
-        check_cmul(tuple(parts[:2]), tuple(parts[2:]), prec)
+        assert not check_cmul(tuple(parts[:2]), tuple(parts[2:]), prec)
         assert calls["mpc_mul"] == 1
 
     @pytest.mark.parametrize("odd", [0, 1])
@@ -1236,7 +1281,7 @@ class TestGaussProducts:
         R = (1 << (prec - 1)) | random.Random(prec).getrandbits(prec - 1) & ~1 | odd
         T = (R << 1) | 1
         z, w = (from_man_exp(T + 1, 0), fone), (fone, fone)
-        check_cmul(z, w, prec)
+        assert not check_cmul(z, w, prec)
         got = gram._cmul(z, w, prec, "n")
         assert got[0] == from_man_exp(R + odd, 1), got
         assert not calls["mpc_mul"]
@@ -1246,37 +1291,45 @@ class TestGaussProducts:
         rng = random.Random(prec)
         a, b = (_part(rng.getrandbits(1), rng.getrandbits(prec) | 1, rng.randint(-30, 30))
                 for _ in range(2))
-        check_cmul((a, b), (b, a), prec)
+        assert not check_cmul((a, b), (b, a), prec)
         assert gram._cmul((a, b), (b, a), prec, "n")[0] == fzero
         assert not calls["mpc_mul"]
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_equals_mpc_mul(self, prec, data):
+    def test_equals_exact_product(self, prec, data):
         kind = data.draw(st.sampled_from(["random", "shortcut", "cancel"]), label="kind")
         # a shortcut case puts ac beside a midpoint of rounding to nearest
         rnd = "n" if kind == "shortcut" else data.draw(st.sampled_from("nfcdu"), label="rounding")
         if kind == "shortcut":
             R = data.draw(st.integers(1 << (prec - 1), (1 << prec) - 1), label="R")
-            z, w = shortcut_case(prec, data.draw(st.sampled_from([100, 101]), label="low"),
-                                 prec + data.draw(st.sampled_from([3, 4, 5]), label="top"),
-                                 data.draw(st.tuples(*[st.integers(0, 1)] * 4), label="signs"),
-                                 R, data.draw(st.booleans(), label="swap"))
+            low = data.draw(st.sampled_from([100, 101]), label="low")
+            offset = data.draw(st.sampled_from([3, 4, 5]), label="top")
+            signs = data.draw(st.tuples(*[st.integers(0, 1)] * 4), label="signs")
+            swap = data.draw(st.booleans(), label="swap")
+            z, w = shortcut_case(prec, low, prec + offset, signs, R, swap)
+            assert check_cmul(z, w, prec, rnd) == (low > 100 and offset > 4
+                                                   and opposes(signs, swap))
+            return
+        base = data.draw(st.integers(-3000, 3000), label="exponent")
+
+        def part(label):
+            if data.draw(st.integers(0, 9), label=f"{label} zero") == 0:
+                return fzero
+            n = data.draw(st.integers(1, prec + 70), label=f"{label} bits")
+            return _part(data.draw(st.integers(0, 1), label=f"{label} sign"),
+                         data.draw(st.integers(1 << (n - 1), (1 << n) - 1),
+                                   label=f"{label} mantissa") | 1,
+                         base + data.draw(st.integers(-70, 70), label=f"{label} exponent"))
+
+        z = (part("a"), part("b"))
+        w = (z[1], z[0]) if kind == "cancel" else (part("c"), part("d"))
+        (a, b), (c, d) = z, w
+        if all(p[1] for p in (a, b, c, d)) and abs(a[2] - b[2]) <= 64 >= abs(c[2] - d[2]):
+            check_cmul(z, w, prec, rnd)
         else:
-            base = data.draw(st.integers(-3000, 3000), label="exponent")
-
-            def part(label):
-                if data.draw(st.integers(0, 9), label=f"{label} zero") == 0:
-                    return fzero
-                n = data.draw(st.integers(1, prec + 70), label=f"{label} bits")
-                return _part(data.draw(st.integers(0, 1), label=f"{label} sign"),
-                             data.draw(st.integers(1 << (n - 1), (1 << n) - 1),
-                                       label=f"{label} mantissa") | 1,
-                             base + data.draw(st.integers(-70, 70), label=f"{label} exponent"))
-
-            z = (part("a"), part("b"))
-            w = (z[1], z[0]) if kind == "cancel" else (part("c"), part("d"))
-        check_cmul(z, w, prec, rnd)
+            # a zero part or parts far apart: mpc_mul's result, which may perturb
+            assert gram._cmul(z, w, prec, rnd) == mpc_mul(z, w, prec, rnd)
 
 
 def _vector(rng, d, prec, exps, real_share=0.25, zero_share=0.15):
@@ -1293,84 +1346,117 @@ def _vector(rng, d, prec, exps, real_share=0.25, zero_share=0.15):
     return out
 
 
+def _pair(r):
+    return r if len(r) == 2 else (r, fzero)
+
+
+def exact_dot(u, w, conjugate=False):
+    """sum u_k w_k (w_k conjugated if asked) over raw vectors, exact and then
+    rounded once per part at the context's precision; an mpf where neither
+    vector is complex."""
+    prec, rnd = mp.mp._prec_rounding
+    re = im = fzero
+    for (a, b), (c, d) in zip(map(_pair, u), map(_pair, w)):
+        if conjugate:
+            d = mpf_neg(d)
+        re = mpf_add(re, mpf_sub(mpf_mul(a, c), mpf_mul(b, d)))
+        im = mpf_add(im, mpf_add(mpf_mul(a, d), mpf_mul(b, c)))
+    if any(len(r) == 2 for r in u + w):
+        return exact(re, prec, rnd), exact(im, prec, rnd)
+    return exact(re, prec, rnd)
+
+
+def exact_norm(y):
+    """||y|| of a raw vector: the exact sum of its parts' squares rounded
+    once, then its square root."""
+    prec, rnd = mp.mp._prec_rounding
+    s = fzero
+    for a, b in map(_pair, y):
+        s = mpf_add(s, mpf_add(mpf_mul(a, a), mpf_mul(b, b)))
+    return mpf_sqrt(exact(s, prec, rnd), prec, rnd)
+
+
 class TestExactSums:
     """`_dot`, `_norm` and `_identity_residual` sum exact products as one
-    integer and give the bits of mpf_sum, which their mp-object copies
-    take; where mpf_sum drops a term (the products' lowest bits span more
-    than 2 prec) they take mpf_sum themselves."""
+    integer and round each part once.  That is mpf_sum's result, which
+    their mp-object copies take, wherever mpf_sum drops no term; where it
+    drops one (a term more than 2 prec below the running sum), the kernels
+    keep it."""
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
     @pytest.mark.parametrize("conjugate", [False, True])
     @pytest.mark.parametrize("seed", range(6))
-    def test_dot_equals_parent(self, monkeypatch, prec, conjugate, seed):
+    def test_dot_equals_parent(self, prec, conjugate, seed):
         rng = random.Random(seed)
-        calls = counted_calls(monkeypatch, "gram.mpf_sum")
-        # seeds 0-3 stay inside 2 prec, seeds 4 and 5 spread past it
+        # seeds 0-3 stay inside 2 prec, seeds 4 and 5 spread past it, where
+        # mpf_sum still drops none of these products
         spread = (prec // 2 if seed < 4 else 3 * prec)
         with mp.workprec(prec):
             for d in (1, 2, 5):
                 u = _vector(rng, d, prec, range(-spread // 2, spread // 2 + 1, 7))
                 w = _vector(rng, d, prec, range(-spread // 2, spread // 2 + 1, 7))
-                want = parent_dot(zip(u, w), conjugate=conjugate)
-                assert gram._dot(gram._split(u), gram._split(w, conjugate)) == want
-        assert bool(calls["mpf_sum"]) == (seed >= 4)
+                got = gram._dot(gram._split(u), gram._split(w, conjugate))
+                assert got == exact_dot(u, w, conjugate)
+                assert got == parent_dot(zip(u, w), conjugate=conjugate)
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
-    @pytest.mark.parametrize("complex_entries", [False, True, "imaginary-order"])
-    def test_dot_falls_back_where_mpf_sum_drops(self, monkeypatch, prec, complex_entries):
-        # 2^(3 prec) + 1 - 2^(3 prec): mpf_sum drops the 1 and returns 0
+    @pytest.mark.parametrize("entries", ["real", "complex", "imaginary"])
+    def test_dot_keeps_what_mpf_sum_drops(self, prec, entries):
+        # 2^(3 prec) + 1 - 2^(3 prec) in the real part (real or complex
+        # entries) or the imaginary one: `_dot` returns the exact 1, and
+        # mpf_sum drops the 1 and returns 0
         big = _part(0, 1, 3 * prec)
         u = [big, fone, mpf_neg(big)]
-        if complex_entries:
+        if entries == "complex":
             u = [(r, fzero) for r in u]
+        elif entries == "imaginary":
+            u = [(fzero, r) for r in u]
         w = [fone] * 3
-        if complex_entries == "imaginary-order":
-            # the imaginary products in mp.fdot's order, 2^(3 prec), 0,
-            # -2^(3 prec), 1, keep the 1; taken as 0, 2^(3 prec), 1, -2^(3 prec)
-            # they would drop it
-            u = [(big, fzero), (mpf_neg(big), fone)]
-            w = [(fzero, fone), (fone, fone)]
-        calls = counted_calls(monkeypatch, "gram.mpf_sum")
         with mp.workprec(prec):
-            want = parent_dot(zip(u, w))
             got = gram._dot(gram._split(u), gram._split(w))
-        assert got == want
-        if complex_entries == "imaginary-order":
-            assert want[1] == fone
-        else:
-            assert (want[0] if complex_entries else want) == fzero  # the exact sum is 1
-        assert calls["mpf_sum"]
+            assert got == exact_dot(u, w)
+            lossy = parent_dot(zip(u, w))
+        assert (got, lossy) == {"real": (fone, fzero),
+                                "complex": ((fone, fzero), (fzero, fzero)),
+                                "imaginary": ((fzero, fone), (fzero, fzero))}[entries]
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
     @pytest.mark.parametrize("seed", range(4))
-    def test_norm_equals_parent(self, monkeypatch, prec, seed):
+    def test_norm_equals_parent(self, prec, seed):
         rng = random.Random(seed)
-        calls = counted_calls(monkeypatch, "gram.mpf_sum")
+        # seeds 2 and 3 spread the squares past 2 prec, where mpf_sum still
+        # drops none of them
         spread = prec // 3 if seed < 2 else 2 * prec
         with mp.workprec(prec):
             for d in (1, 3, 6):
                 y = _vector(rng, d, prec, range(-spread // 2, spread // 2 + 1, 5))
-                assert gram._norm(y) == parent_norm([_obj(r) for r in y])._mpf_
-        assert bool(calls["mpf_sum"]) == (seed >= 2)
+                got = gram._norm(y)
+                assert got == exact_norm(y)
+                assert got == parent_norm([_obj(r) for r in y])._mpf_
 
     @pytest.mark.parametrize("prec", [53, 200, 1600])
-    def test_norm_falls_back_where_mpf_sum_drops(self, monkeypatch, prec):
-        # m^2 an exact midpoint at prec, rounded to even down; the square of
-        # 2^(-prec - 10) lies more than 2 prec below it, and mpf_sum drops it
-        m = next(m for m in itertools.count(math.isqrt(1 << prec) | 1, 2)
-                 if (m * m).bit_length() == prec + 1 and not m * m & 2)
-        y = [(_part(0, m, 0), fzero), _part(0, 1, -prec - 10)]
-        squares = [mpf_mul(p, p) for p in (y[0][0], y[1])]
-        assert mpf_sum(squares, prec, "n") != mpf_add(*squares, prec, "n")
-        calls = counted_calls(monkeypatch, "gram.mpf_sum")
+    def test_norm_keeps_what_mpf_sum_drops(self, prec):
+        # s = m^2 + n^2 an exact midpoint at prec, rounded to even down to
+        # s - 1, with sqrt(s - 1) and sqrt(s + 1) apart at prec; the square
+        # of 2^(-prec - 10) lies more than 2 prec below s and lifts the
+        # exact sum above the midpoint, so it rounds up, where mpf_sum drops it
+        n = math.isqrt(1 << (prec - 1)) | 1
+        m = next(m for m in itertools.count(n + 1, 2)
+                 if (m * m + n * n).bit_length() == prec + 1 and (m * m + n * n) & 3 == 1
+                 and mpf_sqrt(from_man_exp(m * m + n * n - 1, 0), prec, "n")
+                 != mpf_sqrt(from_man_exp(m * m + n * n + 1, 0), prec, "n"))
+        y = [(_part(0, m, 0), _part(0, n, 0)), _part(0, 1, -prec - 10)]
         with mp.workprec(prec):
-            assert gram._norm(y) == parent_norm([_obj(r) for r in y])._mpf_
-        assert calls["mpf_sum"]
+            got = gram._norm(y)
+            assert got == exact_norm(y)
+            assert got != parent_norm([_obj(r) for r in y])._mpf_
 
     @pytest.mark.parametrize("dps", [15, 120])
     @pytest.mark.parametrize("name, make, dom", RAW_CASES[::3], ids=[c[0] for c in RAW_CASES[::3]])
     def test_residual_and_dual_block_equal_parent(self, monkeypatch, dps, name, make, dom):
-        # biorthogonal's identity residual of its C and M, and the full dual block
+        # biorthogonal's identity residual of its C and M, and the full dual
+        # block: the confluent and pinned systems' rows and columns span more
+        # than 2 prec in places, and mpf_sum drops none of their products
         seen = {}
         residual = gram._identity_residual
 
@@ -1382,32 +1468,29 @@ class TestExactSums:
         blocks = []
         eigh = mp.eigh
         monkeypatch.setattr(mp, "eigh", lambda A, **kw: (blocks.append(A), eigh(A, **kw))[1])
-        calls = counted_calls(monkeypatch, "gram.mpf_sum")
         with mp.workdps(dps):
             seq = make(dps)
             g = gram_matrix(seq, seq.size, dom, PrecisionContext(digits=max(dps, 50),
                                                                  trunc_N=seq.size))
             fam = biorthogonal(g)
             mixed_completeness(g, ([], g.indices))
-        # the simple frequencies' rows and columns span at most 2 prec; the
-        # confluent and pinned systems' may span more, and take mpf_sum there
-        assert not calls["mpf_sum"] or not name.startswith("mu1"), calls["mpf_sum"]
         with mp.workdps(g.digits_used):
             want = parent_identity_residual(as_matrix(seen["C"]), as_matrix(seen["M"]))
         assert bits(fam.identity_residual) == bits(want)
         assert matrix_bits(blocks[-1]) == matrix_bits(parent_dual_block(g, g.indices))
 
     @pytest.mark.parametrize("prec", [53, 1600])
-    def test_residual_falls_back_where_mpf_sum_drops(self, monkeypatch, prec):
-        # row 0 of C M sums 2^(3 prec) + 1 - 2^(3 prec), which mpf_sum takes as 0
-        big = _part(0, 1, 3 * prec)
+    def test_residual_keeps_what_mpf_sum_drops(self, prec):
+        # (C M)_00 sums 2^(3 prec) + 1 - 2^(3 prec), exactly 1, and every
+        # other entry of C M - I is +-1/2: the residual is 1/2, and 1 where
+        # mpf_sum drops the 1 and takes (C M)_00 as 0
+        big, half = _part(0, 1, 3 * prec), _part(0, 1, -1)
         C = [[(big, fzero), (fone, fzero), (mpf_neg(big), fzero)],
-             [(fzero, fone), (fone, fone), fzero],
-             [fone, fzero, (fone, mpf_neg(fone))]]
-        M = [[(fone, fzero)] * 3 for _ in range(3)]
-        calls = counted_calls(monkeypatch, "gram.mpf_sum")
+             [(half, fzero), fzero, fzero],
+             [fzero, fzero, half]]
+        M = [[fone, fone, fone], [fone, fzero, fzero], [(fone, fzero), fone, fone]]
         with mp.workprec(prec):
             got = gram._identity_residual(C, M)
-            want = parent_identity_residual(as_matrix(C), as_matrix(M))
-        assert got == want._mpf_
-        assert calls["mpf_sum"]
+            lossy = parent_identity_residual(as_matrix(C), as_matrix(M))
+        assert got == half
+        assert lossy == 1

@@ -14,13 +14,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 
 import mpmath as mp
 import pytest
 from conftest import counted_calls, rebind
+from mpmath.libmp import mpf_neg
 
 from expspan.cli import main
+from expspan.gram import _raw
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -28,7 +29,7 @@ import workloads  # noqa: E402
 
 COUNTED = (
     "gram.gram_matrix", "gram.hermitian_cholesky", "gram._factor", "gram._cmul",
-    "gram.mpc_mul", "gram.mpf_sum",
+    "gram.mpc_mul",
     "products.lk_eval", "products.laurent_coeffs", "products.lk_circle_minima",
     "products._lk_values", "products._fx_product", "products._fx_mul", "products._window",
     "products.mpc_exp", "products.taylor_coeffs",
@@ -44,26 +45,31 @@ class Run:
     stdout: str
     calls: dict
     digits_used: list  # of every Gram the job's ladder accepted
+    families: list  # every family `biorthogonal` returned
 
 
 def _run_workload(workload: str, workdir: str) -> dict:
     """job id -> Run of each seed-0 job of `workload`, in job order."""
-    runs, state, digits = {}, {}, []
+    runs, state, digits, families = {}, {}, [], []
 
-    def recording(ladder):
-        @functools.wraps(ladder)
-        def recorded(*args, **kwargs):
-            g = ladder(*args, **kwargs)
-            digits.append(g.digits_used)
-            return g
-        return recorded
+    def recording(into, read):
+        def wrap(func):
+            @functools.wraps(func)
+            def recorded(*args, **kwargs):
+                out = func(*args, **kwargs)
+                into.append(read(out))
+                return out
+            return recorded
+        return wrap
 
     with pytest.MonkeyPatch.context() as patch, mp.workdps(15):
         calls = counted_calls(patch, *COUNTED)
-        rebind(patch, "gram.gram_matrix", recording)
+        rebind(patch, "gram.gram_matrix", recording(digits, lambda g: g.digits_used))
+        rebind(patch, "gram.biorthogonal", recording(families, lambda fam: fam))
         for job in workloads.build(workload, 0, workdir):
             before = dict(calls)
             digits.clear()
+            families.clear()
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 if job.argv is not None:
@@ -72,7 +78,7 @@ def _run_workload(workload: str, workdir: str) -> dict:
                     code, text = 0, json.dumps(job.call(state))
             runs[job.id] = Run(code, out.getvalue() if text is None else text,
                                {name: calls[name] - before[name] for name in calls},
-                               list(digits))
+                               list(digits), list(families))
     return runs
 
 
@@ -86,6 +92,11 @@ def runs(tmp_path_factory):
             done[workload] = _run_workload(workload, str(tmp_path_factory.mktemp(workload)))
         return done[workload]
     return get
+
+
+def conjugate(r):
+    """The conjugate of a raw value, exact."""
+    return (r[0], mpf_neg(r[1])) if len(r) == 2 else r
 
 
 def total(jobs: dict, name: str) -> int:
@@ -110,8 +121,12 @@ def test_contour_evaluation_counts(runs):
     assert total(lk, "lk_eval") == 26
     assert total(lk, "laurent_coeffs") == 4
     assert total(lk, "lk_circle_minima") == 1
-    laurent = [json.loads(r.stdout) for job, r in lk.items() if job.startswith("laurent-")]
-    assert len(laurent) == 4 and all(obj["converged"] is True for obj in laurent)
+    laurent = {job: r for job, r in lk.items() if job.startswith("laurent-")}
+    assert len(laurent) == 4
+    assert all(json.loads(r.stdout)["converged"] is True for r in laurent.values())
+    # each quadrature evaluates G at its 2Q = 128 points in one batch
+    assert {job: (r.calls["_lk_values"], r.calls["_fx_product"])
+            for job, r in laurent.items()} == dict.fromkeys(laurent, (1, 128))
 
 
 def test_windowed_product_multiplies(runs):
@@ -174,43 +189,36 @@ def test_gram_assembly_counts(monkeypatch, tmp_path, name, action, opts, assembl
 def test_biorthogonal_hermitian_by_construction(runs):
     # the gram-ladder seed-0 `gram biorthogonal` job (jittered squares,
     # N = 16, accepted at 480 digits): each column's backward sweep stops at
-    # the diagonal and the entries above it are conjugates, so every printed
-    # strict-upper entry of coeffs is exactly the conjugate of its mirror,
-    # and the identity residual of C M, still taken over all d^2 entries,
-    # stays below 10^(-digits_used/2)
+    # the diagonal and the entries above it are conjugates, so every
+    # strict-upper entry of the family's C is bit for bit the conjugate of
+    # its mirror (the printed 30 digits could not tell a swept entry, which
+    # differs near 10^-470 relative), and the identity residual of C M,
+    # still taken over all d^2 entries, stays below 10^(-digits_used/2)
     job = runs("gram-ladder")["gram-biorthogonal-N16"]
     assert job.code == 0
+    (fam,) = job.families
+    C = fam.coeffs
+    for i in range(C.rows):
+        for j in range(i + 1, C.rows):
+            assert _raw(C[i, j]) == conjugate(_raw(C[j, i])), (i, j)
     obj = json.loads(job.stdout)
-    C, d, digits = obj["coeffs"], obj["dim"], obj["digits_used"]
-    for i in range(d):
-        for j in range(i + 1, d):
-            (ur, ui), (lr, li) = C[i][j], C[j][i]
-            assert Decimal(ur) == Decimal(lr), (i, j)
-            assert Decimal(ui) == Decimal(li).copy_negate(), (i, j)
+    assert obj["dim"] == C.rows == 16
     resid = mp.mpf(obj["identity_residual"])
-    assert resid < mp.mpf(10) ** (-digits / 2), resid
+    assert resid < mp.mpf(10) ** (-obj["digits_used"] / 2), resid
 
 
 def test_gauss_products(runs):
-    # the three gram-ladder seed-0 jobs (480 and 800 digits): a complex
-    # product takes three integer products (`_cmul`) and calls mpc_mul only
-    # where a part is zero (704 of 7980 calls), an operand's parts lie more
-    # than 64 bits apart, or mpc_mul's add would perturb instead of adding;
-    # no exact dot product (identity residual, norm) takes gram.mpf_sum,
-    # which only the fallback of a sum whose products span more than 2 prec
-    # calls.  The confluent-moment seed-0 jobs take that fallback 10 times: 4
-    # in gram-distance-mu3-N8 (two norms) and 6 in gram-mixed-mu3-N8 (three
-    # dual-block dots), so a change to when `_dot` falls back shows here;
-    # their mpc_mul share (12-29%) is not bounded
+    # the three gram-ladder seed-0 jobs (480 and 800 digits) and the four
+    # confluent-moment ones: a complex product takes three integer products
+    # (`_cmul`) and calls mpc_mul only where a part is zero or an operand's
+    # parts lie more than 64 bits apart, 704 of 7980 products and 1813 of
+    # 9906, so an added product or a new mpc_mul exit shows here
     ladder = runs("gram-ladder")
     assert_all_exit_0(ladder)
-    cmul = total(ladder, "_cmul")
-    assert cmul > 0
-    assert total(ladder, "mpc_mul") <= 0.09 * cmul, (total(ladder, "mpc_mul"), cmul)
-    assert total(ladder, "mpf_sum") == 0
+    assert (total(ladder, "_cmul"), total(ladder, "mpc_mul")) == (7980, 704)
     confluent = runs("confluent-moment")
     assert_all_exit_0(confluent)
-    assert total(confluent, "mpf_sum") == 10
+    assert (total(confluent, "_cmul"), total(confluent, "mpc_mul")) == (9906, 1813)
 
 
 def test_confluent_first_rung(runs):
