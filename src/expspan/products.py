@@ -43,19 +43,27 @@ factor product takes the per-factor loop, or that is not finite, takes that
 loop with mpmath's phase and Viete's window (`_window`), whose arguments
 -i sigma z and tau z are exact too, so that loop keeps their digits however
 large tau z is.
+
+Each piece of that work is done once: what depends on neither the point nor
+the node (`_lk_plan`) once per product and precision, kept on the frozen
+`LKFunction`; G once per point of `lk_eval`, which keeps its last point, so
+the k = 0..mu_n - 1 of `gnk_eval` at one point share one evaluation; and each
+table of roots of unity from its first quadrant and exact quarter turns
+(`_roots`).  No cache outlives its `LKFunction`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath as mp
 from mpmath.libmp import (from_int, fzero, mpc_add, mpc_exp, mpc_mpf_div, mpc_mul,
                           mpc_neg, mpc_pow_int, mpc_sub, mpf_add, mpf_div, mpf_mul,
                           mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest)
 
-from .core import Interval, MultiplicitySequence, PrecisionContext, prefix_table
+from .core import Interval, MultiplicitySequence, PrecisionContext, prefix_table, read_count
 from .errors import ConfigError, DomainError, PrecisionError
 
 # halvings K of the windowed even product's cosine window
@@ -254,6 +262,18 @@ class LKFunction:
     def __post_init__(self):
         self.seq.check_prefix(self.trunc_N)  # no silent truncation downgrade
 
+    @cached_property
+    def _plans(self) -> dict:
+        """mp.mp.prec -> the `_lk_plan` of this product at that precision, each
+        built on the first batch at it and kept with the product."""
+        return {}
+
+    @cached_property
+    def _last(self) -> dict:
+        """The one point `lk_eval` last evaluated: {(mp.mp.prec, raw z): G(z)},
+        z rounded to that precision."""
+        return {}
+
 
 def lk_function(seq: MultiplicitySequence, interval: Interval,
                 ctx: PrecisionContext) -> LKFunction:
@@ -261,8 +281,26 @@ def lk_function(seq: MultiplicitySequence, interval: Interval,
 
 
 def _roots(count: int) -> list[mp.mpc]:
-    """The count-th roots of unity e^(2 pi i q / count), q = 0..count-1."""
-    return [mp.expjpi(mp.mpf(2 * q) / count) for q in range(count)]
+    """The count-th roots of unity e^(2 pi i q / count), q = 0..count-1.
+
+    Where 4 divides count, mpmath's exponential gives the first quadrant, q <
+    count/4, and exact quarter turns i (c + s i) = -s + c i the other three, so
+    w[q + count/4] = i w[q] bit for bit.  At a power-of-two count the angle
+    2q/count is exact and mpmath reduces it by its nearest half-integer
+    exactly, so the table equals one `mp.expjpi` per node; at another multiple
+    of 4 (96) a node past the first quadrant keeps the rounding of its
+    first-quadrant angle, within about half an ulp of the exact root.  Other
+    counts take one `mp.expjpi` per node.  So root 2q of 2c nodes is root q of
+    c, bit for bit, where c is odd or a multiple of 4: both round the same
+    angle, in the same quadrant (`_contour_moments`)."""
+    if count % 4:
+        return [mp.expjpi(mp.mpf(2 * q) / count) for q in range(count)]
+    quadrant = [mp.expjpi(mp.mpf(2 * q) / count)._mpc_ for q in range(count // 4)]
+    table = list(quadrant)
+    for _ in range(3):
+        quadrant = [(mpf_neg(s), c) for c, s in quadrant]
+        table += quadrant
+    return [mp.make_mpc(w) for w in table]
 
 
 def _times(rate, z) -> mp.mpc:
@@ -480,26 +518,13 @@ def _fx_window(rates, z, keep: int, span: int):
     return A, B, e - _COS_K
 
 
-def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
-    """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
-    the squares, C = 1/prod (lambda_n^2)^mu_n (at the kept bits), the zeros
-    +-i lambda_n (negated and rounded parts of lambda_n, no multiplication), the
-    phase and window rates and the bit plan of the mu_n are built once per
-    batch, and z^2 is exact at each point.
-
-    A point costs one exponential at the kept bits (two where gamma != 0), the
-    factor product's multiplies (`_fx_product`: 13 at mu = 3, N = 12), the
-    window's K squarings and K multiplies (`_fx_window`), two multiplies by C
-    and the window, and one rounding: all in integers truncated to _GUARD guard
-    bits and log2(sum mu_n) more, which cover the truncations, so mu = 3, N = 12
-    on (0, beta) takes one exponential and 31 integer multiplies per point.
-    From sum mu_n >= 2^_GUARD on, where the factor product's exponents lie too
-    far apart (z^2 tiny or huge beside the squares, or one part tiny beside the
-    other), where an exponential's two parts lie more than _GUARD/2 + log2(sum
-    mu_n) bits apart (z = x + i lambda_n with x tiny), and at a non-finite z,
-    the point takes the per-factor loop with mpmath's phase and Viete's
-    `_window` of exact arguments, so no addend below the kept bits forces a
-    huge shift; at a non-finite z that window is nan, and so is G."""
+def _lk_plan(lk: LKFunction) -> tuple:
+    """What `_lk_values` reads at every point, at the working precision: the
+    (lambda_n^2, mu_n), C = 1/prod (lambda_n^2)^mu_n at the kept bits, the raw
+    zeros +-i lambda_n (negated and rounded parts of lambda_n, no
+    multiplication), sigma and tau, the phase and window rates, `_fx_exp`'s
+    span, the kept bits, the bit plan of the mu_n and the `_fx` forms of C and
+    of the squares; built once per product and precision (`LKFunction._plans`)."""
     seq, N = lk.seq, lk.trunc_N
     squares = [(seq.lam(n) ** 2, seq.mu(n)) for n in range(1, N + 1)]
     prec = mp.mp.prec
@@ -520,6 +545,31 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
     span = keep - prec - _GUARD // 2  # an exponential's small part keeps prec + 32 bits
     scale = _fx1(const, keep)
     fixed = _fx([sq for sq, _ in squares], keep) if total <= _GUARD and scale else None
+    return squares, const, zeros, sigma, tau, rates, span, keep, plan, scale, fixed
+
+
+def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
+    """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
+    what depends on neither the point nor the node (`_lk_plan`) is built once
+    per product and precision, and z^2 is exact at each point.
+
+    A point costs one exponential at the kept bits (two where gamma != 0), the
+    factor product's multiplies (`_fx_product`: 13 at mu = 3, N = 12), the
+    window's K squarings and K multiplies (`_fx_window`), two multiplies by C
+    and the window, and one rounding: all in integers truncated to _GUARD guard
+    bits and log2(sum mu_n) more, which cover the truncations, so mu = 3, N = 12
+    on (0, beta) takes one exponential and 31 integer multiplies per point.
+    From sum mu_n >= 2^_GUARD on, where the factor product's exponents lie too
+    far apart (z^2 tiny or huge beside the squares, or one part tiny beside the
+    other), where an exponential's two parts lie more than _GUARD/2 + log2(sum
+    mu_n) bits apart (z = x + i lambda_n with x tiny), and at a non-finite z,
+    the point takes the per-factor loop with mpmath's phase and Viete's
+    `_window` of exact arguments, so no addend below the kept bits forces a
+    huge shift; at a non-finite z that window is nan, and so is G."""
+    prec = mp.mp.prec
+    if prec not in lk._plans:
+        lk._plans[prec] = _lk_plan(lk)
+    squares, const, zeros, sigma, tau, rates, span, keep, plan, scale, fixed = lk._plans[prec]
     out = []
     for z in zs:
         z = mp.mpc(z)
@@ -544,8 +594,16 @@ def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
 
 
 def lk_eval(lk: LKFunction, z) -> mp.mpc:
-    """Evaluate the windowed product; exact zero at z = i lambda_n."""
-    return _lk_values(lk, [z])[0]
+    """Evaluate the windowed product; exact zero at z = i lambda_n.  The last
+    point is kept with the product (`LKFunction._last`), keyed by the
+    precision and the bits of z rounded to it, so the k = 0..mu_n - 1 of
+    `gnk_eval` at one point evaluate G once."""
+    z = mp.mpc(z)
+    key = (mp.mp.prec, z._mpc_)
+    if key not in lk._last:
+        lk._last.clear()
+        lk._last[key] = _lk_values(lk, [z])[0]
+    return lk._last[key]
 
 
 def _check_pole(lk: LKFunction, n: int) -> None:
@@ -590,8 +648,9 @@ def lk_circle_minima(lk: LKFunction, eps, ns: list[int],
     lower bound; their infimum over n is the fitted constant.  Every circle's
     samples are evaluated in one batch, each with the bits it has alone.  A
     circle too small for the working precision is refused (`_circle_radii`)
-    before any is evaluated.
+    before any is evaluated, and so is a sample count below 1.
     """
+    samples = read_count(samples, "samples", least=1)
     eps = mp.mpf(eps)
     for n in ns:
         _check_pole(lk, n)
@@ -631,9 +690,10 @@ def _contour_moments(lk: LKFunction, center, radius, J: int,
     the 2Q fine nodes; the Q coarse nodes are the even-indexed fine ones.
 
     Nodes and weights e^(2 pi i q j / 2Q) = roots[q j mod 2Q] come from one
-    table of 2Q roots; fine root 2q rounds the same rational angle as coarse
-    root q, so the coarse sums equal a separate Q-node rule bit for bit.  Each
-    node takes one reciprocal 1/G, which all J moments multiply."""
+    table of 2Q roots; where Q is odd or a multiple of 4, fine root 2q rounds
+    the same rational angle as coarse root q (`_roots`), so the coarse sums
+    equal a separate Q-node rule bit for bit.  Each node takes one reciprocal
+    1/G, which all J moments multiply."""
     # trapezoid on the circle: spectrally accurate for periodic analytic data
     fine_Q = 2 * Q
     roots = _roots(fine_Q)
@@ -653,8 +713,10 @@ def laurent_coeffs(lk: LKFunction, n: int, eps, J: int, quad_Q: int) -> LaurentC
     movement between the two, |coarse - fine| / |fine| for each moment, is
     reported and gates `converged` at 1e-30.  The quad_Q coarse nodes are every
     other fine node, so G is evaluated at 2*quad_Q points in all.  A circle too
-    small for the working precision is refused (`_circle_radii`).
+    small for the working precision, and a quad_Q below 1, are refused before
+    any node is evaluated (`_circle_radii`, `read_count`).
     """
+    quad_Q = read_count(quad_Q, "quad_Q", least=1)
     _check_pole(lk, n)
     mu = lk.seq.mu(n)
     if not 1 <= J <= mu:

@@ -1025,6 +1025,180 @@ class TestGnk:
                 gnk_eval(lk, partial, 2, k, z)
 
 
+class TestQuadratureSizes:
+    """A node count below 1 is a ConfigError before any node is evaluated: a
+    quad_Q of 0 divided by zero and a negative one summed no nodes into
+    all-zero coefficients marked converged, and no samples took the minimum of
+    an empty sequence."""
+
+    @pytest.fixture
+    def lk(self, squares8, unit_interval):
+        return lk_function(squares8, unit_interval, PrecisionContext(digits=60, trunc_N=6))
+
+    @pytest.mark.parametrize("quad_Q", [0, -3])
+    def test_laurent_quad_q(self, lk, monkeypatch, quad_Q):
+        calls = counted_calls(monkeypatch, "products._lk_values")
+        with pytest.raises(ConfigError, match=f"quad_Q must be >= 1, got {quad_Q}"):
+            laurent_coeffs(lk, 1, "0.1", 1, quad_Q)
+        assert calls == {"_lk_values": 0}
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_circle_minima_samples(self, lk, monkeypatch, samples):
+        calls = counted_calls(monkeypatch, "products._lk_values")
+        with pytest.raises(ConfigError, match=f"samples must be >= 1, got {samples}"):
+            lk_circle_minima(lk, "0.1", [1, 2], samples=samples)
+        assert calls == {"_lk_values": 0}
+
+    def test_one_node_is_a_rule(self, lk):
+        # the least count is still evaluated: one coarse node, two fine ones
+        assert laurent_coeffs(lk, 1, "0.1", 1, 1).values[0] != 0
+        [minimum] = lk_circle_minima(lk, "0.1", [1], samples=1)
+        assert minimum.min_abs > 0
+
+
+class TestRoots:
+    """`_roots` takes mpmath's exponential on the first quadrant and quarter
+    turns for the rest wherever 4 divides the count."""
+
+    @pytest.mark.parametrize("dps", [15, 60, 120, 480])
+    def test_powers_of_two_equal_expjpi(self, dps):
+        # mpmath reduces a dyadic angle by its nearest half-integer exactly,
+        # so a quarter turn of a first-quadrant root is that node's own value
+        with mp.workdps(dps):
+            for count in (2 ** k for k in range(2, 11)):
+                want = [mp.expjpi(mp.mpf(2 * q) / count) for q in range(count)]
+                assert [w._mpc_ for w in products._roots(count)] == \
+                    [w._mpc_ for w in want], count
+
+    @pytest.mark.parametrize("dps", [15, 120])
+    def test_quarter_turns_exact(self, dps):
+        with mp.workdps(dps):
+            for count in range(4, 1025, 4):
+                w = products._roots(count)
+                for q in range(count - count // 4):
+                    assert w[q + count // 4]._mpc_ == (1j * w[q])._mpc_, (count, q)
+
+    @pytest.mark.parametrize("count", [6, 7, 10])
+    def test_other_counts_one_exponential_per_node(self, count):
+        want = [mp.expjpi(mp.mpf(2 * q) / count) for q in range(count)]
+        assert [w._mpc_ for w in products._roots(count)] == [w._mpc_ for w in want]
+
+    @pytest.mark.parametrize("dps", [15, 60, 120, 480])
+    def test_96_nodes_within_one_eps(self, dps):
+        # the lk lowerbound table: 48 of its nodes keep a first-quadrant
+        # angle's rounding, at most about half an ulp from the exact root
+        with mp.workdps(dps):
+            got = products._roots(96)
+            eps = +mp.eps
+        with mp.workdps(2 * dps + 20):
+            worst = max(abs(g - mp.expjpi(mp.mpf(2 * q) / 96)) for q, g in enumerate(got))
+        assert worst < eps, mp.nstr(worst / eps, 5)
+
+    @pytest.mark.parametrize("count", [48, 64])
+    def test_nested_doubling(self, count):
+        # the even nodes of 2c are the c nodes, bit for bit, as the Laurent
+        # quadrature's coarse rule and nested node doubling read them
+        for dps in (15, 120):
+            with mp.workdps(dps):
+                fine, coarse = products._roots(2 * count), products._roots(count)
+                assert [w._mpc_ for w in fine[::2]] == [w._mpc_ for w in coarse]
+
+
+class TestPlanAndSlot:
+    """`_lk_values` builds its plan once per product and precision, and
+    `lk_eval` keeps its last point, keyed by the precision and the rounded
+    bits of z; neither changes a value, nor the product's equality, hash or
+    repr."""
+
+    @staticmethod
+    def make_lk():
+        seq = jittered_mu3(6, 2)
+        return lk_function(seq, Interval(0, 1), PrecisionContext(digits=120, trunc_N=6))
+
+    @staticmethod
+    def points(lk):
+        return [mp.mpc("0.7", "-2.5"), 1j * lk.seq.lam(2) + mp.mpf("0.01"),
+                mp.mpc(-3, 40), 1j * lk.seq.lam(3)]
+
+    @staticmethod
+    def raw(values):
+        return [v._mpc_ for v in values]
+
+    def test_precisions_in_turn_equal_fresh_products(self):
+        # one product at 15, then 120, then 15 digits: every value is that
+        # of a product built at that precision
+        lk = self.make_lk()
+        for dps in (15, 120, 15):
+            with mp.workdps(dps):
+                zs = self.points(lk)
+                got = products._lk_values(lk, zs)
+                single = [lk_eval(lk, z) for z in zs]
+                minima = lk_circle_minima(lk, "0.1", [1, 2], samples=16)
+                fresh = self.make_lk()
+                assert self.raw(got) == self.raw(products._lk_values(fresh, zs)), dps
+                assert self.raw(single) == self.raw(got), dps
+                assert minima == lk_circle_minima(self.make_lk(), "0.1", [1, 2], samples=16)
+
+    def test_plan_built_once_per_precision(self, monkeypatch):
+        calls = counted_calls(monkeypatch, "products._lk_plan")
+        lk = self.make_lk()
+        seen = []
+        for dps in (15, 15, 120, 15, 120):
+            with mp.workdps(dps):
+                products._lk_values(lk, self.points(lk))
+                lk_eval(lk, mp.mpc(1, dps))
+                laurent_coeffs(lk, 1, "0.1", 1, 4)
+            seen.append(calls["_lk_plan"])
+        assert seen == [1, 1, 2, 2, 2]
+        with mp.workdps(15):
+            products._lk_values(self.make_lk(), [0])  # a new product, a new plan
+        assert calls["_lk_plan"] == 3
+
+    def test_slot(self, monkeypatch):
+        calls = counted_calls(monkeypatch, "products._lk_values")
+        lk = self.make_lk()
+        with mp.workdps(50):
+            z_long = mp.mpc(mp.pi, mp.e)
+        with mp.workdps(15):
+            z = mp.mpc(z_long)
+            assert z._mpc_ != z_long._mpc_
+            g = lk_eval(lk, z)
+            # the same bits once rounded: the given z and the one gnk_eval rounds
+            assert lk_eval(lk, z_long)._mpc_ == lk_eval(lk, z)._mpc_ == g._mpc_
+            assert calls["_lk_values"] == 1
+            lk_eval(lk, z + 1)  # a second point is evaluated
+            assert calls["_lk_values"] == 2
+            lk_eval(lk, z)  # and the slot holds one point
+            assert calls["_lk_values"] == 3
+        with mp.workdps(30):
+            lk_eval(lk, z)  # the same point at another precision
+        assert calls["_lk_values"] == 4
+
+    def test_gnk_evaluates_g_once_per_point(self, monkeypatch):
+        lk = self.make_lk()
+        with mp.workdps(60):
+            laurent = laurent_coeffs(lk, 2, "0.1", 3, 16)
+            calls = counted_calls(monkeypatch, "products._lk_values", "products.lk_eval")
+            for z in (1j * lk.seq.lam(2) + laurent.radius / 2, mp.mpc("0.5", "1.5")):
+                got = [gnk_eval(lk, laurent, 2, k, z) for k in range(3)]
+                want = [direct_gnk(lk, laurent.values, 2, k, z) for k in range(3)]
+                assert self.raw(got) == self.raw(want)
+        # three lk_eval calls per point from gnk_eval (direct_gnk's go through
+        # this module's binding, uncounted, and read the same slot): one batch each
+        assert calls == {"_lk_values": 2, "lk_eval": 6}
+
+    def test_equality_hash_repr_unchanged(self):
+        lk, other = self.make_lk(), self.make_lk()
+        before = (hash(lk), repr(lk))
+        with mp.workdps(15):
+            lk_eval(lk, mp.mpc(1, 2))
+            products._lk_values(lk, self.points(lk))
+        assert lk == other and hash(lk) == hash(other) == before[0]
+        assert repr(lk) == repr(other) == before[1]
+        wider = lk_function(lk.seq, Interval(0, 2), PrecisionContext(digits=120, trunc_N=6))
+        assert lk != wider
+
+
 class TestBlaschke:
     def test_zero_at_frequency(self, squares8):
         assert blaschke_eval(squares8, 8, squares8.lam(1)) == 0
