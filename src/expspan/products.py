@@ -44,12 +44,11 @@ loop with mpmath's phase and Viete's window (`_window`), whose arguments
 -i sigma z and tau z are exact too, so that loop keeps their digits however
 large tau z is.
 
-Each piece of that work is done once: what depends on neither the point nor
-the node (`_lk_plan`) once per product and precision, kept on the frozen
-`LKFunction`; G once per point of `lk_eval`, which keeps its last point, so
-the k = 0..mu_n - 1 of `gnk_eval` at one point share one evaluation; and each
-table of roots of unity from its first quadrant and exact quarter turns
-(`_roots`).  No cache outlives its `LKFunction`.
+G is evaluated once per point of `lk_eval`, which keeps its last point with
+the frozen `LKFunction`, so the k = 0..mu_n - 1 of `gnk_eval` at one point
+share one evaluation; that slot does not outlive its `LKFunction`.  Each table
+of roots of unity is built from its first quadrant and exact quarter turns
+(`_roots`).
 """
 
 from __future__ import annotations
@@ -261,12 +260,6 @@ class LKFunction:
 
     def __post_init__(self):
         self.seq.check_prefix(self.trunc_N)  # no silent truncation downgrade
-
-    @cached_property
-    def _plans(self) -> dict:
-        """mp.mp.prec -> the `_lk_plan` of this product at that precision, each
-        built on the first batch at it and kept with the product."""
-        return {}
 
     @cached_property
     def _last(self) -> dict:
@@ -518,13 +511,26 @@ def _fx_window(rates, z, keep: int, span: int):
     return A, B, e - _COS_K
 
 
-def _lk_plan(lk: LKFunction) -> tuple:
-    """What `_lk_values` reads at every point, at the working precision: the
-    (lambda_n^2, mu_n), C = 1/prod (lambda_n^2)^mu_n at the kept bits, the raw
-    zeros +-i lambda_n (negated and rounded parts of lambda_n, no
-    multiplication), sigma and tau, the phase and window rates, `_fx_exp`'s
-    span, the kept bits, the bit plan of the mu_n and the `_fx` forms of C and
-    of the squares; built once per product and precision (`LKFunction._plans`)."""
+def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
+    """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
+    the squares, C = 1/prod (lambda_n^2)^mu_n (at the kept bits), the zeros
+    +-i lambda_n (negated and rounded parts of lambda_n, no multiplication), the
+    phase and window rates and the bit plan of the mu_n are built once per
+    batch, and z^2 is exact at each point.
+
+    A point costs one exponential at the kept bits (two where gamma != 0), the
+    factor product's multiplies (`_fx_product`: 13 at mu = 3, N = 12), the
+    window's K squarings and K multiplies (`_fx_window`), two multiplies by C
+    and the window, and one rounding: all in integers truncated to _GUARD guard
+    bits and log2(sum mu_n) more, which cover the truncations, so mu = 3, N = 12
+    on (0, beta) takes one exponential and 31 integer multiplies per point.
+    From sum mu_n >= 2^_GUARD on, where the factor product's exponents lie too
+    far apart (z^2 tiny or huge beside the squares, or one part tiny beside the
+    other), where an exponential's two parts lie more than _GUARD/2 + log2(sum
+    mu_n) bits apart (z = x + i lambda_n with x tiny), and at a non-finite z,
+    the point takes the per-factor loop with mpmath's phase and Viete's
+    `_window` of exact arguments, so no addend below the kept bits forces a
+    huge shift; at a non-finite z that window is nan, and so is G."""
     seq, N = lk.seq, lk.trunc_N
     squares = [(seq.lam(n) ** 2, seq.mu(n)) for n in range(1, N + 1)]
     prec = mp.mp.prec
@@ -545,31 +551,6 @@ def _lk_plan(lk: LKFunction) -> tuple:
     span = keep - prec - _GUARD // 2  # an exponential's small part keeps prec + 32 bits
     scale = _fx1(const, keep)
     fixed = _fx([sq for sq, _ in squares], keep) if total <= _GUARD and scale else None
-    return squares, const, zeros, sigma, tau, rates, span, keep, plan, scale, fixed
-
-
-def _lk_values(lk: LKFunction, zs) -> list[mp.mpc]:
-    """Windowed product at each point of zs, with L = C prod (lambda_n^2 + z^2)^mu_n;
-    what depends on neither the point nor the node (`_lk_plan`) is built once
-    per product and precision, and z^2 is exact at each point.
-
-    A point costs one exponential at the kept bits (two where gamma != 0), the
-    factor product's multiplies (`_fx_product`: 13 at mu = 3, N = 12), the
-    window's K squarings and K multiplies (`_fx_window`), two multiplies by C
-    and the window, and one rounding: all in integers truncated to _GUARD guard
-    bits and log2(sum mu_n) more, which cover the truncations, so mu = 3, N = 12
-    on (0, beta) takes one exponential and 31 integer multiplies per point.
-    From sum mu_n >= 2^_GUARD on, where the factor product's exponents lie too
-    far apart (z^2 tiny or huge beside the squares, or one part tiny beside the
-    other), where an exponential's two parts lie more than _GUARD/2 + log2(sum
-    mu_n) bits apart (z = x + i lambda_n with x tiny), and at a non-finite z,
-    the point takes the per-factor loop with mpmath's phase and Viete's
-    `_window` of exact arguments, so no addend below the kept bits forces a
-    huge shift; at a non-finite z that window is nan, and so is G."""
-    prec = mp.mp.prec
-    if prec not in lk._plans:
-        lk._plans[prec] = _lk_plan(lk)
-    squares, const, zeros, sigma, tau, rates, span, keep, plan, scale, fixed = lk._plans[prec]
     out = []
     for z in zs:
         z = mp.mpc(z)

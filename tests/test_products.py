@@ -1105,9 +1105,8 @@ class TestRoots:
 
 
 class TestPlanAndSlot:
-    """`_lk_values` builds its plan once per product and precision, and
-    `lk_eval` keeps its last point, keyed by the precision and the rounded
-    bits of z; neither changes a value, nor the product's equality, hash or
+    """`lk_eval` keeps its last point, keyed by the precision and the rounded
+    bits of z; the slot changes no value, nor the product's equality, hash or
     repr."""
 
     @staticmethod
@@ -1139,21 +1138,6 @@ class TestPlanAndSlot:
                 assert self.raw(single) == self.raw(got), dps
                 assert minima == lk_circle_minima(self.make_lk(), "0.1", [1, 2], samples=16)
 
-    def test_plan_built_once_per_precision(self, monkeypatch):
-        calls = counted_calls(monkeypatch, "products._lk_plan")
-        lk = self.make_lk()
-        seen = []
-        for dps in (15, 15, 120, 15, 120):
-            with mp.workdps(dps):
-                products._lk_values(lk, self.points(lk))
-                lk_eval(lk, mp.mpc(1, dps))
-                laurent_coeffs(lk, 1, "0.1", 1, 4)
-            seen.append(calls["_lk_plan"])
-        assert seen == [1, 1, 2, 2, 2]
-        with mp.workdps(15):
-            products._lk_values(self.make_lk(), [0])  # a new product, a new plan
-        assert calls["_lk_plan"] == 3
-
     def test_slot(self, monkeypatch):
         calls = counted_calls(monkeypatch, "products._lk_values")
         lk = self.make_lk()
@@ -1178,13 +1162,14 @@ class TestPlanAndSlot:
         lk = self.make_lk()
         with mp.workdps(60):
             laurent = laurent_coeffs(lk, 2, "0.1", 3, 16)
+            points = (1j * lk.seq.lam(2) + laurent.radius / 2, mp.mpc("0.5", "1.5"))
+            # each on a fresh product, so a slot that kept a wrong G shows
+            want = [direct_gnk(self.make_lk(), laurent.values, 2, k, z)
+                    for z in points for k in range(3)]
             calls = counted_calls(monkeypatch, "products._lk_values", "products.lk_eval")
-            for z in (1j * lk.seq.lam(2) + laurent.radius / 2, mp.mpc("0.5", "1.5")):
-                got = [gnk_eval(lk, laurent, 2, k, z) for k in range(3)]
-                want = [direct_gnk(lk, laurent.values, 2, k, z) for k in range(3)]
-                assert self.raw(got) == self.raw(want)
-        # three lk_eval calls per point from gnk_eval (direct_gnk's go through
-        # this module's binding, uncounted, and read the same slot): one batch each
+            got = [gnk_eval(lk, laurent, 2, k, z) for z in points for k in range(3)]
+        assert self.raw(got) == self.raw(want)
+        # three lk_eval calls per point from gnk_eval: one batch each
         assert calls == {"_lk_values": 2, "lk_eval": 6}
 
     def test_equality_hash_repr_unchanged(self):

@@ -31,8 +31,8 @@ COUNTED = (
     "gram.gram_matrix", "gram.hermitian_cholesky", "gram._factor", "gram._cmul",
     "gram.mpc_mul",
     "products.lk_eval", "products.laurent_coeffs", "products.lk_circle_minima",
-    "products._lk_values", "products._lk_plan", "products._fx_product", "products._fx_mul",
-    "products._window", "products.mpc_exp", "products.taylor_coeffs",
+    "products._lk_values", "products._fx_product", "products._fx_mul", "products._window",
+    "products.mpc_exp", "products.taylor_coeffs",
     "lambda_analysis.analyze", "lambda_analysis.gap_check",
     "lambda_analysis.condensation_index", "carleson.apply_to_exponential",
     "fixtures.load_sequence", "core.validate_sequence",
@@ -120,13 +120,10 @@ def test_contour_evaluation_counts(runs):
     assert_all_exit_0(lk)
     assert total(lk, "lk_eval") == 26
     # the 8 gnk jobs evaluate G once per point for all three k (24 batches
-    # when each k took its own), and every job that evaluates G builds one
-    # plan for its product (the product-eval jobs evaluate no G)
+    # when each k took its own)
     gnk = {job: r for job, r in lk.items() if job.startswith("gnk-")}
     assert len(gnk) == 8
     assert (total(gnk, "lk_eval"), total(gnk, "_lk_values")) == (24, 8)
-    assert {job: r.calls["_lk_plan"] for job, r in lk.items()} == {
-        job: 0 if job.startswith("product-eval-") else 1 for job in lk}
     assert total(lk, "laurent_coeffs") == 4
     assert total(lk, "lk_circle_minima") == 1
     laurent = {job: r for job, r in lk.items() if job.startswith("laurent-")}
